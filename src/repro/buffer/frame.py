@@ -17,31 +17,31 @@ methods here so every caller manipulates the flags the same way:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.db.page import Page
 
 
-@dataclass(slots=True)
 class Frame:
     """One buffer-pool frame.
 
-    ``slots=True`` because the simulator materialises one Frame per DRAM
-    admission on the hot path; per-instance ``__dict__`` allocation is
-    measurable at that rate.
+    ``__slots__`` because the simulator materialises one Frame per DRAM
+    admission on the hot path; ``page_id`` is copied off the page because
+    every layer keys on it several times per eviction.
     """
 
-    page: Page
-    dirty: bool = False
-    fdirty: bool = False
-    pin_count: int = 0
-    #: Set when the frame is re-referenced while resident; consumed by
-    #: second-chance style DRAM policies (not used by plain LRU).
-    referenced: bool = field(default=False, repr=False)
+    __slots__ = ("page", "page_id", "dirty", "fdirty", "pin_count", "referenced")
 
-    @property
-    def page_id(self) -> int:
-        return self.page.page_id
+    def __init__(self, page: Page, dirty: bool = False, fdirty: bool = False) -> None:
+        self.page = page
+        self.page_id = page.page_id
+        self.dirty = dirty
+        self.fdirty = fdirty
+        self.pin_count = 0
+        #: Set when the frame is re-referenced while resident; consumed by
+        #: second-chance style DRAM policies (not used by plain LRU).
+        self.referenced = False
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Frame {self.page_id} dirty={self.dirty} fdirty={self.fdirty}>"
 
     @property
     def pinned(self) -> bool:

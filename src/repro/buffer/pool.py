@@ -70,10 +70,6 @@ class BufferPool:
     def __len__(self) -> int:
         return len(self._frames)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._frames) >= self.capacity
-
     # -- admission / eviction ------------------------------------------------
 
     def admit(self, page: Page, dirty: bool = False, fdirty: bool = False) -> Frame:
@@ -82,12 +78,14 @@ class BufferPool:
         The caller must have freed space first (:meth:`make_room`);
         admitting into a full pool is a programming error.
         """
-        if page.page_id in self._frames:
-            raise ConfigError(f"page {page.page_id} already buffered")
-        if self.is_full:
+        frames = self._frames
+        page_id = page.page_id
+        if page_id in frames:
+            raise ConfigError(f"page {page_id} already buffered")
+        if len(frames) >= self.capacity:
             raise BufferFullError("admit() on a full pool; call make_room() first")
-        frame = Frame(page=page, dirty=dirty, fdirty=fdirty)
-        self._frames[page.page_id] = frame
+        frame = Frame(page, dirty, fdirty)
+        frames[page_id] = frame
         self._policy.insert(frame)
         return frame
 
@@ -97,11 +95,23 @@ class BufferPool:
         Returns ``None`` when there is already a free slot.  Raises
         :class:`BufferFullError` if every frame is pinned.
         """
-        if not self.is_full:
+        frames = self._frames
+        if len(frames) < self.capacity:
             return None
-        victim = self._policy.victims(1)[0]
-        self._remove(victim)
-        self._count_eviction(victim)
+        policy = self._policy
+        victim = policy.victims(1)[0]
+        page_id = victim.page_id
+        del frames[page_id]
+        policy.remove(page_id)
+        stats = self.stats
+        stats.evictions += 1
+        is_dirty = victim.dirty or victim.fdirty
+        if is_dirty:
+            stats.dirty_evictions += 1
+        else:
+            stats.clean_evictions += 1
+        if OBS.enabled:
+            self._obs_handle("evict.dirty" if is_dirty else "evict.clean").inc()
         return victim
 
     def pull_tail(self, max_frames: int) -> list[Frame]:
@@ -115,32 +125,30 @@ class BufferPool:
             victims = self._policy.victims(max_frames)
         except BufferFullError:
             return []
+        frames = self._frames
+        remove = self._policy.remove
         for frame in victims:
-            self._remove(frame)
-            self._count_eviction(frame)
+            del frames[frame.page_id]
+            remove(frame.page_id)
+        dirty = sum([frame.dirty or frame.fdirty for frame in victims])
+        clean = len(victims) - dirty
+        stats = self.stats
+        stats.evictions += len(victims)
+        stats.dirty_evictions += dirty
+        stats.clean_evictions += clean
+        if OBS.enabled:
+            if dirty:
+                self._obs_handle("evict.dirty").inc(dirty)
+            if clean:
+                self._obs_handle("evict.clean").inc(clean)
         return victims
 
     def drop(self, page_id: int) -> Frame | None:
         """Remove a frame without counting an eviction (e.g. on table drop)."""
-        frame = self._frames.get(page_id)
+        frame = self._frames.pop(page_id, None)
         if frame is not None:
-            self._remove(frame)
+            self._policy.remove(page_id)
         return frame
-
-    def _remove(self, frame: Frame) -> None:
-        del self._frames[frame.page_id]
-        self._policy.remove(frame.page_id)
-
-    def _count_eviction(self, frame: Frame) -> None:
-        self.stats.evictions += 1
-        if frame.dirty or frame.fdirty:
-            self.stats.dirty_evictions += 1
-            if OBS.enabled:
-                self._obs_handle("evict.dirty").inc()
-        else:
-            self.stats.clean_evictions += 1
-            if OBS.enabled:
-                self._obs_handle("evict.clean").inc()
 
     def _obs_handle(self, suffix: str):
         """Lazily cached ``buffer.pool.<suffix>`` counter (guarded callers)."""

@@ -39,7 +39,7 @@ from repro.core.policies import (
 from repro.db.catalog import Catalog
 from repro.db.heap import HeapFile, Rid
 from repro.db.index import HashIndex
-from repro.db.page import Page, PageImage
+from repro.db.page import Page
 from repro.db.schema import TableSchema
 from repro.errors import CatalogError, TransactionError
 from repro.obs import OBS
@@ -225,11 +225,14 @@ class SimulatedDBMS:
 
     def _fetch_miss(self, page_id: int) -> Frame:
         # DRAM miss: search the flash cache, then disk (Figure 1, steps 3-4).
-        flash_hit = self.cache.lookup_fetch(page_id)
+        # Flat on purpose (~40 calls per transaction): it calls only the
+        # entry points of the layers below (DESIGN.md §6, host cost of a miss).
+        cache = self.cache
+        flash_hit = cache.lookup_fetch(page_id)
         if OBS.enabled:
             handles = self._obs_lookup
             if handles is None:
-                prefix = self.cache.obs_prefix
+                prefix = cache.obs_prefix
                 handles = self._obs_lookup = (
                     OBS.counter(f"{prefix}.lookups"),
                     OBS.counter(f"{prefix}.hits"),
@@ -238,30 +241,25 @@ class SimulatedDBMS:
             if flash_hit is not None:
                 handles[1].inc()
         if flash_hit is not None:
-            image, flash_dirty = flash_hit
-            frame = self._admit(image.to_page())
-            frame.on_fetch_from_flash(flash_dirty)
-            return frame
-        image = self._read_disk(page_id)
-        self.cache.on_fetch_from_disk(image)
-        frame = self._admit(image.to_page())
-        frame.on_fetch_from_disk()
-        return frame
-
-    def _read_disk(self, page_id: int) -> PageImage:
-        stored = self.disk.peek(page_id)
-        self.disk.device.read(page_id, 1)
-        if stored is None:
-            # Reading an allocated-but-never-written page: a real system
-            # reads zeroes; we materialise an empty page at the same cost.
-            return Page(page_id).to_image()
-        return stored
-
-    def _admit(self, page: Page) -> Frame:
-        victim = self.buffer.make_room()
+            image, dirty = flash_hit  # Frame.on_fetch_from_flash, at admission
+        else:
+            disk = self.disk
+            image = disk.peek(page_id)
+            disk.device.read(page_id, 1)
+            if image is None:
+                # Reading an allocated-but-never-written page: a real system
+                # reads zeroes; we materialise an empty page at the same cost.
+                image = Page(page_id).to_image()
+            cache.on_fetch_from_disk(image)
+            dirty = False  # Frame.on_fetch_from_disk: both flags drop
+        buffer = self.buffer
+        victim = buffer.make_room()
         if victim is not None:
-            self._evict(victim)
-        return self.buffer.admit(page)
+            # _evict(), inline: WAL discipline, then the policy.
+            if victim.dirty or victim.fdirty:
+                self.log.force_up_to(victim.page.lsn)
+            cache.on_dram_evict(victim)
+        return buffer.admit(image.to_page(), dirty)
 
     def _evict(self, frame: Frame) -> None:
         """Route one DRAM eviction through WAL discipline and the policy."""

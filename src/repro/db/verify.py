@@ -53,7 +53,7 @@ def _flash_valid_image(dbms: SimulatedDBMS, page_id: int):
     position = cache.directory.valid_position(page_id)
     if position is None:
         return None
-    staged = getattr(cache, "_staged", {}).get(position)
+    staged = cache.staged_slot(position)
     if staged is not None:
         return staged.image
     slot = dbms.flash.peek(cache.directory.physical(position))
@@ -97,7 +97,6 @@ def verify_cache_directory(dbms: SimulatedDBMS) -> VerificationReport:
     if not isinstance(cache, MvFifoCache):
         return report
     directory = cache.directory
-    staged = getattr(cache, "_staged", {})
     seen_valid: set[int] = set()
     for position in directory.live_positions():
         meta = directory.meta_at(position)
@@ -111,7 +110,7 @@ def verify_cache_directory(dbms: SimulatedDBMS) -> VerificationReport:
                     f"page {meta.page_id}: directory points away from its "
                     f"valid slot {position}"
                 )
-        slot = staged.get(position)
+        slot = cache.staged_slot(position)
         if slot is None:
             slot = dbms.flash.peek(directory.physical(position))
         if slot is None:

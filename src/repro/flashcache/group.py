@@ -15,9 +15,11 @@ flash block):
   as one batch-sized sequential I/O.
 
 Both use a RAM staging buffer for the rear of the queue so enqueues are
-written ``scan_depth`` pages at a time.  Staged pages are volatile; they are
-flushed at every database checkpoint (and are otherwise protected by the
-WAL, exactly like the DRAM buffer itself), and the recovery tail-scan
+written ``scan_depth`` pages at a time.  Enqueues take consecutive
+positions, so the buffer is a list plus the position of its first element
+(``MvFifoCache.staged_slot`` is the look-up).  Staged pages are volatile;
+they are flushed at every database checkpoint (and are otherwise protected
+by the WAL, exactly like the DRAM buffer itself), and the recovery tail-scan
 naturally treats never-flushed slots as not cached.
 """
 
@@ -26,7 +28,8 @@ from __future__ import annotations
 from repro.db.page import PageImage
 from repro.errors import CacheError
 from repro.obs import OBS
-from repro.flashcache.metadata import CacheSlotImage, unwrap_image
+from repro.flashcache.directory import DIRTY, REFERENCED, VALID
+from repro.flashcache.metadata import CacheSlotImage
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.storage.ssd import PAGES_PER_BLOCK
 from repro.storage.volume import Volume
@@ -59,7 +62,6 @@ class GroupReplacementCache(MvFifoCache):
                 f"{scan_depth} (need >= {2 * scan_depth})"
             )
         self.scan_depth = scan_depth
-        self._staged: dict[int, CacheSlotImage] = {}
         # Write ordering: staged data pages must hit flash before any
         # metadata segment that covers their positions (see metadata.py).
         self.metadata.pre_flush_hook = self._flush_staging
@@ -67,44 +69,31 @@ class GroupReplacementCache(MvFifoCache):
     # -- staged writes ----------------------------------------------------------
 
     def _write_slot(self, position: int, slot: CacheSlotImage) -> None:
-        self._staged[position] = slot
-        if len(self._staged) >= self.scan_depth:
+        staged = self._staged
+        if not staged:
+            self._staged_start = position
+        staged.append(slot)
+        if len(staged) >= self.scan_depth:
             self._flush_staging()
 
     def _flush_staging(self) -> None:
         """Write the staged rear run as one (or two, on wrap) batch I/O."""
-        if not self._staged:
+        staged = self._staged
+        if not staged:
             return
+        if staged[-1].position != self._staged_start + len(staged) - 1:
+            raise CacheError("staged run is not consecutive")
         if OBS.enabled:
             self._obs_counter("staging.flushes").inc()
-            OBS.gauge(f"{self.obs_prefix}.staging.batch_size").set(len(self._staged))
-        capacity = self.capacity
-        positions = sorted(self._staged)
-        run_start_physical = positions[0] % capacity
-        run: list[CacheSlotImage] = []
-        for position in positions:
-            physical = position % capacity
-            if run and physical != run_start_physical + len(run):
-                self.flash.write_batch(run_start_physical, run)
-                run_start_physical = physical
-                run = []
-            run.append(self._staged[position])
-        if run:
-            self.flash.write_batch(run_start_physical, run)
-        self._staged.clear()
-
-    def _read_slot(self, position: int) -> PageImage:
-        staged = self._staged.get(position)
-        if staged is not None:
-            return staged.image  # still in RAM: no flash I/O
-        return super()._read_slot(position)
-
-    def _peek_slot(self, position: int) -> PageImage:
-        """Slot contents without charging I/O (covered by a batch read)."""
-        staged = self._staged.get(position)
-        if staged is not None:
-            return staged.image
-        return unwrap_image(self.flash.peek(position % self.capacity))
+            OBS.gauge(f"{self.obs_prefix}.staging.batch_size").set(len(staged))
+        physical = self._staged_start % self.capacity
+        until_wrap = self.capacity - physical
+        if len(staged) <= until_wrap:
+            self.flash.write_batch(physical, staged)
+        else:
+            self.flash.write_batch(physical, staged[:until_wrap])
+            self.flash.write_batch(0, staged[until_wrap:])
+        staged.clear()
 
     # -- batched dequeue ---------------------------------------------------------
 
@@ -112,44 +101,30 @@ class GroupReplacementCache(MvFifoCache):
         while self.directory.free_slots < needed:
             self._batch_dequeue()
 
+    def _dequeue_front(self) -> list[tuple[int, int]]:
+        """Take ``scan_depth`` slots off the front, charging one batch-sized
+        sequential read of the region (two where it wraps the queue)."""
+        directory = self.directory
+        depth = min(self.scan_depth, directory.size)
+        front_physical = directory.front % self.capacity
+        span = min(depth, self.capacity - front_physical)
+        device = self.flash.device
+        device.read(front_physical, span)
+        if span < depth:
+            device.read(0, depth - span)
+        if OBS.enabled:
+            OBS.gauge(f"{self.obs_prefix}.dequeue.batch_size").set(depth)
+        return directory.dequeue_batch(depth)
+
     def _batch_dequeue(self) -> None:
         """GR: one batched read of the front, flush valid-dirty, discard rest."""
-        depth = min(self.scan_depth, self.directory.size)
-        self._charge_front_read(depth)
-        obs = OBS.enabled
-        if obs:
-            OBS.gauge(f"{self.obs_prefix}.dequeue.batch_size").set(depth)
-        for _ in range(depth):
-            position, meta = self.directory.dequeue()
-            if meta.valid and meta.dirty:
-                self._write_disk(self._peek_slot(position))
-                if obs:
-                    self._obs_counter("dequeue.flushed").inc()
-            elif meta.dirty and not meta.valid:
-                self.stats.invalidated_dirty += 1
-                if obs:
-                    self._obs_counter("dequeue.invalidated_dirty").inc()
-            elif obs:
-                self._obs_counter("dequeue.discarded").inc()
-        self.metadata.note_front(self.directory.front)
+        self._retire(self._dequeue_front(), timed=False)
 
-    def _charge_front_read(self, depth: int) -> None:
-        """Charge one batch-sized sequential read of the front region."""
-        front_physical = self.directory.physical(self.directory.front)
-        span = min(depth, self.capacity - front_physical)
-        self.flash.device.read(front_physical, span)
-        if span < depth:  # the batch wraps the circular queue
-            self.flash.device.read(0, depth - span)
-
-    # -- checkpoint / crash ---------------------------------------------------------
+    # -- checkpoint ---------------------------------------------------------------
 
     def finish_checkpoint(self) -> None:
         """A checkpoint implies persistence of everything checked in."""
         self._flush_staging()
-
-    def crash(self) -> None:
-        self._staged.clear()
-        super().crash()
 
 
 class GroupSecondChanceCache(GroupReplacementCache):
@@ -158,34 +133,31 @@ class GroupSecondChanceCache(GroupReplacementCache):
     name = "FaCE+GSC"
 
     def _batch_dequeue(self) -> None:
-        depth = min(self.scan_depth, self.directory.size)
-        self._charge_front_read(depth)
         obs = OBS.enabled
-        if obs:
-            OBS.gauge(f"{self.obs_prefix}.dequeue.batch_size").set(depth)
+        batch = self._dequeue_front()
         survivors: list[tuple[PageImage, bool]] = []  # (image, dirty)
-        for _ in range(depth):
-            position, meta = self.directory.dequeue()
-            if not meta.valid:
-                if meta.dirty:
+        for position, slot_flags in batch:
+            if not slot_flags & VALID:
+                if slot_flags & DIRTY:
                     self.stats.invalidated_dirty += 1
                     if obs:
                         self._obs_counter("dequeue.invalidated_dirty").inc()
-                continue
-            if meta.referenced:
-                survivors.append((self._peek_slot(position), meta.dirty))
-            elif meta.dirty:
-                self._write_disk(self._peek_slot(position))
+            elif slot_flags & REFERENCED:
+                survivors.append(
+                    (self._read_slot(position, timed=False), bool(slot_flags & DIRTY))
+                )
+            elif slot_flags & DIRTY:
+                self._write_disk(self._read_slot(position, timed=False))
                 if obs:
                     self._obs_counter("dequeue.flushed").inc()
             # valid, clean, unreferenced: discarded for free.
+        depth = len(batch)
         if len(survivors) >= depth:
             # Rare case (paper): every page in the batch was referenced —
             # the frontmost one is sacrificed to make room.
             image, dirty = survivors.pop(0)
             if dirty:
                 self._write_disk(image)
-        self.metadata.note_front(self.directory.front)
         if obs and survivors:
             self._obs_counter("second_chances").inc(len(survivors))
         for image, dirty in survivors:
@@ -206,7 +178,6 @@ class GroupSecondChanceCache(GroupReplacementCache):
         if want <= 0:
             return
         for frame in self._pull_callback(want):
-            self._count_eviction(frame)
-            self._handle_eviction(frame)
+            self.on_dram_evict(frame)
             if OBS.enabled:
                 self._obs_counter("dram_pulls").inc()

@@ -6,6 +6,9 @@ sequential segments — "in a similar way to how a database log tail is
 maintained" — instead of the per-entry random writes an LRU cache (TAC)
 needs.  One entry is 24 bytes (page id, pageLSN, flags); a segment holds
 ``segment_entries`` of them (64,000 in the paper ⇒ ~1.5 MB per flush).
+The RAM-resident "current segment" is the directory's positions
+``[persisted_rear, rear)`` — still live, because a segment is at most half
+the queue — read off the directory ring when the segment is written.
 
 On-flash layout (all within the flash device, after the cache region):
 
@@ -25,26 +28,25 @@ enqueues during a metadata flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 from repro.db.page import PageImage
 from repro.errors import CacheError
 from repro.flashcache.base import RecoveryTimings
-from repro.flashcache.directory import FifoDirectory
+from repro.flashcache.directory import Entry, FifoDirectory
 from repro.storage.profiles import PAGE_SIZE
 from repro.storage.volume import Volume
 
 #: Bytes per metadata entry (page id + pageLSN + flags), per the paper.
 ENTRY_BYTES = 24
 
-#: One metadata entry: (virtual position, page_id, lsn, dirty).
-Entry = tuple[int, int, int, bool]
 
-
-@dataclass(frozen=True)
-class CacheSlotImage:
+class CacheSlotImage(NamedTuple):
     """A page image as physically stored in a cache slot.
 
     The footer fields (``position``, ``dirty``) are what the restart scan
-    reads back to rebuild the lost tail of the metadata directory.
+    reads back to rebuild the lost tail of the metadata directory.  One is
+    built per enqueue, hence a tuple: the cheapest immutable record there is.
     """
 
     position: int
@@ -58,6 +60,9 @@ class CacheSlotImage:
     @property
     def lsn(self) -> int:
         return self.image.lsn
+
+    def __deepcopy__(self, memo: dict) -> "CacheSlotImage":
+        return self  # immutable, like the PageImage it wraps
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,11 @@ class MetadataManager:
                 f"metadata region of {meta_pages} pages cannot hold the "
                 f"superblock plus one {self.segment_pages}-page segment"
             )
-        # RAM-resident (lost on crash):
-        self._current: list[Entry] = []
-        self._front = 0
+        #: RAM-resident (lost on crash): enqueues before this position are
+        #: in a persisted segment (or predate the last restart).  The owning
+        #: cache calls :meth:`flush_segment` once ``segment_entries``
+        #: enqueues lie beyond it.
+        self.persisted_rear = 0
         #: Called before a segment is persisted.  The batched (GR/GSC)
         #: caches hook their staging flush here: metadata must never claim
         #: a position whose data page is not yet on flash, or a crash would
@@ -116,30 +123,22 @@ class MetadataManager:
 
     # -- steady-state operation ----------------------------------------------
 
-    def note_enqueue(self, position: int, page_id: int, lsn: int, dirty: bool) -> None:
-        """Record one enqueue; flushes a segment when the buffer fills."""
-        self._current.append((position, page_id, lsn, dirty))
-        if len(self._current) >= self.segment_entries:
-            self.flush_segment()
-
-    def note_front(self, front: int) -> None:
-        """Track the queue front; persisted at the next segment flush."""
-        self._front = front
-
-    def flush_segment(self) -> None:
-        """Write the buffered entries + updated superblock to flash.
+    def flush_segment(self, directory: FifoDirectory) -> None:
+        """Write ``directory``'s unpersisted entries + the superblock to flash.
 
         Charged as one large sequential write (segment) plus one page
         (superblock) — ~1.5 MB per the paper, versus TAC's two random
         writes *per cached page*.
         """
-        if not self._current:
+        first = self.persisted_rear
+        rear = directory.rear
+        if rear <= first:
             return
         if self.pre_flush_hook is not None:
             self.pre_flush_hook()  # data pages reach flash before metadata
         lba = self._alloc_segment_lba()
         segment = _SegmentImage(
-            first_position=self._current[0][0], entries=tuple(self._current)
+            first_position=first, entries=tuple(directory.entries(first, rear))
         )
         images: list[object] = [segment] + [None] * (self.segment_pages - 1)
         self.flash.write_batch(lba, images)
@@ -147,12 +146,10 @@ class MetadataManager:
         segment_lbas = (old.segment_lbas if old else ()) + (lba,)
         segment_lbas = self._prune_segments(segment_lbas)
         superblock = _Superblock(
-            front=self._front,
-            rear_at_flush=self._current[-1][0] + 1,
-            segment_lbas=segment_lbas,
+            front=directory.front, rear_at_flush=rear, segment_lbas=segment_lbas
         )
         self.flash.write_page(self.meta_base, superblock)
-        self._current = []
+        self.persisted_rear = rear
         self.segments_flushed += 1
 
     def _alloc_segment_lba(self) -> int:
@@ -173,9 +170,9 @@ class MetadataManager:
     # -- crash / restart --------------------------------------------------------
 
     def crash(self) -> None:
-        """Lose the RAM-resident current segment (and the front note)."""
-        self._current = []
-        self._front = 0
+        """Lose the RAM-resident current segment (the directory is wiped
+        with it; positions restart at 0 unless :meth:`recover` follows)."""
+        self.persisted_rear = 0
 
     def recover(self, directory: FifoDirectory) -> RecoveryTimings:
         """Rebuild ``directory`` from persistent segments + a tail scan.
@@ -234,7 +231,7 @@ class MetadataManager:
         front = max(front, rear - self.cache_capacity)
         entries.sort(key=lambda e: e[0])
         directory.restore(front, rear, entries)
-        self._front = front
+        self.persisted_rear = rear
 
         timings.metadata_restore_time = self.flash.device.busy_time - flash_busy_before
         return timings

@@ -24,7 +24,7 @@ from repro.db.page import PageImage
 from repro.errors import CacheError
 from repro.obs import OBS
 from repro.flashcache.base import FlashCacheBase, RecoveryTimings
-from repro.flashcache.directory import FifoDirectory
+from repro.flashcache.directory import DIRTY, REFERENCED, VALID, FifoDirectory
 from repro.flashcache.metadata import CacheSlotImage, MetadataManager, unwrap_image
 from repro.storage.volume import Volume
 
@@ -74,67 +74,97 @@ class MvFifoCache(FlashCacheBase):
             meta_pages=meta_pages,
             segment_entries=effective_segment,
         )
+        # The rear run not yet on flash: ``_staged[i]`` is the slot of
+        # position ``_staged_start + i``.  Plain mvFIFO writes through and
+        # leaves it empty; the batched subclasses fill it.
+        self._staged: list[CacheSlotImage] = []
+        self._staged_start = 0
 
     # -- read path ------------------------------------------------------------
 
     def lookup_fetch(self, page_id: int) -> tuple[PageImage, bool] | None:
         self.stats.lookups += 1
-        position = self.directory.valid_position(page_id)
+        directory = self.directory
+        position = directory.valid_pos.get(page_id)
         if position is None:
             return None
-        meta = self.directory.meta_at(position)
-        meta.referenced = True
+        flags = directory.flags
+        physical = position % self.capacity
+        slot_flags = flags[physical] | REFERENCED
+        flags[physical] = slot_flags
         image = self._read_slot(position)
         self.stats.hits += 1
-        return image, meta.dirty
+        return image, bool(slot_flags & DIRTY)
 
-    def _read_slot(self, position: int) -> PageImage:
-        """Physically read the page at a live queue position."""
-        # ``position % capacity`` is directory.physical() inlined: lookups
-        # and evictions hit this line for every cache operation.
-        slot = self.flash.read_page(position % self.capacity)
+    def _read_slot(self, position: int, timed: bool = True) -> PageImage:
+        """The page at a live position: from the staged run if it is still
+        there, else from flash — charged as one page read unless a batch
+        read already paid for the transfer (``timed=False``)."""
+        offset = position - self._staged_start
+        staged = self._staged
+        if 0 <= offset < len(staged):
+            return staged[offset].image  # still in RAM: no flash I/O
+        physical = position % self.capacity
+        slot = self.flash.read_page(physical) if timed else self.flash.peek(physical)
+        if type(slot) is CacheSlotImage:
+            return slot.image
         return unwrap_image(slot)
+
+    def staged_slot(self, position: int) -> CacheSlotImage | None:
+        """The slot image of ``position`` while it is staged in RAM."""
+        offset = position - self._staged_start
+        staged = self._staged
+        return staged[offset] if 0 <= offset < len(staged) else None
 
     # -- write path -----------------------------------------------------------
 
     def on_dram_evict(self, frame: Frame) -> None:
-        self._count_eviction(frame)
-        self._handle_eviction(frame)
-
-    def _handle_eviction(self, frame: Frame) -> None:
         """Algorithm 1's enqueue rule: unconditional when the DRAM copy is
         newer than the cached one (``fdirty``), conditional — skip if an
         identical copy is already cached — otherwise."""
         is_dirty = frame.dirty or frame.fdirty
+        stats = self.stats
+        if is_dirty:
+            stats.dirty_evictions += 1
+        else:
+            stats.clean_evictions += 1
+        if OBS.enabled:
+            name = "evictions.dirty" if is_dirty else "evictions.clean"
+            self._obs_counter(name).inc()
+        valid_pos = self.directory.valid_pos
         if is_dirty and self.write_through:
             # Ablation: write-through pays a disk write per dirty eviction
             # and the cached copy enters in sync with disk.
             image = frame.page.to_image()
             self._write_disk(image)
-            if frame.fdirty or not self.directory.contains_valid(frame.page_id):
+            if frame.fdirty or frame.page_id not in valid_pos:
                 self._enqueue(image, dirty=False)
             else:
-                self.stats.skipped_enqueues += 1
+                stats.skipped_enqueues += 1
             return
         if not is_dirty and not self.cache_clean:
             return  # ablation: dirty-only admission discards clean victims
-        if frame.fdirty or not self.directory.contains_valid(frame.page_id):
-            self._enqueue(frame.page.to_image(), dirty=is_dirty)
+        if frame.fdirty or frame.page_id not in valid_pos:
+            self._enqueue(frame.page.to_image(), is_dirty)
         else:
-            self.stats.skipped_enqueues += 1
+            stats.skipped_enqueues += 1
             if OBS.enabled:
                 self._obs_counter("enqueue.skipped").inc()
 
     def _enqueue(self, image: PageImage, dirty: bool) -> None:
+        directory = self.directory
+        page_id = image.page_id
         # Invalidate the previous version *before* choosing a victim: if the
         # front slot is that very version it is now discarded for free
         # instead of being redundantly flushed to disk.
-        superseded = self.directory.invalidate(image.page_id)
-        if self.directory.is_full:
+        superseded = directory.invalidate(page_id)
+        if directory.rear - directory.front >= self.capacity:
             self._make_room(1)
-        position = self.directory.enqueue(image.page_id, image.lsn, dirty)
+        position = directory.enqueue(page_id, image.lsn, dirty)
         self._write_slot(position, CacheSlotImage(position, dirty, image))
-        self.metadata.note_enqueue(position, image.page_id, image.lsn, dirty)
+        metadata = self.metadata
+        if directory.rear - metadata.persisted_rear >= metadata.segment_entries:
+            metadata.flush_segment(directory)
         self.stats.flash_writes += 1
         if OBS.enabled:
             self._obs_counter("enqueue.dirty" if dirty else "enqueue.clean").inc()
@@ -146,30 +176,29 @@ class MvFifoCache(FlashCacheBase):
         self.flash.write_page(position % self.capacity, slot)
 
     def _make_room(self, needed: int) -> None:
-        """Dequeue until at least ``needed`` slots are free.
-
-        The deficit is computed once and the front slots come off in one
-        :meth:`~repro.flashcache.directory.FifoDirectory.dequeue_batch`;
-        each slot is still charged exactly the I/O the paper's one-at-a-time
-        rule implies (flash read + disk write only for valid-dirty victims).
-        """
+        """Dequeue until at least ``needed`` slots are free, charging each
+        slot the I/O of the paper's one-at-a-time rule (flash read + disk
+        write only for valid-dirty victims)."""
         deficit = needed - self.directory.free_slots
-        if deficit <= 0:
-            return
-        for position, meta in self.directory.dequeue_batch(deficit):
-            if meta.valid and meta.dirty:
-                image = self._read_slot(position)
-                self._write_disk(image)
-                if OBS.enabled:
-                    self._obs_counter("dequeue.flushed").inc()
-            elif meta.dirty and not meta.valid:
-                self.stats.invalidated_dirty += 1
-                if OBS.enabled:
-                    self._obs_counter("dequeue.invalidated_dirty").inc()
-            elif OBS.enabled:
-                # valid-clean and invalid-clean slots are discarded for free.
+        if deficit > 0:
+            self._retire(self.directory.dequeue_batch(deficit), timed=True)
+
+    def _retire(self, batch: list[tuple[int, int]], timed: bool) -> None:
+        """Dispose of dequeued ``(position, flags)`` slots: valid-dirty ones
+        are written to disk, everything else is discarded for free."""
+        obs = OBS.enabled
+        for position, slot_flags in batch:
+            if slot_flags & DIRTY:
+                if slot_flags & VALID:
+                    self._write_disk(self._read_slot(position, timed))
+                    if obs:
+                        self._obs_counter("dequeue.flushed").inc()
+                else:
+                    self.stats.invalidated_dirty += 1
+                    if obs:
+                        self._obs_counter("dequeue.invalidated_dirty").inc()
+            elif obs:
                 self._obs_counter("dequeue.discarded").inc()
-        self.metadata.note_front(self.directory.front)
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -181,19 +210,17 @@ class MvFifoCache(FlashCacheBase):
         but disk may still be stale (``dirty`` is preserved on the frame and
         carried by the cache slot).
         """
-        if frame.fdirty or not self.directory.contains_valid(frame.page_id):
+        if frame.fdirty or frame.page_id not in self.directory.valid_pos:
             self._enqueue(frame.page.to_image(), dirty=frame.dirty)
             self.stats.checkpoint_writes += 1
             if OBS.enabled:
                 self._obs_counter("checkpoint.writes").inc()
         frame.fdirty = False
 
-    def finish_checkpoint(self) -> None:
-        """Plain mvFIFO writes through on enqueue; nothing is staged."""
-
     # -- crash / recovery ----------------------------------------------------------
 
     def crash(self) -> None:
+        self._staged.clear()
         self.directory.wipe()
         self.metadata.crash()
 

@@ -422,12 +422,6 @@ class BatchLruPolicy(ReplacementPolicy):
         self._ticks = grown
         self._ticks_np = self._np.frombuffer(grown, dtype=self._np.int64)
 
-    def _tick_of(self, page_id: int) -> int:
-        if self._ticks_np is not None:
-            ticks = self._ticks
-            return ticks[page_id] if page_id < len(ticks) else -1
-        return self._ticks.get(page_id, -1)
-
     def insert(self, frame: Frame) -> None:
         page_id = frame.page_id
         self._frames[page_id] = frame
@@ -458,6 +452,22 @@ class BatchLruPolicy(ReplacementPolicy):
             return out
         heap = self._heap
         frames = self._frames
+        # A resident page always has a tick; array and dict both index by id.
+        ticks = self._ticks
+        if count == 1:
+            # The eviction path: settle the heap top and read it off; the
+            # pop + re-push of the general loop leaves the same heap contents.
+            while heap:
+                tick, page_id = heap[0]
+                frame = frames.get(page_id)
+                if frame is None:
+                    heappop(heap)  # dead: the page left the pool
+                elif ticks[page_id] != tick:
+                    heapreplace(heap, (ticks[page_id], page_id))  # stale: refresh
+                elif frame.pin_count:
+                    break  # coldest frame is pinned: scan past it below
+                else:
+                    return [frame]
         taken: list[tuple[int, int]] = []
         seen: set[int] = set()
         while heap and len(out) < count:
@@ -472,7 +482,7 @@ class BatchLruPolicy(ReplacementPolicy):
                 # (the valid one is re-pushed below).
                 heappop(heap)
                 continue
-            current = self._tick_of(page_id)
+            current = ticks[page_id]
             if current != tick:
                 heapreplace(heap, (current, page_id))  # stale: refresh
                 continue

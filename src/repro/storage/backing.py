@@ -151,6 +151,12 @@ class PageStore:
         """Backend hook: replace all contents with (validated) ``slots``."""
         raise NotImplementedError
 
+    def direct_slots(self) -> dict[int, Any] | None:
+        """The live ``{lba: image}`` table if this backend *is* one, else
+        ``None``.  A :class:`~repro.storage.volume.Volume` works on it
+        directly, so it must stay the same object for the store's life."""
+        return None
+
     # -- shared API -----------------------------------------------------------
 
     def adopt_slots(self, slots: Mapping[int, Any]) -> None:
@@ -232,4 +238,10 @@ class MemoryPageStore(PageStore):
         return dict(self._slots)
 
     def _install_slots(self, slots: Mapping[int, Any]) -> None:
-        self._slots = dict(slots)
+        # In place: volumes hold this dict (see direct_slots).
+        if slots is not self._slots:
+            self._slots.clear()
+            self._slots.update(slots)
+
+    def direct_slots(self) -> dict[int, Any]:
+        return self._slots

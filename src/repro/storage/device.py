@@ -10,12 +10,17 @@ Sequentiality is detected the way a drive's firmware sees it: an access is
 sequential when it starts at the block immediately following the previous
 access's last block.  Multi-page transfers are charged at bandwidth cost,
 which is how the paper's batched (GR/GSC) flash I/O earns its advantage.
+
+``read`` and ``write`` sit under every page the simulator moves, so each is
+one flat function (service constants taken from the profile once; a subclass
+that prices differently overrides the whole method).  Their arithmetic is
+compared bit for bit with a reference in ``tests/test_device_parity.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import OutOfRangeError
 from repro.obs import OBS, sanitize
@@ -31,23 +36,35 @@ class IOKind(enum.Enum):
     SEQ_WRITE = "seq_write"
 
 
-@dataclass
+@dataclass(slots=True)
 class IOStats:
     """Operation and page counters for one device.
 
-    ``ops`` counts device commands (a 64-page batch write is one op);
-    ``pages`` counts 4 KB pages moved, which is what the paper's Table 4(b)
-    "4KB-page I/O operations per second" reports.
+    ``*_ops`` count device commands (a 64-page batch write is one op);
+    ``*_pages`` count 4 KB pages moved, which is what the paper's Table 4(b)
+    "4KB-page I/O operations per second" reports.  :attr:`ops` and
+    :attr:`pages` read them back as :class:`IOKind`-keyed mappings.
     """
 
-    ops: dict[IOKind, int] = field(default_factory=lambda: {k: 0 for k in IOKind})
-    pages: dict[IOKind, int] = field(default_factory=lambda: {k: 0 for k in IOKind})
+    random_read_ops: int = 0
+    random_write_ops: int = 0
+    seq_read_ops: int = 0
+    seq_write_ops: int = 0
+    random_read_pages: int = 0
+    random_write_pages: int = 0
+    seq_read_pages: int = 0
+    seq_write_pages: int = 0
     busy_time: float = 0.0
 
-    def record(self, kind: IOKind, npages: int, service_time: float) -> None:
-        self.ops[kind] += 1
-        self.pages[kind] += npages
-        self.busy_time += service_time
+    @property
+    def ops(self) -> dict[IOKind, int]:
+        """Device commands by kind (a fresh mapping; writes do not stick)."""
+        return {kind: getattr(self, f"{kind.value}_ops") for kind in IOKind}
+
+    @property
+    def pages(self) -> dict[IOKind, int]:
+        """Pages moved by kind (a fresh mapping; writes do not stick)."""
+        return {kind: getattr(self, f"{kind.value}_pages") for kind in IOKind}
 
     @property
     def total_ops(self) -> int:
@@ -55,29 +72,27 @@ class IOStats:
 
     @property
     def total_pages(self) -> int:
-        return sum(self.pages.values())
+        return self.read_pages + self.write_pages
 
     @property
     def read_pages(self) -> int:
-        return self.pages[IOKind.RANDOM_READ] + self.pages[IOKind.SEQ_READ]
+        return self.random_read_pages + self.seq_read_pages
 
     @property
     def write_pages(self) -> int:
-        return self.pages[IOKind.RANDOM_WRITE] + self.pages[IOKind.SEQ_WRITE]
+        return self.random_write_pages + self.seq_write_pages
 
     def snapshot(self) -> dict[str, float]:
         """Flat dict snapshot, convenient for reports and assertions."""
         out: dict[str, float] = {"busy_time": self.busy_time}
+        ops, pages = self.ops, self.pages
         for kind in IOKind:
-            out[f"ops_{kind.value}"] = self.ops[kind]
-            out[f"pages_{kind.value}"] = self.pages[kind]
+            out[f"ops_{kind.value}"] = ops[kind]
+            out[f"pages_{kind.value}"] = pages[kind]
         return out
 
     def reset(self) -> None:
-        for kind in IOKind:
-            self.ops[kind] = 0
-            self.pages[kind] = 0
-        self.busy_time = 0.0
+        self.__init__()
 
 
 class Device:
@@ -103,6 +118,11 @@ class Device:
         if self.capacity_pages <= 0:
             raise OutOfRangeError(f"capacity must be positive, got {self.capacity_pages}")
         self.stats = IOStats()
+        # The profile's service times, evaluated once (same floats).
+        self._random_read_time = profile.random_read_time
+        self._random_write_time = profile.random_write_time
+        self._seq_read_time = profile.seq_read_time
+        self._seq_write_time = profile.seq_write_time
         # Read and write streams are tracked separately: an append-only
         # write stream (mvFIFO's enqueues) stays sequential even when
         # interleaved with random reads, which is how SSDs (and the paper)
@@ -113,8 +133,8 @@ class Device:
         #: (PostgreSQL redo), so during restart random operations cost one
         #: request's *latency* instead of the saturated-throughput figure
         #: that Table 1's Orion measurements (and normal 50-client
-        #: operation) reflect.  Subclasses with internal parallelism
-        #: (RAID, SSD) override the timing hooks accordingly.
+        #: operation) reflect.  Devices with internal parallelism (RAID,
+        #: SSD) price a serial random read accordingly.
         self.serial_mode = False
         self._obs_handles: dict | None = None
 
@@ -128,31 +148,19 @@ class Device:
             "write": OBS.histogram(f"{prefix}.write.seconds"),
         }
         for kind in IOKind:
-            handles[kind] = OBS.counter(f"{prefix}.ops.{kind.value}")
-            handles[kind, "pages"] = OBS.counter(f"{prefix}.pages.{kind.value}")
+            handles[kind.value] = OBS.counter(f"{prefix}.ops.{kind.value}")
+            handles[kind.value, "pages"] = OBS.counter(f"{prefix}.pages.{kind.value}")
         self._obs_handles = handles
         return handles
 
-    def _obs_record(self, op: str, kind: IOKind, npages: int, service: float) -> None:
-        """Record one I/O into the registry (called only while enabled)."""
+    def _obs_record(self, op: str, kind: str, npages: int, service: float) -> None:
+        """Record one I/O (``kind``: an :class:`IOKind` value); enabled only."""
         handles = self._obs_handles
         if handles is None:
             handles = self._obs_make_handles()
         handles[op].observe(service)
         handles[kind].inc()
         handles[kind, "pages"].inc(npages)
-
-    # -- timing hooks subclasses override ---------------------------------
-
-    def _read_time(self, npages: int, sequential: bool) -> float:
-        if sequential or npages > 1:
-            return npages * self.profile.seq_read_time
-        return self.profile.random_read_time
-
-    def _write_time(self, npages: int, sequential: bool) -> float:
-        if sequential or npages > 1:
-            return npages * self.profile.seq_write_time
-        return self.profile.random_write_time
 
     # -- public I/O API -----------------------------------------------------
 
@@ -161,12 +169,25 @@ class Device:
 
         Returns the service time charged (seconds).
         """
-        self._check_range(lba, npages)
+        if lba < 0 or lba + npages > self.capacity_pages:
+            raise self._out_of_range(lba, npages)
+        stats = self.stats
         sequential = self._next_read_lba == lba
         self._next_read_lba = lba + npages
-        service = self._read_time(npages, sequential)
-        kind = IOKind.SEQ_READ if (sequential or npages > 1) else IOKind.RANDOM_READ
-        self.stats.record(kind, npages, service)
+        if sequential or npages > 1:
+            service = npages * self._seq_read_time
+            kind = "seq_read"
+            stats.seq_read_ops += 1
+            stats.seq_read_pages += npages
+        else:
+            if self.serial_mode and npages == 1:
+                service = self._serial_read_time()
+            else:
+                service = self._random_read_time
+            kind = "random_read"
+            stats.random_read_ops += 1
+            stats.random_read_pages += npages
+        stats.busy_time += service
         if OBS.enabled:
             self._obs_record("read", kind, npages, service)
         return service
@@ -176,24 +197,37 @@ class Device:
 
         Returns the service time charged (seconds).
         """
-        self._check_range(lba, npages)
+        if lba < 0 or lba + npages > self.capacity_pages:
+            raise self._out_of_range(lba, npages)
+        stats = self.stats
         sequential = self._next_write_lba == lba
         self._next_write_lba = lba + npages
-        service = self._write_time(npages, sequential)
-        kind = IOKind.SEQ_WRITE if (sequential or npages > 1) else IOKind.RANDOM_WRITE
-        self.stats.record(kind, npages, service)
+        if sequential or npages > 1:
+            service = npages * self._seq_write_time
+            kind = "seq_write"
+            stats.seq_write_ops += 1
+            stats.seq_write_pages += npages
+        else:
+            service = self._random_write_time
+            kind = "random_write"
+            stats.random_write_ops += 1
+            stats.random_write_pages += npages
+        stats.busy_time += service
         if OBS.enabled:
             self._obs_record("write", kind, npages, service)
         return service
 
     # -- helpers -------------------------------------------------------------
 
-    def _check_range(self, lba: int, npages: int) -> None:
-        if lba < 0 or lba + npages > self.capacity_pages:
-            raise OutOfRangeError(
-                f"access [{lba}, {lba + npages}) outside device of "
-                f"{self.capacity_pages} pages ({self.profile.name})"
-            )
+    def _serial_read_time(self) -> float:
+        """Cost of one random single-page read in :attr:`serial_mode`."""
+        return self._random_read_time
+
+    def _out_of_range(self, lba: int, npages: int) -> OutOfRangeError:
+        return OutOfRangeError(
+            f"access [{lba}, {lba + npages}) outside device of "
+            f"{self.capacity_pages} pages ({self.profile.name})"
+        )
 
     @property
     def busy_time(self) -> float:
@@ -209,3 +243,4 @@ class Device:
             f"<{type(self).__name__} {self.profile.name!r} "
             f"{self.capacity_pages}p busy={self.busy_time:.3f}s>"
         )
+

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.errors import ConfigError
+from repro.obs import OBS, sanitize
 from repro.storage.device import Device
 from repro.storage.profiles import HDD_CHEETAH_15K, RAID0_8_DISKS, DeviceProfile
 
@@ -86,6 +87,9 @@ class Raid0Array(Device):
         super().__init__(make_raid0_profile(n_disks, base), capacity_pages)
         self.n_disks = n_disks
         self.base_profile = base
+        self._member_read_latency = (
+            base.random_read_time * self.SERIAL_READ_LATENCY_FACTOR
+        )
         self._obs_qd1_reads = None
 
     # A RAID-0 array multiplies *throughput*, not per-request latency: a
@@ -99,19 +103,15 @@ class Raid0Array(Device):
     # streaming.
     SERIAL_READ_LATENCY_FACTOR = 2.0
 
-    def _read_time(self, npages: int, sequential: bool) -> float:
-        if self.serial_mode and not sequential and npages == 1:
-            from repro.obs import OBS, sanitize
-
-            if OBS.enabled:
-                # Counts the recovery-path reads that pay member-disk QD1
-                # latency instead of array throughput — the Table 6 term.
-                counter = self._obs_qd1_reads
-                if counter is None:
-                    counter = OBS.counter(
-                        f"storage.raid0.{sanitize(self.profile.name)}.qd1_reads"
-                    )
-                    self._obs_qd1_reads = counter
-                counter.inc()
-            return self.base_profile.random_read_time * self.SERIAL_READ_LATENCY_FACTOR
-        return super()._read_time(npages, sequential)
+    def _serial_read_time(self) -> float:
+        if OBS.enabled:
+            # Counts the recovery-path reads that pay member-disk QD1
+            # latency instead of array throughput — the Table 6 term.
+            counter = self._obs_qd1_reads
+            if counter is None:
+                counter = OBS.counter(
+                    f"storage.raid0.{sanitize(self.profile.name)}.qd1_reads"
+                )
+                self._obs_qd1_reads = counter
+            counter.inc()
+        return self._member_read_latency

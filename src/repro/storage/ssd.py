@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.obs import OBS, sanitize
 from repro.storage.device import Device
 from repro.storage.profiles import DeviceProfile
 
@@ -63,13 +64,19 @@ SERIAL_LATENCY_MULTIPLIER = 4.0
 
 
 class FlashDevice(Device):
-    """An SSD with spread-dependent writes and interference-dependent reads."""
+    """An SSD with spread-dependent writes and interference-dependent reads.
+
+    ``read`` / ``write`` price the op against the tracker state *before* it,
+    record it, then feed the trackers.  Spread and interference are the
+    device's physical condition: ``reset_stats`` leaves them alone.
+    """
 
     _OBS_KIND = "ssd"
 
     def __init__(self, profile: DeviceProfile, capacity_pages: int | None = None) -> None:
         super().__init__(profile, capacity_pages)
         self._nblocks = max(1, self.capacity_pages // PAGES_PER_BLOCK)
+        self._spread_denominator = min(SPREAD_WINDOW, self._nblocks)
         self._recent_random_blocks: deque[int] = deque(maxlen=SPREAD_WINDOW)
         self._recent_block_counts: dict[int, int] = {}
         # Recent op kinds: True entries are random writes.
@@ -83,8 +90,6 @@ class FlashDevice(Device):
         # counts cost FaCE (append-only) and LC (in-place) different times.
         gauges = self._obs_ssd_gauges
         if gauges is None:
-            from repro.obs import OBS, sanitize
-
             prefix = f"storage.ssd.{sanitize(self.profile.name)}"
             gauges = (
                 OBS.gauge(f"{prefix}.write_spread"),
@@ -103,8 +108,7 @@ class FlashDevice(Device):
         Distinct blocks among the last :data:`SPREAD_WINDOW` random writes,
         normalised by the window (or the whole device, if smaller).
         """
-        denominator = min(SPREAD_WINDOW, self._nblocks)
-        return min(1.0, len(self._recent_block_counts) / denominator)
+        return min(1.0, len(self._recent_block_counts) / self._spread_denominator)
 
     def _note_random_write(self, lba: int) -> None:
         block = (lba // PAGES_PER_BLOCK) % self._nblocks
@@ -128,60 +132,75 @@ class FlashDevice(Device):
         write_fraction = self._recent_random_write_ops / len(self._recent_ops)
         return 1.0 + READ_INTERFERENCE_FACTOR * write_fraction
 
-    def _note_op(self, is_random_write: bool) -> None:
-        if len(self._recent_ops) == self._recent_ops.maxlen:
-            if self._recent_ops[0]:
-                self._recent_random_write_ops -= 1
-        self._recent_ops.append(is_random_write)
-        if is_random_write:
-            self._recent_random_write_ops += 1
-
-    # -- timing overrides ------------------------------------------------------
-
-    def _write_time(self, npages: int, sequential: bool) -> float:
-        if sequential or npages > 1:
-            return npages * self.profile.seq_write_time
-        seq = self.profile.seq_write_time
-        rand = self.profile.random_write_time
-        # Writes are asynchronous even during serial recovery (they queue
-        # in the device; redo does not wait on them), so no QD1 penalty.
-        return seq + self.write_spread * (rand - seq)
-
-    def _read_time(self, npages: int, sequential: bool) -> float:
-        base = super()._read_time(npages, sequential)
-        if sequential or npages > 1:
-            return base  # large transfers stream past the write queue
-        service = base * self.read_interference
-        if self.serial_mode:
-            service *= SERIAL_LATENCY_MULTIPLIER
-        return service
-
-    # -- public I/O overrides to feed the trackers --------------------------------
-
-    def write(self, lba: int, npages: int = 1) -> float:
-        # The first-ever write carries no evidence of randomness; only a
-        # mismatch against an established write cursor counts.
-        random_evidence = (
-            self._next_write_lba is not None
-            and self._next_write_lba != lba
-            and npages == 1
-        )
-        service = super().write(lba, npages)
-        if random_evidence:
-            self._note_random_write(lba)
-        self._note_op(random_evidence)
-        return service
+    # -- public I/O ------------------------------------------------------------
 
     def read(self, lba: int, npages: int = 1) -> float:
-        service = super().read(lba, npages)
-        self._note_op(False)
+        if lba < 0 or lba + npages > self.capacity_pages:
+            raise self._out_of_range(lba, npages)
+        stats = self.stats
+        recent = self._recent_ops
+        sequential = self._next_read_lba == lba
+        self._next_read_lba = lba + npages
+        if sequential or npages > 1:
+            # Large transfers stream past the write queue.
+            service = npages * self._seq_read_time
+            kind = "seq_read"
+            stats.seq_read_ops += 1
+            stats.seq_read_pages += npages
+        else:
+            # ``read_interference``, written out (same operations, same order).
+            if recent:
+                write_fraction = self._recent_random_write_ops / len(recent)
+                interference = 1.0 + READ_INTERFERENCE_FACTOR * write_fraction
+            else:
+                interference = 1.0
+            service = self._random_read_time * interference
+            if self.serial_mode:
+                service *= SERIAL_LATENCY_MULTIPLIER
+            kind = "random_read"
+            stats.random_read_ops += 1
+            stats.random_read_pages += npages
+        stats.busy_time += service
+        if OBS.enabled:
+            self._obs_record("read", kind, npages, service)
+        # Interference tracker: a read pushes one non-write into the window.
+        if len(recent) == INTERFERENCE_WINDOW and recent[0]:
+            self._recent_random_write_ops -= 1
+        recent.append(False)
         return service
 
-    def reset_stats(self) -> None:
-        """Reset counters but keep the physical FTL state.
-
-        Spread and interference reflect the device's physical condition,
-        which survives a statistics reset after warm-up just like a real
-        drive stays in its steady state.
-        """
-        super().reset_stats()
+    def write(self, lba: int, npages: int = 1) -> float:
+        if lba < 0 or lba + npages > self.capacity_pages:
+            raise self._out_of_range(lba, npages)
+        stats = self.stats
+        cursor = self._next_write_lba
+        self._next_write_lba = lba + npages
+        if cursor == lba or npages > 1:
+            service = npages * self._seq_write_time
+            kind = "seq_write"
+            stats.seq_write_ops += 1
+            stats.seq_write_pages += npages
+        else:
+            # Writes are asynchronous even during serial recovery (they
+            # queue in the device; redo does not wait on them): no QD1 penalty.
+            seq = self._seq_write_time
+            spread = min(1.0, len(self._recent_block_counts) / self._spread_denominator)
+            service = seq + spread * (self._random_write_time - seq)
+            kind = "random_write"
+            stats.random_write_ops += 1
+            stats.random_write_pages += npages
+        stats.busy_time += service
+        if OBS.enabled:
+            self._obs_record("write", kind, npages, service)
+        # The first-ever write carries no evidence of randomness; only a
+        # mismatch against an established write cursor counts.
+        random_evidence = cursor is not None and cursor != lba and npages == 1
+        if random_evidence:
+            self._note_random_write(lba)
+        recent = self._recent_ops
+        if len(recent) == INTERFERENCE_WINDOW and recent[0]:
+            self._recent_random_write_ops -= 1
+        recent.append(random_evidence)
+        if random_evidence:
+            self._recent_random_write_ops += 1
+        return service

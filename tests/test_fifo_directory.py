@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CacheError
 from repro.flashcache.directory import FifoDirectory
+from tests.conftest import dequeue_one
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ def test_enqueue_invalidates_previous_version(directory):
 def test_dequeue_fifo_order_and_validity_cleanup(directory):
     directory.enqueue(10, 1, True)
     directory.enqueue(11, 1, False)
-    pos, meta = directory.dequeue()
+    pos, meta = dequeue_one(directory)
     assert pos == 0 and meta.page_id == 10
     assert not directory.contains_valid(10)
     assert directory.contains_valid(11)
@@ -52,7 +53,7 @@ def test_dequeue_fifo_order_and_validity_cleanup(directory):
 def test_dequeue_of_stale_version_keeps_newer_valid(directory):
     directory.enqueue(10, 1, True)
     directory.enqueue(10, 2, True)
-    _, meta = directory.dequeue()
+    _, meta = dequeue_one(directory)
     assert not meta.valid
     assert directory.contains_valid(10)
 
@@ -67,13 +68,13 @@ def test_full_queue_rejects_enqueue(directory):
 
 def test_dequeue_empty_rejected(directory):
     with pytest.raises(CacheError):
-        directory.dequeue()
+        directory.dequeue_batch(1)
 
 
 def test_physical_wraps_circularly(directory):
     for i in range(4):
         directory.enqueue(i, 1, False)
-    directory.dequeue()
+    directory.dequeue_batch(1)
     pos = directory.enqueue(99, 1, False)
     assert directory.physical(pos) == 0  # reuses the freed front slot
 
@@ -132,7 +133,7 @@ def test_invariant_under_mixed_operations():
     rng = random.Random(0)
     for step in range(500):
         if directory.is_full or (directory.size and rng.random() < 0.3):
-            directory.dequeue()
+            directory.dequeue_batch(1)
         else:
             directory.enqueue(rng.randint(0, 5), step, rng.random() < 0.5)
         check_invariant(directory)

@@ -33,11 +33,13 @@ def manager(flash) -> MetadataManager:
 
 
 def enqueue_page(flash, manager, directory, page_id, lsn=1, dirty=True):
-    """Mimic mvFIFO's enqueue: data page write + metadata note."""
+    """Mimic mvFIFO's enqueue: data page write, then a metadata segment
+    once a segment's worth of enqueues is unpersisted."""
     position = directory.enqueue(page_id, lsn, dirty)
     image = PageImage(page_id, lsn, {0: ("v", lsn)})
     flash.write_page(position % CACHE, CacheSlotImage(position, dirty, image))
-    manager.note_enqueue(position, page_id, lsn, dirty)
+    if directory.rear - manager.persisted_rear >= manager.segment_entries:
+        manager.flush_segment(directory)
     return position
 
 
@@ -115,9 +117,7 @@ def test_recover_respects_noted_front(flash, manager):
     directory = FifoDirectory(CACHE)
     for i in range(SEGMENT):
         enqueue_page(flash, manager, directory, i)
-    directory.dequeue()
-    directory.dequeue()
-    manager.note_front(directory.front)
+    directory.dequeue_batch(2)
     for i in range(SEGMENT):  # second flush persists the front
         enqueue_page(flash, manager, directory, 100 + i)
     manager.crash()

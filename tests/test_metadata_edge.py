@@ -82,8 +82,8 @@ class TestStagingOrdering:
         # All live valid pages must be physically present and correct.
         for pos in cache.directory.live_positions():
             meta = cache.directory.meta_at(pos)
-            slot = cache._peek_slot(pos)
-            assert slot.page_id == meta.page_id
+            image = cache._read_slot(pos, timed=False)
+            assert image.page_id == meta.page_id
 
     def test_batch_writes_dominate_group_cache_traffic(self):
         cache = make_cache(GroupSecondChanceCache, capacity=64,

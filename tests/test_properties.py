@@ -55,10 +55,10 @@ def test_fifo_directory_invariant_holds_under_any_sequence(ops):
     for op, page_id in ops:
         if op == "enq":
             if directory.is_full:
-                directory.dequeue()
+                directory.dequeue_batch(1)
             directory.enqueue(page_id, 1, dirty=bool(page_id % 2))
         elif op == "deq" and directory.size:
-            directory.dequeue()
+            directory.dequeue_batch(1)
         elif op == "inv":
             directory.invalidate(page_id)
         # Invariant: at most one valid copy per page id, and it is newest.
@@ -94,11 +94,11 @@ def test_restore_equals_replay(entries, dequeues):
     log = []
     for page_id, dirty in entries:
         if live.is_full:
-            live.dequeue()
+            live.dequeue_batch(1)
         pos = live.enqueue(page_id, 1, dirty)
         log.append((pos, page_id, 1, dirty))
     for _ in range(min(dequeues, live.size)):
-        live.dequeue()
+        live.dequeue_batch(1)
 
     restored = FifoDirectory(capacity)
     restored.restore(live.front, live.rear, log)

@@ -68,10 +68,10 @@ def test_detects_directory_slot_mismatch():
     cache = dbms.cache
     # Corrupt: swap one live slot's metadata to a wrong page id.
     position = next(iter(cache.directory.live_positions()))
-    meta = cache.directory.meta_at(position)
-    slot = dbms.flash.peek(cache.directory.physical(position))
+    physical = cache.directory.physical(position)
+    slot = dbms.flash.peek(physical)
     if slot is not None:
-        meta.page_id = slot.page_id + 1
+        cache.directory.page_ids[physical] = slot.page_id + 1
         report = verify_cache_directory(dbms)
         assert not report.ok
 
