@@ -116,10 +116,10 @@ REGRESSION_TOLERANCE = 0.30
 #: Deliberately loose: per-cell times on shared CI runners are noisy, and
 #: the gate exists to catch order-of-magnitude engine regressions.
 CELL_REGRESSION_FACTOR = 2.0
-#: The warm fast-grid pass (pure per-cell replay through the batched
-#: kernel, one-time trace decode paid separately) must beat full serial
-#: execution by at least this factor.  Host speed cancels out of the
-#: ratio, so the gate is stable across runners.
+#: The warm fast-grid pass (per-cell replay alone: warm-up adopted from a
+#: post-warm-up fork, one-time trace decode paid separately) must beat
+#: full serial execution by at least this factor.  Host speed cancels out
+#: of the ratio, so the gate is stable across runners.
 MIN_WARM_FAST_SPEEDUP = 8.0
 
 POLICIES = (CachePolicy.LC, CachePolicy.FACE, CachePolicy.FACE_GR,
@@ -240,7 +240,7 @@ def fast_passes(
 
     Between the two, the one-time trace preparation (load + decode of the
     persisted boundary trace) is re-paid from scratch and recorded under
-    ``prepare`` — so the warm per-cell figures are pure kernel replay and
+    ``prepare`` — so the warm per-cell figures are replay alone and
     the fixed cost is visible in the record instead of silently folded
     into whichever cell runs first.
     """

@@ -103,30 +103,6 @@ def _build_runner(args, policy: CachePolicy, **overrides) -> ExperimentRunner:
     return ExperimentRunner(config, scale, seed=args.seed, workload=workload)
 
 
-def _report_fast_path(stream=None) -> None:
-    """One-line replay-kernel summary after a ``--fast`` run (to stderr).
-
-    Covers the replays this process drove itself; cells served by shared-
-    trace pool workers tally in their own processes and are not merged.
-    """
-    from repro.sim.kernel import kernel_totals
-
-    totals = kernel_totals()
-    if not totals["transactions"]:
-        return
-    reads = totals["batched_reads"] + totals["scalar_reads"]
-    batched = 100.0 * totals["batched_reads"] / reads if reads else 0.0
-    path = "numpy" if totals["vectorized"] else "pure-python"
-    out = stream if stream is not None else sys.stderr
-    print(
-        f"# replay kernel: {totals['transactions']:,} tx / "
-        f"{totals['events']:,} events in {totals['runs']:,} runs across "
-        f"{totals['cells']} cells; {batched:.0f}% of reads batched "
-        f"({path} path)",
-        file=out,
-    )
-
-
 def cmd_run(args) -> int:
     scale = _scale(args.scale)
     workload = _workload(args)
@@ -154,8 +130,6 @@ def cmd_run(args) -> int:
               f"measured {args.transactions} tx", file=sys.stderr)
 
     cells = run_cells(specs, jobs=args.jobs, on_cell=report, fast=args.fast)
-    if args.fast:
-        _report_fast_path()
     print(run_result_table(
         list(cells.values()), title=f"Steady state - {workload.token}"
     ))
@@ -188,8 +162,6 @@ def cmd_recover(args) -> int:
         for name in args.policies
     ]
     cells = run_cells(specs, jobs=args.jobs, fast=args.fast)
-    if args.fast:
-        _report_fast_path()
     reports = [(crash.name, crash.report) for crash in cells.values()]
     print(restart_report_table(reports, title="Crash + restart"))
     return 0
@@ -326,8 +298,6 @@ def cmd_serve(args) -> int:
         progress=progress_printer(sys.stderr),
         fast=args.fast,
     )
-    if args.fast:
-        _report_fast_path()
     print(
         service_result_table(
             list(cells.values()),
@@ -555,8 +525,6 @@ def cmd_sweep(args) -> int:
     results = sweep.run(
         jobs=args.jobs, progress=progress_printer(sys.stderr), fast=args.fast
     )
-    if args.fast:
-        _report_fast_path()
     points = [
         (fraction * 100, results.get(fraction).tpmc) for fraction in args.fractions
     ]
@@ -621,8 +589,6 @@ def cmd_ablate(args) -> int:
         progress=progress_printer(sys.stderr),
         fast=not args.no_fast,
     )
-    if not args.no_fast:
-        _report_fast_path()
     parity = None
     if args.check_parity:
         ok, mismatched = verify_parity(study, results, sample=args.check_parity)

@@ -209,18 +209,19 @@ def _execute_cell(
     registry is cleared before the cell and snapshotted after it, so every
     snapshot names exactly the metrics this cell touched — identical
     whether the cell ran in-process or in a pool worker (fresh registry
-    either way).  The prior enabled state is restored afterwards so mixed
-    sweeps behave.
+    either way).  The prior enabled state is restored afterwards — also
+    when the cell raises — so mixed sweeps behave.
     """
     obs_was_enabled = OBS.enabled
     if spec.collect_obs:
         OBS.clear()
         OBS.enable()
-    runner = make_runner()
-    result = spec.resolve_scenario().execute(runner)
-    if spec.collect_obs:
-        result.obs = OBS.snapshot()
-        if not obs_was_enabled:
+    try:
+        result = spec.resolve_scenario().execute(make_runner())
+        if spec.collect_obs:
+            result.obs = OBS.snapshot()
+    finally:
+        if spec.collect_obs and not obs_was_enabled:
             OBS.disable()
     return result
 
@@ -407,23 +408,17 @@ class _SharedReplayFailed:
 def replay_shared_cell(spec: CellSpec) -> ScenarioResult | _SharedReplayFailed:
     """Replay one cell from its published shared trace (pool worker target).
 
-    Attaches to the segment once per worker process (the attachment — and
-    the kernel's compiled plan — is cached and reused by every later cell
-    this worker replays from the same segment).  A replay that outruns the
-    immutable segment, or a segment that has vanished, returns a
-    :class:`_SharedReplayFailed` marker; the parent re-replays that cell
-    against its live recorder.
+    Attaches to the segment once per worker process (the attachment is
+    cached and reused by every later cell this worker replays from the
+    same segment).  A replay that outruns the immutable segment, or a
+    segment that has vanished, returns a :class:`_SharedReplayFailed`
+    marker; the parent re-replays that cell against its live recorder.
     """
     from repro.sim.replay import attached_recorder, replay_cell
 
-    obs_was_enabled = OBS.enabled
     try:
         return replay_cell(spec, attached_recorder(spec))
     except (SharedTraceExhausted, OSError) as exc:
-        # ``replay_cell`` may have flipped OBS on for a collect_obs cell
-        # before failing; restore so later cells in this worker behave.
-        if OBS.enabled and not obs_was_enabled:
-            OBS.disable()
         return _SharedReplayFailed(str(exc))
 
 

@@ -80,7 +80,7 @@ from repro.sim.trace import (
     raw_boundary_bytes,
 )
 from repro.errors import SharedTraceExhausted, TraceCodecError
-from repro.sim.kernel import ReplayKernel, kernel_enabled
+from repro.sim.parallel import _execute_cell
 from repro.sim.warmstate import (
     WarmFork,
     fork_database,
@@ -90,7 +90,6 @@ from repro.sim.warmstate import (
     warm_fork_enabled,
 )
 from repro.tpcc.driver import _MIX, WorkloadStats
-from repro.storage.profiles import PAGE_SIZE
 from repro.tpcc.scale import ScaleProfile
 from repro.workload.registry import (
     TPCC_SPEC,
@@ -100,7 +99,6 @@ from repro.workload.registry import (
 )
 from repro.wal.records import (
     BASE_RECORD_BYTES,
-    ReplayMarkerRecord,
     ReplayUpdateRecord,
     UpdateRecord,
     update_payload_bytes,
@@ -717,17 +715,14 @@ class SharedTraceRecorder:
     """Read-only recorder facade over an attached shared-memory trace.
 
     Quacks like :class:`TraceRecorder` for everything a replay touches
-    (``ensure`` plus the kernel's cached ``kernel_plan``) but can never
-    record: a published segment is immutable.  A replay that outruns the
+    (``ensure`` and the identity fields) but can never record: a
+    published segment is immutable.  A replay that outruns the
     segment raises :class:`~repro.errors.SharedTraceExhausted`, which the
     sweep engine turns into a parent-side re-replay against the live
     recorder.
     """
 
-    __slots__ = (
-        "scale", "seed", "trace", "kernel_plan", "fork_token",
-        "workload", "tx_kinds",
-    )
+    __slots__ = ("scale", "seed", "trace", "fork_token", "workload", "tx_kinds")
 
     def __init__(
         self,
@@ -740,7 +735,6 @@ class SharedTraceRecorder:
         self.scale = scale
         self.seed = seed
         self.trace = trace
-        self.kernel_plan = None
         # Carried through the published handle so workers replaying a
         # retargeted segment key their warm forks separately from native
         # streams at the same (scale, seed).
@@ -758,8 +752,8 @@ class SharedTraceRecorder:
         )
 
 
-#: Worker-side attachment cache: one mapping (and one compiled kernel plan)
-#: per shared segment, reused across every cell the worker replays from it.
+#: Worker-side attachment cache: one mapping per shared segment, reused
+#: across every cell the worker replays from it.
 _ATTACHED: dict[str, SharedTraceRecorder] = {}
 
 
@@ -794,7 +788,7 @@ def prepare_replay(specs) -> dict[str, Any]:
     ``trace_donor`` on the spec, or automatic donor pickup) the one-time
     remap cost is paid here too and reported per group
     (``remap_seconds``) and in total (``retarget_seconds``), so warm
-    per-cell figures downstream stay pure-kernel.  Benchmarks call this
+    per-cell figures downstream are replay alone.  Benchmarks call this
     before their timed passes so sweep timings stop charging those fixed
     costs to whichever cell happens to run first.
     """
@@ -870,19 +864,13 @@ class ReplayRunner:
         self._tx_index = 0
         self._last_checkpoint_wall = 0.0
         self.warmup_transactions = 0
-        # The inlined loops know LRU's internals (hit == move_to_end
+        # The inlined loop knows LRU's internals (hit == move_to_end
         # succeeding, and nothing in an LRU system ever reads a frame's
         # CLOCK reference bit); any other DRAM policy goes through the
         # exact loop, which only uses public component methods.
         policy = self.dbms.buffer._policy
         self._fast = type(policy) is LruPolicy
         self._move_to_end = policy._frames.move_to_end if self._fast else None
-        # The batched kernel replaces both inlined loops for LRU pools:
-        # token-stream stepping with bulk run classification, the same
-        # bit-identical accounting, OBS on or off (it installs a
-        # tick-based LRU twin into the pool).  ``REPRO_REPLAY_KERNEL=0``
-        # falls back to the scalar loops below.
-        self._kernel = ReplayKernel(self) if self._fast and kernel_enabled() else None
 
     def _replay_one(self) -> None:
         """Replay the next recorded transaction, event by event.
@@ -890,18 +878,14 @@ class ReplayRunner:
         Two implementations of the same event semantics: the default is a
         hand-inlined loop (DRAM-hit path, WAL append and full-page-write
         bookkeeping flattened into locals) — it executes ~75 events per
-        transaction and is the whole hot path of a fast-mode sweep.  When
-        the observability layer is enabled, or the DRAM policy is not one
-        the inlined loop knows, the exact loop drives the same components
-        through their public methods so every OBS counter fires as in a
-        full run.  Both orders every timed operation — float accumulation
-        included — exactly as the full-execution path, which is what makes
-        replayed metrics bit-identical.
+        transaction and is the whole hot path of a fast-mode sweep, warm-up
+        included.  When the observability layer is enabled, or the DRAM
+        policy is not one the inlined loop knows, the exact loop drives the
+        same components through their public methods so every OBS counter
+        fires as in a full run.  Both order every timed operation — float
+        accumulation included — exactly as the full-execution path, which
+        is what makes replayed metrics bit-identical.
         """
-        kernel = self._kernel
-        if kernel is not None:
-            kernel.replay_one_measured()
-            return
         if OBS.enabled or not self._fast:
             self._replay_one_exact()
             return
@@ -1009,114 +993,6 @@ class ReplayRunner:
         else:
             stats.aborted += 1
 
-    def _replay_one_lean(self) -> None:
-        """Warm-up-only variant of the inlined loop.
-
-        Everything ``reset_measurements`` zeroes at the warm-up/measure
-        boundary — the simulated-CPU accumulator, DRAM hit/miss counters,
-        the workload mix tallies — is simply not maintained here.  State
-        that survives the boundary (pool membership and LRU order, page
-        LSNs, dirty flags, WAL tail and full-page-write bookkeeping, every
-        flash-cache and device interaction) evolves exactly as in the
-        measured loop, so the measured region stays bit-identical.
-        """
-        tx_index = self._tx_index
-        trace = self.recorder.ensure(tx_index + 1)
-        ops = trace.ops
-        args = trace.args
-        i = self._op_index
-        ai = self._arg_index
-        dbms = self.dbms
-        buffer = dbms.buffer
-        frames_get = buffer._frames.get
-        move_to_end = self._move_to_end
-        fetch_miss = dbms._fetch_miss
-        next_txid = dbms._txid_counter.__next__
-        log = dbms.log
-        log_device = log.device
-        log_capacity = log_device.capacity_pages
-        tail = log._tail
-        tail_append = tail.append
-        durable_extend = log._durable.extend
-        fpw_done = log._fpw_done
-        txid = 0
-        while True:
-            op = ops[i]
-            i += 1
-            if op == OP_READ:
-                page_id = args[ai]
-                ai += 1
-                try:
-                    move_to_end(page_id)
-                except KeyError:
-                    fetch_miss(page_id)
-            elif op == OP_READ_DUP:
-                pass  # hit on the MRU frame; no surviving state moves
-            elif op == OP_UPDATE:
-                packed = args[ai]
-                ai += 1
-                page_id = packed >> _PAYLOAD_BITS
-                frame = frames_get(page_id)
-                if frame is not None:
-                    move_to_end(page_id)
-                else:
-                    frame = fetch_miss(page_id)
-                payload = packed & _PAYLOAD_MASK
-                lsn = log._next_lsn  # LogManager.log_update_sized, inlined
-                log._next_lsn = lsn + 1
-                record = ReplayUpdateRecord(lsn, txid, page_id, payload)
-                tail_append(record)
-                page = frame.page
-                page.lsn = lsn  # Page.stamp, inlined
-                page._image = None
-                frame.dirty = True  # Frame.on_update, inlined
-                frame.fdirty = True
-                if page_id not in fpw_done:  # take_fpw + attach, inlined
-                    fpw_done.add(page_id)
-                    record.page_image = page.to_image()
-                    log._tail_bytes += BASE_RECORD_BYTES + payload + 4096
-                else:
-                    log._tail_bytes += BASE_RECORD_BYTES + payload
-            elif op == OP_BEGIN:
-                # dbms.begin(), minus what nothing in a replayed warm-up
-                # reads back: the Transaction object and the active-set
-                # entry (no checkpoint runs before the measure phase).
-                txid = next_txid()
-                lsn = log._next_lsn
-                log._next_lsn = lsn + 1
-                tail_append(ReplayMarkerRecord(lsn))
-                log._tail_bytes += BASE_RECORD_BYTES
-            else:  # OP_COMMIT / OP_ABORT / OP_TXEND
-                if op == OP_TXEND:
-                    ai += 1
-                    break
-                # dbms.commit/abort -> log.commit/log_abort + force(),
-                # inlined.  Every surviving piece of log state moves exactly
-                # as in force(): LSN sequence, durable records, flushed_lsn,
-                # the circular head, the force count — and the log device's
-                # sequential-detection position, so the first measured force
-                # is priced identically.  Only the service-time arithmetic
-                # and IOStats (zeroed at the boundary) are skipped.
-                lsn = log._next_lsn
-                log._next_lsn = lsn + 1
-                tail_append(ReplayMarkerRecord(lsn))
-                tail_bytes = log._tail_bytes + BASE_RECORD_BYTES
-                npages = -(-tail_bytes // PAGE_SIZE)  # >= 1: tail is non-empty
-                head = log._head_lba
-                if head + npages > log_capacity:
-                    head = 0  # circular log; old segments recycled
-                head += npages
-                log_device._next_write_lba = head
-                log._head_lba = head
-                durable_extend(tail)
-                log.flushed_lsn = lsn
-                tail.clear()
-                log._tail_bytes = 0
-                log.forces += 1
-        self._op_index = i
-        self._arg_index = ai
-        self._tx_index = tx_index + 1
-
     def _replay_one_exact(self) -> None:
         tx_index = self._tx_index
         trace = self.recorder.ensure(tx_index + 1)
@@ -1215,24 +1091,10 @@ class ReplayRunner:
                 return self.warmup_transactions
         executed = 0
         dbms = self.dbms
-        # The lean loop skips exactly the accumulators reset_measurements
-        # zeroes below; with OBS on (or a non-LRU pool) every event must
-        # still go through the exact loop so counters exist after reset.
-        kernel = self._kernel
-        if kernel is not None:
-            step = (
-                kernel.replay_one_lean
-                if not OBS.enabled
-                else kernel.replay_one_measured
-            )
-        elif self._fast and not OBS.enabled:
-            step = self._replay_one_lean
-        else:
-            step = self._replay_one
         while executed < min_transactions or (
             executed < max_transactions and not cache_populated(dbms)
         ):
-            step()
+            self._replay_one()
             executed += 1
         dbms.reset_measurements()
         self.stats.reset()
@@ -1249,25 +1111,17 @@ class ReplayRunner:
     def _warm_fork_key(self, min_transactions: int, max_transactions: int):
         """Full replay identity of this warm-up, or ``None`` if ineligible.
 
-        Warm-up is a pure function of (trace, config, bounds, loop
-        flavour): the trace is pinned by (scale, seed, workload) *and*
-        the recorder's ``fork_token`` — a retargeted stream at T is a
-        different trace than a native recording at T, even though both
-        carry T's (scale, seed) — and the flavour matters because it
-        decides which policy object ends up installed in the pool.
-        OBS-enabled runs are ineligible — their warm-up must actually
-        execute so the post-reset counter *set* matches a full run's —
-        and the whole cache can be switched off via
+        Warm-up is a pure function of (trace, config, bounds, loop): the
+        trace is pinned by (scale, seed, workload) *and* the recorder's
+        ``fork_token`` — a retargeted stream at T is a different trace
+        than a native recording at T, even though both carry T's
+        (scale, seed).  OBS-enabled runs are ineligible — their warm-up
+        must actually execute so the post-reset counter *set* matches a
+        full run's — and the whole cache can be switched off via
         ``REPRO_REPLAY_WARMFORK=0``.
         """
         if OBS.enabled or not warm_fork_enabled():
             return None
-        if self._kernel is not None:
-            mode = "kernel"
-        elif self._fast:
-            mode = "lru"
-        else:
-            mode = "exact"
         return (
             self.recorder.scale,
             self.recorder.seed,
@@ -1276,30 +1130,16 @@ class ReplayRunner:
             repr(self.config),
             min_transactions,
             max_transactions,
-            mode,
+            "lru" if self._fast else "exact",
         )
 
     def _capture_warm_fork(self, executed: int) -> WarmFork:
-        kernel = self._kernel
         return WarmFork(
             dbms=fork_dbms(self.dbms),
             op_index=self._op_index,
             arg_index=self._arg_index,
             tx_index=self._tx_index,
             executed=executed,
-            kernel_cursors=(
-                None
-                if kernel is None
-                else (
-                    kernel._ti,
-                    kernel._ri,
-                    kernel._runs,
-                    kernel._batched_reads,
-                    kernel._scalar_reads,
-                    kernel._events,
-                    kernel._transactions,
-                )
-            ),
         )
 
     def _adopt_warm_fork(self, fork: WarmFork) -> None:
@@ -1312,26 +1152,8 @@ class ReplayRunner:
         self.warmup_transactions = fork.executed
         self.stats.reset()
         self._last_checkpoint_wall = 0.0
-        policy = dbms.buffer._policy
-        kernel = self._kernel
-        if kernel is not None:
-            # The kernel built for this runner installed a fresh policy
-            # into the *discarded* pristine system; rebind it to the
-            # adopted clone and restore its cursors and telemetry so a
-            # fork hit reports exactly what a replayed warm-up would.
-            kernel.dbms = dbms
-            kernel.policy = policy
-            (
-                kernel._ti,
-                kernel._ri,
-                kernel._runs,
-                kernel._batched_reads,
-                kernel._scalar_reads,
-                kernel._events,
-                kernel._transactions,
-            ) = fork.kernel_cursors
-        elif self._fast:
-            self._move_to_end = policy._frames.move_to_end
+        if self._fast:
+            self._move_to_end = dbms.buffer._policy._frames.move_to_end
 
     def measure(
         self,
@@ -1367,8 +1189,6 @@ class ReplayRunner:
                 OBS.gauge("replay.events_per_sec").set(
                     (self._op_index - ops_before) / elapsed
                 )
-            if self._kernel is not None:
-                self._kernel.publish_stats()
         return self.summarise()
 
     def summarise(self) -> RunResult:
@@ -1385,20 +1205,4 @@ def replay_cell(spec, recorder: TraceRecorder):
     the trace extends on demand, so a crash cell records (and replays)
     nothing past its kill point.
     """
-    obs_was_enabled = OBS.enabled
-    if spec.collect_obs:
-        OBS.clear()
-        OBS.enable()
-    runner = ReplayRunner(spec.config, recorder)
-    result = spec.resolve_scenario().execute(runner)
-    if runner._kernel is not None:
-        runner._kernel.accumulate_totals()
-    if spec.collect_obs:
-        if runner._kernel is not None:
-            # Crash cells never reach measure(); the watermarks make a
-            # second publication from a steady cell a no-op.
-            runner._kernel.publish_stats()
-        result.obs = OBS.snapshot()
-        if not obs_was_enabled:
-            OBS.disable()
-    return result
+    return _execute_cell(spec, lambda: ReplayRunner(spec.config, recorder))

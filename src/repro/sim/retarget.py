@@ -159,12 +159,12 @@ class RetargetedTraceRecorder:
 
     Quacks like :class:`~repro.sim.replay.TraceRecorder` for everything a
     replay touches (``scale``/``seed``/``trace``/``ensure``/
-    ``longest_trace`` plus the kernel's cached ``kernel_plan``) but never
-    records at the target scale: ``ensure`` pulls transactions from the
-    donor source and remaps the new suffix through the scale pair's lookup
-    table — vectorized under numpy, pure-``array`` otherwise — appending to
-    its own :class:`BoundaryTrace` so downstream machinery (kernel plans,
-    shared-memory publication, warm forks) works unchanged.
+    ``longest_trace``) but never records at the target scale: ``ensure``
+    pulls transactions from the donor source and remaps the new suffix
+    through the scale pair's lookup table — vectorized under numpy,
+    pure-``array`` otherwise — appending to its own :class:`BoundaryTrace`
+    so downstream machinery (shared-memory publication, warm forks) works
+    unchanged.
 
     The donor source is resolved lazily: a live donor recorder if one
     exists, else the persisted donor trace.  A replay outrunning the
@@ -196,7 +196,6 @@ class RetargetedTraceRecorder:
         self.donor_scale = donor_scale
         self.tx_kinds = get_workload_entry(TPCC_SPEC.name).tx_kinds
         self.trace = BoundaryTrace()
-        self.kernel_plan = None
         self.fork_token = f"retarget<-{donor_scale!r}"
         self.remap_seconds = 0.0
         self._table = build_remap_table(donor_scale, scale)

@@ -540,9 +540,9 @@ class SharedBoundaryTrace:
     """A read-only :class:`BoundaryTrace` twin over an attached segment.
 
     ``ops``/``args`` are zero-copy memoryviews into the shared buffer with
-    the exact indexing/len semantics the replay loops and the kernel's
-    plan builder use on the array-backed trace; replaying from one is
-    bit-identical to replaying from the original arrays.
+    the exact indexing/len semantics the replay loops use on the
+    array-backed trace; replaying from one is bit-identical to replaying
+    from the original arrays.
     """
 
     __slots__ = ("ops", "args", "n_transactions", "_shm")

@@ -23,7 +23,7 @@ not shareable *across* cells.
 **Post-warm-up forks.**  Repeated replays of the *same* cell — the warm
 pass of a benchmark, ablation variants that share a baseline, repeated CLI
 invocations in one process — re-execute an identical warm-up (tens of
-thousands of lean transactions) only to arrive at a state this process has
+thousands of transactions) only to arrive at a state this process has
 already computed.  :func:`fork_dbms` deep-copies a warmed
 :class:`~repro.core.dbms.SimulatedDBMS` in one call (so the buffer pool /
 policy / cache / log aliasing survives intact, bound callbacks included)
@@ -33,7 +33,7 @@ object population after warm-up — is a flat list of records that are never
 mutated once appended (full-page-image attachment *replaces* the tail
 entry), so forks share the records and copy only the list spine.
 :class:`ReplayRunner` captures a pristine fork keyed by the full replay
-identity (config repr, scale, seed, warm-up bounds, loop flavour) and
+identity (config repr, scale, seed, warm-up bounds, replay loop) and
 every later identical warm-up adopts a private re-fork instead of
 replaying; results stay bit-identical because the adopted state *is* the
 state warm-up would have rebuilt.  ``REPRO_REPLAY_WARMFORK=0`` disables
@@ -170,9 +170,7 @@ class WarmFork:
 
     ``dbms`` is never handed out directly: adoption re-forks it, so the
     cached copy stays untouched however many replays it seeds.  The cursor
-    fields restore the owning runner mid-trace, and the kernel fields
-    restore the batched kernel's token cursors and telemetry so a fork-hit
-    replay reports exactly what a replayed warm-up would have.
+    fields restore the owning runner mid-trace.
     """
 
     dbms: Any
@@ -180,7 +178,6 @@ class WarmFork:
     arg_index: int
     tx_index: int
     executed: int
-    kernel_cursors: tuple[int, ...] | None
 
 
 #: Cell identity -> WarmFork.  Bounded: sweeps revisit a handful of cell

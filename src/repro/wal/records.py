@@ -143,24 +143,6 @@ class ReplayUpdateRecord:
         return size
 
 
-class ReplayMarkerRecord:
-    """Slotted stand-in for Begin/Commit/Abort records in replay warm-up.
-
-    Lifecycle records written during a replayed warm-up are only ever read
-    back by checkpoint log-truncation, which compares LSNs; the fixed
-    header size is accounted inline by the appender.  One slot keeps the
-    three-per-transaction allocation off the warm-up profile.
-    """
-
-    __slots__ = ("lsn",)
-
-    def __init__(self, lsn: int) -> None:
-        self.lsn = lsn
-
-    def size_bytes(self) -> int:
-        return _BASE_RECORD_BYTES
-
-
 @dataclass(frozen=True)
 class CommitRecord(LogRecord):
     """A transaction committed; forces the log tail (durability point)."""

@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import sys
 
-import pytest
-
-from repro.buffer.replacement import LruPolicy
-from repro.sim.kernel import BatchLruPolicy
 from tests.conftest import MISS_CELL_CACHE_PAGES, gsc_miss_cell, miss_cell_ops
 
-#: Frames per miss measured on this cell (CPython 3.11), with the buffer
-#: pool's own LRU and with the replay kernel's tick-based twin alike; the
-#: same cell cost 69.5 and 70.5 before the path was flattened.  The cell is
-#: half updates with an 8-page scan depth, so a miss here does more
-#: replacement work than at BENCH scale (19.0 on ``tpcc_replay_grid``).
+#: Frames per miss measured on this cell (CPython 3.11); the same cell cost
+#: 69.5 before the path was flattened.  The cell is half updates with an
+#: 8-page scan depth, so a miss here does more replacement work than at
+#: BENCH scale (19.0 on ``tpcc_replay_grid``).
 MEASURED = 24.9
 
 
@@ -53,12 +48,8 @@ def frames_per_miss(dbms, steps: int = 600) -> float:
     return counts["frames"] / counts["misses"]
 
 
-@pytest.mark.parametrize("policy", [LruPolicy, BatchLruPolicy])
-def test_frames_per_dram_miss_stay_within_budget(policy):
-    dbms = gsc_miss_cell()
-    if policy is not LruPolicy:
-        dbms.buffer._policy = policy()  # as ReplayKernel does, on an empty pool
-    measured = frames_per_miss(dbms)
+def test_frames_per_dram_miss_stay_within_budget():
+    measured = frames_per_miss(gsc_miss_cell())
     assert measured <= MEASURED * 1.10, (
         f"{measured:.2f} Python frames per DRAM miss; the flattened path "
         f"measured {MEASURED} (see DESIGN.md §6, Host cost of a DRAM miss)"

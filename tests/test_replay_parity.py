@@ -24,6 +24,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import CachePolicy, scaled_reference_config
+from repro.errors import ConfigError
 from repro.obs import OBS
 from repro.sim.parallel import CellSpec, run_cell, run_cell_warm, run_cells
 from repro.sim.replay import (
@@ -111,8 +112,10 @@ def test_replay_parity_clock_buffer_policy():
     _parity(_spec(CachePolicy.FACE, config_overrides={"buffer_policy": "clock"}))
 
 
-def test_replay_parity_with_collect_obs():
-    _parity(_spec(CachePolicy.FACE_GSC, collect_obs=True))
+@pytest.mark.parametrize("policy", list(CachePolicy), ids=lambda p: p.value)
+def test_replay_parity_with_collect_obs(policy):
+    # OBS on routes every event through the exact loop, whatever the pool.
+    _parity(_spec(policy, collect_obs=True))
 
 
 # -- crash cells: the trace truncates at the kill point ----------------------
@@ -146,6 +149,26 @@ def test_replay_parity_crash_cell_with_collect_obs():
     # recovery.* counters/gauges are in PARITY_PREFIXES: the published
     # restart metrics must match too, not just the report dataclass.
     _parity(_crash_spec(CachePolicy.FACE_GSC, collect_obs=True))
+
+
+@pytest.mark.parametrize("path", ["executed", "replayed"])
+def test_collect_obs_cell_that_raises_restores_obs(path):
+    # A crash schedule that exhausts max_transactions raises mid-cell; the
+    # obs bracket must not leave the registry on for later cells.
+    spec = _crash_spec(CachePolicy.FACE, collect_obs=True)
+    spec = dataclasses.replace(
+        spec, scenario=dataclasses.replace(spec.scenario, max_transactions=5)
+    )
+    assert not OBS.enabled
+    with pytest.raises(ConfigError, match="never reached its kill point"):
+        if path == "executed":
+            run_cell(spec)
+        else:
+            replay_cell(spec, TraceRecorder(TINY, spec.seed))
+    try:
+        assert not OBS.enabled
+    finally:
+        OBS.disable()
 
 
 def test_fast_mode_mixes_steady_and_crash_cells():

@@ -1,6 +1,6 @@
 """Cross-scale trace retargeting: identity parity pin + machinery tests.
 
-The identity tier is pinned the way the kernel parity suites pin replay:
+The identity tier is pinned the way ``tests/test_replay_parity.py`` pins replay:
 retargeting a trace onto its own scale must be bit-identical to the direct
 path, both at the byte level and through a full replayed measurement.  The
 donor tier uses a purpose-built ``DONOR`` profile slightly larger than

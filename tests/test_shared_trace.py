@@ -1,16 +1,13 @@
-"""Vectorized replay kernel + zero-copy shared traces (ISSUE 6).
+"""Zero-copy shared traces, post-warm-up forks and replay preparation.
 
-Two independent claims are pinned here:
-
-* The batched kernel (:mod:`repro.sim.kernel`) replays bit-identically to
-  the scalar loops it replaces — for every cache policy, across seeds,
-  with OBS on and off, and on the pure-``array`` fallback when numpy is
-  absent (``REPRO_REPLAY_KERNEL=0`` selects the legacy loops, so equality
-  against them is the parity oracle).
 * The shared-memory trace layer (:mod:`repro.sim.trace`) publishes one
   decoded trace that any number of workers attach to zero-copy, replays
   from it match the per-process path exactly, and segments are unlinked
   on normal sweep exit *and* after worker crashes — never leaked.
+* A post-warm-up fork (:mod:`repro.sim.warmstate`) seeds an identical
+  second replay with the exact state its warm-up would have rebuilt.
+* :func:`~repro.sim.replay.prepare_replay` pays and reports each trace
+  group's one-time cost.
 """
 
 from __future__ import annotations
@@ -24,16 +21,13 @@ import pytest
 from repro.core.config import CachePolicy, scaled_reference_config
 from repro.errors import SharedTraceExhausted
 from repro.obs import OBS
-from repro.sim import kernel as kernel_mod
 from repro.sim import parallel as parallel_mod
-from repro.sim.kernel import kernel_totals, numpy_active, reset_kernel_totals
 from repro.sim.parallel import CellSpec, _SharedReplayFailed, replay_shared_cell, run_cells
 from repro.sim.replay import (
     SharedTraceRecorder,
     TraceRecorder,
     attached_recorder,
     clear_recorders,
-    get_recorder,
     has_recorder,
     prepare_replay,
     replay_cell,
@@ -46,10 +40,6 @@ from repro.tpcc.scale import TINY
 
 DB_PAGES = estimate_db_pages(TINY)
 
-#: Simulated-metric namespaces whose obs snapshots must match exactly
-#: (mirrors tests/test_replay_parity.py; ``replay.*`` is machinery).
-PARITY_PREFIXES = ("flashcache.", "buffer.pool.", "wal.", "recovery.")
-
 FAST = dict(measure_transactions=120, warmup_min=40, warmup_max=600)
 
 
@@ -58,11 +48,9 @@ def _hermetic(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     clear_recorders()
     clear_snapshots()
-    reset_kernel_totals()
     yield
     clear_recorders()
     clear_snapshots()
-    reset_kernel_totals()
 
 
 def _spec(policy: CachePolicy, seed: int = 42, fraction: float = 0.08, **over) -> CellSpec:
@@ -74,68 +62,6 @@ def _spec(policy: CachePolicy, seed: int = 42, fraction: float = 0.08, **over) -
         seed=seed,
         **params,
     )
-
-
-def _assert_parity(kernel: dict, legacy: dict, collect_obs: bool) -> None:
-    kernel_obs, legacy_obs = kernel.pop("obs"), legacy.pop("obs")
-    assert kernel == legacy
-    if collect_obs:
-        for name, value in legacy_obs["counters"].items():
-            if name.startswith(PARITY_PREFIXES):
-                assert kernel_obs["counters"].get(name) == value, name
-        for name, value in kernel_obs["counters"].items():
-            if name.startswith(PARITY_PREFIXES):
-                assert legacy_obs["counters"].get(name) == value, name
-
-
-# -- kernel parity against the scalar loops ----------------------------------
-
-
-@pytest.mark.parametrize("policy", list(CachePolicy), ids=lambda p: p.value)
-@pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("collect_obs", [False, True], ids=["obs-off", "obs-on"])
-def test_kernel_parity_every_policy(policy, seed, collect_obs, monkeypatch):
-    spec = _spec(policy, seed=seed, collect_obs=collect_obs)
-    monkeypatch.delenv("REPRO_REPLAY_KERNEL", raising=False)
-    with_kernel = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, seed)))
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "0")
-    legacy = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, seed)))
-    _assert_parity(with_kernel, legacy, collect_obs)
-
-
-@pytest.mark.skipif(not numpy_active(), reason="numpy not installed")
-def test_kernel_fallback_equivalence_without_numpy(monkeypatch):
-    # The pure-`array` fallback must replay bit-identically to the numpy
-    # path: same plan tokens, same policy decisions, same RunResult.
-    spec = _spec(CachePolicy.FACE_GSC, collect_obs=True)
-    vectorized = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, 42)))
-    monkeypatch.setattr(kernel_mod, "_np", None)
-    monkeypatch.setattr(kernel_mod, "_KIND_LUT_NP", None)
-    fallback = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, 42)))
-    assert fallback["obs"]["gauges"]["replay.kernel.vectorized"] == 0.0
-    assert vectorized["obs"]["gauges"]["replay.kernel.vectorized"] == 1.0
-    _assert_parity(vectorized, fallback, collect_obs=True)
-
-
-def test_kernel_gauge_and_counters_published():
-    result = replay_cell(_spec(CachePolicy.FACE, collect_obs=True), TraceRecorder(TINY, 42))
-    gauges, counters = result.obs.gauges, result.obs.counters
-    assert gauges["replay.kernel.vectorized"] == (1.0 if numpy_active() else 0.0)
-    assert counters["replay.kernel.transactions"] > 0
-    assert counters["replay.kernel.events"] > 0
-    assert (
-        counters["replay.kernel.batched_reads"] + counters["replay.kernel.scalar_reads"]
-        > 0
-    )
-
-
-def test_kernel_totals_accumulate_across_cells():
-    replay_cell(_spec(CachePolicy.FACE), TraceRecorder(TINY, 42))
-    replay_cell(_spec(CachePolicy.LC), TraceRecorder(TINY, 42))
-    totals = kernel_totals()
-    assert totals["cells"] == 2
-    assert totals["transactions"] > 0
-    assert totals["vectorized"] == numpy_active()
 
 
 # -- shared-memory trace lifecycle -------------------------------------------
@@ -315,16 +241,6 @@ def test_warm_fork_crash_scenario_bit_identical():
     first = dataclasses.asdict(replay_cell(spec, recorder))
     second = dataclasses.asdict(replay_cell(spec, recorder))
     assert warm_fork_stats()["hits"] == 1
-    first.pop("obs"), second.pop("obs")
-    assert second == first
-
-
-def test_warm_fork_parity_on_legacy_loops(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "0")
-    recorder = TraceRecorder(TINY, 42)
-    first = dataclasses.asdict(replay_cell(_spec(CachePolicy.LC), recorder))
-    second = dataclasses.asdict(replay_cell(_spec(CachePolicy.LC), recorder))
-    assert warm_fork_stats() == {"hits": 1, "misses": 1}
     first.pop("obs"), second.pop("obs")
     assert second == first
 

@@ -1,0 +1,90 @@
+"""Tree-wide pins: the env-flag surface and the frozen benchmark's imports.
+
+Two cheap whole-tree checks a deletion PR trips before the benchmark does:
+
+* the ``REPRO_*`` environment variables named under ``src/`` are exactly
+  the documented four — a new escape hatch (or a stale mention of a
+  deleted one) fails here;
+* everything ``perf/*.py`` imports from ``repro`` still resolves, and the
+  traced pass can still find every function it wraps.  ``perf/`` is frozen
+  between ``benchmark`` PRs, so ``src/`` has to keep those names.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERF = ROOT / "perf"
+
+ENV_FLAGS = {
+    "REPRO_TRACE_CACHE",
+    "REPRO_OBS",
+    "REPRO_REPLAY_WARMFORK",
+    "REPRO_REPLAY_RETARGET",
+}
+
+
+def test_env_flags_under_src_are_exactly_the_documented_four():
+    named = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        named.update(re.findall(r"\bREPRO_[A-Z0-9_]+", path.read_text()))
+    assert named == ENV_FLAGS
+
+
+def _repro_imports(tree: ast.AST):
+    """``(module, attribute-or-None)`` for every static ``repro`` import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("repro"):
+                    yield alias.name, None
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", "")) == "import_module"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).startswith("repro")
+        ):
+            yield node.args[0].value, None
+
+
+def test_perf_imports_from_repro_resolve():
+    checked = 0
+    for path in sorted(PERF.glob("*.py")):
+        for module_name, attribute in _repro_imports(ast.parse(path.read_text())):
+            module = importlib.import_module(module_name)
+            if attribute is not None and not hasattr(module, attribute):
+                # ``from package import submodule``
+                importlib.import_module(f"{module_name}.{attribute}")
+            checked += 1
+    assert checked > 30  # the walk found perf/'s imports, not nothing
+
+
+def test_perf_tracing_targets_resolve():
+    # targets() imports every wrapped class and module (its one dynamic
+    # ``import_module(f"repro.sim.{name}")`` included).  install() then reads
+    # ``vars(owner)[name]``: a module-level function that moved raises
+    # KeyError in the middle of a traced pass, while a method that moved is
+    # silently left unwrapped — so the replay-side names are listed here.
+    spec = importlib.util.spec_from_file_location("_perf_tracing", PERF / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.targets()
+    for layer, owner, name in targets:
+        assert name in vars(owner), f"{layer}: {owner!r} lost {name!r}"
+    wrapped = {(owner.__name__, name) for _, owner, name in targets}
+    assert wrapped >= {
+        ("ReplayRunner", "warm_up"),
+        ("ReplayRunner", "measure"),
+        ("ReplayRunner", "step"),
+        ("repro.sim.replay", "fork_dbms"),
+        ("repro.sim.replay", "fork_database"),
+    }
