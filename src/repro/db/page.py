@@ -8,11 +8,6 @@ rebuild the tail of the flash-cache metadata directory from data-page
 headers after a crash, and what lets redo decide whether a logged update is
 already reflected in a page.
 
-``to_bytes``/``from_bytes`` give the page a real on-media layout (struct
-header + tagged values).  The simulation hot path moves :class:`PageImage`
-objects instead of bytes for speed, but the serde is exercised by tests and
-by the recovery metadata scan, and round-trips exactly.
-
 The ``Page`` ↔ ``PageImage`` round-trip is the simulator's hottest data
 movement (every DRAM eviction freezes a page; every flash/disk fetch thaws
 one), so the slot mapping is shared copy-on-write between the two forms:
@@ -21,12 +16,32 @@ the page, and the first mutation after either transfer copies.  A page whose
 contents have not changed since the last snapshot returns the *same*
 ``PageImage`` object, which also lets the conditional-enqueue path skip
 re-materialising identical copies.
+
+**On-media layout** (``to_bytes`` / ``from_bytes``; byte-level table in
+DESIGN.md §15).  A 24-byte header, then *runs* of consecutive slots.  Slots
+of one shape — scalar or fixed-arity tuple key, fixed-width row, every
+column all int / float / str / ``None`` — form a **columnar run**: a
+signature, one ``struct`` block of whole columns and one UTF-8 string heap.
+Anything else (a B+-tree node's nested entry list, a column mixing types)
+rides a **tagged run**, one type-tagged value at a time.  The encoder picks
+the run kind from the data: one encoder (:func:`_pack_page`), one decoder
+(:func:`_unpack_page`), and malformed input is a ``StorageError``.
+
+**Who holds bytes.**  The memory page store moves ``PageImage`` objects and
+never calls the serde.  An image decoded from a persistent store remembers
+the blob it came from (``from_bytes(b).to_bytes() is b``), and an unmodified
+thawed page hands back the same image, so a clean page crosses DRAM → flash
+→ disk without its body being re-encoded.  A freshly frozen image holds no
+bytes and is encoded when a store writes it.  The blob dies with the image:
+``put`` / ``delete`` / ``stamp`` (and the ``slots`` setter) drop both.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, groupby, pairwise, repeat
 from typing import Any, Mapping
 
 from repro.errors import StorageError
@@ -35,7 +50,19 @@ from repro.errors import StorageError
 _HEADER = struct.Struct("<IqqI")
 _MAGIC = 0xFACE_CA0E
 
-# Value type tags for the on-media encoding.
+#: Run header: kind, slot count, signature length, payload length (the
+#: string heap of a columnar run, the whole body of a tagged run).
+_RUN = struct.Struct("<BIHI")
+_RUN_TAGGED, _RUN_COLUMNS = 0, 1
+
+#: Signature alphabet of a columnar run: one byte per key and row column.
+_INT, _FLOAT, _STR, _NONE = b"qdsn"
+_COLUMN_CHAR = {int: _INT, bool: _INT, float: _FLOAT, str: _STR, type(None): _NONE}
+#: ``struct`` code of each column kind's numbers (``s``: the string lengths,
+#: in characters; ``n``: nothing stored).
+_COLUMN_CODE = {_INT: "q", _FLOAT: "d", _STR: "I", _NONE: ""}
+
+# Value type tags of the tagged encoding.
 _TAG_NONE = 0
 _TAG_INT = 1
 _TAG_FLOAT = 2
@@ -65,18 +92,22 @@ class PageImage:
         return page
 
     def to_bytes(self) -> bytes:
-        """Serialise to the on-media byte layout.
-
-        This is the stable codec persistent page-store backends
-        (:mod:`repro.storage.persistent`) write to disk: header + tagged
-        values, identical to :meth:`Page.to_bytes` for the same contents.
-        """
-        return _pack_page(self.page_id, self.lsn, self.slots)
+        """The on-media bytes: the blob :meth:`from_bytes` decoded this
+        image from if there is one, else a fresh encoding on every call."""
+        blob = self.__dict__.get("_blob")
+        if blob is None:
+            blob = _pack_page(self.page_id, self.lsn, self.slots)
+        return blob
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PageImage":
-        """Parse an image from its on-media byte layout (exact round-trip)."""
-        return Page.from_bytes(data).to_image()
+        """Parse an image from its on-media byte layout (exact round-trip);
+        it keeps ``data`` outside the dataclass fields, so equality, ``repr``
+        and ``__init__`` are those of any other image."""
+        data = bytes(data)  # no copy when it already is ``bytes``
+        image = cls(*_unpack_page(data))
+        image.__dict__["_blob"] = data
+        return image
 
     def __deepcopy__(self, memo: dict) -> "PageImage":
         # Immutable by contract (see class docstring), so forked system
@@ -165,42 +196,179 @@ class Page:
 
     def to_bytes(self) -> bytes:
         """Serialise to the on-media byte layout (insertion order preserved)."""
-        return _pack_page(self.page_id, self.lsn, self.slots)
+        image = self._image
+        if image is not None:
+            return image.to_bytes()
+        return _pack_page(self.page_id, self.lsn, self._rows)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Page":
         """Parse a page from its on-media byte layout."""
-        if len(data) < _HEADER.size:
-            raise StorageError("truncated page: header incomplete")
-        magic, page_id, lsn, nslots = _HEADER.unpack_from(data, 0)
-        if magic != _MAGIC:
-            raise StorageError(f"bad page magic {magic:#x}")
-        offset = _HEADER.size
-        slots: dict = {}
-        for _ in range(nslots):
-            slot, offset = _decode_value(data, offset)
-            (nvals,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            values = []
-            for _ in range(nvals):
-                value, offset = _decode_value(data, offset)
-                values.append(value)
-            slots[slot] = tuple(values)
-        return cls(page_id, lsn=lsn, slots=slots)
+        return PageImage.from_bytes(data).to_page()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Page {self.page_id} lsn={self.lsn} rows={len(self.slots)}>"
 
 
 def _pack_page(page_id: int, lsn: int, slots: Mapping[Any, tuple]) -> bytes:
-    """Shared encoder behind :meth:`Page.to_bytes` / :meth:`PageImage.to_bytes`."""
-    parts = [_HEADER.pack(_MAGIC, page_id, lsn, len(slots))]
-    for slot, row in slots.items():
-        parts.append(_encode_value(slot))
-        parts.append(struct.pack("<H", len(row)))
-        for value in row:
-            parts.append(_encode_value(value))
+    """The one page-body encoder: header + runs (module docstring)."""
+    keys = list(slots)
+    rows = list(slots.values())
+    parts = [_HEADER.pack(_MAGIC, page_id, lsn, len(keys))]
+    try:
+        run = _pack_columns(keys, rows) if keys else b""
+        if run is not None:  # the common case: the whole page is one shape
+            parts.append(run)
+        else:
+            for _, group in groupby(zip(keys, rows), _slot_shape):
+                keys, rows = zip(*group)
+                parts.append(_pack_columns(keys, rows) or _pack_tagged(keys, rows))
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise StorageError(f"page {page_id} is not encodable: {exc}") from None
     return b"".join(parts)
+
+
+def _slot_shape(item: tuple) -> tuple:
+    """Grouping key for runs: the column kinds of one slot's key and row."""
+    key, row = item
+    kind = _COLUMN_CHAR.get
+    key_shape = tuple(map(kind, map(type, key))) if type(key) is tuple else kind(type(key))
+    return key_shape, tuple(map(kind, map(type, row)))
+
+
+def _pack_columns(keys, rows) -> bytes | None:
+    """Encode slots as one columnar run, or ``None`` if they are not one shape."""
+    if set(map(type, keys)) == {tuple}:
+        arity = len(keys[0])
+        if not 0 < arity < 256 or len(set(map(len, keys))) != 1:
+            return None
+        columns = list(zip(*keys))
+    else:
+        arity = 0
+        columns = [keys]
+    if len(set(map(len, rows))) != 1:
+        return None
+    columns.extend(zip(*rows))
+    signature = bytearray([arity])
+    numbers: list = []
+    heap: list = []
+    for column in columns:
+        # One set() per column, not one isinstance ladder per value.
+        chars = {_COLUMN_CHAR.get(kind) for kind in set(map(type, column))}
+        if len(chars) != 1 or None in chars:
+            return None
+        (char,) = chars
+        signature.append(char)
+        if char == _STR:
+            numbers.extend(map(len, column))
+            heap.extend(column)
+        elif char != _NONE:
+            numbers.extend(column)
+    text = "".join(heap).encode("utf-8")
+    signature = bytes(signature)
+    return b"".join((
+        _RUN.pack(_RUN_COLUMNS, len(keys), len(signature), len(text)),
+        signature,
+        _column_block(signature, len(keys)).pack(*numbers),
+        text,
+    ))
+
+
+@lru_cache(maxsize=1024)
+def _column_block(signature: bytes, count: int) -> struct.Struct:
+    """The ``struct`` of a columnar run's numbers: ``count`` of each column."""
+    try:
+        codes = [_COLUMN_CODE[char] for char in signature[1:]]
+    except KeyError:
+        raise StorageError(f"bad column signature {signature!r}") from None
+    return struct.Struct("<" + "".join(f"{count}{code}" for code in codes if code))
+
+
+def _pack_tagged(keys, rows) -> bytes:
+    """Encode slots as one tagged run: a tagged key and row tuple per slot."""
+    body = b"".join(
+        _encode_value(key) + _encode_value(tuple(row)) for key, row in zip(keys, rows)
+    )
+    return _RUN.pack(_RUN_TAGGED, len(keys), 0, len(body)) + body
+
+
+def _unpack_page(data: bytes) -> tuple[int, int, dict]:
+    """The one page-body decoder: ``(page_id, lsn, slots)``, failing closed."""
+    if len(data) < _HEADER.size:
+        raise StorageError("truncated page: header incomplete")
+    magic, page_id, lsn, nslots = _HEADER.unpack_from(data, 0)
+    if magic != _MAGIC:
+        raise StorageError(f"bad page magic {magic:#x}")
+    slots: dict = {}
+    offset = _HEADER.size
+    try:
+        while offset < len(data):
+            kind, count, sig_len, length = _RUN.unpack_from(data, offset)
+            offset += _RUN.size
+            if count > nslots:
+                raise StorageError("run holds more slots than the page")
+            if kind == _RUN_COLUMNS:
+                offset = _unpack_columns(data, offset, count, sig_len, length, slots)
+            elif kind == _RUN_TAGGED and sig_len == 0:
+                offset = _unpack_tagged(data, offset, count, length, slots)
+            else:
+                raise StorageError(f"unknown run kind {kind}")
+    except (struct.error, IndexError, UnicodeDecodeError, RecursionError) as exc:
+        raise StorageError(f"malformed page {page_id}: {exc}") from None
+    if len(slots) != nslots:
+        raise StorageError(f"page {page_id}: decoded {len(slots)} of {nslots} slots")
+    return page_id, lsn, slots
+
+
+def _unpack_columns(
+    data: bytes, offset: int, count: int, signature_len: int, heap_len: int, slots: dict
+) -> int:
+    """Decode one columnar run into ``slots``; returns the offset after it."""
+    signature = data[offset : offset + signature_len]
+    offset += signature_len
+    arity = signature[0]
+    if len(signature) != signature_len or signature_len - 1 < (arity or 1):
+        raise StorageError("column signature shorter than its key")
+    block = _column_block(signature, count)
+    numbers = block.unpack_from(data, offset)
+    offset += block.size
+    heap = data[offset : offset + heap_len]
+    if len(heap) != heap_len:
+        raise StorageError("truncated string heap")
+    text = heap.decode("utf-8")
+    columns: list = []
+    at = chars = 0
+    for char in signature[1:]:
+        if char == _NONE:
+            columns.append(repeat(None, count))
+            continue
+        column = numbers[at : at + count]
+        at += count
+        if char == _STR:  # lengths, in characters, into the heap
+            ends = list(accumulate(column, initial=chars))
+            chars = ends[-1]
+            column = [text[a:b] for a, b in pairwise(ends)]
+        columns.append(column)
+    if chars != len(text):
+        raise StorageError("string heap length mismatch")
+    keys = zip(*columns[:arity]) if arity else columns[0]
+    rows = zip(*columns[arity or 1 :]) if len(columns) > (arity or 1) else repeat(())
+    slots.update(zip(keys, rows))
+    return offset + heap_len
+
+
+def _unpack_tagged(data: bytes, offset: int, count: int, body_len: int, slots: dict) -> int:
+    """Decode one tagged run into ``slots``; returns the offset after it."""
+    end = offset + body_len
+    for _ in range(count):
+        key, offset = _decode_value(data, offset)
+        row, offset = _decode_value(data, offset)
+        if type(row) is not tuple:
+            raise StorageError("tagged run: a row is not a tuple")
+        slots[key] = row
+    if offset != end:
+        raise StorageError("tagged run length mismatch")
+    return offset
 
 
 def _encode_value(value: Any) -> bytes:
@@ -239,6 +407,8 @@ def _decode_value(data: bytes, offset: int) -> tuple[Any, int]:
         (length,) = struct.unpack_from("<I", data, offset)
         offset += 4
         raw = data[offset : offset + length]
+        if len(raw) != length:
+            raise StorageError("truncated string value")
         return raw.decode("utf-8"), offset + length
     if tag == _TAG_TUPLE:
         (length,) = struct.unpack_from("<H", data, offset)

@@ -30,6 +30,7 @@ embarrassingly parallel.  This module fans such cells out over a
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -228,12 +229,17 @@ def _execute_cell(
 
 def run_cell(spec: CellSpec) -> ScenarioResult:
     """Execute one cell start-to-finish (module-level: the worker target)."""
-    return _execute_cell(
-        spec,
-        lambda: ExperimentRunner(
-            spec.config, spec.scale, seed=spec.seed, workload=spec.workload_spec()
-        ),
-    )
+    try:
+        return _execute_cell(
+            spec,
+            lambda: ExperimentRunner(
+                spec.config, spec.scale, seed=spec.seed, workload=spec.workload_spec()
+            ),
+        )
+    finally:
+        # The DBMS sits in cycles (cache <-> bound callbacks): on thresholds alone it
+        # is freed mid-way through the next cell's load, a 1x or 1.5x peak by seed.
+        gc.collect()
 
 
 def run_cell_warm(spec: CellSpec) -> ScenarioResult:

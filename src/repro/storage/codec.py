@@ -5,15 +5,23 @@ Python objects, so every storable object kind needs a stable on-media
 encoding that round-trips exactly:
 
 * :class:`~repro.db.page.PageImage` — via its own ``to_bytes`` /
-  ``from_bytes`` serde (header + tagged values);
+  ``from_bytes`` serde (header + columnar or tagged runs, described in
+  :mod:`repro.db.page`).  An image decoded here carries the bytes it was
+  decoded from, so encoding it again — a clean page admitted to flash, a
+  cache slot written back to disk — prepends the kind tag and copies; only
+  an image frozen from a page modified since it was decoded (``Page.put`` /
+  ``delete`` / ``stamp`` dropped the old image, bytes included) is encoded;
 * :class:`~repro.flashcache.metadata.CacheSlotImage` — the cache-region
   footer (position, dirty) wrapping a page image (Section 4.1);
 * the flash metadata region's superblock and segment images;
 * ``None`` — segment padding pages (a flushed metadata segment occupies
   ``segment_pages`` LBAs, all but the first empty);
 * plain primitive values (ints, strings, tuples, ...) — reusing the page
-  serde's tagged-value encoding, so unit tests that store sentinel
-  strings work against every backend.
+  serde's tagged-value encoding (its fallback run kind), so unit tests
+  that store sentinel strings work against every backend.
+
+Decoding fails closed: a truncated, overlong or malformed blob is a
+:class:`~repro.errors.StorageError`, never a raw ``struct.error``.
 
 Decoding reconstructs equal objects (dataclass ``frozen=True`` equality /
 tuple equality), which is all the simulation ever relies on — results
@@ -97,7 +105,7 @@ def encode_storable(obj: object) -> bytes:
     # Anything else must be a primitive the tagged-value serde covers.
     try:
         return bytes([_KIND_VALUE]) + _encode_value(obj)
-    except StorageError:
+    except (StorageError, struct.error):
         raise StorageError(
             f"cannot encode {type(obj).__name__} for a persistent page store"
         ) from None
@@ -108,37 +116,38 @@ def decode_storable(data: bytes) -> object:
     if not data:
         raise StorageError("empty storable blob")
     kind = data[0]
-    body = memoryview(data)[1:]
-    if kind == _KIND_NONE:
-        return None
-    if kind == _KIND_PAGE_IMAGE:
-        return PageImage.from_bytes(bytes(body))
-    meta = _metadata()
-    if kind == _KIND_SLOT_IMAGE:
-        position, dirty = _SLOT_HEADER.unpack_from(body, 0)
-        image = PageImage.from_bytes(bytes(body[_SLOT_HEADER.size :]))
-        return meta.CacheSlotImage(
-            position=position, dirty=bool(dirty), image=image
-        )
-    if kind == _KIND_SUPERBLOCK:
-        front, rear, n = _SUPER_HEADER.unpack_from(body, 0)
-        offset = _SUPER_HEADER.size
-        lbas = struct.unpack_from(f"<{n}q", body, offset) if n else ()
-        return meta._Superblock(
-            front=front, rear_at_flush=rear, segment_lbas=tuple(lbas)
-        )
-    if kind == _KIND_SEGMENT:
-        first_position, n = _SEGMENT_HEADER.unpack_from(body, 0)
-        offset = _SEGMENT_HEADER.size
-        entries = []
-        for _ in range(n):
-            position, page_id, lsn, dirty = _ENTRY.unpack_from(body, offset)
-            entries.append((position, page_id, lsn, bool(dirty)))
-            offset += _ENTRY.size
-        return meta._SegmentImage(
-            first_position=first_position, entries=tuple(entries)
-        )
-    if kind == _KIND_VALUE:
-        value, _ = _decode_value(bytes(body), 0)
-        return value
-    raise StorageError(f"unknown storable kind tag {kind}")
+    try:
+        if kind == _KIND_NONE:
+            return None
+        if kind == _KIND_PAGE_IMAGE:
+            return PageImage.from_bytes(data[1:])
+        meta = _metadata()
+        if kind == _KIND_SLOT_IMAGE:
+            position, dirty = _SLOT_HEADER.unpack_from(data, 1)
+            image = PageImage.from_bytes(data[1 + _SLOT_HEADER.size :])
+            return meta.CacheSlotImage(
+                position=position, dirty=bool(dirty), image=image
+            )
+        if kind == _KIND_SUPERBLOCK:
+            front, rear, n = _SUPER_HEADER.unpack_from(data, 1)
+            lbas = struct.unpack_from(f"<{n}q", data, 1 + _SUPER_HEADER.size)
+            return meta._Superblock(front=front, rear_at_flush=rear, segment_lbas=lbas)
+        if kind == _KIND_SEGMENT:
+            first_position, n = _SEGMENT_HEADER.unpack_from(data, 1)
+            offset = 1 + _SEGMENT_HEADER.size
+            entries = []
+            for _ in range(n):
+                position, page_id, lsn, dirty = _ENTRY.unpack_from(data, offset)
+                entries.append((position, page_id, lsn, bool(dirty)))
+                offset += _ENTRY.size
+            return meta._SegmentImage(
+                first_position=first_position, entries=tuple(entries)
+            )
+        if kind == _KIND_VALUE:
+            value, end = _decode_value(data, 1)
+            if end != len(data):
+                raise StorageError("trailing bytes after a stored value")
+            return value
+        raise StorageError(f"unknown storable kind tag {kind}")
+    except (struct.error, IndexError, UnicodeDecodeError, RecursionError) as exc:
+        raise StorageError(f"malformed storable blob: {exc}") from None

@@ -34,6 +34,7 @@ import sqlite3
 import struct
 import tempfile
 import weakref
+from itertools import islice
 from typing import Any, Iterator, Mapping
 
 from repro.errors import PageNotFoundError, StorageError
@@ -67,20 +68,14 @@ class PersistentPageStore(PageStore):
         self._owns_path = path is None
         self.path = os.fspath(path) if path is not None else _temp_path(self._suffix)
 
-    def _install_slots(self, slots: Mapping[int, Any]) -> None:
-        # Generic adopt: wipe, then re-put everything.  SQLite overrides
-        # this with one batched transaction.
-        self.clear()
-        for lba, image in slots.items():
-            self.put(lba, image)
-
     def snapshot_slots(self) -> dict[int, Any]:
         return {lba: self.peek(lba) for lba in self.occupied()}
 
     def __deepcopy__(self, memo: dict) -> "PersistentPageStore":
         # Warm-state forking (repro.sim.warmstate.fork_dbms) deep-copies
         # the whole DBMS graph; a file handle cannot be deep-copied, so a
-        # fork gets a fresh temp-backed store holding equal contents.
+        # fork gets a fresh temp-backed store holding equal contents (the
+        # snapshot's images carry their bytes: copied, never re-encoded).
         clone = type(self)(self.capacity_pages)
         clone.adopt_slots(self.snapshot_slots())
         memo[id(self)] = clone
@@ -206,6 +201,8 @@ class MmapPageStore(PersistentPageStore):
     _RECORD = struct.Struct("<IqI")
     _MAGIC = 0x5E6_FACE
     _TOMBSTONE = 0xFFFF_FFFF
+    #: Records ``_install_slots`` gathers per ``os.write``.
+    _INSTALL_BATCH = 256
 
     def __init__(self, capacity_pages: int, path: str | os.PathLike | None = None) -> None:
         super().__init__(capacity_pages, path)
@@ -285,6 +282,24 @@ class MmapPageStore(PersistentPageStore):
         self._index[lba] = (self._size - len(blob), len(blob))
         if OBS.enabled:
             self._note_put(len(blob))
+
+    def _install_slots(self, slots: Mapping[int, Any]) -> None:
+        # One ``os.write`` per batch of records, not per page; bounded so a
+        # batch never holds a second copy of the table.  As in ``put``,
+        # records are in the kernel before the index points at them.
+        self.clear()
+        items = iter(slots.items())
+        while batch := list(islice(items, self._INSTALL_BATCH)):
+            base, records, entries = self._size, bytearray(), {}
+            for lba, image in batch:
+                blob = encode_storable(image)
+                records += self._RECORD.pack(self._MAGIC, lba, len(blob))
+                entries[lba] = (base + len(records), len(blob))
+                records += blob
+                if OBS.enabled:
+                    self._note_put(len(blob))
+            self._append(records)
+            self._index.update(entries)
 
     def get(self, lba: int) -> Any:
         self._check(lba)

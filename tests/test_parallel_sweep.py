@@ -104,6 +104,34 @@ def test_duplicate_keys_rejected():
         run_cells([_spec(("dup",)), _spec(("dup",), 0.10)])
 
 
+def test_fully_executed_cell_frees_its_database(monkeypatch):
+    """The DBMS sits in reference cycles; ``run_cell`` must not leave it to
+    the collector's thresholds (the next cell would load its database beside
+    this one's).  Automatic collection is off, so only ``run_cell`` frees."""
+    import gc
+    import weakref
+
+    import repro.sim.parallel as parallel_mod
+
+    born = []
+
+    class Watched(parallel_mod.ExperimentRunner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            born.append(weakref.ref(self.dbms))
+
+    monkeypatch.setattr(parallel_mod, "ExperimentRunner", Watched)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = parallel_mod.run_cell(_spec(("freed",)))
+        assert result.transactions > 0
+        assert [ref() for ref in born] == [None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- jobs resolution ---------------------------------------------------------
 
 
