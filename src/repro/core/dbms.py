@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.buffer.frame import Frame
@@ -83,6 +84,15 @@ class Transaction:
             raise TransactionError(f"transaction {self.txid} already finished")
 
 
+def _pull_frames(buffer: BufferPool, log: LogManager, n: int) -> list[Frame]:
+    """GSC's LRU-tail pull hook: evictions with the WAL rule applied."""
+    frames = buffer.pull_tail(n)
+    for frame in frames:
+        if frame.dirty or frame.fdirty:
+            log.force_up_to(frame.page.lsn)
+    return frames
+
+
 class SimulatedDBMS:
     """A complete simulated database system under one :class:`SystemConfig`."""
 
@@ -105,8 +115,12 @@ class SimulatedDBMS:
             self._log_shares_database_device = False
         self.flash = build_flash_volume(config)
         self.cache = build_cache(config, self.flash, self.disk)
-        self.cache.set_pull_callback(self._pull_frames)
         self.buffer = BufferPool(config.buffer_pages, config.buffer_policy)
+        # Bound to the buffer and the log, never to ``self``: the cache holds
+        # no reference back to the DBMS, so a finished system dies with its
+        # runner by reference count (DESIGN.md §6).
+        self._pull_frames = partial(_pull_frames, self.buffer, self.log)
+        self.cache.set_pull_callback(self._pull_frames)
         self.tables: dict[str, HeapFile] = {}
         self.indexes: dict[str, HashIndex] = {}
         self._txid_counter = itertools.count(1)
@@ -267,14 +281,6 @@ class SimulatedDBMS:
             self.log.force_up_to(frame.page.lsn)
         self.cache.on_dram_evict(frame)
 
-    def _pull_frames(self, n: int) -> list[Frame]:
-        """GSC's LRU-tail pull hook: evictions with the WAL rule applied."""
-        frames = self.buffer.pull_tail(n)
-        for frame in frames:
-            if frame.dirty or frame.fdirty:
-                self.log.force_up_to(frame.page.lsn)
-        return frames
-
     # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
@@ -333,9 +339,7 @@ class SimulatedDBMS:
             # Full-page write: the page's first update since the last
             # checkpoint ships the whole post-update page in the log, so
             # redo can install it without reading the base copy.
-            record = self.log.attach_full_page_image(
-                record, frame.page.to_image()
-            )
+            self.log.attach_full_page_image(record, frame.page.to_image())
         return record
 
     def fetch_row(self, table: str, rid: Rid) -> tuple | None:

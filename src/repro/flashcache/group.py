@@ -62,9 +62,6 @@ class GroupReplacementCache(MvFifoCache):
                 f"{scan_depth} (need >= {2 * scan_depth})"
             )
         self.scan_depth = scan_depth
-        # Write ordering: staged data pages must hit flash before any
-        # metadata segment that covers their positions (see metadata.py).
-        self.metadata.pre_flush_hook = self._flush_staging
 
     # -- staged writes ----------------------------------------------------------
 

@@ -112,11 +112,6 @@ class MetadataManager:
         #: cache calls :meth:`flush_segment` once ``segment_entries``
         #: enqueues lie beyond it.
         self.persisted_rear = 0
-        #: Called before a segment is persisted.  The batched (GR/GSC)
-        #: caches hook their staging flush here: metadata must never claim
-        #: a position whose data page is not yet on flash, or a crash would
-        #: resurrect whatever older page the physical slot still holds.
-        self.pre_flush_hook = None
         # Allocation cursor for segment slots within the metadata region.
         self._next_seg_lba = meta_base + 1
         self.segments_flushed = 0
@@ -128,14 +123,14 @@ class MetadataManager:
 
         Charged as one large sequential write (segment) plus one page
         (superblock) — ~1.5 MB per the paper, versus TAC's two random
-        writes *per cached page*.
+        writes *per cached page*.  The caller writes its staged data pages
+        first (``MvFifoCache._enqueue``); the manager holds no reference
+        back to the cache.
         """
         first = self.persisted_rear
         rear = directory.rear
         if rear <= first:
             return
-        if self.pre_flush_hook is not None:
-            self.pre_flush_hook()  # data pages reach flash before metadata
         lba = self._alloc_segment_lba()
         segment = _SegmentImage(
             first_position=first, entries=tuple(directory.entries(first, rear))

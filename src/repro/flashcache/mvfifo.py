@@ -164,6 +164,10 @@ class MvFifoCache(FlashCacheBase):
         self._write_slot(position, CacheSlotImage(position, dirty, image))
         metadata = self.metadata
         if directory.rear - metadata.persisted_rear >= metadata.segment_entries:
+            # Write ordering: metadata must never claim a position whose data
+            # page is not yet on flash, or a crash would resurrect whatever
+            # older page the physical slot still holds.
+            self._flush_staging()
             metadata.flush_segment(directory)
         self.stats.flash_writes += 1
         if OBS.enabled:
@@ -174,6 +178,9 @@ class MvFifoCache(FlashCacheBase):
     def _write_slot(self, position: int, slot: CacheSlotImage) -> None:
         """Physically append one slot at the rear (sequential flash write)."""
         self.flash.write_page(position % self.capacity, slot)
+
+    def _flush_staging(self) -> None:
+        """Plain mvFIFO writes through: nothing is ever staged."""
 
     def _make_room(self, needed: int) -> None:
         """Dequeue until at least ``needed`` slots are free, charging each

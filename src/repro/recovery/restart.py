@@ -25,9 +25,13 @@ clients overlap the devices (which is why normal wall-clock uses the
 bottleneck maximum instead).
 
 Restarts work on trace-replayed systems too (crash cells on the fast
-path): sized/replayed update records redo as a pageLSN stamp — see
-:data:`_UPDATE_LIKE` — which keeps every report field bit-identical to a
-full execution of the same cell.  With observability enabled each restart
+path).  Their update records have the same LSNs, page ids, byte sizes and
+full-page images as the originals but no row images (``slot is None``), and
+redo handles them with a pageLSN stamp instead of a slot write: row
+contents are untimed simulation state, and every timed step (page fetch
+path, LSN compare, FPW install, dirty flags) is driven identically — which
+keeps every report field bit-identical to a full execution of the same
+cell (DESIGN.md §11).  With observability enabled each restart
 is also published to the ``recovery.*`` metric namespace.
 """
 
@@ -43,22 +47,8 @@ from repro.wal.records import (
     BeginRecord,
     CheckpointRecord,
     CommitRecord,
-    ReplayUpdateRecord,
     UpdateRecord,
 )
-
-#: Record types the redo scan treats as updates.  Trace-replayed systems
-#: log :class:`~repro.wal.records.SizedUpdateRecord` /
-#: :class:`~repro.wal.records.ReplayUpdateRecord` — same LSNs, page ids,
-#: byte sizes and full-page images as the originals, but no row images
-#: (``slot is None`` / no ``slot`` attribute).  Redo handles them with a
-#: pageLSN stamp instead of a slot write: row contents are untimed
-#: simulation state, and every timed step (page fetch path, LSN compare,
-#: FPW install, dirty flags) is driven identically — which is what keeps a
-#: replayed restart's :class:`RestartReport` bit-identical to full
-#: execution (DESIGN.md §11).
-_UPDATE_LIKE = (UpdateRecord, ReplayUpdateRecord)
-
 
 @dataclass
 class RestartReport:
@@ -143,7 +133,7 @@ class RecoveryManager:
         cache_stats = dbms.cache.stats
         hits_before, lookups_before = cache_stats.hits, cache_stats.lookups
         for record in replay:
-            if not isinstance(record, _UPDATE_LIKE):
+            if not isinstance(record, UpdateRecord):
                 continue
             if record.page_image is not None:
                 # Full-page write: install straight from the log — no base
@@ -157,7 +147,7 @@ class RecoveryManager:
             if frame.page.lsn >= record.lsn:
                 report.redo_skipped += 1
                 continue
-            slot = getattr(record, "slot", None)
+            slot = record.slot
             if slot is None:
                 # Sized/replayed record: no row images travelled with it.
                 # Stamping the pageLSN is the entire redo effect — content
@@ -190,11 +180,11 @@ class RecoveryManager:
                 loser_updates = [
                     r
                     for r in records
-                    if isinstance(r, _UPDATE_LIKE) and r.txid in losers
+                    if isinstance(r, UpdateRecord) and r.txid in losers
                 ]
                 recovery_tx = dbms.begin()
                 for record in reversed(loser_updates):
-                    if getattr(record, "slot", None) is None:
+                    if record.slot is None:
                         # A sized/replayed record carries no before-image to
                         # compensate with.  It can never be a loser in
                         # practice — every replayed transaction ends at a

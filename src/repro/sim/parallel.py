@@ -24,13 +24,14 @@ embarrassingly parallel.  This module fans such cells out over a
 * ``run_cells(..., fast=True)`` routes eligible cells through the
   trace-replay fast path (:mod:`repro.sim.replay`): the boundary event
   stream is recorded once per ``(scale, seed, workload)`` and replayed per cell,
-  bit-identically; ineligible cells full-execute from warm-state forks
-  (:mod:`repro.sim.warmstate`).
+  bit-identically; ineligible cells are executed by :func:`run_cell`.
+* Every executed cell, ``fast`` or not, starts from a fork of the
+  per-process post-load snapshot (:mod:`repro.sim.warmstate`): the
+  workload is loaded once per ``(scale, seed, workload)``, not per cell.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import os
 import pickle
@@ -53,6 +54,7 @@ from repro.sim.scenario import (
     SteadyStateScenario,
 )
 from repro.sim.trace import SharedTraceHandle, publish_boundary_trace
+from repro.sim.warmstate import fork_database
 from repro.tpcc.scale import ScaleProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -228,31 +230,14 @@ def _execute_cell(
 
 
 def run_cell(spec: CellSpec) -> ScenarioResult:
-    """Execute one cell start-to-finish (module-level: the worker target)."""
-    try:
-        return _execute_cell(
-            spec,
-            lambda: ExperimentRunner(
-                spec.config, spec.scale, seed=spec.seed, workload=spec.workload_spec()
-            ),
-        )
-    finally:
-        # The DBMS sits in cycles (cache <-> bound callbacks): on thresholds alone it
-        # is freed mid-way through the next cell's load, a 1x or 1.5x peak by seed.
-        gc.collect()
+    """Execute one cell start-to-finish (module-level: the worker target).
 
-
-def run_cell_warm(spec: CellSpec) -> ScenarioResult:
-    """Like :func:`run_cell`, but load the database from a warm-state fork.
-
-    The per-process snapshot memo in :mod:`repro.sim.warmstate` means a
-    worker pays the TPC-C load once per ``(scale, seed)`` and every later
-    cell it executes forks the loaded state — bit-identical to a fresh
-    load, minus the load time.  This is the worker the fast path uses for
-    cells that cannot take the replay route.
+    Every transaction is executed; the initial population is not.  It is
+    outside every measurement (the paper's §5.2) and independent of every knob,
+    so the cell forks the per-process post-load snapshot
+    (:mod:`repro.sim.warmstate`) — bit-identical to a fresh load, which
+    ``ExperimentRunner(...)`` without a ``loader`` still performs.
     """
-    from repro.sim.warmstate import fork_database
-
     workload = spec.workload_spec()
     return _execute_cell(
         spec,
@@ -266,6 +251,10 @@ def run_cell_warm(spec: CellSpec) -> ScenarioResult:
             workload=workload,
         ),
     )
+
+
+#: Second name of the one worker: the frozen ``perf/checks.py`` imports it.
+run_cell_warm = run_cell
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -310,14 +299,14 @@ def run_cells(
     policy and device stack — bit-identical results at a fraction of the
     wall-clock.  Cells that opt out (``replay_ok=False``) or whose
     recording would not amortise (a lone cell with no existing trace) fall
-    back to full execution from a warm-state fork.
+    back to full execution, exactly as with ``fast=False``.
     """
     keys = [spec.key for spec in specs]
     if len(set(keys)) != len(keys):
         raise ConfigError("sweep cells must have unique keys")
     if fast:
         return _run_cells_fast(specs, jobs, on_cell, progress)
-    return _run_cells(specs, jobs, on_cell, progress, run_cell)
+    return _run_cells(specs, jobs, on_cell, progress)
 
 
 def _run_cells(
@@ -325,9 +314,8 @@ def _run_cells(
     jobs: int | None,
     on_cell: Callable[[tuple, ScenarioResult], None] | None,
     progress: Callable[[CellProgress], None] | None,
-    worker: Callable[[CellSpec], ScenarioResult],
 ) -> dict[tuple, ScenarioResult]:
-    """Full-execution engine, parameterised by the module-level worker."""
+    """Full-execution engine: :func:`run_cell` per cell, pooled when asked."""
     jobs = resolve_jobs(jobs)
     start = time.perf_counter()
     results: dict[tuple, ScenarioResult] = {}
@@ -349,7 +337,7 @@ def _run_cells(
 
     if jobs <= 1 or len(specs) <= 1:
         for spec in specs:
-            gather(spec, worker(spec))
+            gather(spec, run_cell(spec))
         return results
 
     ensure_picklable(specs)
@@ -362,12 +350,12 @@ def _run_cells(
             stacklevel=2,
         )
         for spec in specs:
-            gather(spec, worker(spec))
+            gather(spec, run_cell(spec))
         return results
 
     with executor:
         try:
-            pending = [(spec, executor.submit(worker, spec)) for spec in specs]
+            pending = [(spec, executor.submit(run_cell, spec)) for spec in specs]
         except (OSError, BrokenProcessPool) as exc:
             warnings.warn(
                 f"process pool failed at submit ({exc}); running serially",
@@ -375,7 +363,7 @@ def _run_cells(
                 stacklevel=2,
             )
             for spec in specs:
-                gather(spec, worker(spec))
+                gather(spec, run_cell(spec))
             return results
         for spec, future in pending:
             try:
@@ -391,7 +379,7 @@ def _run_cells(
                 )
                 for tail_spec, tail_future in pending:
                     if tail_spec.key not in results:
-                        gather(tail_spec, worker(tail_spec))
+                        gather(tail_spec, run_cell(tail_spec))
                 break
             gather(spec, result)
     return results
@@ -499,9 +487,8 @@ def _run_cells_fast(
     ``(scale, seed, trace_donor, workload)`` stream, or a replay source for it
     already exists (live recorder in this process, the persistent cache,
     or — via :mod:`repro.sim.retarget` — a compatible donor recording at a
-    larger scale).  Everything else full-executes through
-    :func:`run_cell_warm` (warm-state forks), with the usual process-pool
-    path when ``jobs`` allows.
+    larger scale).  Everything else full-executes through :func:`run_cell`,
+    with the usual process-pool path when ``jobs`` allows.
 
     Replay distribution: with ``jobs > 1``, each stream group's
     trace is extended once to the group's worst-case consumption (the max
@@ -542,7 +529,7 @@ def _run_cells_fast(
 
     results: dict[tuple, ScenarioResult] = {}
     if executed:
-        results.update(_run_cells(executed, jobs, None, None, run_cell_warm))
+        results.update(_run_cells(executed, jobs, None, None))
 
     jobs_n = resolve_jobs(jobs)
     groups: dict[tuple, list[CellSpec]] = {}

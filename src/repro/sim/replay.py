@@ -26,7 +26,7 @@ order:
 
 * ``READ`` performs the full :meth:`_get_frame` path (CPU charge, DRAM
   lookup, flash/disk fetch, eviction with the WAL rule);
-* ``UPDATE`` appends a :class:`~repro.wal.records.SizedUpdateRecord` whose
+* ``UPDATE`` appends a :class:`~repro.wal.records.UpdateRecord` whose
   byte size was measured at record time — same LSN sequence, same tail
   bytes, same force page counts, same full-page-write decisions — without
   re-walking row images (the hottest computation in a full run);
@@ -89,6 +89,7 @@ from repro.sim.warmstate import (
     put_warm_fork,
     warm_fork_enabled,
 )
+from repro.storage.profiles import PAGE_SIZE
 from repro.tpcc.driver import _MIX, WorkloadStats
 from repro.tpcc.scale import ScaleProfile
 from repro.workload.registry import (
@@ -99,7 +100,6 @@ from repro.workload.registry import (
 )
 from repro.wal.records import (
     BASE_RECORD_BYTES,
-    ReplayUpdateRecord,
     UpdateRecord,
     update_payload_bytes,
 )
@@ -217,7 +217,9 @@ class RecordingDBMS(SimulatedDBMS):
             page.delete(slot, 0)
         else:
             page.put(slot, after, 0)
-        return UpdateRecord(0, tx.txid, page_id, slot, before, after)
+        return UpdateRecord(
+            0, tx.txid, page_id, slot, before, after, payload_bytes=payload
+        )
 
     # -- recorded transaction lifecycle --------------------------------------
 
@@ -950,7 +952,9 @@ class ReplayRunner:
                 payload = packed & _PAYLOAD_MASK
                 lsn = log._next_lsn  # LogManager.log_update_sized, inlined
                 log._next_lsn = lsn + 1
-                record = ReplayUpdateRecord(lsn, txid, page_id, payload)
+                record = UpdateRecord(
+                    lsn, txid, page_id, None, None, None, None, payload
+                )
                 tail_append(record)
                 page = frame.page
                 page.lsn = lsn  # Page.stamp, inlined
@@ -960,7 +964,7 @@ class ReplayRunner:
                 if page_id not in fpw_done:  # take_fpw + attach, inlined
                     fpw_done.add(page_id)
                     record.page_image = page.to_image()
-                    log._tail_bytes += BASE_RECORD_BYTES + payload + 4096
+                    log._tail_bytes += BASE_RECORD_BYTES + payload + PAGE_SIZE
                 else:
                     log._tail_bytes += BASE_RECORD_BYTES + payload
             elif op == OP_BEGIN:

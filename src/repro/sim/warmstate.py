@@ -30,8 +30,9 @@ policy / cache / log aliasing survives intact, bound callbacks included)
 while sharing the immutable bulk: :class:`~repro.db.page.PageImage`
 snapshots copy as themselves, and the durable WAL — by far the largest
 object population after warm-up — is a flat list of records that are never
-mutated once appended (full-page-image attachment *replaces* the tail
-entry), so forks share the records and copy only the list spine.
+mutated once appended (a full-page image is set on the record within the
+very update that appended it), so forks share the records and copy only
+the list spine.
 :class:`ReplayRunner` captures a pristine fork keyed by the full replay
 identity (config repr, scale, seed, warm-up bounds, replay loop) and
 every later identical warm-up adopts a private re-fork instead of
@@ -55,7 +56,6 @@ from repro.core.dbms import SimulatedDBMS
 from repro.db.catalog import Catalog
 from repro.db.heap import HeapFile
 from repro.db.index import HashIndex
-from repro.obs import OBS
 from repro.tpcc.scale import ScaleProfile
 from repro.workload.registry import (
     TPCC_SPEC,
@@ -84,22 +84,36 @@ class WarmSnapshot:
     indexes: dict[str, HashIndex]
     disk_slots: dict[int, Any]
     state: Any
+    #: Harness seconds the load took (goes with the snapshot on eviction).
+    load_seconds: float = 0.0
 
 
-#: Per-process memo: (scale, seed, workload) -> WarmSnapshot.  Worker
-#: processes build their own entries on first use; nothing here crosses
-#: process boundaries.
+#: Per-process memo: (scale, seed, workload) -> WarmSnapshot, least recently
+#: used first.  Worker processes build their own entries on first use;
+#: nothing here crosses process boundaries.
 _SNAPSHOTS: dict[tuple[ScaleProfile, int, WorkloadSpec], WarmSnapshot] = {}
 
-#: One-time load cost per memo entry, in harness seconds.  Benchmarks report
-#: this separately so sweep timings stop charging the fixed load to whichever
-#: cell happened to build the snapshot.
-_LOAD_SECONDS: dict[tuple[ScaleProfile, int, WorkloadSpec], float] = {}
+#: Every executed cell forks from the memo, and a default sweep derives a
+#: different seed per cell, so each entry may be used once and then pin a
+#: whole loaded database (~70 MB at BENCH).  Two lets a grid that alternates
+#: between two stream identities load each once (DESIGN.md §9).
+_SNAPSHOT_LIMIT = 2
+
+#: Memo bookkeeping is process state, not cell state (plain dict, not OBS: a
+#: cell's ``result.obs`` must not depend on whether the memo was warm).
+_SNAPSHOT_STATS = {"hits": 0, "misses": 0}
 
 
 def snapshot_load_seconds() -> float:
-    """Total one-time workload load cost paid by this process's snapshots."""
-    return sum(_LOAD_SECONDS.values())
+    """One-time workload load cost, in harness seconds, of the snapshots this
+    process holds.  Benchmarks report it separately so sweep timings stop
+    charging the fixed load to whichever cell happened to build a snapshot."""
+    return sum(snapshot.load_seconds for snapshot in _SNAPSHOTS.values())
+
+
+def snapshot_stats() -> dict[str, int]:
+    """Hit/miss counts for the post-load snapshot memo (this process)."""
+    return dict(_SNAPSHOT_STATS)
 
 
 def get_snapshot(
@@ -108,13 +122,16 @@ def get_snapshot(
     """Return the memoized post-load snapshot, building it on first use."""
     workload = TPCC_SPEC if workload is None else workload
     key = (scale, seed, workload)
-    snapshot = _SNAPSHOTS.get(key)
+    snapshot = _SNAPSHOTS.pop(key, None)
     if snapshot is not None:
-        if OBS.enabled:
-            OBS.counter("replay.snapshot.hits").inc()
+        _SNAPSHOT_STATS["hits"] += 1
+        _SNAPSHOTS[key] = snapshot  # most recently used last
         return snapshot
-    if OBS.enabled:
-        OBS.counter("replay.snapshot.misses").inc()
+    _SNAPSHOT_STATS["misses"] += 1
+    # Evict before loading, not after: the process never holds more than
+    # ``_SNAPSHOT_LIMIT`` loaded databases, the one being built included.
+    while len(_SNAPSHOTS) >= _SNAPSHOT_LIMIT:
+        del _SNAPSHOTS[next(iter(_SNAPSHOTS))]
     # The loader's output is independent of every system knob, so any
     # config works for the donor system; hdd-only is the cheapest build.
     config = scaled_reference_config(
@@ -123,10 +140,8 @@ def get_snapshot(
     t0 = time.perf_counter()
     dbms = SimulatedDBMS(config)
     database = load_workload(dbms, scale, seed, workload)
-    _LOAD_SECONDS[key] = time.perf_counter() - t0
-    if OBS.enabled:
-        OBS.gauge("replay.snapshot.load_seconds").set(_LOAD_SECONDS[key])
-    snapshot = WarmSnapshot(
+    load_seconds = time.perf_counter() - t0
+    snapshot = _SNAPSHOTS[key] = WarmSnapshot(
         scale=scale,
         seed=seed,
         workload=workload,
@@ -135,8 +150,8 @@ def get_snapshot(
         indexes=dbms.indexes,
         disk_slots=dbms.disk.store.snapshot_slots(),
         state=get_workload_entry(workload.name).fork_state(database),
+        load_seconds=load_seconds,
     )
-    _SNAPSHOTS[key] = snapshot
     return snapshot
 
 
@@ -249,7 +264,6 @@ def warm_fork_stats() -> dict[str, int]:
 def clear_snapshots() -> None:
     """Drop all memoized snapshots and forks (tests / memory pressure)."""
     _SNAPSHOTS.clear()
-    _LOAD_SECONDS.clear()
     _WARM_FORKS.clear()
-    _WARM_FORK_STATS["hits"] = 0
-    _WARM_FORK_STATS["misses"] = 0
+    _SNAPSHOT_STATS.update(hits=0, misses=0)
+    _WARM_FORK_STATS.update(hits=0, misses=0)

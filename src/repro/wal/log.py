@@ -20,7 +20,6 @@ records survive and are what recovery replays.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterator
 
 from repro.errors import WALError
@@ -33,7 +32,6 @@ from repro.wal.records import (
     CheckpointRecord,
     CommitRecord,
     LogRecord,
-    SizedUpdateRecord,
     UpdateRecord,
 )
 
@@ -84,7 +82,7 @@ class LogManager:
 
     def log_update_sized(
         self, txid: int, page_id: int, payload_bytes: int
-    ) -> SizedUpdateRecord:
+    ) -> UpdateRecord:
         """Append an update record of a pre-measured size (trace replay).
 
         The record carries no row images — only the page id and the
@@ -96,14 +94,8 @@ class LogManager:
         bit-identical :class:`~repro.recovery.restart.RestartReport`.
         """
         return self._append(
-            SizedUpdateRecord(
-                self._take_lsn(),
-                txid,
-                page_id,
-                None,
-                None,
-                None,
-                payload_bytes=payload_bytes,
+            UpdateRecord(
+                self._take_lsn(), txid, page_id, payload_bytes=payload_bytes
             )
         )
 
@@ -116,16 +108,16 @@ class LogManager:
         return True
 
     def attach_full_page_image(self, record: UpdateRecord, image) -> UpdateRecord:
-        """Replace the just-appended record with a full-page-write variant.
+        """Make the just-appended record a full-page write; returns it.
 
         Must be called before any further append (the record must still be
-        the tail's last entry); returns the replacement record."""
+        the tail's last entry)."""
         if not self._tail or self._tail[-1] is not record:
             raise WALError("full-page image must be attached to the last append")
-        updated = replace(record, page_image=image)
-        self._tail_bytes += updated.size_bytes() - record.size_bytes()
-        self._tail[-1] = updated
-        return updated
+        if record.page_image is None:
+            self._tail_bytes += PAGE_SIZE
+        record.page_image = image
+        return record
 
     def log_abort(self, txid: int) -> AbortRecord:
         return self._append(AbortRecord(self._take_lsn(), txid))

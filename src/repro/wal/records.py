@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.storage.profiles import PAGE_SIZE
+
 _BASE_RECORD_BYTES = 40  # LSN, prev-LSN, txid, type, CRC, length
 
 #: Public alias — the fixed per-record header size every record type pays.
@@ -21,15 +23,26 @@ BASE_RECORD_BYTES = _BASE_RECORD_BYTES
 
 
 def _value_bytes(value: Any) -> int:
-    # Exact-type checks and an explicit loop: this runs for every column of
-    # every before/after image on the update path, where isinstance chains
-    # and generator frames are measurable.
-    if type(value) is tuple:
+    # Exact-type checks and one explicit loop over a flat row: this runs for
+    # both row images of every logged update, where isinstance chains,
+    # generator frames and a call per column are measurable.
+    kind = type(value)
+    if kind is tuple:
         total = 3
         for v in value:
-            total += _value_bytes(v)
+            kind = type(v)
+            if kind is int or kind is float:
+                total += 9
+            elif kind is str:
+                total += 5 + len(v)
+            elif v is None:
+                total += 1
+            elif kind is tuple:
+                total += _value_bytes(v)
+            else:
+                total += 9  # bool
         return total
-    if type(value) is str:
+    if kind is str:
         return 5 + len(value)
     if value is None:
         return 1
@@ -40,8 +53,10 @@ def update_payload_bytes(slot: Any, before: tuple | None, after: tuple | None) -
     """Variable-length bytes one slot change contributes to its record.
 
     This is :meth:`UpdateRecord.size_bytes` minus the fixed header and any
-    full-page image — the quantity the trace-replay fast path records once
-    so replays never re-measure the row images.
+    full-page image.  It is measured once per record — when the record is
+    built, or at trace time for a replayed one — and stored on it as
+    ``payload_bytes``: what a change costs the log is computed where the
+    change is made, never re-derived from the row images.
     """
     return 12 + _value_bytes(slot) + _value_bytes(before) + _value_bytes(after)
 
@@ -63,8 +78,7 @@ class BeginRecord(LogRecord):
     txid: int
 
 
-@dataclass(frozen=True)
-class UpdateRecord(LogRecord):
+class UpdateRecord:
     """One slot on one page changed.
 
     ``before is None`` encodes an insert; ``after is None`` a delete.
@@ -74,72 +88,52 @@ class UpdateRecord(LogRecord):
     first update to a page after a checkpoint carries the complete
     post-update page, so crash recovery can install the page straight from
     the log instead of reading a possibly-torn base copy.  The image costs
-    a full page of log volume, charged by :meth:`size_bytes`.
+    a full page of log volume, charged by :meth:`size_bytes`; the log
+    manager sets it on the just-appended record.
+
+    ``payload_bytes`` is :func:`update_payload_bytes` of the row images,
+    measured here unless the caller already knows it.  The trace-replay
+    fast path (:mod:`repro.sim.replay`) recorded it at trace time and
+    passes it back with ``slot``/``before``/``after`` left ``None``: the
+    WAL sees a record of exactly the same size — so force timing and
+    full-page-write accounting are bit-identical — and recovery redoes it
+    as a pageLSN stamp (see :mod:`repro.recovery.restart`).
+
+    Slotted and mutable, not a frozen dataclass: the executed and the
+    replayed update paths build one of these per slot change.
     """
 
-    txid: int
-    page_id: int
-    slot: Any
-    before: tuple | None
-    after: tuple | None
-    page_image: Any = None
+    __slots__ = (
+        "lsn", "txid", "page_id", "slot", "before", "after", "page_image",
+        "payload_bytes",
+    )
 
-    def size_bytes(self) -> int:
-        size = _BASE_RECORD_BYTES + update_payload_bytes(
-            self.slot, self.before, self.after
-        )
-        if self.page_image is not None:
-            size += 4096
-        return size
-
-
-@dataclass(frozen=True)
-class SizedUpdateRecord(UpdateRecord):
-    """An update record whose variable-length size was measured earlier.
-
-    The trace-replay fast path (:mod:`repro.sim.replay`) records the
-    :func:`update_payload_bytes` of every slot change once, at trace time,
-    and replays it through this record type: the WAL sees a record of
-    exactly the same size — so force timing and full-page-write accounting
-    are bit-identical — without re-walking the row images (the single most
-    expensive computation on the full-execution update path).
-    """
-
-    payload_bytes: int = 0
-
-    def size_bytes(self) -> int:
-        size = _BASE_RECORD_BYTES + self.payload_bytes
-        if self.page_image is not None:
-            size += 4096
-        return size
-
-
-class ReplayUpdateRecord:
-    """Slotted, mutable stand-in for :class:`SizedUpdateRecord`.
-
-    The replay inner loop appends hundreds of thousands of update records
-    per cell; a frozen dataclass pays ``object.__setattr__`` per field,
-    which dominates the loop.  This class carries exactly the state the
-    live WAL needs (LSN ordering, byte size, optional full-page image) and
-    reports the same :meth:`size_bytes` — records of either type are
-    interchangeable in the tail and durable lists.  Like
-    :class:`SizedUpdateRecord` it carries no row images, so recovery redo
-    treats it as a pageLSN stamp (see :mod:`repro.recovery.restart`).
-    """
-
-    __slots__ = ("lsn", "txid", "page_id", "payload_bytes", "page_image")
-
-    def __init__(self, lsn: int, txid: int, page_id: int, payload_bytes: int) -> None:
+    def __init__(
+        self,
+        lsn: int,
+        txid: int,
+        page_id: int,
+        slot: Any = None,
+        before: tuple | None = None,
+        after: tuple | None = None,
+        page_image: Any = None,
+        payload_bytes: int | None = None,
+    ) -> None:
         self.lsn = lsn
         self.txid = txid
         self.page_id = page_id
+        self.slot = slot
+        self.before = before
+        self.after = after
+        self.page_image = page_image
+        if payload_bytes is None:
+            payload_bytes = update_payload_bytes(slot, before, after)
         self.payload_bytes = payload_bytes
-        self.page_image = None
 
     def size_bytes(self) -> int:
         size = _BASE_RECORD_BYTES + self.payload_bytes
         if self.page_image is not None:
-            size += 4096
+            size += PAGE_SIZE
         return size
 
 
