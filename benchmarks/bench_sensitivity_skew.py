@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.analysis.tables import format_table
 from repro.core.config import CachePolicy, SystemConfig
 from repro.core.dbms import SimulatedDBMS
-from repro.workload.synthetic import SyntheticKVWorkload
+from repro.workload.registry import make_workload
 from benchmarks.conftest import FULL_MODE, once
 
 N_KEYS = 40_000  # ~1,700 pages of data+index
@@ -31,16 +31,14 @@ def _run(zipf_s: float, policy: CachePolicy):
         disk_capacity_pages=1 << 17,
     )
     dbms = SimulatedDBMS(config)
-    workload = SyntheticKVWorkload(
-        dbms, n_keys=N_KEYS, zipf_s=zipf_s, update_fraction=0.3, seed=11
+    workload = make_workload(
+        "ycsb", dbms, seed=11, n_keys=N_KEYS, zipf_s=zipf_s, update_fraction=0.3
     )
-    workload.load()
     workload.run(max(200, TX // 4))  # warm-up
     dbms.reset_measurements()
-    committed_before = workload.committed
     workload.run(TX)
     wall = dbms.wall_clock()
-    tx_rate = (workload.committed - committed_before) / wall if wall else 0.0
+    tx_rate = TX / wall if wall else 0.0
     return tx_rate, dbms.cache.stats.flash_hit_rate
 
 

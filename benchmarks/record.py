@@ -27,13 +27,6 @@ exits non-zero with ``--strict``).  Intended uses:
   ``/dev/shm`` trace segment, recording shared-cell counts and gating on
   zero leaked segments; a parity flag asserts every fast variant is
   bit-identical to full execution
-* ``--retarget`` additionally runs the cross-scale retargeting pass: one
-  BENCH-scale donor recording drives the whole TINY grid with zero native
-  re-recording, the remap-only re-derivation is timed against a cold
-  native recording (gated at ``MIN_RETARGET_SPEEDUP``, 3x), and the
-  two-tier parity evidence from ``repro.sim.retarget.verify_retarget``
-  (identity bit-parity + statistical skew/hit-ratio gates) is embedded in
-  the record under ``retarget``
 * ``--ablation`` records the replay-driven ablation engine instead: a dense
   TINY knob grid (policy x admission x DRAM policy x scan depth; 64 cells,
   ``--smoke`` shrinks it to a 2-axis 4-cell grid) served from one shared
@@ -254,7 +247,6 @@ def fast_passes(
         prep = prepare_replay(specs)
         prepare = {
             "seconds": round(prep["seconds"], 3),
-            "retarget_seconds": round(prep["retarget_seconds"], 4),
             "groups": [
                 {**group, "seconds": round(group["seconds"], 3)}
                 for group in prep["groups"]
@@ -404,157 +396,6 @@ def fast_gate_warnings(record: dict) -> list[str]:
                 f"leaked /dev/shm trace segments after the sweep: "
                 f"{shared['leaked_segments']}"
             )
-    return warnings
-
-
-# -- retarget record ---------------------------------------------------------
-
-#: Re-deriving the grid's replay source from a live donor recording (a
-#: remap over the token stream) must beat recording the same transactions
-#: natively at the target scale by at least this factor.  Measured: the
-#: remap runs in tens of milliseconds against ~1s of native recording, so
-#: the floor has an order of magnitude of headroom.
-MIN_RETARGET_SPEEDUP = 3.0
-
-
-def run_retarget_pass(jobs: int, smoke: bool) -> dict:
-    """One BENCH donor recording drives the whole TINY grid; time and gate it.
-
-    The economics claim of cross-scale retargeting, measured end to end:
-
-    1. wipe every native (TINY, SEED) trace source, so nothing can serve
-       the grid except the donor;
-    2. seed — record one BENCH-scale donor and run the grid once from it
-       (this also warms the per-``(scale, seed)`` database forks);
-    3. the timed claim — re-derive the grid's replay source from the live
-       donor (``prepare_replay`` pays the full remap up front) and replay
-       the grid with observability on, asserting **zero** natively recorded
-       transactions;
-    4. the baseline — record the same number of transactions natively at
-       TINY with the cache off, which is what every fresh ``(scale, seed)``
-       grid would otherwise pay;
-    5. evidence — :func:`repro.sim.retarget.verify_retarget` runs both
-       parity tiers (identity bit-parity, statistical skew/hit-ratio
-       gates) and its full output is embedded in the record.
-    """
-    import dataclasses
-
-    from repro.sim.replay import (
-        TraceRecorder,
-        get_recorder,
-        remove_cached_traces,
-        save_recorded_traces,
-    )
-    from repro.sim.retarget import clear_retargeted, verify_retarget
-
-    specs = [
-        dataclasses.replace(spec, trace_donor=BENCH)
-        for spec in sweep_specs(smoke)
-    ]
-
-    # 1. Clean slate: no native TINY trace, live or persisted.
-    clear_recorders()
-    removed = remove_cached_traces(scale=TINY, seed=SEED)
-
-    # 2. Seed: one donor recording covers every cell's consumption.
-    donor_start = time.perf_counter()
-    donor = get_recorder(BENCH, SEED)
-    seeded = run_cells(specs, jobs=1, fast=True)
-    donor_record_seconds = time.perf_counter() - donor_start
-    needed = max(r.warmup_transactions for r in seeded.values()) + MEASURE_TX
-    save_recorded_traces()
-
-    # 3. The timed claim: remap-only re-derivation, then a replay-served
-    # grid that records nothing natively.
-    clear_retargeted()
-    prep_start = time.perf_counter()
-    prep = prepare_replay(specs)
-    retarget_prepare_seconds = time.perf_counter() - prep_start
-
-    was_enabled = OBS.enabled
-    OBS.clear()
-    OBS.enable()
-    try:
-        grid_start = time.perf_counter()
-        cells = run_cells(specs, jobs=1, fast=True)
-        grid_wall = time.perf_counter() - grid_start
-        native_recorded = OBS.counter("replay.trace.recorded_transactions").value
-        retargeted_cells = OBS.counter("replay.retarget.cells").value
-    finally:
-        OBS.clear()
-        if not was_enabled:
-            OBS.disable()
-
-    # 4. Baseline: a fresh native recording of the same transaction span.
-    cold_start = time.perf_counter()
-    TraceRecorder(TINY, SEED, use_cache=False).ensure(needed)
-    cold_record_seconds = time.perf_counter() - cold_start
-
-    # 5. Two-tier parity evidence (records a native TINY trace to compare
-    # against, so it runs outside the timed region).
-    verify = verify_retarget(TINY, BENCH, seed=SEED, transactions=MEASURE_TX)
-    save_recorded_traces()
-
-    speedup = (
-        round(cold_record_seconds / retarget_prepare_seconds, 2)
-        if retarget_prepare_seconds > 0
-        else None
-    )
-    return {
-        "donor_scale": "bench",
-        "target_scale": "tiny",
-        "grid_cells": len(specs),
-        "native_traces_removed": len(removed),
-        "donor_record_seconds": round(donor_record_seconds, 3),
-        "donor_transactions": donor.longest_trace().n_transactions,
-        "trace_transactions_needed": needed,
-        "retarget_prepare_seconds": round(retarget_prepare_seconds, 4),
-        "remap_seconds": round(prep["retarget_seconds"], 4),
-        "grid_wall_seconds": round(grid_wall, 3),
-        "native_recorded_transactions": int(native_recorded),
-        "retargeted_cells": int(retargeted_cells),
-        "cold_record_seconds": round(cold_record_seconds, 3),
-        "speedup_vs_cold_record": speedup,
-        "deterministic": _strip_obs(cells) == _strip_obs(seeded),
-        "identity_parity": verify["identity_parity"],
-        "verify": verify,
-    }
-
-
-def retarget_warnings(record: dict) -> list[str]:
-    """Acceptance gates on the retarget pass (``--strict`` fails on any)."""
-    retarget = record.get("retarget")
-    if not retarget:
-        return []
-    warnings = []
-    if retarget["native_recorded_transactions"]:
-        warnings.append(
-            f"retarget grid recorded "
-            f"{retarget['native_recorded_transactions']} native transactions "
-            f"(expected 0: every cell should replay from the donor)"
-        )
-    if not retarget["retargeted_cells"]:
-        warnings.append("retarget pass never served a cell from the donor trace")
-    speedup = retarget.get("speedup_vs_cold_record")
-    if speedup is not None and speedup < MIN_RETARGET_SPEEDUP:
-        warnings.append(
-            f"retarget prepare speedup {speedup}x over cold native recording "
-            f"is below the {MIN_RETARGET_SPEEDUP:.0f}x floor"
-        )
-    if not retarget["identity_parity"]:
-        warnings.append(
-            "identity retarget is NOT bit-identical to direct replay"
-        )
-    if not retarget["verify"]["passed"]:
-        warnings.append(
-            "statistical retarget verification failed (see the embedded "
-            "verify evidence)"
-        )
-    if not retarget["deterministic"]:
-        warnings.append(
-            "retargeted grid results changed between the seeding and timed "
-            "passes"
-        )
     return warnings
 
 
@@ -796,8 +637,7 @@ def run_scan_record(jobs: int, smoke: bool) -> dict:
     Three passes:
 
     1. seed — a fast grid pass from a clean slate records one native
-       ``tpch-scan`` boundary trace per mix (the non-tpcc workloads always
-       record natively: cross-scale retargeting is tpcc-only);
+       ``tpch-scan`` boundary trace per mix;
     2. the timed claim — the same grid replayed with observability on,
        asserting **zero** natively recorded transactions: every workload
        rides the trace-replay fast path, not just TPC-C;
@@ -1099,11 +939,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="also time the trace-replay fast path (cold + "
                              "warm) against the full serial pass and check "
                              "bit-identical parity")
-    parser.add_argument("--retarget", action="store_true",
-                        help="also run the cross-scale retarget pass: drive "
-                             "the whole grid from one BENCH donor recording, "
-                             "gate the remap-vs-cold-record speedup and both "
-                             "parity tiers, and embed the verify evidence")
     parser.add_argument("--ablation", action="store_true",
                         help="record the replay-driven ablation grid to "
                              "BENCH_ablation.json instead of the sweep")
@@ -1171,12 +1006,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         record = run_record(args.jobs, args.smoke, collect_obs=args.obs,
                             fast=args.fast)
-        if args.retarget:
-            record["retarget"] = run_retarget_pass(args.jobs, args.smoke)
         warnings = (
-            compare_with_previous(record, previous)
-            + fast_gate_warnings(record)
-            + retarget_warnings(record)
+            compare_with_previous(record, previous) + fast_gate_warnings(record)
         )
 
     history = existing.get("history", [])
@@ -1259,25 +1090,13 @@ def main(argv: list[str] | None = None) -> int:
               f"parity: {f['parity']}")
         if "prepare" in f:
             print(f"  prepare (one-time load + decode): {f['prepare']['seconds']}s "
-                  f"across {len(f['prepare']['groups'])} trace group(s); "
-                  f"retarget remap: {f['prepare']['retarget_seconds']}s")
+                  f"across {len(f['prepare']['groups'])} trace group(s)")
         if "shared" in f:
             s = f["shared"]
             print(f"  shared (jobs={s['jobs']}): {s['wall_seconds']}s  "
                   f"cells via /dev/shm: {s['shared_cells']}  "
                   f"exhausted: {s['exhausted']}  parity: {s['parity']}  "
                   f"leaked: {len(s['leaked_segments'])}")
-    if "retarget" in record:
-        r = record["retarget"]
-        print(f"  retarget ({r['donor_scale']} -> {r['target_scale']}, "
-              f"{r['grid_cells']} cells): remap prepare "
-              f"{r['retarget_prepare_seconds']}s vs cold native record "
-              f"{r['cold_record_seconds']}s "
-              f"(speedup {r['speedup_vs_cold_record']}x)")
-        print(f"    native tx recorded: {r['native_recorded_transactions']}  "
-              f"retargeted cells: {r['retargeted_cells']}  "
-              f"identity parity: {r['identity_parity']}  "
-              f"verify passed: {r['verify']['passed']}")
     if "parallel" in record:
         p = record["parallel"]
         print(f"  parallel (jobs={p['jobs']}): {p['wall_seconds']}s "

@@ -690,78 +690,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_retarget(args) -> int:
-    import json
-
-    from repro.sim.replay import save_recorded_traces
-    from repro.sim.retarget import (
-        build_remap_table,
-        retarget_incompatibility,
-        verify_retarget,
-    )
-    from repro.tpcc.scale import page_geometry
-
-    donor = _scale(args.donor)
-    target = _scale(args.target)
-    if args.verify:
-        evidence = verify_retarget(
-            target,
-            donor,
-            seed=args.seed,
-            transactions=args.transactions,
-            cache_fraction=args.cache_fraction,
-        )
-        # The verification recorded a real donor (and a native reference)
-        # — persist them so later sweeps auto-discover the donor instead
-        # of paying the recording again.
-        save_recorded_traces()
-        if args.json:
-            print(json.dumps(evidence, indent=2))
-        else:
-            print(f"# retarget {args.donor} -> {args.target} "
-                  f"(seed {args.seed}, {args.transactions} tx)")
-            print(f"identity parity:  {evidence['identity_parity']}")
-            print(f"table shares:     "
-                  f"{'ok' if evidence['share_within_tolerance'] else 'FAIL'} "
-                  f"(worst delta "
-                  f"{max(s['share_delta'] for s in evidence['segments'].values()):.4f}"
-                  f" <= {evidence['tolerances']['table_share']})")
-            print(f"skew shape:       "
-                  f"{'ok' if evidence['decile_within_tolerance'] else 'FAIL'} "
-                  f"(weighted decile TV {evidence['weighted_decile_tv']:.4f}"
-                  f" <= {evidence['tolerances']['decile_tv']})")
-            print(f"hit ratios:       "
-                  f"{'ok' if evidence['hit_rates_within_tolerance'] else 'FAIL'} "
-                  f"(flash d {evidence['hit_rates']['flash_delta']:.4f}, "
-                  f"dram d {evidence['hit_rates']['dram_delta']:.4f}"
-                  f" <= {evidence['tolerances']['hit_rate']})")
-            print(f"passed:           {evidence['passed']}")
-        return 0 if evidence["passed"] else 1
-
-    # Compatibility / geometry report.
-    why = retarget_incompatibility(donor, target)
-    if why is not None:
-        print(f"{args.donor} cannot drive {args.target}: {why}")
-        return 1
-    table = build_remap_table(donor, target)
-    donor_pages = len(table)
-    target_pages = page_geometry(target)[-1].end_page
-    rows = [
-        (segment.name, segment.kind, segment.n_pages,
-         page_geometry(donor)[i].n_pages)
-        for i, segment in enumerate(page_geometry(target))
-    ]
-    print(f"# {args.donor} -> {args.target}: {donor_pages:,} donor pages "
-          f"compress onto {target_pages:,} target pages")
-    print(format_table(
-        "Per-segment page extents",
-        ["segment", "kind", f"{args.target} pages", f"{args.donor} pages"],
-        rows,
-        width=20,
-    ))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -997,29 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="drop traces older than this many days")
     trace.set_defaults(func=cmd_trace)
 
-    retarget = sub.add_parser(
-        "retarget",
-        help="cross-scale trace retargeting: compatibility report / "
-             "--verify parity evidence",
-        description="Without --verify: report whether --donor's recording "
-        "can drive --target and show the per-segment page-extent mapping. "
-        "With --verify: run both parity tiers (identity bit-parity and the "
-        "statistical skew/hit-ratio gates) and exit 0 only if all pass.",
-    )
-    retarget.add_argument("--donor", default="bench",
-                          help="donor scale the recording comes from "
-                               "(default bench)")
-    retarget.add_argument("--target", default="tiny",
-                          help="target scale to retarget onto (default tiny)")
-    retarget.add_argument("--verify", action="store_true",
-                          help="run the two-tier parity check and emit the "
-                               "evidence (exit 1 on any gate failure)")
-    retarget.add_argument("--transactions", type=int, default=1500,
-                          help="measured transactions per verify run "
-                               "(default 1500)")
-    retarget.add_argument("--json", action="store_true",
-                          help="emit the full verify evidence as JSON")
-    retarget.set_defaults(func=cmd_retarget)
     return parser
 
 

@@ -12,7 +12,6 @@ manager, flash cache, WAL, checkpoints, crash hooks).
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
 from repro.core.dbms import SimulatedDBMS, Transaction
 from repro.core.policies import (
-    build_cache,
     build_database_device,
     build_flash_volume,
     build_log_device,
@@ -23,7 +22,6 @@ __all__ = [
     "SimulatedDBMS",
     "SystemConfig",
     "Transaction",
-    "build_cache",
     "build_database_device",
     "build_flash_volume",
     "build_log_device",

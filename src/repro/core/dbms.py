@@ -32,7 +32,6 @@ from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.policies import (
-    build_cache,
     build_database_device,
     build_flash_volume,
     build_log_device,
@@ -43,6 +42,7 @@ from repro.db.index import HashIndex
 from repro.db.page import Page
 from repro.db.schema import TableSchema
 from repro.errors import CatalogError, TransactionError
+from repro.flashcache.registry import build_cache_from_config
 from repro.obs import OBS
 from repro.storage.registry import build_page_store
 from repro.storage.volume import Volume
@@ -114,7 +114,7 @@ class SimulatedDBMS:
             self.log = LogManager(build_log_device(config))
             self._log_shares_database_device = False
         self.flash = build_flash_volume(config)
-        self.cache = build_cache(config, self.flash, self.disk)
+        self.cache = build_cache_from_config(config, self.flash, self.disk)
         self.buffer = BufferPool(config.buffer_pages, config.buffer_policy)
         # Bound to the buffer and the log, never to ``self``: the cache holds
         # no reference back to the DBMS, so a finished system dies with its

@@ -5,8 +5,7 @@ counts, capacities, cache pages) become live storage objects: the database
 volume (RAID-0 array or single SSD for the paper's "SSD only" case), the
 dedicated log device and the flash volume.  Flash-cache *policy*
 construction itself lives in :mod:`repro.flashcache.registry` — the named
-catalogue the CLI and ablation axes also resolve through — and
-:func:`build_cache` remains here as a thin shim over it.  Building
+catalogue the CLI and ablation axes also resolve through.  Building
 everything from configs is what makes cells picklable and parallel runs
 reproducible.
 """
@@ -14,7 +13,6 @@ reproducible.
 from __future__ import annotations
 
 from repro.core.config import SystemConfig
-from repro.flashcache.base import FlashCacheBase
 from repro.flashcache.metadata import ENTRY_BYTES
 from repro.storage.device import Device
 from repro.storage.hdd import DiskDevice
@@ -56,19 +54,3 @@ def build_flash_volume(config: SystemConfig) -> Volume | None:
         FlashDevice(config.flash_profile, total),
         build_page_store(config, "flash", total),
     )
-
-
-def build_cache(
-    config: SystemConfig, flash: Volume | None, disk: Volume
-) -> FlashCacheBase:
-    """Instantiate the configured flash-cache policy.
-
-    Deprecated alias for
-    :func:`repro.flashcache.registry.build_cache_from_config`: policy
-    construction now lives in the registry, where the CLI and the ablation
-    engine resolve policies by name.  This shim keeps every pre-registry
-    call site working unchanged.
-    """
-    from repro.flashcache.registry import build_cache_from_config
-
-    return build_cache_from_config(config, flash, disk)

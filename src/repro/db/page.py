@@ -18,7 +18,7 @@ contents have not changed since the last snapshot returns the *same*
 re-materialising identical copies.
 
 **On-media layout** (``to_bytes`` / ``from_bytes``; byte-level table in
-DESIGN.md §15).  A 24-byte header, then *runs* of consecutive slots.  Slots
+DESIGN.md §14).  A 24-byte header, then *runs* of consecutive slots.  Slots
 of one shape — scalar or fixed-arity tuple key, fixed-width row, every
 column all int / float / str / ``None`` — form a **columnar run**: a
 signature, one ``struct`` block of whole columns and one UTF-8 string heap.

@@ -478,20 +478,7 @@ def verify_parity(
     of the :class:`RunResult` for exact equality.  Returns ``(parity,
     mismatched_keys)``; this is the flag ``BENCH_ablation.json`` records
     and CI gates on.
-
-    Studies whose base experiment sets ``trace_donor`` are rejected: a
-    donor-retargeted replay is *statistically* equivalent to a native run,
-    not bit-identical, so this gate cannot apply — use ``python -m repro
-    retarget --verify`` (:func:`repro.sim.retarget.verify_retarget`) for
-    the distributional evidence instead.
     """
-    if getattr(study.base, "trace_donor", None) is not None:
-        raise ConfigError(
-            "verify_parity requires natively recorded traces; this study "
-            "retargets from a donor scale (trace_donor="
-            f"{study.base.trace_donor!r}) — use `python -m repro retarget "
-            "--verify` for statistical validation instead"
-        )
     specs = study.cell_specs()
     sample = max(1, min(sample, len(specs)))
     if sample == 1:

@@ -69,11 +69,6 @@ class ExperimentConfig:
     #: so equal experiments hash and compare equal.  Unknown names raise
     #: :class:`~repro.errors.WorkloadError` at config time.
     workload_knobs: tuple = ()
-    #: Serve fast-path replays from a donor recording at this (larger)
-    #: scale, remapped onto ``scale``'s page universe at replay time (see
-    #: :mod:`repro.sim.retarget`).  ``None`` records natively, with
-    #: automatic donor discovery when no native trace exists.
-    trace_donor: ScaleProfile | None = None
 
     # -- system under test ---------------------------------------------------
     #: Flash-cache policy, by registry name (see
@@ -164,21 +159,6 @@ class ExperimentConfig:
             raise ConfigError("crash_max_transactions must be >= 1")
         if self.ckpt_segment_entries is not None and self.ckpt_segment_entries < 1:
             raise ConfigError("ckpt_segment_entries must be >= 1 when set")
-        if self.trace_donor is not None and self.workload != "tpcc":
-            raise ConfigError(
-                f"trace_donor requires the tpcc workload: cross-scale "
-                f"retargeting is defined over TPC-C's page geometry, and "
-                f"{self.workload!r} records natively at its own scale"
-            )
-        if self.trace_donor is not None and self.trace_donor != self.scale:
-            from repro.sim.retarget import retarget_incompatibility
-
-            why = retarget_incompatibility(self.trace_donor, self.scale)
-            if why is not None:
-                raise ConfigError(
-                    f"trace_donor {self.trace_donor!r} cannot drive "
-                    f"scale {self.scale!r}: {why}"
-                )
 
     def with_(self, **overrides) -> "ExperimentConfig":
         """Return a derived config; unknown field names raise.

@@ -91,8 +91,7 @@ class CellSpec:
     #: this cell when ``run_cells(..., fast=True)``.  The boundary trace is
     #: recorded *above* the buffer pool, so replays are bit-identical for
     #: every config — set this ``False`` only to force a cell through full
-    #: execution (e.g. when the cell is itself a recording donor you want
-    #: to cross-check).
+    #: execution (e.g. to cross-check the replay against it).
     replay_ok: bool = True
     #: The run protocol for this cell.  ``None`` (the default, and the
     #: historical behaviour) resolves to a :class:`SteadyStateScenario`
@@ -111,12 +110,6 @@ class CellSpec:
     #: sets it.  The pickled handle carries only the segment name and
     #: lengths; the worker attaches a zero-copy view and replays from it.
     shared_trace: SharedTraceHandle | None = None
-    #: Retarget this cell's replay stream from a *donor* recording at a
-    #: larger scale (see :mod:`repro.sim.retarget`).  ``None`` — the
-    #: default — records (or loads) natively at ``scale``, with automatic
-    #: donor discovery when no native source exists; an explicit profile
-    #: pins the donor and fails loudly if it is incompatible.
-    trace_donor: ScaleProfile | None = None
 
     def workload_spec(self):
         """Canonical :class:`~repro.workload.registry.WorkloadSpec` for
@@ -163,7 +156,6 @@ class CellSpec:
             warmup_max=experiment.warmup_max,
             checkpoint_interval=experiment.checkpoint_interval,
             collect_obs=experiment.collect_obs,
-            trace_donor=experiment.trace_donor,
             # Steady experiments leave ``scenario=None`` so the spec's own
             # measurement fields (including any ``overrides``) stay
             # authoritative; crash experiments carry their protocol along.
@@ -484,11 +476,10 @@ def _run_cells_fast(
 
     Partitioning: a cell replays when it allows it (``replay_ok``) and the
     one-off recording cost amortises — either another cell shares its
-    ``(scale, seed, trace_donor, workload)`` stream, or a replay source for it
-    already exists (live recorder in this process, the persistent cache,
-    or — via :mod:`repro.sim.retarget` — a compatible donor recording at a
-    larger scale).  Everything else full-executes through :func:`run_cell`,
-    with the usual process-pool path when ``jobs`` allows.
+    ``(scale, seed, workload)`` stream, or a replay source for it already
+    exists (live recorder in this process, or the persistent cache).
+    Everything else full-executes through :func:`run_cell`, with the usual
+    process-pool path when ``jobs`` allows.
 
     Replay distribution: with ``jobs > 1``, each stream group's
     trace is extended once to the group's worst-case consumption (the max
@@ -502,28 +493,27 @@ def _run_cells_fast(
     every replay stays in the parent, exactly as before.  Results and
     callbacks keep the original spec order, like the full-execution engine.
     """
-    from repro.sim.replay import replay_cell, save_recorded_traces
-    from repro.sim.retarget import replay_source_exists, resolve_recorder
+    from repro.sim.replay import (
+        get_recorder,
+        replay_cell,
+        replay_source_exists,
+        save_recorded_traces,
+    )
 
     start = time.perf_counter()
+    streams = [(spec.scale, spec.seed, spec.workload_spec()) for spec in specs]
     group_sizes: dict[tuple, int] = {}
-    for spec in specs:
+    for spec, stream in zip(specs, streams):
         if spec.replay_ok:
-            group = (spec.scale, spec.seed, spec.trace_donor, spec.workload_spec())
-            group_sizes[group] = group_sizes.get(group, 0) + 1
+            group_sizes[stream] = group_sizes.get(stream, 0) + 1
 
-    replayed: list[CellSpec] = []
+    groups: dict[tuple, list[CellSpec]] = {}
     executed: list[CellSpec] = []
-    for spec in specs:
-        group = (spec.scale, spec.seed, spec.trace_donor, spec.workload_spec())
+    for spec, stream in zip(specs, streams):
         if spec.replay_ok and (
-            group_sizes[group] >= 2
-            or replay_source_exists(
-                spec.scale, spec.seed, spec.trace_donor,
-                workload=spec.workload_spec(),
-            )
+            group_sizes[stream] >= 2 or replay_source_exists(*stream)
         ):
-            replayed.append(spec)
+            groups.setdefault(stream, []).append(spec)
         else:
             executed.append(spec)
 
@@ -532,21 +522,12 @@ def _run_cells_fast(
         results.update(_run_cells(executed, jobs, None, None))
 
     jobs_n = resolve_jobs(jobs)
-    groups: dict[tuple, list[CellSpec]] = {}
-    for spec in replayed:
-        groups.setdefault(
-            (spec.scale, spec.seed, spec.trace_donor, spec.workload_spec()), []
-        ).append(spec)
-
     n_shared = 0
     n_exhausted = 0
-    n_retargeted = 0
     published: list[SharedTraceHandle] = []
     try:
-        for (scale, seed, donor, workload), members in groups.items():
-            recorder = resolve_recorder(scale, seed, donor, workload=workload)
-            if getattr(recorder, "donor_scale", None) is not None:
-                n_retargeted += len(members)
+        for (scale, seed, workload), members in groups.items():
+            recorder = get_recorder(scale, seed, workload)
             handle = None
             if jobs_n > 1 and len(members) >= 2:
                 # Cover the group's worst case up front so no worker can
@@ -557,10 +538,7 @@ def _run_cells_fast(
                     spec.resolve_scenario().trace_bound() for spec in members
                 )
                 recorder.ensure(bound)
-                handle = publish_boundary_trace(
-                    recorder.longest_trace(),
-                    token=getattr(recorder, "fork_token", "native"),
-                )
+                handle = publish_boundary_trace(recorder.longest_trace())
             if handle is not None:
                 published.append(handle.acquire())
                 shared = [replace(s, shared_trace=handle) for s in members]
@@ -591,8 +569,6 @@ def _run_cells_fast(
             OBS.counter("replay.shared.cells").inc(n_shared)
         if n_exhausted:
             OBS.counter("replay.shared.exhausted").inc(n_exhausted)
-        if n_retargeted:
-            OBS.counter("replay.retarget.cells").inc(n_retargeted)
     save_recorded_traces()
 
     ordered: dict[tuple, ScenarioResult] = {}

@@ -392,8 +392,7 @@ def list_cached_traces() -> list[dict[str, Any]]:
     header line: scale repr (parsed back into ``scale_profile`` when it
     round-trips), seed, transaction count and sizes.  Unparseable files
     are listed too (``scale_profile`` None) so ``prune``/``rm --all`` can
-    still reclaim them.  Used by ``python -m repro trace ls`` and by
-    cross-scale donor discovery (:mod:`repro.sim.retarget`).
+    still reclaim them.  Used by ``python -m repro trace ls``.
     """
     from repro.tpcc.scale import parse_scale
 
@@ -513,12 +512,6 @@ class TraceRecorder:
     (``tx_kinds``, headline kind first) defines the ``TXEND`` encoding
     replays decode with.
     """
-
-    #: Warm-fork cache discriminator: native recordings and retargeted
-    #: streams at the same (scale, seed) are different byte streams, so
-    #: their post-warm-up states must never be interchanged (see
-    #: :class:`repro.sim.retarget.RetargetedTraceRecorder`).
-    fork_token = "native"
 
     def __init__(
         self,
@@ -693,6 +686,16 @@ def cached_trace_exists(
     return (directory / _cache_key(scale, seed, token)).exists()
 
 
+def replay_source_exists(
+    scale: ScaleProfile, seed: int, workload: WorkloadSpec | None = None
+) -> bool:
+    """Is a trace source already sunk for this stream?  A lone cell is
+    worth replaying only when no fresh recording would be needed."""
+    return has_recorder(scale, seed, workload) or cached_trace_exists(
+        scale, seed, workload
+    )
+
+
 def save_recorded_traces() -> None:
     """Persist every live recorder's trace to the on-disk cache."""
     for recorder in _RECORDERS.values():
@@ -700,14 +703,9 @@ def save_recorded_traces() -> None:
 
 
 def clear_recorders() -> None:
-    """Drop all recorders — native, attached and retargeted (tests)."""
+    """Drop all recorders, live and attached (tests)."""
     _RECORDERS.clear()
     _ATTACHED.clear()
-    try:
-        from repro.sim.retarget import clear_retargeted
-    except ImportError:  # pragma: no cover - import-order safety only
-        return
-    clear_retargeted()
 
 
 # -- shared-memory recorders -------------------------------------------------
@@ -724,23 +722,18 @@ class SharedTraceRecorder:
     recorder.
     """
 
-    __slots__ = ("scale", "seed", "trace", "fork_token", "workload", "tx_kinds")
+    __slots__ = ("scale", "seed", "trace", "workload", "tx_kinds")
 
     def __init__(
         self,
         scale: ScaleProfile,
         seed: int,
         trace,
-        fork_token: str = "native",
         workload: WorkloadSpec | None = None,
     ) -> None:
         self.scale = scale
         self.seed = seed
         self.trace = trace
-        # Carried through the published handle so workers replaying a
-        # retargeted segment key their warm forks separately from native
-        # streams at the same (scale, seed).
-        self.fork_token = fork_token
         self.workload = TPCC_SPEC if workload is None else workload
         self.tx_kinds = get_workload_entry(self.workload.name).tx_kinds
 
@@ -774,70 +767,46 @@ def attached_recorder(spec) -> SharedTraceRecorder:
     if recorder is None:
         trace = handle.attach()
         recorder = _ATTACHED[handle.name] = SharedTraceRecorder(
-            spec.scale, spec.seed, trace,
-            fork_token=getattr(handle, "token", "native"),
-            workload=_spec_workload(spec),
+            spec.scale, spec.seed, trace, workload=_spec_workload(spec)
         )
     return recorder
 
 
 def prepare_replay(specs) -> dict[str, Any]:
-    """Pay each (scale, seed) group's one-time trace preparation up front.
+    """Pay each (scale, seed, workload) group's one-time trace preparation
+    up front.
 
-    Instantiating a recorder loads the TPC-C database; ``ensure(1)`` also
+    Instantiating a recorder loads the database; ``ensure(1)`` also
     triggers on-disk cache validation (decode + prefix re-record) when a
-    persisted trace exists.  For retargeted groups (an explicit
-    ``trace_donor`` on the spec, or automatic donor pickup) the one-time
-    remap cost is paid here too and reported per group
-    (``remap_seconds``) and in total (``retarget_seconds``), so warm
-    per-cell figures downstream are replay alone.  Benchmarks call this
-    before their timed passes so sweep timings stop charging those fixed
-    costs to whichever cell happens to run first.
+    persisted trace exists.  Benchmarks call this before their timed
+    passes so sweep timings stop charging those fixed costs to whichever
+    cell happens to run first.
     """
-    from repro.sim.retarget import resolve_recorder
-
     t_total = time.perf_counter()
     groups: list[dict[str, Any]] = []
-    retarget_seconds = 0.0
     seen: set[tuple] = set()
     for spec in specs:
         if not getattr(spec, "replay_ok", True):
             continue
-        donor = getattr(spec, "trace_donor", None)
         workload = _spec_workload(spec)
-        key = (spec.scale, spec.seed, workload, donor)
+        key = (spec.scale, spec.seed, workload)
         if key in seen:
             continue
         seen.add(key)
-        already_live = has_recorder(spec.scale, spec.seed, workload)
+        already_live = has_recorder(*key)
         t0 = time.perf_counter()
-        recorder = resolve_recorder(spec.scale, spec.seed, donor, workload=workload)
-        remap_before = getattr(recorder, "remap_seconds", 0.0)
+        recorder = get_recorder(*key)
         recorder.ensure(1)
-        # A retargeted recorder remaps everything its donor already knows
-        # up front, so the fixed cost lands here, not in the first cell.
-        if hasattr(recorder, "longest_trace") and hasattr(recorder, "donor_scale"):
-            recorder.longest_trace()
-        remap = getattr(recorder, "remap_seconds", 0.0) - remap_before
-        retarget_seconds += remap
-        group: dict[str, Any] = {
-            "seed": spec.seed,
-            "workload": workload.token,
-            "already_live": already_live,
-            "cached_transactions": recorder._saved_transactions,
-            "seconds": time.perf_counter() - t0,
-        }
-        donor_scale = getattr(recorder, "donor_scale", None)
-        group["retargeted"] = donor_scale is not None
-        if donor_scale is not None:
-            group["donor"] = repr(donor_scale)
-            group["remap_seconds"] = remap
-        groups.append(group)
-    return {
-        "groups": groups,
-        "seconds": time.perf_counter() - t_total,
-        "retarget_seconds": retarget_seconds,
-    }
+        groups.append(
+            {
+                "seed": spec.seed,
+                "workload": workload.token,
+                "already_live": already_live,
+                "cached_transactions": recorder._saved_transactions,
+                "seconds": time.perf_counter() - t0,
+            }
+        )
+    return {"groups": groups, "seconds": time.perf_counter() - t_total}
 
 
 # -- replay ------------------------------------------------------------------
@@ -1116,13 +1085,10 @@ class ReplayRunner:
         """Full replay identity of this warm-up, or ``None`` if ineligible.
 
         Warm-up is a pure function of (trace, config, bounds, loop): the
-        trace is pinned by (scale, seed, workload) *and* the recorder's
-        ``fork_token`` — a retargeted stream at T is a different trace
-        than a native recording at T, even though both carry T's
-        (scale, seed).  OBS-enabled runs are ineligible — their warm-up
-        must actually execute so the post-reset counter *set* matches a
-        full run's — and the whole cache can be switched off via
-        ``REPRO_REPLAY_WARMFORK=0``.
+        trace is pinned by (scale, seed, workload).  OBS-enabled runs are
+        ineligible — their warm-up must actually execute so the post-reset
+        counter *set* matches a full run's — and the whole cache can be
+        switched off via ``REPRO_REPLAY_WARMFORK=0``.
         """
         if OBS.enabled or not warm_fork_enabled():
             return None
@@ -1130,7 +1096,6 @@ class ReplayRunner:
             self.recorder.scale,
             self.recorder.seed,
             getattr(self.recorder, "workload", TPCC_SPEC),
-            getattr(self.recorder, "fork_token", "native"),
             repr(self.config),
             min_transactions,
             max_transactions,

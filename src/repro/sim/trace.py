@@ -438,34 +438,20 @@ class SharedTraceHandle:
     """
 
     def __init__(
-        self,
-        name: str,
-        n_ops: int,
-        n_args: int,
-        n_transactions: int,
-        token: str = "native",
+        self, name: str, n_ops: int, n_args: int, n_transactions: int
     ) -> None:
         self.name = name
         self.n_ops = n_ops
         self.n_args = n_args
         self.n_transactions = n_transactions
-        #: Provenance of the published stream ("native" or a retarget
-        #: token); workers fold it into their warm-fork cache keys.
-        self.token = token
         self._shm = None  # owner side only
         self._refs = 0
 
     def __getstate__(self):
-        return (self.name, self.n_ops, self.n_args, self.n_transactions, self.token)
+        return (self.name, self.n_ops, self.n_args, self.n_transactions)
 
     def __setstate__(self, state) -> None:
-        (
-            self.name,
-            self.n_ops,
-            self.n_args,
-            self.n_transactions,
-            self.token,
-        ) = state
+        self.name, self.n_ops, self.n_args, self.n_transactions = state
         self._shm = None
         self._refs = 0
 
@@ -580,14 +566,12 @@ class SharedBoundaryTrace:
             pass
 
 
-def publish_boundary_trace(trace, token: str = "native") -> SharedTraceHandle | None:
+def publish_boundary_trace(trace) -> SharedTraceHandle | None:
     """Publish a boundary trace into shared memory; ``None`` on fallback.
 
-    Copies the flat arrays once.  ``token`` records the stream's
-    provenance (native recording vs retargeted) on the handle.  Returns
-    ``None`` when shared memory is unavailable (no
-    ``multiprocessing.shared_memory`` support, permission or space
-    errors) — callers then keep the per-worker path.
+    Copies the flat arrays once.  Returns ``None`` when shared memory is
+    unavailable (no ``multiprocessing.shared_memory`` support, permission
+    or space errors) — callers then keep the per-worker path.
     """
     try:
         from multiprocessing import shared_memory
@@ -615,9 +599,7 @@ def publish_boundary_trace(trace, token: str = "native") -> SharedTraceHandle | 
         buf[:n_ops] = memoryview(trace.ops).cast("B")
     if n_args:
         buf[n_ops : n_ops + 8 * n_args] = memoryview(trace.args).cast("B")
-    handle = SharedTraceHandle(
-        shm.name, n_ops, n_args, trace.n_transactions, token=token
-    )
+    handle = SharedTraceHandle(shm.name, n_ops, n_args, trace.n_transactions)
     handle._shm = shm
     _OWNED[shm.name] = handle
     return handle

@@ -133,7 +133,7 @@ def get_snapshot(
     while len(_SNAPSHOTS) >= _SNAPSHOT_LIMIT:
         del _SNAPSHOTS[next(iter(_SNAPSHOTS))]
     # The loader's output is independent of every system knob, so any
-    # config works for the donor system; hdd-only is the cheapest build.
+    # config works for the loading system; hdd-only is the cheapest build.
     config = scaled_reference_config(
         estimate_workload_pages(workload, scale), policy=CachePolicy.NONE
     )

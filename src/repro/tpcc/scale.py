@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.errors import ConfigError
 
@@ -96,67 +95,13 @@ BENCH = ScaleProfile(
 )
 
 
-# -- page-universe geometry ----------------------------------------------------
-
-@dataclass(frozen=True)
-class PageSegment:
-    """One contiguous page range of a loaded database: a table or an index."""
-
-    name: str
-    kind: str  # "table" | "index"
-    first_page: int
-    n_pages: int
-
-    @property
-    def end_page(self) -> int:
-        return self.first_page + self.n_pages
-
-
-@lru_cache(maxsize=None)
-def page_geometry(scale: ScaleProfile) -> tuple[PageSegment, ...]:
-    """Ordered page segments a load of ``scale`` allocates.
-
-    Runs the loader's schema-creation logic against a throwaway catalog (the
-    same probe :func:`repro.tpcc.loader.estimate_db_pages` uses), so the
-    extents are exact.  The loader creates tables and indexes in a fixed
-    order that does not depend on cardinalities, so two scales always yield
-    the *same sequence of segment names* — the invariant cross-scale trace
-    retargeting (:mod:`repro.sim.retarget`) relies on to remap page ids
-    segment by segment.
-    """
-    from repro.db.catalog import Catalog
-    from repro.tpcc.loader import _create_schema
-
-    class _CatalogOnly:
-        def __init__(self) -> None:
-            self.catalog = Catalog()
-
-        def create_table(self, schema, expected_rows, growth_factor=1.0):
-            return self.catalog.create_table(schema, expected_rows, growth_factor)
-
-        def create_index(self, name, table, n_pages):
-            return self.catalog.create_index(name, table, n_pages)
-
-    probe = _CatalogOnly()
-    _create_schema(probe, scale)
-    segments = [
-        PageSegment(info.name, "table", info.first_page, info.n_pages)
-        for info in probe.catalog.tables.values()
-    ] + [
-        PageSegment(info.name, "index", info.first_page, info.n_pages)
-        for info in probe.catalog.indexes.values()
-    ]
-    segments.sort(key=lambda segment: segment.first_page)
-    return tuple(segments)
-
-
 def parse_scale(text: str) -> ScaleProfile | None:
     """Parse a ``repr(ScaleProfile(...))`` string back into a profile.
 
     Persisted boundary-trace headers store the scale as its dataclass repr;
-    cache housekeeping (``python -m repro trace ls``) and donor discovery
-    need to read it back without ``eval``.  Returns ``None`` for anything
-    that is not a literal ``ScaleProfile(...)`` call.
+    cache housekeeping (``python -m repro trace ls``) needs to read it
+    back without ``eval``.  Returns ``None`` for anything that is not a
+    literal ``ScaleProfile(...)`` call.
     """
     try:
         node = ast.parse(text.strip(), mode="eval").body

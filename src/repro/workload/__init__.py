@@ -6,10 +6,6 @@ analytics for the §3.3 scan-resistance experiments) and ``ycsb``
 (Zipf-skewed point access with a Flashield-style write-churn preset) —
 mirroring the flash-cache policy registry's shape: one frozen entry per
 workload with a schema/loader, a driver factory and validated knobs.
-
-The legacy :class:`~repro.workload.synthetic.SyntheticKVWorkload` remains
-importable but is deprecated in favour of
-``make_workload("ycsb", dbms, ...)``.
 """
 
 from repro.workload.registry import (
@@ -23,11 +19,10 @@ from repro.workload.registry import (
     make_workload,
     workload_spec,
 )
-from repro.workload.synthetic import KV_SCHEMA, SyntheticKVWorkload, ZipfGenerator
+from repro.workload.synthetic import KV_SCHEMA, ZipfGenerator
 
 __all__ = [
     "KV_SCHEMA",
-    "SyntheticKVWorkload",
     "TPCC_SPEC",
     "WorkloadEntry",
     "WorkloadSpec",

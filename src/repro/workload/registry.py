@@ -17,9 +17,9 @@ Three registered entries:
   cardinality *ratios*, chunked fact-table scans with a join re-visit
   pass, and knobs for scan depth/skew plus an HTAP read/update mix
   (:mod:`repro.workload.tpch`);
-* ``ycsb`` — the synthetic Zipf key-value workload promoted from
-  :mod:`repro.workload.synthetic`, with skew and read/write-mix knobs and
-  a Flashield-style ``write-churn`` preset.
+* ``ycsb`` — the synthetic Zipf key-value workload
+  (:mod:`repro.workload.ycsb`), with skew and read/write-mix knobs and a
+  Flashield-style ``write-churn`` preset.
 
 Entry points mirror the policy registry:
 
@@ -28,18 +28,14 @@ Entry points mirror the policy registry:
   :class:`~repro.errors.WorkloadError` naming the known set;
 * :func:`workload_spec` — ``(name, knobs)`` -> canonical, hashable
   :class:`WorkloadSpec`, validating knob names against the entry;
-* :func:`make_workload` — build a loaded, ready-to-run driver (the
-  target of the :class:`~repro.workload.synthetic.SyntheticKVWorkload`
-  deprecation shim).
+* :func:`make_workload` — build a loaded, ready-to-run driver.
 
 Boundary traces (:mod:`repro.sim.trace`) are workload-agnostic — a trace
 is just the logical page stream above the buffer pool — so every
 registered workload gets the replay fast path, trace caching and the
 parallel sweep engine for free.  What is *not* workload-agnostic is trace
-*identity*: a cached trace is keyed by ``(scale, seed, workload)`` and
-cross-scale retargeting (:mod:`repro.sim.retarget`) stays restricted to
-``tpcc`` donors, because the segment-affine remap is defined over the
-TPC-C loader's page geometry (see DESIGN.md §14).
+*identity*: a cached trace is keyed by ``(scale, seed, workload)`` (see
+DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -338,10 +334,7 @@ def make_workload(
     preset: str | None = None,
     **knobs,
 ):
-    """Load ``name`` onto ``dbms`` and return a ready-to-run driver.
-
-    The registry-blessed replacement for constructing
-    :class:`~repro.workload.synthetic.SyntheticKVWorkload` directly::
+    """Load ``name`` onto ``dbms`` and return a ready-to-run driver::
 
         driver = make_workload("ycsb", dbms, scale, n_keys=5000)
         driver.run(100)

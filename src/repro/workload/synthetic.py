@@ -1,11 +1,11 @@
-"""Synthetic key-value workloads for cache-behaviour studies.
+"""Building blocks of the synthetic workloads: the KV schema and Zipf.
 
-TPC-C fixes one access distribution; the synthetic driver lets experiments
-vary the two knobs that govern a second-level cache — *skew* and
-*read/write mix* — independently.  Used by the skew-sensitivity benchmark
-and handy for downstream users profiling their own mixes.
+TPC-C fixes one access distribution; the ``ycsb`` and ``tpch-scan``
+registry entries (:mod:`repro.workload.ycsb`, :mod:`repro.workload.tpch`)
+let experiments vary *skew* and *read/write mix* independently, and both
+draw their key popularity from here.
 
-The key popularity follows a Zipf(s) distribution over ``n_keys`` rows,
+The key popularity follows a Zipf(s) distribution over ``n`` ranks,
 sampled with the classic inverse-CDF-over-precomputed-weights method (exact,
 deterministic under a seed, O(log n) per draw).
 """
@@ -15,9 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-import warnings
 
-from repro.core.dbms import SimulatedDBMS
 from repro.db.schema import TableSchema, int_col, str_col
 from repro.errors import WorkloadError
 
@@ -52,100 +50,3 @@ class ZipfGenerator:
         """Probability mass of ``rank``."""
         previous = self._cdf[rank - 1] if rank else 0.0
         return self._cdf[rank] - previous
-
-
-class SyntheticKVWorkload:
-    """A loadable, runnable key-value workload over the simulated DBMS.
-
-    .. deprecated::
-        Superseded by the ``ycsb`` workload registry entry —
-        ``repro.workload.registry.make_workload("ycsb", dbms, ...)``
-        returns the same access pattern behind the driver protocol every
-        engine layer speaks (trace recording, replay, parallel sweeps).
-        Direct construction keeps working but emits a
-        ``DeprecationWarning``.
-
-    Parameters
-    ----------
-    n_keys:
-        Table cardinality.
-    zipf_s:
-        Skew exponent: 0 = uniform, ~0.99 = classic YCSB-style hot set.
-    update_fraction:
-        Probability an operation is a (read-modify-write) update.
-    ops_per_tx:
-        Operations batched into one transaction.
-    """
-
-    def __init__(
-        self,
-        dbms: SimulatedDBMS,
-        n_keys: int = 10_000,
-        zipf_s: float = 0.99,
-        update_fraction: float = 0.3,
-        ops_per_tx: int = 8,
-        seed: int = 17,
-    ) -> None:
-        warnings.warn(
-            "SyntheticKVWorkload is deprecated; use "
-            'repro.workload.registry.make_workload("ycsb", dbms, ...) instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not 0.0 <= update_fraction <= 1.0:
-            raise WorkloadError("update_fraction must be within [0, 1]")
-        if ops_per_tx < 1:
-            raise WorkloadError("ops_per_tx must be >= 1")
-        self.dbms = dbms
-        self.n_keys = n_keys
-        self.update_fraction = update_fraction
-        self.ops_per_tx = ops_per_tx
-        self._zipf = ZipfGenerator(n_keys, zipf_s, seed)
-        self._rng = random.Random(seed + 1)
-        # Keys are shuffled across ranks so popularity does not correlate
-        # with page adjacency (hot keys scatter over pages, as in real
-        # stores).
-        self._rank_to_key = list(range(n_keys))
-        self._rng.shuffle(self._rank_to_key)
-        self.committed = 0
-
-    # -- setup ---------------------------------------------------------------
-
-    def load(self) -> None:
-        """Create and populate the table + primary index."""
-        self.dbms.create_table(KV_SCHEMA, expected_rows=self.n_keys)
-        self.dbms.create_index(
-            "synthetic_kv_pk", "synthetic_kv", n_pages=max(1, self.n_keys // 300)
-        )
-        self.dbms.begin_load()
-        for k in range(self.n_keys):
-            rid = self.dbms.load_insert("synthetic_kv", (k, f"payload-{k}", 0))
-            self.dbms.load_index_insert("synthetic_kv_pk", (k,), rid)
-        self.dbms.finish_load()
-
-    # -- driving ---------------------------------------------------------------
-
-    def _next_key(self) -> int:
-        return self._rank_to_key[self._zipf.sample()]
-
-    def run_one(self) -> None:
-        """Execute one transaction of ``ops_per_tx`` operations."""
-        tx = self.dbms.begin()
-        for _ in range(self.ops_per_tx):
-            key = self._next_key()
-            rid = self.dbms.index_lookup("synthetic_kv_pk", (key,))
-            row = self.dbms.fetch_row("synthetic_kv", rid)
-            if self._rng.random() < self.update_fraction:
-                self.dbms.update_row(
-                    tx, "synthetic_kv", rid, (row[0], row[1], row[2] + 1)
-                )
-        self.dbms.commit(tx)
-        self.committed += 1
-
-    def run(self, n_transactions: int) -> int:
-        """Execute ``n_transactions``; returns the commit count so far."""
-        if n_transactions < 0:
-            raise WorkloadError("n_transactions must be >= 0")
-        for _ in range(n_transactions):
-            self.run_one()
-        return self.committed

@@ -1,8 +1,8 @@
 """``ycsb`` registry entry: Zipf-skewed key-value point access.
 
-The :class:`~repro.workload.synthetic.SyntheticKVWorkload` machinery
-promoted into the workload registry (:mod:`repro.workload.registry`) with
-the driver protocol every engine layer speaks: ``run_one`` returns a
+A synthetic key-value workload in the workload registry
+(:mod:`repro.workload.registry`), speaking the driver protocol every
+engine layer speaks: ``run_one`` returns a
 :class:`~repro.tpcc.transactions.TxResult` and counts accumulate in a
 :class:`~repro.tpcc.driver.WorkloadStats`, so YCSB cells flow through the
 trace recorder, the replay fast path and the parallel sweep engine

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
 from repro.core.policies import (
-    build_cache,
     build_database_device,
     build_flash_volume,
     build_log_device,
@@ -15,6 +14,7 @@ from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
 from repro.flashcache.lc import LazyCleaningCache
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.flashcache.null import NullFlashCache
+from repro.flashcache.registry import build_cache_from_config
 from repro.flashcache.tac import TacCache
 from repro.storage.raid import Raid0Array
 from repro.storage.ssd import FlashDevice
@@ -98,7 +98,7 @@ class TestFactory:
         cfg = tiny_config(policy)
         flash = build_flash_volume(cfg)
         disk = Volume(build_database_device(cfg))
-        cache = build_cache(cfg, flash, disk)
+        cache = build_cache_from_config(cfg, flash, disk)
         assert isinstance(cache, cls)
 
     def test_database_device_is_raid(self):
@@ -112,7 +112,7 @@ class TestFactory:
         assert isinstance(build_database_device(cfg), FlashDevice)
         assert build_flash_volume(cfg) is None
         disk = Volume(build_database_device(cfg))
-        assert isinstance(build_cache(cfg, None, disk), NullFlashCache)
+        assert isinstance(build_cache_from_config(cfg, None, disk), NullFlashCache)
 
     def test_flash_volume_has_metadata_headroom(self):
         cfg = tiny_config(CachePolicy.FACE)
@@ -126,7 +126,7 @@ class TestFactory:
         cfg = tiny_config(CachePolicy.FACE)
         disk = Volume(build_database_device(cfg))
         with pytest.raises(ConfigError):
-            build_cache(cfg, None, disk)
+            build_cache_from_config(cfg, None, disk)
 
     def test_log_device_capacity(self):
         cfg = tiny_config()

@@ -1,6 +1,6 @@
 """The page codec: run-columnar layout, fail-closed decode, bytes that travel.
 
-Four contracts of ``repro.db.page``'s on-media format (DESIGN.md §15):
+Four contracts of ``repro.db.page``'s on-media format (DESIGN.md §14):
 
 * every page round-trips exactly, whatever mix of shapes it holds, and an
   image decoded from bytes hands those very bytes back;

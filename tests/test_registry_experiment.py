@@ -4,8 +4,8 @@ The API redesign (ISSUE 4) re-routes flash-cache construction through
 :mod:`repro.flashcache.registry` and unifies the knob soup behind the
 frozen :class:`repro.sim.experiment.ExperimentConfig`.  Both are pure
 re-plumbing: these tests pin that claim by comparing each new path against
-the pre-redesign one — ``make_policy`` against ``build_cache``'s cache
-instances field-for-field, ``ExperimentConfig.system_config()`` against a
+the pre-redesign one — ``make_policy`` against the config-driven path's
+cache instances field-for-field, ``ExperimentConfig.system_config()`` against a
 hand-built ``scaled_reference_config``, and ``CellSpec.from_config``
 against a hand-built ``CellSpec`` — plus the new error surfaces (unknown
 policies, unknown knobs, typo'd ``with_`` fields) that used to fail as
@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
-from repro.core.policies import build_cache, build_database_device, build_flash_volume
+from repro.core.policies import build_database_device, build_flash_volume
 from repro.errors import ConfigError
 from repro.flashcache.null import NullFlashCache
 from repro.flashcache.registry import (
@@ -63,16 +63,6 @@ class TestRegistry:
     def test_unknown_policy_names_the_known_set(self):
         with pytest.raises(ConfigError, match="face\\+gsc"):
             get_policy_entry("face+gs")
-
-    @pytest.mark.parametrize("policy", list(CachePolicy))
-    def test_config_driven_path_matches_the_old_factory(self, policy):
-        cfg = tiny_config(policy)
-        disk = Volume(build_database_device(cfg))
-        flash = build_flash_volume(cfg)
-        old = build_cache(cfg, flash, disk)  # the deprecation shim
-        new = build_cache_from_config(cfg, flash, disk)
-        assert type(new) is type(old)
-        assert _comparable_state(new) == _comparable_state(old)
 
     @pytest.mark.parametrize("policy", list(CachePolicy))
     def test_keyword_path_matches_the_config_path(self, policy):

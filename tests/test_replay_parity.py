@@ -20,6 +20,8 @@ and has no full-execution counterpart.
 from __future__ import annotations
 
 import dataclasses
+import os
+from pathlib import Path
 
 import pytest
 
@@ -31,14 +33,26 @@ from repro.sim.replay import (
     TraceRecorder,
     cached_trace_exists,
     clear_recorders,
+    list_cached_traces,
+    prune_trace_cache,
+    remove_cached_traces,
     replay_cell,
 )
 from repro.sim.warmstate import clear_snapshots
 from repro.tpcc.loader import estimate_db_pages
-from repro.tpcc.scale import TINY
+from repro.tpcc.scale import TINY, ScaleProfile
 from repro.workload.registry import estimate_workload_pages, workload_spec
 
 DB_PAGES = estimate_db_pages(TINY)
+
+#: A scale larger than TINY in every segment, still cheap to record.
+LARGER = ScaleProfile(
+    warehouses=1,
+    districts_per_warehouse=4,
+    customers_per_district=60,
+    items=400,
+    orders_per_district=60,
+)
 
 #: Simulated-metric namespaces whose obs snapshots must match exactly;
 #: ``replay.*`` is machinery telemetry and is excluded by construction.
@@ -60,6 +74,13 @@ def _hermetic(monkeypatch):
     yield
     clear_recorders()
     clear_snapshots()
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A private on-disk trace cache (overrides ``_hermetic``'s ``0``)."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    return tmp_path
 
 
 def _spec(policy: CachePolicy, seed: int = 42, fraction: float = 0.08, **over) -> CellSpec:
@@ -257,8 +278,7 @@ def test_trace_extends_incrementally_and_prefix_is_stable():
     assert list(second.args[: len(prefix_args)]) == prefix_args
 
 
-def test_trace_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+def test_trace_cache_round_trip(cache_dir):
     assert not cached_trace_exists(TINY, 42)
     donor = TraceRecorder(TINY, 42)
     donor.ensure(200)
@@ -271,6 +291,99 @@ def test_trace_cache_round_trip(tmp_path, monkeypatch):
     # The cache served the request: the live recorder only recorded the
     # self-validation prefix, not the full 200 transactions.
     assert fresh.trace.n_transactions < 200
+
+
+# -- trace-cache housekeeping (``python -m repro trace ls|rm|prune``) ---------
+
+
+def _saved(scale: ScaleProfile, seed: int) -> None:
+    recorder = TraceRecorder(scale, seed)
+    recorder.ensure(30)
+    assert recorder.save_cache()
+
+
+def test_list_cached_traces_reads_headers(cache_dir):
+    _saved(TINY, 23)
+    _saved(LARGER, 24)
+    entries = list_cached_traces()
+    assert len(entries) == 2
+    by_scale = {entry["scale_profile"]: entry for entry in entries}
+    assert by_scale[TINY]["seed"] == 23
+    assert by_scale[LARGER]["seed"] == 24
+    for entry in entries:
+        assert entry["n_transactions"] >= 30
+        assert entry["file_bytes"] > 0
+        assert entry["age_seconds"] >= 0.0
+
+
+def test_remove_cached_traces_filters(cache_dir):
+    _saved(TINY, 23)
+    _saved(TINY, 24)
+    _saved(LARGER, 23)
+    assert len(remove_cached_traces(seed=24)) == 1
+    assert len(remove_cached_traces(scale=LARGER)) == 1
+    assert len(remove_cached_traces()) == 1  # unfiltered: everything left
+    assert list_cached_traces() == []
+
+
+def test_prune_by_size_drops_oldest_first(cache_dir):
+    _saved(TINY, 23)
+    _saved(TINY, 24)
+    entries = list_cached_traces()
+    oldest = entries[0]["path"]
+    # Make ages unambiguous regardless of filesystem timestamp granularity.
+    past = entries[-1]["mtime"] - 100
+    os.utime(oldest, (past, past))
+    keep_bytes = max(entry["file_bytes"] for entry in entries)
+    report = prune_trace_cache(max_bytes=keep_bytes)
+    assert report["removed"] == [Path(oldest).name]
+    assert report["kept"] == 1
+
+
+def test_prune_by_age(cache_dir):
+    _saved(TINY, 23)
+    (entry,) = list_cached_traces()
+    old = entry["mtime"] - 10_000
+    os.utime(entry["path"], (old, old))
+    report = prune_trace_cache(max_age_seconds=5_000.0)
+    assert report["removed"] == [entry["file"]]
+    assert list_cached_traces() == []
+
+
+@pytest.mark.parametrize("persisted_only", [False, True])
+def test_fast_mode_ignores_another_scales_trace(cache_dir, persisted_only):
+    # A trace serves exactly its own (scale, seed, workload): a same-seed
+    # recording at a larger scale — live in this process, or only as a file
+    # in the cache — must not change what ``fast=True`` returns at TINY.
+    larger_pages = estimate_db_pages(LARGER)
+    run_cells(
+        [
+            CellSpec(
+                key=(fraction,),
+                config=scaled_reference_config(
+                    larger_pages, cache_fraction=fraction, policy=CachePolicy.FACE_GSC
+                ),
+                scale=LARGER,
+                seed=42,
+                **FAST,
+            )
+            for fraction in (0.08, 0.16)
+        ],
+        fast=True,
+    )
+    assert cached_trace_exists(LARGER, 42)
+    if persisted_only:
+        clear_recorders()
+
+    specs = [
+        _spec(policy, fraction=fraction)
+        for policy in (CachePolicy.FACE_GSC, CachePolicy.LC)
+        for fraction in (0.08, 0.16)
+    ]
+    fast = run_cells(specs, fast=True)
+    slow = run_cells(specs, fast=False)
+    for key in slow:
+        assert dataclasses.asdict(fast[key]) == dataclasses.asdict(slow[key])
 
 
 # -- workload registry: parity and trace identity per workload ---------------
@@ -319,21 +432,20 @@ def test_fast_mode_bit_identical_per_workload(name):
         assert dataclasses.asdict(fast[key]) == dataclasses.asdict(slow[key])
 
 
-def test_trace_cache_workload_mismatch_fails_closed(tmp_path, monkeypatch):
+def test_trace_cache_workload_mismatch_fails_closed(cache_dir):
     # Satellite 6: a tpcc trace file renamed onto a ycsb cache key must be
     # rejected by the header's workload token, and the ycsb recorder falls
     # back to a fresh native recording — never replaying a donor from
     # another workload.
     from repro.sim.replay import _cache_key
 
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
     donor = TraceRecorder(TINY, 42)
     donor.ensure(150)
     assert donor.save_cache()
 
     ycsb = workload_spec("ycsb")
-    (tmp_path / _cache_key(TINY, 42, "tpcc")).rename(
-        tmp_path / _cache_key(TINY, 42, ycsb.token)
+    (cache_dir / _cache_key(TINY, 42, "tpcc")).rename(
+        cache_dir / _cache_key(TINY, 42, ycsb.token)
     )
     assert cached_trace_exists(TINY, 42, ycsb)
 
@@ -344,12 +456,11 @@ def test_trace_cache_workload_mismatch_fails_closed(tmp_path, monkeypatch):
     assert fresh.trace.n_transactions >= 150
 
 
-def test_trace_cache_rejects_corrupt_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+def test_trace_cache_rejects_corrupt_file(cache_dir):
     donor = TraceRecorder(TINY, 42)
     donor.ensure(150)
     assert donor.save_cache()
-    path = next(tmp_path.iterdir())
+    path = next(cache_dir.iterdir())
     path.write_bytes(b'{"version": -1}\n' + b"garbage")
 
     fresh = TraceRecorder(TINY, 42)

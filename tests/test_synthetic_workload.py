@@ -1,40 +1,14 @@
-"""Synthetic Zipfian key-value workload."""
+"""The Zipf sampler and the synthetic key-value (``ycsb``) workload on it."""
 
 import pytest
 
 from repro.core.config import CachePolicy
 from repro.core.dbms import SimulatedDBMS
 from repro.errors import WorkloadError
-from repro.workload.synthetic import SyntheticKVWorkload, ZipfGenerator
+from repro.workload.registry import make_workload
+from repro.workload.synthetic import ZipfGenerator
+from repro.workload.ycsb import YcsbDriver
 from tests.conftest import tiny_config
-
-# Direct SyntheticKVWorkload construction is deprecated in favour of
-# make_workload("ycsb", ...); these tests pin the legacy behaviour itself,
-# so silence the (separately tested) warning rather than sprinkle
-# pytest.warns around every construction.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:SyntheticKVWorkload is deprecated:DeprecationWarning"
-)
-
-
-def test_direct_construction_warns_deprecation():
-    dbms = SimulatedDBMS(tiny_config(CachePolicy.NONE))
-    with pytest.warns(DeprecationWarning, match=r'make_workload\("ycsb"'):
-        SyntheticKVWorkload(dbms, n_keys=100, seed=1)
-
-
-def test_registry_path_does_not_warn():
-    # The warning's entire point is steering callers to the registry; the
-    # replacement route must therefore never trip it.
-    import warnings
-
-    from repro.tpcc.scale import TINY
-    from repro.workload.registry import make_workload
-
-    dbms = SimulatedDBMS(tiny_config(CachePolicy.NONE))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        make_workload("ycsb", dbms, TINY, n_keys=100, seed=1)
 
 
 class TestZipf:
@@ -78,14 +52,20 @@ class TestZipf:
 
 
 class TestWorkload:
-    def make(self, **kwargs) -> SyntheticKVWorkload:
+    def make(self, **knobs) -> YcsbDriver:
         dbms = SimulatedDBMS(
             tiny_config(CachePolicy.FACE_GSC, disk_capacity_pages=8192,
                         cache_pages=96, buffer_pages=16)
         )
-        workload = SyntheticKVWorkload(dbms, n_keys=500, seed=3, **kwargs)
-        workload.load()
-        return workload
+        return make_workload("ycsb", dbms, seed=3, n_keys=500, **knobs)
+
+    @staticmethod
+    def total_versions(dbms: SimulatedDBMS) -> int:
+        total = 0
+        for key in range(500):
+            rid = dbms.index_lookup("synthetic_kv_pk", (key,))
+            total += dbms.fetch_row("synthetic_kv", rid)[2]
+        return total
 
     def test_load_populates_all_keys(self):
         workload = self.make()
@@ -98,14 +78,9 @@ class TestWorkload:
     def test_run_commits_and_updates(self):
         workload = self.make(update_fraction=1.0, ops_per_tx=4)
         workload.run(100)
-        assert workload.committed == 100
+        assert workload.stats.executed == 100
         assert workload.dbms.committed == 100
-        # Versions moved somewhere.
-        total_versions = 0
-        for key in range(500):
-            rid = workload.dbms.index_lookup("synthetic_kv_pk", (key,))
-            total_versions += workload.dbms.fetch_row("synthetic_kv", rid)[2]
-        assert total_versions == 400  # 100 tx x 4 updates
+        assert self.total_versions(workload.dbms) == 400  # 100 tx x 4 updates
 
     def test_read_only_mix_never_dirties(self):
         workload = self.make(update_fraction=0.0)
@@ -124,14 +99,12 @@ class TestWorkload:
         assert hot_rate > cold_rate
 
     def test_validation(self):
-        dbms = SimulatedDBMS(tiny_config())
         with pytest.raises(WorkloadError):
-            SyntheticKVWorkload(dbms, update_fraction=1.5)
+            self.make(update_fraction=1.5)
         with pytest.raises(WorkloadError):
-            SyntheticKVWorkload(dbms, ops_per_tx=0)
-        workload = SyntheticKVWorkload(dbms, n_keys=10)
+            self.make(ops_per_tx=0)
         with pytest.raises(WorkloadError):
-            workload.run(-1)
+            self.make().run(-1)
 
     def test_crash_safe_like_everything_else(self):
         from repro.recovery.restart import crash_and_restart
@@ -139,8 +112,4 @@ class TestWorkload:
         workload = self.make(update_fraction=1.0, ops_per_tx=2)
         workload.run(100)
         crash_and_restart(workload.dbms)
-        total = 0
-        for key in range(500):
-            rid = workload.dbms.index_lookup("synthetic_kv_pk", (key,))
-            total += workload.dbms.fetch_row("synthetic_kv", rid)[2]
-        assert total == 200
+        assert self.total_versions(workload.dbms) == 200

@@ -3,7 +3,7 @@
 Two cheap whole-tree checks a deletion PR trips before the benchmark does:
 
 * the ``REPRO_*`` environment variables named under ``src/`` are exactly
-  the documented four — a new escape hatch (or a stale mention of a
+  the documented three — a new escape hatch (or a stale mention of a
   deleted one) fails here;
 * everything ``perf/*.py`` imports from ``repro`` still resolves, and the
   traced pass can still find every function it wraps.  ``perf/`` is frozen
@@ -25,11 +25,10 @@ ENV_FLAGS = {
     "REPRO_TRACE_CACHE",
     "REPRO_OBS",
     "REPRO_REPLAY_WARMFORK",
-    "REPRO_REPLAY_RETARGET",
 }
 
 
-def test_env_flags_under_src_are_exactly_the_documented_four():
+def test_env_flags_under_src_are_exactly_the_documented_three():
     named = set()
     for path in (ROOT / "src").rglob("*.py"):
         named.update(re.findall(r"\bREPRO_[A-Z0-9_]+", path.read_text()))

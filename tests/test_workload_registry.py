@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.config import CachePolicy
 from repro.core.dbms import SimulatedDBMS
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import WorkloadError
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec
 from repro.tpcc.loader import estimate_db_pages
@@ -152,13 +152,6 @@ class TestMakeWorkload:
         )
         assert driver.update_fraction == 0.0
 
-    def test_legacy_synthetic_construction_warns(self):
-        from repro.workload.synthetic import SyntheticKVWorkload
-
-        dbms = SimulatedDBMS(tiny_config(CachePolicy.NONE))
-        with pytest.warns(DeprecationWarning, match="make_workload"):
-            SyntheticKVWorkload(dbms, n_keys=100, seed=1)
-
 
 class TestExperimentIntegration:
     def test_config_validates_workload_at_construction(self):
@@ -189,12 +182,6 @@ class TestExperimentIntegration:
         )
         assert "workload='ycsb[zipf_s=0.7]'" in config.describe()
         assert "workload" not in ExperimentConfig(scale=TINY).describe()
-
-    def test_trace_donor_requires_tpcc(self):
-        from repro.tpcc.scale import BENCH
-
-        with pytest.raises(ConfigError, match="tpcc"):
-            ExperimentConfig(scale=TINY, workload="ycsb", trace_donor=BENCH)
 
     def test_system_config_sizes_by_workload(self):
         # Workload knobs feed the page estimate that sizes the system: a
