@@ -28,21 +28,25 @@ the run kind from the data: one encoder (:func:`_pack_page`), one decoder
 (:func:`_unpack_page`), and malformed input is a ``StorageError``.
 
 **Who holds bytes.**  The memory page store moves ``PageImage`` objects and
-never calls the serde.  An image decoded from a persistent store remembers
-the blob it came from (``from_bytes(b).to_bytes() is b``), and an unmodified
-thawed page hands back the same image, so a clean page crosses DRAM → flash
-→ disk without its body being re-encoded.  A freshly frozen image holds no
-bytes and is encoded when a store writes it.  The blob dies with the image:
+never calls the serde, so its slots are plain dicts.  An image decoded from
+a persistent store remembers the blob it came from (``from_bytes(b).to_bytes()
+is b``), and an unmodified thawed page hands back the same image, so a clean
+page crosses DRAM → flash → disk without its body being re-encoded — nor
+decoded past what is read: a one-run page answers ``get`` from its validated
+columns (:class:`_ColumnarRun`) and builds its dict only when written,
+iterated, compared or probed often.  A freshly frozen image holds no bytes
+and is encoded when a store writes it.  The blob dies with the image:
 ``put`` / ``delete`` / ``stamp`` (and the ``slots`` setter) drop both.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, groupby, pairwise, repeat
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import StorageError
 
@@ -61,6 +65,10 @@ _COLUMN_CHAR = {int: _INT, bool: _INT, float: _FLOAT, str: _STR, type(None): _NO
 #: ``struct`` code of each column kind's numbers (``s``: the string lengths,
 #: in characters; ``n``: nothing stored).
 _COLUMN_CODE = {_INT: "q", _FLOAT: "d", _STR: "I", _NONE: ""}
+#: Type of each column kind's decoded values (what a probed key part must be).
+_COLUMN_TYPE = {_INT: int, _FLOAT: float, _STR: str, _NONE: type(None)}
+#: Key-column scans before a run builds its dict: one build, not n scans.
+_PROBES_BEFORE_DICT = 8
 
 # Value type tags of the tagged encoding.
 _TAG_NONE = 0
@@ -74,7 +82,9 @@ _TAG_TUPLE = 4
 class PageImage:
     """Immutable snapshot of a page as stored on flash or disk.
 
-    ``slots`` maps slot number -> row tuple.  The mapping must never be
+    ``slots`` maps slot number -> row tuple: a dict, or for an image
+    decoded from a single columnar run the :class:`_ColumnarRun` that
+    builds that dict on demand.  The mapping must never be
     mutated once the image exists: it is shared copy-on-write with the
     :class:`Page` that froze it and with every page thawed from it, so an
     image can back any number of cached versions safely (the mvFIFO cache
@@ -153,7 +163,7 @@ class Page:
     def put(self, slot, row: tuple, lsn: int) -> None:
         """Install ``row`` at ``slot``, stamping the page with ``lsn``."""
         if self._image is not None:
-            self._rows = dict(self._rows)
+            self._rows = self._rows.copy()
             self._image = None
         self._rows[slot] = row
         self.lsn = lsn
@@ -161,7 +171,7 @@ class Page:
     def delete(self, slot, lsn: int) -> None:
         """Remove the row at ``slot`` (idempotent), stamping ``lsn``."""
         if self._image is not None:
-            self._rows = dict(self._rows)
+            self._rows = self._rows.copy()
             self._image = None
         self._rows.pop(slot, None)
         self.lsn = lsn
@@ -292,14 +302,16 @@ def _pack_tagged(keys, rows) -> bytes:
     return _RUN.pack(_RUN_TAGGED, len(keys), 0, len(body)) + body
 
 
-def _unpack_page(data: bytes) -> tuple[int, int, dict]:
-    """The one page-body decoder: ``(page_id, lsn, slots)``, failing closed."""
+def _unpack_page(data: bytes) -> tuple[int, int, Mapping]:
+    """The one page-body decoder: ``(page_id, lsn, slots)``, failing closed.
+    Every check runs here, but the slots of a one-run columnar page (every
+    TPC-C and YCSB page) are that validated run, its dict not yet built."""
     if len(data) < _HEADER.size:
         raise StorageError("truncated page: header incomplete")
     magic, page_id, lsn, nslots = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise StorageError(f"bad page magic {magic:#x}")
-    slots: dict = {}
+    runs: list = []
     offset = _HEADER.size
     try:
         while offset < len(data):
@@ -308,22 +320,29 @@ def _unpack_page(data: bytes) -> tuple[int, int, dict]:
             if count > nslots:
                 raise StorageError("run holds more slots than the page")
             if kind == _RUN_COLUMNS:
-                offset = _unpack_columns(data, offset, count, sig_len, length, slots)
+                run, offset = _unpack_columns(data, offset, count, sig_len, length)
             elif kind == _RUN_TAGGED and sig_len == 0:
-                offset = _unpack_tagged(data, offset, count, length, slots)
+                run, offset = _unpack_tagged(data, offset, count, length)
             else:
                 raise StorageError(f"unknown run kind {kind}")
+            runs.append(run)
     except (struct.error, IndexError, UnicodeDecodeError, RecursionError) as exc:
         raise StorageError(f"malformed page {page_id}: {exc}") from None
+    if len(runs) == 1 and type(runs[0]) is _ColumnarRun:
+        slots = runs[0]
+    else:
+        slots = {}
+        for run in runs:
+            slots.update(run.items())
     if len(slots) != nslots:
         raise StorageError(f"page {page_id}: decoded {len(slots)} of {nslots} slots")
     return page_id, lsn, slots
 
 
 def _unpack_columns(
-    data: bytes, offset: int, count: int, signature_len: int, heap_len: int, slots: dict
-) -> int:
-    """Decode one columnar run into ``slots``; returns the offset after it."""
+    data: bytes, offset: int, count: int, signature_len: int, heap_len: int
+) -> tuple["_ColumnarRun", int]:
+    """Decode one columnar run; returns it and the offset after it."""
     signature = data[offset : offset + signature_len]
     offset += signature_len
     arity = signature[0]
@@ -335,12 +354,16 @@ def _unpack_columns(
     heap = data[offset : offset + heap_len]
     if len(heap) != heap_len:
         raise StorageError("truncated string heap")
-    text = heap.decode("utf-8")
+    return _ColumnarRun(signature, count, numbers, heap.decode("utf-8")), offset + heap_len
+
+
+def _split_columns(kinds: bytes, count: int, numbers: tuple, text: str) -> list:
+    """The leading columns named by ``kinds`` as sequences of their values."""
     columns: list = []
     at = chars = 0
-    for char in signature[1:]:
+    for char in kinds:
         if char == _NONE:
-            columns.append(repeat(None, count))
+            columns.append((None,) * count)
             continue
         column = numbers[at : at + count]
         at += count
@@ -349,17 +372,121 @@ def _unpack_columns(
             chars = ends[-1]
             column = [text[a:b] for a, b in pairwise(ends)]
         columns.append(column)
-    if chars != len(text):
-        raise StorageError("string heap length mismatch")
-    keys = zip(*columns[:arity]) if arity else columns[0]
-    rows = zip(*columns[arity or 1 :]) if len(columns) > (arity or 1) else repeat(())
-    slots.update(zip(keys, rows))
-    return offset + heap_len
+    return columns
 
 
-def _unpack_tagged(data: bytes, offset: int, count: int, body_len: int, slots: dict) -> int:
-    """Decode one tagged run into ``slots``; returns the offset after it."""
+class _ColumnarRun(Mapping):
+    """The slots of one validated columnar run, decoded only as far as read.
+
+    Construction makes every check the dict would have made (heap length in
+    characters, no duplicate key) but keeps the column block and the string
+    heap.  ``get`` of a key whose type matches the key columns exactly finds
+    it with ``index`` on the key column and builds that one row.  Anything
+    else — a type twin such as ``True`` for ``1``, iteration, ``==``,
+    ``copy``, more than :data:`_PROBES_BEFORE_DICT` probes — builds, once,
+    the dict that is this mapping's materialised form and answers from it.
+    Read-only like every image's slots: :class:`Page` writes to a ``copy``.
+    """
+
+    __slots__ = ("_signature", "_count", "_numbers", "_text", "_shape", "_keys",
+                 "_probes", "_dict")
+
+    def __init__(self, signature: bytes, count: int, numbers: tuple, text: str) -> None:
+        chars = at = 0
+        for char in signature[1:]:
+            if char == _STR:
+                chars += sum(numbers[at : at + count])
+            if char != _NONE:
+                at += count
+        if chars != len(text):
+            raise StorageError("string heap length mismatch")
+        arity = signature[0]
+        key_columns = _split_columns(signature[1 : 1 + (arity or 1)], count, numbers, text)
+        keys = tuple(zip(*key_columns)) if arity > 1 else key_columns[0]
+        if len(set(keys)) != count:
+            raise StorageError("duplicate slot key in a columnar run")
+        types = tuple(_COLUMN_TYPE[char] for char in signature[1 : 1 + (arity or 1)])
+        self._signature, self._count, self._numbers, self._text = signature, count, numbers, text
+        self._shape = types if arity else types[0]  # the exact type(s) a key must have
+        self._keys = keys  # an arity-1 key column holds the bare parts
+        self._probes = 0
+        self._dict: dict | None = None
+
+    def get(self, key, default=None):
+        slots = self._dict
+        if slots is None:
+            if self._probes < _PROBES_BEFORE_DICT:
+                shape = self._shape
+                if type(key) is shape:
+                    return self._probe(key, default)
+                if type(key) is tuple and tuple(map(type, key)) == shape:
+                    return self._probe(key[0] if len(shape) == 1 else key, default)
+            slots = self._materialise()
+        return slots.get(key, default)
+
+    def _probe(self, key, default):
+        """The row of ``key`` (in key-column form), read off the columns."""
+        self._probes += 1
+        try:
+            at = self._keys.index(key)
+        except ValueError:
+            return default
+        numbers, count, text = self._numbers, self._count, self._text
+        row = []
+        column = chars = 0  # where the current column starts: block, heap
+        for char in self._signature[1:]:
+            value = None
+            if char != _NONE:
+                value = numbers[column + at]
+                if char == _STR:
+                    start = chars + sum(numbers[column : column + at])
+                    chars += sum(numbers[column : column + count])
+                    value = text[start : start + value]
+                column += count
+            row.append(value)
+        return tuple(row[self._signature[0] or 1 :])
+
+    def _build(self) -> dict:
+        """The dict of this run's slots, in slot order (a fresh one per call)."""
+        arity = self._signature[0]
+        columns = _split_columns(self._signature[1:], self._count, self._numbers, self._text)
+        keys = zip(*columns[:arity]) if arity else columns[0]
+        rows = zip(*columns[arity or 1 :]) if len(columns) > (arity or 1) else repeat(())
+        return dict(zip(keys, rows))
+
+    def _materialise(self) -> dict:
+        slots = self._dict
+        if slots is None:
+            slots = self._dict = self._build()
+            self._numbers = self._text = self._keys = None
+        return slots
+
+    def copy(self) -> dict:
+        """A mutable dict of the slots (what a written page holds)."""
+        slots = self._dict
+        return self._build() if slots is None else slots.copy()
+
+    def __len__(self) -> int:
+        return self._count  # exact: construction rejected duplicate keys
+
+    # ``Mapping`` derives ``keys`` / ``items`` / ``values`` / ``in`` / ``==``.
+    def __getitem__(self, key):
+        return self._materialise()[key]
+
+    def __iter__(self):
+        return iter(self._materialise())
+
+    def __repr__(self) -> str:
+        return repr(self._materialise())
+
+    def __deepcopy__(self, memo: dict) -> "_ColumnarRun":
+        return self  # read-only, like the image that holds it
+
+
+def _unpack_tagged(data: bytes, offset: int, count: int, body_len: int) -> tuple[dict, int]:
+    """Decode one tagged run; returns its slots and the offset after it."""
     end = offset + body_len
+    slots: dict = {}
     for _ in range(count):
         key, offset = _decode_value(data, offset)
         row, offset = _decode_value(data, offset)
@@ -368,7 +495,7 @@ def _unpack_tagged(data: bytes, offset: int, count: int, body_len: int, slots: d
         slots[key] = row
     if offset != end:
         raise StorageError("tagged run length mismatch")
-    return offset
+    return slots, offset
 
 
 def _encode_value(value: Any) -> bytes:

@@ -111,23 +111,28 @@ def encode_storable(obj: object) -> bytes:
         ) from None
 
 
-def decode_storable(data: bytes) -> object:
-    """Decode on-media bytes back to an equal storable object."""
-    if not data:
+def decode_storable(data, start: int = 0, end: int | None = None) -> object:
+    """Decode ``data[start:end]`` back to an equal storable object; ``data``
+    may be the mmap store's window, so a page body is copied once, into the
+    ``bytes`` its image keeps."""
+    if end is None:
+        end = len(data)
+    if end <= start:
         raise StorageError("empty storable blob")
-    kind = data[0]
+    kind = data[start]
     try:
         if kind == _KIND_NONE:
             return None
         if kind == _KIND_PAGE_IMAGE:
-            return PageImage.from_bytes(data[1:])
+            return PageImage.from_bytes(data[start + 1 : end])
         meta = _metadata()
         if kind == _KIND_SLOT_IMAGE:
-            position, dirty = _SLOT_HEADER.unpack_from(data, 1)
-            image = PageImage.from_bytes(data[1 + _SLOT_HEADER.size :])
+            position, dirty = _SLOT_HEADER.unpack_from(data, start + 1)
+            image = PageImage.from_bytes(data[start + 1 + _SLOT_HEADER.size : end])
             return meta.CacheSlotImage(
                 position=position, dirty=bool(dirty), image=image
             )
+        data = data[start:end]  # the small kinds decode from their own bytes
         if kind == _KIND_SUPERBLOCK:
             front, rear, n = _SUPER_HEADER.unpack_from(data, 1)
             lbas = struct.unpack_from(f"<{n}q", data, 1 + _SUPER_HEADER.size)

@@ -310,7 +310,7 @@ class MmapPageStore(PersistentPageStore):
         view = self._view(offset + length)
         if OBS.enabled:
             self._note_get(length)
-        return decode_storable(view[offset : offset + length])
+        return decode_storable(view, offset, offset + length)
 
     def peek(self, lba: int) -> Any | None:
         self._check(lba)

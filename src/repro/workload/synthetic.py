@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+from functools import lru_cache
 
 from repro.db.schema import TableSchema, int_col, str_col
 from repro.errors import WorkloadError
@@ -25,6 +26,15 @@ KV_SCHEMA = TableSchema(
     columns=(int_col("k"), str_col("payload", 120), int_col("version")),
     primary_key=("k",),
 )
+
+
+@lru_cache(maxsize=2)
+def _zipf_cdf(n: int, s: float) -> tuple[float, ...]:
+    """The Zipf(s) CDF over ``n`` ranks, built once per ``(n, s)`` — a stream
+    runs many cells — and a tuple, so no sampler can change a shared one."""
+    cumulative = list(itertools.accumulate((k + 1) ** -s for k in range(n)))
+    total = cumulative[-1]
+    return tuple(c / total for c in cumulative)
 
 
 class ZipfGenerator:
@@ -38,9 +48,7 @@ class ZipfGenerator:
         self.n = n
         self.s = s
         self._rng = random.Random(seed)
-        cumulative = list(itertools.accumulate((k + 1) ** -s for k in range(n)))
-        total = cumulative[-1]
-        self._cdf = [c / total for c in cumulative]
+        self._cdf = _zipf_cdf(n, s)
 
     def sample(self) -> int:
         """Draw one rank."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.dbms import SimulatedDBMS
 from repro.errors import WorkloadError
@@ -118,6 +119,17 @@ def rebuild_ycsb_handle(dbms: SimulatedDBMS, scale: ScaleProfile, state) -> KvDa
     return KvDatabase(dbms=dbms, scale=scale, n_keys=n_keys)
 
 
+@lru_cache(maxsize=2)
+def _key_order(n_keys: int, seed: int) -> tuple[tuple[int, ...], tuple]:
+    """A stream's rank -> key permutation (so hot keys scatter over pages, as
+    in real stores) and its RNG state after the shuffle: built once per
+    stream, not per cell, as a tuple no driver can change."""
+    rng = random.Random(seed + 1)
+    rank_to_key = list(range(n_keys))
+    rng.shuffle(rank_to_key)
+    return tuple(rank_to_key), rng.getstate()
+
+
 class YcsbDriver:
     """Drives one simulated DBMS with the Zipf-skewed point-access mix."""
 
@@ -140,11 +152,9 @@ class YcsbDriver:
         self.update_fraction = update_fraction
         self.ops_per_tx = ops_per_tx
         self._zipf = ZipfGenerator(database.n_keys, zipf_s, seed)
-        self._rng = random.Random(seed + 1)
-        # Keys shuffle across ranks so popularity does not correlate with
-        # page adjacency (hot keys scatter over pages, as in real stores).
-        self._rank_to_key = list(range(database.n_keys))
-        self._rng.shuffle(self._rank_to_key)
+        self._rank_to_key, rng_state = _key_order(database.n_keys, seed)
+        self._rng = random.Random()
+        self._rng.setstate(rng_state)
         self.stats = WorkloadStats(headline_kind=YCSB_TX_KINDS[0])
 
     def _next_key(self) -> int:

@@ -1,6 +1,6 @@
 """The page codec: run-columnar layout, fail-closed decode, bytes that travel.
 
-Four contracts of ``repro.db.page``'s on-media format (DESIGN.md §14):
+Five contracts of ``repro.db.page``'s on-media format (DESIGN.md §14):
 
 * every page round-trips exactly, whatever mix of shapes it holds, and an
   image decoded from bytes hands those very bytes back;
@@ -8,10 +8,17 @@ Four contracts of ``repro.db.page``'s on-media format (DESIGN.md §14):
   ``struct.error`` / ``IndexError`` and never a silently short value;
 * a page nobody modified is never re-encoded on its way DRAM → flash →
   disk (counted, in the style of ``test_miss_path_budget.py``);
-* the carried bytes die with the cached image on the first mutation.
+* the carried bytes die with the cached image on the first mutation;
+* a decoded page is built only as far as it is read — a probe answers
+  exactly what the built dict would, and a page that is only moved builds
+  nothing (counted).
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +28,8 @@ from repro.db import page as page_module
 from repro.db.page import Page, PageImage
 from repro.errors import StorageError
 from repro.flashcache.metadata import CacheSlotImage
-from repro.storage import MmapPageStore, make_page_store
+from repro.flashcache.mvfifo import MvFifoCache
+from repro.storage import MmapPageStore, decode_storable, encode_storable, make_page_store
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 SCALARS = {
@@ -345,3 +353,233 @@ def test_batched_install_spans_several_writes(monkeypatch):
     assert store.get(5) == "overwritten" and store.get(39) == images[39]
     reopened = MmapPageStore(64, store.path)
     assert reopened.get(39) == images[39] and reopened.get(5) == "overwritten"
+
+
+# -- lazy probes: decoded only as far as read ---------------------------------
+
+
+def probe_candidates(key) -> list:
+    """Keys a probe might be given beside ``key``: type twins, other shapes,
+    neighbours — present or absent, each must answer as the dict would."""
+    parts = key if type(key) is tuple else (key,)
+    twins = [tuple(float(p) if type(p) is int else p for p in parts)]
+    twins.append(tuple(bool(p) if type(p) is int and p in (0, 1) else p for p in parts))
+    twins.append(tuple(p + 1 if type(p) is int else p + "\x00" for p in parts))
+    candidates = [parts, parts + (0,), parts[:-1], None, -0.0, "é中"]
+    for twin in twins:
+        candidates += [twin, *twin[:1]]
+    return candidates
+
+
+def eager(page: Page) -> dict:
+    """What decoding ``page`` must give: its slots, booleans stored as 0/1."""
+    return {key: degrade(row) for key, row in page.slots.items()}
+
+
+def same(a, b) -> bool:
+    """Equal with types and float signs visible (``-0.0 == 0.0``)."""
+    return repr(degrade(a)) == repr(degrade(b))
+
+
+class TestLazyProbes:
+    @settings(max_examples=300, deadline=None)
+    @given(pages())
+    def test_a_probe_answers_what_the_built_dict_answers(self, page):
+        blob = page.to_bytes()
+        expected = eager(page)
+        probes = list(expected)
+        for key in expected:
+            probes += probe_candidates(key)
+        for key in probes:  # each on a fresh decode: the probe path itself
+            assert same(PageImage.from_bytes(blob).to_page().get(key), expected.get(key))
+        shared = PageImage.from_bytes(blob).to_page()  # past the build threshold
+        for key in probes:
+            assert same(shared.get(key), expected.get(key))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pages())
+    def test_the_full_mapping_is_the_built_dict(self, page):
+        blob = page.to_bytes()
+        expected = eager(page)
+        for view in (
+            lambda s: dict(s), lambda s: list(s), len, lambda s: list(s.items()),
+            lambda s: s == expected, lambda s: copy.deepcopy(s) == expected,
+            lambda s: pickle.loads(pickle.dumps(s)) == expected, lambda s: s.copy(),
+            lambda s: page_module._pack_page(page.page_id, page.lsn, s),
+        ):
+            slots = PageImage.from_bytes(blob).slots
+            assert same(view(slots), view(expected))
+        slots = PageImage.from_bytes(blob).slots
+        assert exact(dict(slots)) == exact(expected)
+        assert page_module._pack_page(page.page_id, page.lsn, slots) == blob
+
+    def test_single_run_pages_decode_lazily_and_others_eagerly(self):
+        lazy = (bucket_page(), heap_page(), Page(1, slots={(1, "a"): (2,), (1, "b"): (3,)}))
+        for page in lazy:
+            assert type(PageImage.from_bytes(page.to_bytes()).slots) is page_module._ColumnarRun
+        mixed = dict(heap_page().slots, e=(((1, 2),),))
+        for page in (btree_node(), Page(2, slots=mixed), Page(3)):
+            assert type(PageImage.from_bytes(page.to_bytes()).slots) is dict
+
+    def test_a_page_probed_on_every_slot_builds_its_dict_once(self, monkeypatch):
+        builds, scans = count_calls(monkeypatch, "_build"), count_calls(monkeypatch, "_probe")
+        page = PageImage.from_bytes(bucket_page().to_bytes()).to_page()
+        for key, row in bucket_page().slots.items():
+            assert page.get(key) == row
+        assert sum(builds.values()) == 1
+        assert sum(scans.values()) == page_module._PROBES_BEFORE_DICT
+
+    def test_a_probed_once_page_builds_nothing_and_a_write_builds_a_copy(self, monkeypatch):
+        builds = count_calls(monkeypatch, "_build")
+        image = PageImage.from_bytes(heap_page().to_bytes())
+        page = image.to_page()
+        assert page.get(3) == degrade(heap_page().slots[3])
+        assert not builds
+        page.put(3, (3, "new", 1, None, 0.5), lsn=90)
+        assert sum(builds.values()) == 1
+        assert type(page.slots) is dict and image.slots._dict is None  # the image stays lazy
+
+
+def count_calls(monkeypatch, name: str) -> Counter:
+    """Count calls of ``_ColumnarRun.<name>`` per run object."""
+    calls: Counter = Counter()
+    method = getattr(page_module._ColumnarRun, name)
+
+    def counted(self, *args):
+        calls[id(self)] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(page_module._ColumnarRun, name, counted)
+    return calls
+
+
+class TestFailClosedAtDecode:
+    """Damage the lazy decoder could have deferred still fails in ``from_bytes``."""
+
+    @staticmethod
+    def rejected(body: bytes) -> None:
+        with pytest.raises(StorageError):
+            PageImage.from_bytes(body)
+        with pytest.raises(StorageError):
+            decode_storable(bytes([1]) + body)  # the page-image kind
+        slot = encode_storable(CacheSlotImage(position=4, dirty=False, image=heap_page().to_image()))
+        header = len(slot) - len(heap_page().to_bytes())
+        with pytest.raises(StorageError):
+            decode_storable(slot[:header] + body)
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_a_duplicate_key_in_a_columnar_run(self, scalar):
+        key = (lambda k: k) if scalar else (lambda k: (k,))
+        blob = Page(1, slots={key(7): (1,), key(8): (2,)}).to_bytes()
+        first, second = (7).to_bytes(8, "little"), (8).to_bytes(8, "little")
+        assert blob.count(first) == blob.count(second) == 1
+        self.rejected(blob.replace(second, first))
+
+    def test_invalid_utf8_in_the_string_heap(self):
+        blob = heap_page().to_bytes()
+        text = "é".encode()
+        assert text in blob
+        self.rejected(blob.replace(text, b"\xff\xfe"))
+
+
+def count_builds_in_a_read_only_cell(monkeypatch) -> dict:
+    """Run a TINY read-only ycsb cell on ``mmap`` and count dict builds."""
+    from repro.sim.experiment import ExperimentConfig
+    from repro.sim.parallel import CellSpec, run_cells
+    from repro.tpcc.scale import TINY
+
+    run_type = page_module._ColumnarRun
+    probes, builds = Counter(), Counter()
+    moved, alive = [], []  # survivors / write-backs; every run seen (ids stay unique)
+    counts = {"builds_in_put": 0, "early_builds": 0}
+    probe, build, put = run_type._probe, run_type._build, MmapPageStore.put
+    read_slot = MvFifoCache._read_slot
+
+    def counted_probe(self, key, default):
+        alive.append(self)
+        probes[id(self)] += 1
+        return probe(self, key, default)
+
+    def counted_build(self):
+        alive.append(self)
+        builds[id(self)] += 1
+        counts["early_builds"] += probes[id(self)] < page_module._PROBES_BEFORE_DICT
+        return build(self)
+
+    def counted_put(self, lba, image):
+        before = sum(builds.values())
+        put(self, lba, image)
+        counts["builds_in_put"] += sum(builds.values()) - before
+
+    def counted_read_slot(self, position, timed=True):
+        image = read_slot(self, position, timed)
+        if not timed and type(image.slots) is run_type and image.slots._dict is None:
+            moved.append(image.slots)  # a GSC survivor or a dirty write-back
+        return image
+
+    monkeypatch.setattr(run_type, "_probe", counted_probe)
+    monkeypatch.setattr(run_type, "_build", counted_build)
+    monkeypatch.setattr(MmapPageStore, "put", counted_put)
+    monkeypatch.setattr(MvFifoCache, "_read_slot", counted_read_slot)
+    config = ExperimentConfig(
+        scale=TINY,
+        seed=5,
+        workload="ycsb",
+        workload_knobs={"n_keys": 30_000, "update_fraction": 0.0},  # > the flash cache
+        measure_transactions=60,
+        warmup_min=30,
+        warmup_max=30,
+        page_store="mmap",
+    )
+    spec = CellSpec.from_config(("cell",), config, replay_ok=False)
+    assert run_cells([spec], jobs=1, fast=True)[("cell",)].transactions > 0
+    return dict(
+        counts,
+        moved=sum(1 for run in moved if not probes[id(run)]),
+        moved_built=sum(builds[id(run)] for run in moved if not probes[id(run)]),
+        probed_once=sum(1 for n in probes.values() if n == 1),
+        probed_once_built=sum(1 for run, n in probes.items() if n == 1 and builds[run]),
+        max_builds=max(builds.values(), default=0),
+    )
+
+
+def test_a_read_only_cell_builds_only_the_pages_it_probes_often(monkeypatch):
+    counts = count_builds_in_a_read_only_cell(monkeypatch)
+    # Survivors and write-backs never probed while they were moved: the run
+    # proves something, and moving a page built nothing.
+    assert counts["moved"] > 0
+    assert counts["probed_once"] > 0
+    assert counts["moved_built"] == 0
+    assert counts["builds_in_put"] == 0
+    assert counts["probed_once_built"] == 0
+    assert counts["early_builds"] == 0
+    assert counts["max_builds"] <= 1
+
+
+# -- each body copied once ----------------------------------------------------
+
+
+def test_a_blob_decodes_in_place_from_a_larger_buffer():
+    """The mmap store decodes straight out of its window: ``decode_storable``
+    takes the record's bounds, and an image keeps exactly its body bytes."""
+    pad = b"\x07" * 13
+    body = heap_page().to_bytes()
+    for obj in (heap_page().to_image(), CacheSlotImage(5, True, heap_page().to_image()),
+                None, ("sentinel", 7)):
+        blob = encode_storable(obj)
+        decoded = decode_storable(pad + blob + pad, len(pad), len(pad) + len(blob))
+        assert decoded == decode_storable(blob) == obj
+        image = getattr(decoded, "image", decoded)
+        if isinstance(image, PageImage):
+            assert type(image.to_bytes()) is bytes and image.to_bytes() == body
+    with pytest.raises(StorageError):
+        decode_storable(pad, 3, 3)
+
+
+def test_the_mmap_store_hands_back_the_body_bytes(tmp_path):
+    store = MmapPageStore(4, tmp_path / "pages")
+    store.put(1, heap_page().to_image())
+    store.put(2, CacheSlotImage(9, False, bucket_page().to_image()))
+    assert store.get(1).to_bytes() == heap_page().to_bytes()
+    assert store.get(2).image.to_bytes() == bucket_page().to_bytes()
+    assert store.get(2) == CacheSlotImage(9, False, bucket_page().to_image())

@@ -1,13 +1,17 @@
 """The Zipf sampler and the synthetic key-value (``ycsb``) workload on it."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.core.config import CachePolicy
 from repro.core.dbms import SimulatedDBMS
 from repro.errors import WorkloadError
 from repro.workload.registry import make_workload
-from repro.workload.synthetic import ZipfGenerator
-from repro.workload.ycsb import YcsbDriver
+from repro.tpcc.scale import TINY
+from repro.workload.synthetic import ZipfGenerator, _zipf_cdf
+from repro.workload.ycsb import KvDatabase, YcsbDriver, _key_order
 from tests.conftest import tiny_config
 
 
@@ -113,3 +117,45 @@ class TestWorkload:
         workload.run(100)
         crash_and_restart(workload.dbms)
         assert self.total_versions(workload.dbms) == 200
+
+
+class TestStreamTables:
+    """A stream's key permutation and Zipf CDF are built once per process."""
+
+    @staticmethod
+    def draws(seed: int, n_keys: int = 5_000) -> list:
+        database = KvDatabase(dbms=None, scale=TINY, n_keys=n_keys)
+        driver = YcsbDriver(database, seed=seed, zipf_s=0.9, update_fraction=0.5)
+        return [(driver._next_key(), driver._rng.random() < 0.5) for _ in range(400)]
+
+    @staticmethod
+    def clear() -> None:
+        _key_order.cache_clear()
+        _zipf_cdf.cache_clear()
+
+    def test_memoised_tables_draw_the_stream_a_fresh_build_draws(self):
+        self.clear()
+        fresh_5 = self.draws(5)
+        self.clear()
+        fresh_6 = self.draws(6)
+        assert fresh_5 != fresh_6
+        for order in ((5, 6, 5, 6), (6, 5, 6, 5)):  # either order, another seed between
+            self.clear()
+            assert [self.draws(seed) for seed in order] == [
+                {5: fresh_5, 6: fresh_6}[seed] for seed in order
+            ]
+        assert _key_order.cache_info().hits >= 2 and _zipf_cdf.cache_info().hits >= 3
+
+    def test_memoised_tables_equal_the_unmemoised_construction(self):
+        rng = random.Random(7 + 1)
+        rank_to_key = list(range(5_000))
+        rng.shuffle(rank_to_key)
+        assert _key_order(5_000, 7) == (tuple(rank_to_key), rng.getstate())
+        weights = list(itertools.accumulate((k + 1) ** -0.9 for k in range(5_000)))
+        assert _zipf_cdf(5_000, 0.9) == tuple(w / weights[-1] for w in weights)
+
+    def test_shared_tables_are_immutable_and_the_memo_is_bounded(self):
+        database = KvDatabase(dbms=None, scale=TINY, n_keys=500)
+        driver = YcsbDriver(database, seed=1)
+        assert type(driver._rank_to_key) is tuple and type(driver._zipf._cdf) is tuple
+        assert _key_order.cache_info().maxsize == _zipf_cdf.cache_info().maxsize == 2
