@@ -50,26 +50,6 @@ from repro.wal.log import LogManager
 from repro.wal.records import UpdateRecord
 
 
-class TxPageAccessor:
-    """Adapts (dbms, transaction) to the :class:`PageAccessor` protocol.
-
-    Reads go through the normal data path; slot updates are logged under
-    the bound transaction, so any page-structured component built on the
-    protocol (e.g. :class:`repro.db.btree.BTreeIndex`) is transactional
-    and crash-recoverable for free.
-    """
-
-    def __init__(self, dbms: "SimulatedDBMS", tx: "Transaction") -> None:
-        self._dbms = dbms
-        self._tx = tx
-
-    def read_page(self, page_id: int):
-        return self._dbms.read_page(page_id)
-
-    def update_slot(self, page_id: int, slot: Any, row: tuple | None) -> None:
-        self._dbms.update_slot_tx(self._tx, page_id, slot, row)
-
-
 @dataclass
 class Transaction:
     """Handle for one in-flight transaction."""
@@ -369,45 +349,6 @@ class SimulatedDBMS:
     def index_delete(self, tx: Transaction, index_name: str, key: tuple) -> None:
         index = self.indexes[index_name]
         self.update_slot_tx(tx, index.bucket_page(key), key, None)
-
-    # PageAccessor protocol for HashIndex.insert/delete used outside a tx
-    # (bulk operations in tests); transactional callers use index_insert.
-    def update_slot(self, page_id: int, slot: Any, row: tuple | None) -> None:
-        raise TransactionError(
-            "untransactional slot updates are not allowed on the DBMS; "
-            "use index_insert/index_delete with a transaction, or wrap a "
-            "transaction with tx_accessor() for B+-tree operations"
-        )
-
-    def tx_accessor(self, tx: Transaction) -> "TxPageAccessor":
-        """A :class:`~repro.db.index.PageAccessor` bound to ``tx``.
-
-        Lets page-structured components (the B+-tree index) run their
-        mutations through the normal logged, buffered, cache-aware path.
-        """
-        return TxPageAccessor(self, tx)
-
-    # -- B+-tree indexes -----------------------------------------------------
-
-    def create_btree_index(self, name: str, table: str, n_pages: int,
-                           fanout: int | None = None):
-        """Register and initialise a B+-tree index over ``table``.
-
-        The tree's nodes live in a normal catalog page range and are
-        WAL-logged like every other page; initialisation runs in its own
-        committed transaction.
-        """
-        from repro.db.btree import DEFAULT_FANOUT, BTreeIndex
-
-        info = self.catalog.create_index(name, table, n_pages)
-        tree = BTreeIndex(info, fanout or DEFAULT_FANOUT)
-        tx = self.begin()
-        tree.create(self.tx_accessor(tx))
-        self.commit(tx)
-        self.committed -= 1  # bootstrap tx, not workload throughput
-        self.btrees = getattr(self, "btrees", {})
-        self.btrees[name] = tree
-        return tree
 
     # ------------------------------------------------------------------
     # checkpointing (Section 4.1)

@@ -15,7 +15,7 @@ probe once the bucket page is in the buffer.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Protocol
+from typing import Protocol
 
 from repro.db.catalog import IndexInfo
 from repro.db.heap import Rid
@@ -23,18 +23,16 @@ from repro.db.page import Page
 
 
 class PageAccessor(Protocol):
-    """The minimal page-access interface an index needs.
+    """The page read an index probe needs.
 
-    The full system implements this with the DRAM buffer pool + WAL; unit
-    tests implement it with a plain dict of pages.
+    The full system implements this with the DRAM buffer pool; unit tests
+    implement it with a plain dict of pages.  Entries are written by
+    :meth:`~repro.core.dbms.SimulatedDBMS.index_insert` /
+    ``index_delete`` (logged under a transaction) and ``load_index_insert``.
     """
 
     def read_page(self, page_id: int) -> Page:
         """Fetch a page for reading (charges whatever I/O applies)."""
-        ...
-
-    def update_slot(self, page_id: int, slot: Any, row: tuple | None) -> None:
-        """Log and apply a slot update (``None`` row deletes the slot)."""
         ...
 
 
@@ -67,18 +65,8 @@ class HashIndex:
         """Page id of the bucket that owns ``key``."""
         return self.info.first_page + stable_key_hash(key) % self.info.n_pages
 
-    # -- operations (all I/O via the accessor) ---------------------------------
-
     def lookup(self, key: tuple, accessor: PageAccessor) -> Rid | None:
         """Return the rid for ``key`` or ``None`` if absent."""
         page = accessor.read_page(self.bucket_page(key))
         entry = page.get(key)
         return (entry[0], entry[1]) if entry is not None else None
-
-    def insert(self, key: tuple, rid: Rid, accessor: PageAccessor) -> None:
-        """Insert or overwrite the entry for ``key``."""
-        accessor.update_slot(self.bucket_page(key), key, (rid[0], rid[1]))
-
-    def delete(self, key: tuple, accessor: PageAccessor) -> None:
-        """Remove the entry for ``key`` (no-op if absent)."""
-        accessor.update_slot(self.bucket_page(key), key, None)

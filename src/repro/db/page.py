@@ -18,21 +18,21 @@ contents have not changed since the last snapshot returns the *same*
 re-materialising identical copies.
 
 **On-media layout** (``to_bytes`` / ``from_bytes``; byte-level table in
-DESIGN.md §14).  A 24-byte header, then *runs* of consecutive slots.  Slots
-of one shape — scalar or fixed-arity tuple key, fixed-width row, every
-column all int / float / str / ``None`` — form a **columnar run**: a
-signature, one ``struct`` block of whole columns and one UTF-8 string heap.
-Anything else (a B+-tree node's nested entry list, a column mixing types)
-rides a **tagged run**, one type-tagged value at a time.  The encoder picks
-the run kind from the data: one encoder (:func:`_pack_page`), one decoder
-(:func:`_unpack_page`), and malformed input is a ``StorageError``.
+DESIGN.md §14).  A 24-byte header, then the slots as one **columnar run**,
+or nothing for an empty page: a signature, one ``struct`` block of whole
+columns and one UTF-8 string heap.  Every page the engine writes is of one
+shape — a scalar or fixed-arity tuple key, a fixed-width row, every column
+all int / float / str / ``None`` — and a page that is not (a nested tuple,
+a column mixing kinds) is a ``StorageError`` when it is encoded.  One
+encoder (:func:`_pack_page`), one decoder (:func:`_unpack_page`), and
+malformed input is a ``StorageError``.
 
 **Who holds bytes.**  The memory page store moves ``PageImage`` objects and
 never calls the serde, so its slots are plain dicts.  An image decoded from
 a persistent store remembers the blob it came from (``from_bytes(b).to_bytes()
 is b``), and an unmodified thawed page hands back the same image, so a clean
 page crosses DRAM → flash → disk without its body being re-encoded — nor
-decoded past what is read: a one-run page answers ``get`` from its validated
+decoded past what is read: a decoded page answers ``get`` from its validated
 columns (:class:`_ColumnarRun`) and builds its dict only when written,
 iterated, compared or probed often.  A freshly frozen image holds no bytes
 and is encoded when a store writes it.  The blob dies with the image:
@@ -45,7 +45,7 @@ import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby, pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 from typing import Any
 
 from repro.errors import StorageError
@@ -54,10 +54,9 @@ from repro.errors import StorageError
 _HEADER = struct.Struct("<IqqI")
 _MAGIC = 0xFACE_CA0E
 
-#: Run header: kind, slot count, signature length, payload length (the
-#: string heap of a columnar run, the whole body of a tagged run).
+#: Run header: kind, slot count, signature length, string-heap length.
 _RUN = struct.Struct("<BIHI")
-_RUN_TAGGED, _RUN_COLUMNS = 0, 1
+_RUN_COLUMNS = 1  # the only run kind: any other is a StorageError
 
 #: Signature alphabet of a columnar run: one byte per key and row column.
 _INT, _FLOAT, _STR, _NONE = b"qdsn"
@@ -69,13 +68,6 @@ _COLUMN_CODE = {_INT: "q", _FLOAT: "d", _STR: "I", _NONE: ""}
 _COLUMN_TYPE = {_INT: int, _FLOAT: float, _STR: str, _NONE: type(None)}
 #: Key-column scans before a run builds its dict: one build, not n scans.
 _PROBES_BEFORE_DICT = 8
-
-# Value type tags of the tagged encoding.
-_TAG_NONE = 0
-_TAG_INT = 1
-_TAG_FLOAT = 2
-_TAG_STR = 3
-_TAG_TUPLE = 4
 
 
 @dataclass(frozen=True)
@@ -221,29 +213,19 @@ class Page:
 
 
 def _pack_page(page_id: int, lsn: int, slots: Mapping[Any, tuple]) -> bytes:
-    """The one page-body encoder: header + runs (module docstring)."""
+    """The one page-body encoder: header + one columnar run (module docstring)."""
     keys = list(slots)
-    rows = list(slots.values())
-    parts = [_HEADER.pack(_MAGIC, page_id, lsn, len(keys))]
     try:
-        run = _pack_columns(keys, rows) if keys else b""
-        if run is not None:  # the common case: the whole page is one shape
-            parts.append(run)
-        else:
-            for _, group in groupby(zip(keys, rows), _slot_shape):
-                keys, rows = zip(*group)
-                parts.append(_pack_columns(keys, rows) or _pack_tagged(keys, rows))
+        header = _HEADER.pack(_MAGIC, page_id, lsn, len(keys))
+        run = _pack_columns(keys, list(slots.values())) if keys else b""
     except (struct.error, UnicodeEncodeError) as exc:
         raise StorageError(f"page {page_id} is not encodable: {exc}") from None
-    return b"".join(parts)
-
-
-def _slot_shape(item: tuple) -> tuple:
-    """Grouping key for runs: the column kinds of one slot's key and row."""
-    key, row = item
-    kind = _COLUMN_CHAR.get
-    key_shape = tuple(map(kind, map(type, key))) if type(key) is tuple else kind(type(key))
-    return key_shape, tuple(map(kind, map(type, row)))
+    if run is None:
+        raise StorageError(
+            f"page {page_id} is not encodable: its slots are not one columnar "
+            "shape (one key arity, one row width, each column of one kind)"
+        )
+    return header + run
 
 
 def _pack_columns(keys, rows) -> bytes | None:
@@ -294,48 +276,28 @@ def _column_block(signature: bytes, count: int) -> struct.Struct:
     return struct.Struct("<" + "".join(f"{count}{code}" for code in codes if code))
 
 
-def _pack_tagged(keys, rows) -> bytes:
-    """Encode slots as one tagged run: a tagged key and row tuple per slot."""
-    body = b"".join(
-        _encode_value(key) + _encode_value(tuple(row)) for key, row in zip(keys, rows)
-    )
-    return _RUN.pack(_RUN_TAGGED, len(keys), 0, len(body)) + body
-
-
 def _unpack_page(data: bytes) -> tuple[int, int, Mapping]:
     """The one page-body decoder: ``(page_id, lsn, slots)``, failing closed.
-    Every check runs here, but the slots of a one-run columnar page (every
-    TPC-C and YCSB page) are that validated run, its dict not yet built."""
+    Every check runs here, but the slots are the validated columnar run,
+    its dict not yet built (an empty page's are an empty dict)."""
     if len(data) < _HEADER.size:
         raise StorageError("truncated page: header incomplete")
     magic, page_id, lsn, nslots = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise StorageError(f"bad page magic {magic:#x}")
-    runs: list = []
-    offset = _HEADER.size
+    if len(data) == _HEADER.size and not nslots:
+        return page_id, lsn, {}
     try:
-        while offset < len(data):
-            kind, count, sig_len, length = _RUN.unpack_from(data, offset)
-            offset += _RUN.size
-            if count > nslots:
-                raise StorageError("run holds more slots than the page")
-            if kind == _RUN_COLUMNS:
-                run, offset = _unpack_columns(data, offset, count, sig_len, length)
-            elif kind == _RUN_TAGGED and sig_len == 0:
-                run, offset = _unpack_tagged(data, offset, count, length)
-            else:
-                raise StorageError(f"unknown run kind {kind}")
-            runs.append(run)
-    except (struct.error, IndexError, UnicodeDecodeError, RecursionError) as exc:
+        kind, count, sig_len, length = _RUN.unpack_from(data, _HEADER.size)
+        if kind != _RUN_COLUMNS:
+            raise StorageError(f"unknown run kind {kind}")
+        if count != nslots:
+            raise StorageError(f"page {page_id}: a run of {count} of {nslots} slots")
+        slots, end = _unpack_columns(data, _HEADER.size + _RUN.size, count, sig_len, length)
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise StorageError(f"malformed page {page_id}: {exc}") from None
-    if len(runs) == 1 and type(runs[0]) is _ColumnarRun:
-        slots = runs[0]
-    else:
-        slots = {}
-        for run in runs:
-            slots.update(run.items())
-    if len(slots) != nslots:
-        raise StorageError(f"page {page_id}: decoded {len(slots)} of {nslots} slots")
+    if end != len(data):
+        raise StorageError(f"page {page_id}: {len(data) - end} bytes after its run")
     return page_id, lsn, slots
 
 
@@ -481,68 +443,3 @@ class _ColumnarRun(Mapping):
 
     def __deepcopy__(self, memo: dict) -> "_ColumnarRun":
         return self  # read-only, like the image that holds it
-
-
-def _unpack_tagged(data: bytes, offset: int, count: int, body_len: int) -> tuple[dict, int]:
-    """Decode one tagged run; returns its slots and the offset after it."""
-    end = offset + body_len
-    slots: dict = {}
-    for _ in range(count):
-        key, offset = _decode_value(data, offset)
-        row, offset = _decode_value(data, offset)
-        if type(row) is not tuple:
-            raise StorageError("tagged run: a row is not a tuple")
-        slots[key] = row
-    if offset != end:
-        raise StorageError("tagged run length mismatch")
-    return slots, offset
-
-
-def _encode_value(value: Any) -> bytes:
-    if value is None:
-        return bytes([_TAG_NONE])
-    if isinstance(value, bool):
-        # Stored as int; TPC-C schemas do not use booleans, but round-trip
-        # as 0/1 rather than failing.
-        return struct.pack("<Bq", _TAG_INT, int(value))
-    if isinstance(value, int):
-        return struct.pack("<Bq", _TAG_INT, value)
-    if isinstance(value, float):
-        return struct.pack("<Bd", _TAG_FLOAT, value)
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return struct.pack("<BI", _TAG_STR, len(raw)) + raw
-    if isinstance(value, tuple):
-        parts = [struct.pack("<BH", _TAG_TUPLE, len(value))]
-        parts.extend(_encode_value(v) for v in value)
-        return b"".join(parts)
-    raise StorageError(f"unsupported column value type: {type(value).__name__}")
-
-
-def _decode_value(data: bytes, offset: int) -> tuple[Any, int]:
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_INT:
-        (value,) = struct.unpack_from("<q", data, offset)
-        return value, offset + 8
-    if tag == _TAG_FLOAT:
-        (value,) = struct.unpack_from("<d", data, offset)
-        return value, offset + 8
-    if tag == _TAG_STR:
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        raw = data[offset : offset + length]
-        if len(raw) != length:
-            raise StorageError("truncated string value")
-        return raw.decode("utf-8"), offset + length
-    if tag == _TAG_TUPLE:
-        (length,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        values = []
-        for _ in range(length):
-            value, offset = _decode_value(data, offset)
-            values.append(value)
-        return tuple(values), offset
-    raise StorageError(f"unknown value tag {tag}")

@@ -84,15 +84,6 @@ class TableSchema:
         row_width = sum(c.stored_width for c in self.columns) + _ROW_OVERHEAD
         return max(1, (PAGE_SIZE - _PAGE_OVERHEAD) // row_width)
 
-    @property
-    def row_width(self) -> int:
-        """Estimated stored row width in bytes."""
-        return sum(c.stored_width for c in self.columns) + _ROW_OVERHEAD
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def column_index(self, name: str) -> int:
         """Position of column ``name`` in the row tuple."""
         for i, column in enumerate(self.columns):

@@ -17,10 +17,15 @@ flash block):
 Both use a RAM staging buffer for the rear of the queue so enqueues are
 written ``scan_depth`` pages at a time.  Enqueues take consecutive
 positions, so the buffer is a list plus the position of its first element
-(``MvFifoCache.staged_slot`` is the look-up).  Staged pages are volatile;
-they are flushed at every database checkpoint (and are otherwise protected
-by the WAL, exactly like the DRAM buffer itself), and the recovery tail-scan
-naturally treats never-flushed slots as not cached.
+(``MvFifoCache.staged_slot`` is the look-up).  Staged pages are volatile:
+a crash loses them, and the recovery tail-scan treats never-flushed slots
+as not cached.  They are flushed at every database checkpoint and before
+every metadata segment.  A page staged on its way from DRAM is covered by
+the WAL, as the DRAM buffer is; one staged on its way from the flash queue
+— a GSC survivor, or the incoming page whose old version the batch
+discarded — is not, so the persisted queue front stays behind the batch
+until the incoming page is enqueued (``MvFifoCache._enqueue``, DESIGN.md
+§7).
 """
 
 from __future__ import annotations

@@ -118,14 +118,15 @@ class MetadataManager:
 
     # -- steady-state operation ----------------------------------------------
 
-    def flush_segment(self, directory: FifoDirectory) -> None:
+    def flush_segment(self, directory: FifoDirectory, front: int) -> None:
         """Write ``directory``'s unpersisted entries + the superblock to flash.
 
         Charged as one large sequential write (segment) plus one page
         (superblock) — ~1.5 MB per the paper, versus TAC's two random
         writes *per cached page*.  The caller writes its staged data pages
-        first (``MvFifoCache._enqueue``); the manager holds no reference
-        back to the cache.
+        first and chooses the ``front`` the superblock records: never past
+        a slot whose page has no newer durable copy (``MvFifoCache._enqueue``,
+        DESIGN.md §7).  The manager holds no reference back to the cache.
         """
         first = self.persisted_rear
         rear = directory.rear
@@ -140,9 +141,7 @@ class MetadataManager:
         old = self._read_superblock_untimed()
         segment_lbas = (old.segment_lbas if old else ()) + (lba,)
         segment_lbas = self._prune_segments(segment_lbas)
-        superblock = _Superblock(
-            front=directory.front, rear_at_flush=rear, segment_lbas=segment_lbas
-        )
+        superblock = _Superblock(front=front, rear_at_flush=rear, segment_lbas=segment_lbas)
         self.flash.write_page(self.meta_base, superblock)
         self.persisted_rear = rear
         self.segments_flushed += 1

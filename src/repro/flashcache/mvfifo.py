@@ -79,6 +79,10 @@ class MvFifoCache(FlashCacheBase):
         # leaves it empty; the batched subclasses fill it.
         self._staged: list[CacheSlotImage] = []
         self._staged_start = 0
+        # The queue front from before the dequeue of the ``_make_room`` in
+        # progress, ``None`` outside one: the front a metadata flush may
+        # persist until the incoming page is in the directory (``_enqueue``).
+        self._held_front: int | None = None
 
     # -- read path ------------------------------------------------------------
 
@@ -158,17 +162,27 @@ class MvFifoCache(FlashCacheBase):
         # front slot is that very version it is now discarded for free
         # instead of being redundantly flushed to disk.
         superseded = directory.invalidate(page_id)
+        held = self._held_front
         if directory.rear - directory.front >= self.capacity:
+            # The dequeued slots may hold the only durable copy of a page
+            # whose newer version is not yet enqueued: a GSC survivor, or
+            # this very page.  Enqueues inside ``_make_room`` (re-enqueued
+            # survivors, DRAM pulls) can flush the metadata, which must keep
+            # claiming those slots until this page is in the directory.
+            if held is None:
+                self._held_front = directory.front
             self._make_room(1)
         position = directory.enqueue(page_id, image.lsn, dirty)
         self._write_slot(position, CacheSlotImage(position, dirty, image))
+        self._held_front = held
         metadata = self.metadata
         if directory.rear - metadata.persisted_rear >= metadata.segment_entries:
             # Write ordering: metadata must never claim a position whose data
             # page is not yet on flash, or a crash would resurrect whatever
-            # older page the physical slot still holds.
+            # older page the physical slot still holds — and never release a
+            # position whose page has no newer copy on flash yet (above).
             self._flush_staging()
-            metadata.flush_segment(directory)
+            metadata.flush_segment(directory, directory.front if held is None else held)
         self.stats.flash_writes += 1
         if OBS.enabled:
             self._obs_counter("enqueue.dirty" if dirty else "enqueue.clean").inc()

@@ -31,7 +31,7 @@ import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable
 
 from repro.errors import ConfigError
 
@@ -327,9 +327,6 @@ class MetricRegistry:
         self, name: str, bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS
     ) -> Histogram:
         return self._get(name, Histogram, bounds=bounds)
-
-    def metrics(self) -> Mapping[str, Counter | Gauge | Histogram]:
-        return dict(self._metrics)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -5,7 +5,7 @@ Python objects, so every storable object kind needs a stable on-media
 encoding that round-trips exactly:
 
 * :class:`~repro.db.page.PageImage` — via its own ``to_bytes`` /
-  ``from_bytes`` serde (header + columnar or tagged runs, described in
+  ``from_bytes`` serde (a header and one columnar run, described in
   :mod:`repro.db.page`).  An image decoded here carries the bytes it was
   decoded from, so encoding it again — a clean page admitted to flash, a
   cache slot written back to disk — prepends the kind tag and copies; only
@@ -15,10 +15,10 @@ encoding that round-trips exactly:
   footer (position, dirty) wrapping a page image (Section 4.1);
 * the flash metadata region's superblock and segment images;
 * ``None`` — segment padding pages (a flushed metadata segment occupies
-  ``segment_pages`` LBAs, all but the first empty);
-* plain primitive values (ints, strings, tuples, ...) — reusing the page
-  serde's tagged-value encoding (its fallback run kind), so unit tests
-  that store sentinel strings work against every backend.
+  ``segment_pages`` LBAs, all but the first empty).
+
+Nothing else is storable: encoding any other object is a
+:class:`~repro.errors.StorageError`.
 
 Decoding fails closed: a truncated, overlong or malformed blob is a
 :class:`~repro.errors.StorageError`, never a raw ``struct.error``.
@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import struct
 
-from repro.db.page import PageImage, _decode_value, _encode_value
+from repro.db.page import PageImage
 from repro.errors import StorageError
 
-#: Storable-kind tags (first byte of every encoded blob).
-_KIND_VALUE = 0
+#: Storable-kind tags (first byte of every encoded blob; 0 is unused).
 _KIND_PAGE_IMAGE = 1
 _KIND_SLOT_IMAGE = 2
 _KIND_SUPERBLOCK = 3
@@ -102,13 +101,7 @@ def encode_storable(obj: object) -> bytes:
             for position, page_id, lsn, dirty in obj.entries
         )
         return b"".join(parts)
-    # Anything else must be a primitive the tagged-value serde covers.
-    try:
-        return bytes([_KIND_VALUE]) + _encode_value(obj)
-    except (StorageError, struct.error):
-        raise StorageError(
-            f"cannot encode {type(obj).__name__} for a persistent page store"
-        ) from None
+    raise StorageError(f"cannot encode {type(obj).__name__} for a persistent page store")
 
 
 def decode_storable(data, start: int = 0, end: int | None = None) -> object:
@@ -148,11 +141,6 @@ def decode_storable(data, start: int = 0, end: int | None = None) -> object:
             return meta._SegmentImage(
                 first_position=first_position, entries=tuple(entries)
             )
-        if kind == _KIND_VALUE:
-            value, end = _decode_value(data, 1)
-            if end != len(data):
-                raise StorageError("trailing bytes after a stored value")
-            return value
         raise StorageError(f"unknown storable kind tag {kind}")
-    except (struct.error, IndexError, UnicodeDecodeError, RecursionError) as exc:
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise StorageError(f"malformed storable blob: {exc}") from None

@@ -68,9 +68,6 @@ class PersistentPageStore(PageStore):
         self._owns_path = path is None
         self.path = os.fspath(path) if path is not None else _temp_path(self._suffix)
 
-    def snapshot_slots(self) -> dict[int, Any]:
-        return {lba: self.peek(lba) for lba in self.occupied()}
-
     def __deepcopy__(self, memo: dict) -> "PersistentPageStore":
         # Warm-state forking (repro.sim.warmstate.fork_dbms) deep-copies
         # the whole DBMS graph; a file handle cannot be deep-copied, so a

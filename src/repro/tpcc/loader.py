@@ -73,10 +73,6 @@ class TpccDatabase:
         rownum = (w_id - 1) * self.scale.items + (i_id - 1)
         return self.dbms.tables["stock"].rid_for_rownum(rownum)
 
-    @property
-    def db_pages(self) -> int:
-        return self.dbms.db_pages
-
 
 def estimate_db_pages(scale: ScaleProfile) -> int:
     """Database footprint (pages) a load of ``scale`` will allocate.

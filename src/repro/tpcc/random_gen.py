@@ -89,9 +89,6 @@ class TpccRandom:
     def quantity(self) -> int:
         return self.uniform(1, 10)
 
-    def amount(self) -> float:
-        return self.uniform(100, 500000) / 100.0
-
     def is_remote_warehouse(self) -> bool:
         """Clause 2.4.1.5.2: 1 % of order lines are supplied remotely."""
         return self.uniform(1, 100) == 1
@@ -111,9 +108,6 @@ class TpccRandom:
     def threshold(self) -> int:
         """Stock-Level threshold, uniform 10..20."""
         return self.uniform(10, 20)
-
-    def choice(self, seq):
-        return self._rng.choice(seq)
 
 
 def lastname_for_index(index: int) -> str:

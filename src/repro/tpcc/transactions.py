@@ -57,13 +57,6 @@ class TxResult:
     committed: bool
 
 
-def _replace(row: tuple, **positions_values) -> tuple:
-    out = list(row)
-    for position, value in positions_values.items():
-        out[int(position)] = value
-    return tuple(out)
-
-
 def _set(row: tuple, position: int, value) -> tuple:
     out = list(row)
     out[position] = value

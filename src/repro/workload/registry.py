@@ -71,10 +71,6 @@ class WorkloadSpec:
         inner = ",".join(f"{k}={v!r}" for k, v in self.knobs)
         return f"{self.name}[{inner}]"
 
-    def knob_dict(self) -> dict[str, Any]:
-        """The non-default knob overrides as a plain dict."""
-        return dict(self.knobs)
-
     def resolved_knobs(self) -> dict[str, Any]:
         """Entry defaults merged with this spec's overrides."""
         entry = get_workload_entry(self.name)

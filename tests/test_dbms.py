@@ -94,10 +94,6 @@ class TestTransactions:
         kv_dbms.commit(tx)
         assert kv_dbms.index_lookup("kv_pk", (7,)) is None
 
-    def test_untransactional_update_slot_rejected(self, kv_dbms):
-        with pytest.raises(TransactionError):
-            kv_dbms.update_slot(0, 0, ("x",))
-
 
 class TestWalDiscipline:
     def test_dirty_eviction_forces_log_first(self, kv_dbms):

@@ -173,6 +173,60 @@ class TestGroupSecondChance:
         assert restored == valid
 
 
+class TestDurableFront:
+    """A metadata flush between a batch dequeue and the re-enqueue of what
+    it took must not persist a front past the only durable copy.
+
+    Segments of 12 entries over a full 32-slot queue: the metadata was last
+    flushed at rear 24, so the fourth enqueue after the dequeue of [0, 8)
+    flushes it again — with later enqueues of that batch still to come.
+    """
+
+    @pytest.fixture
+    def cache(self, flash_volume, disk_volume) -> GroupSecondChanceCache:
+        cache = GroupSecondChanceCache(
+            flash_volume, disk_volume, capacity=CAPACITY, segment_entries=12,
+            scan_depth=DEPTH,
+        )
+        fill(cache, CAPACITY, dirty=True)
+        assert cache.metadata.persisted_rear == 24
+        return cache
+
+    @staticmethod
+    def durable_copy(cache, page_id: int):
+        """The version a restart reads: the flash cache's, else the disk's."""
+        hit = cache.lookup_fetch(page_id)
+        return hit[0] if hit is not None else cache.disk.peek(page_id)
+
+    def test_a_survivor_staged_after_the_flush_keeps_its_old_copy(self, cache):
+        for page_id in range(1, DEPTH):
+            cache.lookup_fetch(page_id)  # dirty and referenced: survivors
+        cache.on_dram_evict(make_frame(100, dirty=True, fdirty=True))
+        # Survivors 1-4 were flushed with the metadata; 5-7 are staged.
+        assert cache.metadata.persisted_rear == 36
+        assert cache.staged_slot(cache.directory.valid_position(7)) is not None
+        cache.crash()
+        cache.recover()
+        for page_id in range(DEPTH):
+            copy = self.durable_copy(cache, page_id)
+            assert copy is not None, f"page {page_id} lost"
+            assert copy.to_page().slots == make_frame(page_id).page.slots
+
+    def test_the_incoming_page_keeps_its_superseded_copy(self, cache):
+        def pull(n):
+            return [make_frame(500 + i, dirty=True, fdirty=True) for i in range(n)]
+
+        cache.set_pull_callback(pull)
+        newer = Frame(page=Page(7, lsn=999, slots={0: ("newer",)}), dirty=True, fdirty=True)
+        cache.on_dram_evict(newer)  # its copy at position 7 is dequeued invalid
+        assert cache.metadata.persisted_rear == 36  # flushed by the DRAM pulls
+        assert cache.staged_slot(cache.directory.valid_position(7)) is not None
+        cache.crash()
+        cache.recover()
+        copy = self.durable_copy(cache, 7)
+        assert copy is not None and copy.lsn == make_frame(7).page.lsn
+
+
 class TestValidation:
     def test_scan_depth_bounds(self, flash_volume, disk_volume):
         with pytest.raises(CacheError):

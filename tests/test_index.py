@@ -14,19 +14,25 @@ class DictAccessor:
     def __init__(self):
         self.pages: dict[int, Page] = {}
         self.reads = 0
-        self.writes = 0
 
     def read_page(self, page_id: int) -> Page:
         self.reads += 1
         return self.pages.setdefault(page_id, Page(page_id))
 
-    def update_slot(self, page_id, slot, row):
-        self.writes += 1
-        page = self.pages.setdefault(page_id, Page(page_id))
-        if row is None:
-            page.delete(slot, lsn=1)
-        else:
-            page.put(slot, row, lsn=1)
+
+def bucket(index: HashIndex, key: tuple, acc: DictAccessor) -> Page:
+    page_id = index.bucket_page(key)
+    return acc.pages.setdefault(page_id, Page(page_id))
+
+
+def insert(index: HashIndex, key: tuple, rid, acc: DictAccessor) -> None:
+    """Write an entry into its bucket page as the engine does: the slot
+    keyed by ``key`` holds the ``(page, slot)`` rid."""
+    bucket(index, key, acc).put(key, rid, lsn=1)
+
+
+def delete(index: HashIndex, key: tuple, acc: DictAccessor) -> None:
+    bucket(index, key, acc).delete(key, lsn=1)
 
 
 @pytest.fixture
@@ -40,7 +46,7 @@ def index() -> HashIndex:
 
 def test_insert_lookup_roundtrip(index):
     acc = DictAccessor()
-    index.insert((5,), (12, 3), acc)
+    insert(index, (5,), (12, 3), acc)
     assert index.lookup((5,), acc) == (12, 3)
 
 
@@ -50,15 +56,15 @@ def test_lookup_missing_returns_none(index):
 
 def test_insert_overwrites(index):
     acc = DictAccessor()
-    index.insert((5,), (12, 3), acc)
-    index.insert((5,), (99, 0), acc)
+    insert(index, (5,), (12, 3), acc)
+    insert(index, (5,), (99, 0), acc)
     assert index.lookup((5,), acc) == (99, 0)
 
 
 def test_delete_then_lookup_none(index):
     acc = DictAccessor()
-    index.insert((5,), (12, 3), acc)
-    index.delete((5,), acc)
+    insert(index, (5,), (12, 3), acc)
+    delete(index, (5,), acc)
     assert index.lookup((5,), acc) is None
 
 
@@ -71,7 +77,7 @@ def test_bucket_pages_stay_in_allocated_range(index):
 
 def test_lookup_charges_exactly_one_page_access(index):
     acc = DictAccessor()
-    index.insert((5,), (12, 3), acc)
+    insert(index, (5,), (12, 3), acc)
     acc.reads = 0
     index.lookup((5,), acc)
     assert acc.reads == 1
@@ -81,7 +87,7 @@ def test_colliding_keys_coexist_in_one_bucket(index):
     acc = DictAccessor()
     keys = [(k,) for k in range(64)]
     for i, key in enumerate(keys):
-        index.insert(key, (i, 0), acc)
+        insert(index, key, (i, 0), acc)
     for i, key in enumerate(keys):
         assert index.lookup(key, acc) == (i, 0)
 

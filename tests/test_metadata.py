@@ -39,7 +39,7 @@ def enqueue_page(flash, manager, directory, page_id, lsn=1, dirty=True):
     image = PageImage(page_id, lsn, {0: ("v", lsn)})
     flash.write_page(position % CACHE, CacheSlotImage(position, dirty, image))
     if directory.rear - manager.persisted_rear >= manager.segment_entries:
-        manager.flush_segment(directory)
+        manager.flush_segment(directory, directory.front)
     return position
 
 

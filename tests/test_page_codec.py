@@ -2,8 +2,9 @@
 
 Five contracts of ``repro.db.page``'s on-media format (DESIGN.md §14):
 
-* every page round-trips exactly, whatever mix of shapes it holds, and an
-  image decoded from bytes hands those very bytes back;
+* every page of one columnar shape round-trips exactly, any other page is a
+  :class:`~repro.errors.StorageError` at encode, and an image decoded from
+  bytes hands those very bytes back;
 * a damaged blob is a :class:`~repro.errors.StorageError`, never a raw
   ``struct.error`` / ``IndexError`` and never a silently short value;
 * a page nobody modified is never re-encoded on its way DRAM → flash →
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro.db import page as page_module
 from repro.db.page import Page, PageImage
 from repro.errors import StorageError
-from repro.flashcache.metadata import CacheSlotImage
+from repro.flashcache.metadata import CacheSlotImage, _Superblock
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.storage import MmapPageStore, decode_storable, encode_storable, make_page_store
 
@@ -61,7 +62,7 @@ def uniform_segment(draw):
     return slots
 
 
-#: Irregular slots — nested tuples, ragged widths — that ride the tagged run.
+#: Irregular slots — nested tuples, ragged widths — that no columnar run holds.
 IRREGULAR_SEGMENT = st.lists(
     st.tuples(
         INT64 | st.text(max_size=6) | st.lists(INT64, max_size=3).map(tuple),
@@ -74,10 +75,35 @@ IRREGULAR_SEGMENT = st.lists(
 
 @st.composite
 def pages(draw):
-    """A page whose shape changes mid-page (or an empty one)."""
-    segments = draw(st.lists(uniform_segment() | IRREGULAR_SEGMENT, max_size=4))
+    """A page of one columnar shape, any mix of column kinds (or an empty
+    page): what the engine writes."""
+    slots = dict(draw(uniform_segment() | st.just([])))
+    return Page(draw(INT64), lsn=draw(INT64), slots=slots)
+
+
+@st.composite
+def mixed_pages(draw):
+    """A page whose shape may change mid-page."""
+    segments = draw(st.lists(uniform_segment() | IRREGULAR_SEGMENT, min_size=1, max_size=4))
     slots = {key: row for segment in segments for key, row in segment}
     return Page(draw(INT64), lsn=draw(INT64), slots=slots)
+
+
+#: Column kind of a value (``None`` for one no column holds, such as a tuple).
+KIND = {int: "q", bool: "q", float: "d", str: "s", type(None): "n"}
+
+
+def columnar(slots) -> bool:
+    """Whether one columnar run holds ``slots``: every key a scalar, or every
+    key a non-empty tuple of one arity; one row width; one kind per column."""
+    shapes = set()
+    for key, row in slots.items():
+        parts = key if type(key) is tuple else (key,)
+        kinds = tuple(KIND.get(type(value)) for value in (*parts, *row))
+        if None in kinds or not parts:
+            return False
+        shapes.add((type(key) is tuple, len(parts), kinds))
+    return len(shapes) <= 1
 
 
 def degrade(value):
@@ -109,26 +135,19 @@ class TestRoundTrip:
         # The encoding is canonical: decoding and re-encoding reproduces it.
         assert page_module._pack_page(image.page_id, image.lsn, image.slots) == blob
 
-    def test_nested_rows_inside_a_uniform_page_keep_their_neighbours_columnar(self):
-        slots = {i: (i, f"row-{i}") for i in range(40)}
-        slots["e"] = (((1, 2), (3, 4)),)
-        slots.update({100 + i: (i, f"row-{i}") for i in range(40)})
-        blob = Page(1, lsn=2, slots=slots).to_bytes()
-        kinds = [kind for kind, *_ in run_headers(blob)]
-        assert kinds == [
-            page_module._RUN_COLUMNS, page_module._RUN_TAGGED, page_module._RUN_COLUMNS
-        ]
-        assert PageImage.from_bytes(blob).slots == slots
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_pages())
+    def test_a_page_encodes_only_as_one_columnar_run(self, page):
+        if columnar(page.slots):
+            assert PageImage.from_bytes(page.to_bytes()).slots == page.slots
+        else:
+            with pytest.raises(StorageError, match="not one columnar shape"):
+                page.to_bytes()
 
     def test_int_outside_int64_is_a_storage_error(self):
         for slots in ({0: (2**63,)}, {2**70: (1,)}, {0: ((2**63,),)}):
             with pytest.raises(StorageError):
                 Page(1, slots=slots).to_bytes()
-
-    def test_columnar_pages_are_smaller_than_the_tagged_layout(self):
-        bucket = bucket_page()
-        tagged = page_module._pack_tagged(list(bucket.slots), list(bucket.slots.values()))
-        assert len(bucket.to_bytes()) < 0.8 * len(tagged)
 
 
 # -- damaged input ------------------------------------------------------------
@@ -143,13 +162,12 @@ def heap_page() -> Page:
     return Page(10, lsn=78, slots={i: (i, f"payload-é{i}", 0, None, 2.5) for i in range(27)})
 
 
-def btree_node() -> Page:
-    """A B+-tree node: a header slot plus one slot of nested entries."""
-    entries = tuple(((1, d, o), (100 + o, o % 20)) for d in (1, 2) for o in range(12))
-    return Page(11, lsn=79, slots={"h": (1, 0, -1), "e": entries})
+def composite_page() -> Page:
+    """A TPC-C ORDER bucket: (warehouse, district, order) keys -> rids."""
+    return Page(11, lsn=79, slots={(1, d, o): (100 + o, o % 20) for d in (1, 2) for o in range(12)})
 
 
-SAMPLES = {"bucket": bucket_page, "heap": heap_page, "btree": btree_node}
+SAMPLES = {"bucket": bucket_page, "heap": heap_page, "composite": composite_page}
 
 
 def run_headers(blob: bytes) -> list[tuple[int, int, int]]:
@@ -210,22 +228,22 @@ class TestFailClosed:
 
 
 def test_truncated_string_value_is_not_returned_short():
-    blob = Page(1, slots={"e": (("a long enough string",),)}).to_bytes()
-    assert page_module._RUN_TAGGED in [kind for kind, *_ in run_headers(blob)]
+    blob = Page(1, slots={"e": ("a long enough string",)}).to_bytes()
     with pytest.raises(StorageError):
         PageImage.from_bytes(blob[:-1])
 
 
 def test_stored_values_reject_trailing_bytes_and_truncation():
-    from repro.storage import decode_storable, encode_storable
-
-    blob = encode_storable(("sentinel", 7))
-    assert decode_storable(blob) == ("sentinel", 7)
-    for damaged in (blob + b"\x00", blob[:-1], blob[:2]):
-        with pytest.raises(StorageError):
-            decode_storable(damaged)
-    with pytest.raises(StorageError):
-        encode_storable(2**64)
+    for obj in (heap_page().to_image(), CacheSlotImage(5, True, bucket_page().to_image())):
+        blob = encode_storable(obj)
+        assert decode_storable(blob) == obj
+        for damaged in (blob + b"\x00", blob[:-1], blob[:2]):
+            with pytest.raises(StorageError):
+                decode_storable(damaged)
+    # A page store holds pages, cache slots and flash metadata: nothing else.
+    for value in (2**64, ("sentinel", 7), "a sentinel string", 3.25):
+        with pytest.raises(StorageError, match="cannot encode"):
+            encode_storable(value)
 
 
 # -- the re-encode budget -----------------------------------------------------
@@ -349,10 +367,11 @@ def test_batched_install_spans_several_writes(monkeypatch):
     images = {lba: Page(lba, lsn=lba, slots=heap_page().slots).to_image() for lba in range(40)}
     store.adopt_slots(images)
     assert store.snapshot_slots() == images
-    store.put(5, "overwritten")  # appends after the batch, index still coherent
-    assert store.get(5) == "overwritten" and store.get(39) == images[39]
+    overwritten = Page(5, lsn=99, slots={0: ("overwritten",)}).to_image()
+    store.put(5, overwritten)  # appends after the batch, index still coherent
+    assert store.get(5) == overwritten and store.get(39) == images[39]
     reopened = MmapPageStore(64, store.path)
-    assert reopened.get(39) == images[39] and reopened.get(5) == "overwritten"
+    assert reopened.get(39) == images[39] and reopened.get(5) == overwritten
 
 
 # -- lazy probes: decoded only as far as read ---------------------------------
@@ -414,12 +433,12 @@ class TestLazyProbes:
         assert page_module._pack_page(page.page_id, page.lsn, slots) == blob
 
     def test_single_run_pages_decode_lazily_and_others_eagerly(self):
-        lazy = (bucket_page(), heap_page(), Page(1, slots={(1, "a"): (2,), (1, "b"): (3,)}))
+        lazy = (bucket_page(), heap_page(), composite_page(),
+                Page(1, slots={(1, "a"): (2,), (1, "b"): (3,)}))
         for page in lazy:
             assert type(PageImage.from_bytes(page.to_bytes()).slots) is page_module._ColumnarRun
-        mixed = dict(heap_page().slots, e=(((1, 2),),))
-        for page in (btree_node(), Page(2, slots=mixed), Page(3)):
-            assert type(PageImage.from_bytes(page.to_bytes()).slots) is dict
+        # An empty page has no run: its slots are the (empty) dict.
+        assert type(PageImage.from_bytes(Page(3).to_bytes()).slots) is dict
 
     def test_a_page_probed_on_every_slot_builds_its_dict_once(self, monkeypatch):
         builds, scans = count_calls(monkeypatch, "_build"), count_calls(monkeypatch, "_probe")
@@ -565,7 +584,7 @@ def test_a_blob_decodes_in_place_from_a_larger_buffer():
     pad = b"\x07" * 13
     body = heap_page().to_bytes()
     for obj in (heap_page().to_image(), CacheSlotImage(5, True, heap_page().to_image()),
-                None, ("sentinel", 7)):
+                None, _Superblock(front=3, rear_at_flush=9, segment_lbas=(1, 2))):
         blob = encode_storable(obj)
         decoded = decode_storable(pad + blob + pad, len(pad), len(pad) + len(blob))
         assert decoded == decode_storable(blob) == obj

@@ -45,8 +45,13 @@ PERSISTENT = ("sqlite", "mmap")
 def sample_image(page_id: int = 7, lsn: int = 42) -> PageImage:
     page = Page(page_id, lsn=lsn)
     page.put(0, (page_id, "row-zero", 3.5, None), lsn=lsn)
-    page.put(3, ((1, 2), "row-three"), lsn=lsn)
+    page.put(3, (-2, "row-three", -0.0, None), lsn=lsn)
     return page.to_image()
+
+
+def image(tag: str) -> PageImage:
+    """A one-row page image standing for a stored value in contract tests."""
+    return PageImage(0, 0, {0: (tag,)})
 
 
 @pytest.fixture(params=BACKENDS)
@@ -91,15 +96,15 @@ class TestBackendContract:
         img = sample_image()
         store.put(3, img)
         assert store.get(3) == img
-        store.put(3, "replacement")
-        assert store.get(3) == "replacement"
+        store.put(3, image("replacement"))
+        assert store.get(3) == image("replacement")
         with pytest.raises(PageNotFoundError):
             store.get(4)
 
     def test_peek_never_raises_on_empty(self, store):
         assert store.peek(5) is None
-        store.put(5, "x")
-        assert store.peek(5) == "x"
+        store.put(5, image("x"))
+        assert store.peek(5) == image("x")
 
     def test_peek_out_of_range_raises(self, store):
         for bad in (-1, 32, 999):
@@ -108,10 +113,10 @@ class TestBackendContract:
 
     def test_put_out_of_range_raises(self, store):
         with pytest.raises(OutOfRangeError):
-            store.put(32, "x")
+            store.put(32, image("x"))
 
     def test_delete_is_idempotent(self, store):
-        store.put(1, "x")
+        store.put(1, image("x"))
         store.delete(1)
         store.delete(1)  # deleting an empty slot is a no-op, not an error
         assert 1 not in store
@@ -119,8 +124,8 @@ class TestBackendContract:
 
     def test_contains_and_len(self, store):
         assert 2 not in store
-        store.put(2, "a")
-        store.put(9, "b")
+        store.put(2, image("a"))
+        store.put(9, image("b"))
         assert 2 in store and 9 in store
         assert len(store) == 2
 
@@ -129,28 +134,28 @@ class TestBackendContract:
         # every backend iterates in ascending LBA order, so recovery
         # tooling sees one order regardless of the storage engine.
         for lba in (9, 2, 17, 4):
-            store.put(lba, f"v{lba}")
+            store.put(lba, image(f"v{lba}"))
         assert list(store.occupied()) == [2, 4, 9, 17]
         assert list(store.occupied()) == list(store.occupied())
 
     def test_snapshot_adopt_roundtrip(self, store):
         img = sample_image()
         store.put(0, img)
-        store.put(7, "s")
+        store.put(7, image("s"))
         snap = store.snapshot_slots()
         other = make_page_store(store.backend_name, 32)
         other.adopt_slots(snap)
         assert other.snapshot_slots() == snap
 
     def test_adopt_slots_validates_lbas(self, store):
-        store.put(1, "keep")
+        store.put(1, image("keep"))
         with pytest.raises(OutOfRangeError, match="adopt_slots: lba 40"):
-            store.adopt_slots({0: "a", 40: "b"})
+            store.adopt_slots({0: image("a"), 40: image("b")})
         # Validation happens before any mutation: the store is untouched.
-        assert store.snapshot_slots() == {1: "keep"}
+        assert store.snapshot_slots() == {1: image("keep")}
 
     def test_clear_after_adopt(self, store):
-        store.adopt_slots({0: "a", 1: "b", 31: "c"})
+        store.adopt_slots({0: image("a"), 1: image("b"), 31: image("c")})
         assert len(store) == 3
         store.clear()
         assert len(store) == 0
@@ -161,7 +166,7 @@ class TestBackendContract:
         store.put(3, sample_image())
         clone = copy.deepcopy(store)
         assert clone.snapshot_slots() == store.snapshot_slots()
-        clone.put(4, "only-in-clone")
+        clone.put(4, image("only-in-clone"))
         assert 4 not in store
 
     def test_capacity_must_be_positive(self, store):
@@ -193,7 +198,7 @@ class TestPersistence:
         img = sample_image()
         store = make_page_store(backend, 64, path)
         store.put(9, img)
-        store.put(2, "dropped")
+        store.put(2, image("dropped"))
         store.put(9, img)  # overwrite with same
         store.delete(2)
         store.flush()
@@ -205,7 +210,7 @@ class TestPersistence:
     def test_unowned_path_survives_gc(self, backend, tmp_path):
         path = tmp_path / f"keep.{backend}"
         store = make_page_store(backend, 8, path)
-        store.put(0, "x")
+        store.put(0, image("x"))
         store.flush()
         del store
         assert path.exists()
@@ -213,8 +218,8 @@ class TestPersistence:
     def test_mmap_reopen_ignores_torn_tail(self, tmp_path):
         path = tmp_path / "torn.pages"
         store = MmapPageStore(16, path)
-        store.put(3, "complete")
-        store.put(5, "will-be-torn")
+        store.put(3, image("complete"))
+        store.put(5, image("will-be-torn"))
         store.flush()
         del store
         # Chop bytes off the last record: a write the process died inside.
@@ -222,10 +227,24 @@ class TestPersistence:
         with open(path, "r+b") as fh:
             fh.truncate(size - 4)
         reopened = MmapPageStore(16, path)
-        assert reopened.snapshot_slots() == {3: "complete"}
+        assert reopened.snapshot_slots() == {3: image("complete")}
         # The log stays appendable after the truncated garbage is dropped.
-        reopened.put(5, "rewritten")
-        assert reopened.get(5) == "rewritten"
+        reopened.put(5, image("rewritten"))
+        assert reopened.get(5) == image("rewritten")
+
+    @pytest.mark.parametrize("backend", PERSISTENT)
+    def test_an_irregular_page_is_a_storage_error_at_encode(self, backend):
+        store = make_page_store(backend, 8)
+        store.put(1, sample_image())
+        rows = dict(sample_image().slots)
+        nested = PageImage(2, 1, rows | {5: (1, (2, 3), 0.5, None)})
+        mixed = PageImage(2, 1, rows | {5: (1, "row-five", "0.5", None)})
+        for page in (nested, mixed):
+            with pytest.raises(StorageError, match="not encodable"):
+                store.put(2, page)
+            with pytest.raises(StorageError, match="not encodable"):
+                store.put(2, CacheSlotImage(position=0, dirty=True, image=page))
+        assert store.snapshot_slots() == {1: sample_image()}  # nothing written
 
     def test_sqlite_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "not-a-db.sqlite"
@@ -247,10 +266,10 @@ class TestCodec:
         "obj",
         [
             None,
-            12345,
-            "a sentinel string",
-            3.25,
-            (1, "two", None),
+            PageImage(2, 0, {}),  # an empty page: a header, no run
+            PageImage(9, 5, {(k, "two"): (k, None) for k in range(3)}),
+            CacheSlotImage(position=3, dirty=True, image=PageImage(4, 1, {})),
+            PageImage(3, 8, {"key": (1.5, "é中"), "other": (-2.0, "")}),
             sample_image(),
             CacheSlotImage(position=12, dirty=True, image=sample_image()),
             CacheSlotImage(position=0, dirty=False, image=sample_image(1, 0)),
@@ -268,8 +287,10 @@ class TestCodec:
         assert type(decoded) is type(obj) or obj is None
 
     def test_unencodable_object_raises(self):
-        with pytest.raises(StorageError, match="cannot encode"):
-            encode_storable(object())
+        # Pages, cache slots, flash metadata and None: nothing else is stored.
+        for obj in (object(), 12345, "a sentinel string", 3.25, (1, "two", None)):
+            with pytest.raises(StorageError, match="cannot encode"):
+                encode_storable(obj)
 
     def test_empty_blob_raises(self):
         with pytest.raises(StorageError):

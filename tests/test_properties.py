@@ -14,23 +14,30 @@ from repro.storage.profiles import MLC_SAMSUNG_470
 
 # -- Page serde ---------------------------------------------------------------
 
-value = st.one_of(
+column = st.sampled_from([
     st.none(),
     st.integers(min_value=-(2**62), max_value=2**62),
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=40),
-)
-row = st.tuples(value, value, value)
-slot_key = st.one_of(
+])
+slot_key = st.sampled_from([
     st.integers(min_value=0, max_value=10_000),
     st.tuples(st.integers(min_value=0, max_value=100), st.text(max_size=8)),
-)
+])
+
+
+@st.composite
+def page_slots(draw):
+    """Slots of one shape — one key kind, three columns of one kind each —
+    as every page the engine writes is."""
+    row = st.tuples(*(draw(column) for _ in range(3)))
+    return draw(st.dictionaries(draw(slot_key), row, max_size=20))
 
 
 @given(
     page_id=st.integers(min_value=0, max_value=2**40),
     lsn=st.integers(min_value=0, max_value=2**40),
-    slots=st.dictionaries(slot_key, row, max_size=20),
+    slots=page_slots(),
 )
 def test_page_serde_roundtrip(page_id, lsn, slots):
     page = Page(page_id, lsn=lsn, slots=dict(slots))

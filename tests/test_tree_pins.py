@@ -1,13 +1,15 @@
-"""Tree-wide pins: the env-flag surface and the frozen benchmark's imports.
+"""Tree-wide pins: env flags, the frozen benchmark's imports, deleted names.
 
-Two cheap whole-tree checks a deletion PR trips before the benchmark does:
+Cheap whole-tree checks a deletion PR trips before the benchmark does:
 
 * the ``REPRO_*`` environment variables named under ``src/`` are exactly
   the documented three — a new escape hatch (or a stale mention of a
   deleted one) fails here;
 * everything ``perf/*.py`` imports from ``repro`` still resolves, and the
   traced pass can still find every function it wraps.  ``perf/`` is frozen
-  between ``benchmark`` PRs, so ``src/`` has to keep those names.
+  between ``benchmark`` PRs, so ``src/`` has to keep those names;
+* what the function census found no workload executing, and deleted
+  (DESIGN.md §15), stays deleted.
 """
 
 from __future__ import annotations
@@ -20,6 +22,27 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERF = ROOT / "perf"
+
+#: Owner -> names deleted because only tests and examples reached them.
+DELETED = {
+    "repro.db": ("BTreeIndex",),
+    "repro.db.index:HashIndex": ("insert", "delete"),
+    "repro.db.index:PageAccessor": ("update_slot",),
+    "repro.core.dbms": ("TxPageAccessor",),
+    "repro.core.dbms:SimulatedDBMS": ("update_slot", "tx_accessor", "create_btree_index"),
+    "repro.db.page": (
+        "_RUN_TAGGED", "_pack_tagged", "_unpack_tagged", "_slot_shape",
+        "_encode_value", "_decode_value",
+    ),
+    "repro.storage.codec": ("_KIND_VALUE", "_encode_value", "_decode_value"),
+    # Reached by nothing at all, tests included.
+    "repro.tpcc.random_gen:TpccRandom": ("amount", "choice"),
+    "repro.tpcc.transactions": ("_replace",),
+    "repro.tpcc.loader:TpccDatabase": ("db_pages",),
+    "repro.db.schema:TableSchema": ("row_width", "column_names"),
+    "repro.workload.registry:WorkloadSpec": ("knob_dict",),
+    "repro.obs.registry:MetricRegistry": ("metrics",),
+}
 
 ENV_FLAGS = {
     "REPRO_TRACE_CACHE",
@@ -87,3 +110,15 @@ def test_perf_tracing_targets_resolve():
         ("repro.sim.replay", "fork_dbms"),
         ("repro.sim.replay", "fork_database"),
     }
+
+
+def test_deleted_names_stay_deleted():
+    assert importlib.util.find_spec("repro.db.btree") is None
+    assert not (ROOT / "examples" / "range_queries.py").exists()
+    for owner, names in DELETED.items():
+        module_name, _, attribute = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attribute:
+            target = getattr(target, attribute)
+        for name in names:
+            assert not hasattr(target, name), f"{owner}.{name} is back"
