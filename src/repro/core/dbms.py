@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Mapping
 
 from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
@@ -44,6 +44,7 @@ from repro.db.schema import TableSchema
 from repro.errors import CatalogError, TransactionError
 from repro.flashcache.registry import build_cache_from_config
 from repro.obs import OBS
+from repro.storage.backing import PageStore
 from repro.storage.registry import build_page_store
 from repro.storage.volume import Volume
 from repro.wal.log import LogManager
@@ -179,7 +180,7 @@ class SimulatedDBMS:
         catalog: Catalog,
         tables: dict[str, HeapFile],
         indexes: dict[str, HashIndex],
-        disk_slots: dict[int, Any],
+        disk_image: Mapping[int, Any] | PageStore,
     ) -> None:
         """Install a pre-built database (schema + loaded pages) wholesale.
 
@@ -187,15 +188,20 @@ class SimulatedDBMS:
         once per (scale, seed) and hands every subsequent system a private
         copy of the catalog/heap/index graph plus the loaded disk image —
         equivalent to :meth:`begin_load` … :meth:`finish_load` without
-        re-running the population logic.  Must be called on a freshly built
-        system, before any transaction has run.
+        re-running the population logic.  ``disk_image`` is the
+        ``{lba: image}`` map, or a persistent store of the disk's backend
+        whose file is copied.  Must be called on a freshly built system,
+        before any transaction has run.
         """
         if self.committed or self.aborted or self._active or self._load_pages is not None:
             raise CatalogError("adopt_database_state on a system already in use")
         self.catalog = catalog
         self.tables = tables
         self.indexes = indexes
-        self.disk.store.adopt_slots(disk_slots)
+        if isinstance(disk_image, PageStore):
+            self.disk.store.copy_from(disk_image)
+        else:
+            self.disk.store.adopt_slots(disk_image)
 
     @property
     def db_pages(self) -> int:

@@ -142,6 +142,7 @@ def run_victim(
     fork = fork_dbms(dbms)
     fork.crash()
     soft = RecoveryManager(fork).restart()
+    del fork  # its temp store files go now; nothing runs after the SIGKILL
 
     manifest = {
         "schema": MANIFEST_SCHEMA,

@@ -14,7 +14,10 @@ memoized, and hands each cell a private fork:
   survives with its sharing structure intact;
 * the loaded disk image is a shallow copy of the LBA -> :class:`PageImage`
   mapping — images are immutable snapshots, so sharing them between forks is
-  safe and the copy is O(pages), not O(rows).
+  safe and the copy is O(pages), not O(rows);
+* a persistent backend's disk store instead copies the file of the
+  snapshot's *template* store for that backend, which the first fork on the
+  backend encodes once — later forks encode no page.
 
 The snapshot is taken **after load, before warm-up**: warm-up length and
 effect depend on the cell's cache configuration, so post-warm-up state is
@@ -48,7 +51,7 @@ from __future__ import annotations
 import copy
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.config import CachePolicy, scaled_reference_config
@@ -56,6 +59,8 @@ from repro.core.dbms import SimulatedDBMS
 from repro.db.catalog import Catalog
 from repro.db.heap import HeapFile
 from repro.db.index import HashIndex
+from repro.storage.backing import PageStore
+from repro.storage.registry import make_page_store
 from repro.tpcc.scale import ScaleProfile
 from repro.workload.registry import (
     TPCC_SPEC,
@@ -86,6 +91,22 @@ class WarmSnapshot:
     state: Any
     #: Harness seconds the load took (goes with the snapshot on eviction).
     load_seconds: float = 0.0
+    #: Backend name -> a persistent store holding ``disk_slots``, encoded by
+    #: the first fork on that backend and copied by every later one.  Freed
+    #: (temp file included) with the snapshot.
+    templates: dict[str, PageStore] = field(default_factory=dict)
+
+    def disk_image(self, store: PageStore) -> dict[int, Any] | PageStore:
+        """What ``store`` adopts: the slot map for the memory backend, the
+        backend's template store (built on first use) for a persistent one."""
+        if not store.persistent:
+            return self.disk_slots
+        template = self.templates.get(store.backend_name)
+        if template is None:
+            template = make_page_store(store.backend_name, store.capacity_pages)
+            template.adopt_slots(self.disk_slots)
+            self.templates[store.backend_name] = template
+        return template
 
 
 #: Per-process memo: (scale, seed, workload) -> WarmSnapshot, least recently
@@ -172,7 +193,9 @@ def fork_database(
     catalog, tables, indexes, state = copy.deepcopy(
         (snapshot.catalog, snapshot.tables, snapshot.indexes, snapshot.state)
     )
-    dbms.adopt_database_state(catalog, tables, indexes, snapshot.disk_slots)
+    dbms.adopt_database_state(
+        catalog, tables, indexes, snapshot.disk_image(dbms.disk.store)
+    )
     return get_workload_entry(workload.name).refork(dbms, scale, state)
 
 

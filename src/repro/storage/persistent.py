@@ -19,7 +19,13 @@ Two backends, both keyed by LBA and holding the byte encoding of
 Either backend opened on an existing path adopts its contents rather than
 truncating — that reopen-after-death is exactly what ``python -m repro
 crash --hard`` exercises.  Without an explicit path a store lives in a
-private temp file removed when the store is garbage collected.
+private temp file, removed when the store is garbage collected or its
+process exits — by the process that created it only: a forked child
+inherits the store object, not the file.
+
+A store is copied, not re-encoded: :meth:`PersistentPageStore.copy_from`
+copies another store's file (``shutil.copyfile`` for mmap, SQLite's online
+backup for sqlite), so forking a store encodes and decodes no page.
 
 Simulated timing is still charged by the device models; these classes
 only move bytes, so backend choice never changes simulation results
@@ -30,14 +36,15 @@ from __future__ import annotations
 
 import mmap
 import os
+import shutil
 import sqlite3
 import struct
 import tempfile
-import weakref
 from itertools import islice
-from typing import Any, Iterator, Mapping
+from multiprocessing.util import Finalize
+from typing import Any, Callable, Iterator, Mapping
 
-from repro.errors import PageNotFoundError, StorageError
+from repro.errors import OutOfRangeError, PageNotFoundError, StorageError
 from repro.obs import OBS
 from repro.storage.backing import PageStore
 from repro.storage.codec import decode_storable, encode_storable
@@ -49,8 +56,20 @@ def _temp_path(suffix: str) -> str:
     return path
 
 
-def _remove_quiet(*paths: str) -> None:
-    for path in paths:
+def _release(
+    close: Callable[[Any], None],
+    handle: Any,
+    owned_path: str | None,
+    owner_pid: int,
+    suffixes: tuple[str, ...],
+) -> None:
+    try:
+        close(handle)
+    except (OSError, sqlite3.Error):  # pragma: no cover - double close
+        pass
+    if owned_path is None or os.getpid() != owner_pid:
+        return
+    for path in (owned_path, *(owned_path + suffix for suffix in suffixes)):
         try:
             os.unlink(path)
         except OSError:
@@ -62,19 +81,50 @@ class PersistentPageStore(PageStore):
 
     persistent = True
     _suffix = ".store"
+    #: Side files the backend may create beside ``path``.
+    _side_suffixes: tuple[str, ...] = ()
 
     def __init__(self, capacity_pages: int, path: str | os.PathLike | None = None) -> None:
         super().__init__(capacity_pages)
         self._owns_path = path is None
         self.path = os.fspath(path) if path is not None else _temp_path(self._suffix)
 
+    def _close_with(self, close: Callable[[Any], None], handle: Any) -> None:
+        """Close ``handle`` when the store is collected or its process
+        exits (``multiprocessing`` finalizers also run in pool workers,
+        which leave through ``os._exit``).  An owned temp file goes too,
+        but only in the process that created it."""
+        owned = self.path if self._owns_path else None
+        Finalize(
+            self,
+            _release,
+            (close, handle, owned, os.getpid(), self._side_suffixes),
+            exitpriority=0,
+        )
+
+    def copy_from(self, source: "PersistentPageStore") -> None:
+        """Replace all contents with a byte copy of ``source``, a store of
+        the same backend: no page is encoded or decoded.
+
+        The source is read through its path, never through its handles, so
+        it may be a store this process inherited across ``fork()``.  As in
+        :meth:`adopt_slots`, a source LBA outside this store raises
+        :class:`~repro.errors.OutOfRangeError` and leaves it untouched.
+        """
+        raise NotImplementedError
+
+    def _check_top(self, top: int | None) -> None:
+        if top is not None and top >= self.capacity_pages:
+            raise OutOfRangeError(
+                f"copy_from: lba {top} outside store of {self.capacity_pages} pages"
+            )
+
     def __deepcopy__(self, memo: dict) -> "PersistentPageStore":
         # Warm-state forking (repro.sim.warmstate.fork_dbms) deep-copies
         # the whole DBMS graph; a file handle cannot be deep-copied, so a
-        # fork gets a fresh temp-backed store holding equal contents (the
-        # snapshot's images carry their bytes: copied, never re-encoded).
+        # fork gets a fresh temp-backed store holding a copy of the file.
         clone = type(self)(self.capacity_pages)
-        clone.adopt_slots(self.snapshot_slots())
+        clone.copy_from(self)
         memo[id(self)] = clone
         return clone
 
@@ -84,6 +134,7 @@ class SqlitePageStore(PersistentPageStore):
 
     backend_name = "sqlite"
     _suffix = ".sqlite"
+    _side_suffixes = ("-journal",)
 
     def __init__(self, capacity_pages: int, path: str | os.PathLike | None = None) -> None:
         super().__init__(capacity_pages, path)
@@ -97,12 +148,17 @@ class SqlitePageStore(PersistentPageStore):
             "CREATE TABLE IF NOT EXISTS pages "
             "(lba INTEGER PRIMARY KEY, data BLOB NOT NULL)"
         )
-        self._finalizer = weakref.finalize(
-            self,
-            _close_sqlite,
-            self._conn,
-            self.path if self._owns_path else None,
-        )
+        self._close_with(sqlite3.Connection.close, self._conn)
+
+    def copy_from(self, source: "PersistentPageStore") -> None:
+        # A connection of this process's own: SQLite connections must not
+        # be used across fork(), and templates are inherited by pool workers.
+        reader = sqlite3.connect(source.path)
+        try:
+            self._check_top(reader.execute("SELECT MAX(lba) FROM pages").fetchone()[0])
+            reader.backup(self._conn)
+        finally:
+            reader.close()
 
     def put(self, lba: int, image: Any) -> None:
         self._check(lba)
@@ -179,15 +235,6 @@ class SqlitePageStore(PersistentPageStore):
         return {lba: decode_storable(blob) for lba, blob in rows}
 
 
-def _close_sqlite(conn: sqlite3.Connection, owned_path: str | None) -> None:
-    try:
-        conn.close()
-    except sqlite3.Error:  # pragma: no cover - close never fails in practice
-        pass
-    if owned_path is not None:
-        _remove_quiet(owned_path, owned_path + "-journal")
-
-
 class MmapPageStore(PersistentPageStore):
     """Log-structured append-only file with an mmap'd read window."""
 
@@ -208,9 +255,7 @@ class MmapPageStore(PersistentPageStore):
         self._map: mmap.mmap | None = None
         self._mapped = 0
         self._index: dict[int, tuple[int, int]] = {}
-        self._finalizer = weakref.finalize(
-            self, _close_mmap, self._fd, self.path if self._owns_path else None
-        )
+        self._close_with(os.close, self._fd)
         if self._size:
             self._rebuild_index()
 
@@ -343,14 +388,15 @@ class MmapPageStore(PersistentPageStore):
     def snapshot_slots(self) -> dict[int, Any]:
         return {lba: self.get(lba) for lba in self.occupied()}
 
+    def copy_from(self, source: "PersistentPageStore") -> None:
+        # The file is byte-identical afterwards, so the source's index is
+        # this store's index.  ``shutil.copyfile`` opens the path afresh:
+        # ``os.sendfile`` into this store's O_APPEND descriptor is EINVAL.
+        self._check_top(max(source._index, default=None))
+        self.clear()  # unmapped before the file is rewritten
+        shutil.copyfile(source.path, self.path)
+        self._size = os.fstat(self._fd).st_size
+        self._index = dict(source._index)
+
     def flush(self) -> None:
         os.fsync(self._fd)
-
-
-def _close_mmap(fd: int, owned_path: str | None) -> None:
-    try:
-        os.close(fd)
-    except OSError:  # pragma: no cover - double close
-        pass
-    if owned_path is not None:
-        _remove_quiet(owned_path)

@@ -145,7 +145,14 @@ def test_fork_equals_fresh_load(workload, scenario, loads):
 
 @pytest.mark.parametrize("store", ["mmap", "sqlite"])
 def test_fork_equals_fresh_load_on_persistent_store(store, loads):
-    _assert_fork_equals_fresh_load(_spec("tpcc", "crash", store), loads)
+    # The first fork builds the backend's template, the second copies it.
+    for scenario in ("steady", "crash"):
+        warmstate.clear_snapshots()
+        del loads[:]
+        spec = _spec("tpcc", scenario, store)
+        _assert_fork_equals_fresh_load(spec, loads)
+        snapshot = warmstate.get_snapshot(spec.scale, spec.seed, spec.workload_spec())
+        assert list(snapshot.templates) == [store]
 
 
 @pytest.mark.parametrize(

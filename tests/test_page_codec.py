@@ -351,11 +351,13 @@ def test_forking_a_store_copies_bytes_without_encoding(monkeypatch, backend):
     store = make_page_store(backend, 16)
     store.adopt_slots({lba: heap_page().to_image() for lba in range(0, 16, 3)})
 
-    def no_encode(*args):
-        raise AssertionError("a forked store re-encoded a page body")
+    def no_codec(*args):
+        raise AssertionError("a forked store encoded or decoded a page body")
 
-    monkeypatch.setattr(page_module, "_pack_page", no_encode)
-    clone = copy.deepcopy(store)
+    with monkeypatch.context() as during_copy:
+        during_copy.setattr(page_module, "_pack_page", no_codec)
+        during_copy.setattr(page_module, "_unpack_page", no_codec)
+        clone = copy.deepcopy(store)
     assert clone.snapshot_slots() == store.snapshot_slots()
     assert list(clone.occupied()) == list(range(0, 16, 3))
 
