@@ -17,7 +17,12 @@ methods here so every caller manipulates the flags the same way:
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 from repro.db.page import Page
+from repro.errors import UnpinnedFrameError
+
+_new = object.__new__
 
 
 class Frame:
@@ -25,7 +30,9 @@ class Frame:
 
     ``__slots__`` because the simulator materialises one Frame per DRAM
     admission on the hot path; ``page_id`` is copied off the page because
-    every layer keys on it several times per eviction.
+    every layer keys on it several times per eviction.  A new field must
+    also be set by ``BufferPool.admit`` and :meth:`__deepcopy__`, which
+    build frames without calling ``__init__``.
     """
 
     __slots__ = ("page", "page_id", "dirty", "fdirty", "pin_count", "referenced")
@@ -42,6 +49,18 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Frame {self.page_id} dirty={self.dirty} fdirty={self.fdirty}>"
+
+    def __deepcopy__(self, memo: dict) -> "Frame":
+        # The six fields, not ``copy``'s generic reduce-and-rebuild walk: a
+        # warm fork (repro.sim.warmstate) copies every resident frame.
+        clone = _new(Frame)
+        clone.page = deepcopy(self.page, memo)
+        clone.page_id = self.page_id
+        clone.dirty = self.dirty
+        clone.fdirty = self.fdirty
+        clone.pin_count = self.pin_count
+        clone.referenced = self.referenced
+        return clone
 
     @property
     def pinned(self) -> bool:
@@ -69,5 +88,5 @@ class Frame:
 
     def unpin(self) -> None:
         if self.pin_count <= 0:
-            raise ValueError(f"unpin of unpinned frame {self.page_id}")
+            raise UnpinnedFrameError(f"unpin of unpinned frame {self.page_id}")
         self.pin_count -= 1

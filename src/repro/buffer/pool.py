@@ -25,6 +25,8 @@ from repro.db.page import Page
 from repro.errors import BufferFullError, ConfigError
 from repro.obs import OBS
 
+_new = object.__new__
+
 
 class BufferPool:
     """Fixed-capacity pool of :class:`Frame` objects."""
@@ -84,7 +86,14 @@ class BufferPool:
             raise ConfigError(f"page {page_id} already buffered")
         if len(frames) >= self.capacity:
             raise BufferFullError("admit() on a full pool; call make_room() first")
-        frame = Frame(page, dirty, fdirty)
+        # Frame.__init__, inline: one frame is built per DRAM miss.
+        frame = _new(Frame)
+        frame.page = page
+        frame.page_id = page_id
+        frame.dirty = dirty
+        frame.fdirty = fdirty
+        frame.pin_count = 0
+        frame.referenced = False
         frames[page_id] = frame
         self._policy.insert(frame)
         return frame
@@ -98,11 +107,8 @@ class BufferPool:
         frames = self._frames
         if len(frames) < self.capacity:
             return None
-        policy = self._policy
-        victim = policy.victims(1)[0]
-        page_id = victim.page_id
-        del frames[page_id]
-        policy.remove(page_id)
+        victim = self._policy.evict()
+        del frames[victim.page_id]
         stats = self.stats
         stats.evictions += 1
         is_dirty = victim.dirty or victim.fdirty

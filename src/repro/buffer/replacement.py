@@ -44,6 +44,14 @@ class ReplacementPolicy(abc.ABC):
         """
 
     @abc.abstractmethod
+    def evict(self) -> Frame:
+        """Remove and return the one victim ``victims(1)`` would name.
+
+        The once-per-DRAM-miss entry point: one call, not ``victims(1)``
+        plus ``remove``.  Raises :class:`BufferFullError` like ``victims``.
+        """
+
+    @abc.abstractmethod
     def frames(self) -> list[Frame]:
         """All resident frames, coldest -> hottest."""
 
@@ -78,6 +86,14 @@ class LruPolicy(ReplacementPolicy):
         if not out:
             raise BufferFullError("all frames pinned; cannot evict")
         return out
+
+    def evict(self) -> Frame:
+        frames = self._frames
+        for frame in frames.values():
+            if not frame.pin_count:
+                del frames[frame.page_id]  # returns at once: no iteration after
+                return frame
+        raise BufferFullError("all frames pinned; cannot evict")
 
     def frames(self) -> list[Frame]:
         return list(self._frames.values())
@@ -133,6 +149,11 @@ class ClockPolicy(ReplacementPolicy):
         if count >= 1 and not out:
             raise BufferFullError("all frames pinned or referenced; cannot evict")
         return out
+
+    def evict(self) -> Frame:
+        victim = self.victims(1)[0]
+        self.remove(victim.page_id)
+        return victim
 
     def frames(self) -> list[Frame]:
         # Coldest-first approximation: hand order.

@@ -39,7 +39,7 @@ from repro.core.policies import (
 from repro.db.catalog import Catalog
 from repro.db.heap import HeapFile, Rid
 from repro.db.index import HashIndex
-from repro.db.page import Page
+from repro.db.page import Page, PageImage
 from repro.db.schema import TableSchema
 from repro.errors import CatalogError, TransactionError
 from repro.flashcache.registry import build_cache_from_config
@@ -249,15 +249,19 @@ class SimulatedDBMS:
             if image is None:
                 # Reading an allocated-but-never-written page: a real system
                 # reads zeroes; we materialise an empty page at the same cost.
-                image = Page(page_id).to_image()
+                image = PageImage(page_id, 0, {})
             cache.on_fetch_from_disk(image)
             dirty = False  # Frame.on_fetch_from_disk: both flags drop
         buffer = self.buffer
         victim = buffer.make_room()
         if victim is not None:
-            # _evict(), inline: WAL discipline, then the policy.
+            # _evict(), inline: WAL discipline, then the policy.  A victim
+            # whose LSN is already durable needs no force_up_to call.
             if victim.dirty or victim.fdirty:
-                self.log.force_up_to(victim.page.lsn)
+                lsn = victim.page.lsn
+                log = self.log
+                if lsn > log.flushed_lsn:
+                    log.force_up_to(lsn)
             cache.on_dram_evict(victim)
         return buffer.admit(image.to_page(), dirty)
 

@@ -35,8 +35,9 @@ page crosses DRAM → flash → disk without its body being re-encoded — nor
 decoded past what is read: a decoded page answers ``get`` from its validated
 columns (:class:`_ColumnarRun`) and builds its dict only when written,
 iterated, compared or probed often.  A freshly frozen image holds no bytes
-and is encoded when a store writes it.  The blob dies with the image:
-``put`` / ``delete`` / ``stamp`` (and the ``slots`` setter) drop both.
+and is encoded when a store writes it.  The blob dies with the image: after
+``put`` / ``delete`` / ``stamp`` (or the ``slots`` setter) a page freezes to
+a new image, which holds no bytes.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ _COLUMN_TYPE = {_INT: int, _FLOAT: float, _STR: str, _NONE: type(None)}
 #: Key-column scans before a run builds its dict: one build, not n scans.
 _PROBES_BEFORE_DICT = 8
 
+_new = object.__new__
+
 
 @dataclass(frozen=True)
 class PageImage:
@@ -89,7 +92,11 @@ class PageImage:
 
     def to_page(self) -> "Page":
         """Thaw into a mutable DRAM page (sharing ``slots`` copy-on-write)."""
-        page = Page(self.page_id, lsn=self.lsn, slots=self.slots)
+        # Page.__init__, inline: one page is thawed per DRAM miss.
+        page = _new(Page)
+        page.page_id = self.page_id
+        page.lsn = self.lsn
+        page._rows = self.slots
         page._image = self
         return page
 
@@ -123,6 +130,8 @@ class Page:
 
     Slot keys are integers for heap pages and primary-key tuples for hash
     index bucket pages (see :mod:`repro.db.index`); any hashable key works.
+    A new field must also be set by :meth:`PageImage.to_page`, which builds
+    pages without calling ``__init__``.
     """
 
     __slots__ = ("page_id", "lsn", "_rows", "_image")
@@ -133,8 +142,10 @@ class Page:
         self.page_id = page_id
         self.lsn = lsn
         self._rows: dict = slots if slots is not None else {}
-        #: Cached frozen snapshot.  Non-``None`` also means ``_rows`` is
-        #: shared with that image and must be copied before any mutation.
+        #: The image ``_rows`` is shared with (copy before any mutation), or
+        #: ``None``.  It is also the page's snapshot while its ``lsn`` is the
+        #: page's: only :meth:`stamp` (or a direct ``lsn`` store) can change
+        #: the LSN without dropping it, and neither touches the rows.
         self._image: PageImage | None = None
 
     @property
@@ -173,12 +184,11 @@ class Page:
 
         Used by trace replay, which applies the *timing and header* effect
         of a logged update (the replayed system never reads row contents).
-        Invalidates the cached image exactly like :meth:`put`, so snapshot
-        identity behaves as in a full run; the slot mapping itself is
-        untouched and may stay shared with prior images.
+        The cached image goes stale by its LSN, so the next snapshot is a new
+        object as after :meth:`put`; the slot mapping stays shared with it,
+        so a later ``put`` or ``delete`` still copies first.
         """
         self.lsn = lsn
-        self._image = None
 
     # -- snapshots ----------------------------------------------------------
 
@@ -189,17 +199,23 @@ class Page:
         object; the slot mapping transfers to the image copy-on-write.
         """
         image = self._image
-        if image is None:
+        if image is None or image.lsn != self.lsn:
             image = PageImage(self.page_id, self.lsn, self._rows)
             self._image = image
         return image
+
+    def __deepcopy__(self, memo: dict) -> "Page":
+        # Freeze, then thaw the copy: both pages share the rows copy-on-write,
+        # as every thaw does, so forking a warmed system (repro.sim.warmstate)
+        # walks no row.
+        return self.to_image().to_page()
 
     # -- serde ----------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialise to the on-media byte layout (insertion order preserved)."""
         image = self._image
-        if image is not None:
+        if image is not None and image.lsn == self.lsn:
             return image.to_bytes()
         return _pack_page(self.page_id, self.lsn, self._rows)
 

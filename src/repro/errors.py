@@ -33,8 +33,8 @@ class BufferFullError(BufferError_):
     """Every frame in the buffer pool is pinned; no victim can be chosen."""
 
 
-class PagePinnedError(BufferError_):
-    """An operation required an unpinned frame but the frame is pinned."""
+class UnpinnedFrameError(BufferError_):
+    """A frame was unpinned more often than it was pinned."""
 
 
 class CacheError(ReproError):

@@ -100,14 +100,16 @@ class GroupReplacementCache(MvFifoCache):
     # -- batched dequeue ---------------------------------------------------------
 
     def _make_room(self, needed: int) -> None:
-        while self.directory.free_slots < needed:
+        directory = self.directory
+        # ``directory.free_slots < needed``, without two property calls.
+        while directory.rear - directory.front > self.capacity - needed:
             self._batch_dequeue()
 
     def _dequeue_front(self) -> list[tuple[int, int]]:
         """Take ``scan_depth`` slots off the front, charging one batch-sized
         sequential read of the region (two where it wraps the queue)."""
         directory = self.directory
-        depth = min(self.scan_depth, directory.size)
+        depth = min(self.scan_depth, directory.rear - directory.front)
         front_physical = directory.front % self.capacity
         span = min(depth, self.capacity - front_physical)
         device = self.flash.device

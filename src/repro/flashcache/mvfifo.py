@@ -28,6 +28,8 @@ from repro.flashcache.directory import DIRTY, REFERENCED, VALID, FifoDirectory
 from repro.flashcache.metadata import CacheSlotImage, MetadataManager, unwrap_image
 from repro.storage.volume import Volume
 
+_tuple_new = tuple.__new__
+
 
 class MvFifoCache(FlashCacheBase):
     """Plain FaCE: mvFIFO replacement, one-slot-at-a-time dequeue."""
@@ -96,7 +98,14 @@ class MvFifoCache(FlashCacheBase):
         physical = position % self.capacity
         slot_flags = flags[physical] | REFERENCED
         flags[physical] = slot_flags
-        image = self._read_slot(position)
+        # _read_slot(position), inline: this is once per flash hit.
+        offset = position - self._staged_start
+        staged = self._staged
+        if 0 <= offset < len(staged):
+            image = staged[offset].image  # still in RAM: no flash I/O
+        else:
+            slot = self.flash.read_page(physical)
+            image = slot.image if type(slot) is CacheSlotImage else unwrap_image(slot)
         self.stats.hits += 1
         return image, bool(slot_flags & DIRTY)
 
@@ -158,12 +167,16 @@ class MvFifoCache(FlashCacheBase):
     def _enqueue(self, image: PageImage, dirty: bool) -> None:
         directory = self.directory
         page_id = image.page_id
+        capacity = self.capacity
         # Invalidate the previous version *before* choosing a victim: if the
         # front slot is that very version it is now discarded for free
-        # instead of being redundantly flushed to disk.
-        superseded = directory.invalidate(page_id)
+        # instead of being redundantly flushed to disk.  (directory.invalidate,
+        # inline; ``directory.enqueue`` below still re-invalidates.)
+        superseded = directory.valid_pos.pop(page_id, None)
+        if superseded is not None:
+            directory.flags[superseded % capacity] &= ~VALID
         held = self._held_front
-        if directory.rear - directory.front >= self.capacity:
+        if directory.rear - directory.front >= capacity:
             # The dequeued slots may hold the only durable copy of a page
             # whose newer version is not yet enqueued: a GSC survivor, or
             # this very page.  Enqueues inside ``_make_room`` (re-enqueued
@@ -173,7 +186,9 @@ class MvFifoCache(FlashCacheBase):
                 self._held_front = directory.front
             self._make_room(1)
         position = directory.enqueue(page_id, image.lsn, dirty)
-        self._write_slot(position, CacheSlotImage(position, dirty, image))
+        # CacheSlotImage(position, dirty, image) without the NamedTuple's
+        # Python-level ``__new__``: one slot is built per enqueue.
+        self._write_slot(position, _tuple_new(CacheSlotImage, (position, dirty, image)))
         self._held_front = held
         metadata = self.metadata
         if directory.rear - metadata.persisted_rear >= metadata.segment_entries:
@@ -186,7 +201,7 @@ class MvFifoCache(FlashCacheBase):
         self.stats.flash_writes += 1
         if OBS.enabled:
             self._obs_counter("enqueue.dirty" if dirty else "enqueue.clean").inc()
-            if superseded:
+            if superseded is not None:
                 self._obs_counter("invalidations").inc()
 
     def _write_slot(self, position: int, slot: CacheSlotImage) -> None:

@@ -839,9 +839,7 @@ class ReplayRunner:
         # succeeding, and nothing in an LRU system ever reads a frame's
         # CLOCK reference bit); any other DRAM policy goes through the
         # exact loop, which only uses public component methods.
-        policy = self.dbms.buffer._policy
-        self._fast = type(policy) is LruPolicy
-        self._move_to_end = policy._frames.move_to_end if self._fast else None
+        self._fast = type(self.dbms.buffer._policy) is LruPolicy
 
     def _replay_one(self) -> None:
         """Replay the next recorded transaction, event by event.
@@ -876,7 +874,9 @@ class ReplayRunner:
         cpu_per_access = dbms.config.cpu_per_page_access
         buffer = dbms.buffer
         frames_get = buffer._frames.get
-        move_to_end = self._move_to_end
+        # Looked up per transaction, never kept: a crash's ``wipe`` gives
+        # the pool a new policy, and a warm fork a new pool.
+        move_to_end = buffer._policy._frames.move_to_end
         fetch_miss = dbms._fetch_miss
         log = dbms.log
         tail_append = log._tail.append
@@ -927,7 +927,6 @@ class ReplayRunner:
                 tail_append(record)
                 page = frame.page
                 page.lsn = lsn  # Page.stamp, inlined
-                page._image = None
                 frame.dirty = True  # Frame.on_update, inlined
                 frame.fdirty = True
                 if page_id not in fpw_done:  # take_fpw + attach, inlined
@@ -1121,8 +1120,6 @@ class ReplayRunner:
         self.warmup_transactions = fork.executed
         self.stats.reset()
         self._last_checkpoint_wall = 0.0
-        if self._fast:
-            self._move_to_end = dbms.buffer._policy._frames.move_to_end
 
     def measure(
         self,

@@ -5,7 +5,13 @@ import pytest
 from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
 from repro.db.page import Page
-from repro.errors import BufferFullError, ConfigError
+from repro.errors import (
+    BufferError_,
+    BufferFullError,
+    ConfigError,
+    ReproError,
+    UnpinnedFrameError,
+)
 
 
 def page(pid: int) -> Page:
@@ -79,9 +85,16 @@ class TestAdmissionEviction:
             pool.make_room()
 
     def test_unpin_below_zero_raises(self, pool):
+        # A library error (errors.py): a BufferError_, so a ReproError.
         fill(pool, 1)
-        with pytest.raises(ValueError):
-            pool.peek(1).unpin()
+        frame = pool.peek(1)
+        frame.pin()
+        frame.unpin()
+        with pytest.raises(UnpinnedFrameError) as raised:
+            frame.unpin()
+        assert isinstance(raised.value, BufferError_)
+        assert isinstance(raised.value, ReproError)
+        assert frame.pin_count == 0
 
     def test_eviction_stats_split_clean_dirty(self, pool):
         fill(pool, 1, 2, 3)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.buffer.frame import Frame
 from repro.db.page import Page, PageImage
-from repro.errors import CacheError
+from repro.errors import CacheError, UnpinnedFrameError
 from repro.flashcache.directory import FifoDirectory, SlotMeta
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.storage.hdd import DiskDevice
@@ -61,7 +61,7 @@ def test_frame_flag_protocol_unchanged():
     assert frame.pinned
     frame.unpin()
     assert not frame.pinned
-    with pytest.raises(ValueError):
+    with pytest.raises(UnpinnedFrameError):
         frame.unpin()
 
 

@@ -232,3 +232,39 @@ def test_gsc_keeps_every_committed_order_across_a_bench_restart():
         assert counters[f"flashcache.face_gsc.{name}"] > 0, name
     assert audit.ok, audit.violations[:3]
     assert consistency.ok, consistency.violations[:3]
+
+
+# -- replay past an in-process restart -----------------------------------------
+
+
+def test_fast_replay_loop_runs_on_after_a_restart(monkeypatch):
+    """A crash gives the pool a new replacement policy; the LRU fast loop
+    must drive that one, not the policy it saw before (it raised ``page 4
+    already buffered``), and match the exact loop bit for bit."""
+    import dataclasses
+
+    from repro.core.config import scaled_reference_config
+    from repro.sim.replay import ReplayRunner, TraceRecorder
+    from repro.tpcc.loader import estimate_db_pages
+    from repro.tpcc.scale import TINY
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")
+    config = scaled_reference_config(
+        estimate_db_pages(TINY), buffer_fraction=0.05, policy=CachePolicy.FACE_GSC
+    )
+    recorder = TraceRecorder(TINY, 3)
+    results = []
+    for fast in (True, False):
+        runner = ReplayRunner(config, recorder)
+        assert runner._fast  # an LRU pool with OBS off takes the fast loop
+        runner._fast = fast
+        runner.warm_up(50, 50)
+        for _ in range(60):
+            runner.step()
+        runner.dbms.crash()
+        RecoveryManager(runner.dbms).restart()
+        for _ in range(60):
+            runner.step()
+        results.append(dataclasses.asdict(runner.summarise()))
+    assert results[0] == results[1]
