@@ -229,6 +229,7 @@ def cmd_crash(args) -> int:
             print(json.dumps(result, indent=2))
         else:
             surv = result["survival"]
+            print(f"# durability: {result['durability']}")
             print(f"# victim killed after {result['executed_before_crash']} tx, "
                   f"{result['checkpoints_before_crash']} checkpoint(s)")
             for role in ("disk", "flash"):

@@ -12,7 +12,10 @@ This module *tests* that story end to end with an actual process death:
    run the in-process crash + restart on the fork), serialise the durable
    context (WAL, schema graph, occupied-LBA manifest), then
    ``SIGKILL`` itself mid-flight.  No atexit handler, no cleanup — the
-   DRAM state dies exactly as a power-cut buffer pool would.
+   DRAM state dies with the process.  The page stores' files stay in the
+   kernel's page cache, so this is process death, not power loss
+   (:data:`DURABILITY`, the :class:`~repro.storage.backing.PageStore`
+   contract).
 2. **Restart** (the surviving parent): reopen the same ``--state-dir``
    files through a fresh :class:`~repro.core.dbms.SimulatedDBMS`, verify
    every LBA the crash model predicted survived actually did, re-adopt the
@@ -56,6 +59,9 @@ from repro.workload.registry import (
 MANIFEST_NAME = "manifest.json"
 CONTEXT_NAME = "context.pickle"
 MANIFEST_SCHEMA = 1
+#: The failure a hard crash survives: the persistent backends force no
+#: write to the medium, so their files outlive the process, not a power cut.
+DURABILITY = "process-death"
 
 #: RestartReport fields that are pure decisions, not service times — the
 #: hard restart must reproduce the soft model on these bit for bit.
@@ -194,8 +200,8 @@ def run_victim(
 def run_restart(state_dir: str) -> dict[str, Any]:
     """Reopen a dead victim's files, run the Section 4.2 restart, verdict.
 
-    Returns a JSON-ready report: LBA-survival checks, the hard restart's
-    report, the soft prediction, and ``passed``.
+    Returns a JSON-ready report: the durability level exercised, LBA-survival
+    checks, the hard restart's report, the soft prediction, and ``passed``.
     """
     with open(os.path.join(state_dir, MANIFEST_NAME)) as fh:
         manifest = json.load(fh)
@@ -266,6 +272,7 @@ def run_restart(state_dir: str) -> dict[str, Any]:
     return {
         "state_dir": state_dir,
         "backend": manifest["backend"],
+        "durability": DURABILITY,
         "executed_before_crash": manifest["executed"],
         "checkpoints_before_crash": manifest["checkpoints"],
         "survival": checks,

@@ -32,6 +32,7 @@ embarrassingly parallel.  This module fans such cells out over a
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -196,18 +197,28 @@ def derive_cell_seed(seed: int, key: tuple) -> int:
 def _execute_cell(
     spec: CellSpec, make_runner: Callable[[], ExperimentRunner]
 ) -> ScenarioResult:
-    """Shared cell protocol: obs bracket, then the spec's scenario.
+    """Shared cell protocol: obs and collector brackets, then the scenario.
 
     The scenario (steady-state measurement or crash/restart — see
     :mod:`repro.sim.scenario`) owns the warm-up and the run; this wrapper
-    owns the observability bracket.  With ``collect_obs`` the global
-    registry is cleared before the cell and snapshotted after it, so every
-    snapshot names exactly the metrics this cell touched — identical
-    whether the cell ran in-process or in a pool worker (fresh registry
-    either way).  The prior enabled state is restored afterwards — also
-    when the cell raises — so mixed sweeps behave.
+    owns two brackets around it, and every executed, replayed, crash and
+    service cell passes through it, in-process and in pool workers.
+
+    * Observability: with ``collect_obs`` the global registry is cleared
+      before the cell and snapshotted after it, so every snapshot names
+      exactly the metrics this cell touched — identical whether the cell
+      ran in-process or in a pool worker (fresh registry either way).
+    * The cyclic garbage collector is paused.  Nothing a cell builds forms
+      a reference cycle (no back-references, DESIGN.md §6), so reference
+      counting frees all of it, and a collection inside a cell could only
+      walk live objects and free nothing.
+
+    Both prior states are restored afterwards — also when the cell raises
+    — so mixed sweeps behave and a caller's disabled collector stays off.
     """
     obs_was_enabled = OBS.enabled
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     if spec.collect_obs:
         OBS.clear()
         OBS.enable()
@@ -218,6 +229,8 @@ def _execute_cell(
     finally:
         if spec.collect_obs and not obs_was_enabled:
             OBS.disable()
+        if gc_was_enabled:
+            gc.enable()
     return result
 
 

@@ -50,6 +50,12 @@ class PageStore:
     iterate in ascending LBA order (a stable, backend-independent order —
     recovery tooling and tests rely on it).  ``adopt_slots`` validation is
     implemented here once, on top of ``_install_slots``.
+
+    Durability: a ``persistent`` backend's contents survive *process
+    death* (``SIGKILL``), not power loss.  Every completed write is in the
+    kernel's page cache, but none is forced to the medium: sqlite runs
+    ``synchronous=OFF``, and mmap fsyncs only in ``flush()``.  That is the
+    level ``python -m repro crash --hard`` exercises and reports.
     """
 
     #: Registry name of the backend (``storage.backend.<name>.*`` metrics).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -23,6 +24,18 @@ KV_SCHEMA = TableSchema(
     primary_key=("k",),
     slots_per_page=4,
 )
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_as_found():
+    """Fail any test that leaves the cyclic collector on or off unlike it
+    found it: every cell pauses the collector, and a test that toggles it
+    by hand must put it back."""
+    was_enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != was_enabled:
+        (gc.enable if was_enabled else gc.disable)()
+        pytest.fail(f"test left gc.isenabled() {not was_enabled}, found {was_enabled}")
 
 
 def make_image(page_id: int, lsn: int = 0, **slots) -> PageImage:

@@ -6,11 +6,13 @@ replay pin — forks the memoised post-load snapshot instead of re-running
 the workload's loader, frees its DBMS by reference count, and sizes each
 WAL update record once.  Each property here is pinned against the
 from-scratch path it replaced, or by a count that would move if the work
-came back.
+came back.  Since nothing a cell builds forms a reference cycle, every
+cell, executed or replayed, runs with the cyclic collector paused.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import weakref
@@ -22,14 +24,16 @@ from hypothesis import example, given, settings
 import repro.sim.runner as runner_mod
 import repro.sim.warmstate as warmstate
 import repro.wal.records as records_mod
-from repro.buffer.frame import Frame
 from repro.core.dbms import SimulatedDBMS
 from repro.db.page import PageImage
-from repro.flashcache.base import FlashCacheBase
+from repro.errors import ConfigError
+from repro.flashcache.registry import available_policies
+from repro.obs import OBS
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec, run_cell, run_cell_warm, run_cells
 from repro.sim.replay import clear_recorders, get_recorder, replay_cell
 from repro.sim.runner import ExperimentRunner
+from repro.sim.scenario import SteadyStateScenario
 from repro.storage.hdd import DiskDevice
 from repro.storage.profiles import HDD_CHEETAH_15K, PAGE_SIZE
 from repro.tpcc.scale import TINY
@@ -87,6 +91,17 @@ def _fresh(spec: CellSpec):
         spec.config, spec.scale, seed=spec.seed, workload=spec.workload_spec()
     )
     return spec.resolve_scenario().execute(runner)
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """The caller's collector state for the body; restored after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.fixture
@@ -209,9 +224,8 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
 
     monkeypatch.setattr(warmstate, "load_workload", watched)
     specs = [_spec(seed=seed, key=("seed", seed)) for seed in range(2 * limit + 1)]
-    was_enabled = gc.isenabled()
-    gc.disable()  # an evicted snapshot must be freed by count, not by a pass
-    try:
+    # An evicted snapshot must be freed by count, not by a pass.
+    with _collector(enabled=False):
         for spec in specs:
             run_cell(spec)
             born.extend(
@@ -219,9 +233,6 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
                 for snapshot in warmstate._SNAPSHOTS.values()
                 if all(ref() is not snapshot for ref in born)
             )
-    finally:
-        if was_enabled:
-            gc.enable()
     assert len(peaks) == len(specs)  # every seed was loaded, once
     assert max(held for held, _ in peaks) == limit - 1
     assert max(live for _, live in peaks) == limit - 1
@@ -241,7 +252,7 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
     assert warmstate.snapshot_stats() == {"hits": 0, "misses": 0}
 
 
-# -- (B) the DBMS dies with its runner -----------------------------------------
+# -- (B) the DBMS dies with its runner, and the collector stays out ------------
 
 
 def _collected_types() -> set[str]:
@@ -255,17 +266,111 @@ def _collected_types() -> set[str]:
         gc.garbage.clear()
 
 
+def _prepared(spec: CellSpec, path: str):
+    """Set-up outside the cell: the load snapshot, and for a replayed cell a
+    recorder holding the whole trace it reads.  Returns the cell to run."""
+    warmstate.get_snapshot(spec.scale, spec.seed, spec.workload_spec())
+    if path == "executed":
+        return lambda: run_cell(spec)
+    recorder = get_recorder(spec.scale, spec.seed, spec.workload_spec())
+    recorder.ensure(spec.resolve_scenario().trace_bound())
+    return lambda: replay_cell(spec, recorder)
+
+
+def _collections_inside(monkeypatch, cell) -> int:
+    """Collections that start while ``cell()`` runs, up to the moment it
+    turns the caller's collector back on (the young objects it kept are then
+    the caller's to walk)."""
+    started: list[int] = []
+    when_enabled: list[int] = []
+    real_enable = gc.enable
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    def enable():
+        when_enabled.append(len(started))
+        real_enable()
+
+    gc.callbacks.append(hook)
+    try:
+        with monkeypatch.context() as during_cell:
+            during_cell.setattr(gc, "enable", enable)
+            assert cell() is not None
+    finally:
+        gc.callbacks.remove(hook)
+    return when_enabled[0] if when_enabled else len(started)
+
+
+@pytest.mark.parametrize("store", ["memory", "mmap", "sqlite"])
+@pytest.mark.parametrize("scenario", ["steady", "crash", "service"])
+@pytest.mark.parametrize("path", ["executed", "replayed"])
+def test_no_collection_starts_inside_a_cell(monkeypatch, path, scenario, store):
+    cell = _prepared(_spec(scenario=scenario, store=store), path)
+    with _collector(enabled=True):
+        gc.collect()
+        assert _collections_inside(monkeypatch, cell) == 0
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("collect_obs", [False, True], ids=["obs-off", "obs-on"])
+@pytest.mark.parametrize("policy", available_policies())
+@pytest.mark.parametrize("path", ["executed", "replayed"])
+def test_a_cell_leaves_no_garbage(monkeypatch, path, policy, collect_obs):
+    monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")  # a kept fork is a memo, not a leak
+    spec = _spec(policy=policy, buffer_fraction=0.01, collect_obs=collect_obs)
+    cell = _prepared(spec, path)
+    gc.collect()
+    try:
+        assert cell() is not None
+        assert _collected_types() == set()
+    finally:
+        OBS.clear()  # an OBS cell leaves its metrics registered
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("path", ["executed", "replayed"])
+def test_a_cell_that_raises_restores_the_collector(path, enabled):
+    # A crash schedule that exhausts max_transactions raises mid-cell.
+    spec = _spec(scenario="crash")
+    spec = dataclasses.replace(
+        spec, scenario=dataclasses.replace(spec.scenario, max_transactions=5)
+    )
+    cell = _prepared(spec, path)
+    with _collector(enabled):
+        with pytest.raises(ConfigError, match="never reached its kill point"):
+            cell()
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+def test_nested_run_cells_leave_the_collector_as_found(monkeypatch, enabled):
+    outer, inner = _spec(key=("outer",)), _spec(key=("inner",), measure_transactions=30)
+    seen: list[bool] = []
+    real_execute = SteadyStateScenario.execute
+
+    def nesting(self, runner):
+        if not seen:  # the outer cell runs the inner one's whole sweep
+            seen.append(gc.isenabled())
+            run_cells([inner], fast=False)
+            seen.append(gc.isenabled())
+        return real_execute(self, runner)
+
+    monkeypatch.setattr(SteadyStateScenario, "execute", nesting)
+    with _collector(enabled):
+        run_cells([outer], fast=False)
+        assert gc.isenabled() is enabled
+    assert seen == [False, False]
+
+
 @pytest.mark.parametrize("policy", ["face+gsc", "lc"])
 @pytest.mark.parametrize("scenario", ["steady", "crash"])
 @pytest.mark.parametrize("path", ["executed", "replayed"])
 def test_cell_frees_its_system_by_reference_count(monkeypatch, path, scenario, policy):
     monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")  # a kept fork is a memo, not a leak
     spec = _spec(scenario=scenario, policy=policy, buffer_fraction=0.01)
-    recorder = None
-    if path == "replayed":
-        recorder = get_recorder(spec.scale, spec.seed, spec.workload_spec())
-        recorder.ensure(spec.resolve_scenario().trace_bound())
-    warmstate.get_snapshot(spec.scale, spec.seed, spec.workload_spec())
+    cell = _prepared(spec, path)
 
     born: list[weakref.ref] = []
     real_init = SimulatedDBMS.__init__
@@ -275,33 +380,15 @@ def test_cell_frees_its_system_by_reference_count(monkeypatch, path, scenario, p
         born.extend((weakref.ref(self), weakref.ref(self.cache)))
 
     monkeypatch.setattr(SimulatedDBMS, "__init__", watched_init)
-    collect = gc.collect
-    collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with monkeypatch.context() as during_cell:
-            # By count means no pass at all: not the thresholds', not a call's.
-            during_cell.setattr(gc, "collect", lambda *args: pytest.fail("gc.collect()"))
-            result = replay_cell(spec, recorder) if recorder else run_cell(spec)
-        # The crash cell's system is both the crashed and the restarted one.
-        assert result is not None and len(born) == 2
-        assert [ref() for ref in born] == [None, None]
-        cyclic = _collected_types()
-    finally:
-        if was_enabled:
-            gc.enable()
-    system_types = {SimulatedDBMS.__name__, Frame.__name__, "Page", "LogManager"} | {
-        cls.__name__ for cls in _subclasses(FlashCacheBase)
-    }
-    assert not cyclic & system_types, cyclic & system_types
-
-
-def _subclasses(cls: type) -> set[type]:
-    found = {cls}
-    for sub in cls.__subclasses__():
-        found |= _subclasses(sub)
-    return found
+    gc.collect()
+    with _collector(enabled=False), monkeypatch.context() as during_cell:
+        # By count means no pass at all: not the thresholds', not a call's.
+        during_cell.setattr(gc, "collect", lambda *args: pytest.fail("gc.collect()"))
+        result = cell()
+    # The crash cell's system is both the crashed and the restarted one.
+    assert result is not None and len(born) == 2
+    assert [ref() for ref in born] == [None, None]
+    assert _collected_types() == set()
 
 
 # -- (C) a WAL update record is sized once ------------------------------------

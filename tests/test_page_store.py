@@ -344,6 +344,8 @@ class TestHardCrash:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["passed"] is True
+        # What was survived: the process, not a power cut.
+        assert report["durability"] == "process-death"
         assert report["mismatches"] == {}
         for role in ("disk", "flash"):
             assert report["survival"][role]["missing"] == 0

@@ -105,9 +105,9 @@ def test_duplicate_keys_rejected():
 
 
 def test_fully_executed_cell_frees_its_database(monkeypatch):
-    """The DBMS sits in reference cycles; ``run_cell`` must not leave it to
-    the collector's thresholds (the next cell would load its database beside
-    this one's).  Automatic collection is off, so only ``run_cell`` frees."""
+    """``run_cell`` must not leave the DBMS to the collector (the next cell
+    would load its database beside this one's).  Automatic collection is
+    off, so only reference counting can free it."""
     import gc
     import weakref
 
