@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
@@ -110,7 +110,7 @@ class SimulatedDBMS:
         self.committed = 0
         self.aborted = 0
         self.checkpoints = 0
-        self._load_pages: dict[int, Page] | None = None
+        self._load_pages: dict[int, dict] | None = None
         self._in_recovery = False
         self._obs_lookup = None  # lazy (lookups, hits) counter pair
 
@@ -140,40 +140,57 @@ class SimulatedDBMS:
         part of any measurement, per Section 5.2)."""
         self._load_pages = {}
 
-    def load_insert(self, table: str, row: tuple) -> Rid:
-        """Bulk-insert one row (and nothing else; index separately)."""
-        heap = self.tables[table]
-        rid = heap.append_rid()
-        page = self._load_page(rid[0])
-        page.put(rid[1], row, lsn=0)
-        return rid
-
-    def load_index_insert(self, index_name: str, key: tuple, rid: Rid) -> None:
-        """Bulk-insert one index entry."""
-        index = self.indexes[index_name]
-        page = self._load_page(index.bucket_page(key))
-        page.put(key, (rid[0], rid[1]), lsn=0)
-        return None
-
-    def _load_page(self, page_id: int) -> Page:
+    def _loading(self) -> dict[int, dict]:
         if self._load_pages is None:
-            raise CatalogError("load_insert outside begin_load()/finish_load()")
-        page = self._load_pages.get(page_id)
-        if page is None:
-            page = Page(page_id)
-            self._load_pages[page_id] = page
-        return page
+            raise CatalogError("bulk load outside begin_load()/finish_load()")
+        return self._load_pages
+
+    def load_rows(self, table: str, rows: Sequence[tuple]) -> int:
+        """Bulk-append ``rows``, one ``dict.update`` per page; returns the first
+        row number (``HeapFile.rids`` gives the rids).  Never wraps: past the
+        table's capacity it raises :class:`CatalogError` and changes nothing."""
+        pages = self._loading()
+        heap = self.tables[table]
+        info, per_page = heap.info, heap.slots_per_page
+        rownum = info.row_count
+        end = rownum + len(rows)
+        if end > heap.capacity_rows:
+            raise CatalogError(f"{table!r}: {rownum} + {len(rows)} rows exceed "
+                               f"its capacity of {heap.capacity_rows}")
+        at = 0
+        while rownum < end:
+            page_offset, slot = divmod(rownum, per_page)
+            take = min(per_page - slot, end - rownum)
+            page_id = info.first_page + page_offset
+            slots = pages.get(page_id)
+            if slots is None:
+                slots = pages[page_id] = {}
+            slots.update(zip(range(slot, slot + take), rows[at : at + take]))
+            at += take
+            rownum += take
+        first, info.row_count = info.row_count, end
+        return first
+
+    def load_index(self, index_name: str, entries: Iterable[tuple[tuple, Rid]]) -> None:
+        """Bulk-insert ``(key, rid)`` entries, in order: one store each into
+        its bucket page (a repeated key keeps its place, takes the new rid)."""
+        pages = self._loading()
+        bucket_page = self.indexes[index_name].bucket_page
+        for key, rid in entries:
+            page_id = bucket_page(key)
+            slots = pages.get(page_id)
+            if slots is None:
+                slots = pages[page_id] = {}
+            slots[key] = rid
 
     def finish_load(self) -> int:
         """Flush all loaded pages to the disk store (untimed); returns the
         number of distinct pages materialised."""
-        if self._load_pages is None:
-            raise CatalogError("finish_load() without begin_load()")
-        for page_id, page in self._load_pages.items():
-            self.disk.store.put(page_id, page.to_image())
-        count = len(self._load_pages)
+        pages = self._loading()
+        for page_id, slots in pages.items():
+            self.disk.store.put(page_id, PageImage(page_id, 0, slots))
         self._load_pages = None
-        return count
+        return len(pages)
 
     def adopt_database_state(
         self,

@@ -49,6 +49,11 @@ class HeapFile:
         page_offset, slot = divmod(effective, self.slots_per_page)
         return (self.info.first_page + page_offset, slot)
 
+    def rids(self, first: int, count: int) -> list[Rid]:
+        """Record ids of ``count`` rows from row number ``first`` (a bulk load's)."""
+        base, per_page = self.info.first_page, self.slots_per_page
+        return [(base + r // per_page, r % per_page) for r in range(first, first + count)]
+
     def rownum_for_rid(self, rid: Rid) -> int:
         """Inverse of :meth:`rid_for_rownum` (within the current wrap)."""
         page_id, slot = rid

@@ -28,7 +28,7 @@ class PageAccessor(Protocol):
     The full system implements this with the DRAM buffer pool; unit tests
     implement it with a plain dict of pages.  Entries are written by
     :meth:`~repro.core.dbms.SimulatedDBMS.index_insert` /
-    ``index_delete`` (logged under a transaction) and ``load_index_insert``.
+    ``index_delete`` (logged under a transaction) and ``load_index`` (bulk).
     """
 
     def read_page(self, page_id: int) -> Page:
@@ -42,13 +42,18 @@ def stable_key_hash(key: tuple) -> int:
     Python's built-in ``hash`` is randomised for strings between processes,
     which would make bucket placement — and therefore every I/O trace —
     non-reproducible.  This mixes ints arithmetically and strings via CRC32.
+    An exact ``int`` skips the type ladder (the same values, sooner).
     """
+    if len(key) == 1 and type(key[0]) is int:  # a one-int key: YCSB, ITEM
+        return ((2166136261 ^ (key[0] & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF
     h = 2166136261
     for part in key:
-        if isinstance(part, int):
+        if type(part) is int:
             v = part & 0xFFFFFFFF
         elif isinstance(part, str):
             v = zlib.crc32(part.encode("utf-8"))
+        elif isinstance(part, int):  # bool and other int subclasses
+            v = part & 0xFFFFFFFF
         else:
             v = zlib.crc32(repr(part).encode("utf-8"))
         h = ((h ^ v) * 16777619) & 0xFFFFFFFF

@@ -32,7 +32,6 @@ embarrassingly parallel.  This module fans such cells out over a
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import os
 import pickle
@@ -55,7 +54,7 @@ from repro.sim.scenario import (
     SteadyStateScenario,
 )
 from repro.sim.trace import SharedTraceHandle, publish_boundary_trace
-from repro.sim.warmstate import fork_database
+from repro.sim.warmstate import collector_paused, fork_database
 from repro.tpcc.scale import ScaleProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -208,29 +207,27 @@ def _execute_cell(
       before the cell and snapshotted after it, so every snapshot names
       exactly the metrics this cell touched — identical whether the cell
       ran in-process or in a pool worker (fresh registry either way).
-    * The cyclic garbage collector is paused.  Nothing a cell builds forms
-      a reference cycle (no back-references, DESIGN.md §6), so reference
-      counting frees all of it, and a collection inside a cell could only
-      walk live objects and free nothing.
+    * The cyclic garbage collector is paused (:func:`collector_paused`, as
+      for a snapshot load and a trace recording).  Nothing a cell builds
+      forms a reference cycle (no back-references, DESIGN.md §6), so
+      reference counting frees all of it, and a collection inside a cell
+      could only walk live objects and free nothing.
 
     Both prior states are restored afterwards — also when the cell raises
     — so mixed sweeps behave and a caller's disabled collector stays off.
     """
     obs_was_enabled = OBS.enabled
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    if spec.collect_obs:
-        OBS.clear()
-        OBS.enable()
-    try:
-        result = spec.resolve_scenario().execute(make_runner())
+    with collector_paused():
         if spec.collect_obs:
-            result.obs = OBS.snapshot()
-    finally:
-        if spec.collect_obs and not obs_was_enabled:
-            OBS.disable()
-        if gc_was_enabled:
-            gc.enable()
+            OBS.clear()
+            OBS.enable()
+        try:
+            result = spec.resolve_scenario().execute(make_runner())
+            if spec.collect_obs:
+                result.obs = OBS.snapshot()
+        finally:
+            if spec.collect_obs and not obs_was_enabled:
+                OBS.disable()
     return result
 
 

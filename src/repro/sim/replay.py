@@ -83,6 +83,7 @@ from repro.errors import SharedTraceExhausted, TraceCodecError
 from repro.sim.parallel import _execute_cell
 from repro.sim.warmstate import (
     WarmFork,
+    collector_paused,
     fork_database,
     fork_dbms,
     get_warm_fork,
@@ -568,8 +569,9 @@ class TraceRecorder:
         if trace.n_transactions < n_transactions:
             start = trace.n_transactions
             record_one = self._record_one
-            while trace.n_transactions < n_transactions:
-                record_one()
+            with collector_paused():
+                while trace.n_transactions < n_transactions:
+                    record_one()
             if OBS.enabled:
                 OBS.counter("replay.trace.recorded_transactions").inc(
                     trace.n_transactions - start

@@ -48,11 +48,13 @@ metric set).
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import gc
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.config import CachePolicy, scaled_reference_config
 from repro.core.dbms import SimulatedDBMS
@@ -69,6 +71,20 @@ from repro.workload.registry import (
     get_workload_entry,
     load_workload,
 )
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for work that builds no reference cycle
+    (a cell, a snapshot load, a trace recording: DESIGN.md §6).  It is
+    re-enabled afterwards, also on a raise, only if it was on."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -159,8 +175,9 @@ def get_snapshot(
         estimate_workload_pages(workload, scale), policy=CachePolicy.NONE
     )
     t0 = time.perf_counter()
-    dbms = SimulatedDBMS(config)
-    database = load_workload(dbms, scale, seed, workload)
+    with collector_paused():
+        dbms = SimulatedDBMS(config)
+        database = load_workload(dbms, scale, seed, workload)
     load_seconds = time.perf_counter() - t0
     snapshot = _SNAPSHOTS[key] = WarmSnapshot(
         scale=scale,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.dbms import SimulatedDBMS
 from repro.db.heap import Rid
@@ -83,19 +84,9 @@ def estimate_db_pages(scale: ScaleProfile) -> int:
     """
     from repro.db.catalog import Catalog
 
-    class _CatalogOnly:
-        def __init__(self) -> None:
-            self.catalog = Catalog()
-
-        def create_table(self, schema, expected_rows, growth_factor=1.0):
-            return self.catalog.create_table(schema, expected_rows, growth_factor)
-
-        def create_index(self, name, table, n_pages):
-            return self.catalog.create_index(name, table, n_pages)
-
-    probe = _CatalogOnly()
+    probe = Catalog()  # has the create_table / create_index the schema calls
     _create_schema(probe, scale)
-    return probe.catalog.total_pages
+    return probe.total_pages
 
 
 def load_tpcc(dbms: SimulatedDBMS, scale: ScaleProfile, seed: int = 42) -> TpccDatabase:
@@ -140,26 +131,35 @@ def _create_schema(dbms: SimulatedDBMS, scale: ScaleProfile) -> None:
     dbms.create_index("customer_last_order", "orders", _index_pages(scale.customers))
 
 
+def load_keyed(dbms: SimulatedDBMS, table: str, index: str, rows: list[tuple], key) -> list[Rid]:
+    """Bulk-load ``rows``, index each under ``key(row)``; returns their rids."""
+    rids = dbms.tables[table].rids(dbms.load_rows(table, rows), len(rows))
+    dbms.load_index(index, zip(map(key, rows), rids))
+    return rids
+
+
 def _load_warehouses(dbms: SimulatedDBMS, scale: ScaleProfile, rng: random.Random) -> None:
-    for w_id in range(1, scale.warehouses + 1):
-        row = (
+    rows = [
+        (
             w_id, f"WH{w_id:04d}", "street-1", "street-2", "city", "ST",
             "123456789", rng.uniform(0.0, 0.2), 300_000.0,
         )
-        rid = dbms.load_insert("warehouse", row)
-        dbms.load_index_insert("warehouse_pk", (w_id,), rid)
+        for w_id in range(1, scale.warehouses + 1)
+    ]
+    load_keyed(dbms, "warehouse", "warehouse_pk", rows, itemgetter(slice(1)))
 
 
 def _load_districts(dbms: SimulatedDBMS, scale: ScaleProfile, rng: random.Random) -> None:
-    for w_id in range(1, scale.warehouses + 1):
-        for d_id in range(1, scale.districts_per_warehouse + 1):
-            row = (
-                d_id, w_id, f"D{d_id:02d}", "street-1", "street-2", "city",
-                "ST", "123456789", rng.uniform(0.0, 0.2), 30_000.0,
-                scale.orders_per_district + 1,
-            )
-            rid = dbms.load_insert("district", row)
-            dbms.load_index_insert("district_pk", (w_id, d_id), rid)
+    rows = [
+        (
+            d_id, w_id, f"D{d_id:02d}", "street-1", "street-2", "city",
+            "ST", "123456789", rng.uniform(0.0, 0.2), 30_000.0,
+            scale.orders_per_district + 1,
+        )
+        for w_id in range(1, scale.warehouses + 1)
+        for d_id in range(1, scale.districts_per_warehouse + 1)
+    ]
+    load_keyed(dbms, "district", "district_pk", rows, itemgetter(1, 0))
 
 
 def _load_customers(
@@ -169,51 +169,47 @@ def _load_customers(
     database: TpccDatabase,
 ) -> None:
     span = database.name_span
+    rows, history = [], []
+    by_name: dict[tuple, list[int]] = {}  # (w_id, d_id, name_idx) -> row offsets
     for w_id in range(1, scale.warehouses + 1):
         for d_id in range(1, scale.districts_per_warehouse + 1):
-            by_name: dict[int, list[Rid]] = {}
             for c_id in range(1, scale.customers_per_district + 1):
                 name_idx = (c_id - 1) % span
                 credit = "BC" if rng.random() < 0.1 else "GC"
-                row = (
+                by_name.setdefault((w_id, d_id, name_idx), []).append(len(rows))
+                rows.append((
                     c_id, d_id, w_id, f"first{c_id}", "OE",
                     lastname_for_index(name_idx), "street-1", "street-2",
                     "city", "ST", "123456789", "0123456789012345", 0,
                     credit, 50_000.0, rng.uniform(0.0, 0.5), -10.0, 10.0,
                     1, 0, "customer data",
-                )
-                rid = dbms.load_insert("customer", row)
-                dbms.load_index_insert("customer_pk", (w_id, d_id, c_id), rid)
-                by_name.setdefault(name_idx, []).append(rid)
-                history = (
-                    c_id, d_id, w_id, d_id, w_id, 0, 10.0, "initial history",
-                )
-                dbms.load_insert("history", history)
-            # Clause 2.5.2.2: by-name selection returns the middle match.
-            for name_idx, rids in by_name.items():
-                middle = rids[len(rids) // 2]
-                dbms.load_index_insert(
-                    "customer_last", (w_id, d_id, name_idx), middle
-                )
+                ))
+                history.append((c_id, d_id, w_id, d_id, w_id, 0, 10.0, "initial history"))
+    rids = load_keyed(dbms, "customer", "customer_pk", rows, itemgetter(2, 1, 0))
+    dbms.load_rows("history", history)
+    # Clause 2.5.2.2: by-name selection returns the middle match.
+    dbms.load_index(
+        "customer_last",
+        ((key, rids[offsets[len(offsets) // 2]]) for key, offsets in by_name.items()),
+    )
 
 
 def _load_items(dbms: SimulatedDBMS, scale: ScaleProfile, rng: random.Random) -> None:
-    for i_id in range(1, scale.items + 1):
-        row = (
-            i_id, rng.randint(1, 10_000), f"item-{i_id}",
-            rng.uniform(1.0, 100.0), "item data",
-        )
-        rid = dbms.load_insert("item", row)
-        dbms.load_index_insert("item_pk", (i_id,), rid)
+    rows = [
+        (i_id, rng.randint(1, 10_000), f"item-{i_id}", rng.uniform(1.0, 100.0), "item data")
+        for i_id in range(1, scale.items + 1)
+    ]
+    load_keyed(dbms, "item", "item_pk", rows, itemgetter(slice(1)))
 
 
 def _load_stock(dbms: SimulatedDBMS, scale: ScaleProfile, rng: random.Random) -> None:
     dists = tuple(f"dist-info-{i:02d}" for i in range(1, 11))
-    for w_id in range(1, scale.warehouses + 1):
-        for i_id in range(1, scale.items + 1):
-            row = (i_id, w_id, rng.randint(10, 100), *dists, 0.0, 0, 0, "stock data")
-            rid = dbms.load_insert("stock", row)
-            dbms.load_index_insert("stock_pk", (w_id, i_id), rid)
+    rows = [
+        (i_id, w_id, rng.randint(10, 100), *dists, 0.0, 0, 0, "stock data")
+        for w_id in range(1, scale.warehouses + 1)
+        for i_id in range(1, scale.items + 1)
+    ]
+    load_keyed(dbms, "stock", "stock_pk", rows, itemgetter(1, 0))
 
 
 def _load_orders(
@@ -225,6 +221,8 @@ def _load_orders(
     new_order_start = scale.orders_per_district - int(
         scale.orders_per_district * scale.new_order_fraction
     )
+    ol_base = dbms.tables["order_line"].info.row_count
+    orders, lines, new_orders = [], [], []
     for w_id in range(1, scale.warehouses + 1):
         for d_id in range(1, scale.districts_per_warehouse + 1):
             pending: deque = deque()
@@ -235,23 +233,21 @@ def _load_orders(
                 ol_cnt = rng.randint(5, 15)
                 is_new = o_id > new_order_start
                 carrier = 0 if is_new else rng.randint(1, 10)
-                ol_first = dbms.tables["order_line"].info.row_count
-                order_row = (o_id, d_id, w_id, c_id, 0, carrier, ol_cnt, 1, ol_first)
-                order_rid = dbms.load_insert("orders", order_row)
-                dbms.load_index_insert("order_pk", (w_id, d_id, o_id), order_rid)
-                dbms.load_index_insert(
-                    "customer_last_order", (w_id, d_id, c_id), order_rid
-                )
+                ol_first = ol_base + len(lines)
+                orders.append((o_id, d_id, w_id, c_id, 0, carrier, ol_cnt, 1, ol_first))
                 for number in range(1, ol_cnt + 1):
                     delivery_d = 0 if is_new else 1
-                    line = (
+                    lines.append((
                         o_id, d_id, w_id, number, rng.randint(1, scale.items),
                         w_id, delivery_d, 5, rng.uniform(1.0, 100.0) if is_new else 0.0,
                         "dist-info",
-                    )
-                    dbms.load_insert("order_line", line)
+                    ))
                 if is_new:
-                    no_rid = dbms.load_insert("new_order", (o_id, d_id, w_id))
-                    dbms.load_index_insert("new_order_pk", (w_id, d_id, o_id), no_rid)
+                    new_orders.append((o_id, d_id, w_id))
                     pending.append(o_id)
             database.undelivered[(w_id, d_id)] = pending
+    # Keys (w_id, d_id, o_id) and, for a customer's last order, (w_id, d_id, c_id).
+    order_rids = load_keyed(dbms, "orders", "order_pk", orders, itemgetter(2, 1, 0))
+    dbms.load_index("customer_last_order", zip(map(itemgetter(2, 1, 3), orders), order_rids))
+    dbms.load_rows("order_line", lines)
+    load_keyed(dbms, "new_order", "new_order_pk", new_orders, itemgetter(2, 1, 0))

@@ -299,20 +299,10 @@ def estimate_workload_pages(spec: WorkloadSpec, scale: ScaleProfile) -> int:
     """
     from repro.db.catalog import Catalog
 
-    class _CatalogOnly:
-        def __init__(self) -> None:
-            self.catalog = Catalog()
-
-        def create_table(self, schema, expected_rows, growth_factor=1.0):
-            return self.catalog.create_table(schema, expected_rows, growth_factor)
-
-        def create_index(self, name, table, n_pages):
-            return self.catalog.create_index(name, table, n_pages)
-
     entry = get_workload_entry(spec.name)
-    probe = _CatalogOnly()
+    probe = Catalog()  # a schema builder needs only create_table / create_index
     entry.create_schema(probe, scale, **entry.config_knobs(spec))
-    return probe.catalog.total_pages
+    return probe.total_pages
 
 
 def load_workload(dbms, scale: ScaleProfile, seed: int, spec: WorkloadSpec):

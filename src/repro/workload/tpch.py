@@ -39,11 +39,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.core.dbms import SimulatedDBMS
 from repro.db.schema import TableSchema, float_col, int_col, str_col
 from repro.errors import WorkloadError
 from repro.tpcc.driver import WorkloadStats
+from repro.tpcc.loader import load_keyed
 from repro.tpcc.scale import ScaleProfile
 from repro.tpcc.transactions import TxResult
 from repro.workload.synthetic import ZipfGenerator
@@ -240,46 +242,43 @@ def load_tpch(
     rng = random.Random(seed)
     create_tpch_schema(dbms, scale)
     dbms.begin_load()
-    for r_id in range(5):
-        dbms.load_insert("region", (r_id, f"region-{r_id}", "region comment"))
-    for n_id in range(25):
-        dbms.load_insert("nation", (n_id, f"nation-{n_id}", n_id % 5, "nation comment"))
-    for s_id in range(1, cards.suppliers + 1):
-        dbms.load_insert(
-            "supplier",
-            (s_id, f"supplier-{s_id}", "address", rng.randrange(25),
-             "phone", rng.uniform(-999.0, 9999.0), "supplier comment"),
-        )
-    for c_id in range(1, cards.customers + 1):
-        rid = dbms.load_insert(
-            "customer",
-            (c_id, f"customer-{c_id}", "address", rng.randrange(25),
-             "phone", rng.uniform(-999.0, 9999.0), "BUILDING", "customer comment"),
-        )
-        dbms.load_index_insert("tpch_customer_pk", (c_id,), rid)
-    for p_id in range(1, cards.parts + 1):
-        rid = dbms.load_insert(
-            "part",
-            (p_id, f"part-{p_id}", "mfgr", "brand", "type",
-             rng.randint(1, 50), "container", rng.uniform(900.0, 2000.0), "comment"),
-        )
-        dbms.load_index_insert("tpch_part_pk", (p_id,), rid)
+    dbms.load_rows("region", [(r_id, f"region-{r_id}", "region comment") for r_id in range(5)])
+    dbms.load_rows(
+        "nation",
+        [(n_id, f"nation-{n_id}", n_id % 5, "nation comment") for n_id in range(25)],
+    )
+    dbms.load_rows("supplier", [
+        (s_id, f"supplier-{s_id}", "address", rng.randrange(25),
+         "phone", rng.uniform(-999.0, 9999.0), "supplier comment")
+        for s_id in range(1, cards.suppliers + 1)
+    ])
+    load_keyed(dbms, "customer", "tpch_customer_pk", [
+        (c_id, f"customer-{c_id}", "address", rng.randrange(25),
+         "phone", rng.uniform(-999.0, 9999.0), "BUILDING", "customer comment")
+        for c_id in range(1, cards.customers + 1)
+    ], itemgetter(slice(1)))
+    load_keyed(dbms, "part", "tpch_part_pk", [
+        (p_id, f"part-{p_id}", "mfgr", "brand", "type",
+         rng.randint(1, 50), "container", rng.uniform(900.0, 2000.0), "comment")
+        for p_id in range(1, cards.parts + 1)
+    ], itemgetter(slice(1)))
+    orders: list[tuple] = []
+    lines: list[tuple] = []
     for o_id in range(1, cards.orders + 1):
-        rid = dbms.load_insert(
-            "tpch_orders",
-            (o_id, rng.randint(1, cards.customers), 0,
-             rng.uniform(100.0, 500_000.0), rng.randint(0, 2_525),
-             0, _LINES_PER_ORDER),
+        orders.append((
+            o_id, rng.randint(1, cards.customers), 0,
+            rng.uniform(100.0, 500_000.0), rng.randint(0, 2_525),
+            0, _LINES_PER_ORDER,
+        ))
+        lines.extend(
+            (o_id, line, rng.randint(1, cards.parts),
+             rng.randint(1, cards.suppliers), float(rng.randint(1, 50)),
+             rng.uniform(1.0, 100_000.0), rng.uniform(0.0, 0.1),
+             rng.randint(0, 2_525), 0)
+            for line in range(1, _LINES_PER_ORDER + 1)
         )
-        dbms.load_index_insert("tpch_orders_pk", (o_id,), rid)
-        for line in range(1, _LINES_PER_ORDER + 1):
-            dbms.load_insert(
-                "lineitem",
-                (o_id, line, rng.randint(1, cards.parts),
-                 rng.randint(1, cards.suppliers), float(rng.randint(1, 50)),
-                 rng.uniform(1.0, 100_000.0), rng.uniform(0.0, 0.1),
-                 rng.randint(0, 2_525), 0),
-            )
+    load_keyed(dbms, "tpch_orders", "tpch_orders_pk", orders, itemgetter(slice(1)))
+    dbms.load_rows("lineitem", lines)
     dbms.finish_load()
     return TpchDatabase(dbms=dbms, scale=scale, cards=cards)
 

@@ -25,10 +25,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from repro.core.dbms import SimulatedDBMS
 from repro.errors import WorkloadError
 from repro.tpcc.driver import WorkloadStats
+from repro.tpcc.loader import load_keyed
 from repro.tpcc.scale import ScaleProfile
 from repro.tpcc.transactions import TxResult
 from repro.workload.synthetic import KV_SCHEMA, ZipfGenerator
@@ -102,9 +104,8 @@ def load_ycsb(
     keys = resolve_n_keys(scale, n_keys)
     create_ycsb_schema(dbms, scale, n_keys=keys)
     dbms.begin_load()
-    for k in range(keys):
-        rid = dbms.load_insert("synthetic_kv", (k, f"payload-{k}", 0))
-        dbms.load_index_insert("synthetic_kv_pk", (k,), rid)
+    rows = [(k, f"payload-{k}", 0) for k in range(keys)]
+    load_keyed(dbms, "synthetic_kv", "synthetic_kv_pk", rows, itemgetter(slice(1)))
     dbms.finish_load()
     return KvDatabase(dbms=dbms, scale=scale, n_keys=keys)
 

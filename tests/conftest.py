@@ -73,6 +73,15 @@ def disk_volume() -> Volume:
     return Volume(DiskDevice(HDD_CHEETAH_15K, 4096))
 
 
+def load_kv(dbms: SimulatedDBMS, n_keys: int) -> None:
+    """Bulk-load keys ``0..n_keys-1`` into the kv table and its index."""
+    dbms.begin_load()
+    first = dbms.load_rows("kv", [(k, f"v{k}") for k in range(n_keys)])
+    rids = dbms.tables["kv"].rids(first, n_keys)
+    dbms.load_index("kv_pk", (((k,), rid) for k, rid in enumerate(rids)))
+    dbms.finish_load()
+
+
 def tiny_config(policy: CachePolicy = CachePolicy.FACE, **overrides) -> SystemConfig:
     """A minimal but complete system configuration for engine tests."""
     defaults = dict(
@@ -95,11 +104,7 @@ def kv_dbms() -> SimulatedDBMS:
     dbms = SimulatedDBMS(tiny_config())
     dbms.create_table(KV_SCHEMA, expected_rows=64, growth_factor=2.0)
     dbms.create_index("kv_pk", "kv", n_pages=4)
-    dbms.begin_load()
-    for k in range(64):
-        rid = dbms.load_insert("kv", (k, f"v{k}"))
-        dbms.load_index_insert("kv_pk", (k,), rid)
-    dbms.finish_load()
+    load_kv(dbms, 64)
     return dbms
 
 
@@ -108,11 +113,7 @@ def kv_dbms_with(policy: CachePolicy, n_keys: int = 64, **overrides) -> Simulate
     dbms = SimulatedDBMS(tiny_config(policy, **overrides))
     dbms.create_table(KV_SCHEMA, expected_rows=n_keys, growth_factor=2.0)
     dbms.create_index("kv_pk", "kv", n_pages=n_keys // 16)
-    dbms.begin_load()
-    for k in range(n_keys):
-        rid = dbms.load_insert("kv", (k, f"v{k}"))
-        dbms.load_index_insert("kv_pk", (k,), rid)
-    dbms.finish_load()
+    load_kv(dbms, n_keys)
     return dbms
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.config import CachePolicy
+from repro.core.dbms import SimulatedDBMS
 from repro.errors import CatalogError, TransactionError
-from tests.conftest import KV_SCHEMA, kv_dbms_with, kv_read, kv_write
+from tests.conftest import KV_SCHEMA, kv_dbms_with, kv_read, kv_write, tiny_config
 
 
 class TestDataPath:
@@ -151,9 +152,51 @@ class TestCheckpoint:
 class TestLoaderErrors:
     def test_load_outside_load_mode_rejected(self, kv_dbms):
         with pytest.raises(CatalogError):
-            kv_dbms.load_insert("kv", (999, "x"))
+            kv_dbms.load_rows("kv", [(999, "x")])
+        with pytest.raises(CatalogError):
+            kv_dbms.load_index("kv_pk", [((999,), (0, 0))])
         with pytest.raises(CatalogError):
             kv_dbms.finish_load()
+
+
+class TestBulkLoad:
+    def test_load_past_capacity_fails_closed(self):
+        # 10 rows at 4 slots a page: a 3-page table holds 12, so the second
+        # batch of 4 overflows.  A wrapping load would recycle rows 0-1,
+        # which the index still points at.
+        dbms = SimulatedDBMS(tiny_config())
+        heap = dbms.create_table(KV_SCHEMA, expected_rows=10)
+        assert heap.capacity_rows == 12
+        dbms.begin_load()
+        assert dbms.load_rows("kv", [(k, "a") for k in range(10)]) == 0
+        with pytest.raises(CatalogError, match="capacity of 12"):
+            dbms.load_rows("kv", [(k, "b") for k in range(10, 14)])
+        assert heap.info.row_count == 10 and not heap.wrapped
+        assert dbms.load_rows("kv", [(10, "c"), (11, "c")]) == 10
+        assert dbms.finish_load() == 3
+        assert dbms.disk.store.get(heap.info.first_page).slots == {
+            k: (k, "a") for k in range(4)
+        }
+        last = dbms.disk.store.get(heap.info.first_page + 2)
+        assert last.slots == {0: (8, "a"), 1: (9, "a"), 2: (10, "c"), 3: (11, "c")}
+
+    def test_bulk_load_fills_pages_in_slot_order(self):
+        dbms = SimulatedDBMS(tiny_config())
+        heap = dbms.create_table(KV_SCHEMA, expected_rows=12)
+        dbms.create_index("kv_pk", "kv", n_pages=1)
+        dbms.begin_load()
+        # Batches that start and end mid-page continue the same page.
+        firsts = [dbms.load_rows("kv", [(k, "v")] * n) for k, n in ((0, 3), (1, 2), (2, 5))]
+        assert firsts == [0, 3, 5] and heap.info.row_count == 10
+        rids = heap.rids(0, 10)
+        assert rids == [heap.rid_for_rownum(r) for r in range(10)]
+        # A repeated key keeps its first place and takes the last rid.
+        dbms.load_index("kv_pk", [((7,), rids[0]), ((3,), rids[1]), ((7,), rids[2])])
+        dbms.finish_load()
+        page = dbms.disk.store.get(heap.info.first_page + 1)
+        assert list(page.slots.items()) == [(0, (1, "v"))] + [(s, (2, "v")) for s in (1, 2, 3)]
+        bucket = dbms.disk.store.get(dbms.indexes["kv_pk"].info.first_page)
+        assert list(bucket.slots.items()) == [((7,), rids[2]), ((3,), rids[1])]
 
 
 class TestMetrics:

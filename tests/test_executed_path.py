@@ -7,7 +7,8 @@ the workload's loader, frees its DBMS by reference count, and sizes each
 WAL update record once.  Each property here is pinned against the
 from-scratch path it replaced, or by a count that would move if the work
 came back.  Since nothing a cell builds forms a reference cycle, every
-cell, executed or replayed, runs with the cyclic collector paused.
+cell, executed or replayed, runs with the cyclic collector paused, and so
+does the set-up it forks from: the snapshot load and the trace recording.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.flashcache.registry import available_policies
 from repro.obs import OBS
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec, run_cell, run_cell_warm, run_cells
-from repro.sim.replay import clear_recorders, get_recorder, replay_cell
+from repro.sim.replay import TraceRecorder, clear_recorders, get_recorder, replay_cell
 from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import SteadyStateScenario
 from repro.storage.hdd import DiskDevice
@@ -39,6 +40,7 @@ from repro.storage.profiles import HDD_CHEETAH_15K, PAGE_SIZE
 from repro.tpcc.scale import TINY
 from repro.wal.log import LogManager
 from repro.wal.records import UpdateRecord
+from repro.workload.registry import estimate_workload_pages
 
 KNOBS = {
     "tpcc": {},
@@ -362,6 +364,59 @@ def test_nested_run_cells_leave_the_collector_as_found(monkeypatch, enabled):
         run_cells([outer], fast=False)
         assert gc.isenabled() is enabled
     assert seen == [False, False]
+
+
+def _set_up_step(spec: CellSpec, step: str):
+    """One set-up step as a call: the snapshot load, or (with the load done
+    outside it) the recording of the trace the cell reads."""
+    if step == "load":
+        return lambda: warmstate.get_snapshot(spec.scale, spec.seed, spec.workload_spec())
+    recorder = get_recorder(spec.scale, spec.seed, spec.workload_spec())
+    return lambda: recorder.ensure(spec.resolve_scenario().trace_bound())
+
+
+@pytest.mark.parametrize("workload", sorted(KNOBS))
+@pytest.mark.parametrize("step", ["load", "record"])
+def test_no_collection_starts_inside_set_up(monkeypatch, step, workload):
+    call = _set_up_step(_spec(workload), step)
+    with _collector(enabled=True):
+        gc.collect()
+        assert _collections_inside(monkeypatch, call) == 0
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("step", ["load", "record"])
+def test_set_up_that_raises_restores_the_collector(monkeypatch, step, enabled):
+    spec = _spec()
+    call = _set_up_step(spec, step)
+    seen: list[bool] = []
+
+    def failing(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("set-up failed")
+
+    if step == "load":
+        monkeypatch.setattr(warmstate, "load_workload", failing)
+    else:
+        monkeypatch.setattr(TraceRecorder, "_record_one", failing)
+    with _collector(enabled):
+        with pytest.raises(RuntimeError, match="set-up failed"):
+            call()
+        assert gc.isenabled() is enabled
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("workload", sorted(KNOBS))
+def test_a_load_leaves_no_garbage(workload):
+    spec = _spec(workload)
+    estimate_workload_pages.cache_clear()  # its schema probe is part of the load
+    gc.collect()
+    # With the caller's collector off, no collection runs as the pause ends:
+    # whatever the load left is still there for this one to find.
+    with _collector(enabled=False):
+        assert warmstate.get_snapshot(spec.scale, spec.seed, spec.workload_spec())
+        assert _collected_types() == set()
 
 
 @pytest.mark.parametrize("policy", ["face+gsc", "lc"])

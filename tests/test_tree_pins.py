@@ -29,7 +29,11 @@ DELETED = {
     "repro.db.index:HashIndex": ("insert", "delete"),
     "repro.db.index:PageAccessor": ("update_slot",),
     "repro.core.dbms": ("TxPageAccessor",),
-    "repro.core.dbms:SimulatedDBMS": ("update_slot", "tx_accessor", "create_btree_index"),
+    "repro.core.dbms:SimulatedDBMS": (
+        "update_slot", "tx_accessor", "create_btree_index",
+        # Replaced by the page-at-a-time bulk load (load_rows / load_index).
+        "load_insert", "load_index_insert", "_load_page",
+    ),
     "repro.db.page": (
         "_RUN_TAGGED", "_pack_tagged", "_unpack_tagged", "_slot_shape",
         "_encode_value", "_decode_value",
