@@ -191,5 +191,15 @@ class FlashCacheBase(abc.ABC):
         if OBS.enabled:
             self._obs_counter("disk_writes").inc()
 
+    def _write_disks(self, images: list[PageImage]) -> None:
+        """:meth:`_write_disk` each of ``images``, in order: one page
+        write each on the disk device, one call into its page store."""
+        if not images:
+            return
+        self.disk.write_pages([(image.page_id, image) for image in images])
+        self.stats.disk_writes += len(images)
+        if OBS.enabled:
+            self._obs_counter("disk_writes").inc(len(images))
+
     def reset_stats(self) -> None:
         self.stats.reset()

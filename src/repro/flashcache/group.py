@@ -139,22 +139,29 @@ class GroupSecondChanceCache(GroupReplacementCache):
     def _batch_dequeue(self) -> None:
         obs = OBS.enabled
         batch = self._dequeue_front()
-        survivors: list[tuple[PageImage, bool]] = []  # (image, dirty)
+        moved: list[tuple[int, int]] = []  # valid and referenced or dirty
         for position, slot_flags in batch:
-            if not slot_flags & VALID:
-                if slot_flags & DIRTY:
-                    self.stats.invalidated_dirty += 1
-                    if obs:
-                        self._obs_counter("dequeue.invalidated_dirty").inc()
-            elif slot_flags & REFERENCED:
-                survivors.append(
-                    (self._read_slot(position, timed=False), bool(slot_flags & DIRTY))
-                )
+            if slot_flags & VALID:
+                if slot_flags & (REFERENCED | DIRTY):
+                    moved.append((position, slot_flags))
+                # valid, clean, unreferenced: discarded for free.
             elif slot_flags & DIRTY:
-                self._write_disk(self._read_slot(position, timed=False))
+                self.stats.invalidated_dirty += 1
                 if obs:
-                    self._obs_counter("dequeue.flushed").inc()
-            # valid, clean, unreferenced: discarded for free.
+                    self._obs_counter("dequeue.invalidated_dirty").inc()
+        survivors: list[tuple[PageImage, bool]] = []  # (image, dirty)
+        victims: list[PageImage] = []  # valid, dirty, unreferenced
+        images = self._read_slots([position for position, _ in moved])
+        for (_, slot_flags), image in zip(moved, images):
+            if slot_flags & REFERENCED:
+                survivors.append((image, bool(slot_flags & DIRTY)))
+            else:
+                victims.append(image)
+        # The victims' disk copies land before any survivor is re-enqueued
+        # or any DRAM page pulled: either may restage a victim's slot.
+        self._write_disks(victims)
+        if obs and victims:
+            self._obs_counter("dequeue.flushed").inc(len(victims))
         depth = len(batch)
         if len(survivors) >= depth:
             # Rare case (paper): every page in the batch was referenced —

@@ -123,6 +123,28 @@ class MvFifoCache(FlashCacheBase):
             return slot.image
         return unwrap_image(slot)
 
+    def _read_slots(self, positions: list[int]) -> list[PageImage]:
+        """The pages at live ``positions`` whose transfer a batch read
+        already paid for: staged ones from RAM, the rest from flash with
+        one store call."""
+        if not positions:
+            return []
+        staged, start = self._staged, self._staged_start
+        count, capacity = len(staged), self.capacity
+        on_flash = iter(self.flash.peek_many(
+            [position % capacity for position in positions
+             if not 0 <= position - start < count]
+        ))
+        images = []
+        for position in positions:
+            offset = position - start
+            if 0 <= offset < count:
+                images.append(staged[offset].image)
+                continue
+            slot = next(on_flash)
+            images.append(slot.image if type(slot) is CacheSlotImage else unwrap_image(slot))
+        return images
+
     def staged_slot(self, position: int) -> CacheSlotImage | None:
         """The slot image of ``position`` while it is staged in RAM."""
         offset = position - self._staged_start
@@ -221,20 +243,30 @@ class MvFifoCache(FlashCacheBase):
 
     def _retire(self, batch: list[tuple[int, int]], timed: bool) -> None:
         """Dispose of dequeued ``(position, flags)`` slots: valid-dirty ones
-        are written to disk, everything else is discarded for free."""
+        are written to disk, everything else is discarded for free.
+
+        ``timed``: each victim is read from flash and written to disk in
+        turn, one page at a time.  Otherwise a batch read already paid for
+        the flash transfer, and the victims move as one batch."""
         obs = OBS.enabled
+        victims = []
         for position, slot_flags in batch:
             if slot_flags & DIRTY:
                 if slot_flags & VALID:
-                    self._write_disk(self._read_slot(position, timed))
-                    if obs:
-                        self._obs_counter("dequeue.flushed").inc()
+                    victims.append(position)
                 else:
                     self.stats.invalidated_dirty += 1
                     if obs:
                         self._obs_counter("dequeue.invalidated_dirty").inc()
             elif obs:
                 self._obs_counter("dequeue.discarded").inc()
+        if timed:
+            for position in victims:
+                self._write_disk(self._read_slot(position))
+        else:
+            self._write_disks(self._read_slots(victims))
+        if obs and victims:
+            self._obs_counter("dequeue.flushed").inc(len(victims))
 
     # -- checkpointing -----------------------------------------------------------
 

@@ -29,7 +29,7 @@ call site and test keeps working.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import OutOfRangeError, PageNotFoundError
 from repro.obs import OBS
@@ -50,6 +50,13 @@ class PageStore:
     iterate in ascending LBA order (a stable, backend-independent order —
     recovery tooling and tests rely on it).  ``adopt_slots`` validation is
     implemented here once, on top of ``_install_slots``.
+
+    A batch is one store call: :meth:`put_many` and :meth:`peek_many`
+    default to loops over ``put`` / ``peek``; a backend overrides them to
+    move the whole batch at once (one dict update, one SQLite transaction,
+    one ``os.write``).  ``put_many`` must equal the same sequence of puts
+    (a repeated LBA: the last image wins) and range-check every LBA before
+    it writes anything.
 
     Durability: a ``persistent`` backend's contents survive *process
     death* (``SIGKILL``), not power loss.  Every completed write is in the
@@ -82,23 +89,37 @@ class PageStore:
                 f"lba {lba} outside store of {self.capacity_pages} pages"
             )
 
+    def _check_many(self, lbas: Sequence[int]) -> None:
+        """:meth:`_check` every LBA of a batch (its extremes suffice)."""
+        if lbas:
+            self._check(min(lbas))
+            self._check(max(lbas))
+
+    def _checked_items(self, items: Iterable[tuple[int, Any]]) -> list[tuple[int, Any]]:
+        """A ``put_many`` batch as a list, every LBA checked."""
+        items = list(items)
+        self._check_many([lba for lba, _ in items])
+        return items
+
     # -- observability --------------------------------------------------------
 
-    def _note_put(self, nbytes: int = 0) -> None:
-        """Count one put (call only under ``OBS.enabled``)."""
+    def _note_put(self, nbytes: int = 0, pages: int = 1) -> None:
+        """Count ``pages`` puts of ``nbytes`` in all (call only under
+        ``OBS.enabled``)."""
         handles = self._obs_handles
         if handles is None:
             handles = self._obs()
-        handles[0].inc()
+        handles[0].inc(pages)
         if nbytes:
             handles[2].inc(nbytes)
 
-    def _note_get(self, nbytes: int = 0) -> None:
-        """Count one get/peek that found an image (call under ``OBS.enabled``)."""
+    def _note_get(self, nbytes: int = 0, pages: int = 1) -> None:
+        """Count ``pages`` gets/peeks that found an image, ``nbytes`` in all
+        (call under ``OBS.enabled``)."""
         handles = self._obs_handles
         if handles is None:
             handles = self._obs()
-        handles[1].inc()
+        handles[1].inc(pages)
         if nbytes:
             handles[3].inc(nbytes)
 
@@ -125,6 +146,21 @@ class PageStore:
     def peek(self, lba: int) -> Any | None:
         """Return the image at ``lba`` or ``None`` — never raises on empty."""
         raise NotImplementedError
+
+    def put_many(self, items: Iterable[tuple[int, Any]]) -> None:
+        """Store each ``(lba, image)`` pair, in order, as one batch.
+
+        The LBAs may be contiguous or scattered; a repeated LBA keeps its
+        last image.  An out-of-range LBA anywhere in the batch raises
+        :class:`~repro.errors.OutOfRangeError` before anything is written.
+        """
+        for lba, image in self._checked_items(items):
+            self.put(lba, image)
+
+    def peek_many(self, lbas: Sequence[int]) -> list[Any | None]:
+        """:meth:`peek` each of ``lbas``, as one batch: a list, in order."""
+        self._check_many(lbas)
+        return [self.peek(lba) for lba in lbas]
 
     def delete(self, lba: int) -> None:
         """Drop the image at ``lba`` (idempotent)."""
@@ -223,6 +259,21 @@ class MemoryPageStore(PageStore):
         if image is not None and OBS.enabled:
             self._note_get()
         return image
+
+    def put_many(self, items: Iterable[tuple[int, Any]]) -> None:
+        items = self._checked_items(items)
+        self._slots.update(items)
+        if items and OBS.enabled:
+            self._note_put(pages=len(items))
+
+    def peek_many(self, lbas: Sequence[int]) -> list[Any | None]:
+        self._check_many(lbas)
+        images = [self._slots.get(lba) for lba in lbas]
+        if OBS.enabled:
+            found = sum(image is not None for image in images)
+            if found:
+                self._note_get(pages=found)
+        return images
 
     def delete(self, lba: int) -> None:
         self._check(lba)

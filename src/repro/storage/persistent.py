@@ -7,21 +7,25 @@ Two backends, both keyed by LBA and holding the byte encoding of
   KEY, data BLOB)``.  Autocommit (``isolation_level=None``) with
   ``synchronous=OFF``: every completed statement's effects reach the
   kernel page cache, so they survive ``SIGKILL`` (the hard-crash model —
-  process death, not power loss).
+  process death, not power loss).  A batch (``put_many``) is one
+  transaction: it lands whole or not at all.
 * :class:`MmapPageStore` — a log-structured append-only file (the
   flash-friendly layout: FaCE itself turns random cache writes into
   sequential ones).  Writes append ``(magic, lba, length, payload)``
-  records via ``os.write`` — in the kernel immediately — deletes append a
-  tombstone, and an in-RAM ``lba -> (offset, length)`` index serves reads
-  through an ``mmap`` window.  Reopening rebuilds the index with a
-  sequential last-write-wins scan that stops cleanly at a torn tail.
+  records via ``os.write`` — in the kernel immediately, one call per
+  batch (``put_many``) — deletes append a tombstone, and an in-RAM
+  ``lba -> (offset, length)`` index serves reads through an ``mmap``
+  window.  Reopening rebuilds the index with a sequential last-write-wins
+  scan that stops cleanly at a torn tail.
 
 Either backend opened on an existing path adopts its contents rather than
 truncating — that reopen-after-death is exactly what ``python -m repro
-crash --hard`` exercises.  Without an explicit path a store lives in a
-private temp file, removed when the store is garbage collected or its
-process exits — by the process that created it only: a forked child
-inherits the store object, not the file.
+crash --hard`` exercises.  A file holding an LBA the store's capacity does
+not cover fails closed: :class:`~repro.errors.OutOfRangeError`, the file
+untouched.  Without an explicit path a store lives in a private temp file,
+removed when the store is garbage collected or its process exits — by the
+process that created it only: a forked child inherits the store object,
+not the file.
 
 A store is copied, not re-encoded: :meth:`PersistentPageStore.copy_from`
 copies another store's file (``shutil.copyfile`` for mmap, SQLite's online
@@ -42,7 +46,7 @@ import struct
 import tempfile
 from itertools import islice
 from multiprocessing.util import Finalize
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import OutOfRangeError, PageNotFoundError, StorageError
 from repro.obs import OBS
@@ -113,10 +117,10 @@ class PersistentPageStore(PageStore):
         """
         raise NotImplementedError
 
-    def _check_top(self, top: int | None) -> None:
+    def _check_top(self, top: int | None, action: str = "copy_from") -> None:
         if top is not None and top >= self.capacity_pages:
             raise OutOfRangeError(
-                f"copy_from: lba {top} outside store of {self.capacity_pages} pages"
+                f"{action}: lba {top} outside store of {self.capacity_pages} pages"
             )
 
     def __deepcopy__(self, memo: dict) -> "PersistentPageStore":
@@ -149,6 +153,8 @@ class SqlitePageStore(PersistentPageStore):
             "(lba INTEGER PRIMARY KEY, data BLOB NOT NULL)"
         )
         self._close_with(sqlite3.Connection.close, self._conn)
+        top = self._conn.execute("SELECT MAX(lba) FROM pages").fetchone()[0]
+        self._check_top(top, f"reopen {self.path}")
 
     def copy_from(self, source: "PersistentPageStore") -> None:
         # A connection of this process's own: SQLite connections must not
@@ -168,6 +174,36 @@ class SqlitePageStore(PersistentPageStore):
         )
         if OBS.enabled:
             self._note_put(len(blob))
+
+    def put_many(self, items: Iterable[tuple[int, Any]]) -> None:
+        items = self._checked_items(items)
+        if not items:
+            return
+        rows = [(lba, encode_storable(image)) for lba, image in items]
+        conn = self._conn
+        conn.execute("BEGIN")
+        try:
+            conn.executemany("INSERT OR REPLACE INTO pages (lba, data) VALUES (?, ?)", rows)
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
+        if OBS.enabled:
+            self._note_put(sum(len(blob) for _, blob in rows), pages=len(rows))
+
+    def peek_many(self, lbas: Sequence[int]) -> list[Any | None]:
+        self._check_many(lbas)
+        wanted = list(set(lbas))
+        blobs = dict(self._conn.execute(
+            f"SELECT lba, data FROM pages WHERE lba IN ({','.join('?' * len(wanted))})",
+            wanted,
+        ))
+        found = [blobs.get(lba) for lba in lbas]
+        if OBS.enabled:
+            hits = [len(blob) for blob in found if blob is not None]
+            if hits:
+                self._note_get(sum(hits), pages=len(hits))
+        return [None if blob is None else decode_storable(blob) for blob in found]
 
     def _fetch(self, lba: int) -> bytes | None:
         row = self._conn.execute(
@@ -266,15 +302,23 @@ class MmapPageStore(PersistentPageStore):
 
         Stops (rather than raises) at the first torn or foreign record:
         everything before a torn tail was a completed simulated write, and
-        that prefix is exactly what a crashed real system would replay.
+        that prefix is exactly what a crashed real system would replay.  A
+        complete record whose LBA is out of range raises instead.
         """
         view = self._view(self._size)
         offset = 0
         header = self._RECORD
         while offset + header.size <= self._size:
             magic, lba, length = header.unpack_from(view, offset)
-            if magic != self._MAGIC or not 0 <= lba < self.capacity_pages:
+            if magic != self._MAGIC:
                 break
+            if not 0 <= lba < self.capacity_pages:
+                # A whole record of a larger store, not a torn write: fail
+                # closed before anything is truncated.
+                raise OutOfRangeError(
+                    f"reopen {self.path}: lba {lba} outside store of "
+                    f"{self.capacity_pages} pages"
+                )
             offset += header.size
             if length == self._TOMBSTONE:
                 self._index.pop(lba, None)
@@ -325,23 +369,36 @@ class MmapPageStore(PersistentPageStore):
         if OBS.enabled:
             self._note_put(len(blob))
 
+    def put_many(self, items: Iterable[tuple[int, Any]]) -> None:
+        self._append_records(self._checked_items(items))
+
+    def _append_records(self, items: list[tuple[int, Any]]) -> None:
+        """Append one record per ``(lba, image)`` with a single ``os.write``.
+
+        As in ``put``, the records are in the kernel before the index
+        points at them; a repeated LBA ends up at its last record.
+        """
+        if not items:
+            return
+        base, records, entries = self._size, bytearray(), []
+        pack, magic = self._RECORD.pack, self._MAGIC
+        for lba, image in items:
+            blob = encode_storable(image)
+            records += pack(magic, lba, len(blob))
+            entries.append((lba, (base + len(records), len(blob))))
+            records += blob
+        self._append(records)
+        self._index.update(entries)
+        if OBS.enabled:
+            self._note_put(len(records) - len(items) * self._RECORD.size, pages=len(items))
+
     def _install_slots(self, slots: Mapping[int, Any]) -> None:
         # One ``os.write`` per batch of records, not per page; bounded so a
-        # batch never holds a second copy of the table.  As in ``put``,
-        # records are in the kernel before the index points at them.
+        # batch never holds a second copy of the table.
         self.clear()
         items = iter(slots.items())
         while batch := list(islice(items, self._INSTALL_BATCH)):
-            base, records, entries = self._size, bytearray(), {}
-            for lba, image in batch:
-                blob = encode_storable(image)
-                records += self._RECORD.pack(self._MAGIC, lba, len(blob))
-                entries[lba] = (base + len(records), len(blob))
-                records += blob
-                if OBS.enabled:
-                    self._note_put(len(blob))
-            self._append(records)
-            self._index.update(entries)
+            self._append_records(batch)
 
     def get(self, lba: int) -> Any:
         self._check(lba)
@@ -359,6 +416,22 @@ class MmapPageStore(PersistentPageStore):
         if lba not in self._index:
             return None
         return self.get(lba)
+
+    def peek_many(self, lbas: Sequence[int]) -> list[Any | None]:
+        self._check_many(lbas)
+        entries = [self._index.get(lba) for lba in lbas]
+        end = max((offset + length for offset, length in filter(None, entries)), default=0)
+        if not end:
+            return [None] * len(entries)
+        view = self._view(end)
+        if OBS.enabled:
+            lengths = [entry[1] for entry in entries if entry is not None]
+            self._note_get(sum(lengths), pages=len(lengths))
+        return [
+            None if entry is None
+            else decode_storable(view, entry[0], entry[0] + entry[1])
+            for entry in entries
+        ]
 
     def delete(self, lba: int) -> None:
         self._check(lba)

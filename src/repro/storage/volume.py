@@ -9,7 +9,10 @@ A timed access is one device charge plus one store operation: for the
 in-process backend a dict operation on the store's own slot table
 (:meth:`PageStore.direct_slots`); otherwise — or for an empty or
 out-of-range slot, or with observability on — the store's checked ``get`` /
-``put`` / ``peek``, which own the errors and the counters.
+``put`` / ``peek``, which own the errors and the counters.  A batch is one
+store call too (``put_many`` / ``peek_many``), while the device is charged
+exactly as before: once per batch transfer, or once per page, in order,
+for scattered pages (:meth:`Volume.write_pages`).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class Volume:
         cache device is well defined and occurs during metadata recovery).
         """
         self.device.read(lba, npages)
-        return [self.store.peek(lba + i) for i in range(npages)]
+        return self.store.peek_many(range(lba, lba + npages))
 
     def write_batch(self, lba: int, images: Sequence[Any]) -> None:
         """Write contiguous images as one bandwidth-cost transfer."""
@@ -72,8 +75,22 @@ class Volume:
         if 0 <= lba and stop <= self._direct_limit and not OBS.enabled:
             self._slots.update(zip(range(lba, stop), images))
         else:
-            for i, image in enumerate(images):
-                self.store.put(lba + i, image)
+            self.store.put_many(zip(range(lba, stop), images))
+
+    def write_pages(self, items: Sequence[tuple[int, Any]]) -> None:
+        """Write scattered ``(lba, image)`` pages: each charged as its own
+        one-page write, in order, and all stored by one store call."""
+        write = self.device.write
+        direct = not OBS.enabled
+        limit = self._direct_limit
+        for lba, _ in items:
+            write(lba, 1)
+            if not 0 <= lba < limit:
+                direct = False
+        if direct:
+            self._slots.update(items)
+        else:
+            self.store.put_many(items)
 
     # -- untimed helpers --------------------------------------------------------
 
@@ -83,6 +100,11 @@ class Volume:
         if 0 <= lba < self._direct_limit and not OBS.enabled:
             return self._slots.get(lba)
         return self.store.peek(lba)
+
+    def peek_many(self, lbas: Sequence[int]) -> list[Any | None]:
+        """:meth:`peek` each of ``lbas`` with one store call: the pages of a
+        batch whose transfer was already charged."""
+        return self.store.peek_many(lbas)
 
     @property
     def capacity_pages(self) -> int:

@@ -251,14 +251,15 @@ def test_stored_values_reject_trailing_bytes_and_truncation():
 
 def count_body_encodes(monkeypatch, update_fraction: float) -> tuple[int, int]:
     """Run a TINY ycsb cell on ``mmap``; ``(page-body encodes, puts of a
-    page)`` after the cell's store was populated."""
+    page)`` after the cell's store was populated.  A page put alone or in a
+    batch (``put_many``) counts the same."""
     from repro.sim.experiment import ExperimentConfig
     from repro.sim.parallel import CellSpec, run_cells
     from repro.tpcc.scale import TINY
 
     counts = {"encodes": 0, "puts": 0, "installing": False}
     pack_page, put = page_module._pack_page, MmapPageStore.put
-    install = MmapPageStore._install_slots
+    put_many, install = MmapPageStore.put_many, MmapPageStore._install_slots
 
     def counted_pack(*args):
         counts["encodes"] += not counts["installing"]
@@ -271,6 +272,14 @@ def count_body_encodes(monkeypatch, update_fraction: float) -> tuple[int, int]:
         )
         return put(self, lba, image)
 
+    def counted_put_many(self, items):
+        items = list(items)
+        if not counts["installing"]:
+            counts["puts"] += sum(
+                isinstance(image, (PageImage, CacheSlotImage)) for _, image in items
+            )
+        return put_many(self, items)
+
     def flagged_install(self, slots):
         counts["installing"] = True
         try:
@@ -280,6 +289,7 @@ def count_body_encodes(monkeypatch, update_fraction: float) -> tuple[int, int]:
 
     monkeypatch.setattr(page_module, "_pack_page", counted_pack)
     monkeypatch.setattr(MmapPageStore, "put", counted_put)
+    monkeypatch.setattr(MmapPageStore, "put_many", counted_put_many)
     monkeypatch.setattr(MmapPageStore, "_install_slots", flagged_install)
     config = ExperimentConfig(
         scale=TINY,
@@ -514,7 +524,8 @@ def count_builds_in_a_read_only_cell(monkeypatch) -> dict:
     moved, alive = [], []  # survivors / write-backs; every run seen (ids stay unique)
     counts = {"builds_in_put": 0, "early_builds": 0}
     probe, build, put = run_type._probe, run_type._build, MmapPageStore.put
-    read_slot = MvFifoCache._read_slot
+    put_many = MmapPageStore.put_many
+    read_slot, read_slots = MvFifoCache._read_slot, MvFifoCache._read_slots
 
     def counted_probe(self, key, default):
         alive.append(self)
@@ -532,16 +543,33 @@ def count_builds_in_a_read_only_cell(monkeypatch) -> dict:
         put(self, lba, image)
         counts["builds_in_put"] += sum(builds.values()) - before
 
+    def counted_put_many(self, items):
+        before = sum(builds.values())
+        put_many(self, items)
+        counts["builds_in_put"] += sum(builds.values()) - before
+
+    def note_moved(image):
+        if type(image.slots) is run_type and image.slots._dict is None:
+            moved.append(image.slots)  # a GSC survivor or a dirty write-back
+
     def counted_read_slot(self, position, timed=True):
         image = read_slot(self, position, timed)
-        if not timed and type(image.slots) is run_type and image.slots._dict is None:
-            moved.append(image.slots)  # a GSC survivor or a dirty write-back
+        if not timed:
+            note_moved(image)
         return image
+
+    def counted_read_slots(self, positions):
+        images = read_slots(self, positions)  # a batch read paid for them
+        for image in images:
+            note_moved(image)
+        return images
 
     monkeypatch.setattr(run_type, "_probe", counted_probe)
     monkeypatch.setattr(run_type, "_build", counted_build)
     monkeypatch.setattr(MmapPageStore, "put", counted_put)
+    monkeypatch.setattr(MmapPageStore, "put_many", counted_put_many)
     monkeypatch.setattr(MvFifoCache, "_read_slot", counted_read_slot)
+    monkeypatch.setattr(MvFifoCache, "_read_slots", counted_read_slots)
     config = ExperimentConfig(
         scale=TINY,
         seed=5,

@@ -18,7 +18,9 @@ import signal
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.db.page import Page, PageImage
 from repro.errors import ConfigError, OutOfRangeError, PageNotFoundError, StorageError
@@ -191,6 +193,112 @@ class TestBackendContract:
             assert flat[f"{prefix}.bytes_read"] > 0
 
 
+class TestBatchContract:
+    """``put_many`` / ``peek_many``: a batch is one store call, and means
+    exactly what the same sequence of single calls means."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.lists(
+        st.tuples(st.integers(0, 31), st.integers(0, 3)), max_size=12
+    ))
+    @example(batch=[(4, 0), (9, 1), (4, 2)])  # a repeated LBA: the last one wins
+    def test_put_many_equals_the_same_puts(self, backend, batch):
+        items = [(lba, image(f"v{lba}-{tag}")) for lba, tag in batch]
+        one_by_one = make_page_store(backend, 32)
+        one_by_one.put(20, image("before"))
+        for lba, img in items:
+            one_by_one.put(lba, img)
+        batched = make_page_store(backend, 32)
+        batched.put(20, image("before"))
+        batched.put_many(items)
+        assert batched.snapshot_slots() == one_by_one.snapshot_slots()
+        lbas = [lba for lba, _ in batch] + [20, 31]
+        assert batched.peek_many(lbas) == [one_by_one.peek(lba) for lba in lbas]
+
+    def test_peek_many_returns_none_for_empty_slots(self, store):
+        store.put_many([(3, image("a")), (5, image("b"))])
+        assert store.peek_many([5, 4, 3, 0, 5]) == [
+            image("b"), None, image("a"), None, image("b")
+        ]
+        assert store.peek_many(range(6, 9)) == [None, None, None]
+
+    @pytest.mark.parametrize("bad", [-1, 32, 999])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_an_out_of_range_lba_anywhere_writes_nothing(self, store, bad, where):
+        store.put(1, image("keep"))
+        items = [(0, image("a")), (2, image("b"))]
+        items.insert(where, (bad, image("bad")))
+        with pytest.raises(OutOfRangeError):
+            store.put_many(items)
+        assert store.snapshot_slots() == {1: image("keep")}
+        with pytest.raises(OutOfRangeError):
+            store.peek_many([0, bad, 1])
+
+    def test_an_empty_batch_is_a_no_op(self, store):
+        store.put(1, image("keep"))
+        store.put_many([])
+        assert store.peek_many([]) == []
+        assert store.snapshot_slots() == {1: image("keep")}
+
+    def test_obs_counts_every_page_of_a_batch(self, store):
+        OBS.reset()  # other tests' stores counted under the same names
+        OBS.enable()
+        try:
+            store.put_many([(1, sample_image()), (2, image("b")), (1, image("c"))])
+            store.peek_many([1, 2, 3])  # the empty slot is not a get
+            flat = OBS.snapshot().as_flat()
+        finally:
+            OBS.disable()
+            OBS.reset()
+        prefix = f"storage.backend.{store.backend_name}"
+        assert flat[f"{prefix}.puts"] == 3
+        assert flat[f"{prefix}.gets"] == 2
+
+    @pytest.mark.parametrize("backend", PERSISTENT)
+    def test_reopen_after_put_many(self, backend, tmp_path):
+        path = tmp_path / f"batch.{backend}"
+        store = make_page_store(backend, 64, path)
+        store.put_many([(9, sample_image()), (2, image("b")), (40, image("c"))])
+        store.put_many([(2, image("b2"))])
+        store.flush()
+        expected = store.snapshot_slots()
+        del store
+        reopened = make_page_store(backend, 64, path)
+        assert reopened.snapshot_slots() == expected == {
+            2: image("b2"), 9: sample_image(), 40: image("c")
+        }
+
+    def test_sqlite_batch_lands_whole_or_not_at_all(self, tmp_path, monkeypatch):
+        path = tmp_path / "whole.sqlite"
+        store = SqlitePageStore(16, path)
+        store.put(1, image("keep"))
+        rows = []
+
+        class Failing:
+            """A connection that fails the batch after its first row."""
+
+            def __init__(self, conn):
+                self.conn = conn
+
+            def execute(self, *args):
+                return self.conn.execute(*args)
+
+            def executemany(self, sql, batch):
+                for row in batch:
+                    self.conn.execute(sql, row)
+                    rows.append(row[0])
+                    raise OSError("device gone")
+
+        monkeypatch.setattr(store, "_conn", Failing(store._conn))
+        with pytest.raises(OSError, match="device gone"):
+            store.put_many([(2, image("a")), (3, image("b"))])
+        monkeypatch.undo()
+        assert rows == [2]  # the first row was inserted, then rolled back
+        assert store.snapshot_slots() == {1: image("keep")}
+        assert SqlitePageStore(16, path).snapshot_slots() == {1: image("keep")}
+
+
 class TestPersistence:
     @pytest.mark.parametrize("backend", PERSISTENT)
     def test_reopen_after_close(self, backend, tmp_path):
@@ -231,6 +339,40 @@ class TestPersistence:
         # The log stays appendable after the truncated garbage is dropped.
         reopened.put(5, image("rewritten"))
         assert reopened.get(5) == image("rewritten")
+
+    @pytest.mark.parametrize("backend", PERSISTENT)
+    def test_reopen_on_a_larger_store_fails_closed(self, backend, tmp_path):
+        """A file holding an LBA past the capacity is not a torn tail: the
+        reopen raises and truncates nothing (LBA 6 after LBA 90 is kept)."""
+        path = tmp_path / f"big.{backend}"
+        store = make_page_store(backend, 100, path)
+        for lba in (5, 90, 6):
+            store.put(lba, image(f"v{lba}"))
+        store.flush()
+        del store
+        before = path.read_bytes()
+        with pytest.raises(OutOfRangeError, match="lba 90 outside store of 50 pages"):
+            make_page_store(backend, 50, path)
+        assert path.read_bytes() == before
+        reopened = make_page_store(backend, 100, path)
+        assert list(reopened.occupied()) == [5, 6, 90]
+
+    @pytest.mark.parametrize("damage", ["short-payload", "bad-magic"])
+    def test_mmap_reopen_truncates_a_real_torn_tail(self, damage, tmp_path):
+        path = tmp_path / "torn.pages"
+        store = MmapPageStore(16, path)
+        store.put_many([(3, image("complete")), (4, image("also"))])
+        store.flush()
+        del store
+        intact = path.stat().st_size
+        with open(path, "ab") as fh:
+            if damage == "short-payload":  # a header promising more than follows
+                fh.write(MmapPageStore._RECORD.pack(MmapPageStore._MAGIC, 5, 100) + b"x")
+            else:  # a record header whose magic is not ours
+                fh.write(MmapPageStore._RECORD.pack(0xBAD, 99, 1) + b"x")
+        reopened = MmapPageStore(16, path)
+        assert reopened.snapshot_slots() == {3: image("complete"), 4: image("also")}
+        assert path.stat().st_size == intact
 
     @pytest.mark.parametrize("backend", PERSISTENT)
     def test_an_irregular_page_is_a_storage_error_at_encode(self, backend):

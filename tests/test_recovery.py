@@ -187,10 +187,11 @@ class TestRestartReport:
 # -- TPC-C restart audit at BENCH -----------------------------------------------
 
 
-def audited_restart(seed: int, policy: str):
+def audited_restart(seed: int, policy: str, page_store: str = "memory"):
     """The BENCH ``tpcc_full`` crash cell of ``perf/workloads.py`` (the
     paper's operating point: the flash queue wraps many times before the
-    crash), executed by hand so the restarted system can be audited.
+    crash), executed by hand so the restarted system can be audited, on
+    ``page_store``.
 
     Returns ``(verify_all report, check_all report, flat OBS counters)``.
     """
@@ -206,7 +207,7 @@ def audited_restart(seed: int, policy: str):
         scale=BENCH, seed=seed, policy=policy, scenario="crash",
         cache_fraction=0.12, buffer_fraction=0.004, checkpoint_interval=2.0,
         measure_transactions=1000, warmup_min=500, warmup_max=2000,
-        crash_max_transactions=3000,
+        crash_max_transactions=3000, page_store=page_store,
     ))
     OBS.clear()
     OBS.enable()
