@@ -32,9 +32,11 @@ never calls the serde, so its slots are plain dicts.  An image decoded from
 a persistent store remembers the blob it came from (``from_bytes(b).to_bytes()
 is b``), and an unmodified thawed page hands back the same image, so a clean
 page crosses DRAM → flash → disk without its body being re-encoded — nor
-decoded past what is read: a decoded page answers ``get`` from its validated
-columns (:class:`_ColumnarRun`) and builds its dict only when written,
-iterated, compared or probed often.  A freshly frozen image holds no bytes
+decoded past what is read.  A decode makes every check but unpacks only the
+key columns and the string lengths; the other values stay packed in the
+blob (:class:`_ColumnarRun`).  A probe unpacks the one row it returns, and
+the page builds its dict only when written, iterated, compared or probed
+often.  A freshly frozen image holds no bytes
 and is encoded when a store writes it.  The blob dies with the image: after
 ``put`` / ``delete`` / ``stamp`` (or the ``slots`` setter) a page freezes to
 a new image, which holds no bytes.
@@ -114,8 +116,10 @@ class PageImage:
         it keeps ``data`` outside the dataclass fields, so equality, ``repr``
         and ``__init__`` are those of any other image."""
         data = bytes(data)  # no copy when it already is ``bytes``
-        image = cls(*_unpack_page(data))
-        image.__dict__["_blob"] = data
+        page_id, lsn, slots = _unpack_page(data)
+        # The frozen ``__init__``, inline: one store read is one decode.
+        image = _new(cls)
+        image.__dict__.update(page_id=page_id, lsn=lsn, slots=slots, _blob=data)
         return image
 
     def __deepcopy__(self, memo: dict) -> "PageImage":
@@ -284,12 +288,40 @@ def _pack_columns(keys, rows) -> bytes | None:
 
 @lru_cache(maxsize=1024)
 def _column_block(signature: bytes, count: int) -> struct.Struct:
-    """The ``struct`` of a columnar run's numbers: ``count`` of each column."""
+    """The ``struct`` of a columnar run's numbers: ``count`` of each column
+    (of a signature the encoder built or :func:`_column_layout` checked)."""
+    codes = [_COLUMN_CODE[char] for char in signature[1:]]
+    return struct.Struct("<" + "".join(f"{count}{code}" for code in codes if code))
+
+
+@lru_cache(maxsize=1024)
+def _column_layout(signature: bytes, count: int) -> tuple:
+    """Where a columnar run's columns lie in its block, for a decode that
+    unpacks only the key columns and the string lengths.
+
+    ``(block size, key struct, key shape, row columns, row string columns)``:
+    the key columns lead the block, so one struct unpacks them; the shape is
+    the exact type (arity 0) or types a probed key must have; each row
+    column is ``(kind, byte offset, width, one-value unpack)`` and each row
+    string column ``(byte offset, struct of its lengths)``.
+    """
     try:
         codes = [_COLUMN_CODE[char] for char in signature[1:]]
     except KeyError:
         raise StorageError(f"bad column signature {signature!r}") from None
-    return struct.Struct("<" + "".join(f"{count}{code}" for code in codes if code))
+    arity = signature[0]
+    keys = arity or 1  # key columns
+    key_struct = struct.Struct("<" + "".join(f"{count}{code}" for code in codes[:keys] if code))
+    offset = key_struct.size
+    rows, strings = [], []
+    for char, code in zip(signature[1 + keys :], codes[keys:]):
+        one = struct.Struct("<" + code)
+        rows.append((char, offset, one.size, one.unpack_from))
+        if char == _STR:
+            strings.append((offset, struct.Struct(f"<{count}I")))
+        offset += count * one.size
+    types = tuple(_COLUMN_TYPE[char] for char in signature[1 : 1 + keys])
+    return offset, key_struct, types if arity else types[0], tuple(rows), tuple(strings)
 
 
 def _unpack_page(data: bytes) -> tuple[int, int, Mapping]:
@@ -326,17 +358,19 @@ def _unpack_columns(
     arity = signature[0]
     if len(signature) != signature_len or signature_len - 1 < (arity or 1):
         raise StorageError("column signature shorter than its key")
-    block = _column_block(signature, count)
-    numbers = block.unpack_from(data, offset)
-    offset += block.size
+    block = offset
+    offset += _column_layout(signature, count)[0]
+    if offset > len(data):
+        raise StorageError("truncated column block")
     heap = data[offset : offset + heap_len]
     if len(heap) != heap_len:
         raise StorageError("truncated string heap")
-    return _ColumnarRun(signature, count, numbers, heap.decode("utf-8")), offset + heap_len
+    return _ColumnarRun(signature, count, data, block, heap.decode("utf-8")), offset + heap_len
 
 
-def _split_columns(kinds: bytes, count: int, numbers: tuple, text: str) -> list:
-    """The leading columns named by ``kinds`` as sequences of their values."""
+def _split_columns(kinds: bytes, count: int, numbers: tuple, text: str) -> tuple[list, int]:
+    """The leading columns named by ``kinds`` as sequences of their values,
+    and how many heap characters their strings take."""
     columns: list = []
     at = chars = 0
     for char in kinds:
@@ -350,42 +384,47 @@ def _split_columns(kinds: bytes, count: int, numbers: tuple, text: str) -> list:
             chars = ends[-1]
             column = [text[a:b] for a, b in pairwise(ends)]
         columns.append(column)
-    return columns
+    return columns, chars
 
 
 class _ColumnarRun(Mapping):
     """The slots of one validated columnar run, decoded only as far as read.
 
     Construction makes every check the dict would have made (heap length in
-    characters, no duplicate key) but keeps the column block and the string
-    heap.  ``get`` of a key whose type matches the key columns exactly finds
-    it with ``index`` on the key column and builds that one row.  Anything
+    characters, no duplicate key) but unpacks only the key columns and the
+    row string columns' lengths; every other value stays packed in the blob.
+    ``get`` of a key whose type matches the key columns exactly finds it
+    with ``index`` on the key column and unpacks that one row.  Anything
     else — a type twin such as ``True`` for ``1``, iteration, ``==``,
     ``copy``, more than :data:`_PROBES_BEFORE_DICT` probes — builds, once,
     the dict that is this mapping's materialised form and answers from it.
     Read-only like every image's slots: :class:`Page` writes to a ``copy``.
+    The column layout lives in :func:`_column_layout`'s cache, not here:
+    a run holds no ``struct`` and stays picklable.
     """
 
-    __slots__ = ("_signature", "_count", "_numbers", "_text", "_shape", "_keys",
-                 "_probes", "_dict")
+    __slots__ = ("_signature", "_count", "_blob", "_block", "_text", "_strings",
+                 "_shape", "_keys", "_probes", "_dict")
 
-    def __init__(self, signature: bytes, count: int, numbers: tuple, text: str) -> None:
-        chars = at = 0
-        for char in signature[1:]:
-            if char == _STR:
-                chars += sum(numbers[at : at + count])
-            if char != _NONE:
-                at += count
+    def __init__(self, signature: bytes, count: int, blob: bytes, block: int, text: str) -> None:
+        _, key_struct, shape, _, string_columns = _column_layout(signature, count)
+        arity = signature[0]
+        key_columns, chars = _split_columns(
+            signature[1 : 1 + (arity or 1)], count, key_struct.unpack_from(blob, block), text
+        )
+        strings = []  # per row string column: (first heap character, lengths)
+        for offset, lengths in string_columns:
+            lengths = lengths.unpack_from(blob, block + offset)
+            strings.append((chars, lengths))
+            chars += sum(lengths)
         if chars != len(text):
             raise StorageError("string heap length mismatch")
-        arity = signature[0]
-        key_columns = _split_columns(signature[1 : 1 + (arity or 1)], count, numbers, text)
         keys = tuple(zip(*key_columns)) if arity > 1 else key_columns[0]
         if len(set(keys)) != count:
             raise StorageError("duplicate slot key in a columnar run")
-        types = tuple(_COLUMN_TYPE[char] for char in signature[1 : 1 + (arity or 1)])
-        self._signature, self._count, self._numbers, self._text = signature, count, numbers, text
-        self._shape = types if arity else types[0]  # the exact type(s) a key must have
+        self._signature, self._count, self._blob, self._block = signature, count, blob, block
+        self._text, self._strings = text, strings
+        self._shape = shape  # the exact type(s) a key must have
         self._keys = keys  # an arity-1 key column holds the bare parts
         self._probes = 0
         self._dict: dict | None = None
@@ -403,31 +442,32 @@ class _ColumnarRun(Mapping):
         return slots.get(key, default)
 
     def _probe(self, key, default):
-        """The row of ``key`` (in key-column form), read off the columns."""
+        """The row of ``key`` (in key-column form), unpacked off the blob."""
         self._probes += 1
         try:
             at = self._keys.index(key)
         except ValueError:
             return default
-        numbers, count, text = self._numbers, self._count, self._text
+        blob, block, text = self._blob, self._block, self._text
+        strings = iter(self._strings)
         row = []
-        column = chars = 0  # where the current column starts: block, heap
-        for char in self._signature[1:]:
-            value = None
-            if char != _NONE:
-                value = numbers[column + at]
-                if char == _STR:
-                    start = chars + sum(numbers[column : column + at])
-                    chars += sum(numbers[column : column + count])
-                    value = text[start : start + value]
-                column += count
-            row.append(value)
-        return tuple(row[self._signature[0] or 1 :])
+        for char, offset, width, unpack in _column_layout(self._signature, self._count)[3]:
+            if char == _STR:
+                start, lengths = next(strings)
+                start += sum(lengths[:at])
+                row.append(text[start : start + lengths[at]])
+            elif width:
+                row.append(unpack(blob, block + offset + at * width)[0])
+            else:
+                row.append(None)
+        return tuple(row)
 
     def _build(self) -> dict:
         """The dict of this run's slots, in slot order (a fresh one per call)."""
-        arity = self._signature[0]
-        columns = _split_columns(self._signature[1:], self._count, self._numbers, self._text)
+        signature, count = self._signature, self._count
+        arity = signature[0]
+        numbers = _column_block(signature, count).unpack_from(self._blob, self._block)
+        columns, _ = _split_columns(signature[1:], count, numbers, self._text)
         keys = zip(*columns[:arity]) if arity else columns[0]
         rows = zip(*columns[arity or 1 :]) if len(columns) > (arity or 1) else repeat(())
         return dict(zip(keys, rows))
@@ -436,7 +476,7 @@ class _ColumnarRun(Mapping):
         slots = self._dict
         if slots is None:
             slots = self._dict = self._build()
-            self._numbers = self._text = self._keys = None
+            self._blob = self._text = self._strings = self._keys = None
         return slots
 
     def copy(self) -> dict:

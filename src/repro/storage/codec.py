@@ -20,8 +20,10 @@ encoding that round-trips exactly:
 Nothing else is storable: encoding any other object is a
 :class:`~repro.errors.StorageError`.
 
-Decoding fails closed: a truncated, overlong or malformed blob is a
-:class:`~repro.errors.StorageError`, never a raw ``struct.error``.
+Decoding fails closed: a truncated, overlong or malformed blob of any
+kind — a dirty byte other than 0 or 1 included — is a
+:class:`~repro.errors.StorageError`, never a raw ``struct.error`` and never
+a value that re-encodes to different bytes.
 
 Decoding reconstructs equal objects (dataclass ``frozen=True`` equality /
 tuple equality), which is all the simulation ever relies on — results
@@ -59,6 +61,7 @@ _SEGMENT_HEADER = struct.Struct("<qI")
 _ENTRY = struct.Struct("<qqqB")
 
 _metadata_module = None
+_tuple_new = tuple.__new__
 
 
 def _metadata():
@@ -114,33 +117,46 @@ def decode_storable(data, start: int = 0, end: int | None = None) -> object:
         raise StorageError("empty storable blob")
     kind = data[start]
     try:
-        if kind == _KIND_NONE:
-            return None
         if kind == _KIND_PAGE_IMAGE:
             return PageImage.from_bytes(data[start + 1 : end])
         meta = _metadata()
         if kind == _KIND_SLOT_IMAGE:
             position, dirty = _SLOT_HEADER.unpack_from(data, start + 1)
             image = PageImage.from_bytes(data[start + 1 + _SLOT_HEADER.size : end])
-            return meta.CacheSlotImage(
-                position=position, dirty=bool(dirty), image=image
-            )
+            # CacheSlotImage(position, dirty, image) without the NamedTuple's
+            # Python-level ``__new__``, as ``MvFifoCache`` builds its slots.
+            return _tuple_new(meta.CacheSlotImage, (position, _flag(dirty), image))
         data = data[start:end]  # the small kinds decode from their own bytes
+        if kind == _KIND_NONE:
+            _sized(data, 1, "a None")
+            return None
         if kind == _KIND_SUPERBLOCK:
             front, rear, n = _SUPER_HEADER.unpack_from(data, 1)
+            _sized(data, 1 + _SUPER_HEADER.size + 8 * n, "a superblock")
             lbas = struct.unpack_from(f"<{n}q", data, 1 + _SUPER_HEADER.size)
             return meta._Superblock(front=front, rear_at_flush=rear, segment_lbas=lbas)
         if kind == _KIND_SEGMENT:
             first_position, n = _SEGMENT_HEADER.unpack_from(data, 1)
             offset = 1 + _SEGMENT_HEADER.size
-            entries = []
-            for _ in range(n):
-                position, page_id, lsn, dirty = _ENTRY.unpack_from(data, offset)
-                entries.append((position, page_id, lsn, bool(dirty)))
-                offset += _ENTRY.size
-            return meta._SegmentImage(
-                first_position=first_position, entries=tuple(entries)
+            _sized(data, offset + n * _ENTRY.size, "a metadata segment")
+            entries = tuple(
+                (position, page_id, lsn, _flag(dirty))
+                for position, page_id, lsn, dirty in _ENTRY.iter_unpack(data[offset:])
             )
+            return meta._SegmentImage(first_position=first_position, entries=entries)
         raise StorageError(f"unknown storable kind tag {kind}")
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise StorageError(f"malformed storable blob: {exc}") from None
+
+
+def _sized(data, size: int, what: str) -> None:
+    """Fail closed on a small kind that is not exactly ``size`` bytes."""
+    if len(data) != size:
+        raise StorageError(f"{what} of {len(data)} bytes, {size} expected")
+
+
+def _flag(byte: int) -> bool:
+    """A stored dirty byte: 0 or 1, as ``encode_storable`` writes it."""
+    if byte > 1:
+        raise StorageError(f"bad dirty byte {byte}")
+    return byte == 1

@@ -10,14 +10,16 @@ Five contracts of ``repro.db.page``'s on-media format (DESIGN.md §14):
 * a page nobody modified is never re-encoded on its way DRAM → flash →
   disk (counted, in the style of ``test_miss_path_budget.py``);
 * the carried bytes die with the cached image on the first mutation;
-* a decoded page is built only as far as it is read — a probe answers
-  exactly what the built dict would, and a page that is only moved builds
-  nothing (counted).
+* a decoded page is built only as far as it is read — a decode unpacks
+  its key columns and string lengths alone, a probe answers exactly what
+  the built dict would, and a page that is only moved builds nothing
+  (counted).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 from collections import Counter
 
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from repro.db import page as page_module
 from repro.db.page import Page, PageImage
 from repro.errors import StorageError
-from repro.flashcache.metadata import CacheSlotImage, _Superblock
+from repro.flashcache.metadata import CacheSlotImage, _SegmentImage, _Superblock
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.storage import MmapPageStore, decode_storable, encode_storable, make_page_store
 
@@ -233,17 +235,42 @@ def test_truncated_string_value_is_not_returned_short():
         PageImage.from_bytes(blob[:-1])
 
 
+STORED_KINDS = {
+    "page": heap_page().to_image(),
+    "slot": CacheSlotImage(5, True, bucket_page().to_image()),
+    "none": None,
+    "superblock": _Superblock(front=3, rear_at_flush=9, segment_lbas=(1, 2)),
+    "segment": _SegmentImage(first_position=4, entries=((4, 10, 78, True), (5, 9, 77, False))),
+}
+
+
 def test_stored_values_reject_trailing_bytes_and_truncation():
-    for obj in (heap_page().to_image(), CacheSlotImage(5, True, bucket_page().to_image())):
+    for obj in STORED_KINDS.values():
         blob = encode_storable(obj)
         assert decode_storable(blob) == obj
-        for damaged in (blob + b"\x00", blob[:-1], blob[:2]):
+        for damaged in {blob + b"\x00", blob + b"junk", blob[:-1], blob[:2]} - {blob}:
             with pytest.raises(StorageError):
                 decode_storable(damaged)
     # A page store holds pages, cache slots and flash metadata: nothing else.
     for value in (2**64, ("sentinel", 7), "a sentinel string", 3.25):
         with pytest.raises(StorageError, match="cannot encode"):
             encode_storable(value)
+
+
+@pytest.mark.parametrize("kind", ["slot", "segment"])
+def test_a_dirty_byte_is_zero_or_one(kind):
+    """Any other value would decode as ``dirty=True`` and re-encode to
+    different bytes: it is damage, and fails closed."""
+    blob = encode_storable(STORED_KINDS[kind])
+    # The slot footer's flag, or the first metadata entry's.
+    at = 1 + 8 if kind == "slot" else 1 + 12 + 24
+    assert blob[at] == 1
+    for byte in (0, 1):
+        damaged = blob[:at] + bytes([byte]) + blob[at + 1 :]
+        assert encode_storable(decode_storable(damaged)) == damaged
+    for byte in (2, 7, 255):
+        with pytest.raises(StorageError, match="dirty byte"):
+            decode_storable(blob[:at] + bytes([byte]) + blob[at + 1 :])
 
 
 # -- the re-encode budget -----------------------------------------------------
@@ -470,6 +497,32 @@ class TestLazyProbes:
         assert sum(builds.values()) == 1
         assert type(page.slots) is dict and image.slots._dict is None  # the image stays lazy
 
+    @pytest.mark.parametrize("sample", ["bucket", "heap"])
+    def test_a_decode_never_unpacks_the_whole_column_block(self, monkeypatch, sample):
+        """Decode and probe read the key column, the string lengths and one
+        row; only the dict build unpacks every column (pinned by a block
+        struct that refuses to unpack)."""
+        page = SAMPLES[sample]()
+        blob, expected = page.to_bytes(), eager(page)
+        column_block = page_module._column_block
+
+        class Refusing:
+            def __init__(self, block):
+                self.size, self.pack = block.size, block.pack
+
+            def unpack_from(self, *args):
+                raise AssertionError("the whole column block was unpacked")
+
+        monkeypatch.setattr(
+            page_module, "_column_block", lambda *key: Refusing(column_block(*key))
+        )
+        for key in list(expected)[:: len(expected) // 5]:
+            assert PageImage.from_bytes(blob).to_page().get(key) == expected[key]
+            assert PageImage.from_bytes(blob).slots.get(key) == expected[key]
+        for whole in (lambda s: s.copy(), list, dict):
+            with pytest.raises(AssertionError, match="whole column block"):
+                whole(PageImage.from_bytes(blob).slots)
+
 
 def count_calls(monkeypatch, name: str) -> Counter:
     """Count calls of ``_ColumnarRun.<name>`` per run object."""
@@ -511,6 +564,25 @@ class TestFailClosedAtDecode:
         text = "é".encode()
         assert text in blob
         self.rejected(blob.replace(text, b"\xff\xfe"))
+
+    @pytest.mark.parametrize("extra", [1, 2**20])
+    def test_a_slot_count_that_overruns_the_blob(self, extra):
+        """A run header (and page header) claiming more slots than the blob
+        holds: a decode that unpacks only the key columns must still find
+        the column block short, before it reads anything past it."""
+        blob = bucket_page().to_bytes()  # no string heap after the block
+        magic, page_id, lsn, nslots = page_module._HEADER.unpack_from(blob)
+        kind, count, signature_len, heap_len = page_module._RUN.unpack_from(
+            blob, page_module._HEADER.size
+        )
+        damaged = b"".join((
+            page_module._HEADER.pack(magic, page_id, lsn, nslots + extra),
+            page_module._RUN.pack(kind, count + extra, signature_len, heap_len),
+            blob[page_module._HEADER.size + page_module._RUN.size :],
+        ))
+        with pytest.raises(StorageError, match="truncated column block"):
+            PageImage.from_bytes(damaged)
+        self.rejected(damaged)
 
 
 def count_builds_in_a_read_only_cell(monkeypatch) -> dict:
@@ -632,3 +704,37 @@ def test_the_mmap_store_hands_back_the_body_bytes(tmp_path):
     assert store.get(1).to_bytes() == heap_page().to_bytes()
     assert store.get(2).image.to_bytes() == bucket_page().to_bytes()
     assert store.get(2) == CacheSlotImage(9, False, bucket_page().to_image())
+
+
+@pytest.mark.parametrize("backend", ["mmap", "sqlite"])
+def test_a_decoded_value_is_built_like_a_constructed_one(backend):
+    """``from_bytes`` fills the image's ``__dict__`` and ``decode_storable``
+    builds a slot with ``tuple.__new__``: neither calls ``__init__``, and
+    neither may tell from the constructed value."""
+    store = make_page_store(backend, 4)
+    page = heap_page()
+    constructed = PageImage(page.page_id, page.lsn, eager(page))
+    store.put(1, page.to_image())
+    store.put(2, CacheSlotImage(7, True, page.to_image()))
+    store.put(3, CacheSlotImage(8, False, bucket_page().to_image()))
+
+    image = store.get(1)
+    assert type(image) is PageImage
+    assert image == constructed and repr(image) == repr(constructed)
+    assert dataclasses.fields(image) == dataclasses.fields(constructed)
+    assert [getattr(image, f.name) for f in dataclasses.fields(image)] == [
+        getattr(constructed, f.name) for f in dataclasses.fields(constructed)
+    ]
+    assert dataclasses.replace(image, lsn=5) == dataclasses.replace(constructed, lsn=5)
+    assert list(vars(image)) == [*vars(constructed), "_blob"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        image.lsn = 5
+
+    for lba, position, dirty, source in ((2, 7, True, page), (3, 8, False, bucket_page())):
+        slot = store.get(lba)
+        assert type(slot) is CacheSlotImage and type(slot.dirty) is bool
+        body = PageImage(source.page_id, source.lsn, eager(source))
+        expected = CacheSlotImage(position, dirty, body)
+        assert slot == expected and repr(slot) == repr(expected)
+        assert slot._asdict() == expected._asdict()
+        assert (slot.page_id, slot.lsn) == (source.page_id, source.lsn)
