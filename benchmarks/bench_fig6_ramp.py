@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from repro.analysis.tables import format_table
 from repro.recovery.restart import RecoveryManager
-from repro.sim.crashes import run_until_mid_interval
 from repro.sim.metrics import ThroughputSeries
 from repro.sim.runner import ExperimentRunner
+from repro.sim.scenario import run_until_crash_point
 from repro.tpcc.scale import BENCH
 from benchmarks.conftest import FULL_MODE, WARMUP_MAX, WARMUP_MIN, config_for, once
 
@@ -31,7 +31,9 @@ def _run(policy: str):
     dbms = runner.dbms
     # Reach steady state, checkpoint, then pull the plug mid-interval
     # (as in Section 5.5).
-    run_until_mid_interval(runner, CHECKPOINT_INTERVAL, max_transactions=20_000)
+    run_until_crash_point(
+        runner, CHECKPOINT_INTERVAL, crash_point=0.5, max_transactions=20_000
+    )
     dbms.crash()
     restart = RecoveryManager(dbms).restart()
 

@@ -33,6 +33,7 @@ import pytest
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
 from repro.sim.parallel import CellSpec, run_cells
 from repro.sim.runner import ExperimentRunner, RunResult
+from repro.sim.scenario import SteadyStateScenario
 from repro.storage.profiles import MLC_SAMSUNG_470, SLC_INTEL_X25E
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import BENCH
@@ -114,9 +115,11 @@ def _cell_spec(key: tuple[str, float, str]) -> CellSpec:
         config=config_for(policy_name, cache_fraction, flash),
         scale=BENCH,
         seed=42,  # fixed seed — matches the historical memoised cells
-        measure_transactions=MEASURE_TX,
-        warmup_min=WARMUP_MIN,
-        warmup_max=WARMUP_MAX,
+        scenario=SteadyStateScenario(
+            measure_transactions=MEASURE_TX,
+            warmup_min=WARMUP_MIN,
+            warmup_max=WARMUP_MAX,
+        ),
     )
 
 
@@ -165,11 +168,15 @@ def steady_cells(
             config=config,
             scale=BENCH,
             seed=seed,
-            measure_transactions=(
-                MEASURE_TX if measure_transactions is None else measure_transactions
+            scenario=SteadyStateScenario(
+                measure_transactions=(
+                    MEASURE_TX
+                    if measure_transactions is None
+                    else measure_transactions
+                ),
+                warmup_min=WARMUP_MIN,
+                warmup_max=WARMUP_MAX,
             ),
-            warmup_min=WARMUP_MIN,
-            warmup_max=WARMUP_MAX,
         )
         for label, config in configs.items()
     ]

@@ -37,6 +37,7 @@ from repro.sim.replay import (  # noqa: E402
     clear_recorders,
     prepare_replay,
 )
+from repro.sim.scenario import SteadyStateScenario  # noqa: E402
 from repro.sim.trace import leaked_shared_segments  # noqa: E402
 from repro.sim.warmstate import snapshot_load_seconds  # noqa: E402
 from repro.tpcc.loader import estimate_db_pages  # noqa: E402
@@ -123,7 +124,7 @@ def sweep_specs(smoke: bool = False, collect_obs: bool = False) -> list[CellSpec
             ),
             scale=TINY,
             seed=SEED,
-            measure_transactions=MEASURE_TX,
+            scenario=SteadyStateScenario(measure_transactions=MEASURE_TX),
             collect_obs=collect_obs,
         )
         for policy in (POLICIES[:1] if smoke else POLICIES)
@@ -620,10 +621,10 @@ def scan_specs(smoke: bool) -> list[CellSpec]:
                 ),
                 scale=TINY,
                 seed=SEED,
-                workload=spec_w.name,
-                workload_knobs=spec_w.knobs,
-                measure_transactions=SCAN_MEASURE_TX,
-                **SCAN_WARMUP,
+                workload=spec_w,
+                scenario=SteadyStateScenario(
+                    measure_transactions=SCAN_MEASURE_TX, **SCAN_WARMUP
+                ),
             ))
     return specs
 

@@ -17,7 +17,7 @@ Run:  python examples/crash_recovery_demo.py
 from __future__ import annotations
 
 from repro import CachePolicy, ExperimentRunner, RecoveryManager, scaled_reference_config
-from repro.sim import run_until_mid_interval
+from repro.sim import run_until_crash_point
 from repro.tpcc import BENCH, estimate_db_pages
 
 CHECKPOINT_INTERVAL = 2.0  # simulated seconds
@@ -32,8 +32,8 @@ def run_crash(policy: CachePolicy, label: str):
     dbms = runner.dbms
 
     print(f"[{label}] running with {CHECKPOINT_INTERVAL}s checkpoints...")
-    executed, checkpoints = run_until_mid_interval(
-        runner, CHECKPOINT_INTERVAL, max_transactions=20_000
+    executed, checkpoints = run_until_crash_point(
+        runner, CHECKPOINT_INTERVAL, crash_point=0.5, max_transactions=20_000
     )
     print(
         f"[{label}] {executed} transactions, {checkpoints} checkpoints, "

@@ -44,7 +44,6 @@ from repro.sim.scenario import (
     ServiceScenario,
     SteadyStateScenario,
 )
-from repro.sim.sweep import Sweep, SweepResults
 from repro.tpcc.driver import TpccDriver
 from repro.tpcc.loader import TpccDatabase, load_tpcc
 from repro.tpcc.scale import ScaleProfile
@@ -72,8 +71,6 @@ __all__ = [
     "ServiceScenario",
     "SimulatedDBMS",
     "SteadyStateScenario",
-    "Sweep",
-    "SweepResults",
     "SystemConfig",
     "ThroughputSeries",
     "TpccDatabase",

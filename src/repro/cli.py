@@ -37,20 +37,22 @@ from repro.analysis.report import (
     service_result_table,
 )
 from repro.analysis.tables import format_series, format_table
-from repro.core.config import CachePolicy, scaled_reference_config
+from repro.core.config import CachePolicy
+from repro.errors import ConfigError
 from repro.flashcache.registry import available_policies, get_policy_entry
-from repro.sim.parallel import CellSpec, progress_printer, run_cells
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.parallel import (
+    CellProgress,
+    CellSpec,
+    derive_cell_seed,
+    progress_printer,
+    run_cells,
+)
 from repro.sim.runner import ExperimentRunner
-from repro.sim.scenario import CrashRecoveryScenario
-from repro.sim.sweep import Sweep
 from repro.storage.profiles import TABLE1_PROFILES
 from repro.storage.registry import available_backends
-from repro.tpcc.scale import BENCH, TINY, ScaleProfile
-from repro.workload.registry import (
-    WorkloadSpec,
-    available_workloads,
-    estimate_workload_pages,
-)
+from repro.tpcc.scale import SCALES, ScaleProfile, scale_by_name
+from repro.workload.registry import WorkloadSpec, available_workloads
 
 #: CLI policy choices come from the registry, so a policy added there is
 #: immediately selectable here (and in ``ablate``'s ``policy`` axis).
@@ -61,9 +63,9 @@ _POLICY_NAMES: dict[str, CachePolicy] = {
 
 def _scale(name: str) -> ScaleProfile:
     try:
-        return {"tiny": TINY, "bench": BENCH}[name]
-    except KeyError:
-        raise SystemExit(f"unknown scale {name!r} (use tiny|bench)") from None
+        return scale_by_name(name)
+    except ConfigError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _workload(args) -> WorkloadSpec:
@@ -90,75 +92,66 @@ def _workload(args) -> WorkloadSpec:
         raise SystemExit(str(exc)) from None
 
 
-def _build_runner(args, policy: CachePolicy, **overrides) -> ExperimentRunner:
+def _experiment(args, **fields) -> ExperimentConfig:
+    """The one :class:`ExperimentConfig` a subcommand lowers through.
+
+    The global flags give the workload and the system; ``fields`` adds the
+    subcommand's own (policy, run protocol).  Every subcommand warms up for
+    at most 50,000 transactions.
+    """
     scale = _scale(args.scale)
     workload = _workload(args)
-    config = scaled_reference_config(
-        estimate_workload_pages(workload, scale),
+    return ExperimentConfig(
+        scale=scale,
+        seed=args.seed,
+        workload=workload.name,
+        workload_knobs=workload.knobs,
         cache_fraction=args.cache_fraction,
-        policy=policy,
         page_store=args.page_store,
-        **overrides,
+        warmup_max=50_000,
+        **fields,
     )
-    return ExperimentRunner(config, scale, seed=args.seed, workload=workload)
+
+
+def _runner(experiment: ExperimentConfig) -> ExperimentRunner:
+    """A fully executing runner on a freshly loaded database."""
+    return ExperimentRunner(
+        experiment.system_config(),
+        experiment.scale,
+        seed=experiment.seed,
+        workload=experiment.workload_spec(),
+    )
 
 
 def cmd_run(args) -> int:
-    scale = _scale(args.scale)
-    workload = _workload(args)
+    base = _experiment(args, measure_transactions=args.transactions)
     specs = [
-        CellSpec(
-            key=(name,),
-            config=scaled_reference_config(
-                estimate_workload_pages(workload, scale),
-                cache_fraction=args.cache_fraction,
-                policy=_POLICY_NAMES[name],
-                page_store=args.page_store,
-            ),
-            scale=scale,
-            seed=args.seed,
-            workload=workload.name,
-            workload_knobs=workload.knobs,
-            measure_transactions=args.transactions,
-            warmup_max=50_000,
-        )
+        CellSpec.from_config((name,), base.with_(policy=name))
         for name in args.policies
     ]
 
-    def report(key, result):
-        print(f"# {result.name}: warm-up {result.warmup_transactions} tx, "
+    def report(progress: CellProgress) -> None:
+        print(f"# {progress.result.name}: warm-up "
+              f"{progress.result.warmup_transactions} tx, "
               f"measured {args.transactions} tx", file=sys.stderr)
 
-    cells = run_cells(specs, jobs=args.jobs, on_cell=report, fast=args.fast)
+    cells = run_cells(specs, jobs=args.jobs, progress=report, fast=args.fast)
     print(run_result_table(
-        list(cells.values()), title=f"Steady state - {workload.token}"
+        list(cells.values()),
+        title=f"Steady state - {base.workload_spec().token}",
     ))
     return 0
 
 
 def cmd_recover(args) -> int:
-    scale = _scale(args.scale)
-    workload = _workload(args)
-    scenario = CrashRecoveryScenario(
+    base = _experiment(
+        args,
+        scenario="crash",
         checkpoint_interval=args.interval,
         crash_point=args.crash_point,
-        warmup_max=50_000,
     )
     specs = [
-        CellSpec(
-            key=(name,),
-            config=scaled_reference_config(
-                estimate_workload_pages(workload, scale),
-                cache_fraction=args.cache_fraction,
-                policy=_POLICY_NAMES[name],
-                page_store=args.page_store,
-            ),
-            scale=scale,
-            seed=args.seed,
-            workload=workload.name,
-            workload_knobs=workload.knobs,
-            scenario=scenario,
-        )
+        CellSpec.from_config((name,), base.with_(policy=name))
         for name in args.policies
     ]
     cells = run_cells(specs, jobs=args.jobs, fast=args.fast)
@@ -175,9 +168,6 @@ def cmd_crash(args) -> int:
     from repro.sim import hardcrash
     from repro.storage.registry import get_backend_entry
 
-    policy = _POLICY_NAMES[args.policy]
-    workload = _workload(args)
-
     if args.victim:
         # Re-exec target: run the schedule on persistent storage and die
         # by SIGKILL.  Never returns.
@@ -186,8 +176,8 @@ def cmd_crash(args) -> int:
             backend=args.page_store,
             scale_name=args.scale,
             seed=args.seed,
-            workload=workload,
-            policy=policy,
+            workload=_workload(args),
+            policy=_POLICY_NAMES[args.policy],
             cache_fraction=args.cache_fraction,
             checkpoint_interval=args.interval,
             crash_point=args.crash_point,
@@ -246,13 +236,14 @@ def cmd_crash(args) -> int:
 
     # Soft mode: the same schedule fully in-process (the model the hard
     # path is validated against), reported in the same shape.
-    runner = _build_runner(args, policy)
-    scenario = CrashRecoveryScenario(
+    experiment = _experiment(
+        args,
+        policy=args.policy,
+        scenario="crash",
         checkpoint_interval=args.interval,
         crash_point=args.crash_point,
-        warmup_max=50_000,
     )
-    crash = scenario.execute(runner)
+    crash = experiment.build_scenario().execute(_runner(experiment))
     if args.json:
         print(json.dumps(
             {
@@ -272,21 +263,12 @@ def cmd_crash(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.sim.experiment import ExperimentConfig
-
-    workload = _workload(args)
-    base = ExperimentConfig(
-        scale=_scale(args.scale),
-        seed=args.seed,
-        workload=workload.name,
-        workload_knobs=workload.knobs,
-        cache_fraction=args.cache_fraction,
+    base = _experiment(
+        args,
         measure_transactions=args.transactions,
-        warmup_max=50_000,
         scenario="service",
         think_time_ms=args.think_ms,
         max_inflight=args.max_inflight,
-        page_store=args.page_store,
     )
     specs = [
         CellSpec.from_config((name, n), base.with_(policy=name, n_clients=n))
@@ -338,11 +320,35 @@ def cmd_devices(args) -> int:
     return 0
 
 
+def _metric_table(title: str, flat: dict, prefix: str = "") -> None:
+    """Print the metrics named ``prefix*`` as a table, if there are any."""
+    rows = [
+        (name, f"{flat[name]:g}") for name in sorted(flat) if name.startswith(prefix)
+    ]
+    if rows:
+        print(format_table(title, ["metric", "value"], rows, width=44))
+
+
 def cmd_stats(args) -> int:
     from repro.obs import OBS
 
-    policy = _POLICY_NAMES[args.policy]
-    workload = _workload(args)
+    if args.crash:
+        # Crash mode: run the Section 5.5 schedule instead of a steady
+        # measurement and report the restart, not Table 3.
+        protocol = dict(scenario="crash", checkpoint_interval=args.interval)
+    elif args.clients:
+        # Service mode: run the closed-loop N-client scenario instead of a
+        # single-stream measurement and report latency, not Table 3.
+        protocol = dict(
+            scenario="service",
+            n_clients=args.clients,
+            think_time_ms=args.think_ms,
+            measure_transactions=args.transactions,
+        )
+    else:
+        protocol = dict(measure_transactions=args.transactions)
+    experiment = _experiment(args, policy=args.policy, **protocol)
+    workload = experiment.workload_spec()
     print(f"# workload: {workload.token} "
           f"(knobs: {workload.resolved_knobs() or '(none)'})",
           file=sys.stderr)
@@ -350,101 +356,14 @@ def cmd_stats(args) -> int:
     if args.fast:
         from repro.sim.replay import ReplayRunner, get_recorder, save_recorded_traces
 
-        scale = _scale(args.scale)
-        config = scaled_reference_config(
-            estimate_workload_pages(workload, scale),
-            cache_fraction=args.cache_fraction,
-            policy=policy,
-            page_store=args.page_store,
-        )
         runner = ReplayRunner(
-            config, get_recorder(scale, args.seed, workload=workload)
+            experiment.system_config(),
+            get_recorder(experiment.scale, experiment.seed, workload=workload),
         )
     else:
-        runner = _build_runner(args, policy)
-
-    if args.crash:
-        # Crash mode: run the Section 5.5 schedule instead of a steady
-        # measurement and report the restart, not Table 3.
-        scenario = CrashRecoveryScenario(
-            checkpoint_interval=args.interval, warmup_max=50_000
-        )
-        crash = scenario.execute(runner)
-        if args.fast:
-            save_recorded_traces()
-        snap = OBS.snapshot()
-        if args.json:
-            print(snap.to_json())
-            return 0
-        if args.csv:
-            rows = snap.to_csv(args.csv)
-            print(f"wrote {rows} metrics to {args.csv}", file=sys.stderr)
-        print(restart_report_table([(crash.name, crash.report)],
-                                   title="Crash + restart"))
-        flat = snap.as_flat()
-        recovery_rows = [
-            (name, f"{flat[name]:g}")
-            for name in sorted(flat) if name.startswith("recovery.")
-        ]
-        if recovery_rows:
-            print(format_table(
-                "Recovery metrics",
-                ["metric", "value"],
-                recovery_rows,
-                width=44,
-            ))
-        print(format_table(
-            "All metrics (measured region)",
-            ["metric", "value"],
-            [(name, f"{flat[name]:g}") for name in sorted(flat)],
-            width=44,
-        ))
-        return 0
-
-    if args.clients:
-        # Service mode: run the closed-loop N-client scenario instead of a
-        # single-stream measurement and report latency, not Table 3.
-        from repro.sim.scenario import ServiceScenario
-
-        scenario = ServiceScenario(
-            n_clients=args.clients,
-            think_time_ms=args.think_ms,
-            measure_transactions=args.transactions,
-            warmup_max=50_000,
-        )
-        service = scenario.execute(runner)
-        if args.fast:
-            save_recorded_traces()
-        snap = OBS.snapshot()
-        if args.json:
-            print(snap.to_json())
-            return 0
-        if args.csv:
-            rows = snap.to_csv(args.csv)
-            print(f"wrote {rows} metrics to {args.csv}", file=sys.stderr)
-        print(service_result_table([service]))
-        flat = snap.as_flat()
-        service_rows = [
-            (name, f"{flat[name]:g}")
-            for name in sorted(flat) if name.startswith("service.")
-        ]
-        if service_rows:
-            print(format_table(
-                "Service metrics",
-                ["metric", "value"],
-                service_rows,
-                width=44,
-            ))
-        print(format_table(
-            "All metrics (measured region)",
-            ["metric", "value"],
-            [(name, f"{flat[name]:g}") for name in sorted(flat)],
-            width=44,
-        ))
-        return 0
-
-    runner.warm_up(max_transactions=50_000)  # warm_up resets OBS at the boundary
-    result = runner.measure(args.transactions)
+        runner = _runner(experiment)
+    # Every scenario's warm-up resets OBS at the measurement boundary.
+    result = experiment.build_scenario().execute(runner)
     if args.fast:
         save_recorded_traces()
     snap = OBS.snapshot()
@@ -456,82 +375,90 @@ def cmd_stats(args) -> int:
         rows = snap.to_csv(args.csv)
         print(f"wrote {rows} metrics to {args.csv}", file=sys.stderr)
 
-    prefix = runner.dbms.cache.obs_prefix
-    lookups = snap.get(f"{prefix}.lookups")
-    hits = snap.get(f"{prefix}.hits")
-    dirty = snap.get(f"{prefix}.evictions.dirty")
-    disk_writes = snap.get(f"{prefix}.disk_writes")
-    obs_hit = hits / lookups if lookups else 0.0
-    obs_wr = max(0.0, 1.0 - disk_writes / dirty) if dirty else 0.0
-    print(f"# {result.name} / {workload.token}: {result.transactions} tx "
-          f"measured, {result.tpmc:,.0f} tpmC")
-    print(format_table(
-        "Derived from metrics vs. RunResult",
-        ["figure", "from metrics", "from RunResult"],
-        [
-            ("flash hit rate (Table 3a)",
-             f"{obs_hit:.4f}", f"{result.flash_hit_rate:.4f}"),
-            ("write reduction (Table 3b)",
-             f"{obs_wr:.4f}", f"{result.write_reduction:.4f}"),
-        ],
-        width=28,
-    ))
     flat = snap.as_flat()
-    replay_rows = [
-        (name, f"{flat[name]:g}") for name in sorted(flat) if name.startswith("replay.")
-    ]
-    if replay_rows:
+    if args.crash:
+        print(restart_report_table([(result.name, result.report)],
+                                   title="Crash + restart"))
+        _metric_table("Recovery metrics", flat, "recovery.")
+    elif args.clients:
+        print(service_result_table([result]))
+        _metric_table("Service metrics", flat, "service.")
+    else:
+        prefix = runner.dbms.cache.obs_prefix
+        lookups = snap.get(f"{prefix}.lookups")
+        hits = snap.get(f"{prefix}.hits")
+        dirty = snap.get(f"{prefix}.evictions.dirty")
+        disk_writes = snap.get(f"{prefix}.disk_writes")
+        obs_hit = hits / lookups if lookups else 0.0
+        obs_wr = max(0.0, 1.0 - disk_writes / dirty) if dirty else 0.0
+        print(f"# {result.name} / {workload.token}: {result.transactions} tx "
+              f"measured, {result.tpmc:,.0f} tpmC")
         print(format_table(
-            "Trace-replay fast path",
-            ["metric", "value"],
-            replay_rows,
-            width=44,
+            "Derived from metrics vs. RunResult",
+            ["figure", "from metrics", "from RunResult"],
+            [
+                ("flash hit rate (Table 3a)",
+                 f"{obs_hit:.4f}", f"{result.flash_hit_rate:.4f}"),
+                ("write reduction (Table 3b)",
+                 f"{obs_wr:.4f}", f"{result.write_reduction:.4f}"),
+            ],
+            width=28,
         ))
-    print(format_table(
-        "All metrics (measured region)",
-        ["metric", "value"],
-        [(name, f"{flat[name]:g}") for name in sorted(flat)],
-        width=44,
-    ))
+        _metric_table("Trace-replay fast path", flat, "replay.")
+    _metric_table("All metrics (measured region)", flat)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    policy = _POLICY_NAMES[args.policy]
-    scale = _scale(args.scale)
-    workload = _workload(args)
-    db_pages = estimate_workload_pages(workload, scale)
+    import warnings
+
     # --shared-seed is its own decision; it merely *defaults* to following
     # --fast (one shared boundary stream is the layout replay amortises
     # best).  --no-shared-seed keeps statistically independent per-cell
-    # workloads even in fast mode — Sweep.run() warns when that combination
+    # workloads even in fast mode, with a warning when that combination
     # cannot amortise the recording.
     shared_seed = args.fast if args.shared_seed is None else args.shared_seed
-    sweep = Sweep(
-        dimensions={"fraction": list(args.fractions)},
-        config_factory=lambda fraction: scaled_reference_config(
-            db_pages,
-            cache_fraction=fraction,
-            policy=policy,
-            page_store=args.page_store,
-        ),
-        scale=scale,
-        measure_transactions=args.transactions,
-        warmup_max=50_000,
-        seed=args.seed,
-        shared_seed=shared_seed,
-        workload=workload.name,
-        workload_knobs=workload.knobs,
+    base = _experiment(
+        args, policy=args.policy, measure_transactions=args.transactions
     )
-    results = sweep.run(
-        jobs=args.jobs, progress=progress_printer(sys.stderr), fast=args.fast
-    )
-    points = [
-        (fraction * 100, results.get(fraction).tpmc) for fraction in args.fractions
+    specs = [
+        CellSpec.from_config(
+            (fraction,),
+            base.with_(cache_fraction=fraction),
+            seed=(
+                args.seed if shared_seed else derive_cell_seed(args.seed, (fraction,))
+            ),
+        )
+        for fraction in args.fractions
     ]
+    if args.fast and not shared_seed and len(specs) > 1:
+        from repro.sim.replay import cached_trace_exists
+
+        # Every cell is its own boundary stream: unless the persistent
+        # trace cache already holds one, each is recorded alongside its own
+        # full execution and the fast path saves nothing.
+        if not any(
+            cached_trace_exists(spec.scale, spec.seed, spec.workload)
+            for spec in specs
+        ):
+            warnings.warn(
+                f"fast sweep over {len(specs)} per-cell seeds with no cached "
+                "traces: every cell records its own boundary stream, so "
+                "replay cannot amortise the recording. Pass --shared-seed "
+                "to serve the whole grid from one recording.",
+                UserWarning,
+                stacklevel=2,
+            )
+    cells = run_cells(
+        specs, jobs=args.jobs, progress=progress_printer(sys.stderr), fast=args.fast
+    )
+    points = [(f * 100, cells[(f,)].tpmc) for f in args.fractions]
     print(
         format_series(
-            f"tpmC vs cache size - {policy.value}", "cache %", "tpmC", points
+            f"tpmC vs cache size - {_POLICY_NAMES[args.policy].value}",
+            "cache %",
+            "tpmC",
+            points,
         )
     )
     return 0
@@ -556,19 +483,11 @@ def cmd_ablate(args) -> int:
     import json
 
     from repro.sim.ablation import AblationStudy, verify_parity
-    from repro.sim.experiment import ExperimentConfig
 
-    workload = _workload(args)
-    base = ExperimentConfig(
-        scale=_scale(args.scale),
-        seed=args.seed,
-        workload=workload.name,
-        workload_knobs=workload.knobs,
+    base = _experiment(
+        args,
         policy=args.policy,
-        cache_fraction=args.cache_fraction,
         measure_transactions=args.transactions,
-        warmup_max=50_000,
-        page_store=args.page_store,
         # --recovery turns every cell into a Section 5.5 crash/restart
         # measurement; axes like checkpoint_interval / crash_point /
         # ckpt_segment_entries then vary the recovery protocol itself.
@@ -614,10 +533,9 @@ def cmd_ablate(args) -> int:
 
 def _scale_name(profile: ScaleProfile | None) -> str:
     """Compact display name for a profile (``tiny``/``bench``/repr)."""
-    if profile == TINY:
-        return "tiny"
-    if profile == BENCH:
-        return "bench"
+    for name, known in SCALES.items():
+        if profile == known:
+            return name
     return repr(profile) if profile is not None else "?"
 
 

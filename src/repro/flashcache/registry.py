@@ -1,8 +1,8 @@
 """Policy registry: one named catalogue of every flash-cache strategy.
 
 Before this module existed, flash-cache construction was spread across the
-config factory (:mod:`repro.core.policies`), the CLI's name->enum table and
-each benchmark harness's own mapping.  The registry replaces those with a
+config factory, the CLI's name->enum table and each benchmark harness's own
+mapping.  The registry replaces those with a
 single declarative catalogue: every policy the paper compares is one
 :class:`PolicyEntry` naming its constructor, the knobs it accepts, and the
 :class:`~repro.core.config.SystemConfig` field each knob reads from.
@@ -18,11 +18,8 @@ Three entry points:
   accepted set);
 * :func:`build_cache_from_config` — the config-driven path used by the
   DBMS factory: reads each registered knob from its ``SystemConfig`` field
-  and delegates to :func:`make_policy`.
-
-:func:`repro.core.policies.build_cache` survives as a thin deprecation
-shim over :func:`build_cache_from_config`, so every pre-registry call site
-keeps working unchanged.
+  and delegates to :func:`make_policy`.  :mod:`repro.core.policies` builds
+  only the devices and volumes; the cache itself always comes from here.
 """
 
 from __future__ import annotations

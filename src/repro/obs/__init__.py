@@ -26,9 +26,11 @@ budget DESIGN.md §8 quantifies.  Enable programmatically::
     print(snap.get("buffer.pool.hit"), snap.get("wal.force.count"))
 
 or for a whole process via the environment: ``REPRO_OBS=1``.  The CLI
-surface is ``python -m repro stats`` (see :mod:`repro.cli`), and sweeps
-collect per-cell snapshots with ``CellSpec(collect_obs=True)`` /
-``Sweep(..., collect_obs=True)``.
+surface is ``python -m repro stats`` (see :mod:`repro.cli`).  A sweep
+collects one snapshot per cell with ``ExperimentConfig(collect_obs=True)``
+(or ``CellSpec(collect_obs=True)``) through
+:func:`~repro.sim.parallel.run_cells`, and :func:`merge_snapshots` sums the
+cells' snapshots in grid order.
 """
 
 from __future__ import annotations

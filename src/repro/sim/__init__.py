@@ -2,9 +2,10 @@
 
 The experiment-orchestration layer above the DBMS:
 :class:`~repro.sim.runner.ExperimentRunner` (warm-up / measure discipline
-of Section 5.2), :class:`~repro.sim.sweep.Sweep` grids and the parallel
-execution engine (:mod:`~repro.sim.parallel`), crash scheduling for the
-Section 5.5 protocol (:mod:`~repro.sim.crashes`), windowed throughput
+of Section 5.2), the parallel execution engine for grids of
+:class:`~repro.sim.parallel.CellSpec` cells (:mod:`~repro.sim.parallel`),
+the run protocols — steady state, the Section 5.5 crash schedule, closed-loop
+service — (:mod:`~repro.sim.scenario`), windowed throughput
 series for Figure 6 (:mod:`~repro.sim.metrics`), I/O tracing and the
 boundary-trace codec (:mod:`~repro.sim.trace`), the declarative
 :class:`~repro.sim.experiment.ExperimentConfig`, the replay-driven
@@ -16,7 +17,6 @@ under a seed, and sweep cells carry optional observability snapshots
 """
 
 from repro.sim.ablation import AblationResults, AblationStudy, verify_parity
-from repro.sim.crashes import CrashRun, crash_mid_interval, run_until_mid_interval
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.metrics import ThroughputSample, ThroughputSeries
 from repro.sim.parallel import (
@@ -30,8 +30,10 @@ from repro.sim.parallel import (
 from repro.sim.runner import ExperimentRunner, RunResult, run_steady_state
 from repro.sim.scenario import (
     CrashRecoveryScenario,
+    CrashRun,
     ServiceScenario,
     SteadyStateScenario,
+    run_until_crash_point,
 )
 from repro.sim.service import (
     ServiceResult,
@@ -39,7 +41,6 @@ from repro.sim.service import (
     TxnDemand,
     record_demands,
 )
-from repro.sim.sweep import Sweep, SweepResults
 from repro.sim.trace import (
     IOTracer,
     TraceEvent,
@@ -63,12 +64,9 @@ __all__ = [
     "ServiceScenario",
     "ServiceSimulation",
     "SteadyStateScenario",
-    "Sweep",
-    "SweepResults",
     "ThroughputSample",
     "ThroughputSeries",
     "TraceEvent",
-    "crash_mid_interval",
     "decode_boundary",
     "derive_cell_seed",
     "encode_boundary",
@@ -78,6 +76,6 @@ __all__ = [
     "run_cell",
     "run_cells",
     "run_steady_state",
-    "run_until_mid_interval",
+    "run_until_crash_point",
     "verify_parity",
 ]

@@ -2,9 +2,9 @@
 
 Before this module, "what does this cell run?" was a knob soup smeared
 across three layers: :class:`~repro.core.config.SystemConfig` overrides
-built by ad-hoc factories, :class:`~repro.sim.parallel.CellSpec` protocol
-fields (measure/warm-up counts, checkpoint cadence, obs collection), and
-CLI flags mapping onto both.  :class:`ExperimentConfig` unifies them into a
+built by ad-hoc factories, per-cell protocol fields (measure/warm-up
+counts, checkpoint cadence, obs collection), and CLI flags mapping onto
+both.  :class:`ExperimentConfig` unifies them into a
 single frozen dataclass covering *everything* that defines an experiment —
 workload (scale, seed), system (policy name, size fractions, policy knobs),
 and measurement protocol — with one deriver:
@@ -19,7 +19,8 @@ layers is explicit: :meth:`ExperimentConfig.system_config` builds the
 :class:`SystemConfig` (resolving the policy name through
 :mod:`repro.flashcache.registry`), and
 :meth:`~repro.sim.parallel.CellSpec.from_config` lowers the whole thing to
-a picklable sweep cell.
+a picklable sweep cell carrying :meth:`ExperimentConfig.build_scenario` as
+its run protocol.  Every CLI subcommand builds one of these from its flags.
 """
 
 from __future__ import annotations

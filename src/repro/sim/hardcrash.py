@@ -49,7 +49,7 @@ from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import run_until_crash_point
 from repro.sim.warmstate import fork_dbms
 from repro.storage.registry import get_backend_entry
-from repro.tpcc.scale import BENCH, TINY, ScaleProfile
+from repro.tpcc.scale import ScaleProfile, scale_by_name
 from repro.workload.registry import (
     WorkloadSpec,
     estimate_workload_pages,
@@ -82,13 +82,6 @@ DISCRETE_FIELDS = (
 def discrete_report(report: RestartReport) -> dict[str, Any]:
     """The comparable (timing-free) projection of a restart report."""
     return {name: getattr(report, name) for name in DISCRETE_FIELDS}
-
-
-def _scale_by_name(name: str) -> ScaleProfile:
-    try:
-        return {"tiny": TINY, "bench": BENCH}[name]
-    except KeyError:
-        raise ConfigError(f"unknown scale {name!r} (use tiny|bench)") from None
 
 
 def _build_config(
@@ -132,7 +125,7 @@ def run_victim(
         raise ConfigError(
             f"hard crash needs a persistent page-store backend, not {backend!r}"
         )
-    scale = _scale_by_name(scale_name)
+    scale = scale_by_name(scale_name)
     config = _build_config(
         scale, workload, policy, cache_fraction, backend, state_dir
     )
@@ -212,7 +205,7 @@ def run_restart(state_dir: str) -> dict[str, Any]:
     with open(os.path.join(state_dir, CONTEXT_NAME), "rb") as fh:
         context = pickle.load(fh)
 
-    scale = _scale_by_name(manifest["scale"])
+    scale = scale_by_name(manifest["scale"])
     workload = workload_spec(
         manifest["workload"],
         {name: value for name, value in manifest["workload_knobs"]},

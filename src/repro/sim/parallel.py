@@ -7,16 +7,16 @@ embarrassingly parallel.  This module fans such cells out over a
 
 * A cell travels to a worker as a picklable :class:`CellSpec` — the fully
   materialised :class:`~repro.core.config.SystemConfig`, scale profile,
-  seed, and measurement protocol — never as a closure.  Sweep factories are
-  evaluated in the parent process, so even lambda factories parallelise;
-  only the *configs they produce* must pickle.
+  seed, workload and scenario — never as a closure.  Grids are built in
+  the parent process, so even lambda-built configs parallelise; only the
+  *specs* must pickle.
 * Per-cell seeds are derived from ``(seed, cell_key)`` with a stable hash
   (:func:`derive_cell_seed`) — never from worker identity or submission
   order — so a parallel run is bit-identical to a serial run of the same
   grid, and to any re-run at any ``jobs`` count.
 * Results are collected **in grid order** regardless of completion order,
-  and the optional ``on_cell`` / ``progress`` callbacks fire in that same
-  deterministic order as results are gathered.
+  and the optional ``progress`` callback fires in that same deterministic
+  order as results are gathered.
 * When the pool cannot be created (restricted environments, missing
   semaphores) or dies mid-run, the remaining cells fall back to in-process
   serial execution with a :class:`RuntimeWarning` — the sweep always
@@ -56,6 +56,7 @@ from repro.sim.scenario import (
 from repro.sim.trace import SharedTraceHandle, publish_boundary_trace
 from repro.sim.warmstate import collector_paused, fork_database
 from repro.tpcc.scale import ScaleProfile
+from repro.workload.registry import TPCC_SPEC, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.experiment import ExperimentConfig
@@ -65,24 +66,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CellSpec:
     """One sweep cell, declaratively: everything a worker needs, picklable.
 
-    This replaces the closure-based ``config_factory`` contract at the
-    process boundary: the config is already built, so no user code crosses
-    into the worker.
+    The config is already built, so no user code crosses into the worker.
+    The cell is described once: the system (``config``), the stream it
+    drives (``scale``, ``seed``, ``workload``) and the run protocol
+    (``scenario``) — the easiest way to fill them all is
+    :meth:`from_config`.
     """
 
     key: tuple
     config: SystemConfig
     scale: ScaleProfile
     seed: int
-    #: Workload registry name plus canonical knob tuple (see
-    #: :mod:`repro.workload.registry`); together with ``(scale, seed)``
-    #: they name the boundary stream this cell replays.
-    workload: str = "tpcc"
-    workload_knobs: tuple = ()
-    measure_transactions: int = 2000
-    warmup_min: int = 500
-    warmup_max: int = 15_000
-    checkpoint_interval: float | None = None
+    #: Canonical workload (build it with
+    #: :func:`repro.workload.registry.workload_spec`); together with
+    #: ``(scale, seed)`` it names the boundary stream this cell replays.
+    workload: WorkloadSpec = TPCC_SPEC
+    #: The run protocol: a :class:`SteadyStateScenario` measures
+    #: throughput; a :class:`CrashRecoveryScenario` turns the cell into a
+    #: Table 6 crash/restart measurement returning a
+    #: :class:`~repro.sim.scenario.CrashRun`; a :class:`ServiceScenario`
+    #: turns it into a closed-loop N-client latency measurement returning
+    #: a :class:`~repro.sim.service.ServiceResult`.
+    scenario: SteadyStateScenario | CrashRecoveryScenario | ServiceScenario = (
+        SteadyStateScenario()
+    )
     #: Collect a per-cell observability snapshot of the measured region
     #: into ``RunResult.obs``.  The snapshot holds only simulated
     #: quantities, so parallel and serial runs stay bit-identical.
@@ -93,17 +100,6 @@ class CellSpec:
     #: every config — set this ``False`` only to force a cell through full
     #: execution (e.g. to cross-check the replay against it).
     replay_ok: bool = True
-    #: The run protocol for this cell.  ``None`` (the default, and the
-    #: historical behaviour) resolves to a :class:`SteadyStateScenario`
-    #: built from the measurement fields above; a
-    #: :class:`CrashRecoveryScenario` turns the cell into a Table 6
-    #: crash/restart measurement returning a
-    #: :class:`~repro.sim.scenario.CrashRun`; a :class:`ServiceScenario`
-    #: turns it into a closed-loop N-client latency measurement returning
-    #: a :class:`~repro.sim.service.ServiceResult`.
-    scenario: (
-        SteadyStateScenario | CrashRecoveryScenario | ServiceScenario | None
-    ) = None
     #: Refcounted handle to a boundary trace the parent published into
     #: shared memory (see :mod:`repro.sim.trace`).  Set by the fast sweep
     #: engine on the copies it ships to replay workers — user code never
@@ -111,25 +107,15 @@ class CellSpec:
     #: lengths; the worker attaches a zero-copy view and replays from it.
     shared_trace: SharedTraceHandle | None = None
 
-    def workload_spec(self):
-        """Canonical :class:`~repro.workload.registry.WorkloadSpec` for
-        this cell (validated; hashable, so it keys replay groups)."""
-        from repro.workload.registry import workload_spec
-
-        return workload_spec(self.workload, dict(self.workload_knobs))
+    def workload_spec(self) -> WorkloadSpec:
+        """``workload``, by the name ``ExperimentConfig`` also answers to."""
+        return self.workload
 
     def resolve_scenario(
         self,
     ) -> SteadyStateScenario | CrashRecoveryScenario | ServiceScenario:
-        """The scenario this cell executes (defaulting to steady state)."""
-        if self.scenario is not None:
-            return self.scenario
-        return SteadyStateScenario(
-            measure_transactions=self.measure_transactions,
-            warmup_min=self.warmup_min,
-            warmup_max=self.warmup_max,
-            checkpoint_interval=self.checkpoint_interval,
-        )
+        """``scenario`` (the accessor older callers use)."""
+        return self.scenario
 
     @classmethod
     def from_config(
@@ -139,31 +125,20 @@ class CellSpec:
 
         The experiment carries both the system description (lowered via
         :meth:`~repro.sim.experiment.ExperimentConfig.system_config`) and
-        the measurement protocol, so this is the one-call bridge from the
-        declarative API to the sweep engine.  ``overrides`` replace any of
-        the resulting spec's own fields (e.g. ``replay_ok=False`` or a
-        per-cell ``seed``).
+        the run protocol (lowered via
+        :meth:`~repro.sim.experiment.ExperimentConfig.build_scenario`), so
+        this is the one-call bridge from the declarative API to the sweep
+        engine.  ``overrides`` replace any of the resulting spec's
+        own fields (e.g. ``replay_ok=False`` or a per-cell ``seed``).
         """
         params = dict(
             key=key,
             config=experiment.system_config(),
             scale=experiment.scale,
             seed=experiment.seed,
-            workload=experiment.workload,
-            workload_knobs=experiment.workload_knobs,
-            measure_transactions=experiment.measure_transactions,
-            warmup_min=experiment.warmup_min,
-            warmup_max=experiment.warmup_max,
-            checkpoint_interval=experiment.checkpoint_interval,
+            workload=experiment.workload_spec(),
+            scenario=experiment.build_scenario(),
             collect_obs=experiment.collect_obs,
-            # Steady experiments leave ``scenario=None`` so the spec's own
-            # measurement fields (including any ``overrides``) stay
-            # authoritative; crash experiments carry their protocol along.
-            scenario=(
-                None
-                if experiment.scenario == "steady"
-                else experiment.build_scenario()
-            ),
         )
         params.update(overrides)
         return cls(**params)
@@ -222,7 +197,7 @@ def _execute_cell(
             OBS.clear()
             OBS.enable()
         try:
-            result = spec.resolve_scenario().execute(make_runner())
+            result = spec.scenario.execute(make_runner())
             if spec.collect_obs:
                 result.obs = OBS.snapshot()
         finally:
@@ -240,7 +215,6 @@ def run_cell(spec: CellSpec) -> ScenarioResult:
     (:mod:`repro.sim.warmstate`) — bit-identical to a fresh load, which
     ``ExperimentRunner(...)`` without a ``loader`` still performs.
     """
-    workload = spec.workload_spec()
     return _execute_cell(
         spec,
         lambda: ExperimentRunner(
@@ -248,9 +222,9 @@ def run_cell(spec: CellSpec) -> ScenarioResult:
             spec.scale,
             seed=spec.seed,
             loader=lambda dbms, scale: fork_database(
-                dbms, scale, spec.seed, workload=workload
+                dbms, scale, spec.seed, workload=spec.workload
             ),
-            workload=workload,
+            workload=spec.workload,
         ),
     )
 
@@ -284,15 +258,14 @@ def ensure_picklable(specs: Sequence[CellSpec]) -> None:
 def run_cells(
     specs: Sequence[CellSpec],
     jobs: int | None = 1,
-    on_cell: Callable[[tuple, ScenarioResult], None] | None = None,
     progress: Callable[[CellProgress], None] | None = None,
     fast: bool = False,
 ) -> dict[tuple, ScenarioResult]:
     """Run every cell; return ``{key: result}`` in the order of ``specs``.
 
     ``jobs=1`` (the default) runs in-process; ``jobs>1`` uses a process
-    pool; ``jobs in (None, 0)`` uses one worker per CPU.  Callbacks fire in
-    spec order as results are gathered, in every mode.
+    pool; ``jobs in (None, 0)`` uses one worker per CPU.  ``progress``
+    fires in spec order as results are gathered, in every mode.
 
     ``fast=True`` serves cells through the trace-replay fast path
     (:mod:`repro.sim.replay`): the boundary event stream for each
@@ -307,14 +280,13 @@ def run_cells(
     if len(set(keys)) != len(keys):
         raise ConfigError("sweep cells must have unique keys")
     if fast:
-        return _run_cells_fast(specs, jobs, on_cell, progress)
-    return _run_cells(specs, jobs, on_cell, progress)
+        return _run_cells_fast(specs, jobs, progress)
+    return _run_cells(specs, jobs, progress)
 
 
 def _run_cells(
     specs: Sequence[CellSpec],
     jobs: int | None,
-    on_cell: Callable[[tuple, ScenarioResult], None] | None,
     progress: Callable[[CellProgress], None] | None,
 ) -> dict[tuple, ScenarioResult]:
     """Full-execution engine: :func:`run_cell` per cell, pooled when asked."""
@@ -324,8 +296,6 @@ def _run_cells(
 
     def gather(spec: CellSpec, result: ScenarioResult) -> None:
         results[spec.key] = result
-        if on_cell is not None:
-            on_cell(spec.key, result)
         if progress is not None:
             progress(
                 CellProgress(
@@ -479,7 +449,6 @@ def _replay_pool(
 def _run_cells_fast(
     specs: Sequence[CellSpec],
     jobs: int | None,
-    on_cell: Callable[[tuple, ScenarioResult], None] | None,
     progress: Callable[[CellProgress], None] | None,
 ) -> dict[tuple, ScenarioResult]:
     """Trace-replay engine: record once per stream identity, replay per cell.
@@ -501,7 +470,8 @@ def _run_cells_fast(
     re-replayed in the parent against the live recorder, so results are
     always complete and bit-identical to a serial sweep.  At ``jobs=1``
     every replay stays in the parent, exactly as before.  Results and
-    callbacks keep the original spec order, like the full-execution engine.
+    ``progress`` keep the original spec order, like the full-execution
+    engine.
     """
     from repro.sim.replay import (
         get_recorder,
@@ -511,7 +481,7 @@ def _run_cells_fast(
     )
 
     start = time.perf_counter()
-    streams = [(spec.scale, spec.seed, spec.workload_spec()) for spec in specs]
+    streams = [(spec.scale, spec.seed, spec.workload) for spec in specs]
     group_sizes: dict[tuple, int] = {}
     for spec, stream in zip(specs, streams):
         if spec.replay_ok:
@@ -529,7 +499,7 @@ def _run_cells_fast(
 
     results: dict[tuple, ScenarioResult] = {}
     if executed:
-        results.update(_run_cells(executed, jobs, None, None))
+        results.update(_run_cells(executed, jobs, None))
 
     jobs_n = resolve_jobs(jobs)
     n_shared = 0
@@ -545,7 +515,7 @@ def _run_cells_fast(
                 # even one replay; the exhaustion path below stays as a
                 # safety net, not the expected route).
                 bound = max(
-                    spec.resolve_scenario().trace_bound() for spec in members
+                    spec.scenario.trace_bound() for spec in members
                 )
                 recorder.ensure(bound)
                 handle = publish_boundary_trace(recorder.longest_trace())
@@ -585,8 +555,6 @@ def _run_cells_fast(
     for index, spec in enumerate(specs):
         result = results[spec.key]
         ordered[spec.key] = result
-        if on_cell is not None:
-            on_cell(spec.key, result)
         if progress is not None:
             progress(
                 CellProgress(

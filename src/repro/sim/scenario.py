@@ -5,8 +5,8 @@ Steady-state cells (warm up until the cache is populated, reset counters,
 measure N transactions) flowed through :class:`~repro.sim.parallel.CellSpec`
 into the sweep/replay/ablation engines, while crash/restart runs (Section
 5.5: run with a fixed checkpoint cadence, kill at the mid-point of an
-interval, restart) were a hand-rolled loop in :mod:`repro.sim.crashes` that
-none of those engines could execute.  A **scenario** unifies them: it owns
+interval, restart) were a hand-rolled loop that none of those engines
+could execute.  A **scenario** unifies them: it owns
 the run protocol, a runner owns the system under test, and
 
     scenario.execute(runner) -> RunResult | CrashRun
@@ -193,11 +193,6 @@ class CrashRecoveryScenario:
 
     def execute(self, runner) -> CrashRun:
         runner.warm_up(self.warmup_min, self.warmup_max)
-        return self.run_measured(runner)
-
-    def run_measured(self, runner) -> CrashRun:
-        """The post-warm-up protocol (what the deprecated
-        :func:`~repro.sim.crashes.crash_mid_interval` delegates to)."""
         executed, checkpoints = run_until_crash_point(
             runner,
             self.checkpoint_interval,

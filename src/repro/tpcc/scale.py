@@ -95,6 +95,18 @@ BENCH = ScaleProfile(
 )
 
 
+#: The named profiles the CLI's ``--scale`` accepts, by name.
+SCALES = {"tiny": TINY, "bench": BENCH}
+
+
+def scale_by_name(name: str) -> ScaleProfile:
+    """The profile ``--scale NAME`` selects; unknown names raise."""
+    try:
+        return SCALES[name]
+    except KeyError:
+        raise ConfigError(f"unknown scale {name!r} (use tiny|bench)") from None
+
+
 def parse_scale(text: str) -> ScaleProfile | None:
     """Parse a ``repr(ScaleProfile(...))`` string back into a profile.
 

@@ -33,9 +33,10 @@ from repro.obs import (
     merge_snapshots,
     sanitize,
 )
+from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec, derive_cell_seed, run_cells
 from repro.sim.runner import ExperimentRunner
-from repro.sim.sweep import Sweep
+from repro.sim.scenario import SteadyStateScenario
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY
 
@@ -332,7 +333,7 @@ def test_device_histograms_match_device_stats():
 
 
 def _specs(collect_obs: bool) -> list[CellSpec]:
-    fast = dict(measure_transactions=120, warmup_min=40, warmup_max=400)
+    fast = SteadyStateScenario(measure_transactions=120, warmup_min=40, warmup_max=400)
     return [
         CellSpec(
             key=("face", fraction),
@@ -342,7 +343,7 @@ def _specs(collect_obs: bool) -> list[CellSpec]:
             scale=TINY,
             seed=derive_cell_seed(42, ("face", fraction)),
             collect_obs=collect_obs,
-            **fast,
+            scenario=fast,
         )
         for fraction in (0.06, 0.10)
     ]
@@ -371,33 +372,24 @@ def test_without_collect_obs_results_carry_no_snapshot():
 
 
 def test_sweep_threads_collect_obs_and_merges_in_grid_order():
-    def factory(fraction):
-        return scaled_reference_config(
-            DB_PAGES, cache_fraction=fraction, policy=CachePolicy.FACE
-        )
-
-    sweep = Sweep(
-        dimensions={"fraction": [0.06, 0.10]},
-        config_factory=factory,
-        scale=TINY,
-        measure_transactions=120,
-        warmup_min=40,
-        warmup_max=400,
-        collect_obs=True,
+    base = ExperimentConfig(
+        scale=TINY, policy="face", measure_transactions=120,
+        warmup_min=40, warmup_max=400, collect_obs=True,
     )
-    results = sweep.run()
-    merged = results.merged_obs()
-    assert merged is not None
-    per_cell = [r.obs for r in results.cells.values()]
+    cells = run_cells([
+        CellSpec.from_config((fraction,), base.with_(cache_fraction=fraction))
+        for fraction in (0.06, 0.10)
+    ])
+    per_cell = [result.obs for result in cells.values()]
+    assert all(snap is not None for snap in per_cell)
+    merged = merge_snapshots(per_cell)
     expected = sum(s.counters["flashcache.face.lookups"] for s in per_cell)
     assert merged.counters["flashcache.face.lookups"] == expected
+    # Gauges keep the last cell's value: the merge runs in grid order.
+    last = per_cell[-1]
+    for name, value in last.gauges.items():
+        assert merged.gauges[name] == value
 
-    plain = Sweep(
-        dimensions={"fraction": [0.06]},
-        config_factory=factory,
-        scale=TINY,
-        measure_transactions=120,
-        warmup_min=40,
-        warmup_max=400,
-    )
-    assert plain.run().merged_obs() is None
+    plain = run_cells([CellSpec.from_config((0.06,), base.with_(collect_obs=False))])
+    assert [result.obs for result in plain.values()] == [None]
+    assert merge_snapshots(result.obs for result in plain.values()) == RegistrySnapshot()

@@ -1,4 +1,4 @@
-"""The parallel sweep engine: determinism, fallbacks, and the Sweep API.
+"""The parallel sweep engine: determinism, fallbacks, lambda-built grids.
 
 The engine's contract (ISSUE: parallel sweep tentpole) is that ``jobs=N``
 is an *execution detail*: every result, key order, and callback order is
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.config import CachePolicy, scaled_reference_config
 from repro.errors import ConfigError
+from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import (
     CellProgress,
     CellSpec,
@@ -25,7 +26,7 @@ from repro.sim.parallel import (
     resolve_jobs,
     run_cells,
 )
-from repro.sim.sweep import Sweep
+from repro.sim.scenario import SteadyStateScenario
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY
 
@@ -33,11 +34,11 @@ DB_PAGES = estimate_db_pages(TINY)
 
 #: Short measured region: these tests exercise orchestration, not steady
 #: state, so each cell should be as cheap as a real simulation can be.
-FAST = dict(measure_transactions=120, warmup_min=40, warmup_max=400)
+FAST = SteadyStateScenario(measure_transactions=120, warmup_min=40, warmup_max=400)
 
 
 def _spec(key: tuple, fraction: float = 0.08, **overrides) -> CellSpec:
-    params = {**FAST, **overrides}
+    params = {"scenario": FAST, **overrides}
     return CellSpec(
         key=key,
         config=scaled_reference_config(
@@ -85,15 +86,10 @@ def test_parallel_results_bit_identical_to_serial():
 
 def test_callbacks_fire_in_spec_order_in_both_modes():
     for jobs in (1, 2):
-        seen: list[tuple] = []
         progresses: list[CellProgress] = []
-        run_cells(
-            _grid(),
-            jobs=jobs,
-            on_cell=lambda key, result: seen.append(key),
-            progress=progresses.append,
-        )
-        assert seen == [("face", 0.06), ("face", 0.10)]
+        cells = run_cells(_grid(), jobs=jobs, progress=progresses.append)
+        assert [p.key for p in progresses] == [("face", 0.06), ("face", 0.10)]
+        assert [p.result for p in progresses] == list(cells.values())
         assert [p.completed for p in progresses] == [1, 2]
         assert all(p.total == 2 for p in progresses)
         assert all(p.elapsed_seconds >= 0 for p in progresses)
@@ -180,41 +176,20 @@ def test_pool_unavailable_falls_back_to_serial(monkeypatch):
     assert fallback == run_cells(_grid(), jobs=1)
 
 
-# -- the Sweep facade --------------------------------------------------------
-
-
-def _sweep(jobs=1) -> Sweep:
-    return Sweep(
-        dimensions={"fraction": [0.06, 0.10]},
-        config_factory=lambda fraction: scaled_reference_config(
-            DB_PAGES, cache_fraction=fraction, policy=CachePolicy.FACE
-        ),
-        scale=TINY,
-        measure_transactions=FAST["measure_transactions"],
-        warmup_min=FAST["warmup_min"],
-        warmup_max=FAST["warmup_max"],
-        jobs=jobs,
-    )
+# -- lambda-built grids -----------------------------------------------------
 
 
 def test_sweep_lambda_factory_parallelises():
     # The factory is a lambda (unpicklable) but runs in the parent; only
-    # the configs it *produces* cross the process boundary.
-    serial = _sweep(jobs=1).run()
-    parallel = _sweep(jobs=2).run()
-    assert serial.cells == parallel.cells
-    assert list(serial.cells) == list(parallel.cells)
-
-
-def test_sweep_run_jobs_overrides_constructor():
-    sweep = _sweep(jobs=1)
-    assert sweep.run(jobs=2).cells == sweep.run(jobs=1).cells
-
-
-def test_sweep_from_cells():
-    cells = [_spec(("face", f), f) for f in (0.06, 0.10)]
-    sweep = Sweep.from_cells(cells, dimensions=("policy", "fraction"))
-    results = sweep.run()
-    assert list(results.cells) == [("face", 0.06), ("face", 0.10)]
-    direct = run_cells(cells, jobs=1)
-    assert results.cells == direct
+    # the specs it *produces* cross the process boundary.
+    base = ExperimentConfig(
+        scale=TINY, policy="face", measure_transactions=120,
+        warmup_min=40, warmup_max=400,
+    )
+    factory = lambda fraction: CellSpec.from_config(  # noqa: E731
+        (fraction,), base.with_(cache_fraction=fraction)
+    )
+    serial = run_cells([factory(f) for f in (0.06, 0.10)], jobs=1)
+    parallel = run_cells([factory(f) for f in (0.06, 0.10)], jobs=2)
+    assert serial == parallel
+    assert list(serial) == list(parallel) == [(0.06,), (0.10,)]

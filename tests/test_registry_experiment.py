@@ -29,6 +29,7 @@ from repro.flashcache.registry import (
 )
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec
+from repro.sim.scenario import SteadyStateScenario
 from repro.storage.volume import Volume
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY
@@ -180,9 +181,9 @@ class TestCellSpecFromConfig:
             ),
             scale=TINY,
             seed=7,
-            measure_transactions=300,
-            warmup_min=100,
-            warmup_max=900,
+            scenario=SteadyStateScenario(
+                measure_transactions=300, warmup_min=100, warmup_max=900
+            ),
         )
         assert from_config == by_hand
 

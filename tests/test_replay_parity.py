@@ -38,6 +38,7 @@ from repro.sim.replay import (
     remove_cached_traces,
     replay_cell,
 )
+from repro.sim.scenario import SteadyStateScenario
 from repro.sim.warmstate import clear_snapshots
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY, ScaleProfile
@@ -62,7 +63,7 @@ PARITY_PREFIXES = ("flashcache.", "buffer.pool.", "wal.", "recovery.")
 
 #: Short but non-trivial protocol: long enough to fill the small flash
 #: cache, trigger evictions and WAL forces on every policy.
-FAST = dict(measure_transactions=120, warmup_min=40, warmup_max=600)
+FAST = SteadyStateScenario(measure_transactions=120, warmup_min=40, warmup_max=600)
 
 
 @pytest.fixture(autouse=True)
@@ -84,7 +85,7 @@ def cache_dir(tmp_path, monkeypatch):
 
 
 def _spec(policy: CachePolicy, seed: int = 42, fraction: float = 0.08, **over) -> CellSpec:
-    params = {**FAST, **over}
+    params = {"scenario": FAST, **over}
     config_over = params.pop("config_overrides", {})
     return CellSpec(
         key=(policy.value, seed, fraction) + tuple(sorted(config_over)),
@@ -124,7 +125,10 @@ def test_replay_parity_every_policy(policy, seed):
 
 
 def test_replay_parity_with_interval_checkpoints():
-    _parity(_spec(CachePolicy.FACE, checkpoint_interval=20.0))
+    _parity(_spec(
+        CachePolicy.FACE,
+        scenario=dataclasses.replace(FAST, checkpoint_interval=20.0),
+    ))
 
 
 def test_replay_parity_clock_buffer_policy():
@@ -235,8 +239,8 @@ def _grid() -> list[CellSpec]:
 def test_fast_mode_bit_identical_with_ordered_callbacks():
     specs = _grid()
     slow_order, fast_order = [], []
-    slow = run_cells(specs, on_cell=lambda k, r: slow_order.append(k))
-    fast = run_cells(specs, on_cell=lambda k, r: fast_order.append(k), fast=True)
+    slow = run_cells(specs, progress=lambda p: slow_order.append(p.key))
+    fast = run_cells(specs, progress=lambda p: fast_order.append(p.key), fast=True)
     assert list(fast) == list(slow) == [s.key for s in specs]
     assert slow_order == fast_order == [s.key for s in specs]
     for key in slow:
@@ -365,7 +369,7 @@ def test_fast_mode_ignores_another_scales_trace(cache_dir, persisted_only):
                 ),
                 scale=LARGER,
                 seed=42,
-                **FAST,
+                scenario=FAST,
             )
             for fraction in (0.08, 0.16)
         ],
@@ -399,9 +403,8 @@ def _workload_cell(name: str, policy: CachePolicy, seed: int = 42, **knobs) -> C
         ),
         scale=TINY,
         seed=seed,
-        workload=spec_w.name,
-        workload_knobs=spec_w.knobs,
-        **FAST,
+        workload=spec_w,
+        scenario=FAST,
     )
 
 

@@ -26,6 +26,7 @@ from repro.sim.scenario import (
     CrashRecoveryScenario,
     CrashRun,
     SteadyStateScenario,
+    run_until_crash_point,
 )
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY
@@ -119,15 +120,26 @@ def test_crash_cells_fan_out_across_processes():
 
 def test_resolve_scenario_defaults_to_the_specs_own_protocol():
     spec = CellSpec(
-        key=("x",), config=_config(CachePolicy.FACE), scale=TINY, seed=1,
+        key=("x",), config=_config(CachePolicy.FACE), scale=TINY, seed=1
+    )
+    # The default protocol is the steady one ExperimentConfig describes.
+    assert spec.resolve_scenario() == SteadyStateScenario()
+    assert SteadyStateScenario() == ExperimentConfig(scale=TINY).build_scenario()
+    custom = SteadyStateScenario(
         measure_transactions=77, warmup_min=11, warmup_max=22,
         checkpoint_interval=3.0,
     )
-    resolved = spec.resolve_scenario()
-    assert resolved == SteadyStateScenario(
-        measure_transactions=77, warmup_min=11, warmup_max=22,
+    assert dataclasses.replace(spec, scenario=custom).resolve_scenario() is custom
+
+
+def test_from_config_always_carries_the_experiments_scenario():
+    experiment = ExperimentConfig(
+        scale=TINY, measure_transactions=77, warmup_min=11, warmup_max=22,
         checkpoint_interval=3.0,
     )
+    spec = CellSpec.from_config(("cell",), experiment)
+    assert spec.scenario == experiment.build_scenario()
+    assert spec.workload == experiment.workload_spec()
 
 
 def test_experiment_config_builds_a_crash_scenario():
@@ -146,6 +158,38 @@ def test_experiment_config_builds_a_crash_scenario():
 def test_crash_experiment_requires_an_interval():
     with pytest.raises(ConfigError, match="checkpoint_interval"):
         ExperimentConfig(scale=TINY, scenario="crash")
+
+
+# -- the crash schedule itself ------------------------------------------------
+
+
+def _crash_runner() -> ExperimentRunner:
+    return ExperimentRunner(_config(CachePolicy.FACE_GSC), TINY, seed=4)
+
+
+def test_runs_until_crash_point_after_min_checkpoints():
+    runner = _crash_runner()
+    executed, checkpoints = run_until_crash_point(
+        runner, checkpoint_interval=0.02, min_checkpoints=2,
+        max_transactions=5_000,
+    )
+    assert checkpoints >= 2
+    assert 0 < executed <= 5_000
+    assert runner.dbms.wall_clock() > 0.02  # at least one full interval
+
+
+def test_exhausting_max_transactions_raises():
+    # A run that never reaches its scheduled kill point must not silently
+    # return as if it crashed on schedule.
+    with pytest.raises(ConfigError, match="never reached its kill point"):
+        run_until_crash_point(
+            _crash_runner(), checkpoint_interval=1e9, max_transactions=25
+        )
+
+
+def test_run_until_crash_point_rejects_invalid_interval():
+    with pytest.raises(ConfigError):
+        run_until_crash_point(_crash_runner(), checkpoint_interval=0.0)
 
 
 # -- validation and pickling --------------------------------------------------

@@ -32,7 +32,7 @@ from repro.sim.replay import (
     prepare_replay,
     replay_cell,
 )
-from repro.sim.scenario import CrashRecoveryScenario
+from repro.sim.scenario import CrashRecoveryScenario, SteadyStateScenario
 from repro.sim.trace import leaked_shared_segments, publish_boundary_trace
 from repro.sim.warmstate import clear_snapshots, fork_dbms, warm_fork_stats
 from repro.tpcc.loader import estimate_db_pages
@@ -40,7 +40,7 @@ from repro.tpcc.scale import TINY
 
 DB_PAGES = estimate_db_pages(TINY)
 
-FAST = dict(measure_transactions=120, warmup_min=40, warmup_max=600)
+FAST = SteadyStateScenario(measure_transactions=120, warmup_min=40, warmup_max=600)
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +54,7 @@ def _hermetic(monkeypatch):
 
 
 def _spec(policy: CachePolicy, seed: int = 42, fraction: float = 0.08, **over) -> CellSpec:
-    params = {**FAST, **over}
+    params = {"scenario": FAST, **over}
     return CellSpec(
         key=(policy.value, seed, fraction),
         config=scaled_reference_config(DB_PAGES, cache_fraction=fraction, policy=policy),

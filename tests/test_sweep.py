@@ -1,106 +1,97 @@
-"""Parameter-sweep utility (repro.sim.sweep)."""
+"""Grids of cells: ``ExperimentConfig.with_`` + ``run_cells``, and ``repro sweep``."""
+
+import itertools
 
 import pytest
 
-from repro.core.config import CachePolicy
+from repro.cli import main
 from repro.errors import ConfigError
-from repro.sim.sweep import Sweep, SweepResults
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.parallel import CellSpec, derive_cell_seed, run_cells
 from repro.tpcc.scale import TINY
-from tests.conftest import tiny_config
 
-
-def factory(policy: CachePolicy, cache_pages: int):
-    return tiny_config(
-        policy, cache_pages=cache_pages, disk_capacity_pages=8192,
-        buffer_pages=12,
-    )
+BASE = ExperimentConfig(
+    scale=TINY, seed=6, measure_transactions=150, warmup_min=50, warmup_max=1500
+)
+POLICIES = ("face", "hdd-only")
+FRACTIONS = (0.08, 0.12)
 
 
 @pytest.fixture(scope="module")
-def results() -> SweepResults:
-    sweep = Sweep(
-        dimensions={
-            "policy": [CachePolicy.FACE, CachePolicy.NONE],
-            "cache_pages": [64, 96],
-        },
-        config_factory=factory,
-        scale=TINY,
-        measure_transactions=150,
-        warmup_min=50,
-        warmup_max=1500,
-        seed=6,
-    )
-    return sweep.run()
+def results() -> dict:
+    specs = [
+        CellSpec.from_config(
+            key,
+            BASE.with_(policy=key[0], cache_fraction=key[1]),
+            seed=derive_cell_seed(BASE.seed, key),
+        )
+        for key in itertools.product(POLICIES, FRACTIONS)
+    ]
+    return run_cells(specs)
 
 
 def test_full_factorial_grid(results):
-    assert len(results.cells) == 4
-    assert (CachePolicy.FACE, 64) in results.cells
-    assert (CachePolicy.NONE, 96) in results.cells
+    assert list(results) == list(itertools.product(POLICIES, FRACTIONS))
 
 
 def test_cells_hold_run_results(results):
-    cell = results.get(CachePolicy.FACE, 96)
+    cell = results[("face", 0.12)]
+    assert cell.name == "FaCE"
     assert cell.transactions == 150
     assert cell.tpmc > 0
 
 
-def test_series_extraction(results):
-    series = results.series(fixed={"policy": CachePolicy.FACE}, over="cache_pages")
-    assert [value for value, _ in series] == [64, 96]
-    assert all(r.name == "FaCE" for _, r in series)
-
-
-def test_series_rejects_unknown_dimension(results):
-    with pytest.raises(ConfigError):
-        results.series(fixed={}, over="nope")
-    with pytest.raises(ConfigError):
-        results.series(fixed={"nope": 1}, over="policy")
-
-
-def test_column_shortcut(results):
-    tpmc = results.column("tpmc", CachePolicy.FACE, 64)
-    assert tpmc == results.get(CachePolicy.FACE, 64).tpmc
-
-
-def test_on_cell_callback_sees_every_cell():
-    seen = []
-    sweep = Sweep(
-        dimensions={"policy": [CachePolicy.NONE]},
-        config_factory=lambda policy: tiny_config(policy, disk_capacity_pages=8192),
-        scale=TINY,
-        measure_transactions=50,
-        warmup_min=20,
-        warmup_max=100,
+def test_series_extraction(capsys):
+    # ``repro sweep`` prints one (cache %, tpmC) point per fraction, in the
+    # order given, each the tpmC of that fraction's cell.
+    fractions = (0.12, 0.08)
+    assert main([
+        "--scale", "tiny", "--seed", "6", "sweep", "face",
+        "--fractions", *map(str, fractions), "--transactions", "150",
+    ]) == 0
+    rows = [line.split("|") for line in capsys.readouterr().out.splitlines()[3:]]
+    base = ExperimentConfig(
+        scale=TINY, seed=6, policy="face", measure_transactions=150, warmup_max=50_000
     )
-    sweep.run(on_cell=lambda key, result: seen.append(key))
-    assert seen == [(CachePolicy.NONE,)]
+    cells = run_cells([
+        CellSpec.from_config(
+            (f,), base.with_(cache_fraction=f), seed=derive_cell_seed(6, (f,))
+        )
+        for f in fractions
+    ])
+    assert [(pct.strip(), tpmc.strip()) for pct, tpmc in rows] == [
+        (f"{f * 100:,.1f}", f"{cells[(f,)].tpmc:,.1f}") for f in fractions
+    ]
+
+
+def test_progress_callback_sees_every_cell():
+    seen = []
+    run_cells(
+        [CellSpec.from_config(("hdd-only",), BASE.with_(policy="hdd-only"))],
+        progress=lambda p: seen.append(p.key),
+    )
+    assert seen == [("hdd-only",)]
 
 
 def test_validation():
-    with pytest.raises(ConfigError):
-        Sweep({}, factory, TINY)
-    with pytest.raises(ConfigError):
-        Sweep({"policy": []}, factory, TINY)
+    sweep = ["--scale", "tiny", "sweep", "face", "--transactions", "50"]
+    with pytest.raises(SystemExit):
+        main([*sweep, "--fractions"])  # a sweep needs at least one value
+    with pytest.raises(ConfigError, match="cache_fraction"):
+        main([*sweep, "--fractions", "0"])
+    with pytest.raises(ConfigError, match="unique"):
+        main([*sweep, "--fractions", "0.1", "0.1"])
 
 
 class TestFastSeedWarning:
-    """fast=True with per-cell seeds and no cached traces warns (ISSUE 4)."""
+    """``sweep --fast`` with per-cell seeds and no cached traces warns."""
 
-    def _sweep(self, shared_seed: bool) -> Sweep:
-        return Sweep(
-            dimensions={"cache_pages": [64, 96]},
-            config_factory=lambda cache_pages: tiny_config(
-                CachePolicy.FACE, cache_pages=cache_pages,
-                disk_capacity_pages=8192,
-            ),
-            scale=TINY,
-            measure_transactions=50,
-            warmup_min=20,
-            warmup_max=100,
-            seed=6,
-            shared_seed=shared_seed,
-        )
+    @staticmethod
+    def _sweep(*flags: str) -> None:
+        assert main([
+            "--scale", "tiny", "--seed", "6", "sweep", "face",
+            "--fractions", "0.06", "0.10", "--transactions", "50", *flags,
+        ]) == 0
 
     @pytest.fixture(autouse=True)
     def _no_trace_cache(self, monkeypatch):
@@ -115,26 +106,24 @@ class TestFastSeedWarning:
         clear_snapshots()
 
     def test_per_cell_seeds_without_cached_traces_warn(self):
-        with pytest.warns(UserWarning, match="shared_seed=True"):
-            self._sweep(shared_seed=False).run(fast=True)
+        with pytest.warns(UserWarning, match="--shared-seed"):
+            self._sweep("--fast", "--no-shared-seed")
 
     def test_shared_seed_does_not_warn(self, recwarn):
-        self._sweep(shared_seed=True).run(fast=True)
+        self._sweep("--fast")
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_slow_mode_does_not_warn(self, recwarn):
-        self._sweep(shared_seed=False).run(fast=False)
+        self._sweep("--no-shared-seed")
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_cached_traces_suppress_the_warning(self, tmp_path, monkeypatch, recwarn):
-        from repro.sim.parallel import derive_cell_seed
         from repro.sim.replay import TraceRecorder, clear_recorders
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        seed = derive_cell_seed(6, (64,))
-        recorder = TraceRecorder(TINY, seed)
+        recorder = TraceRecorder(TINY, derive_cell_seed(6, (0.06,)))
         recorder.ensure(80)
         recorder.save_cache()
         clear_recorders()
-        self._sweep(shared_seed=False).run(fast=True)
+        self._sweep("--fast", "--no-shared-seed")
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]

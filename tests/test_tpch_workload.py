@@ -156,6 +156,7 @@ class TestScanResistance:
         # lives in benchmarks/BENCH_scan.json.
         from repro.core.config import scaled_reference_config
         from repro.sim.parallel import CellSpec, run_cell
+        from repro.sim.scenario import SteadyStateScenario
         from repro.workload.registry import estimate_workload_pages, workload_spec
 
         spec_w = workload_spec("tpch-scan")
@@ -169,13 +170,12 @@ class TestScanResistance:
                 ),
                 scale=TINY,
                 seed=42,
-                workload=spec_w.name,
-                workload_knobs=spec_w.knobs,
+                workload=spec_w,
                 # The benchmark's protocol: shorter windows stop before
                 # LRU-2's chain-cannibalisation reaches steady state.
-                measure_transactions=400,
-                warmup_min=60,
-                warmup_max=800,
+                scenario=SteadyStateScenario(
+                    measure_transactions=400, warmup_min=60, warmup_max=800
+                ),
             ))
             hits[policy] = result.flash_hit_rate
         assert hits[CachePolicy.FACE_GSC] > hits[CachePolicy.LRU2]

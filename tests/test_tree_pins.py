@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import re
 
@@ -46,6 +47,28 @@ DELETED = {
     "repro.db.schema:TableSchema": ("row_width", "column_names"),
     "repro.workload.registry:WorkloadSpec": ("knob_dict",),
     "repro.obs.registry:MetricRegistry": ("metrics",),
+    # A cell is described once: its protocol lives in ``scenario`` and its
+    # workload in one WorkloadSpec; the Sweep facade and the crash shims
+    # are gone, and progress is the one per-cell callback.
+    "repro": ("Sweep", "SweepResults"),
+    "repro.sim": (
+        "Sweep", "SweepResults", "crash_mid_interval", "run_until_mid_interval",
+    ),
+    "repro.sim.parallel:CellSpec": (
+        "measure_transactions", "warmup_min", "warmup_max",
+        "checkpoint_interval", "workload_knobs",
+    ),
+    "repro.sim.scenario:CrashRecoveryScenario": ("run_measured",),
+    "repro.sim.hardcrash": ("_scale_by_name",),
+    "repro.cli": ("_build_runner",),
+}
+
+#: Deleted modules.
+DELETED_MODULES = ("repro.db.btree", "repro.sim.sweep", "repro.sim.crashes")
+
+#: Callable -> keyword parameters it no longer takes.
+DELETED_PARAMETERS = {
+    "repro.sim.parallel:run_cells": ("on_cell",),
 }
 
 ENV_FLAGS = {
@@ -117,7 +140,8 @@ def test_perf_tracing_targets_resolve():
 
 
 def test_deleted_names_stay_deleted():
-    assert importlib.util.find_spec("repro.db.btree") is None
+    for module_name in DELETED_MODULES:
+        assert importlib.util.find_spec(module_name) is None, module_name
     assert not (ROOT / "examples" / "range_queries.py").exists()
     for owner, names in DELETED.items():
         module_name, _, attribute = owner.partition(":")
@@ -126,3 +150,10 @@ def test_deleted_names_stay_deleted():
             target = getattr(target, attribute)
         for name in names:
             assert not hasattr(target, name), f"{owner}.{name} is back"
+    for owner, names in DELETED_PARAMETERS.items():
+        module_name, _, attribute = owner.partition(":")
+        parameters = inspect.signature(
+            getattr(importlib.import_module(module_name), attribute)
+        ).parameters
+        for name in names:
+            assert name not in parameters, f"{owner}({name}=...) is back"

@@ -198,9 +198,9 @@ class TestExperimentIntegration:
             scale=TINY, workload="tpch-scan", workload_knobs={"scan_skew": 0.5}
         )
         spec = CellSpec.from_config(("cell",), config)
-        assert spec.workload == "tpch-scan"
-        assert spec.workload_knobs == (("scan_skew", 0.5),)
-        assert spec.workload_spec() == config.workload_spec()
+        assert spec.workload == config.workload_spec()
+        assert spec.workload.knobs == (("scan_skew", 0.5),)
+        assert spec.workload_spec() == spec.workload
 
     def test_workload_is_an_ablation_axis(self):
         from repro.sim.ablation import AXES, resolve_axis
