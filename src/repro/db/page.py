@@ -36,8 +36,12 @@ decoded past what is read.  A decode makes every check but unpacks only the
 key columns and the string lengths; the other values stay packed in the
 blob (:class:`_ColumnarRun`).  A probe unpacks the one row it returns, and
 the page builds its dict only when written, iterated, compared or probed
-often.  A freshly frozen image holds no bytes
-and is encoded when a store writes it.  The blob dies with the image: after
+often.  A freshly frozen image holds no bytes and is encoded when a store
+writes it; a persistent store that remembers the write (it answers a later
+read of unchanged bytes with this very image, :mod:`repro.storage.codec`)
+leaves the encoding on the image, so the image moves on from flash to disk
+without a second encode.  A template install keeps nothing: the images of
+a warm snapshot stay without bytes.  The blob dies with the image: after
 ``put`` / ``delete`` / ``stamp`` (or the ``slots`` setter) a page freezes to
 a new image, which holds no bytes.
 """
@@ -102,12 +106,15 @@ class PageImage:
         page._image = self
         return page
 
-    def to_bytes(self) -> bytes:
-        """The on-media bytes: the blob :meth:`from_bytes` decoded this
-        image from if there is one, else a fresh encoding on every call."""
+    def to_bytes(self, keep: bool = False) -> bytes:
+        """The on-media bytes: the blob this image keeps — the one
+        :meth:`from_bytes` decoded it from, or an encoding kept earlier —
+        else a fresh encoding, which the image keeps only if ``keep``."""
         blob = self.__dict__.get("_blob")
         if blob is None:
             blob = _pack_page(self.page_id, self.lsn, self.slots)
+            if keep:
+                self.__dict__["_blob"] = blob
         return blob
 
     @classmethod

@@ -43,6 +43,13 @@ class PageStore:
     pages, so that later in-DRAM updates cannot retroactively change what
     was "written" to the medium.
 
+    A read returns an object equal to the one last written at the LBA,
+    not necessarily a new one: the memory backend returns the stored
+    object itself, and a persistent backend may return the object it was
+    given while the bytes it holds are still that object's encoding
+    (:mod:`repro.storage.persistent`).  Callers must not rely on getting
+    a fresh object, or on object identity at all.
+
     Subclass contract — implement :meth:`put`, :meth:`get`, :meth:`peek`,
     :meth:`delete`, ``__contains__``, ``__len__``, :meth:`occupied`,
     :meth:`clear`, :meth:`snapshot_slots` and :meth:`_install_slots`;

@@ -10,7 +10,8 @@ encoding that round-trips exactly:
   decoded from, so encoding it again — a clean page admitted to flash, a
   cache slot written back to disk — prepends the kind tag and copies; only
   an image frozen from a page modified since it was decoded (``Page.put`` /
-  ``delete`` / ``stamp`` dropped the old image, bytes included) is encoded;
+  ``delete`` / ``stamp`` dropped the old image, bytes included) is encoded,
+  and at most once when the store it is written to remembers it (below);
 * :class:`~repro.flashcache.metadata.CacheSlotImage` — the cache-region
   footer (position, dirty) wrapping a page image (Section 4.1);
 * the flash metadata region's superblock and segment images;
@@ -30,6 +31,16 @@ tuple equality), which is all the simulation ever relies on — results
 depend on device charges and content comparisons, never object identity —
 so a cell run against an encode/decode backend stays bit-identical to the
 in-memory dict (pinned in ``tests/test_page_store.py``).
+
+Equal is also why a read need not decode at all.  A persistent store
+remembers the object of each LBA's last write, and :func:`is_encoding`
+tells it whether the bytes it fetched are still, byte for byte, that
+object's encoding; if so it returns the object, else it decodes.  The
+comparison is the whole blob, so a byte changed behind the store — a torn
+or lost write, another process's update — is decoded and fails closed as
+before.  For the body to be compared without being encoded again, a store
+that remembers a write encodes it with ``keep``: the image keeps its body,
+as a decoded one does.
 
 The flash-cache metadata classes are imported lazily to keep
 ``repro.storage`` free of an import-time dependency on
@@ -74,18 +85,19 @@ def _metadata():
     return _metadata_module
 
 
-def encode_storable(obj: object) -> bytes:
-    """Encode one storable object to its on-media bytes."""
+def encode_storable(obj: object, keep: bool = False) -> bytes:
+    """Encode one storable object to its on-media bytes; with ``keep``, a
+    page image that held no bytes keeps the body encoded here."""
     if obj is None:
         return bytes([_KIND_NONE])
     if isinstance(obj, PageImage):
-        return bytes([_KIND_PAGE_IMAGE]) + obj.to_bytes()
+        return bytes([_KIND_PAGE_IMAGE]) + obj.to_bytes(keep)
     meta = _metadata()
     if isinstance(obj, meta.CacheSlotImage):
         return (
             bytes([_KIND_SLOT_IMAGE])
             + _SLOT_HEADER.pack(obj.position, int(obj.dirty))
-            + obj.image.to_bytes()
+            + obj.image.to_bytes(keep)
         )
     if isinstance(obj, meta._Superblock):
         parts = [
@@ -105,6 +117,33 @@ def encode_storable(obj: object) -> bytes:
         )
         return b"".join(parts)
     raise StorageError(f"cannot encode {type(obj).__name__} for a persistent page store")
+
+
+def is_encoding(obj: object, data, start: int = 0, end: int | None = None) -> bool:
+    """Whether ``data[start:end]`` is byte for byte the encoding of ``obj``.
+
+    The whole blob is compared — kind tag, slot header and page body —
+    but a page body is compared against the bytes its image keeps, not
+    encoded again.  When this holds, ``decode_storable`` of the same bytes
+    would return an object equal to ``obj``; when it does not, the caller
+    decodes, and every check of the decoder runs.
+    """
+    if end is None:
+        end = len(data)
+    if end <= start:
+        return False
+    kind = data[start]
+    if isinstance(obj, PageImage):
+        return kind == _KIND_PAGE_IMAGE and data[start + 1 : end] == obj.to_bytes()
+    meta = _metadata()
+    if isinstance(obj, meta.CacheSlotImage):
+        body = start + 1 + _SLOT_HEADER.size
+        return (
+            kind == _KIND_SLOT_IMAGE
+            and data[start + 1 : body] == _SLOT_HEADER.pack(obj.position, int(obj.dirty))
+            and data[body:end] == obj.image.to_bytes()
+        )
+    return data[start:end] == encode_storable(obj)
 
 
 def decode_storable(data, start: int = 0, end: int | None = None) -> object:

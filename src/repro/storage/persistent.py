@@ -27,6 +27,20 @@ removed when the store is garbage collected or its process exits — by the
 process that created it only: a forked child inherits the store object,
 not the file.
 
+A store returns what it wrote.  It remembers, per LBA, the object of the
+last ``put`` / ``put_many`` once that write has landed (after ``COMMIT``,
+after ``os.write``).  A read still fetches the bytes, and returns the
+remembered object only when they are byte for byte its encoding
+(:func:`~repro.storage.codec.is_encoding`); any other bytes are decoded, and
+fail closed, as before.  So a page that went to flash and comes back
+unchanged is not decoded again, and its image — which kept the body it was
+encoded to — moves on to disk without another encode.  A template install
+(``adopt_slots``), ``copy_from``, a reopen and a fork remember nothing, and
+``delete``, ``clear`` and a later write of the LBA forget: what is kept is
+bounded by the LBAs written since the store was filled (the flash cache's
+slots and the cell's write-backs), and a reopen after ``crash --hard``
+decodes everything it reads.
+
 A store is copied, not re-encoded: :meth:`PersistentPageStore.copy_from`
 copies another store's file (``shutil.copyfile`` for mmap, SQLite's online
 backup for sqlite), so forking a store encodes and decodes no page.
@@ -51,7 +65,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from repro.errors import OutOfRangeError, PageNotFoundError, StorageError
 from repro.obs import OBS
 from repro.storage.backing import PageStore
-from repro.storage.codec import decode_storable, encode_storable
+from repro.storage.codec import decode_storable, encode_storable, is_encoding
 
 
 def _temp_path(suffix: str) -> str:
@@ -92,6 +106,18 @@ class PersistentPageStore(PageStore):
         super().__init__(capacity_pages)
         self._owns_path = path is None
         self.path = os.fspath(path) if path is not None else _temp_path(self._suffix)
+        #: LBA -> the object of its last ``put`` / ``put_many``, entered once
+        #: the write has landed; see :meth:`_recall`.
+        self._kept: dict[int, Any] = {}
+
+    def _recall(self, lba: int, data, start: int = 0, end: int | None = None) -> Any:
+        """The object read back from ``data[start:end]``, the bytes fetched
+        for ``lba``: the object last written there if those bytes are still
+        its encoding, else a fresh decode."""
+        kept = self._kept.get(lba)
+        if kept is not None and is_encoding(kept, data, start, end):
+            return kept
+        return decode_storable(data, start, end)
 
     def _close_with(self, close: Callable[[Any], None], handle: Any) -> None:
         """Close ``handle`` when the store is collected or its process
@@ -162,16 +188,18 @@ class SqlitePageStore(PersistentPageStore):
         reader = sqlite3.connect(source.path)
         try:
             self._check_top(reader.execute("SELECT MAX(lba) FROM pages").fetchone()[0])
+            self._kept.clear()
             reader.backup(self._conn)
         finally:
             reader.close()
 
     def put(self, lba: int, image: Any) -> None:
         self._check(lba)
-        blob = encode_storable(image)
+        blob = encode_storable(image, keep=True)
         self._conn.execute(
             "INSERT OR REPLACE INTO pages (lba, data) VALUES (?, ?)", (lba, blob)
         )
+        self._kept[lba] = image
         if OBS.enabled:
             self._note_put(len(blob))
 
@@ -179,7 +207,7 @@ class SqlitePageStore(PersistentPageStore):
         items = self._checked_items(items)
         if not items:
             return
-        rows = [(lba, encode_storable(image)) for lba, image in items]
+        rows = [(lba, encode_storable(image, keep=True)) for lba, image in items]
         conn = self._conn
         conn.execute("BEGIN")
         try:
@@ -188,6 +216,7 @@ class SqlitePageStore(PersistentPageStore):
             conn.execute("ROLLBACK")
             raise
         conn.execute("COMMIT")
+        self._kept.update(items)
         if OBS.enabled:
             self._note_put(sum(len(blob) for _, blob in rows), pages=len(rows))
 
@@ -203,7 +232,10 @@ class SqlitePageStore(PersistentPageStore):
             hits = [len(blob) for blob in found if blob is not None]
             if hits:
                 self._note_get(sum(hits), pages=len(hits))
-        return [None if blob is None else decode_storable(blob) for blob in found]
+        return [
+            None if blob is None else self._recall(lba, blob)
+            for lba, blob in zip(lbas, found)
+        ]
 
     def _fetch(self, lba: int) -> bytes | None:
         row = self._conn.execute(
@@ -218,7 +250,7 @@ class SqlitePageStore(PersistentPageStore):
             raise PageNotFoundError(f"no page image at lba {lba}")
         if OBS.enabled:
             self._note_get(len(blob))
-        return decode_storable(blob)
+        return self._recall(lba, blob)
 
     def peek(self, lba: int) -> Any | None:
         self._check(lba)
@@ -227,11 +259,12 @@ class SqlitePageStore(PersistentPageStore):
             return None
         if OBS.enabled:
             self._note_get(len(blob))
-        return decode_storable(blob)
+        return self._recall(lba, blob)
 
     def delete(self, lba: int) -> None:
         self._check(lba)
         self._conn.execute("DELETE FROM pages WHERE lba = ?", (lba,))
+        self._kept.pop(lba, None)
 
     def __contains__(self, lba: int) -> bool:
         return (
@@ -250,8 +283,11 @@ class SqlitePageStore(PersistentPageStore):
 
     def clear(self) -> None:
         self._conn.execute("DELETE FROM pages")
+        self._kept.clear()
 
     def _install_slots(self, slots: Mapping[int, Any]) -> None:
+        # A template install remembers nothing: its images stay without bytes.
+        self._kept.clear()
         self._conn.execute("BEGIN")
         try:
             self._conn.execute("DELETE FROM pages")
@@ -363,17 +399,19 @@ class MmapPageStore(PersistentPageStore):
 
     def put(self, lba: int, image: Any) -> None:
         self._check(lba)
-        blob = encode_storable(image)
+        blob = encode_storable(image, keep=True)
         self._append(self._RECORD.pack(self._MAGIC, lba, len(blob)) + blob)
         self._index[lba] = (self._size - len(blob), len(blob))
+        self._kept[lba] = image
         if OBS.enabled:
             self._note_put(len(blob))
 
     def put_many(self, items: Iterable[tuple[int, Any]]) -> None:
-        self._append_records(self._checked_items(items))
+        self._append_records(self._checked_items(items), keep=True)
 
-    def _append_records(self, items: list[tuple[int, Any]]) -> None:
-        """Append one record per ``(lba, image)`` with a single ``os.write``.
+    def _append_records(self, items: list[tuple[int, Any]], keep: bool) -> None:
+        """Append one record per ``(lba, image)`` with a single ``os.write``;
+        with ``keep``, remember each write as ``put`` does.
 
         As in ``put``, the records are in the kernel before the index
         points at them; a repeated LBA ends up at its last record.
@@ -383,22 +421,25 @@ class MmapPageStore(PersistentPageStore):
         base, records, entries = self._size, bytearray(), []
         pack, magic = self._RECORD.pack, self._MAGIC
         for lba, image in items:
-            blob = encode_storable(image)
+            blob = encode_storable(image, keep)
             records += pack(magic, lba, len(blob))
             entries.append((lba, (base + len(records), len(blob))))
             records += blob
         self._append(records)
         self._index.update(entries)
+        if keep:
+            self._kept.update(items)
         if OBS.enabled:
             self._note_put(len(records) - len(items) * self._RECORD.size, pages=len(items))
 
     def _install_slots(self, slots: Mapping[int, Any]) -> None:
         # One ``os.write`` per batch of records, not per page; bounded so a
-        # batch never holds a second copy of the table.
+        # batch never holds a second copy of the table.  Like the ``clear``
+        # before it, a template install remembers nothing.
         self.clear()
         items = iter(slots.items())
         while batch := list(islice(items, self._INSTALL_BATCH)):
-            self._append_records(batch)
+            self._append_records(batch, keep=False)
 
     def get(self, lba: int) -> Any:
         self._check(lba)
@@ -409,7 +450,7 @@ class MmapPageStore(PersistentPageStore):
         view = self._view(offset + length)
         if OBS.enabled:
             self._note_get(length)
-        return decode_storable(view, offset, offset + length)
+        return self._recall(lba, view, offset, offset + length)
 
     def peek(self, lba: int) -> Any | None:
         self._check(lba)
@@ -429,8 +470,8 @@ class MmapPageStore(PersistentPageStore):
             self._note_get(sum(lengths), pages=len(lengths))
         return [
             None if entry is None
-            else decode_storable(view, entry[0], entry[0] + entry[1])
-            for entry in entries
+            else self._recall(lba, view, entry[0], entry[0] + entry[1])
+            for lba, entry in zip(lbas, entries)
         ]
 
     def delete(self, lba: int) -> None:
@@ -439,6 +480,7 @@ class MmapPageStore(PersistentPageStore):
             return
         self._append(self._RECORD.pack(self._MAGIC, lba, self._TOMBSTONE))
         del self._index[lba]
+        self._kept.pop(lba, None)
 
     def __contains__(self, lba: int) -> bool:
         return lba in self._index
@@ -457,6 +499,7 @@ class MmapPageStore(PersistentPageStore):
         os.ftruncate(self._fd, 0)
         self._size = 0
         self._index.clear()
+        self._kept.clear()
 
     def snapshot_slots(self) -> dict[int, Any]:
         return {lba: self.get(lba) for lba in self.occupied()}

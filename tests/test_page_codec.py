@@ -276,14 +276,30 @@ def test_a_dirty_byte_is_zero_or_one(kind):
 # -- the re-encode budget -----------------------------------------------------
 
 
-def count_body_encodes(monkeypatch, update_fraction: float) -> tuple[int, int]:
-    """Run a TINY ycsb cell on ``mmap``; ``(page-body encodes, puts of a
-    page)`` after the cell's store was populated.  A page put alone or in a
-    batch (``put_many``) counts the same."""
+def run_tiny_mmap_cell(n_keys: int, update_fraction: float) -> None:
+    """Run one TINY ycsb cell on ``mmap`` from a forked, populated store."""
     from repro.sim.experiment import ExperimentConfig
     from repro.sim.parallel import CellSpec, run_cells
     from repro.tpcc.scale import TINY
 
+    config = ExperimentConfig(
+        scale=TINY,
+        seed=5,
+        workload="ycsb",
+        workload_knobs={"n_keys": n_keys, "update_fraction": update_fraction},
+        measure_transactions=60,
+        warmup_min=30,
+        warmup_max=30,
+        page_store="mmap",
+    )
+    spec = CellSpec.from_config(("cell",), config, replay_ok=False)
+    assert run_cells([spec], jobs=1, fast=True)[("cell",)].transactions > 0
+
+
+def count_body_encodes(monkeypatch, update_fraction: float) -> tuple[int, int]:
+    """Run a TINY ycsb cell on ``mmap``; ``(page-body encodes, puts of a
+    page)`` after the cell's store was populated.  A page put alone or in a
+    batch (``put_many``) counts the same."""
     counts = {"encodes": 0, "puts": 0, "installing": False}
     pack_page, put = page_module._pack_page, MmapPageStore.put
     put_many, install = MmapPageStore.put_many, MmapPageStore._install_slots
@@ -318,19 +334,7 @@ def count_body_encodes(monkeypatch, update_fraction: float) -> tuple[int, int]:
     monkeypatch.setattr(MmapPageStore, "put", counted_put)
     monkeypatch.setattr(MmapPageStore, "put_many", counted_put_many)
     monkeypatch.setattr(MmapPageStore, "_install_slots", flagged_install)
-    config = ExperimentConfig(
-        scale=TINY,
-        seed=5,
-        workload="ycsb",
-        workload_knobs={"n_keys": 5_000, "update_fraction": update_fraction},
-        measure_transactions=60,
-        warmup_min=30,
-        warmup_max=30,
-        page_store="mmap",
-    )
-    spec = CellSpec.from_config(("cell",), config, replay_ok=False)
-    result = run_cells([spec], jobs=1, fast=True)[("cell",)]
-    assert result.transactions > 0
+    run_tiny_mmap_cell(5_000, update_fraction)
     return counts["encodes"], counts["puts"]
 
 
@@ -586,18 +590,18 @@ class TestFailClosedAtDecode:
 
 
 def count_builds_in_a_read_only_cell(monkeypatch) -> dict:
-    """Run a TINY read-only ycsb cell on ``mmap`` and count dict builds."""
-    from repro.sim.experiment import ExperimentConfig
-    from repro.sim.parallel import CellSpec, run_cells
-    from repro.tpcc.scale import TINY
+    """Run a TINY read-only ycsb cell on ``mmap`` and count dict builds.
 
+    A page is *moved* when a batch read hands it to a GSC survivor's
+    re-enqueue or a dequeue's write-back (``MvFifoCache._read_slots``);
+    on a persistent store it arrives as the object the store was given, so
+    the census counts the builds made while it is moved, not its history."""
     run_type = page_module._ColumnarRun
     probes, builds = Counter(), Counter()
-    moved, alive = [], []  # survivors / write-backs; every run seen (ids stay unique)
-    counts = {"builds_in_put": 0, "early_builds": 0}
+    alive = []  # every run seen, so that ids stay unique
+    counts = {"builds_in_put": 0, "early_builds": 0, "moved": 0, "moved_built": 0}
     probe, build, put = run_type._probe, run_type._build, MmapPageStore.put
-    put_many = MmapPageStore.put_many
-    read_slot, read_slots = MvFifoCache._read_slot, MvFifoCache._read_slots
+    put_many, read_slots = MmapPageStore.put_many, MvFifoCache._read_slots
 
     def counted_probe(self, key, default):
         alive.append(self)
@@ -620,44 +624,21 @@ def count_builds_in_a_read_only_cell(monkeypatch) -> dict:
         put_many(self, items)
         counts["builds_in_put"] += sum(builds.values()) - before
 
-    def note_moved(image):
-        if type(image.slots) is run_type and image.slots._dict is None:
-            moved.append(image.slots)  # a GSC survivor or a dirty write-back
-
-    def counted_read_slot(self, position, timed=True):
-        image = read_slot(self, position, timed)
-        if not timed:
-            note_moved(image)
-        return image
-
     def counted_read_slots(self, positions):
+        before = sum(builds.values())
         images = read_slots(self, positions)  # a batch read paid for them
-        for image in images:
-            note_moved(image)
+        counts["moved"] += len(images)
+        counts["moved_built"] += sum(builds.values()) - before
         return images
 
     monkeypatch.setattr(run_type, "_probe", counted_probe)
     monkeypatch.setattr(run_type, "_build", counted_build)
     monkeypatch.setattr(MmapPageStore, "put", counted_put)
     monkeypatch.setattr(MmapPageStore, "put_many", counted_put_many)
-    monkeypatch.setattr(MvFifoCache, "_read_slot", counted_read_slot)
     monkeypatch.setattr(MvFifoCache, "_read_slots", counted_read_slots)
-    config = ExperimentConfig(
-        scale=TINY,
-        seed=5,
-        workload="ycsb",
-        workload_knobs={"n_keys": 30_000, "update_fraction": 0.0},  # > the flash cache
-        measure_transactions=60,
-        warmup_min=30,
-        warmup_max=30,
-        page_store="mmap",
-    )
-    spec = CellSpec.from_config(("cell",), config, replay_ok=False)
-    assert run_cells([spec], jobs=1, fast=True)[("cell",)].transactions > 0
+    run_tiny_mmap_cell(30_000, update_fraction=0.0)  # more keys than the flash cache holds
     return dict(
         counts,
-        moved=sum(1 for run in moved if not probes[id(run)]),
-        moved_built=sum(builds[id(run)] for run in moved if not probes[id(run)]),
         probed_once=sum(1 for n in probes.values() if n == 1),
         probed_once_built=sum(1 for run, n in probes.items() if n == 1 and builds[run]),
         max_builds=max(builds.values(), default=0),
@@ -666,8 +647,8 @@ def count_builds_in_a_read_only_cell(monkeypatch) -> dict:
 
 def test_a_read_only_cell_builds_only_the_pages_it_probes_often(monkeypatch):
     counts = count_builds_in_a_read_only_cell(monkeypatch)
-    # Survivors and write-backs never probed while they were moved: the run
-    # proves something, and moving a page built nothing.
+    # Survivors and write-backs were moved: the run proves something, and
+    # moving a page — reading it off flash, writing it on — built nothing.
     assert counts["moved"] > 0
     assert counts["probed_once"] > 0
     assert counts["moved_built"] == 0
@@ -675,6 +656,47 @@ def test_a_read_only_cell_builds_only_the_pages_it_probes_often(monkeypatch):
     assert counts["probed_once_built"] == 0
     assert counts["early_builds"] == 0
     assert counts["max_builds"] <= 1
+
+
+def count_decodes_in_a_read_only_cell(monkeypatch) -> Counter:
+    """Run the read-only cell of the build census: page-body decodes, and
+    the page bodies read from each device — a disk read returns a
+    ``PageImage``, a flash-slot read a ``CacheSlotImage``."""
+    counts = Counter()
+    unpack_page = page_module._unpack_page
+    get, peek_many = MmapPageStore.get, MmapPageStore.peek_many
+
+    def counted_unpack(data):
+        counts["decodes"] += 1
+        return unpack_page(data)
+
+    def note(obj):  # ``MmapPageStore.peek`` reads through ``get``
+        counts["disk_reads"] += type(obj) is PageImage
+        counts["flash_reads"] += type(obj) is CacheSlotImage
+        return obj
+
+    monkeypatch.setattr(page_module, "_unpack_page", counted_unpack)
+    monkeypatch.setattr(MmapPageStore, "get", lambda self, lba: note(get(self, lba)))
+    monkeypatch.setattr(
+        MmapPageStore, "peek_many", lambda self, lbas: [note(o) for o in peek_many(self, lbas)]
+    )
+    run_tiny_mmap_cell(30_000, update_fraction=0.0)
+    return counts
+
+
+def test_a_read_only_cell_decodes_only_what_it_reads_from_disk(monkeypatch):
+    """A page written to flash comes back as the object written: the cell
+    decodes one body per disk read, and none per flash-slot read."""
+    counts = count_decodes_in_a_read_only_cell(monkeypatch)
+    assert counts["disk_reads"] > 0 and counts["flash_reads"] > 0
+    assert counts["decodes"] == counts["disk_reads"]
+
+
+def test_an_updating_cell_encodes_what_it_encoded_before(monkeypatch):
+    """Remembering a write spares decodes, never adds an encode: pinned to
+    the count measured before stores remembered their writes."""
+    encodes, puts = count_body_encodes(monkeypatch, update_fraction=0.9)
+    assert (encodes, puts) == (288, 355)
 
 
 # -- each body copied once ----------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import json
 import os
 import pathlib
@@ -17,6 +18,7 @@ import re
 import signal
 import subprocess
 import sys
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -395,6 +397,129 @@ class TestPersistence:
 
         with pytest.raises(sqlite3.DatabaseError):
             SqlitePageStore(8, path)
+
+
+def rewrite_behind(store: PageStore, lba: int, blob: bytes) -> None:
+    """Replace the bytes stored at ``lba`` without telling ``store``: the
+    mmap record's payload in place (same length), or the sqlite row from a
+    second connection."""
+    if store.backend_name == "mmap":
+        offset, length = store._index[lba]
+        assert len(blob) == length
+        with open(store.path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(blob)
+    else:
+        import sqlite3
+
+        other = sqlite3.connect(store.path, isolation_level=None)
+        other.execute("UPDATE pages SET data = ? WHERE lba = ?", (blob, lba))
+        other.close()
+
+
+def forgotten(put_and_forget) -> bool:
+    """Whether the store lets go of an image once ``put_and_forget(image)``
+    has written it and then deleted, cleared or overwritten it."""
+    img = sample_image()
+    ref = weakref.ref(img)
+    put_and_forget(img)
+    del img
+    gc.collect()
+    return ref() is None
+
+
+@pytest.mark.parametrize("backend", PERSISTENT)
+class TestRememberedWrites:
+    """A persistent store answers a read of unchanged bytes with the object
+    it was given; any other bytes are decoded and fail closed as before."""
+
+    def test_a_hit_returns_the_written_object(self, backend):
+        store = make_page_store(backend, 16)
+        img, slot, batched = sample_image(), CacheSlotImage(4, True, sample_image(8)), image("b")
+        store.put(1, img)
+        store.put_many([(2, slot), (3, batched)])
+        assert store.get(1) is img and store.peek(2) is slot and store.get(3) is batched
+        found = store.peek_many([2, 1, 9, 3, 2])
+        assert [a is b for a, b in zip(found, (slot, img, None, batched, slot))] == [True] * 5
+        # The encoding a remembered write was compared against stays on its image.
+        assert "_blob" in vars(img) and "_blob" in vars(slot.image)
+
+    @pytest.mark.parametrize("read", ["get", "peek", "peek_many"])
+    def test_bytes_changed_behind_the_store_are_decoded(self, backend, read):
+        store = make_page_store(backend, 16)
+        fetch = {
+            "get": store.get, "peek": store.peek, "peek_many": lambda lba: store.peek_many([lba])[0]
+        }[read]
+        img, slot = sample_image(lsn=42), CacheSlotImage(4, False, sample_image(lsn=42))
+        store.put(1, img)
+        store.put(2, slot)
+        # Well-formed bytes of the same length: the changed page comes back.
+        rewrite_behind(store, 1, encode_storable(sample_image(lsn=43)))
+        rewrite_behind(store, 2, encode_storable(slot._replace(dirty=True)))
+        assert fetch(1) == sample_image(lsn=43) and fetch(1) is not img
+        assert fetch(2) == slot._replace(dirty=True)
+        # Malformed bytes: a bad page magic, a dirty byte of 2.
+        blob = bytearray(encode_storable(img))
+        blob[1] ^= 0xFF
+        rewrite_behind(store, 1, bytes(blob))
+        blob = bytearray(encode_storable(slot))
+        blob[1 + 8] = 2
+        rewrite_behind(store, 2, bytes(blob))
+        with pytest.raises(StorageError, match="page magic"):
+            fetch(1)
+        with pytest.raises(StorageError, match="dirty byte"):
+            fetch(2)
+
+    def test_a_reopened_copied_or_forked_store_decodes(self, backend, tmp_path):
+        path = tmp_path / f"vol.{backend}"
+        store = make_page_store(backend, 16, path)
+        img = sample_image()
+        store.put(5, img)
+        store.flush()
+        copied = make_page_store(backend, 16)
+        copied.put(5, img)
+        copied.copy_from(store)
+        for other in (make_page_store(backend, 16, path), copied, copy.deepcopy(store)):
+            assert other.get(5) == img and other.get(5) is not img
+        assert store.get(5) is img
+
+    def test_delete_clear_and_an_overwrite_forget(self, backend):
+        store = make_page_store(backend, 16)
+
+        def deleted(img):
+            store.put(1, img)
+            store.delete(1)
+
+        def cleared(img):
+            store.put_many([(1, img), (2, image("other"))])
+            store.clear()
+
+        def overwritten(img):
+            store.put(1, img)
+            store.put(1, image("newer"))
+
+        def installed(img):
+            store.put(1, img)
+            store.adopt_slots({1: sample_image()})
+
+        def copied_over(img):
+            store.put(1, img)
+            store.copy_from(make_page_store(backend, 16))
+
+        for forget in (deleted, cleared, overwritten, installed, copied_over):
+            assert forgotten(forget), forget.__name__
+
+    def test_adopt_slots_remembers_nothing(self, backend):
+        store = make_page_store(backend, 16)
+        snapshot = {lba: sample_image(lba) for lba in (0, 3, 15)}
+        store.adopt_slots(snapshot)
+        for lba, img in snapshot.items():
+            assert store.get(lba) == img and store.get(lba) is not img
+            assert "_blob" not in vars(img)  # the template's images hold no bytes
+        ref = weakref.ref(snapshot[3])
+        del snapshot, img
+        gc.collect()
+        assert ref() is None
 
 
 class TestCodec:
