@@ -1,4 +1,4 @@
-"""Benchmark recorder: six gated passes, each with one committed record.
+"""Benchmark recorder: seven gated passes, each with one committed record.
 
     python benchmarks/record.py [PASS] [--smoke] [--jobs N] [--strict] [--obs] [--output PATH]
     python benchmarks/record.py --check PASS|all
@@ -29,19 +29,47 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core.config import CachePolicy, scaled_reference_config  # noqa: E402
+from repro.analysis.costmodel import (  # noqa: E402
+    breakeven_exponent,
+    breakeven_theta,
+    roi_ratio,
+)
+from repro.analysis.fitting import fit_log_hit_curve  # noqa: E402
+from repro.analysis.tables import format_table  # noqa: E402
+from repro.core.config import (  # noqa: E402
+    CachePolicy,
+    SystemConfig,
+    scaled_reference_config,
+)
+from repro.core.dbms import SimulatedDBMS  # noqa: E402
 from repro.obs import OBS  # noqa: E402
+from repro.recovery.restart import RecoveryManager  # noqa: E402
+from repro.sim.experiment import ExperimentConfig  # noqa: E402
+from repro.sim.metrics import ThroughputSeries  # noqa: E402
 from repro.sim.parallel import CellSpec, run_cells  # noqa: E402
 from repro.sim.replay import (  # noqa: E402
     cached_trace_exists,
     clear_recorders,
     prepare_replay,
 )
-from repro.sim.scenario import SteadyStateScenario  # noqa: E402
+from repro.sim.runner import ExperimentRunner  # noqa: E402
+from repro.sim.scenario import (  # noqa: E402
+    SteadyStateScenario,
+    run_until_crash_point,
+)
 from repro.sim.trace import leaked_shared_segments  # noqa: E402
 from repro.sim.warmstate import snapshot_load_seconds  # noqa: E402
+from repro.storage.profiles import (  # noqa: E402
+    DRAM_TO_FLASH_PRICE_RATIO,
+    HDD_CHEETAH_15K,
+    MLC_SAMSUNG_470,
+    SLC_INTEL_X25E,
+    TABLE1_PROFILES,
+    measure_profile,
+)
 from repro.tpcc.loader import estimate_db_pages  # noqa: E402
 from repro.tpcc.scale import BENCH, TINY  # noqa: E402
+from repro.workload.registry import make_workload  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 HISTORY_LIMIT = 20
@@ -391,9 +419,9 @@ def study_summary(latest: dict) -> list[str]:
 #: The dense grid the full ablation record runs: 4 x 2 x 2 x 4 = 64 cells.
 #: Axes are chosen for signal at TINY scale (the 103-page database sits
 #: entirely inside the floor-sized flash cache, so size/eviction knobs are
-#: inert there — those ablations live in benchmarks/bench_ablation_*.py at
-#: BENCH scale).  ``scan_depth`` is kept although flat: a flat curve across
-#: an 8x depth range is the paper's own §3.3 claim.
+#: inert there — the ``paper`` pass runs those ablations at BENCH scale).
+#: ``scan_depth`` is kept although flat: a flat curve across an 8x depth
+#: range is the paper's own §3.3 claim.
 ABLATION_AXES = {
     "policy": ("face", "face+gr", "face+gsc", "lc"),
     "admission": None,
@@ -412,7 +440,6 @@ def run_ablation(jobs: int, smoke: bool) -> dict:
     with full-execution spot checks, and the persisted trace compressed at
     least ``MIN_COMPRESSION_RATIO`` x against the raw array encoding.
     """
-    from repro.sim.experiment import ExperimentConfig
     from repro.sim.replay import persisted_trace_stats
 
     base = ExperimentConfig(
@@ -495,8 +522,6 @@ def run_latency(jobs: int, smoke: bool) -> dict:
     saturation knee.  Gates: replay parity, one rung per client count with
     monotone percentiles, and in a full run a knee for every policy.
     """
-    from repro.sim.experiment import ExperimentConfig
-
     clients = SMOKE_LATENCY_CLIENTS if smoke else LATENCY_CLIENTS
     base = ExperimentConfig(
         scale=TINY,
@@ -752,6 +777,8 @@ RECOVERY_MAX_TX = 20_000
 #: FaCE must restart at least this much faster than each baseline at every
 #: interval (observed: 2.0-3.4x vs HDD-only, 1.2-2.9x vs LC).
 MIN_RESTART_SPEEDUP = 1.1
+RECOVERY_COLUMNS = ("key", "restart_seconds", "metadata_restore_seconds",
+                    "cache_survived", "flash_read_fraction")
 
 
 def run_recovery(jobs: int, smoke: bool) -> dict:
@@ -760,12 +787,12 @@ def run_recovery(jobs: int, smoke: bool) -> dict:
     boundary trace truncated at each kill point, with FaCE-vs-baseline
     restart speedups.  BENCH scale even under smoke: a TINY restart fetches
     only ~15 pages during redo, so the flash-vs-disk read gap drowns in
-    checkpoint-phase noise.  Gates: replay parity, and FaCE restarting at
+    checkpoint-phase noise.  Gates: replay parity, FaCE restarting at
     least ``MIN_RESTART_SPEEDUP`` x faster than LC and HDD-only at every
-    interval.
+    interval, and Table 6's shapes: FaCE+GSC under 0.6x HDD-only's restart,
+    its cache surviving, its metadata restore a small term, > 90 % of its
+    redo reads from flash, and restart growing with the interval.
     """
-    from repro.sim.experiment import ExperimentConfig
-
     intervals = SMOKE_RECOVERY_INTERVALS if smoke else RECOVERY_INTERVALS
     base = ExperimentConfig(
         scale=BENCH,
@@ -805,7 +832,7 @@ def recovery_gates(latest: dict) -> list[str]:
     problems = missing(latest, (*STUDY_KEYS, "speedups"))
     if problems:
         return problems
-    problems = [
+    problems = missing_columns(latest["cells"], RECOVERY_COLUMNS) + [
         p
         for entry in latest["speedups"]
         for p in missing(
@@ -824,6 +851,36 @@ def recovery_gates(latest: dict) -> list[str]:
          f"(< {MIN_RESTART_SPEEDUP}x floor)")
         for entry in latest["speedups"]
         for policy, speedup in entry["face_speedup_vs"].items()
+    ] + [
+        # Table 6: the paper restarts 77-85 % faster; the scaled system
+        # must at least take 40 % off HDD-only's restart.
+        (seconds["face+gsc"] < 0.6 * seconds["hdd-only"],
+         f"Table 6 at interval {entry['checkpoint_interval']}: FaCE+GSC restart "
+         f"{seconds['face+gsc']}s is not below 0.6x HDD-only's {seconds['hdd-only']}s")
+        for entry in latest["speedups"]
+        for seconds in [entry["restart_seconds"]]
+    ] + [
+        (times[-1] > 0.8 * times[0],
+         f"Table 6: {policy} restart does not grow with the checkpoint interval "
+         f"({times[0]}s -> {times[-1]}s)")
+        for policy in ("face+gsc", "hdd-only")
+        for times in [[e["restart_seconds"][policy] for e in latest["speedups"]]]
+    ] + [
+        claim
+        for cell in latest["cells"] if cell["key"][0] == "face+gsc"
+        for claim in (
+            (cell["cache_survived"] is True,
+             f"Table 6 at interval {cell['key'][1]}: the FaCE+GSC flash cache did not survive"),
+            # §4.2: restoring the metadata directory is a small additive term.
+            (cell["metadata_restore_seconds"] < 0.3 * cell["restart_seconds"]
+             or cell["metadata_restore_seconds"] < 1.0,
+             f"Table 6 at interval {cell['key'][1]}: FaCE+GSC metadata restore "
+             f"{cell['metadata_restore_seconds']}s is not a small term"),
+            # §5.5: the pages redo needs come from the flash cache.
+            (cell["flash_read_fraction"] > 0.9,
+             f"Table 6 at interval {cell['key'][1]}: FaCE+GSC reads "
+             f"{cell['flash_read_fraction']} of its redo pages from flash (<= 0.9)"),
+        )
     ])
 
 
@@ -863,7 +920,6 @@ def run_storage(jobs: int, smoke: bool) -> dict:
     results and one tpmC across backends, and each backend's harness
     overhead at most ``MAX_STORAGE_OVERHEAD`` x the memory store's.
     """
-    from repro.sim.experiment import ExperimentConfig
     from repro.storage.registry import available_backends
 
     scale = TINY if smoke else BENCH
@@ -955,6 +1011,584 @@ def storage_summary(latest: dict) -> list[str]:
     ]
 
 
+# -- paper -------------------------------------------------------------------
+
+#: Every steady cell of the paper's tables: BENCH TPC-C (the paper's 50 GB
+#: database scaled ~1000x, its ratios kept), warmed until the flash cache
+#: is populated (500-15,000 transactions), then 2,500 measured.
+PAPER_BASE = ExperimentConfig(scale=BENCH, seed=SEED, measure_transactions=2500)
+#: Table 3/4's cache sizes (2-10 GB of a 50 GB database) and Figure 4's.
+TABLE_FRACTIONS = (0.04, 0.08, 0.12, 0.16, 0.20)
+FIG4_FRACTIONS = (0.04, 0.12, 0.20, 0.28)
+SWEEP_POLICIES = ("lc", "face", "face+gr", "face+gsc")
+#: Table 2's designs, each with the paper's summary of it: when a page
+#: enters / what is cached / write-through or -back / replacement.
+LANDSCAPE = {
+    "exadata": "entry/clean/thru/LRU",
+    "tac": "entry/both/thru/temp",
+    "lc": "exit/both/back/LRU-2",
+    "face": "exit/both/back/FIFO",
+    "face+gsc": "exit/both/back/FIFO+GSC",
+}
+#: Table 5: a step of DRAM is the base buffer itself (0.4 % of the
+#: database); the same money buys ten times the pages of flash.
+DRAM_STEP_PAGES = max(16, int(estimate_db_pages(BENCH) * 0.004))
+FLASH_STEP_PAGES = int(DRAM_STEP_PAGES * DRAM_TO_FLASH_PRICE_RATIO)
+TABLE5_STEPS = (1, 2, 3, 4, 5)
+FIG5_DISKS = (4, 8, 12, 16)
+FIG5_POLICIES = ("face+gsc", "lc", "hdd-only")
+#: The §3.2/§3.3 design-choice ablations at a 12 % cache: name -> the
+#: knob, its values (the paper's choice first), the systems it runs on.
+ABLATIONS = {
+    "sync": ("face_write_through", (False, True), ("face+gsc",)),
+    "admission": ("face_cache_clean", (True, False), ("face+gsc",)),
+    "scan_depth": ("scan_depth", (16, 32, 64, 128), ("face+gsc",)),
+    "dram_policy": ("buffer_policy", ("lru", "clock"), ("face+gsc", "hdd-only")),
+}
+ABLATION_METRICS = ("tpmc", "dram_hit_rate", "flash_hit_rate", "write_reduction",
+                    "flash_utilization", "disk_utilization")
+#: Figure 6: crash mid-way through a 2 s checkpoint interval, restart, run
+#: 3,000 transactions and keep the first 12 one-second windows.
+FIG6_POLICIES = ("face+gsc", "hdd-only")
+FIG6_POST_TX = 3000
+FIG6_WINDOWS = 12
+#: Skew sensitivity: YCSB over 40,000 keys (~1,700 pages) with 30 %
+#: updates and a cache of ~8 % of the data, swept over the Zipf exponent.
+SKEWS = (0.0, 0.5, 0.99, 1.3)
+SKEW_TX = 1200
+
+
+def paper_experiment(policy: str, fraction: float = 0.12, **knobs) -> ExperimentConfig:
+    """One paper cell.  ``hdd-only`` and ``ssd-only`` are the reference
+    systems without a flash cache: the database on the disk array, or all
+    of it on the SSD."""
+    if policy in ("hdd-only", "ssd-only"):
+        knobs["ssd_only"] = policy == "ssd-only"
+        policy, fraction = "hdd-only", 0.01
+    return PAPER_BASE.with_(policy=policy, cache_fraction=fraction, **knobs)
+
+
+def paper_specs() -> list[CellSpec]:
+    """Every steady cell of the tables, keyed by table.  Beside each
+    experiment go the ``SystemConfig`` fields it cannot express: SLC
+    flash, the array width and Table 5's page counts."""
+    grid = {}
+    for flash, system in (("mlc", {}), ("slc", {"flash_profile": SLC_INTEL_X25E})):
+        fractions = {*TABLE_FRACTIONS, *FIG4_FRACTIONS} if flash == "mlc" else FIG4_FRACTIONS
+        for policy in (*SWEEP_POLICIES, "hdd-only", "ssd-only"):
+            for fraction in sorted(fractions):
+                grid[(flash, policy, fraction)] = (paper_experiment(policy, fraction), system)
+    for policy in LANDSCAPE:
+        grid[("table2", policy)] = (paper_experiment(policy), {})
+    for k in TABLE5_STEPS:
+        cache = k * FLASH_STEP_PAGES
+        grid[("dram", k)] = (paper_experiment("hdd-only"),
+                             {"buffer_pages": (k + 1) * DRAM_STEP_PAGES})
+        grid[("flash", k)] = (paper_experiment("face+gsc"), {
+            "buffer_pages": DRAM_STEP_PAGES, "cache_pages": cache,
+            "segment_entries": max(64, cache // 16),
+        })
+    for policy in FIG5_POLICIES:
+        for n in FIG5_DISKS:
+            grid[("disks", policy, n)] = (paper_experiment(policy), {"n_disks": n})
+    for name, (knob, values, systems) in ABLATIONS.items():
+        for policy in systems:
+            for value in values:
+                grid[(name, policy, value)] = (paper_experiment(policy, **{knob: value}), {})
+    return [
+        CellSpec.from_config(key, experiment, config=experiment.system_config().with_(**system))
+        for key, (experiment, system) in grid.items()
+    ]
+
+
+def run_once(specs: list[CellSpec], jobs: int) -> dict:
+    """Run each distinct cell once — tables share many: the 12 % FaCE+GSC
+    cell serves nine — and answer for every key."""
+    first: dict = {}
+    for spec in specs:
+        first.setdefault((spec.config, spec.scenario), spec)
+    cells = run_cells(list(first.values()), jobs=jobs, fast=True)
+    return {spec.key: cells[first[(spec.config, spec.scenario)].key] for spec in specs}
+
+
+def metric(result, name: str):
+    if name == "disk_utilization":
+        return round(result.utilization["disk"], 6)
+    if name == "metadata_writes":
+        return int(result.cache_stats["metadata_writes"])
+    return round(getattr(result, name), 3 if name in ("tpmc", "flash_page_iops") else 6)
+
+
+def columns(cells: dict, xs, systems, key: Callable, *metrics: str) -> dict:
+    """One table as ``{"x": xs, system: {metric: [value at each x]}}``."""
+    return {"x": list(xs)} | {
+        system: {m: [metric(cells[key(system, x)], m) for x in xs] for m in metrics}
+        for system in systems
+    }
+
+
+def fig6_ramp(policy: str) -> dict:
+    """Run, checkpoint, crash mid-interval, restart; then windowed tpmC
+    from the crash on, the restart outage included."""
+    runner = ExperimentRunner(paper_experiment(policy).system_config(), BENCH)
+    runner.warm_up(PAPER_BASE.warmup_min, PAPER_BASE.warmup_max)
+    dbms, stats = runner.dbms, runner.driver.stats
+    run_until_crash_point(runner, 2.0, crash_point=0.5, max_transactions=20_000)
+    dbms.crash()
+    outage = RecoveryManager(dbms).restart().total_time
+    dbms.reset_measurements()
+    stats.reset()
+    series = ThroughputSeries()
+    series.record(outage, 0)
+    for executed in range(1, FIG6_POST_TX + 1):
+        runner.driver.run_one()
+        if executed % 50 == 0:
+            series.record(outage + dbms.wall_clock(), stats.neworder_commits)
+    series.record(outage + dbms.wall_clock(), stats.neworder_commits)
+    return {
+        "restart_seconds": round(outage, 6),
+        "tpmc": [round(tpmc, 3) for _, tpmc in series.windowed_tpmc(1.0)[:FIG6_WINDOWS]],
+    }
+
+
+def skew_cell(zipf_s: float, policy: CachePolicy) -> tuple[float, float]:
+    """Simulated tx/s and flash hit ratio of one YCSB skew cell."""
+    dbms = SimulatedDBMS(SystemConfig(
+        buffer_pages=32, cache_policy=policy, cache_pages=128, segment_entries=64,
+        scan_depth=32, n_disks=8, disk_capacity_pages=1 << 17,
+    ))
+    workload = make_workload("ycsb", dbms, seed=11, n_keys=40_000, zipf_s=zipf_s,
+                             update_fraction=0.3)
+    workload.run(max(200, SKEW_TX // 4))  # warm-up
+    dbms.reset_measurements()
+    workload.run(SKEW_TX)
+    wall = dbms.wall_clock()
+    return round(SKEW_TX / wall if wall else 0.0, 3), round(dbms.cache.stats.flash_hit_rate, 6)
+
+
+def run_paper(jobs: int, smoke: bool) -> dict:
+    """Every table and figure of the paper's Section 5 at BENCH, plus the
+    §2.2 cost model, the design-choice ablations and skew sensitivity
+    (Table 6 is the ``recovery`` pass).  The steady cells run through the
+    replay fast path, each distinct cell once; Figure 6's ramp and the
+    skew sweep are hand-run loops.  A smoke run is the same run: every
+    gate needs the whole grid.  Gates: the paper's shapes, each at the
+    threshold its table states.
+    """
+    start = time.perf_counter()
+    specs = paper_specs()
+    cells = run_once(specs, jobs)
+    sizes = [f * estimate_db_pages(BENCH) for f in TABLE_FRACTIONS]
+    fit = {}
+    for policy in ("face+gsc", "lc"):
+        hits = [cells[("mlc", policy, f)].flash_hit_rate for f in TABLE_FRACTIONS]
+        law = fit_log_hit_curve(list(zip(sizes, hits)))
+        fit[policy] = {name: round(value, 6) for name, value in (
+            ("alpha", law.alpha), ("beta", law.beta), ("r_squared", law.r_squared),
+            ("mid_predicted", law.predict(sizes[2])), ("mid_measured", hits[2]),
+        )}
+    skew = [(skew_cell(s, CachePolicy.FACE_GSC), skew_cell(s, CachePolicy.NONE)) for s in SKEWS]
+    devices = (HDD_CHEETAH_15K, MLC_SAMSUNG_470)
+    return {
+        "scale": "bench",
+        "seed": SEED,
+        "measure_transactions": PAPER_BASE.measure_transactions,
+        "n_cells": len({(s.config, s.scenario) for s in specs}),
+        "table1": {
+            name: {m: round(v, 2) for m, v in measure_profile(profile).items()}
+            for name, profile in TABLE1_PROFILES.items()
+        },
+        "table2": {
+            policy: {"design": design} | {
+                m: metric(cells[("table2", policy)], m)
+                for m in ("tpmc", "flash_hit_rate", "write_reduction", "metadata_writes")
+            }
+            for policy, design in LANDSCAPE.items()
+        },
+        "table3": columns(cells, TABLE_FRACTIONS, SWEEP_POLICIES, lambda p, f: ("mlc", p, f),
+                          "flash_hit_rate", "write_reduction", "duplicate_fraction"),
+        "table4": columns(cells, TABLE_FRACTIONS, SWEEP_POLICIES, lambda p, f: ("mlc", p, f),
+                          "flash_utilization", "flash_page_iops"),
+        "fig4": {
+            flash: columns(cells, FIG4_FRACTIONS, (*SWEEP_POLICIES, "hdd-only", "ssd-only"),
+                           lambda p, f, flash=flash: (flash, p, f), "tpmc")
+            for flash in ("mlc", "slc")
+        },
+        "table5": columns(cells, TABLE5_STEPS, ("dram", "flash"), lambda s, k: (s, k), "tpmc"),
+        "fig5": columns(cells, FIG5_DISKS, FIG5_POLICIES, lambda p, n: ("disks", p, n), "tpmc"),
+        "fig6": {policy: fig6_ramp(policy) for policy in FIG6_POLICIES},
+        "costmodel": {
+            workload: {
+                "exponent": round(breakeven_exponent(*devices, reads), 4),
+                "theta": round(breakeven_theta(0.5, *devices, reads), 4),
+                "roi": round(roi_ratio(0.5, *devices, DRAM_TO_FLASH_PRICE_RATIO, reads), 2),
+            }
+            for workload, reads in (("read-only", 1.0), ("write-only", 0.0))
+        },
+        "fit": fit,
+        "ablations": {
+            name: columns(cells, values, systems, lambda p, v, name=name: (name, p, v),
+                          *ABLATION_METRICS)
+            for name, (_, values, systems) in ABLATIONS.items()
+        },
+        "skew": {
+            "x": list(SKEWS),
+            "face+gsc": {"tx_per_s": [face[0] for face, _ in skew],
+                         "flash_hit_rate": [face[1] for face, _ in skew]},
+            "hdd-only": {"tx_per_s": [hdd[0] for _, hdd in skew]},
+        },
+        "wall_seconds": round(time.perf_counter() - start, 3),
+    }
+
+
+def table1_claims(t1: dict) -> list:
+    claims = []
+    for name, profile in TABLE1_PROFILES.items():
+        for field, measured in t1[name].items():
+            calibrated = getattr(profile, field)
+            if field == "random_write_iops" and "SSD" in profile.name:
+                # Wide random writes approach the calibrated worst case.
+                claims.append((measured >= 0.95 * calibrated,
+                               f"Table 1: {name} {field} {measured} is below 95% of "
+                               f"the calibrated {calibrated}"))
+            else:
+                claims.append((abs(measured - calibrated) <= 0.02 * calibrated,
+                               f"Table 1: {name} {field} {measured} is not within 2% "
+                               f"of the calibrated {calibrated}"))
+    mlc, disk, raid = (t1[n]["random_read_iops"]
+                       for n in ("mlc_samsung_470", "hdd_cheetah_15k", "raid0_8_disks"))
+    return claims + [
+        (mlc > 10 * raid, f"Table 1: MLC random reads {mlc} are not 10x the array's {raid}"),
+        (mlc > 50 * disk, f"Table 1: MLC random reads {mlc} are not 50x a disk's {disk}"),
+    ]
+
+
+def table2_claims(t2: dict) -> list:
+    best = max(t2[p]["tpmc"] for p in ("exadata", "tac", "lc"))
+    return [
+        (t2[p]["write_reduction"] == 0.0,
+         f"Table 2: write-through {p} reduces writes ({t2[p]['write_reduction']})")
+        for p in ("exadata", "tac")
+    ] + [
+        (t2[p]["write_reduction"] > 0.3,
+         f"Table 2: write-back {p} write reduction {t2[p]['write_reduction']} is not above 0.3")
+        for p in ("lc", "face")
+    ] + [
+        (t2["tac"]["metadata_writes"] > 1000,
+         f"Table 2: TAC metadata writes {t2['tac']['metadata_writes']} are not above 1000"),
+        (t2["face+gsc"]["tpmc"] > best,
+         f"Table 2: FaCE+GSC tpmC {t2['face+gsc']['tpmc']} does not top the best "
+         f"baseline's {best}"),
+    ]
+
+
+def table3_claims(t3: dict) -> list:
+    claims = []
+    for p in SWEEP_POLICIES:
+        hits, reductions = t3[p]["flash_hit_rate"], t3[p]["write_reduction"]
+        claims += [
+            (hits[-1] > hits[0], f"Table 3: {p} hit ratio does not grow with the cache"),
+            (reductions[-1] > reductions[0],
+             f"Table 3: {p} write reduction does not grow with the cache"),
+            (all(0.2 < h < 1.0 for h in hits), f"Table 3: {p} hit ratios {hits} leave (0.2, 1)"),
+        ]
+    for i, f in enumerate(t3["x"]):
+        lc, face, gsc = (t3[p]["flash_hit_rate"][i] for p in ("lc", "face", "face+gsc"))
+        face_dup, lc_dup = (t3[p]["duplicate_fraction"][i] for p in ("face", "lc"))
+        claims += [
+            (lc >= face - 0.02, f"Table 3 at {f}: LC hit ratio {lc} is 0.02 below FaCE's {face}"),
+            (gsc >= face - 0.02,
+             f"Table 3 at {f}: FaCE+GSC hit ratio {gsc} is 0.02 below FaCE's {face}"),
+            (lc - face < 0.20, f"Table 3 at {f}: LC leads FaCE by 0.20 or more ({lc} vs {face})"),
+            (face_dup > 0.02, f"Table 3 at {f}: FaCE duplicate fraction {face_dup} is not above 0.02"),
+            (lc_dup == 0.0, f"Table 3 at {f}: LC keeps duplicates ({lc_dup})"),
+        ]
+    return claims
+
+
+def table4_claims(t4: dict) -> list:
+    claims = []
+    for i, f in enumerate(t4["x"]):
+        lc, gr, gsc = (t4[p]["flash_utilization"][i] for p in ("lc", "face+gr", "face+gsc"))
+        claims += [
+            (lc > gsc, f"Table 4 at {f}: LC flash utilization {lc} is not above FaCE+GSC's {gsc}"),
+            (lc > gr, f"Table 4 at {f}: LC flash utilization {lc} is not above FaCE+GR's {gr}"),
+        ]
+        if f >= 0.12:
+            # The saturation regime: at the smallest caches the scaled
+            # system is still disk-bound (EXPERIMENTS.md, scale shift #1).
+            claims += [
+                (lc > 0.9, f"Table 4 at {f}: LC flash utilization {lc} is not above 0.9"),
+                (gsc < 0.8, f"Table 4 at {f}: FaCE+GSC flash utilization {gsc} is not below 0.8"),
+            ]
+    lc, face, gsc = (t4[p]["flash_page_iops"] for p in ("lc", "face", "face+gsc"))
+    mid = t4["x"].index(0.12)
+    return claims + [
+        (lc[-1] < 1.15 * lc[mid],
+         f"Table 4: LC page I/O keeps growing past 12% ({lc[mid]} -> {lc[-1]}, >= 1.15x)"),
+        (face[-1] > face[0], f"Table 4: FaCE page I/O does not grow ({face[0]} -> {face[-1]})"),
+        (gsc[-1] > 1.25 * gsc[mid],
+         f"Table 4: FaCE+GSC page I/O {gsc[-1]} is not 1.25x its 12% figure {gsc[mid]}"),
+        (gsc[-1] > 1.3 * lc[-1],
+         f"Table 4: FaCE+GSC page I/O {gsc[-1]} is not 1.3x LC's {lc[-1]}"),
+    ]
+
+
+def fig4_claims(flash: str, fig: dict) -> list:
+    tpmc = {p: fig[p]["tpmc"] for p in fig if p != "x"}
+    hdd, ssd = tpmc["hdd-only"][-1], tpmc["ssd-only"][-1]
+    lc, face, gr, gsc = (tpmc[p] for p in SWEEP_POLICIES)
+    claims = [
+        (tpmc[p][-1] > tpmc[p][0], f"Fig 4 {flash}: {p} tpmC does not grow with the cache")
+        for p in SWEEP_POLICIES if p != "lc"
+    ] + [
+        (tpmc[p][-1] > hdd, f"Fig 4 {flash}: {p} tpmC {tpmc[p][-1]} does not beat HDD-only's {hdd}")
+        for p in SWEEP_POLICIES
+    ] + [
+        (gsc[-1] > 1.15 * lc[-1], f"Fig 4 {flash}: FaCE+GSC {gsc[-1]} is not 1.15x LC's {lc[-1]}"),
+        (gsc[-1] > face[-1], f"Fig 4 {flash}: FaCE+GSC {gsc[-1]} does not beat FaCE's {face[-1]}"),
+        (gr[-1] >= 0.95 * face[-1],
+         f"Fig 4 {flash}: FaCE+GR {gr[-1]} falls 5% below FaCE's {face[-1]}"),
+        (gsc[-1] - gsc[0] > lc[-1] - lc[0],
+         f"Fig 4 {flash}: LC gains as much from a larger cache as FaCE+GSC"),
+    ]
+    if flash == "mlc":
+        # The headline: a flash cache of a fraction of the database beats
+        # the whole database on the SSD.
+        claims.append((gsc[-1] > ssd, f"Fig 4 mlc: FaCE+GSC {gsc[-1]} does not beat SSD-only's {ssd}"))
+    else:
+        claims.append((gsc[-1] > 1.1 * lc[-1],
+                       f"Fig 4 slc: FaCE+GSC {gsc[-1]} is not 1.1x LC's {lc[-1]}"))
+    return claims
+
+
+def table5_claims(t5: dict) -> list:
+    dram, flash = t5["dram"]["tpmc"], t5["flash"]["tpmc"]
+    return [
+        (f > 1.2 * d, f"Table 5 step x{k}: more flash {f} is not 1.2x more DRAM's {d}")
+        for k, d, f in zip(t5["x"], dram, flash)
+    ] + [
+        (flash[-1] > flash[0], f"Table 5: more flash stops paying ({flash[0]} -> {flash[-1]})"),
+        (dram[-1] > dram[0], f"Table 5: more DRAM stops paying ({dram[0]} -> {dram[-1]})"),
+    ]
+
+
+def fig5_claims(f5: dict) -> list:
+    gsc, lc, hdd = (f5[p]["tpmc"] for p in FIG5_POLICIES)
+    return [
+        (gsc[-1] > 1.5 * gsc[0], f"Fig 5: FaCE+GSC does not scale 1.5x ({gsc[0]} -> {gsc[-1]})"),
+        (hdd[-1] > 1.5 * hdd[0], f"Fig 5: HDD-only does not scale 1.5x ({hdd[0]} -> {hdd[-1]})"),
+        (lc[-1] < 1.3 * lc[1], f"Fig 5: LC keeps scaling past 8 disks ({lc[1]} -> {lc[-1]})"),
+        (lc[-1] < 1.2 * hdd[-1], f"Fig 5: LC {lc[-1]} at 16 disks is not below 1.2x HDD-only's {hdd[-1]}"),
+    ] + [
+        (g > l, f"Fig 5 at {n} disks: FaCE+GSC {g} does not top LC's {l}")
+        for n, g, l in zip(f5["x"][1:], gsc[1:], lc[1:])
+    ]
+
+
+def fig6_claims(f6: dict) -> list:
+    face, hdd = f6["face+gsc"], f6["hdd-only"]
+    horizon = min(len(face["tpmc"]), len(hdd["tpmc"]), FIG6_WINDOWS)
+    early = min(6, horizon)
+    face_early, hdd_early = sum(face["tpmc"][:early]), sum(hdd["tpmc"][:early])
+    return [
+        (face["restart_seconds"] < 0.6 * hdd["restart_seconds"],
+         f"Fig 6: FaCE+GSC outage {face['restart_seconds']}s is not below 0.6x "
+         f"HDD-only's {hdd['restart_seconds']}s"),
+        (face_early > 1.5 * hdd_early,
+         f"Fig 6: FaCE+GSC's first {early} windows ({face_early}) are not 1.5x HDD-only's ({hdd_early})"),
+        (face["tpmc"][horizon - 1] > hdd["tpmc"][horizon - 1],
+         f"Fig 6: after the ramp FaCE+GSC {face['tpmc'][horizon - 1]} does not beat "
+         f"HDD-only's {hdd['tpmc'][horizon - 1]}"),
+    ]
+
+
+def costmodel_claims(cost: dict) -> list:
+    ro, wo = cost["read-only"], cost["write-only"]
+    return [
+        # The paper: exponents "very close to one".
+        (1.0 < ro["exponent"] < 1.03, f"§2.2: read-only exponent {ro['exponent']} leaves (1, 1.03)"),
+        (1.0 < wo["exponent"] < 1.08, f"§2.2: write-only exponent {wo['exponent']} leaves (1, 1.08)"),
+        (ro["exponent"] < wo["exponent"], "§2.2: the read-only exponent is not below the write-only one"),
+        (abs(ro["theta"] - 0.5) <= 0.05, f"§2.2: break-even theta {ro['theta']} is not 0.5 +- 0.05"),
+    ] + [
+        (cost[w]["roi"] > 2.0, f"§2.2: {w} flash ROI {cost[w]['roi']} is not above 2")
+        for w in ("read-only", "write-only")
+    ]
+
+
+def fit_claims(fit: dict) -> list:
+    return [
+        claim
+        for policy, law in ((p, fit[p]) for p in ("face+gsc", "lc"))
+        for claim in (
+            (law["r_squared"] > 0.95,
+             f"§2.2 premise: {policy} log-law R^2 {law['r_squared']} is not above 0.95"),
+            (law["alpha"] > 0, f"§2.2 premise: {policy} log-law slope {law['alpha']} is not positive"),
+            (abs(law["mid_predicted"] - law["mid_measured"]) < 0.05,
+             f"§2.2 premise: {policy} log law misses the 12% hit ratio by 0.05 or more"),
+        )
+    ]
+
+
+def ablation_claims(ablations: dict) -> list:
+    def at(name: str, value, system: str = "face+gsc") -> dict:
+        table = ablations[name]
+        return {m: series[table["x"].index(value)] for m, series in table[system].items()}
+
+    wb, wt = at("sync", False), at("sync", True)
+    both, dirty = at("admission", True), at("admission", False)
+    depth = ablations["scan_depth"]["face+gsc"]
+    dram = {(p, d): at("dram_policy", d, p)["tpmc"]
+            for p in ("face+gsc", "hdd-only") for d in ("lru", "clock")}
+    gain = {d: dram[("face+gsc", d)] / dram[("hdd-only", d)] for d in ("lru", "clock")}
+    return [
+        (abs(wb["flash_hit_rate"] - wt["flash_hit_rate"]) < 0.08,
+         "sync ablation: write-through changes the hit ratio by 0.08 or more"),
+        (wt["write_reduction"] < 0.1,
+         f"sync ablation: write-through write reduction {wt['write_reduction']} is not below 0.1"),
+        (wb["write_reduction"] > 0.4,
+         f"sync ablation: write-back write reduction {wb['write_reduction']} is not above 0.4"),
+        (wb["tpmc"] > 1.2 * wt["tpmc"],
+         f"sync ablation: write-back {wb['tpmc']} is not 1.2x write-through's {wt['tpmc']}"),
+        (both["flash_hit_rate"] > dirty["flash_hit_rate"],
+         "admission ablation: caching clean pages buys no read hits"),
+        (both["write_reduction"] > 0.75 * dirty["write_reduction"],
+         "admission ablation: clean+dirty gives up a quarter of the write reduction"),
+        (both["tpmc"] > dirty["tpmc"],
+         f"admission ablation: clean+dirty {both['tpmc']} does not beat dirty-only's {dirty['tpmc']}"),
+        (max(depth["tpmc"]) < 1.25 * min(depth["tpmc"]),
+         f"scan-depth ablation: tpmC {depth['tpmc']} is not flat within 25%"),
+        (max(depth["flash_hit_rate"]) - min(depth["flash_hit_rate"]) < 0.08,
+         "scan-depth ablation: hit ratios spread by 0.08 or more"),
+        (abs(gain["lru"] - gain["clock"]) / gain["lru"] < 0.3,
+         f"DRAM-policy ablation: FaCE+GSC gains {gain['lru']:.3f}x (lru) and "
+         f"{gain['clock']:.3f}x (clock) differ by 30% or more"),
+    ] + [
+        (dram[("face+gsc", d)] > 1.5 * dram[("hdd-only", d)],
+         f"DRAM-policy ablation: under {d} FaCE+GSC {dram[('face+gsc', d)]} is not 1.5x "
+         f"HDD-only's {dram[('hdd-only', d)]}")
+        for d in ("lru", "clock")
+    ]
+
+
+def skew_claims(skew: dict) -> list:
+    hits = skew["face+gsc"]["flash_hit_rate"]
+    speedups = [f / h for f, h in zip(skew["face+gsc"]["tx_per_s"], skew["hdd-only"]["tx_per_s"])]
+    return [
+        (hits[-1] > hits[0] + 0.15, f"skew: hit ratio does not climb 0.15 with skew ({hits[0]} -> {hits[-1]})"),
+        (speedups[-1] > speedups[0], "skew: FaCE+GSC's speedup does not grow with skew"),
+        (speedups[-1] > 1.3, f"skew: strong-skew speedup {speedups[-1]:.3f}x is not above 1.3x"),
+        (speedups[0] > 0.8, f"skew: uniform-traffic speedup {speedups[0]:.3f}x is not above 0.8x"),
+    ]
+
+
+def paper_gates(latest: dict) -> list[str]:
+    problems = missing(latest, STAMP)
+    if problems:
+        return problems
+    try:
+        claims = (
+            table1_claims(latest["table1"]) + table2_claims(latest["table2"])
+            + table3_claims(latest["table3"]) + table4_claims(latest["table4"])
+            + [c for flash in ("mlc", "slc") for c in fig4_claims(flash, latest["fig4"][flash])]
+            + table5_claims(latest["table5"]) + fig5_claims(latest["fig5"])
+            + fig6_claims(latest["fig6"]) + costmodel_claims(latest["costmodel"])
+            + fit_claims(latest["fit"]) + ablation_claims(latest["ablations"])
+            + skew_claims(latest["skew"])
+        )
+    except (KeyError, IndexError, ValueError) as exc:
+        return [f"paper record is malformed: {type(exc).__name__} {exc}"]
+    return failed(claims)
+
+
+def percent(value: float) -> str:
+    return f"{100 * value:.1f}"
+
+
+def series_table(title: str, table: dict, metric_name: str, fmt=round, systems=None) -> str:
+    """A ``columns`` table, one row per system and a column per x."""
+    labels = [f"{round(x * 100)}%" if isinstance(x, float) else x for x in table["x"]]
+    return format_table(title, ["policy", *labels], [
+        (p, *map(fmt, table[p][metric_name]))
+        for p in systems or [p for p in table if p != "x"]
+    ])
+
+
+def paper_summary(latest: dict) -> list[str]:
+    t1, t2, t3, t4 = (latest[name] for name in ("table1", "table2", "table3", "table4"))
+    f6, skew = latest["fig6"], latest["skew"]
+    windows = min(len(f6[p]["tpmc"]) for p in FIG6_POLICIES)
+    tables = [
+        f"cells: {latest['n_cells']}  mode: {latest['mode']}  scale: {latest['scale']}  "
+        f"wall: {latest['wall_seconds']}s",
+        format_table("Table 1 - measured device characteristics",
+                     ["device", "rd IOPS", "wr IOPS", "rd MB/s", "wr MB/s", "GB", "$ ($/GB)"], [
+            (name, round(m["random_read_iops"]), round(m["random_write_iops"]),
+             round(m["seq_read_mbps"], 1), round(m["seq_write_mbps"], 1),
+             round(profile.capacity_gb, 1), f"{profile.price_usd} ({profile.price_per_gb:.2f})")
+            for (name, m), profile in zip(t1.items(), TABLE1_PROFILES.values())
+        ], width=15),
+        format_table("Table 2 (measured) - design choices and their consequences",
+                     ["policy", "design", "tpmC", "flash hit %", "write red. %", "meta writes"], [
+            (p, r["design"], round(r["tpmc"]), percent(r["flash_hit_rate"]),
+             percent(r["write_reduction"]), r["metadata_writes"])
+            for p, r in t2.items()
+        ], width=17),
+        series_table("Table 3(a) - flash cache hits / all DRAM misses (%)", t3,
+                     "flash_hit_rate", percent),
+        series_table("Table 3(b) - write reduction: dirty evictions absorbed (%)", t3,
+                     "write_reduction", percent),
+        series_table("(extra) duplicate versions in the FaCE cache (%)", t3,
+                     "duplicate_fraction", percent, ("face", "face+gsc")),
+        series_table("Table 4(a) - device-level utilization of the flash cache (%)", t4,
+                     "flash_utilization", percent),
+        series_table("Table 4(b) - flash cache throughput (4KB-page I/O per second)", t4,
+                     "flash_page_iops"),
+        series_table("Figure 4(a) - tpmC vs cache size, MLC SSD (Samsung 470)",
+                     latest["fig4"]["mlc"], "tpmc"),
+        series_table("Figure 4(b) - tpmC vs cache size, SLC SSD (Intel X25-E)",
+                     latest["fig4"]["slc"], "tpmc"),
+        series_table(f"Table 5 - equal spend per step: +{DRAM_STEP_PAGES} DRAM pages or "
+                     f"+{FLASH_STEP_PAGES} flash pages (tpmC)", latest["table5"], "tpmc"),
+        series_table("Figure 5 - tpmC vs number of RAID-0 disks (cache = 12% of DB)",
+                     latest["fig5"], "tpmc"),
+        format_table("Figure 6 - tpmC per 1s window after the crash (t=0)",
+                     ["window end", *FIG6_POLICIES],
+                     [(f"{i + 1}s", *[round(f6[p]["tpmc"][i]) for p in FIG6_POLICIES])
+                      for i in range(windows)])
+        + "\nrestart outage: " + ", ".join(
+            f"{p} {f6[p]['restart_seconds']:.2f}s" for p in FIG6_POLICIES),
+        format_table("Section 2.2 - break-even exponent, theta(delta=0.5), ROI at 10:1 $/GB",
+                     ["workload", "exponent", "theta", "flash ROI"],
+                     [(w, f"{c['exponent']:.4f}", f"{c['theta']:.4f}", f"{c['roi']:.2f}")
+                      for w, c in latest["costmodel"].items()]),
+        format_table("Section 2.2 premise - hit rate vs log(cache size) fit",
+                     ["policy", "alpha", "beta", "R^2"],
+                     [(p, f"{f['alpha']:.4f}", f"{f['beta']:.3f}", f"{f['r_squared']:.4f}")
+                      for p, f in latest["fit"].items()]),
+    ] + [
+        format_table(f"Ablation - {name} ({ABLATIONS[name][0]}), cache = 12% of DB",
+                     ["cache", "value", "tpmC", "DRAM hit %", "flash hit %", "write red. %",
+                      "flash util %", "disk util %"], [
+            (p, str(x), round(table[p]["tpmc"][i]),
+             *[percent(table[p][m][i]) for m in ABLATION_METRICS[1:]])
+            for p in table if p != "x"
+            for i, x in enumerate(table["x"])
+        ])
+        for name, table in latest["ablations"].items()
+    ] + [
+        format_table("Sensitivity - FaCE+GSC benefit vs Zipf skew (cache = 8% of data)",
+                     ["zipf s", "FaCE tx/s", "HDD tx/s", "speedup", "flash hit %"], [
+            (s, round(face, 1), round(hdd, 1), f"{face / hdd:.2f}x", percent(hit))
+            for s, face, hdd, hit in zip(skew["x"], skew["face+gsc"]["tx_per_s"],
+                                         skew["hdd-only"]["tx_per_s"],
+                                         skew["face+gsc"]["flash_hit_rate"])
+        ]),
+    ]
+    return [line for table in tables for line in ("", *table.splitlines())][1:]
+
+
 # -- the table ---------------------------------------------------------------
 
 
@@ -978,6 +1612,7 @@ PASSES: dict[str, BenchPass] = {
         ("scan", run_scan, scan_gates, scan_summary),
         ("recovery", run_recovery, recovery_gates, recovery_summary),
         ("storage", run_storage, storage_gates, storage_summary),
+        ("paper", run_paper, paper_gates, paper_summary),
     )
 }
 

@@ -10,7 +10,7 @@ With contemporary devices the exponent is barely above 1 (about 1.006 for
 reads with the Table 1 Seagate/Samsung pair), so a dollar of flash — ten
 times cheaper per GB than DRAM — buys nearly the same hit-rate benefit as a
 dollar of DRAM.  These functions reproduce the formula and the resulting
-break-even/ROI numbers used by ``benchmarks/bench_costmodel.py``.
+break-even/ROI numbers the ``paper`` pass of ``benchmarks/record.py`` gates.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ law: the data hit rate is linear in ``log(cache size)`` over the operating
 range.  This module fits that model to measured (size, hit-rate) points —
 least squares on ``h = alpha * ln(size) + beta`` — and reports the fit
 quality, so the simulator can *validate* the premise instead of assuming
-it (``bench_costmodel_fit.py``).
+it (the ``paper`` pass of ``benchmarks/record.py`` fits Table 3's sweep).
 """
 
 from __future__ import annotations

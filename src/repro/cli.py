@@ -49,7 +49,7 @@ from repro.sim.parallel import (
     run_cells,
 )
 from repro.sim.runner import ExperimentRunner
-from repro.storage.profiles import TABLE1_PROFILES
+from repro.storage.profiles import TABLE1_PROFILES, measure_profile
 from repro.storage.registry import available_backends
 from repro.tpcc.scale import SCALES, ScaleProfile, scale_by_name
 from repro.workload.registry import WorkloadSpec, available_workloads
@@ -292,31 +292,14 @@ def cmd_serve(args) -> int:
 
 
 def cmd_devices(args) -> int:
-    import random
-
-    from repro.storage.hdd import DiskDevice
-    from repro.storage.raid import Raid0Array
-    from repro.storage.ssd import FlashDevice
-
-    rng = random.Random(args.seed)
     rows = []
     for key, profile in TABLE1_PROFILES.items():
-        if "SSD" in profile.name:
-            device = FlashDevice(profile, 1 << 20)
-        elif "RAID" in profile.name:
-            device = Raid0Array(8, capacity_pages=1 << 20)
-        else:
-            device = DiskDevice(profile, 1 << 20)
-        for _ in range(args.ops):
-            device.read(rng.randrange(0, device.capacity_pages))
-        read_iops = args.ops / device.busy_time
-        device.reset_stats()
-        for _ in range(args.ops):
-            device.write(rng.randrange(0, device.capacity_pages))
-        write_iops = args.ops / device.busy_time
-        rows.append((key, round(read_iops), round(write_iops)))
-    print(format_table("Simulated devices (4KB random)",
-                       ["device", "read IOPS", "write IOPS"], rows, width=18))
+        m = measure_profile(profile, args.ops)
+        rows.append((key, round(m["random_read_iops"]), round(m["random_write_iops"]),
+                     round(m["seq_read_mbps"], 1), round(m["seq_write_mbps"], 1)))
+    print(format_table("Simulated devices (4KB random, large sequential)",
+                       ["device", "read IOPS", "write IOPS", "read MB/s",
+                        "write MB/s"], rows, width=18))
     return 0
 
 

@@ -387,6 +387,8 @@ class AblationResults:
             return {
                 "key": list(key),
                 "restart_seconds": round(result.restart_seconds, 6),
+                "metadata_restore_seconds": round(result.report.metadata_restore_time, 6),
+                "cache_survived": result.report.cache_survived,
                 "redo_applied": result.redo_applied,
                 "flash_read_fraction": round(result.flash_read_fraction, 6),
                 "transactions_before_crash": result.transactions_before_crash,

@@ -27,6 +27,7 @@ what the paper's bottleneck analysis (Section 5.3) relies on.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 
 #: Page size used throughout the reproduction (PostgreSQL used 4 KB pages).
@@ -156,7 +157,7 @@ RAID0_8_DISKS = DeviceProfile(
     price_usd=1_920,
 )
 
-#: All Table 1 rows keyed by a short name, used by the Table 1 benchmark.
+#: All Table 1 rows keyed by a short name, measured by :func:`measure_profile`.
 TABLE1_PROFILES: dict[str, DeviceProfile] = {
     "mlc_samsung_470": MLC_SAMSUNG_470,
     "mlc_intel_x25m": MLC_INTEL_X25M,
@@ -167,3 +168,39 @@ TABLE1_PROFILES: dict[str, DeviceProfile] = {
 
 #: DRAM-to-MLC-flash price ratio assumed by the paper's Table 5 experiment.
 DRAM_TO_FLASH_PRICE_RATIO = 10.0
+
+
+def measure_profile(profile: DeviceProfile, ops: int = 2000) -> dict[str, float]:
+    """Measure ``profile``'s simulated device the way Orion measured the
+    real one for Table 1: ``ops`` random 4 KB reads, then as many random
+    writes spread over the device (reported as IOPS), then one 4,096-page
+    sequential read and write (reported as MB/s), each under the name of
+    the profile field it must reproduce.  The operations are seeded, so
+    the figures are the same on every call — the ``paper`` record gates
+    them against the profile, ``repro devices`` prints them.
+    """
+    # The device models import this module, so they are imported here.
+    from repro.storage.hdd import DiskDevice
+    from repro.storage.raid import Raid0Array
+    from repro.storage.ssd import FlashDevice
+
+    capacity = 1 << 20
+    if "SSD" in profile.name:
+        device = FlashDevice(profile, capacity)
+    elif "RAID" in profile.name:
+        device = Raid0Array(8, capacity_pages=capacity)
+    else:
+        device = DiskDevice(profile, capacity)
+    rng = random.Random(0)
+    out = {}
+    for name, io in (("random_read_iops", device.read), ("random_write_iops", device.write)):
+        device.reset_stats()
+        for _ in range(ops):
+            io(rng.randrange(0, device.capacity_pages - 1))
+        out[name] = ops / device.busy_time
+    seq_pages = 4096
+    for name, io in (("seq_read_mbps", device.read), ("seq_write_mbps", device.write)):
+        device.reset_stats()
+        io(0, seq_pages)
+        out[name] = seq_pages * profile.page_size / device.busy_time / _MB
+    return out

@@ -3,7 +3,7 @@
 Extends the base :class:`~repro.storage.device.Device` with three
 flash-specific behaviours that drive the paper's results.  Pure workloads —
 all-sequential, or all-random over the whole device — reproduce the Table 1
-calibration numbers exactly (verified by ``bench_table1_devices``); the
+calibration numbers exactly (verified by Table 1 of the ``paper`` pass); the
 flash-specific terms only engage for the *mixed* and *clustered* patterns
 where real SSDs deviate from their datasheet corners:
 

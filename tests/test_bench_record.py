@@ -60,7 +60,7 @@ def _parent(latest: dict, path: str):
     target = latest
     for part in parents:
         target = target[int(part)] if isinstance(target, list) else target[part]
-    return target, leaf
+    return target, int(leaf) if isinstance(target, list) else leaf
 
 
 def _set(path: str, value):
@@ -109,6 +109,14 @@ BROKEN = [
     ("recovery", _drop("speedups.0.face_speedup_vs.hdd-only"),
      "speedups at interval 1.0 has no 'hdd-only'"),
     ("recovery", _drop("speedups"), "record has no 'speedups'"),
+    ("recovery", _set("speedups.0.restart_seconds.face+gsc", 0.2),
+     "is not below 0.6x HDD-only's"),
+    ("recovery", _set("speedups.2.restart_seconds.hdd-only", 0.1),
+     "hdd-only restart does not grow with the checkpoint interval"),
+    ("recovery", _set("cells.0.cache_survived", False), "flash cache did not survive"),
+    ("recovery", _set("cells.0.metadata_restore_seconds", 5.0), "is not a small term"),
+    ("recovery", _set("cells.2.flash_read_fraction", 0.5), "of its redo pages from flash"),
+    ("recovery", _drop("cells.0.cache_survived"), "has no 'cache_survived'"),
     ("storage", _set("backends.sqlite.parity_with_memory", False),
      "NOT bit-identical to memory: sqlite"),
     ("storage", _set("backends.mmap.overhead_vs_memory", 13.0), "> 12.0x ceiling"),
@@ -116,6 +124,94 @@ BROKEN = [
     ("storage", _drop("backends.mmap"), "not the registered"),
     ("storage", _drop("backends.memory.tpmc"), "backend memory has no 'tpmc'"),
     ("storage", _drop("mode"), "record has no 'mode'"),
+    ("paper", _drop("fig6"), "paper record is malformed: KeyError 'fig6'"),
+    ("paper", _drop("table3.lc"), "paper record is malformed"),
+    ("paper", _set("table1.hdd_cheetah_15k.random_read_iops", 450.0),
+     "is not within 2% of the calibrated"),
+    ("paper", _set("table1.mlc_samsung_470.random_write_iops", 5000.0),
+     "is below 95% of the calibrated"),
+    ("paper", _set("table1.raid0_8_disks.random_read_iops", 3000.0), "are not 10x the array's"),
+    ("paper", _set("table1.hdd_cheetah_15k.random_read_iops", 600.0), "are not 50x a disk's"),
+    ("paper", _set("table2.tac.write_reduction", 0.1), "write-through tac reduces writes"),
+    ("paper", _set("table2.face.write_reduction", 0.2),
+     "write-back face write reduction 0.2 is not above 0.3"),
+    ("paper", _set("table2.tac.metadata_writes", 10), "metadata writes 10 are not above 1000"),
+    ("paper", _set("table2.exadata.tpmc", 5000.0), "does not top the best baseline's"),
+    ("paper", _set("table3.face.flash_hit_rate.4", 0.3), "face hit ratio does not grow"),
+    ("paper", _set("table3.lc.write_reduction.4", 0.1), "lc write reduction does not grow"),
+    ("paper", _set("table3.face+gr.flash_hit_rate.2", 1.0), "face+gr hit ratios"),
+    ("paper", _set("table3.lc.flash_hit_rate.1", 0.5), "LC hit ratio 0.5 is 0.02 below"),
+    ("paper", _set("table3.face+gsc.flash_hit_rate.1", 0.5),
+     "FaCE+GSC hit ratio 0.5 is 0.02 below"),
+    ("paper", _set("table3.face.flash_hit_rate.2", 0.5), "LC leads FaCE by 0.20 or more"),
+    ("paper", _set("table3.face.duplicate_fraction.0", 0.01),
+     "FaCE duplicate fraction 0.01 is not above 0.02"),
+    ("paper", _set("table3.lc.duplicate_fraction.0", 0.1), "LC keeps duplicates"),
+    ("paper", _set("table4.face+gsc.flash_utilization.0", 1.0),
+     "is not above FaCE+GSC's"),
+    ("paper", _set("table4.face+gr.flash_utilization.0", 1.0), "is not above FaCE+GR's"),
+    ("paper", _set("table4.lc.flash_utilization.2", 0.85),
+     "LC flash utilization 0.85 is not above 0.9"),
+    ("paper", _set("table4.face+gsc.flash_utilization.2", 0.85),
+     "FaCE+GSC flash utilization 0.85 is not below 0.8"),
+    ("paper", _set("table4.lc.flash_page_iops.4", 9000.0),
+     "LC page I/O keeps growing past 12%"),
+    ("paper", _set("table4.face.flash_page_iops.4", 1000.0), "FaCE page I/O does not grow"),
+    ("paper", _set("table4.face+gsc.flash_page_iops.4", 14000.0),
+     "is not 1.25x its 12% figure"),
+    ("paper", _set("table4.face+gsc.flash_page_iops.4", 9000.0), "is not 1.3x LC's"),
+    ("paper", _set("fig4.mlc.face.tpmc.3", 2000.0), "Fig 4 mlc: face tpmC does not grow"),
+    ("paper", _set("fig4.slc.lc.tpmc.3", 1000.0), "does not beat HDD-only's"),
+    ("paper", _set("fig4.mlc.lc.tpmc.3", 9500.0), "is not 1.15x LC's"),
+    ("paper", _set("fig4.mlc.face.tpmc.3", 11000.0), "does not beat FaCE's"),
+    ("paper", _set("fig4.mlc.face+gr.tpmc.3", 7000.0), "falls 5% below FaCE's"),
+    ("paper", _set("fig4.mlc.face+gsc.tpmc.0", 10600.0),
+     "LC gains as much from a larger cache as FaCE+GSC"),
+    ("paper", _set("fig4.mlc.ssd-only.tpmc.3", 20000.0), "does not beat SSD-only's"),
+    ("paper", _set("fig4.slc.lc.tpmc.3", 9800.0), "Fig 4 slc: FaCE+GSC 10670.454 is not 1.1x"),
+    ("paper", _set("table5.dram.tpmc.0", 2500.0), "Table 5 step x1: more flash"),
+    ("paper", _set("table5.flash.tpmc.4", 2000.0), "more flash stops paying"),
+    ("paper", _set("table5.dram.tpmc.4", 1500.0), "more DRAM stops paying"),
+    ("paper", _set("fig5.face+gsc.tpmc.3", 3000.0), "FaCE+GSC does not scale 1.5x"),
+    ("paper", _set("fig5.hdd-only.tpmc.3", 800.0), "HDD-only does not scale 1.5x"),
+    ("paper", _set("fig5.lc.tpmc.3", 4000.0), "LC keeps scaling past 8 disks"),
+    ("paper", _set("fig5.lc.tpmc.2", 7000.0), "Fig 5 at 12 disks: FaCE+GSC"),
+    ("paper", _set("fig5.lc.tpmc.3", 3500.0), "is not below 1.2x HDD-only's"),
+    ("paper", _set("fig6.face+gsc.restart_seconds", 0.4), "Fig 6: FaCE+GSC outage"),
+    ("paper", _set("fig6.hdd-only.tpmc.1", 20000.0), "first 6 windows"),
+    ("paper", _set("fig6.hdd-only.tpmc.11", 9000.0), "after the ramp"),
+    ("paper", _set("costmodel.read-only.exponent", 1.05), "read-only exponent 1.05"),
+    ("paper", _set("costmodel.write-only.exponent", 1.1), "write-only exponent 1.1"),
+    ("paper", _set("costmodel.write-only.exponent", 1.01),
+     "read-only exponent is not below the write-only one"),
+    ("paper", _set("costmodel.read-only.theta", 0.6), "break-even theta 0.6"),
+    ("paper", _set("costmodel.write-only.roi", 1.5), "write-only flash ROI 1.5"),
+    ("paper", _set("fit.lc.r_squared", 0.9), "lc log-law R^2 0.9"),
+    ("paper", _set("fit.face+gsc.alpha", -0.1), "face+gsc log-law slope"),
+    ("paper", _set("fit.lc.mid_predicted", 0.5), "lc log law misses the 12% hit ratio"),
+    ("paper", _set("ablations.sync.face+gsc.flash_hit_rate.1", 0.5),
+     "write-through changes the hit ratio"),
+    ("paper", _set("ablations.sync.face+gsc.write_reduction.1", 0.3),
+     "write-through write reduction 0.3"),
+    ("paper", _set("ablations.sync.face+gsc.write_reduction.0", 0.3),
+     "write-back write reduction 0.3"),
+    ("paper", _set("ablations.sync.face+gsc.tpmc.1", 4000.0), "is not 1.2x write-through's"),
+    ("paper", _set("ablations.admission.face+gsc.flash_hit_rate.1", 0.8),
+     "caching clean pages buys no read hits"),
+    ("paper", _set("ablations.admission.face+gsc.write_reduction.1", 0.9),
+     "gives up a quarter of the write reduction"),
+    ("paper", _set("ablations.admission.face+gsc.tpmc.1", 5000.0),
+     "does not beat dirty-only's"),
+    ("paper", _set("ablations.scan_depth.face+gsc.tpmc.0", 6000.0), "is not flat within 25%"),
+    ("paper", _set("ablations.scan_depth.face+gsc.flash_hit_rate.0", 0.5),
+     "hit ratios spread by 0.08 or more"),
+    ("paper", _set("ablations.dram_policy.hdd-only.tpmc.1", 3500.0),
+     "under clock FaCE+GSC 4508.749 is not 1.5x"),
+    ("paper", _set("ablations.dram_policy.hdd-only.tpmc.1", 2500.0), "differ by 30% or more"),
+    ("paper", _set("skew.face+gsc.flash_hit_rate.3", 0.3), "hit ratio does not climb 0.15"),
+    ("paper", _set("skew.face+gsc.tx_per_s.3", 150.0), "speedup does not grow with skew"),
+    ("paper", _set("skew.hdd-only.tx_per_s.3", 500.0), "strong-skew speedup"),
+    ("paper", _set("skew.hdd-only.tx_per_s.0", 300.0), "uniform-traffic speedup"),
 ]
 
 

@@ -43,6 +43,7 @@ CASES = {
     "stats_crash": ["stats", "face+gsc", "--crash", "--interval", "0.05"],
     "stats_clients": ["stats", "face+gsc", "--clients", "4", *_TX],
     "crash": ["crash", "--policy", "face+gsc", "--interval", "0.05"],
+    "devices": ["devices"],
 }
 
 

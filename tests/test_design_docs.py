@@ -1,13 +1,16 @@
 """Documentation integrity: the docs must reference real artefacts.
 
-DESIGN.md's per-experiment index and README's benchmark table name files
-and modules; these tests keep them from drifting as the code evolves.
+DESIGN.md's per-experiment index and README's benchmark section name
+record passes and modules; these tests keep them from drifting as the code
+evolves.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -21,25 +24,48 @@ def test_required_documents_exist():
         assert (ROOT / name).exists(), name
 
 
-def test_design_mentions_every_benchmark_file():
-    design = read("DESIGN.md") + read("README.md")
-    for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
-        assert path.name in design, f"{path.name} missing from the docs"
+def record_passes() -> set[str]:
+    """The pass names of ``benchmarks/record.py``'s ``PASSES`` table."""
+    spec = importlib.util.spec_from_file_location(
+        "record_for_docs", ROOT / "benchmarks" / "record.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return set(module.PASSES)
 
 
-def test_every_referenced_benchmark_exists():
-    for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
-        for name in re.findall(r"bench_[a-z0-9_{},]+\.py", read(doc)):
-            if "{" in name:  # brace-expansion shorthand in prose
-                stem, _, rest = name.partition("{")
-                variants, _, suffix = rest.partition("}")
-                expanded = [f"{stem}{v}{suffix}" for v in variants.split(",")]
-            else:
-                expanded = [name]
-            for filename in expanded:
-                assert (ROOT / "benchmarks" / filename).exists(), (
-                    f"{doc} references missing {filename}"
-                )
+def test_readme_names_every_record_pass():
+    readme = read("README.md")
+    for name in record_passes():
+        assert f"`{name}`" in readme, f"pass {name} missing from README.md"
+
+
+def test_every_design_bench_target_is_a_record_pass():
+    design = read("DESIGN.md")
+    index = design[design.index("## 4. Per-experiment index"):design.index("## 5.")]
+    rows = [
+        line for line in index.splitlines()
+        if line.startswith("| ") and not line.startswith("| Exp")
+    ]
+    assert rows, "DESIGN.md §4 has no experiment rows"
+    passes = record_passes()
+    for row in rows:
+        target = row.rstrip(" |").rsplit(" | ", 1)[-1]
+        match = re.fullmatch(r"`record\.py (\w+)`", target)
+        assert match and match.group(1) in passes, (
+            f"DESIGN.md §4 bench target {target!r} names no record pass"
+        )
+
+
+def test_no_doc_names_a_deleted_harness():
+    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+    docs += [str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")]
+    for doc in docs:
+        text = read(doc)
+        for pattern in (r"bench_[\w{},]*\.py", r"REPRO_BENCH_\w*", r"pytest-benchmark"):
+            found = re.findall(pattern, text)
+            assert not found, f"{doc} names {found[0]}"
 
 
 def test_design_module_map_matches_source_tree():
