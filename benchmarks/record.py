@@ -1,4 +1,4 @@
-"""Benchmark recorder: seven gated passes, each with one committed record.
+"""Benchmark recorder: six gated passes, each with one committed record.
 
     python benchmarks/record.py [PASS] [--smoke] [--jobs N] [--strict] [--obs] [--output PATH]
     python benchmarks/record.py --check PASS|all
@@ -15,7 +15,6 @@ pytest, no benchmarks conftest — so it runs anywhere the package can.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -46,10 +45,16 @@ from repro.obs import OBS  # noqa: E402
 from repro.recovery.restart import RecoveryManager  # noqa: E402
 from repro.sim.experiment import ExperimentConfig  # noqa: E402
 from repro.sim.metrics import ThroughputSeries  # noqa: E402
-from repro.sim.parallel import CellSpec, run_cells  # noqa: E402
+from repro.sim.parallel import (  # noqa: E402
+    CellSpec,
+    comparable,
+    replay_mismatches,
+    run_cells,
+)
 from repro.sim.replay import (  # noqa: E402
     cached_trace_exists,
     clear_recorders,
+    persisted_trace_stats,
     prepare_replay,
 )
 from repro.sim.runner import ExperimentRunner  # noqa: E402
@@ -96,18 +101,55 @@ def failed(claims: Iterable[tuple[object, str]]) -> list[str]:
 
 
 def stripped(cells: dict) -> dict:
-    """Results minus name and snapshot, for parity (``replay.*`` counters
-    describe the replay machinery and have no full-run twin)."""
-    return {
-        key: dataclasses.replace(result, name="", obs=None)
-        for key, result in cells.items()
-    }
+    """Every result as two runs of one cell must agree on it."""
+    return {key: comparable(result) for key, result in cells.items()}
 
 
 def timed_pass(specs: list[CellSpec], jobs: int, fast: bool = False) -> tuple[float, dict]:
     start = time.perf_counter()
     cells = run_cells(specs, jobs=jobs, fast=fast)
     return time.perf_counter() - start, cells
+
+
+def replayed_grid(specs: list[CellSpec], jobs: int, smoke: bool) -> tuple:
+    """Run a grid via replay and re-execute its first cell (and under a full
+    run its last) in full: ``(cells, record)``, the record holding the wall
+    and the parity."""
+    wall, cells = timed_pass(specs, jobs, fast=True)
+    mismatched = replay_mismatches(specs[:1] if smoke else [specs[0], specs[-1]], cells)
+    record = {
+        "n_cells": len(cells),
+        "wall_seconds": round(wall, 3),
+        "wall_seconds_per_cell": round(wall / len(cells), 4),
+        "replay_parity": not mismatched,
+    }
+    if mismatched:
+        record["parity_mismatches"] = [list(key) for key in mismatched]
+    return cells, record
+
+
+GRID_KEYS = (*STAMP, "axes", "n_cells", "cells", "wall_seconds",
+             "wall_seconds_per_cell", "replay_parity")
+
+
+def grid_claims(latest: dict, what: str) -> list[tuple[object, str]]:
+    return [
+        (len(latest["cells"]) == latest["n_cells"],
+         f"record holds {len(latest['cells'])} cells but n_cells is "
+         f"{latest['n_cells']}"),
+        (latest["replay_parity"] is True,
+         f"{what} replay results are NOT bit-identical to full execution"),
+    ]
+
+
+def grid_summary(latest: dict) -> list[str]:
+    return [
+        f"cells: {latest['n_cells']}  mode: {latest['mode']}  "
+        f"axes: {' x '.join(latest['axes'])}",
+        f"wall: {latest['wall_seconds']}s "
+        f"({latest['wall_seconds_per_cell']}s/cell)  "
+        f"parity: {latest['replay_parity']}",
+    ]
 
 
 def counted(fn: Callable, *names: str):
@@ -136,6 +178,9 @@ MEASURE_TX = 1500
 #: full serial execution by at least this factor.  Host speed cancels out
 #: of the ratio, so the gate is stable across runners.
 MIN_WARM_FAST_SPEEDUP = 8.0
+#: The persisted boundary trace must be at least this much smaller than
+#: its raw array encoding.
+MIN_COMPRESSION_RATIO = 3.0
 #: Metric prefixes worth carrying into the record under ``--obs``: enough
 #: to explain *why* a cell's throughput moved, small enough to stay readable.
 OBS_PREFIXES = ("flashcache.", "buffer.pool.", "wal.")
@@ -276,8 +321,10 @@ def run_sweep(jobs: int, smoke: bool, collect_obs: bool = False) -> dict:
     with ``jobs > 1`` a parallel full-execution pass.  Gates: every pass
     bit-identical to serial, the warm pass at least
     ``MIN_WARM_FAST_SPEEDUP`` x faster, the shared path serving cells and
-    leaking no segment.  ``--obs`` adds a per-cell counter extract and
-    lifts the floor (an observed cell never adopts a warm-up fork).
+    leaking no segment, and the persisted trace compressed at least
+    ``MIN_COMPRESSION_RATIO`` x against the raw array encoding.  ``--obs``
+    adds a per-cell counter extract and lifts the floor (an observed cell
+    never adopts a warm-up fork).
     """
     specs = sweep_specs(smoke, collect_obs=collect_obs)
     serial_wall, wall_by_key, serial_cells = per_cell_pass(specs, fast=False)
@@ -300,6 +347,10 @@ def run_sweep(jobs: int, smoke: bool, collect_obs: bool = False) -> dict:
             if parallel_wall > 0 else None,
         }
         record["deterministic"] = parallel_cells == serial_cells
+    stats = persisted_trace_stats(TINY, SEED) or {}
+    if stats.get("body_bytes"):
+        ratio = round(stats["raw_bytes"] / stats["body_bytes"], 2)
+        record["trace"] = {**stats, "compression_ratio": ratio}
     return record
 
 
@@ -318,6 +369,7 @@ def sweep_gates(latest: dict) -> list[str]:
     if problems:
         return problems
     warm = fast["speedup_warm_vs_serial"] or 0.0
+    ratio = latest.get("trace", {}).get("compression_ratio")
     # Cells collecting observability never adopt a warm-up fork (their
     # counters must match a full run's), so the floor binds only without.
     observed = any("obs" in row for row in latest["cells"])
@@ -329,6 +381,12 @@ def sweep_gates(latest: dict) -> list[str]:
         (observed or warm >= MIN_WARM_FAST_SPEEDUP,
          f"warm fast-grid speedup {warm}x over full serial is below the "
          f"{MIN_WARM_FAST_SPEEDUP:.0f}x floor"),
+        (ratio is not None,
+         "no persisted trace found (REPRO_TRACE_CACHE off?): compression "
+         "ratio not verified"),
+        (ratio is None or ratio >= MIN_COMPRESSION_RATIO,
+         f"trace compression ratio {ratio}x is below the "
+         f"{MIN_COMPRESSION_RATIO}x floor"),
     ]
     if shared is not None:
         claims += [
@@ -371,117 +429,13 @@ def sweep_summary(latest: dict) -> list[str]:
             f"parallel (jobs={p['jobs']}): {p['wall_seconds']}s "
             f"(speedup {p['speedup_vs_serial']}x)"
         )
-    return lines + [f"deterministic: {latest['deterministic']}"]
-
-
-# -- AblationStudy-backed passes: ablation, latency, recovery ----------------
-
-STUDY_KEYS = (*STAMP, "axes", "n_cells", "cells", "wall_seconds",
-              "wall_seconds_per_cell", "replay_parity")
-
-
-def run_study(base, axes: dict, jobs: int, sample: int) -> tuple:
-    """Run a grid via replay and spot-check ``sample`` cells against full
-    execution: ``(results, record)``."""
-    from repro.sim.ablation import AblationStudy, verify_parity
-
-    study = AblationStudy(base, axes)
-    results = study.run(jobs=jobs, fast=True)
-    parity, mismatched = verify_parity(study, results, sample=sample)
-    record = {**results.to_record(), "replay_parity": parity}
-    if mismatched:
-        record["parity_mismatches"] = [list(key) for key in mismatched]
-    return results, record
-
-
-def study_claims(latest: dict, what: str) -> list[tuple[object, str]]:
-    return [
-        (len(latest["cells"]) == latest["n_cells"],
-         f"record holds {len(latest['cells'])} cells but n_cells is "
-         f"{latest['n_cells']}"),
-        (latest["replay_parity"] is True,
-         f"{what} replay results are NOT bit-identical to full execution"),
-    ]
-
-
-def study_summary(latest: dict) -> list[str]:
-    return [
-        f"cells: {latest['n_cells']}  mode: {latest['mode']}  "
-        f"axes: {' x '.join(latest['axes'])}",
-        f"wall: {latest['wall_seconds']}s "
-        f"({latest['wall_seconds_per_cell']}s/cell)  "
-        f"parity: {latest['replay_parity']}",
-    ]
-
-
-# -- ablation ----------------------------------------------------------------
-
-#: The dense grid the full ablation record runs: 4 x 2 x 2 x 4 = 64 cells.
-#: Axes are chosen for signal at TINY scale (the 103-page database sits
-#: entirely inside the floor-sized flash cache, so size/eviction knobs are
-#: inert there — the ``paper`` pass runs those ablations at BENCH scale).
-#: ``scan_depth`` is kept although flat: a flat curve across an 8x depth
-#: range is the paper's own §3.3 claim.
-ABLATION_AXES = {
-    "policy": ("face", "face+gr", "face+gsc", "lc"),
-    "admission": None,
-    "dram": None,
-    "scan_depth": (16, 32, 64, 128),
-}
-SMOKE_ABLATION_AXES = {"admission": None, "sync": None}
-ABLATION_MEASURE_TX = 600
-MIN_COMPRESSION_RATIO = 3.0
-
-
-def run_ablation(jobs: int, smoke: bool) -> dict:
-    """A dense TINY knob grid (policy x admission x DRAM policy x scan
-    depth; a 2-axis, 4-cell grid under smoke) served from one shared
-    boundary trace, with per-axis sensitivities.  Gates: replay parity
-    with full-execution spot checks, and the persisted trace compressed at
-    least ``MIN_COMPRESSION_RATIO`` x against the raw array encoding.
-    """
-    from repro.sim.replay import persisted_trace_stats
-
-    base = ExperimentConfig(
-        scale=TINY, seed=SEED, measure_transactions=ABLATION_MEASURE_TX
-    )
-    _, record = run_study(
-        base, SMOKE_ABLATION_AXES if smoke else ABLATION_AXES, jobs,
-        sample=2 if smoke else 3,
-    )
-    stats = persisted_trace_stats(base.scale, base.seed)
-    if stats is not None and stats.get("body_bytes"):
-        record["trace"] = {
-            **stats,
-            "compression_ratio": round(stats["raw_bytes"] / stats["body_bytes"], 2),
-        }
-    return record
-
-
-def ablation_gates(latest: dict) -> list[str]:
-    problems = missing(latest, STUDY_KEYS)
-    if problems:
-        return problems
-    ratio = latest.get("trace", {}).get("compression_ratio")
-    return failed(study_claims(latest, "ablation") + [
-        (ratio is not None,
-         "no persisted trace found (REPRO_TRACE_CACHE off?): compression "
-         "ratio not verified"),
-        (ratio is None or ratio >= MIN_COMPRESSION_RATIO,
-         f"trace compression ratio {ratio}x is below the "
-         f"{MIN_COMPRESSION_RATIO}x floor"),
-    ])
-
-
-def ablation_summary(latest: dict) -> list[str]:
-    lines = study_summary(latest)
     if "trace" in latest:
         t = latest["trace"]
         lines.append(
             f"trace: {t['raw_bytes']} raw -> {t['body_bytes']} "
             f"compressed ({t['compression_ratio']}x)"
         )
-    return lines
+    return lines + [f"deterministic: {latest['deterministic']}"]
 
 
 # -- latency -----------------------------------------------------------------
@@ -531,40 +485,52 @@ def run_latency(jobs: int, smoke: bool) -> dict:
             SMOKE_LATENCY_MEASURE_TX if smoke else LATENCY_MEASURE_TX
         ),
     )
-    results, record = run_study(
-        base, {"policy": LATENCY_POLICIES, "n_clients": clients}, jobs,
-        sample=1 if smoke else 2,
-    )
-    ladders = {
-        policy: [results.cells[(policy, n)] for n in clients]
+    specs = [
+        CellSpec.from_config((policy, n), base.with_(policy=policy, n_clients=n))
         for policy in LATENCY_POLICIES
-    }
+        for n in clients
+    ]
+    cells, record = replayed_grid(specs, jobs, smoke)
+    rows = [
+        {
+            "key": list(key),
+            "n_clients": r.n_clients,
+            "tpmc": round(r.tpmc, 2),
+            "tps": round(r.tps, 2),
+            "p50_ms": round(r.p50_seconds * 1000.0, 4),
+            "p95_ms": round(r.p95_seconds * 1000.0, 4),
+            "p99_ms": round(r.p99_seconds * 1000.0, 4),
+            "mean_ms": round(r.latency_mean * 1000.0, 4),
+            "max_ms": round(r.latency_max * 1000.0, 4),
+            "bottleneck": r.bottleneck,
+            "utilization": {name: round(v, 4) for name, v in r.utilization.items()},
+            "sim_seconds": round(r.sim_seconds, 4),
+        }
+        for key, r in cells.items()
+    ]
     return {
+        "base": base.describe(),
+        "seed": SEED,
+        "axes": {"policy": list(LATENCY_POLICIES), "n_clients": list(clients)},
         **record,
+        "cells": rows,
         "clients": list(clients),
         "ladders": {
             policy: [
-                {
-                    "n_clients": n,
-                    "tps": round(r.tps, 2),
-                    "tpmc": round(r.tpmc, 2),
-                    "p50_ms": round(r.p50_seconds * 1000.0, 4),
-                    "p95_ms": round(r.p95_seconds * 1000.0, 4),
-                    "p99_ms": round(r.p99_seconds * 1000.0, 4),
-                }
-                for n, r in zip(clients, ladder)
+                {column: row[column] for column in LADDER_COLUMNS}
+                for row in rows if row["key"][0] == policy
             ]
-            for policy, ladder in ladders.items()
+            for policy in LATENCY_POLICIES
         },
         "knees": {
-            policy: locate_knee([(n, r.tps) for n, r in zip(clients, ladder)])
-            for policy, ladder in ladders.items()
+            policy: locate_knee([(n, cells[(policy, n)].tps) for n in clients])
+            for policy in LATENCY_POLICIES
         },
     }
 
 
 def latency_gates(latest: dict) -> list[str]:
-    problems = missing(latest, (*STUDY_KEYS, "clients", "ladders", "knees"))
+    problems = missing(latest, (*GRID_KEYS, "clients", "ladders", "knees"))
     if problems:
         return problems
     clients = latest["clients"]
@@ -576,7 +542,7 @@ def latency_gates(latest: dict) -> list[str]:
     problems = [p for where, rung in rungs for p in missing(rung, LADDER_COLUMNS, where)]
     if problems:
         return problems
-    claims = study_claims(latest, "service") + [
+    claims = grid_claims(latest, "service") + [
         (len(clients) >= 2, f"a ladder needs two client counts, got {clients}"),
     ] + [
         ([rung["n_clients"] for rung in ladder] == clients,
@@ -601,7 +567,7 @@ def latency_gates(latest: dict) -> list[str]:
 
 
 def latency_summary(latest: dict) -> list[str]:
-    return study_summary(latest) + [
+    return grid_summary(latest) + [
         f"{policy}: "
         + "  ".join(
             f"{r['n_clients']}cl {r['tps']:,.0f}tps p95 {r['p95_ms']:.1f}ms"
@@ -678,10 +644,8 @@ def run_scan(jobs: int, smoke: bool) -> dict:
         lambda: timed_pass(specs, 1, fast=True),
         "replay.trace.recorded_transactions",
     )
-    full = stripped(run_cells([s for s in specs if s.key[1] == "face+gsc"], jobs=1))
-    replayed = stripped(cells)
-    parity = replayed == stripped(seeded) and all(
-        result == replayed[key] for key, result in full.items()
+    parity = stripped(cells) == stripped(seeded) and not replay_mismatches(
+        [s for s in specs if s.key[1] == "face+gsc"], cells
     )
     hit = {key: result.flash_hit_rate for key, result in cells.items()}
     return {
@@ -802,34 +766,55 @@ def run_recovery(jobs: int, smoke: bool) -> dict:
         checkpoint_interval=intervals[0],
         crash_max_transactions=RECOVERY_MAX_TX,
     )
-    results, record = run_study(
-        base, {"policy": RECOVERY_POLICIES, "checkpoint_interval": intervals},
-        jobs, sample=1 if smoke else 2,
-    )
-    face, *baselines = RECOVERY_POLICIES
-
-    def restart(policy: str, interval: float) -> float:
-        return results.cells[(policy, interval)].restart_seconds
-
-    record["speedups"] = [
-        {
-            "checkpoint_interval": interval,
-            "restart_seconds": {
-                policy: round(restart(policy, interval), 6)
-                for policy in RECOVERY_POLICIES
-            },
-            "face_speedup_vs": {
-                policy: round(restart(policy, interval) / restart(face, interval), 3)
-                for policy in baselines
-            },
-        }
+    specs = [
+        CellSpec.from_config(
+            (policy, interval),
+            base.with_(policy=policy, checkpoint_interval=interval),
+        )
+        for policy in RECOVERY_POLICIES
         for interval in intervals
     ]
-    return record
+    cells, record = replayed_grid(specs, jobs, smoke)
+    face, *baselines = RECOVERY_POLICIES
+    restart = {key: r.restart_seconds for key, r in cells.items()}
+    return {
+        "base": base.describe(),
+        "seed": SEED,
+        "axes": {"policy": list(RECOVERY_POLICIES), "checkpoint_interval": list(intervals)},
+        **record,
+        "cells": [
+            {
+                "key": list(key),
+                "restart_seconds": round(r.restart_seconds, 6),
+                "metadata_restore_seconds": round(r.report.metadata_restore_time, 6),
+                "cache_survived": r.report.cache_survived,
+                "redo_applied": r.redo_applied,
+                "flash_read_fraction": round(r.flash_read_fraction, 6),
+                "transactions_before_crash": r.transactions_before_crash,
+                "checkpoints_before_crash": r.checkpoints_before_crash,
+                "crash_wall_seconds": round(r.crash_wall_seconds, 4),
+            }
+            for key, r in cells.items()
+        ],
+        "speedups": [
+            {
+                "checkpoint_interval": interval,
+                "restart_seconds": {
+                    policy: round(restart[(policy, interval)], 6)
+                    for policy in RECOVERY_POLICIES
+                },
+                "face_speedup_vs": {
+                    policy: round(restart[(policy, interval)] / restart[(face, interval)], 3)
+                    for policy in baselines
+                },
+            }
+            for interval in intervals
+        ],
+    }
 
 
 def recovery_gates(latest: dict) -> list[str]:
-    problems = missing(latest, (*STUDY_KEYS, "speedups"))
+    problems = missing(latest, (*GRID_KEYS, "speedups"))
     if problems:
         return problems
     problems = missing_columns(latest["cells"], RECOVERY_COLUMNS) + [
@@ -842,7 +827,7 @@ def recovery_gates(latest: dict) -> list[str]:
     ]
     if problems:
         return problems
-    return failed(study_claims(latest, "recovery") + [
+    return failed(grid_claims(latest, "recovery") + [
         (latest["speedups"], "record holds no restart speedups"),
     ] + [
         (speedup >= MIN_RESTART_SPEEDUP,
@@ -885,7 +870,7 @@ def recovery_gates(latest: dict) -> list[str]:
 
 
 def recovery_summary(latest: dict) -> list[str]:
-    return study_summary(latest) + [
+    return grid_summary(latest) + [
         f"interval {entry['checkpoint_interval']}: FaCE restart "
         + "  ".join(
             f"{speedup}x vs {policy}"
@@ -1052,6 +1037,11 @@ ABLATION_METRICS = ("tpmc", "dram_hit_rate", "flash_hit_rate", "write_reduction"
 FIG6_POLICIES = ("face+gsc", "hdd-only")
 FIG6_POST_TX = 3000
 FIG6_WINDOWS = 12
+#: The cells re-executed in full for the replay-parity gate: the 12 % MLC
+#: FaCE+GSC cell (it serves nine tables), a non-default §3.2 knob, and SLC
+#: flash (a system field the experiment cannot express).
+PAPER_PARITY_KEYS = (("mlc", "face+gsc", 0.12), ("sync", "face+gsc", True),
+                     ("slc", "lc", 0.28))
 #: Skew sensitivity: YCSB over 40,000 keys (~1,700 pages) with 30 %
 #: updates and a cache of ~8 % of the data, swept over the Zipf exponent.
 SKEWS = (0.0, 0.5, 0.99, 1.3)
@@ -1172,12 +1162,15 @@ def run_paper(jobs: int, smoke: bool) -> dict:
     (Table 6 is the ``recovery`` pass).  The steady cells run through the
     replay fast path, each distinct cell once; Figure 6's ramp and the
     skew sweep are hand-run loops.  A smoke run is the same run: every
-    gate needs the whole grid.  Gates: the paper's shapes, each at the
-    threshold its table states.
+    gate needs the whole grid.  Gates: replay parity on
+    ``PAPER_PARITY_KEYS`` and the paper's shapes, each at the threshold its
+    table states.
     """
     start = time.perf_counter()
     specs = paper_specs()
     cells = run_once(specs, jobs)
+    by_key = {spec.key: spec for spec in specs}
+    mismatched = replay_mismatches([by_key[key] for key in PAPER_PARITY_KEYS], cells)
     sizes = [f * estimate_db_pages(BENCH) for f in TABLE_FRACTIONS]
     fit = {}
     for policy in ("face+gsc", "lc"):
@@ -1194,6 +1187,9 @@ def run_paper(jobs: int, smoke: bool) -> dict:
         "seed": SEED,
         "measure_transactions": PAPER_BASE.measure_transactions,
         "n_cells": len({(s.config, s.scenario) for s in specs}),
+        "replay_parity": not mismatched,
+        "parity_cells": [list(key) for key in PAPER_PARITY_KEYS],
+        **({"parity_mismatches": [list(key) for key in mismatched]} if mismatched else {}),
         "table1": {
             name: {m: round(v, 2) for m, v in measure_profile(profile).items()}
             for name, profile in TABLE1_PROFILES.items()
@@ -1484,12 +1480,14 @@ def skew_claims(skew: dict) -> list:
 
 
 def paper_gates(latest: dict) -> list[str]:
-    problems = missing(latest, STAMP)
+    problems = missing(latest, (*STAMP, "replay_parity"))
     if problems:
         return problems
     try:
         claims = (
-            table1_claims(latest["table1"]) + table2_claims(latest["table2"])
+            [(latest["replay_parity"] is True,
+              "paper replay results are NOT bit-identical to full execution")]
+            + table1_claims(latest["table1"]) + table2_claims(latest["table2"])
             + table3_claims(latest["table3"]) + table4_claims(latest["table4"])
             + [c for flash in ("mlc", "slc") for c in fig4_claims(flash, latest["fig4"][flash])]
             + table5_claims(latest["table5"]) + fig5_claims(latest["fig5"])
@@ -1521,7 +1519,7 @@ def paper_summary(latest: dict) -> list[str]:
     windows = min(len(f6[p]["tpmc"]) for p in FIG6_POLICIES)
     tables = [
         f"cells: {latest['n_cells']}  mode: {latest['mode']}  scale: {latest['scale']}  "
-        f"wall: {latest['wall_seconds']}s",
+        f"wall: {latest['wall_seconds']}s  parity: {latest['replay_parity']}",
         format_table("Table 1 - measured device characteristics",
                      ["device", "rd IOPS", "wr IOPS", "rd MB/s", "wr MB/s", "GB", "$ ($/GB)"], [
             (name, round(m["random_read_iops"]), round(m["random_write_iops"]),
@@ -1607,7 +1605,6 @@ PASSES: dict[str, BenchPass] = {
     name: BenchPass(name, HERE / f"BENCH_{name}.json", *functions)
     for name, *functions in (
         ("sweep", run_sweep, sweep_gates, sweep_summary),
-        ("ablation", run_ablation, ablation_gates, ablation_summary),
         ("latency", run_latency, latency_gates, latency_summary),
         ("scan", run_scan, scan_gates, scan_summary),
         ("recovery", run_recovery, recovery_gates, recovery_summary),

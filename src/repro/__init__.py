@@ -31,7 +31,6 @@ from repro.flashcache.registry import (
 )
 from repro.obs import OBS, RegistrySnapshot, merge_snapshots
 from repro.recovery.restart import RecoveryManager, RestartReport, crash_and_restart
-from repro.sim.ablation import AblationResults, AblationStudy
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.metrics import ThroughputSeries
 from repro.sim.parallel import CellSpec, run_cells
@@ -51,8 +50,6 @@ from repro.tpcc.scale import ScaleProfile
 __version__ = "1.0.0"
 
 __all__ = [
-    "AblationResults",
-    "AblationStudy",
     "CachePolicy",
     "CellSpec",
     "CrashRecoveryScenario",

@@ -23,14 +23,13 @@ from repro.analysis.report import (
     restart_report_table,
     run_result_table,
 )
-from repro.analysis.tables import format_percent_rows, format_series, format_table
+from repro.analysis.tables import format_series, format_table
 
 __all__ = [
     "access_time",
     "breakeven_exponent",
     "breakeven_theta",
     "comparison_summary",
-    "format_percent_rows",
     "format_series",
     "format_table",
     "LogLinearFit",

@@ -33,21 +33,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def format_percent_rows(
-    title: str,
-    column_labels: Sequence[str],
-    named_rows: Sequence[tuple[str, Sequence[float]]],
-    scale: float = 100.0,
-) -> str:
-    """Render the paper's percentage matrices (Tables 3 and 4a)."""
-    header = ["policy", *column_labels]
-    rows = [
-        [name, *[f"{value * scale:.1f}" for value in values]]
-        for name, values in named_rows
-    ]
-    return format_table(title, header, rows)
-
-
 def format_series(
     title: str, x_label: str, y_label: str, points: Sequence[tuple[float, float]]
 ) -> str:

@@ -6,10 +6,10 @@ Commands
 ``recover``  crash + restart comparison (Table 6 style)
 ``devices``  microbenchmark the simulated device models (Table 1 style)
 ``sweep``    cache-size sweep for one policy (Figure 4 style series)
-``ablate``   replay-driven ablation grid over the paper's design knobs
-             (admission, sync, scan depth, ...); prints per-axis
-             sensitivity tables (also ``--json``); ``--recovery`` makes
-             every cell a crash/restart measurement (Table 6 style)
+``ablate``   a grid over any ``ExperimentConfig`` fields, given as
+             ``FIELD=V1[,V2...]``; prints one report row per cell (also
+             ``--json``); ``scenario=crash`` makes every cell a
+             crash/restart measurement (Table 6 style)
 ``serve``    closed-loop concurrent-client measurement: N clients with
              think time over per-device FIFO queues; prints throughput and
              p50/p95/p99 latency per ``(policy, clients)`` cell
@@ -29,6 +29,8 @@ are bit-identical to ``--jobs 1``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
 
 from repro.analysis.report import (
@@ -38,7 +40,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.tables import format_series, format_table
 from repro.core.config import CachePolicy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkloadError
 from repro.flashcache.registry import available_policies, get_policy_entry
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import (
@@ -46,6 +48,7 @@ from repro.sim.parallel import (
     CellSpec,
     derive_cell_seed,
     progress_printer,
+    replay_mismatches,
     run_cells,
 )
 from repro.sim.runner import ExperimentRunner
@@ -55,17 +58,10 @@ from repro.tpcc.scale import SCALES, ScaleProfile, scale_by_name
 from repro.workload.registry import WorkloadSpec, available_workloads
 
 #: CLI policy choices come from the registry, so a policy added there is
-#: immediately selectable here (and in ``ablate``'s ``policy`` axis).
+#: immediately selectable here (and as ``ablate policy=...``).
 _POLICY_NAMES: dict[str, CachePolicy] = {
     name: get_policy_entry(name).policy for name in available_policies()
 }
-
-
-def _scale(name: str) -> ScaleProfile:
-    try:
-        return scale_by_name(name)
-    except ConfigError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _workload(args) -> WorkloadSpec:
@@ -73,23 +69,17 @@ def _workload(args) -> WorkloadSpec:
 
     Validation happens in the workload registry; its
     :class:`~repro.errors.WorkloadError` messages name the accepted
-    workloads/knobs, so they are surfaced verbatim as the exit message.
+    workloads/knobs, and :func:`main` prints them verbatim.
     """
-    from repro.errors import WorkloadError
     from repro.workload.registry import workload_spec
 
     knobs = {}
     for token in args.workload_knobs:
         name, sep, raw = token.partition("=")
         if not sep:
-            raise SystemExit(
-                f"--workload-knob needs NAME=VALUE, got {token!r}"
-            )
+            raise ConfigError(f"--workload-knob needs NAME=VALUE, got {token!r}")
         knobs[name.strip()] = _axis_value(raw)
-    try:
-        return workload_spec(args.workload, knobs, preset=args.workload_preset)
-    except WorkloadError as exc:
-        raise SystemExit(str(exc)) from None
+    return workload_spec(args.workload, knobs, preset=args.workload_preset)
 
 
 def _experiment(args, **fields) -> ExperimentConfig:
@@ -99,7 +89,7 @@ def _experiment(args, **fields) -> ExperimentConfig:
     subcommand's own (policy, run protocol).  Every subcommand warms up for
     at most 50,000 transactions.
     """
-    scale = _scale(args.scale)
+    scale = scale_by_name(args.scale)
     workload = _workload(args)
     return ExperimentConfig(
         scale=scale,
@@ -462,56 +452,94 @@ def _axis_value(token: str):
     return token.strip()
 
 
+def grid_specs(
+    base: ExperimentConfig, tokens: list[str]
+) -> tuple[list[str], list[CellSpec]]:
+    """The ``ablate`` grid: ``(varying fields, one cell per combination)``.
+
+    Every token is ``FIELD=V1[,V2...]`` over an :class:`ExperimentConfig`
+    field.  A one-value field is a fixed override; the others vary, in
+    token order, the last fastest.  A cell's key is its varying values.
+    The cells share one boundary trace unless ``seed`` or ``workload``
+    varies.
+    """
+    # --scale and --workload-knob own these two: neither parses as a value.
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
+        "scale", "workload_knobs",
+    }
+    values: dict[str, list] = {}
+    for token in tokens:
+        name, _, raw = token.partition("=")
+        if name not in known:
+            raise ConfigError(
+                f"unknown experiment field {name!r} "
+                f"(known: {', '.join(sorted(known))})"
+            )
+        if name in values:
+            raise ConfigError(f"field {name!r} given twice")
+        if not raw:
+            raise ConfigError(f"field {name!r} has no values ({name}=V1[,V2...])")
+        parsed = [_axis_value(v) for v in raw.split(",")]
+        if len(set(parsed)) != len(parsed):
+            raise ConfigError(f"field {name!r} repeats a value")
+        values[name] = parsed
+    if not values:
+        raise ConfigError("a grid needs at least one FIELD=V1[,V2...]")
+    fixed = {name: v[0] for name, v in values.items() if len(v) == 1}
+    axes = {name: v for name, v in values.items() if len(v) > 1}
+    return list(axes), [
+        CellSpec.from_config(key, base.with_(**fixed, **dict(zip(axes, key))))
+        for key in itertools.product(*axes.values())
+    ]
+
+
 def cmd_ablate(args) -> int:
     import json
 
-    from repro.sim.ablation import AblationStudy, verify_parity
+    from repro.sim.scenario import CrashRun, ServiceResult
 
-    base = _experiment(
-        args,
-        policy=args.policy,
-        measure_transactions=args.transactions,
-        # --recovery turns every cell into a Section 5.5 crash/restart
-        # measurement; axes like checkpoint_interval / crash_point /
-        # ckpt_segment_entries then vary the recovery protocol itself.
-        scenario="crash" if args.recovery else "steady",
-        checkpoint_interval=args.interval if args.recovery else None,
+    if args.check_parity < 0:
+        raise ConfigError("--check-parity needs N >= 0")
+    if args.check_parity and not args.fast:
+        raise ConfigError("--check-parity compares replay against full "
+                          "execution; it needs --fast")
+    axes, specs = grid_specs(_experiment(args), args.fields)
+    title = f"Grid over {' x '.join(axes) or 'no axis'}"
+    print(f"# {title}: {len(specs)} cell(s)", file=sys.stderr)
+    cells = run_cells(
+        specs, jobs=args.jobs, progress=progress_printer(sys.stderr), fast=args.fast
     )
-    axes: dict[str, list | None] = {}
-    for token in args.axes:
-        name, _, raw = token.partition("=")
-        axes[name] = [_axis_value(v) for v in raw.split(",")] if raw else None
-    study = AblationStudy(base, axes)
-    print(
-        f"# ablation: {len(study)} cells over "
-        f"{' x '.join(study.dimensions)} (base: {args.policy})",
-        file=sys.stderr,
-    )
-    results = study.run(
-        jobs=args.jobs,
-        progress=progress_printer(sys.stderr),
-        fast=not args.no_fast,
-    )
-    parity = None
+    mismatched = []
     if args.check_parity:
-        ok, mismatched = verify_parity(study, results, sample=args.check_parity)
-        parity = ok
-        print(
-            f"# parity: {'ok' if ok else 'MISMATCH'} "
-            f"({args.check_parity} cell(s) re-run under full execution"
-            f"{'' if ok else ': ' + ', '.join(map(str, mismatched))})",
-            file=sys.stderr,
-        )
+        # First, last, then evenly spaced between.
+        n = min(args.check_parity, len(specs))
+        sample = [specs[round(i * (len(specs) - 1) / max(1, n - 1))] for i in range(n)]
+        mismatched = replay_mismatches(sample, cells)
+        verdict = f"MISMATCH {mismatched}" if mismatched else "ok"
+        print(f"# parity: {verdict} ({len(sample)} cell(s) re-run under full "
+              f"execution)", file=sys.stderr)
     if args.json:
-        record = results.to_record()
-        if parity is not None:
-            record["replay_parity"] = parity
-        print(json.dumps(record, indent=2))
+        record = {"cells": [
+            {"key": list(key), **dataclasses.asdict(result)}
+            for key, result in cells.items()
+        ]}
+        if args.check_parity:
+            record["replay_parity"] = not mismatched
+        print(json.dumps(record, indent=2, default=str))
+        return 1 if mismatched else 0
+    rows = [
+        dataclasses.replace(result, name=", ".join(
+            f"{name}={value}" for name, value in zip(axes, key)
+        ) or result.name)
+        for key, result in cells.items()
+    ]
+    if isinstance(rows[0], CrashRun):
+        print(restart_report_table([(r.name, r.report) for r in rows], title=title))
+    elif isinstance(rows[0], ServiceResult):
+        print(service_result_table(rows, title=title))
     else:
-        for axis in study.dimensions:
-            print(results.sensitivity_table(axis))
-            print()
-    return 0 if parity in (None, True) else 1
+        print(run_result_table(rows, title=title))
+    return 1 if mismatched else 0
 
 
 def _scale_name(profile: ScaleProfile | None) -> str:
@@ -566,7 +594,7 @@ def cmd_trace(args) -> int:
             raise SystemExit(
                 "trace rm needs --all or a --of-scale/--of-seed filter"
             )
-        scale = _scale(args.of_scale) if args.of_scale else None
+        scale = scale_by_name(args.of_scale) if args.of_scale else None
         removed = remove_cached_traces(scale=scale, seed=args.of_seed)
         print(f"removed {len(removed)} trace file(s)", file=sys.stderr)
         return 0
@@ -735,39 +763,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate = sub.add_parser(
         "ablate",
-        help="replay-driven ablation grid over the paper's design knobs",
-        description="Run a dense knob grid over one recorded workload via "
-        "the trace-replay fast path and print per-axis sensitivity tables. "
-        "Axes: admission, sync, scan_depth, checkpoint, cache_fraction, "
-        "policy, workload, dram — or any ExperimentConfig field. Values "
-        "come from the paper unless overridden as NAME=v1,v2,...",
+        help="a grid over any ExperimentConfig fields",
+        description="Run one cell per combination of the given field values "
+        "and print one report row per cell. Every FIELD is an "
+        "ExperimentConfig field (policy, cache_fraction, scan_depth, "
+        "face_cache_clean, face_write_through, measure_transactions, "
+        "scenario, checkpoint_interval, ...); a one-value field is a fixed "
+        "override. scenario=crash makes every cell a crash/restart "
+        "measurement, scenario=service a closed-loop one.",
     )
     ablate.add_argument(
-        "axes", nargs="+", metavar="AXIS[=V1,V2,...]",
-        help="axis name, optionally with explicit values "
-             "(e.g. 'scan_depth=16,64' or just 'admission')",
+        "fields", nargs="+", metavar="FIELD=V1[,V2,...]",
+        help="a field and its values (e.g. 'scan_depth=16,64' or "
+             "'measure_transactions=200')",
     )
-    ablate.add_argument("--policy", default="face+gsc",
-                        choices=sorted(_POLICY_NAMES),
-                        help="base policy the grid varies around "
-                             "(default face+gsc)")
-    ablate.add_argument("--transactions", type=int, default=2000)
+    ablate.add_argument("--fast", action="store_true",
+                        help="serve cells from the trace-replay fast path")
     ablate.add_argument("--json", action="store_true",
-                        help="emit the full grid + sensitivities as JSON")
+                        help="emit every cell's result as JSON")
     ablate.add_argument("--check-parity", type=int, default=0, metavar="N",
-                        help="re-run N sample cells under full execution "
-                             "and require bit-identical results (exit 1 on "
-                             "mismatch)")
-    ablate.add_argument("--no-fast", action="store_true",
-                        help="full-execute every cell instead of replaying "
-                             "the shared boundary trace")
-    ablate.add_argument("--recovery", action="store_true",
-                        help="run every cell as a crash/restart measurement "
-                             "(Table 6 style); sensitivities reduce restart "
-                             "time instead of tpmC")
-    ablate.add_argument("--interval", type=float, default=2.0,
-                        help="base checkpoint interval for --recovery cells "
-                             "in simulated seconds (default 2.0)")
+                        help="with --fast, re-run N cells (first, last, "
+                             "evenly spaced) under full execution and require "
+                             "bit-identical results (exit 1 on mismatch)")
     ablate.set_defaults(func=cmd_ablate)
 
     stats = sub.add_parser(
@@ -832,7 +849,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, WorkloadError) as exc:
+        # A bad knob is the user's input, not a crash: one line, exit 2
+        # (argparse's status for a usage error).
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ counts, capacities, cache pages) become live storage objects: the database
 volume (RAID-0 array or single SSD for the paper's "SSD only" case), the
 dedicated log device and the flash volume.  Flash-cache *policy*
 construction itself lives in :mod:`repro.flashcache.registry` — the named
-catalogue the CLI and ablation axes also resolve through.  Building
-everything from configs is what makes cells picklable and parallel runs
-reproducible.
+catalogue the CLI and every grid's ``policy`` field also resolve through.
+Building everything from configs is what makes cells picklable and
+parallel runs reproducible.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ single declarative catalogue: every policy the paper compares is one
 Three entry points:
 
 * :func:`available_policies` — the canonical policy names, in the paper's
-  comparison order (this is what the CLI offers as choices and what the
-  ablation engine sweeps as a ``policy`` axis);
+  comparison order (this is what the CLI offers as choices and what a
+  grid sweeps as ``ExperimentConfig.policy``);
 * :func:`make_policy` — ``make_policy(name, flash, disk, cache_pages,
   **knobs)`` builds a live cache instance, validating the knobs against the
   entry (unknown knobs raise :class:`~repro.errors.ConfigError` naming the
@@ -105,7 +105,7 @@ def _make_null(flash, disk, cache_pages):
 
 #: The catalogue, in the paper's comparison order (Table 2).  Keyed by the
 #: canonical name — identical to ``CachePolicy.value`` so names round-trip
-#: through configs, CLI flags and ablation axes.
+#: through configs, CLI flags and grid fields.
 _REGISTRY: dict[str, PolicyEntry] = {
     entry.name: entry
     for entry in (

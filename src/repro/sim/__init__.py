@@ -8,15 +8,13 @@ the run protocols — steady state, the Section 5.5 crash schedule, closed-loop
 service — (:mod:`~repro.sim.scenario`), windowed throughput
 series for Figure 6 (:mod:`~repro.sim.metrics`), I/O tracing and the
 boundary-trace codec (:mod:`~repro.sim.trace`), the declarative
-:class:`~repro.sim.experiment.ExperimentConfig`, the replay-driven
-ablation engine (:mod:`~repro.sim.ablation`), and the closed-loop
+:class:`~repro.sim.experiment.ExperimentConfig`, and the closed-loop
 concurrent-client service layer (:mod:`~repro.sim.service`: N clients,
 per-device FIFO queues, p50/p95/p99 latency).  Everything is deterministic
 under a seed, and sweep cells carry optional observability snapshots
 (``collect_obs``).
 """
 
-from repro.sim.ablation import AblationResults, AblationStudy, verify_parity
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.metrics import ThroughputSample, ThroughputSeries
 from repro.sim.parallel import (
@@ -24,6 +22,7 @@ from repro.sim.parallel import (
     CellSpec,
     derive_cell_seed,
     progress_printer,
+    replay_mismatches,
     run_cell,
     run_cells,
 )
@@ -50,8 +49,6 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "AblationResults",
-    "AblationStudy",
     "CellProgress",
     "CellSpec",
     "CrashRecoveryScenario",
@@ -73,9 +70,9 @@ __all__ = [
     "progress_printer",
     "record_demands",
     "replay",
+    "replay_mismatches",
     "run_cell",
     "run_cells",
     "run_steady_state",
     "run_until_crash_point",
-    "verify_parity",
 ]

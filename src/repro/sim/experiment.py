@@ -164,7 +164,7 @@ class ExperimentConfig:
     def with_(self, **overrides) -> "ExperimentConfig":
         """Return a derived config; unknown field names raise.
 
-        This is the ablation deriver: ``base.with_(scan_depth=128)`` is one
+        This is the grid deriver: ``base.with_(scan_depth=128)`` is one
         grid cell.  ``dataclasses.replace`` would raise a ``TypeError`` on
         unknown names; converting to :class:`ConfigError` keeps knob typos
         in the same error family as every other configuration mistake.

@@ -568,6 +568,30 @@ def _run_cells_fast(
     return ordered
 
 
+def comparable(result: ScenarioResult) -> ScenarioResult:
+    """``result`` minus its label and its observability snapshot — what two
+    runs of one cell must agree on (``replay.*`` counters describe the
+    replay machinery and have no full-run twin)."""
+    return replace(result, name="", obs=None)
+
+
+def replay_mismatches(
+    specs: Sequence[CellSpec], cells: dict[tuple, ScenarioResult]
+) -> list[tuple]:
+    """Re-execute ``specs`` in full; the keys whose result differs from
+    ``cells[key]``.
+
+    The parity check behind every replayed grid: the caller picks the
+    sample, each picked cell runs through :func:`run_cell` (no replay),
+    and an empty list means every one of them is bit-identical.
+    """
+    return [
+        spec.key
+        for spec in specs
+        if comparable(run_cell(spec)) != comparable(cells[spec.key])
+    ]
+
+
 def progress_printer(stream: TextIO | None = None) -> Callable[[CellProgress], None]:
     """A ready-made ``progress`` callback: one status line per finished cell.
 

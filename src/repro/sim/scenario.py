@@ -3,7 +3,7 @@
 Before this module, the codebase had two parallel execution pipelines.
 Steady-state cells (warm up until the cache is populated, reset counters,
 measure N transactions) flowed through :class:`~repro.sim.parallel.CellSpec`
-into the sweep/replay/ablation engines, while crash/restart runs (Section
+into the sweep and replay engines, while crash/restart runs (Section
 5.5: run with a fixed checkpoint cadence, kill at the mid-point of an
 interval, restart) were a hand-rolled loop that none of those engines
 could execute.  A **scenario** unifies them: it owns

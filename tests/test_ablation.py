@@ -1,20 +1,19 @@
-"""Replay-driven ablation engine: grids, sensitivities, parity, CLI.
+"""The ``ablate`` grid: expansion, input rejection, replay parity, CLI.
 
-The engine's contract (ISSUE 4 tentpole) decomposes into independently
-checkable pieces:
+``python -m repro ablate`` is the CLI's generic grid: every positional is
+``FIELD=V1[,V2...]`` over an :class:`ExperimentConfig` field, each cell is
+``CellSpec.from_config(key, base.with_(...))`` and the grid runs through
+``run_cells``.  The contract decomposes into independently checkable
+pieces:
 
-* **expansion** — a study is the full factorial of its axes, every cell
-  derived from the base :class:`ExperimentConfig` with exactly one field
-  changed per axis, all sharing the base's ``(scale, seed)`` so one
-  boundary trace serves the grid;
-* **axis resolution** — named axes carry paper-canonical values, ad-hoc
-  axes accept any ``ExperimentConfig`` field, everything else fails with
-  the known-axis list;
-* **reduction** — ``sensitivity`` computes marginal means/extremes over
-  the *other* axes (pinned here against hand-computed grids);
-* **execution parity** — a fast (replayed) run equals a ``fast=False``
-  full-execution run of the same grid, and :func:`verify_parity` agrees;
-* **CLI** — ``python -m repro ablate`` drives all of the above.
+* **expansion** — the full factorial of the multi-value fields, every cell
+  derived from the base with exactly those fields changed, all sharing the
+  base's ``(scale, seed)`` so one boundary trace serves the grid;
+* **validation** — unknown fields, repeated fields or values and empty
+  value lists fail with a :class:`ConfigError`;
+* **execution parity** — a fast (replayed) grid equals a ``fast=False``
+  full-execution run of it, and :func:`replay_mismatches` agrees;
+* **CLI** — one report row per cell, or every cell as JSON.
 """
 
 from __future__ import annotations
@@ -24,17 +23,11 @@ import json
 
 import pytest
 
+from repro.cli import grid_specs
 from repro.errors import ConfigError
-from repro.sim.ablation import (
-    AXES,
-    AblationResults,
-    AblationStudy,
-    resolve_axis,
-    verify_parity,
-)
 from repro.sim.experiment import ExperimentConfig
+from repro.sim.parallel import replay_mismatches, run_cells
 from repro.sim.replay import clear_recorders
-from repro.sim.runner import RunResult
 from repro.sim.warmstate import clear_snapshots
 from repro.tpcc.scale import TINY
 
@@ -54,199 +47,138 @@ def _hermetic(monkeypatch):
     clear_snapshots()
 
 
-def _result(tpmc: float) -> RunResult:
-    return RunResult(
-        name="stub", transactions=100, wall_seconds=1.0, tpmc=tpmc,
-        dram_hit_rate=0.5, flash_hit_rate=0.5, write_reduction=0.5,
-    )
-
-
 class TestExpansion:
     def test_full_factorial_in_axis_order(self):
-        study = AblationStudy(
-            BASE, {"admission": None, "scan_depth": (16, 32, 64)}
+        axes, specs = grid_specs(
+            BASE, ["face_cache_clean=true,false", "scan_depth=16,32,64"]
         )
-        assert len(study) == 6
-        cells = study.cell_configs()
-        assert [key for key, _ in cells] == [
+        assert axes == ["face_cache_clean", "scan_depth"]
+        assert [spec.key for spec in specs] == [
             (True, 16), (True, 32), (True, 64),
             (False, 16), (False, 32), (False, 64),
         ]
-        for (admission, depth), config in cells:
-            assert config.face_cache_clean == admission
-            assert config.scan_depth == depth
+        for spec in specs:
+            clean, depth = spec.key
+            assert spec.config.face_cache_clean == clean
+            assert spec.config.scan_depth == depth
 
     def test_cells_change_exactly_the_axis_fields(self):
-        study = AblationStudy(BASE, {"sync": None})
-        for (write_through,), config in study.cell_configs():
+        _, specs = grid_specs(BASE, ["face_write_through=false,true"])
+        for spec in specs:
+            (write_through,) = spec.key
             expected = BASE.with_(face_write_through=write_through)
-            assert config == expected
+            assert spec.config == expected.system_config()
+            assert spec.scenario == expected.build_scenario()
 
     def test_every_cell_shares_the_base_scale_and_seed(self):
-        study = AblationStudy(
-            BASE, {"admission": None, "cache_fraction": (0.08, 0.12)}
+        _, specs = grid_specs(
+            BASE, ["face_cache_clean=true,false", "cache_fraction=0.08,0.12"]
         )
-        specs = study.cell_specs()
         assert {(spec.scale, spec.seed) for spec in specs} == {
             (BASE.scale, BASE.seed)
         }
 
-    def test_named_axes_default_to_paper_values(self):
-        study = AblationStudy(BASE, {"scan_depth": None})
-        assert study.values["scan_depth"] == AXES["scan_depth"].values
-
     def test_ad_hoc_axis_over_any_experiment_field(self):
-        study = AblationStudy(BASE, {"seed": (1, 2, 3)})
-        assert [spec.seed for spec in study.cell_specs()] == [1, 2, 3]
+        _, specs = grid_specs(BASE, ["seed=1,2,3"])
+        assert [spec.seed for spec in specs] == [1, 2, 3]
 
-    def test_field_name_resolves_to_the_named_axis(self):
-        assert resolve_axis("face_cache_clean").name == "admission"
+    def test_one_value_fields_are_fixed_overrides(self):
+        axes, specs = grid_specs(
+            BASE, ["scenario=crash", "checkpoint_interval=0.4,0.8"]
+        )
+        assert axes == ["checkpoint_interval"]
+        assert [spec.key for spec in specs] == [(0.4,), (0.8,)]
+        assert [spec.scenario.checkpoint_interval for spec in specs] == [0.4, 0.8]
 
     def test_policy_axis_expands_registry_names(self):
-        study = AblationStudy(BASE, {"policy": ("face", "lc")})
-        (face_key, face_cfg), (lc_key, lc_cfg) = study.cell_configs()
-        assert face_cfg.system_config().cache_policy.value == "face"
-        assert lc_cfg.system_config().cache_policy.value == "lc"
+        _, (face, lc) = grid_specs(BASE, ["policy=face,lc"])
+        assert face.config.cache_policy.value == "face"
+        assert lc.config.cache_policy.value == "lc"
 
 
 class TestValidation:
     def test_unknown_axis_lists_the_known_ones(self):
-        with pytest.raises(ConfigError, match="admission"):
-            AblationStudy(BASE, {"scan_dpeth": None})
+        with pytest.raises(ConfigError, match="scan_depth"):
+            grid_specs(BASE, ["scan_dpeth=16"])
 
     def test_no_axes_rejected(self):
-        with pytest.raises(ConfigError, match="at least one axis"):
-            AblationStudy(BASE, {})
+        with pytest.raises(ConfigError, match="at least one"):
+            grid_specs(BASE, [])
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigError, match="no values"):
-            AblationStudy(BASE, {"scan_depth": ()})
+        for token in ("scan_depth", "scan_depth="):
+            with pytest.raises(ConfigError, match="no values"):
+                grid_specs(BASE, [token])
 
     def test_duplicate_value_rejected(self):
         with pytest.raises(ConfigError, match="repeats"):
-            AblationStudy(BASE, {"scan_depth": (16, 16)})
+            grid_specs(BASE, ["scan_depth=16,16"])
 
-    def test_alias_collision_rejected(self):
-        # The same axis under its name and its field is one axis twice.
+    def test_repeated_field_rejected(self):
         with pytest.raises(ConfigError, match="twice"):
-            AblationStudy(
-                BASE, {"admission": None, "face_cache_clean": (True,)}
-            )
+            grid_specs(BASE, ["scan_depth=16", "scan_depth=32,64"])
 
     def test_bad_axis_value_fails_at_expansion(self):
-        study = AblationStudy(BASE, {"cache_fraction": (0.08, 1.5)})
         with pytest.raises(ConfigError):
-            study.cell_configs()
-
-
-class TestReduction:
-    def _results(self):
-        # 2x2 grid with hand-picked tpmC: admission True -> 110/130,
-        # False -> 90/70; scan 16 -> 110/90, 64 -> 130/70.
-        study = AblationStudy(BASE, {"admission": None, "scan_depth": (16, 64)})
-        cells = {
-            (True, 16): _result(110.0),
-            (True, 64): _result(130.0),
-            (False, 16): _result(90.0),
-            (False, 64): _result(70.0),
-        }
-        return AblationResults(study=study, cells=cells, wall_seconds=1.0)
-
-    def test_marginal_means_and_extremes(self):
-        results = self._results()
-        assert results.sensitivity("admission") == [
-            (True, 120.0, 110.0, 130.0, 2),
-            (False, 80.0, 70.0, 90.0, 2),
-        ]
-        assert results.sensitivity("scan_depth") == [
-            (16, 100.0, 90.0, 110.0, 2),
-            (64, 100.0, 70.0, 130.0, 2),
-        ]
-
-    def test_spread_is_best_over_worst_minus_one(self):
-        results = self._results()
-        assert results.spread("admission") == pytest.approx(0.5)
-        assert results.spread("scan_depth") == 0.0
-
-    def test_unknown_axis_and_metric_fail_loudly(self):
-        results = self._results()
-        with pytest.raises(ConfigError, match="unknown axis"):
-            results.sensitivity("sync")
-        with pytest.raises(AttributeError):
-            results.sensitivity("admission", metric="tmpc")
-
-    def test_table_uses_paper_labels(self):
-        table = self._results().sensitivity_table("admission")
-        assert "clean+dirty" in table and "dirty-only" in table
-        assert "§3.2" in table
-
-    def test_record_is_json_serialisable_and_complete(self):
-        record = self._results().to_record()
-        parsed = json.loads(json.dumps(record))
-        assert parsed["n_cells"] == 4
-        assert parsed["axes"] == {
-            "admission": [True, False], "scan_depth": [16, 64]
-        }
-        assert {tuple(c["key"]) for c in parsed["cells"]} == {
-            (True, 16), (True, 64), (False, 16), (False, 64)
-        }
-        assert parsed["sensitivity"]["admission"][0]["mean_tpmc"] == 120.0
-        assert parsed["spread"]["admission"] == 0.5
+            grid_specs(BASE, ["cache_fraction=0.08,1.5"])
 
 
 class TestExecution:
     def test_fast_grid_matches_full_execution(self):
-        study = AblationStudy(BASE, {"admission": None, "sync": None})
-        fast = study.run(fast=True)
+        _, specs = grid_specs(
+            BASE, ["face_cache_clean=true,false", "face_write_through=false,true"]
+        )
+        fast = run_cells(specs, fast=True)
         clear_recorders()
         clear_snapshots()
-        full = study.run(fast=False)
+        full = run_cells(specs, fast=False)
         strip = lambda cells: {
             key: dataclasses.replace(result, obs=None)
             for key, result in cells.items()
         }
-        assert strip(fast.cells) == strip(full.cells)
+        assert strip(fast) == strip(full)
 
-    def test_verify_parity_passes_on_a_replayed_grid(self):
-        study = AblationStudy(BASE, {"scan_depth": (8, 16)})
-        results = study.run(fast=True)
-        ok, mismatched = verify_parity(study, results, sample=2)
-        assert ok and mismatched == []
+    def test_replay_mismatches_empty_on_a_replayed_grid(self):
+        _, specs = grid_specs(BASE, ["scan_depth=8,16"])
+        cells = run_cells(specs, fast=True)
+        assert replay_mismatches(specs, cells) == []
 
-    def test_verify_parity_catches_a_tampered_cell(self):
-        study = AblationStudy(BASE, {"scan_depth": (8, 16)})
-        results = study.run(fast=True)
+    def test_replay_mismatches_catches_a_tampered_cell(self):
+        _, specs = grid_specs(BASE, ["scan_depth=8,16"])
+        cells = run_cells(specs, fast=True)
         key = (16,)
-        results.cells[key] = dataclasses.replace(
-            results.cells[key], tpmc=results.cells[key].tpmc + 1.0
-        )
-        ok, mismatched = verify_parity(study, results, sample=2)
-        assert not ok and mismatched == [key]
+        cells[key] = dataclasses.replace(cells[key], tpmc=cells[key].tpmc + 1.0)
+        assert replay_mismatches(specs, cells) == [key]
 
 
 class TestCli:
-    def test_ablate_prints_sensitivity_tables(self, capsys):
+    def test_ablate_prints_one_row_per_cell(self, capsys):
         from repro.cli import main
 
         code = main([
-            "--scale", "tiny", "ablate", "admission", "scan_depth=8,16",
-            "--transactions", "120", "--check-parity", "1",
+            "--scale", "tiny", "ablate", "face_cache_clean=true,false",
+            "scan_depth=8,16", "measure_transactions=120", "--fast",
+            "--check-parity", "1",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Ablation - admission" in out
-        assert "Ablation - scan_depth" in out
+        assert "### Grid over face_cache_clean x scan_depth" in out
+        rows = [line for line in out.splitlines() if "scan_depth=" in line]
+        assert len(rows) == 4
+        assert rows[0].startswith("| face_cache_clean=True, scan_depth=8 |")
 
     def test_ablate_json_record(self, capsys):
         from repro.cli import main
 
         code = main([
-            "--scale", "tiny", "ablate", "sync", "--transactions", "120",
-            "--json", "--check-parity", "1",
+            "--scale", "tiny", "ablate", "face_write_through=false,true",
+            "measure_transactions=120", "--fast", "--json",
+            "--check-parity", "1",
         ])
         assert code == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["n_cells"] == 2
+        assert [cell["key"] for cell in record["cells"]] == [[False], [True]]
+        assert record["cells"][1]["write_reduction"] == 0.0
         assert record["replay_parity"] is True
 
     def test_ablate_value_parsing(self):

@@ -1,6 +1,6 @@
 """Table/series formatting helpers used by the benchmark harness."""
 
-from repro.analysis.tables import format_percent_rows, format_series, format_table
+from repro.analysis.tables import format_series, format_table
 
 
 def test_format_table_structure():
@@ -16,15 +16,6 @@ def test_format_table_structure():
 def test_format_table_thousands_separator():
     text = format_table("t", ["n"], [(1234567,)])
     assert "1,234,567" in text
-
-
-def test_format_percent_rows_scales():
-    text = format_percent_rows(
-        "Hit rates", ["2GB", "4GB"], [("FaCE", [0.655, 0.726])]
-    )
-    assert "65.5" in text
-    assert "72.6" in text
-    assert "FaCE" in text
 
 
 def test_format_series_two_columns():

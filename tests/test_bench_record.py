@@ -85,10 +85,8 @@ BROKEN = [
     ("sweep", _set("fast.speedup_warm_vs_serial", 2.0), "below the 8x floor"),
     ("sweep", _drop("fast"), "record has no 'fast'"),
     ("sweep", _drop("cells.0.tpmc"), "has no 'tpmc'"),
-    ("ablation", _set("replay_parity", False), "ablation replay results are NOT"),
-    ("ablation", _set("trace.compression_ratio", 2.0), "below the 3.0x floor"),
-    ("ablation", _drop("trace"), "no persisted trace found"),
-    ("ablation", _drop("n_cells"), "record has no 'n_cells'"),
+    ("sweep", _set("trace.compression_ratio", 2.0), "below the 3.0x floor"),
+    ("sweep", _drop("trace"), "no persisted trace found"),
     ("latency", _set("replay_parity", False), "service replay results are NOT"),
     ("latency", _set("ladders.lc.1.p95_ms", 1e9), "non-monotone percentiles"),
     ("latency", _set("knees.lc", None), "policy lc never saturated"),
@@ -109,6 +107,7 @@ BROKEN = [
     ("recovery", _drop("speedups.0.face_speedup_vs.hdd-only"),
      "speedups at interval 1.0 has no 'hdd-only'"),
     ("recovery", _drop("speedups"), "record has no 'speedups'"),
+    ("recovery", _drop("n_cells"), "record has no 'n_cells'"),
     ("recovery", _set("speedups.0.restart_seconds.face+gsc", 0.2),
      "is not below 0.6x HDD-only's"),
     ("recovery", _set("speedups.2.restart_seconds.hdd-only", 0.1),
@@ -124,6 +123,8 @@ BROKEN = [
     ("storage", _drop("backends.mmap"), "not the registered"),
     ("storage", _drop("backends.memory.tpmc"), "backend memory has no 'tpmc'"),
     ("storage", _drop("mode"), "record has no 'mode'"),
+    ("paper", _set("replay_parity", False), "paper replay results are NOT"),
+    ("paper", _drop("replay_parity"), "record has no 'replay_parity'"),
     ("paper", _drop("fig6"), "paper record is malformed: KeyError 'fig6'"),
     ("paper", _drop("table3.lc"), "paper record is malformed"),
     ("paper", _set("table1.hdd_cheetah_15k.random_read_iops", 450.0),

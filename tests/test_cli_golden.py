@@ -44,6 +44,8 @@ CASES = {
     "stats_clients": ["stats", "face+gsc", "--clients", "4", *_TX],
     "crash": ["crash", "--policy", "face+gsc", "--interval", "0.05"],
     "devices": ["devices"],
+    "ablate": ["ablate", "face_cache_clean=true,false", "measure_transactions=150"],
+    "ablate_crash": ["ablate", "scenario=crash", "checkpoint_interval=0.05"],
 }
 
 

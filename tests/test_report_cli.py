@@ -96,6 +96,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tpmC" in out
 
-    def test_bad_scale_exits(self):
-        with pytest.raises(SystemExit):
-            main(["--scale", "galactic", "run", "face", "--transactions", "10"])
+    def test_bad_scale_exits(self, capsys):
+        assert main(["--scale", "galactic", "run", "face", "--transactions", "10"]) == 2
+        assert "repro: error: unknown scale 'galactic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ablate", "scan_dpeth"], "unknown experiment field 'scan_dpeth'"),
+        (["--cache-fraction", "1.5", "run", "face"], "cache_fraction must be within"),
+        (["serve", "face", "--clients", "0"], "n_clients must be >= 1"),
+        (["recover", "face", "--interval", "-1"], "checkpoint_interval must be positive"),
+        (["--workload-knob", "zipf_s=bogus", "run", "face"], "does not accept knob(s) zipf_s"),
+        (["--workload-knob", "zipf_s", "run", "face"], "--workload-knob needs NAME=VALUE"),
+        (["ablate", "scan_depth=8,16", "--check-parity", "1"], "it needs --fast"),
+    ])
+    def test_config_errors_exit_2_on_one_stderr_line(self, argv, message, capsys):
+        assert main(["--scale", "tiny", *argv]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == ""
+        assert line.startswith("repro: error: ") and message in line

@@ -359,22 +359,15 @@ class TestServiceCells:
         assert open_door.admission_wait_mean == 0.0
 
     def test_ablation_grid_over_client_counts(self):
-        from repro.sim.ablation import AblationStudy
-
-        study = AblationStudy(
-            service_config(measure_transactions=150),
-            {"policy": ("face+gsc", "lc"), "n_clients": (1, 16)},
-        )
-        results = study.run(jobs=1, fast=True)
-        assert results.is_service and not results.is_crash
-        assert results.default_metrics == ("tpmc", "p95_seconds", "p99_seconds")
-        record = results.to_record()
-        assert record["n_cells"] == 4
-        for cell in record["cells"]:
-            assert {"n_clients", "tpmc", "p50_ms", "p95_ms", "p99_ms"} <= set(cell)
-        # Marginal tail latency must grow with the client count.
-        marginals = dict(
-            (value, mean)
-            for value, mean, _, _, _ in results.sensitivity("n_clients", "p95_seconds")
-        )
-        assert marginals[16] > marginals[1]
+        base = service_config(measure_transactions=150)
+        specs = [
+            CellSpec.from_config((policy, n), base.with_(policy=policy, n_clients=n))
+            for policy in ("face+gsc", "lc")
+            for n in (1, 16)
+        ]
+        cells = run_cells(specs, jobs=1, fast=True)
+        assert all(isinstance(r, ServiceResult) for r in cells.values())
+        assert [r.n_clients for r in cells.values()] == [1, 16, 1, 16]
+        # Tail latency must grow with the client count, under each policy.
+        for policy in ("face+gsc", "lc"):
+            assert cells[(policy, 16)].p95_seconds > cells[(policy, 1)].p95_seconds

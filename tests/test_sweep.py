@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigError
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec, derive_cell_seed, run_cells
 from repro.tpcc.scale import TINY
@@ -73,14 +72,15 @@ def test_progress_callback_sees_every_cell():
     assert seen == [("hdd-only",)]
 
 
-def test_validation():
+def test_validation(capsys):
     sweep = ["--scale", "tiny", "sweep", "face", "--transactions", "50"]
     with pytest.raises(SystemExit):
         main([*sweep, "--fractions"])  # a sweep needs at least one value
-    with pytest.raises(ConfigError, match="cache_fraction"):
-        main([*sweep, "--fractions", "0"])
-    with pytest.raises(ConfigError, match="unique"):
-        main([*sweep, "--fractions", "0.1", "0.1"])
+    # A bad value is a usage error: one stderr line, exit 2.
+    assert main([*sweep, "--fractions", "0"]) == 2
+    assert "cache_fraction" in capsys.readouterr().err
+    assert main([*sweep, "--fractions", "0.1", "0.1"]) == 2
+    assert "unique" in capsys.readouterr().err
 
 
 class TestFastSeedWarning:

@@ -203,10 +203,12 @@ class TestExperimentIntegration:
         assert spec.workload_spec() == spec.workload
 
     def test_workload_is_an_ablation_axis(self):
-        from repro.sim.ablation import AXES, resolve_axis
+        from repro.cli import grid_specs
 
-        assert "workload" in AXES
-        assert resolve_axis("workload").values == available_workloads()
+        tokens = ["workload=" + ",".join(available_workloads())]
+        axes, specs = grid_specs(ExperimentConfig(scale=TINY), tokens)
+        assert axes == ["workload"]
+        assert [spec.workload.name for spec in specs] == list(available_workloads())
 
 
 class TestWorkloadSpecDefaults:
