@@ -1,6 +1,6 @@
-"""Paper-style table and series formatting for the benchmark harness.
+"""Paper-style table formatting for the benchmark harness.
 
-Each benchmark prints the rows/series the paper reports; these helpers keep
+Each benchmark prints the rows the paper reports; these helpers keep
 the output format consistent (fixed-width columns, one header line) so the
 bench logs read like the paper's tables.
 """
@@ -32,9 +32,3 @@ def _cell(value: object) -> str:
         return f"{value:,}"
     return str(value)
 
-
-def format_series(
-    title: str, x_label: str, y_label: str, points: Sequence[tuple[float, float]]
-) -> str:
-    """Render a figure's (x, y) series as two columns."""
-    return format_table(title, [x_label, y_label], [(x, y) for x, y in points])

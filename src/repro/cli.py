@@ -2,28 +2,28 @@
 
 Commands
 --------
-``run``      steady-state TPC-C measurement of one or more cache policies
-``recover``  crash + restart comparison (Table 6 style)
+``run``      a grid over any ``ExperimentConfig`` fields, given as
+             ``FIELD=V1[,V2...]``: one cell per combination, one report row
+             per cell (also ``--json``).  ``policy=face+gsc,hdd-only``
+             compares policies, ``cache_fraction=0.04,0.12`` is a Figure 4
+             series, ``scenario=crash checkpoint_interval=2`` makes every
+             cell a crash/restart measurement (Table 6 style) and
+             ``scenario=service n_clients=1,50`` a closed-loop latency one
+``crash``    one real process death: a victim process runs the Section 5.5
+             schedule on a persistent ``--page-store`` and is SIGKILLed; its
+             files are reopened and the restart checked against the model
 ``devices``  microbenchmark the simulated device models (Table 1 style)
-``sweep``    cache-size sweep for one policy (Figure 4 style series)
-``ablate``   a grid over any ``ExperimentConfig`` fields, given as
-             ``FIELD=V1[,V2...]``; prints one report row per cell (also
-             ``--json``); ``scenario=crash`` makes every cell a
-             crash/restart measurement (Table 6 style)
-``serve``    closed-loop concurrent-client measurement: N clients with
-             think time over per-device FIFO queues; prints throughput and
-             p50/p95/p99 latency per ``(policy, clients)`` cell
-``stats``    one measured run with observability on; prints every internal
-             metric plus the derived Table 3 figures (also ``--json``/``--csv``);
-             ``--crash`` swaps in a crash/restart scenario and surfaces the
-             ``recovery.*`` metrics; ``--clients N`` swaps in a closed-loop
-             service scenario and surfaces latency columns plus the
-             ``service.*`` metrics
+``stats``    one cell (the same ``FIELD=V`` tokens, one value each) with
+             observability on; prints every internal metric plus the derived
+             Table 3 figures, the restart report for ``scenario=crash`` or
+             the latency columns for ``scenario=service`` (also
+             ``--json``/``--csv``)
+``trace``    boundary-trace cache housekeeping
 
 All output is plain text / markdown; every command is deterministic for a
-given ``--seed``.  ``run`` and ``sweep`` execute their independent cells in
-parallel worker processes with ``--jobs N`` (``0`` = one per CPU); results
-are bit-identical to ``--jobs 1``.
+given ``--seed``, and every cell of a grid shares it.  ``run`` executes its
+cells in parallel worker processes with ``--jobs N`` (``0`` = one per CPU);
+results are bit-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -38,30 +38,22 @@ from repro.analysis.report import (
     run_result_table,
     service_result_table,
 )
-from repro.analysis.tables import format_series, format_table
-from repro.core.config import CachePolicy
+from repro.analysis.tables import format_table
 from repro.errors import ConfigError, WorkloadError
-from repro.flashcache.registry import available_policies, get_policy_entry
+from repro.flashcache.registry import available_policies, resolve_policy
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import (
-    CellProgress,
     CellSpec,
-    derive_cell_seed,
     progress_printer,
     replay_mismatches,
     run_cells,
 )
 from repro.sim.runner import ExperimentRunner
+from repro.sim.scenario import CrashRun, ServiceResult
 from repro.storage.profiles import TABLE1_PROFILES, measure_profile
 from repro.storage.registry import available_backends
 from repro.tpcc.scale import SCALES, ScaleProfile, scale_by_name
 from repro.workload.registry import WorkloadSpec, available_workloads
-
-#: CLI policy choices come from the registry, so a policy added there is
-#: immediately selectable here (and as ``ablate policy=...``).
-_POLICY_NAMES: dict[str, CachePolicy] = {
-    name: get_policy_entry(name).policy for name in available_policies()
-}
 
 
 def _workload(args) -> WorkloadSpec:
@@ -82,421 +74,36 @@ def _workload(args) -> WorkloadSpec:
     return workload_spec(args.workload, knobs, preset=args.workload_preset)
 
 
-def _experiment(args, **fields) -> ExperimentConfig:
-    """The one :class:`ExperimentConfig` a subcommand lowers through.
+def _experiment(args) -> ExperimentConfig:
+    """The base :class:`ExperimentConfig` a grid's ``FIELD=`` tokens derive.
 
-    The global flags give the workload and the system; ``fields`` adds the
-    subcommand's own (policy, run protocol).  Every subcommand warms up for
-    at most 50,000 transactions.
+    The global flags give the workload and the system.  Every cell warms up
+    for at most 50,000 transactions.
     """
-    scale = scale_by_name(args.scale)
     workload = _workload(args)
     return ExperimentConfig(
-        scale=scale,
+        scale=scale_by_name(args.scale),
         seed=args.seed,
         workload=workload.name,
         workload_knobs=workload.knobs,
         cache_fraction=args.cache_fraction,
         page_store=args.page_store,
         warmup_max=50_000,
-        **fields,
     )
 
 
-def _runner(experiment: ExperimentConfig) -> ExperimentRunner:
-    """A fully executing runner on a freshly loaded database."""
-    return ExperimentRunner(
-        experiment.system_config(),
-        experiment.scale,
-        seed=experiment.seed,
-        workload=experiment.workload_spec(),
-    )
+def _print_cells(rows: list, title: str) -> None:
+    """One report table, chosen by the kind of result the cells hold."""
+    if isinstance(rows[0], CrashRun):
+        print(restart_report_table([(r.name, r.report) for r in rows], title=title))
+    elif isinstance(rows[0], ServiceResult):
+        print(service_result_table(rows, title=title))
+    else:
+        print(run_result_table(rows, title=title))
 
 
 def cmd_run(args) -> int:
-    base = _experiment(args, measure_transactions=args.transactions)
-    specs = [
-        CellSpec.from_config((name,), base.with_(policy=name))
-        for name in args.policies
-    ]
-
-    def report(progress: CellProgress) -> None:
-        print(f"# {progress.result.name}: warm-up "
-              f"{progress.result.warmup_transactions} tx, "
-              f"measured {args.transactions} tx", file=sys.stderr)
-
-    cells = run_cells(specs, jobs=args.jobs, progress=report, fast=args.fast)
-    print(run_result_table(
-        list(cells.values()),
-        title=f"Steady state - {base.workload_spec().token}",
-    ))
-    return 0
-
-
-def cmd_recover(args) -> int:
-    base = _experiment(
-        args,
-        scenario="crash",
-        checkpoint_interval=args.interval,
-        crash_point=args.crash_point,
-    )
-    specs = [
-        CellSpec.from_config((name,), base.with_(policy=name))
-        for name in args.policies
-    ]
-    cells = run_cells(specs, jobs=args.jobs, fast=args.fast)
-    reports = [(crash.name, crash.report) for crash in cells.values()]
-    print(restart_report_table(reports, title="Crash + restart"))
-    return 0
-
-
-def cmd_crash(args) -> int:
-    """In-process or hard (real SIGKILL) crash + restart for one policy."""
     import json
-    import tempfile
-
-    from repro.sim import hardcrash
-    from repro.storage.registry import get_backend_entry
-
-    if args.victim:
-        # Re-exec target: run the schedule on persistent storage and die
-        # by SIGKILL.  Never returns.
-        hardcrash.run_victim(
-            state_dir=args.state_dir,
-            backend=args.page_store,
-            scale_name=args.scale,
-            seed=args.seed,
-            workload=_workload(args),
-            policy=_POLICY_NAMES[args.policy],
-            cache_fraction=args.cache_fraction,
-            checkpoint_interval=args.interval,
-            crash_point=args.crash_point,
-        )
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    if args.hard:
-        if not get_backend_entry(args.page_store).persistent:
-            raise SystemExit(
-                "crash --hard needs a persistent --page-store "
-                "(sqlite or mmap); 'memory' dies with the process"
-            )
-        state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-crash-")
-        victim_argv = [
-            "--scale", args.scale,
-            "--seed", str(args.seed),
-            "--workload", args.workload,
-            *[f"--workload-knob={t}" for t in args.workload_knobs],
-            *(
-                ["--workload-preset", args.workload_preset]
-                if args.workload_preset
-                else []
-            ),
-            "--cache-fraction", str(args.cache_fraction),
-            "--page-store", args.page_store,
-            "crash",
-            "--victim",
-            "--policy", args.policy,
-            "--interval", str(args.interval),
-            "--crash-point", str(args.crash_point),
-            "--state-dir", state_dir,
-        ]
-        print(
-            f"# hard crash: victim on {args.page_store} under {state_dir}",
-            file=sys.stderr,
-        )
-        result = hardcrash.run_hard_crash(victim_argv, state_dir)
-        if args.json:
-            print(json.dumps(result, indent=2))
-        else:
-            surv = result["survival"]
-            print(f"# durability: {result['durability']}")
-            print(f"# victim killed after {result['executed_before_crash']} tx, "
-                  f"{result['checkpoints_before_crash']} checkpoint(s)")
-            for role in ("disk", "flash"):
-                print(f"{role}: {surv[role]['recovered']} LBAs survived "
-                      f"({surv[role]['missing']} of {surv[role]['expected']} "
-                      f"predicted missing)")
-            print(f"restart: {result['restart_seconds']:.4f}s simulated, "
-                  f"{result['flash_read_fraction']:.1%} of recovery reads "
-                  f"from flash")
-            if result["mismatches"]:
-                print(f"soft-model mismatches: {result['mismatches']}")
-            print(f"passed: {result['passed']}")
-        return 0 if result["passed"] else 1
-
-    # Soft mode: the same schedule fully in-process (the model the hard
-    # path is validated against), reported in the same shape.
-    experiment = _experiment(
-        args,
-        policy=args.policy,
-        scenario="crash",
-        checkpoint_interval=args.interval,
-        crash_point=args.crash_point,
-    )
-    crash = experiment.build_scenario().execute(_runner(experiment))
-    if args.json:
-        print(json.dumps(
-            {
-                "executed_before_crash": crash.transactions_before_crash,
-                "checkpoints_before_crash": crash.checkpoints_before_crash,
-                "soft": hardcrash.discrete_report(crash.report),
-                "restart_seconds": crash.restart_seconds,
-                "flash_read_fraction": crash.flash_read_fraction,
-            },
-            indent=2,
-        ))
-    else:
-        print(restart_report_table(
-            [(crash.name, crash.report)], title="Crash + restart (in-process)"
-        ))
-    return 0
-
-
-def cmd_serve(args) -> int:
-    base = _experiment(
-        args,
-        measure_transactions=args.transactions,
-        scenario="service",
-        think_time_ms=args.think_ms,
-        max_inflight=args.max_inflight,
-    )
-    specs = [
-        CellSpec.from_config((name, n), base.with_(policy=name, n_clients=n))
-        for name in args.policies
-        for n in args.clients
-    ]
-    cells = run_cells(
-        specs,
-        jobs=args.jobs,
-        progress=progress_printer(sys.stderr),
-        fast=args.fast,
-    )
-    print(
-        service_result_table(
-            list(cells.values()),
-            title=f"Closed-loop service ({args.transactions} tx per cell, "
-            f"think {args.think_ms:g} ms)",
-        )
-    )
-    return 0
-
-
-def cmd_devices(args) -> int:
-    rows = []
-    for key, profile in TABLE1_PROFILES.items():
-        m = measure_profile(profile, args.ops)
-        rows.append((key, round(m["random_read_iops"]), round(m["random_write_iops"]),
-                     round(m["seq_read_mbps"], 1), round(m["seq_write_mbps"], 1)))
-    print(format_table("Simulated devices (4KB random, large sequential)",
-                       ["device", "read IOPS", "write IOPS", "read MB/s",
-                        "write MB/s"], rows, width=18))
-    return 0
-
-
-def _metric_table(title: str, flat: dict, prefix: str = "") -> None:
-    """Print the metrics named ``prefix*`` as a table, if there are any."""
-    rows = [
-        (name, f"{flat[name]:g}") for name in sorted(flat) if name.startswith(prefix)
-    ]
-    if rows:
-        print(format_table(title, ["metric", "value"], rows, width=44))
-
-
-def cmd_stats(args) -> int:
-    from repro.obs import OBS
-
-    if args.crash:
-        # Crash mode: run the Section 5.5 schedule instead of a steady
-        # measurement and report the restart, not Table 3.
-        protocol = dict(scenario="crash", checkpoint_interval=args.interval)
-    elif args.clients:
-        # Service mode: run the closed-loop N-client scenario instead of a
-        # single-stream measurement and report latency, not Table 3.
-        protocol = dict(
-            scenario="service",
-            n_clients=args.clients,
-            think_time_ms=args.think_ms,
-            measure_transactions=args.transactions,
-        )
-    else:
-        protocol = dict(measure_transactions=args.transactions)
-    experiment = _experiment(args, policy=args.policy, **protocol)
-    workload = experiment.workload_spec()
-    print(f"# workload: {workload.token} "
-          f"(knobs: {workload.resolved_knobs() or '(none)'})",
-          file=sys.stderr)
-    OBS.enable()
-    if args.fast:
-        from repro.sim.replay import ReplayRunner, get_recorder, save_recorded_traces
-
-        runner = ReplayRunner(
-            experiment.system_config(),
-            get_recorder(experiment.scale, experiment.seed, workload=workload),
-        )
-    else:
-        runner = _runner(experiment)
-    # Every scenario's warm-up resets OBS at the measurement boundary.
-    result = experiment.build_scenario().execute(runner)
-    if args.fast:
-        save_recorded_traces()
-    snap = OBS.snapshot()
-
-    if args.json:
-        print(snap.to_json())
-        return 0
-    if args.csv:
-        rows = snap.to_csv(args.csv)
-        print(f"wrote {rows} metrics to {args.csv}", file=sys.stderr)
-
-    flat = snap.as_flat()
-    if args.crash:
-        print(restart_report_table([(result.name, result.report)],
-                                   title="Crash + restart"))
-        _metric_table("Recovery metrics", flat, "recovery.")
-    elif args.clients:
-        print(service_result_table([result]))
-        _metric_table("Service metrics", flat, "service.")
-    else:
-        prefix = runner.dbms.cache.obs_prefix
-        lookups = snap.get(f"{prefix}.lookups")
-        hits = snap.get(f"{prefix}.hits")
-        dirty = snap.get(f"{prefix}.evictions.dirty")
-        disk_writes = snap.get(f"{prefix}.disk_writes")
-        obs_hit = hits / lookups if lookups else 0.0
-        obs_wr = max(0.0, 1.0 - disk_writes / dirty) if dirty else 0.0
-        print(f"# {result.name} / {workload.token}: {result.transactions} tx "
-              f"measured, {result.tpmc:,.0f} tpmC")
-        print(format_table(
-            "Derived from metrics vs. RunResult",
-            ["figure", "from metrics", "from RunResult"],
-            [
-                ("flash hit rate (Table 3a)",
-                 f"{obs_hit:.4f}", f"{result.flash_hit_rate:.4f}"),
-                ("write reduction (Table 3b)",
-                 f"{obs_wr:.4f}", f"{result.write_reduction:.4f}"),
-            ],
-            width=28,
-        ))
-        _metric_table("Trace-replay fast path", flat, "replay.")
-    _metric_table("All metrics (measured region)", flat)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    import warnings
-
-    # --shared-seed is its own decision; it merely *defaults* to following
-    # --fast (one shared boundary stream is the layout replay amortises
-    # best).  --no-shared-seed keeps statistically independent per-cell
-    # workloads even in fast mode, with a warning when that combination
-    # cannot amortise the recording.
-    shared_seed = args.fast if args.shared_seed is None else args.shared_seed
-    base = _experiment(
-        args, policy=args.policy, measure_transactions=args.transactions
-    )
-    specs = [
-        CellSpec.from_config(
-            (fraction,),
-            base.with_(cache_fraction=fraction),
-            seed=(
-                args.seed if shared_seed else derive_cell_seed(args.seed, (fraction,))
-            ),
-        )
-        for fraction in args.fractions
-    ]
-    if args.fast and not shared_seed and len(specs) > 1:
-        from repro.sim.replay import cached_trace_exists
-
-        # Every cell is its own boundary stream: unless the persistent
-        # trace cache already holds one, each is recorded alongside its own
-        # full execution and the fast path saves nothing.
-        if not any(
-            cached_trace_exists(spec.scale, spec.seed, spec.workload)
-            for spec in specs
-        ):
-            warnings.warn(
-                f"fast sweep over {len(specs)} per-cell seeds with no cached "
-                "traces: every cell records its own boundary stream, so "
-                "replay cannot amortise the recording. Pass --shared-seed "
-                "to serve the whole grid from one recording.",
-                UserWarning,
-                stacklevel=2,
-            )
-    cells = run_cells(
-        specs, jobs=args.jobs, progress=progress_printer(sys.stderr), fast=args.fast
-    )
-    points = [(f * 100, cells[(f,)].tpmc) for f in args.fractions]
-    print(
-        format_series(
-            f"tpmC vs cache size - {_POLICY_NAMES[args.policy].value}",
-            "cache %",
-            "tpmC",
-            points,
-        )
-    )
-    return 0
-
-
-def _axis_value(token: str):
-    """Parse one ``NAME=v1,v2`` value: int, float, bool, none or string."""
-    lowered = token.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", "off"):
-        return None
-    for parse in (int, float):
-        try:
-            return parse(token)
-        except ValueError:
-            continue
-    return token.strip()
-
-
-def grid_specs(
-    base: ExperimentConfig, tokens: list[str]
-) -> tuple[list[str], list[CellSpec]]:
-    """The ``ablate`` grid: ``(varying fields, one cell per combination)``.
-
-    Every token is ``FIELD=V1[,V2...]`` over an :class:`ExperimentConfig`
-    field.  A one-value field is a fixed override; the others vary, in
-    token order, the last fastest.  A cell's key is its varying values.
-    The cells share one boundary trace unless ``seed`` or ``workload``
-    varies.
-    """
-    # --scale and --workload-knob own these two: neither parses as a value.
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {
-        "scale", "workload_knobs",
-    }
-    values: dict[str, list] = {}
-    for token in tokens:
-        name, _, raw = token.partition("=")
-        if name not in known:
-            raise ConfigError(
-                f"unknown experiment field {name!r} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        if name in values:
-            raise ConfigError(f"field {name!r} given twice")
-        if not raw:
-            raise ConfigError(f"field {name!r} has no values ({name}=V1[,V2...])")
-        parsed = [_axis_value(v) for v in raw.split(",")]
-        if len(set(parsed)) != len(parsed):
-            raise ConfigError(f"field {name!r} repeats a value")
-        values[name] = parsed
-    if not values:
-        raise ConfigError("a grid needs at least one FIELD=V1[,V2...]")
-    fixed = {name: v[0] for name, v in values.items() if len(v) == 1}
-    axes = {name: v for name, v in values.items() if len(v) > 1}
-    return list(axes), [
-        CellSpec.from_config(key, base.with_(**fixed, **dict(zip(axes, key))))
-        for key in itertools.product(*axes.values())
-    ]
-
-
-def cmd_ablate(args) -> int:
-    import json
-
-    from repro.sim.scenario import CrashRun, ServiceResult
 
     if args.check_parity < 0:
         raise ConfigError("--check-parity needs N >= 0")
@@ -527,19 +134,257 @@ def cmd_ablate(args) -> int:
             record["replay_parity"] = not mismatched
         print(json.dumps(record, indent=2, default=str))
         return 1 if mismatched else 0
-    rows = [
+    _print_cells([
         dataclasses.replace(result, name=", ".join(
             f"{name}={value}" for name, value in zip(axes, key)
         ) or result.name)
         for key, result in cells.items()
-    ]
-    if isinstance(rows[0], CrashRun):
-        print(restart_report_table([(r.name, r.report) for r in rows], title=title))
-    elif isinstance(rows[0], ServiceResult):
-        print(service_result_table(rows, title=title))
-    else:
-        print(run_result_table(rows, title=title))
+    ], title)
     return 1 if mismatched else 0
+
+
+def cmd_crash(args) -> int:
+    """Kill a real process at the crash point; restart from its files."""
+    import json
+    import tempfile
+
+    from repro.sim import hardcrash
+    from repro.storage.registry import get_backend_entry
+
+    if args.victim:
+        # Re-exec target: run the schedule on persistent storage and die
+        # by SIGKILL.  Never returns.
+        hardcrash.run_victim(
+            state_dir=args.state_dir,
+            backend=args.page_store,
+            scale_name=args.scale,
+            seed=args.seed,
+            workload=_workload(args),
+            policy=resolve_policy(args.policy),
+            cache_fraction=args.cache_fraction,
+            checkpoint_interval=args.interval,
+            crash_point=args.crash_point,
+        )
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    if not get_backend_entry(args.page_store).persistent:
+        raise ConfigError(
+            "crash needs a persistent --page-store (sqlite or mmap); "
+            f"{args.page_store!r} dies with the process"
+        )
+    state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-crash-")
+    victim_argv = [
+        "--scale", args.scale,
+        "--seed", str(args.seed),
+        "--workload", args.workload,
+        *[f"--workload-knob={t}" for t in args.workload_knobs],
+        *(
+            ["--workload-preset", args.workload_preset]
+            if args.workload_preset
+            else []
+        ),
+        "--cache-fraction", str(args.cache_fraction),
+        "--page-store", args.page_store,
+        "crash",
+        "--victim",
+        "--policy", args.policy,
+        "--interval", str(args.interval),
+        "--crash-point", str(args.crash_point),
+        "--state-dir", state_dir,
+    ]
+    print(
+        f"# hard crash: victim on {args.page_store} under {state_dir}",
+        file=sys.stderr,
+    )
+    result = hardcrash.run_hard_crash(victim_argv, state_dir)
+    if args.json:
+        print(json.dumps(result, indent=2))
+    else:
+        surv = result["survival"]
+        print(f"# durability: {result['durability']}")
+        print(f"# victim killed after {result['executed_before_crash']} tx, "
+              f"{result['checkpoints_before_crash']} checkpoint(s)")
+        for role in ("disk", "flash"):
+            print(f"{role}: {surv[role]['recovered']} LBAs survived "
+                  f"({surv[role]['missing']} of {surv[role]['expected']} "
+                  f"predicted missing)")
+        print(f"restart: {result['restart_seconds']:.4f}s simulated, "
+              f"{result['flash_read_fraction']:.1%} of recovery reads "
+              f"from flash")
+        if result["mismatches"]:
+            print(f"soft-model mismatches: {result['mismatches']}")
+        print(f"passed: {result['passed']}")
+    return 0 if result["passed"] else 1
+
+
+def cmd_devices(args) -> int:
+    rows = []
+    for key, profile in TABLE1_PROFILES.items():
+        m = measure_profile(profile, args.ops)
+        rows.append((key, round(m["random_read_iops"]), round(m["random_write_iops"]),
+                     round(m["seq_read_mbps"], 1), round(m["seq_write_mbps"], 1)))
+    print(format_table("Simulated devices (4KB random, large sequential)",
+                       ["device", "read IOPS", "write IOPS", "read MB/s",
+                        "write MB/s"], rows, width=18))
+    return 0
+
+
+def _metric_table(title: str, flat: dict, prefix: str = "") -> None:
+    """Print the metrics named ``prefix*`` as a table, if there are any."""
+    rows = [
+        (name, f"{flat[name]:g}") for name in sorted(flat) if name.startswith(prefix)
+    ]
+    if rows:
+        print(format_table(title, ["metric", "value"], rows, width=44))
+
+
+def cmd_stats(args) -> int:
+    from repro.obs import OBS
+
+    axes, specs = grid_specs(_experiment(args), args.fields)
+    if axes:
+        raise ConfigError(
+            f"stats measures one cell; give {', '.join(axes)} one value"
+        )
+    (spec,) = specs
+    workload = spec.workload
+    print(f"# workload: {workload.token} "
+          f"(knobs: {workload.resolved_knobs() or '(none)'})",
+          file=sys.stderr)
+    OBS.enable()
+    if args.fast:
+        from repro.sim.replay import ReplayRunner, get_recorder, save_recorded_traces
+
+        runner = ReplayRunner(
+            spec.config, get_recorder(spec.scale, spec.seed, workload=workload)
+        )
+    else:
+        runner = ExperimentRunner(
+            spec.config, spec.scale, seed=spec.seed, workload=workload
+        )
+    # Every scenario's warm-up resets OBS at the measurement boundary.
+    result = spec.scenario.execute(runner)
+    if args.fast:
+        save_recorded_traces()
+    snap = OBS.snapshot()
+
+    if args.json:
+        print(snap.to_json())
+        return 0
+    if args.csv:
+        rows = snap.to_csv(args.csv)
+        print(f"wrote {rows} metrics to {args.csv}", file=sys.stderr)
+
+    flat = snap.as_flat()
+    if isinstance(result, CrashRun):
+        _print_cells([result], "Crash + restart")
+        _metric_table("Recovery metrics", flat, "recovery.")
+    elif isinstance(result, ServiceResult):
+        _print_cells([result], "Closed-loop service")
+        _metric_table("Service metrics", flat, "service.")
+    else:
+        prefix = runner.dbms.cache.obs_prefix
+        lookups = snap.get(f"{prefix}.lookups")
+        hits = snap.get(f"{prefix}.hits")
+        dirty = snap.get(f"{prefix}.evictions.dirty")
+        disk_writes = snap.get(f"{prefix}.disk_writes")
+        obs_hit = hits / lookups if lookups else 0.0
+        obs_wr = max(0.0, 1.0 - disk_writes / dirty) if dirty else 0.0
+        print(f"# {result.name} / {workload.token}: {result.transactions} tx "
+              f"measured, {result.tpmc:,.0f} tpmC")
+        print(format_table(
+            "Derived from metrics vs. RunResult",
+            ["figure", "from metrics", "from RunResult"],
+            [
+                ("flash hit rate (Table 3a)",
+                 f"{obs_hit:.4f}", f"{result.flash_hit_rate:.4f}"),
+                ("write reduction (Table 3b)",
+                 f"{obs_wr:.4f}", f"{result.write_reduction:.4f}"),
+            ],
+            width=28,
+        ))
+        _metric_table("Trace-replay fast path", flat, "replay.")
+    _metric_table("All metrics (measured region)", flat)
+    return 0
+
+
+def _axis_value(token: str):
+    """Parse one ``NAME=v1,v2`` value: int, float, bool, none or string."""
+    lowered = token.strip().lower()
+    if lowered in ("true", "false"):
+        return lowered == "true"
+    if lowered in ("none", "off"):
+        return None
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            continue
+    return token.strip()
+
+
+def _field_value(field: dataclasses.Field, raw: str):
+    """One ``FIELD=`` value, checked against the field's declared type.
+
+    ``bool`` takes only true/false, ``int`` only integers, ``float`` any
+    number; ``none``/``off`` is accepted only where the type is optional.
+    """
+    kind, _, optional = field.type.partition(" | ")
+    if kind == "str":
+        return raw.strip()
+    value = _axis_value(raw)
+    if value is None and optional:
+        return None
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if kind == "int" and type(value) is int:
+        return value
+    if kind == "float" and type(value) in (int, float):
+        return float(value)
+    raise ConfigError(f"field {field.name!r} takes {field.type}, got {raw!r}")
+
+
+def grid_specs(
+    base: ExperimentConfig, tokens: list[str]
+) -> tuple[list[str], list[CellSpec]]:
+    """The ``run`` grid: ``(varying fields, one cell per combination)``.
+
+    Every token is ``FIELD=V1[,V2...]`` over an :class:`ExperimentConfig`
+    field.  A one-value field is a fixed override; the others vary, in
+    token order, the last fastest.  A cell's key is its varying values.
+    The cells share one boundary trace unless ``seed`` or ``workload``
+    varies.
+    """
+    # --scale and --workload-knob own these two: neither parses as a value.
+    fields = {
+        f.name: f
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name not in ("scale", "workload_knobs")
+    }
+    values: dict[str, list] = {}
+    for token in tokens:
+        name, _, raw = token.partition("=")
+        if name not in fields:
+            raise ConfigError(
+                f"unknown experiment field {name!r} "
+                f"(known: {', '.join(sorted(fields))})"
+            )
+        if name in values:
+            raise ConfigError(f"field {name!r} given twice")
+        if not raw:
+            raise ConfigError(f"field {name!r} has no values ({name}=V1[,V2...])")
+        parsed = [_field_value(fields[name], v) for v in raw.split(",")]
+        if len(set(parsed)) != len(parsed):
+            raise ConfigError(f"field {name!r} repeats a value")
+        values[name] = parsed
+    if not values:
+        raise ConfigError("a grid needs at least one FIELD=V1[,V2...]")
+    fixed = {name: v[0] for name, v in values.items() if len(v) == 1}
+    axes = {name: v for name, v in values.items() if len(v) > 1}
+    return list(axes), [
+        CellSpec.from_config(key, base.with_(**fixed, **dict(zip(axes, key))))
+        for key in itertools.product(*axes.values())
+    ]
 
 
 def _scale_name(profile: ScaleProfile | None) -> str:
@@ -664,45 +509,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="steady-state TPC-C measurement")
-    run.add_argument("policies", nargs="+", choices=sorted(_POLICY_NAMES))
-    run.add_argument("--transactions", type=int, default=2000)
+    run = sub.add_parser(
+        "run",
+        help="a grid over any ExperimentConfig fields",
+        description="Run one cell per combination of the given field values "
+        "and print one report row per cell. Every FIELD is an "
+        "ExperimentConfig field (policy, cache_fraction, scan_depth, "
+        "face_cache_clean, measure_transactions, scenario, "
+        "checkpoint_interval, n_clients, ...); a one-value field is a fixed "
+        "override. scenario=crash makes every cell a crash/restart "
+        "measurement, scenario=service a closed-loop one. Every cell shares "
+        "--seed.",
+    )
+    run.add_argument(
+        "fields", nargs="+", metavar="FIELD=V1[,V2,...]",
+        help="a field and its values (e.g. 'policy=face+gsc,hdd-only' or "
+             "'measure_transactions=200')",
+    )
     run.add_argument("--fast", action="store_true",
                      help="serve cells from the trace-replay fast path "
                           "(bit-identical results; records the boundary "
-                          "trace once, then replays it per policy)")
+                          "trace once, then replays it per cell)")
+    run.add_argument("--json", action="store_true",
+                     help="emit every cell's result as JSON")
+    run.add_argument("--check-parity", type=int, default=0, metavar="N",
+                     help="with --fast, re-run N cells (first, last, "
+                          "evenly spaced) under full execution and require "
+                          "bit-identical results (exit 1 on mismatch)")
     run.set_defaults(func=cmd_run)
-
-    recover = sub.add_parser("recover", help="crash + restart comparison")
-    recover.add_argument("policies", nargs="+", choices=sorted(_POLICY_NAMES))
-    recover.add_argument("--interval", type=float, default=2.0,
-                         help="checkpoint interval in simulated seconds")
-    recover.add_argument("--crash-point", dest="crash_point", type=float,
-                         default=0.5,
-                         help="where in an interval the kill lands, as a "
-                              "fraction (default 0.5, the paper's mid-point)")
-    recover.add_argument("--fast", action="store_true",
-                         help="run the crash schedule over the trace-replay "
-                              "fast path (bit-identical restart reports)")
-    recover.set_defaults(func=cmd_recover)
 
     crash = sub.add_parser(
         "crash",
-        help="crash/restart for one policy; --hard kills a real process",
-        description="Run the Section 5.5 crash schedule and the Section "
-        "4.2 restart. Default: fully in-process (the crash *model*). With "
-        "--hard: re-exec a victim process on a persistent --page-store, "
-        "SIGKILL it at the kill point, reopen its files in a fresh "
-        "process, verify every LBA the model predicts survived actually "
-        "did, and require the restart's discrete report to match the "
-        "model bit for bit (exit 1 otherwise).",
+        help="kill a real process mid-interval and restart from its files",
+        description="Re-exec a victim process on a persistent --page-store, "
+        "run the Section 5.5 crash schedule in it and SIGKILL it at the kill "
+        "point; then reopen its files in a fresh process, verify every LBA "
+        "the model predicts survived actually did, and require the Section "
+        "4.2 restart's discrete report to match the model bit for bit (exit "
+        "1 otherwise). The in-process crash model is "
+        "'run scenario=crash checkpoint_interval=I'.",
     )
     crash.add_argument("--policy", default="face+gsc",
-                       choices=sorted(_POLICY_NAMES),
+                       choices=sorted(available_policies()),
                        help="flash-cache policy under test (default face+gsc)")
-    crash.add_argument("--hard", action="store_true",
-                       help="kill and re-exec a real process; needs a "
-                            "persistent --page-store (sqlite or mmap)")
     crash.add_argument("--interval", type=float, default=2.0,
                        help="checkpoint interval in simulated seconds")
     crash.add_argument("--crash-point", dest="crash_point", type=float,
@@ -718,80 +567,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS)  # internal re-exec flag
     crash.set_defaults(func=cmd_crash)
 
-    serve = sub.add_parser(
-        "serve",
-        help="closed-loop concurrent-client latency measurement",
-        description="Measure each policy under N closed-loop clients: the "
-        "recorded per-transaction resource demands are redistributed across "
-        "the clients through per-device FIFO queues, and the table reports "
-        "throughput plus p50/p95/p99 transaction latency per cell.",
-    )
-    serve.add_argument("policies", nargs="+", choices=sorted(_POLICY_NAMES))
-    serve.add_argument("--clients", type=int, nargs="+", default=[1, 50, 500],
-                       help="closed-loop client counts to sweep "
-                            "(default: 1 50 500)")
-    serve.add_argument("--think-ms", dest="think_ms", type=float, default=0.0,
-                       help="per-client think time between transactions in "
-                            "milliseconds (default 0)")
-    serve.add_argument("--max-inflight", dest="max_inflight", type=int,
-                       default=None, metavar="N",
-                       help="admission-control cap on concurrently executing "
-                            "transactions (default: unlimited)")
-    serve.add_argument("--transactions", type=int, default=2000,
-                       help="measured transactions per cell (default 2000)")
-    serve.add_argument("--fast", action="store_true",
-                       help="serve cells from the trace-replay fast path")
-    serve.set_defaults(func=cmd_serve)
-
     devices = sub.add_parser("devices", help="device-model microbenchmark")
     devices.add_argument("--ops", type=int, default=2000)
     devices.set_defaults(func=cmd_devices)
 
-    sweep = sub.add_parser("sweep", help="cache-size sweep for one policy")
-    sweep.add_argument("policy", choices=sorted(_POLICY_NAMES))
-    sweep.add_argument(
-        "--fractions", type=float, nargs="+", default=[0.04, 0.12, 0.20, 0.28]
-    )
-    sweep.add_argument("--transactions", type=int, default=2000)
-    sweep.add_argument("--fast", action="store_true",
-                       help="serve cells from the trace-replay fast path")
-    sweep.add_argument("--shared-seed", dest="shared_seed",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="give every cell the same seed (one shared "
-                            "boundary stream; defaults to following --fast)")
-    sweep.set_defaults(func=cmd_sweep)
-
-    ablate = sub.add_parser(
-        "ablate",
-        help="a grid over any ExperimentConfig fields",
-        description="Run one cell per combination of the given field values "
-        "and print one report row per cell. Every FIELD is an "
-        "ExperimentConfig field (policy, cache_fraction, scan_depth, "
-        "face_cache_clean, face_write_through, measure_transactions, "
-        "scenario, checkpoint_interval, ...); a one-value field is a fixed "
-        "override. scenario=crash makes every cell a crash/restart "
-        "measurement, scenario=service a closed-loop one.",
-    )
-    ablate.add_argument(
-        "fields", nargs="+", metavar="FIELD=V1[,V2,...]",
-        help="a field and its values (e.g. 'scan_depth=16,64' or "
-             "'measure_transactions=200')",
-    )
-    ablate.add_argument("--fast", action="store_true",
-                        help="serve cells from the trace-replay fast path")
-    ablate.add_argument("--json", action="store_true",
-                        help="emit every cell's result as JSON")
-    ablate.add_argument("--check-parity", type=int, default=0, metavar="N",
-                        help="with --fast, re-run N cells (first, last, "
-                             "evenly spaced) under full execution and require "
-                             "bit-identical results (exit 1 on mismatch)")
-    ablate.set_defaults(func=cmd_ablate)
-
     stats = sub.add_parser(
-        "stats", help="measured run with observability; metric dump + Table 3 check"
+        "stats",
+        help="one cell with observability; metric dump + Table 3 check",
+        description="Measure one cell with observability on and print every "
+        "metric. The FIELD=V tokens are run's, each with one value; "
+        "scenario=crash adds the restart report, scenario=service the "
+        "latency columns.",
     )
-    stats.add_argument("policy", choices=sorted(_POLICY_NAMES))
-    stats.add_argument("--transactions", type=int, default=2000)
+    stats.add_argument(
+        "fields", nargs="+", metavar="FIELD=V",
+        help="a field and its one value (e.g. 'policy=face+gsc')",
+    )
     stats.add_argument("--json", action="store_true",
                        help="emit the snapshot as JSON instead of tables")
     stats.add_argument("--csv", metavar="PATH",
@@ -799,21 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--fast", action="store_true",
                        help="measure via the trace-replay fast path and "
                             "surface its replay.* metrics")
-    stats.add_argument("--crash", action="store_true",
-                       help="run a crash/restart scenario instead of a "
-                            "steady measurement and surface the recovery.* "
-                            "metrics")
-    stats.add_argument("--interval", type=float, default=2.0,
-                       help="checkpoint interval for --crash in simulated "
-                            "seconds (default 2.0)")
-    stats.add_argument("--clients", type=int, default=0, metavar="N",
-                       help="run a closed-loop service scenario with N "
-                            "clients instead of a steady measurement and "
-                            "surface latency columns plus the service.* "
-                            "metrics")
-    stats.add_argument("--think-ms", dest="think_ms", type=float, default=0.0,
-                       help="per-client think time for --clients, in "
-                            "milliseconds (default 0)")
     stats.set_defaults(func=cmd_stats)
 
     trace = sub.add_parser(

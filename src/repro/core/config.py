@@ -98,7 +98,7 @@ class SystemConfig:
     page_store: str = "memory"
     #: Directory for persistent backend files.  Empty -> throwaway temp
     #: files; set to a real directory so that a later process can reopen
-    #: the same bytes (``python -m repro crash --hard``).
+    #: the same bytes (``python -m repro crash``).
     page_store_dir: str = ""
 
     # -- misc ---------------------------------------------------------------

@@ -26,7 +26,7 @@ budget DESIGN.md §8 quantifies.  Enable programmatically::
     print(snap.get("buffer.pool.hit"), snap.get("wal.force.count"))
 
 or for a whole process via the environment: ``REPRO_OBS=1``.  The CLI
-surface is ``python -m repro stats`` (see :mod:`repro.cli`).  A sweep
+surface is ``python -m repro stats FIELD=V...`` (see :mod:`repro.cli`).  A grid
 collects one snapshot per cell with ``ExperimentConfig(collect_obs=True)``
 (or ``CellSpec(collect_obs=True)``) through
 :func:`~repro.sim.parallel.run_cells`, and :func:`merge_snapshots` sums the

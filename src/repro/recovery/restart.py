@@ -220,7 +220,8 @@ class RecoveryManager:
         Counters accumulate across restarts (a grid of crash cells sums
         naturally); the gauges hold the most recent restart's headline
         figures; the histogram buckets restart wall time.  ``python -m
-        repro stats --crash`` renders this namespace as a table.
+        repro stats scenario=crash checkpoint_interval=I`` renders this
+        namespace as a table.
         """
         OBS.counter("recovery.restarts").inc()
         OBS.counter("recovery.log.records_scanned").inc(report.log_records_scanned)

@@ -138,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError("measure_transactions must be >= 1")
         if not 0.0 < self.cache_fraction <= 1.0:
             raise ConfigError("cache_fraction must be within (0, 1]")
+        if self.scan_depth < 1:
+            raise ConfigError(f"scan_depth must be >= 1, got {self.scan_depth}")
         if self.scenario not in ("steady", "crash", "service"):
             raise ConfigError(
                 f"scenario must be 'steady', 'crash' or 'service', "

@@ -5,7 +5,7 @@ The in-process crash model (:meth:`repro.core.dbms.SimulatedDBMS.crash`)
 the flash/disk page stores because they are supposed to be non-volatile.
 This module *tests* that story end to end with an actual process death:
 
-1. **Victim** (``python -m repro crash --hard`` re-execs itself with
+1. **Victim** (``python -m repro crash`` re-execs itself with
    ``--victim``): build the system on a persistent page-store backend
    rooted at ``--state-dir``, warm up, run the Section 5.5 crash schedule
    to its kill point, compute the *soft prediction* (fork the live system,

@@ -15,7 +15,7 @@ workload registries):
 * ``sqlite`` / ``mmap`` — :mod:`repro.storage.persistent`, file-backed
   stores whose contents genuinely outlive the process, enabling
   out-of-core database scales and hard-crash tests (``python -m repro
-  crash --hard``).
+  crash``).
 
 The timing contract is unchanged by the backend choice: the device model
 stays authoritative for simulated time, a backend only holds the bytes.
@@ -69,7 +69,7 @@ class PageStore:
     death* (``SIGKILL``), not power loss.  Every completed write is in the
     kernel's page cache, but none is forced to the medium: sqlite runs
     ``synchronous=OFF``, and mmap fsyncs only in ``flush()``.  That is the
-    level ``python -m repro crash --hard`` exercises and reports.
+    level ``python -m repro crash`` exercises and reports.
     """
 
     #: Registry name of the backend (``storage.backend.<name>.*`` metrics).

@@ -20,7 +20,7 @@ Two backends, both keyed by LBA and holding the byte encoding of
 
 Either backend opened on an existing path adopts its contents rather than
 truncating — that reopen-after-death is exactly what ``python -m repro
-crash --hard`` exercises.  A file holding an LBA the store's capacity does
+crash`` exercises.  A file holding an LBA the store's capacity does
 not cover fails closed: :class:`~repro.errors.OutOfRangeError`, the file
 untouched.  Without an explicit path a store lives in a private temp file,
 removed when the store is garbage collected or its process exits — by the
@@ -38,7 +38,7 @@ encoded to — moves on to disk without another encode.  A template install
 (``adopt_slots``), ``copy_from``, a reopen and a fork remember nothing, and
 ``delete``, ``clear`` and a later write of the LBA forget: what is kept is
 bounded by the LBAs written since the store was filled (the flash cache's
-slots and the cell's write-backs), and a reopen after ``crash --hard``
+slots and the cell's write-backs), and a reopen after ``crash``
 decodes everything it reads.
 
 A store is copied, not re-encoded: :meth:`PersistentPageStore.copy_from`

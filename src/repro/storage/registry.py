@@ -106,8 +106,8 @@ def build_page_store(
 
     When ``config.page_store_dir`` is set, persistent backends get a
     stable per-role filename under it — reopening the same directory
-    reconnects to the same bytes, which is what ``python -m repro crash
-    --hard`` relies on.  With no directory, persistent stores fall back
+    reconnects to the same bytes, which is what ``python -m repro
+    crash`` relies on.  With no directory, persistent stores fall back
     to throwaway temp files (still exercising the real file path).
     """
     name = config.page_store

@@ -1,6 +1,6 @@
-"""The ``ablate`` grid: expansion, input rejection, replay parity, CLI.
+"""The ``run`` grid: expansion, input rejection, replay parity, CLI.
 
-``python -m repro ablate`` is the CLI's generic grid: every positional is
+``python -m repro run`` is the CLI's one grid: every positional is
 ``FIELD=V1[,V2...]`` over an :class:`ExperimentConfig` field, each cell is
 ``CellSpec.from_config(key, base.with_(...))`` and the grid runs through
 ``run_cells``.  The contract decomposes into independently checkable
@@ -156,7 +156,7 @@ class TestCli:
         from repro.cli import main
 
         code = main([
-            "--scale", "tiny", "ablate", "face_cache_clean=true,false",
+            "--scale", "tiny", "run", "face_cache_clean=true,false",
             "scan_depth=8,16", "measure_transactions=120", "--fast",
             "--check-parity", "1",
         ])
@@ -171,7 +171,7 @@ class TestCli:
         from repro.cli import main
 
         code = main([
-            "--scale", "tiny", "ablate", "face_write_through=false,true",
+            "--scale", "tiny", "run", "face_write_through=false,true",
             "measure_transactions=120", "--fast", "--json",
             "--check-parity", "1",
         ])

@@ -1,10 +1,13 @@
-"""Golden stdout of every simulating CLI subcommand at ``--scale tiny``.
+"""Golden stdout of the CLI's ``run``, ``stats`` and ``devices`` at ``--scale tiny``.
 
 Each case runs ``repro.cli.main`` in-process and compares its stdout, byte
 for byte, with ``tests/fixtures/cli_golden/<case>.txt``.  The CLI is
-deterministic for a given ``--seed``, so a refactor of how a subcommand
-builds its cells (config lowering, seeds, scenario protocol) either keeps
-every figure or shows up here as a diff.  Progress lines go to stderr and
+deterministic for a given ``--seed``, so a refactor of how a grid builds
+its cells (config lowering, seeds, scenario protocol) either keeps every
+figure or shows up here as a diff.  A case is named for the experiment its
+grid runs: ``recover`` is a crash/restart grid, ``serve`` a closed-loop
+client grid, ``sweep_fast`` a cache-size series.  ``crash`` kills a real
+process and is checked in ``tests/test_page_store.py``.  Progress lines go to stderr and
 are not pinned: they carry wall-clock seconds, as does ``stats --fast``'s
 ``replay.events_per_sec``, so that variant is left out.
 
@@ -25,27 +28,28 @@ from repro.sim.replay import clear_recorders
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli_golden"
 
-_TX = ["--transactions", "150"]
-_SWEEP = ["sweep", "face+gsc", "--fractions", "0.08", "0.16", *_TX]
+_TX = "measure_transactions=150"
+_POLICIES = "policy=face+gsc,hdd-only"
 
 #: Case name -> argv after ``--scale tiny``.
 CASES = {
-    "run": ["run", "face+gsc", "hdd-only", *_TX],
-    "run_fast": ["run", "face+gsc", "hdd-only", *_TX, "--fast"],
-    "recover": ["recover", "face+gsc", "hdd-only", "--interval", "0.05"],
-    "sweep": _SWEEP,
-    "sweep_fast": [*_SWEEP, "--fast"],
-    "sweep_fast_no_shared_seed": [*_SWEEP, "--fast", "--no-shared-seed"],
-    "sweep_shared_seed": [*_SWEEP, "--shared-seed"],
-    "serve": ["serve", "face+gsc", "hdd-only", "--clients", "1", "8", *_TX],
-    "stats": ["stats", "face+gsc", *_TX],
-    "stats_json": ["stats", "face+gsc", *_TX, "--json"],
-    "stats_crash": ["stats", "face+gsc", "--crash", "--interval", "0.05"],
-    "stats_clients": ["stats", "face+gsc", "--clients", "4", *_TX],
-    "crash": ["crash", "--policy", "face+gsc", "--interval", "0.05"],
+    "run": ["run", _POLICIES, _TX],
+    "run_fast": ["run", _POLICIES, _TX, "--fast"],
+    "recover": ["run", _POLICIES, "scenario=crash", "checkpoint_interval=0.05"],
+    "sweep_fast": [
+        "run", "policy=face+gsc", "cache_fraction=0.08,0.16", _TX, "--fast",
+    ],
+    "serve": ["run", _POLICIES, "scenario=service", "n_clients=1,8", _TX],
+    "stats": ["stats", "policy=face+gsc", _TX],
+    "stats_json": ["stats", "policy=face+gsc", _TX, "--json"],
+    "stats_crash": [
+        "stats", "policy=face+gsc", "scenario=crash", "checkpoint_interval=0.05",
+    ],
+    "stats_clients": [
+        "stats", "policy=face+gsc", "scenario=service", "n_clients=4", _TX,
+    ],
     "devices": ["devices"],
-    "ablate": ["ablate", "face_cache_clean=true,false", "measure_transactions=150"],
-    "ablate_crash": ["ablate", "scenario=crash", "checkpoint_interval=0.05"],
+    "ablate": ["run", "face_cache_clean=true,false", _TX],
 }
 
 

@@ -601,7 +601,7 @@ class TestHardCrash:
             [
                 sys.executable, "-m", "repro",
                 "--scale", "tiny", "--page-store", "sqlite",
-                "crash", "--hard", "--json", "--state-dir", str(state_dir),
+                "crash", "--json", "--state-dir", str(state_dir),
             ],
             env=env,
             capture_output=True,
@@ -627,7 +627,7 @@ class TestHardCrash:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "--scale", "tiny", "crash", "--hard"],
+            [sys.executable, "-m", "repro", "--scale", "tiny", "crash"],
             env=env,
             capture_output=True,
             text=True,

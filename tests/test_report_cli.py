@@ -51,17 +51,17 @@ class TestCli:
     def test_parser_covers_all_commands(self):
         parser = build_parser()
         for argv in (
-            ["run", "face"],
-            ["recover", "hdd-only"],
+            ["run", "policy=face"],
+            ["stats", "policy=face"],
             ["devices"],
-            ["sweep", "face+gsc"],
+            ["crash", "--policy", "face+gsc"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "no-such-policy"])
+    def test_unknown_policy_rejected(self, capsys):
+        assert main(["--scale", "tiny", "run", "policy=no-such-policy"]) == 2
+        assert "unknown flash-cache policy 'no-such-policy'" in capsys.readouterr().err
 
     def test_devices_command_runs(self, capsys):
         assert main(["devices", "--ops", "200"]) == 0
@@ -72,7 +72,7 @@ class TestCli:
     def test_run_command_tiny(self, capsys):
         code = main(
             ["--scale", "tiny", "--cache-fraction", "0.3",
-             "run", "face", "--transactions", "150"]
+             "run", "policy=face", "measure_transactions=150"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -81,33 +81,42 @@ class TestCli:
     def test_recover_command_tiny(self, capsys):
         code = main(
             ["--scale", "tiny", "--cache-fraction", "0.3",
-             "recover", "face+gsc", "--interval", "0.05"]
+             "run", "scenario=crash", "checkpoint_interval=0.05"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "Crash + restart" in out
+        assert "| restart (s) |" in out and "| FaCE+GSC |" in out
 
     def test_sweep_command_tiny(self, capsys):
         code = main(
-            ["--scale", "tiny", "sweep", "face",
-             "--fractions", "0.2", "0.4", "--transactions", "100"]
+            ["--scale", "tiny", "run", "policy=face",
+             "cache_fraction=0.2,0.4", "measure_transactions=100"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "tpmC" in out
+        assert "| cache_fraction=0.2 |" in out and "| cache_fraction=0.4 |" in out
 
     def test_bad_scale_exits(self, capsys):
-        assert main(["--scale", "galactic", "run", "face", "--transactions", "10"]) == 2
+        assert main(["--scale", "galactic", "run", "policy=face"]) == 2
         assert "repro: error: unknown scale 'galactic'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["ablate", "scan_dpeth"], "unknown experiment field 'scan_dpeth'"),
-        (["--cache-fraction", "1.5", "run", "face"], "cache_fraction must be within"),
-        (["serve", "face", "--clients", "0"], "n_clients must be >= 1"),
-        (["recover", "face", "--interval", "-1"], "checkpoint_interval must be positive"),
-        (["--workload-knob", "zipf_s=bogus", "run", "face"], "does not accept knob(s) zipf_s"),
-        (["--workload-knob", "zipf_s", "run", "face"], "--workload-knob needs NAME=VALUE"),
-        (["ablate", "scan_depth=8,16", "--check-parity", "1"], "it needs --fast"),
+        (["run", "scan_dpeth"], "unknown experiment field 'scan_dpeth'"),
+        (["--cache-fraction", "1.5", "run", "policy=face"], "cache_fraction must be within"),
+        (["run", "scenario=service", "n_clients=0"], "n_clients must be >= 1"),
+        (["run", "scenario=crash", "checkpoint_interval=-1"],
+         "checkpoint_interval must be positive"),
+        (["--workload-knob", "zipf_s=bogus", "run", "policy=face"],
+         "does not accept knob(s) zipf_s"),
+        (["--workload-knob", "zipf_s", "run", "policy=face"], "--workload-knob needs NAME=VALUE"),
+        (["run", "scan_depth=8,16", "--check-parity", "1"], "it needs --fast"),
+        (["run", "face_cache_clean=no"], "'face_cache_clean' takes bool, got 'no'"),
+        (["run", "measure_transactions=1e2"], "'measure_transactions' takes int, got '1e2'"),
+        (["run", "scenario=service", "n_clients=2.5"], "'n_clients' takes int, got '2.5'"),
+        (["run", "scan_depth=0"], "scan_depth must be >= 1"),
+        (["run", "cache_fraction=none"], "'cache_fraction' takes float, got 'none'"),
+        (["stats", "policy=face,lc"], "stats measures one cell; give policy one value"),
+        (["crash"], "crash needs a persistent --page-store"),
     ])
     def test_config_errors_exit_2_on_one_stderr_line(self, argv, message, capsys):
         assert main(["--scale", "tiny", *argv]) == 2

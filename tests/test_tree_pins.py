@@ -60,7 +60,14 @@ DELETED = {
     ),
     "repro.sim.scenario:CrashRecoveryScenario": ("run_measured",),
     "repro.sim.hardcrash": ("_scale_by_name",),
-    "repro.cli": ("_build_runner",),
+    # One grid command: ``run FIELD=V1[,V2...]`` replaced these subcommands,
+    # and the sweep's two-column series went with ``sweep``.
+    "repro.cli": (
+        "_build_runner", "cmd_recover", "cmd_serve", "cmd_sweep", "cmd_ablate",
+        "_POLICY_NAMES",
+    ),
+    "repro.analysis": ("format_series",),
+    "repro.analysis.tables": ("format_series",),
 }
 
 #: Deleted modules.
