@@ -24,11 +24,7 @@ paper-vs-measured record of every table and figure.
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
 from repro.core.dbms import SimulatedDBMS, Transaction
 from repro.errors import ReproError
-from repro.flashcache.registry import (
-    available_policies,
-    make_policy,
-    resolve_policy,
-)
+from repro.flashcache.registry import available_policies, resolve_policy
 from repro.obs import OBS, RegistrySnapshot, merge_snapshots
 from repro.recovery.restart import RecoveryManager, RestartReport, crash_and_restart
 from repro.sim.experiment import ExperimentConfig
@@ -77,7 +73,6 @@ __all__ = [
     "available_policies",
     "crash_and_restart",
     "load_tpcc",
-    "make_policy",
     "merge_snapshots",
     "resolve_policy",
     "run_cells",

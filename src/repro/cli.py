@@ -40,7 +40,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.tables import format_table
 from repro.errors import ConfigError, WorkloadError
-from repro.flashcache.registry import available_policies, resolve_policy
+from repro.flashcache.registry import available_policies
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import (
     CellSpec,
@@ -53,7 +53,11 @@ from repro.sim.scenario import CrashRun, ServiceResult
 from repro.storage.profiles import TABLE1_PROFILES, measure_profile
 from repro.storage.registry import available_backends
 from repro.tpcc.scale import SCALES, ScaleProfile, scale_by_name
-from repro.workload.registry import WorkloadSpec, available_workloads
+from repro.workload.registry import (
+    WorkloadSpec,
+    available_workloads,
+    get_workload_entry,
+)
 
 
 def _workload(args) -> WorkloadSpec:
@@ -149,25 +153,23 @@ def cmd_crash(args) -> int:
     import tempfile
 
     from repro.sim import hardcrash
-    from repro.storage.registry import get_backend_entry
+    from repro.storage.registry import page_store_class
 
     if args.victim:
         # Re-exec target: run the schedule on persistent storage and die
         # by SIGKILL.  Never returns.
         hardcrash.run_victim(
-            state_dir=args.state_dir,
-            backend=args.page_store,
-            scale_name=args.scale,
-            seed=args.seed,
-            workload=_workload(args),
-            policy=resolve_policy(args.policy),
-            cache_fraction=args.cache_fraction,
-            checkpoint_interval=args.interval,
-            crash_point=args.crash_point,
+            _experiment(args).with_(
+                policy=args.policy,
+                scenario="crash",
+                checkpoint_interval=args.interval,
+                crash_point=args.crash_point,
+            ),
+            args.state_dir,
         )
         raise AssertionError("unreachable")  # pragma: no cover
 
-    if not get_backend_entry(args.page_store).persistent:
+    if not page_store_class(args.page_store).persistent:
         raise ConfigError(
             "crash needs a persistent --page-store (sqlite or mmap); "
             f"{args.page_store!r} dies with the process"
@@ -248,8 +250,8 @@ def cmd_stats(args) -> int:
         )
     (spec,) = specs
     workload = spec.workload
-    print(f"# workload: {workload.token} "
-          f"(knobs: {workload.resolved_knobs() or '(none)'})",
+    knobs = get_workload_entry(workload.name).config_knobs(workload)
+    print(f"# workload: {workload.token} (knobs: {knobs or '(none)'})",
           file=sys.stderr)
     OBS.enable()
     if args.fast:

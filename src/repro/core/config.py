@@ -63,14 +63,9 @@ class SystemConfig:
     segment_entries: int = 64_000
     #: GR/GSC batch size (pages per flash block; paper suggests 64 or 128).
     scan_depth: int = 64
-    #: LC's lazy-cleaner dirty-fraction trigger.
-    lc_dirty_threshold: float = 0.9
     #: Section 3.2 ablation switches for the FaCE family (paper defaults).
     face_cache_clean: bool = True
     face_write_through: bool = False
-    #: TAC extent size (pages) and admission threshold (extent accesses).
-    tac_extent_pages: int = 32
-    tac_admit_threshold: int = 2
 
     # -- database storage ---------------------------------------------------------
     disk_profile: DeviceProfile = HDD_CHEETAH_15K
@@ -114,11 +109,21 @@ class SystemConfig:
             raise ConfigError("n_disks must be >= 1")
         if self.segment_entries < 1:
             raise ConfigError("segment_entries must be >= 1")
+        if (
+            self.cache_policy in (CachePolicy.FACE_GR, CachePolicy.FACE_GSC)
+            and not self.ssd_only
+            and self.cache_pages < 2 * self.scan_depth
+        ):
+            raise ConfigError(
+                f"a {self.cache_pages}-page cache is too small for scan_depth "
+                f"{self.scan_depth} (GR/GSC need cache_pages >= "
+                f"{2 * self.scan_depth})"
+            )
         # Late import: repro.storage never imports repro.core, so this
         # validates the name without creating an import cycle.
-        from repro.storage.registry import get_backend_entry
+        from repro.storage.registry import page_store_class
 
-        get_backend_entry(self.page_store)
+        page_store_class(self.page_store)
 
     @property
     def display_name(self) -> str:
@@ -126,16 +131,10 @@ class SystemConfig:
             return self.label
         if self.ssd_only:
             return "SSD-only"
-        return {
-            CachePolicy.NONE: "HDD-only",
-            CachePolicy.FACE: "FaCE",
-            CachePolicy.FACE_GR: "FaCE+GR",
-            CachePolicy.FACE_GSC: "FaCE+GSC",
-            CachePolicy.LC: "LC",
-            CachePolicy.LRU2: "LRU-2",
-            CachePolicy.TAC: "TAC",
-            CachePolicy.EXADATA: "Exadata",
-        }[self.cache_policy]
+        # Late import: the policy registry imports this module.
+        from repro.flashcache.registry import policy_class
+
+        return policy_class(self.cache_policy).name
 
     def with_(self, **changes) -> "SystemConfig":
         """Return a modified copy (sugar over :func:`dataclasses.replace`)."""

@@ -26,11 +26,8 @@ from repro.flashcache.metadata import (
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.flashcache.null import NullFlashCache
 from repro.flashcache.registry import (
-    PolicyEntry,
     available_policies,
     build_cache_from_config,
-    get_policy_entry,
-    make_policy,
     resolve_policy,
 )
 from repro.flashcache.tac import TacCache
@@ -49,14 +46,11 @@ __all__ = [
     "MetadataManager",
     "MvFifoCache",
     "NullFlashCache",
-    "PolicyEntry",
     "RecoveryTimings",
     "SlotMeta",
     "TacCache",
     "available_policies",
     "build_cache_from_config",
     "build_metadata_region",
-    "get_policy_entry",
-    "make_policy",
     "resolve_policy",
 ]

@@ -39,21 +39,6 @@ from repro.workload.registry import (
     workload_spec as _resolve_workload,
 )
 
-#: Fields forwarded verbatim as :class:`SystemConfig` overrides.
-_SYSTEM_FIELDS = (
-    "buffer_policy",
-    "scan_depth",
-    "face_cache_clean",
-    "face_write_through",
-    "lc_dirty_threshold",
-    "tac_extent_pages",
-    "tac_admit_threshold",
-    "ssd_only",
-    "page_store",
-    "label",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that defines one steady-state experiment, in one place."""
@@ -81,9 +66,6 @@ class ExperimentConfig:
     scan_depth: int = 64
     face_cache_clean: bool = True
     face_write_through: bool = False
-    lc_dirty_threshold: float = 0.9
-    tac_extent_pages: int = 32
-    tac_admit_threshold: int = 2
     ssd_only: bool = False
     #: Page-store backend holding the simulated bytes (see
     #: :func:`repro.storage.registry.available_backends`).  Any backend
@@ -108,11 +90,6 @@ class ExperimentConfig:
     crash_point: float = 0.5
     #: Safety bound on the crash schedule; exhausting it raises.
     crash_max_transactions: int = 60_000
-    #: Override the flash cache's metadata-checkpoint segment size
-    #: (``SystemConfig.segment_entries``); ``None`` keeps the scaled
-    #: default.  Smaller segments checkpoint mapping metadata more often —
-    #: a recovery-side knob, hence the ``ckpt_`` prefix.
-    ckpt_segment_entries: int | None = None
 
     # -- service protocol (scenario="service", closed-loop clients) ----------
     #: Closed-loop client count for ``scenario="service"`` (the paper's
@@ -138,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError("measure_transactions must be >= 1")
         if not 0.0 < self.cache_fraction <= 1.0:
             raise ConfigError("cache_fraction must be within (0, 1]")
+        if not 0.0 < self.buffer_fraction <= 1.0:
+            raise ConfigError("buffer_fraction must be within (0, 1]")
         if self.scan_depth < 1:
             raise ConfigError(f"scan_depth must be >= 1, got {self.scan_depth}")
         if self.scenario not in ("steady", "crash", "service"):
@@ -160,8 +139,6 @@ class ExperimentConfig:
             raise ConfigError("crash_point must be within (0, 1)")
         if self.crash_max_transactions < 1:
             raise ConfigError("crash_max_transactions must be >= 1")
-        if self.ckpt_segment_entries is not None and self.ckpt_segment_entries < 1:
-            raise ConfigError("ckpt_segment_entries must be >= 1 when set")
 
     def with_(self, **overrides) -> "ExperimentConfig":
         """Return a derived config; unknown field names raise.
@@ -185,22 +162,19 @@ class ExperimentConfig:
         return _resolve_workload(self.workload, dict(self.workload_knobs))
 
     def system_config(self) -> SystemConfig:
-        """Lower to the :class:`SystemConfig` this experiment runs on."""
-        config = scaled_reference_config(
+        """Lower to the :class:`SystemConfig` this experiment runs on.
+
+        Every field both classes declare is forwarded verbatim; the rest
+        of the system is sized from the workload by
+        :func:`scaled_reference_config`.
+        """
+        return scaled_reference_config(
             estimate_workload_pages(self.workload_spec(), self.scale),
             cache_fraction=self.cache_fraction,
             buffer_fraction=self.buffer_fraction,
             policy=resolve_policy(self.policy),
-            **{name: getattr(self, name) for name in _SYSTEM_FIELDS},
+            **{name: getattr(self, name) for name in _SHARED_FIELDS},
         )
-        if self.ckpt_segment_entries is not None:
-            # ``scaled_reference_config`` already passes its scaled
-            # ``segment_entries``; replace after the fact rather than
-            # colliding with that keyword.
-            config = dataclasses.replace(
-                config, segment_entries=self.ckpt_segment_entries
-            )
-        return config
 
     def build_scenario(self):
         """The run protocol this experiment describes (see
@@ -253,3 +227,13 @@ class ExperimentConfig:
             and getattr(self, f.name) != getattr(defaults, f.name)
         ]
         return ", ".join(diffs) if diffs else "(reference configuration)"
+
+
+#: The fields :class:`ExperimentConfig` and :class:`SystemConfig` share by
+#: name (same default and annotation, pinned in
+#: ``tests/test_registry_experiment.py``): the system knobs a grid sets.
+_SHARED_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name in SystemConfig.__dataclass_fields__
+)

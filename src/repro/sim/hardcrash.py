@@ -6,12 +6,13 @@ the flash/disk page stores because they are supposed to be non-volatile.
 This module *tests* that story end to end with an actual process death:
 
 1. **Victim** (``python -m repro crash`` re-execs itself with
-   ``--victim``): build the system on a persistent page-store backend
-   rooted at ``--state-dir``, warm up, run the Section 5.5 crash schedule
-   to its kill point, compute the *soft prediction* (fork the live system,
-   run the in-process crash + restart on the fork), serialise the durable
-   context (WAL, schema graph, occupied-LBA manifest), then
-   ``SIGKILL`` itself mid-flight.  No atexit handler, no cleanup — the
+   ``--victim``): build the crash cell ``run scenario=crash`` would run
+   (one :class:`~repro.sim.experiment.ExperimentConfig`) on a persistent
+   page-store backend rooted at ``--state-dir``, run its warm-up and
+   Section 5.5 schedule to the kill point, compute the *soft prediction*
+   (fork the live system, run the in-process crash + restart on the
+   fork), serialise the durable context (WAL, schema graph, occupied-LBA
+   manifest), then ``SIGKILL`` itself mid-flight.  No atexit handler, no cleanup — the
    DRAM state dies with the process.  The page stores' files stay in the
    kernel's page cache, so this is process death, not power loss
    (:data:`DURABILITY`, the :class:`~repro.storage.backing.PageStore`
@@ -41,20 +42,14 @@ import subprocess
 import sys
 from typing import Any
 
-from repro.core.config import CachePolicy, scaled_reference_config
 from repro.core.dbms import SimulatedDBMS
 from repro.errors import ConfigError, RecoveryError
 from repro.recovery.restart import RecoveryManager, RestartReport
+from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import ExperimentRunner
-from repro.sim.scenario import run_until_crash_point
 from repro.sim.warmstate import fork_dbms
-from repro.storage.registry import get_backend_entry
-from repro.tpcc.scale import ScaleProfile, scale_by_name
-from repro.workload.registry import (
-    WorkloadSpec,
-    estimate_workload_pages,
-    workload_spec,
-)
+from repro.storage.registry import page_store_class
+from repro.tpcc.scale import SCALES, scale_by_name
 
 MANIFEST_NAME = "manifest.json"
 CONTEXT_NAME = "context.pickle"
@@ -84,56 +79,34 @@ def discrete_report(report: RestartReport) -> dict[str, Any]:
     return {name: getattr(report, name) for name in DISCRETE_FIELDS}
 
 
-def _build_config(
-    scale: ScaleProfile,
-    workload: WorkloadSpec,
-    policy: CachePolicy,
-    cache_fraction: float,
-    backend: str,
-    state_dir: str,
-):
-    return scaled_reference_config(
-        estimate_workload_pages(workload, scale),
-        cache_fraction=cache_fraction,
-        policy=policy,
-        page_store=backend,
-        page_store_dir=state_dir,
-    )
+def _system_config(experiment: ExperimentConfig, state_dir: str):
+    """The system ``experiment`` runs, its persistent stores under ``state_dir``."""
+    return experiment.system_config().with_(page_store_dir=state_dir)
 
 
-def run_victim(
-    *,
-    state_dir: str,
-    backend: str,
-    scale_name: str,
-    seed: int,
-    workload: WorkloadSpec,
-    policy: CachePolicy,
-    cache_fraction: float,
-    checkpoint_interval: float,
-    crash_point: float,
-    warmup_max: int = 50_000,
-) -> None:
-    """Run the crash schedule on persistent storage, then die by SIGKILL.
+def run_victim(experiment: ExperimentConfig, state_dir: str) -> None:
+    """Run ``experiment``'s crash schedule on persistent storage, then die.
 
-    Never returns.  Everything the restart side needs is on disk first:
-    the page-store files (flushed), the durable-context pickle, and the
+    ``experiment`` is the crash cell ``run scenario=crash`` would run; the
+    victim stops at its kill point instead of crashing in-process.  Never
+    returns.  Everything the restart side needs is on disk first: the
+    page-store files (flushed), the durable-context pickle, and the
     manifest carrying the identity of the run plus the soft prediction.
     """
-    entry = get_backend_entry(backend)
-    if not entry.persistent:
+    if not page_store_class(experiment.page_store).persistent:
         raise ConfigError(
-            f"hard crash needs a persistent page-store backend, not {backend!r}"
+            "hard crash needs a persistent page-store backend, "
+            f"not {experiment.page_store!r}"
         )
-    scale = scale_by_name(scale_name)
-    config = _build_config(
-        scale, workload, policy, cache_fraction, backend, state_dir
+    # The restart side rebuilds the system from the manifest, which names
+    # the scale the way ``--scale`` does.
+    (scale_name,) = [n for n, p in SCALES.items() if p == experiment.scale]
+    config = _system_config(experiment, state_dir)
+    workload = experiment.workload_spec()
+    runner = ExperimentRunner(
+        config, experiment.scale, seed=experiment.seed, workload=workload
     )
-    runner = ExperimentRunner(config, scale, seed=seed, workload=workload)
-    runner.warm_up(max_transactions=warmup_max)
-    executed, checkpoints = run_until_crash_point(
-        runner, checkpoint_interval, crash_point=crash_point
-    )
+    executed, checkpoints = experiment.build_scenario().run_to_crash(runner)
     dbms = runner.dbms
 
     # Soft prediction: the in-process crash model, run on a fork so the
@@ -145,15 +118,15 @@ def run_victim(
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
-        "backend": backend,
+        "backend": experiment.page_store,
         "scale": scale_name,
-        "seed": seed,
-        "policy": policy.value,
+        "seed": experiment.seed,
+        "policy": config.cache_policy.value,
         "workload": workload.name,
         "workload_knobs": [list(pair) for pair in workload.knobs],
-        "cache_fraction": cache_fraction,
-        "checkpoint_interval": checkpoint_interval,
-        "crash_point": crash_point,
+        "cache_fraction": experiment.cache_fraction,
+        "checkpoint_interval": experiment.checkpoint_interval,
+        "crash_point": experiment.crash_point,
         "executed": executed,
         "checkpoints": checkpoints,
         "disk_occupied": sorted(dbms.disk.store.occupied()),
@@ -205,21 +178,17 @@ def run_restart(state_dir: str) -> dict[str, Any]:
     with open(os.path.join(state_dir, CONTEXT_NAME), "rb") as fh:
         context = pickle.load(fh)
 
-    scale = scale_by_name(manifest["scale"])
-    workload = workload_spec(
-        manifest["workload"],
-        {name: value for name, value in manifest["workload_knobs"]},
-    )
-    config = _build_config(
-        scale,
-        workload,
-        CachePolicy(manifest["policy"]),
-        manifest["cache_fraction"],
-        manifest["backend"],
-        state_dir,
+    experiment = ExperimentConfig(
+        scale=scale_by_name(manifest["scale"]),
+        seed=manifest["seed"],
+        workload=manifest["workload"],
+        workload_knobs=[tuple(pair) for pair in manifest["workload_knobs"]],
+        policy=manifest["policy"],
+        cache_fraction=manifest["cache_fraction"],
+        page_store=manifest["backend"],
     )
     # A fresh system: its persistent stores *reopen* the victim's files.
-    dbms = SimulatedDBMS(config)
+    dbms = SimulatedDBMS(_system_config(experiment, state_dir))
 
     # Non-volatility check: everything the in-process crash model says
     # survives (the occupied LBA sets at the kill) must actually be there.

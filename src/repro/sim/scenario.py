@@ -191,16 +191,24 @@ class CrashRecoveryScenario:
         """
         return self.warmup_max + self.max_transactions
 
-    def execute(self, runner) -> CrashRun:
+    def run_to_crash(self, runner) -> tuple[int, int]:
+        """Warm up and drive the schedule to the kill point, without the kill.
+
+        Returns ``(transactions executed, checkpoints taken)``.  The
+        SIGKILL victim (:mod:`repro.sim.hardcrash`) stops here and dies
+        for real; :meth:`execute` goes on to the in-process crash.
+        """
         runner.warm_up(self.warmup_min, self.warmup_max)
-        executed, checkpoints = run_until_crash_point(
+        return run_until_crash_point(
             runner,
             self.checkpoint_interval,
             min_checkpoints=self.min_checkpoints,
             crash_point=self.crash_point,
             max_transactions=self.max_transactions,
         )
-        return crash_and_recover(runner, executed, checkpoints)
+
+    def execute(self, runner) -> CrashRun:
+        return crash_and_recover(runner, *self.run_to_crash(runner))
 
 
 def run_until_crash_point(

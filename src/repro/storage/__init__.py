@@ -26,17 +26,15 @@ from repro.storage.profiles import (
 )
 from repro.storage.raid import RAID0_EFFICIENCY, Raid0Array, make_raid0_profile
 from repro.storage.registry import (
-    BackendEntry,
     available_backends,
     build_page_store,
-    get_backend_entry,
     make_page_store,
+    page_store_class,
 )
 from repro.storage.ssd import PAGES_PER_BLOCK, FlashDevice
 from repro.storage.volume import Volume
 
 __all__ = [
-    "BackendEntry",
     "DRAM_TO_FLASH_PRICE_RATIO",
     "Device",
     "DeviceProfile",
@@ -64,6 +62,6 @@ __all__ = [
     "build_page_store",
     "decode_storable",
     "encode_storable",
-    "get_backend_entry",
     "make_page_store",
+    "page_store_class",
 ]

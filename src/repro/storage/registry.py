@@ -1,10 +1,9 @@
 """Registry of interchangeable page-store backends.
 
-The third instance of the repo's registry pattern (after
-``core.policies`` and ``workload.registry``): a frozen descriptor per
-backend, looked up by name, with a factory that builds a configured
-store.  Selection threads through ``SystemConfig.page_store`` /
-``ExperimentConfig.page_store`` / the CLI ``--page-store`` flag.
+Each backend name maps to its store class; the class itself carries its
+name and whether it is persistent.  Selection threads through
+``SystemConfig.page_store`` / ``ExperimentConfig.page_store`` / the CLI
+``--page-store`` flag.
 
 Backends differ only in *where the bytes live*; the device model still
 charges all simulated time, so any backend yields bit-identical results
@@ -15,8 +14,7 @@ charges all simulated time, so any backend yields bit-identical results
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.storage.backing import MemoryPageStore, PageStore
@@ -26,38 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import SystemConfig
 
 
-@dataclass(frozen=True)
-class BackendEntry:
-    """Descriptor for one registered page-store backend."""
-
-    name: str
-    factory: Callable[..., PageStore]
-    persistent: bool
-    description: str
-
-
-_REGISTRY: dict[str, BackendEntry] = {
-    entry.name: entry
-    for entry in (
-        BackendEntry(
-            name="memory",
-            factory=MemoryPageStore,
-            persistent=False,
-            description="in-process dict (default; volatile, fastest)",
-        ),
-        BackendEntry(
-            name="sqlite",
-            factory=SqlitePageStore,
-            persistent=True,
-            description="single-file SQLite B-tree; survives process death",
-        ),
-        BackendEntry(
-            name="mmap",
-            factory=MmapPageStore,
-            persistent=True,
-            description="log-structured append file with mmap reads; survives process death",
-        ),
-    )
+#: Backend name -> store class; each class names itself (``backend_name``)
+#: and says whether its bytes outlive the process (``persistent``).
+_REGISTRY: dict[str, type[PageStore]] = {
+    cls.backend_name: cls for cls in (MemoryPageStore, SqlitePageStore, MmapPageStore)
 }
 
 
@@ -66,8 +36,8 @@ def available_backends() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def get_backend_entry(name: str) -> BackendEntry:
-    """Look up a backend descriptor, with a helpful error on unknown names."""
+def page_store_class(name: str) -> type[PageStore]:
+    """The store class registered as ``name``; unknown names raise."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -87,16 +57,16 @@ def make_page_store(
     hard-crash reopen path).  The memory backend rejects a path rather
     than silently dropping the caller's durability expectation.
     """
-    entry = get_backend_entry(name)
-    if not entry.persistent:
+    cls = page_store_class(name)
+    if not cls.persistent:
         if path is not None:
             raise ConfigError(
                 f"page-store backend {name!r} is not file-backed; "
                 "drop the path or pick a persistent backend "
-                f"({', '.join(e.name for e in _REGISTRY.values() if e.persistent)})"
+                f"({', '.join(n for n, c in _REGISTRY.items() if c.persistent)})"
             )
-        return entry.factory(capacity_pages)
-    return entry.factory(capacity_pages, path)
+        return cls(capacity_pages)
+    return cls(capacity_pages, path)
 
 
 def build_page_store(
@@ -111,9 +81,8 @@ def build_page_store(
     to throwaway temp files (still exercising the real file path).
     """
     name = config.page_store
-    entry = get_backend_entry(name)
     path: str | None = None
-    if entry.persistent and config.page_store_dir:
+    if page_store_class(name).persistent and config.page_store_dir:
         os.makedirs(config.page_store_dir, exist_ok=True)
-        path = os.path.join(config.page_store_dir, f"{role}.{entry.name}")
+        path = os.path.join(config.page_store_dir, f"{role}.{name}")
     return make_page_store(name, capacity_pages, path)

@@ -2,8 +2,7 @@
 
 Before this module, "which workload does this cell run?" had exactly one
 answer — TPC-C — hard-wired into the experiment runner, the trace
-recorder and the warm-state forker.  The registry mirrors the flash-cache
-policy registry (:mod:`repro.flashcache.registry`): every workload is one
+recorder and the warm-state forker.  In the registry every workload is one
 :class:`WorkloadEntry` naming its schema/loader, its driver factory, the
 transaction kinds its driver reports, and the knobs it accepts — and the
 whole experiment stack (:class:`~repro.sim.experiment.ExperimentConfig`,
@@ -21,7 +20,7 @@ Three registered entries:
   (:mod:`repro.workload.ycsb`), with skew and read/write-mix knobs and a
   Flashield-style ``write-churn`` preset.
 
-Entry points mirror the policy registry:
+Entry points:
 
 * :func:`available_workloads` — canonical names, in catalogue order;
 * :func:`get_workload_entry` — lookup raising
@@ -71,11 +70,6 @@ class WorkloadSpec:
         inner = ",".join(f"{k}={v!r}" for k, v in self.knobs)
         return f"{self.name}[{inner}]"
 
-    def resolved_knobs(self) -> dict[str, Any]:
-        """Entry defaults merged with this spec's overrides."""
-        entry = get_workload_entry(self.name)
-        return {**dict(entry.knobs), **dict(self.knobs)}
-
 
 @dataclass(frozen=True)
 class WorkloadEntry:
@@ -103,7 +97,6 @@ class WorkloadEntry:
     """
 
     name: str
-    description: str
     tx_kinds: tuple[str, ...]
     knobs: Mapping[str, Any]
     create_schema: Callable[..., None]
@@ -113,14 +106,9 @@ class WorkloadEntry:
     refork: Callable[..., Any]
     presets: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
 
-    @property
-    def headline_kind(self) -> str:
-        return self.tx_kinds[0]
-
     def config_knobs(self, spec: "WorkloadSpec") -> dict[str, Any]:
-        """Read this entry's full knob values out of a spec (defaults
-        merged with the spec's overrides) — the workload-side mirror of
-        :meth:`repro.flashcache.registry.PolicyEntry.config_knobs`."""
+        """This entry's full knob values for ``spec``: the defaults merged
+        with the spec's overrides."""
         if spec.name != self.name:
             raise WorkloadError(
                 f"spec is for workload {spec.name!r}, not {self.name!r}"
@@ -135,15 +123,6 @@ def _tpcc_entry() -> WorkloadEntry:
     from repro.tpcc.driver import _MIX, TpccDriver
     from repro.tpcc.loader import _create_schema, load_tpcc
 
-    def create_schema(dbms, scale: ScaleProfile) -> None:
-        _create_schema(dbms, scale)
-
-    def loader(dbms, scale: ScaleProfile, seed: int):
-        return load_tpcc(dbms, scale, seed=seed)
-
-    def make_driver(database, seed: int):
-        return TpccDriver(database, seed=seed)
-
     def fork_state(database):
         return (database.undelivered, database.name_span)
 
@@ -157,13 +136,11 @@ def _tpcc_entry() -> WorkloadEntry:
 
     return WorkloadEntry(
         name="tpcc",
-        description="TPC-C OLTP: clause 5.2.3 mix with NURand skew "
-        "(the paper's workload)",
         tx_kinds=tuple(kind for kind, _ in _MIX),
         knobs={},
-        create_schema=create_schema,
-        loader=loader,
-        make_driver=make_driver,
+        create_schema=_create_schema,
+        loader=load_tpcc,
+        make_driver=TpccDriver,
         fork_state=fork_state,
         refork=refork,
     )
@@ -182,9 +159,6 @@ def _tpch_entry() -> WorkloadEntry:
 
     return WorkloadEntry(
         name="tpch-scan",
-        description="TPC-H-style analytical scans: chunked fact-table "
-        "scans with a join re-visit pass, dimension-table builds, and an "
-        "optional HTAP probe/update mix (paper §3.3 scan resistance)",
         tx_kinds=TPCH_TX_KINDS,
         knobs=TPCH_KNOBS,
         create_schema=create_tpch_schema,
@@ -209,9 +183,6 @@ def _ycsb_entry() -> WorkloadEntry:
 
     return WorkloadEntry(
         name="ycsb",
-        description="YCSB-style key-value point access: Zipf-skewed "
-        "read/update mix over one table (Flashield-motivated write-churn "
-        "preset included)",
         tx_kinds=YCSB_TX_KINDS,
         knobs=YCSB_KNOBS,
         create_schema=create_ycsb_schema,
@@ -254,9 +225,9 @@ def workload_spec(
 
     Preset values apply first, explicit knobs override them.  Unknown
     workload names and unknown knob names raise :class:`WorkloadError`
-    naming the accepted set (mirroring policy-knob validation); knob
-    values equal to the entry's defaults are dropped so equal workloads
-    always produce equal (and equally-hashed) specs.
+    naming the accepted set; knob values equal to the entry's defaults are
+    dropped so equal workloads always produce equal (and equally-hashed)
+    specs.
     """
     entry = get_workload_entry(name)
     merged: dict[str, Any] = {}

@@ -36,8 +36,8 @@ from repro.storage import (
     available_backends,
     decode_storable,
     encode_storable,
-    get_backend_entry,
     make_page_store,
+    page_store_class,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -69,12 +69,12 @@ class TestRegistry:
 
     def test_unknown_backend_names_accepted_set(self):
         with pytest.raises(ConfigError, match="memory, sqlite, mmap"):
-            get_backend_entry("redis")
+            page_store_class("redis")
 
     def test_entries_carry_persistence(self):
-        assert not get_backend_entry("memory").persistent
-        assert get_backend_entry("sqlite").persistent
-        assert get_backend_entry("mmap").persistent
+        assert not page_store_class("memory").persistent
+        assert page_store_class("sqlite").persistent
+        assert page_store_class("mmap").persistent
 
     def test_memory_backend_rejects_path(self, tmp_path):
         with pytest.raises(ConfigError, match="not file-backed"):
@@ -622,6 +622,21 @@ class TestHardCrash:
         assert report["hard"]["pages_from_flash"] > 0
         # The manifest survives for post-mortems.
         assert (state_dir / "manifest.json").exists()
+        # The victim ran the cell ``run scenario=crash`` runs: the same
+        # schedule reaches the same kill point, and the in-process crash
+        # model restarts the same way (on the memory store).
+        from repro.sim.experiment import ExperimentConfig
+        from repro.sim.hardcrash import discrete_report
+        from repro.sim.parallel import CellSpec, run_cells
+        from repro.tpcc.scale import TINY
+
+        cell = ExperimentConfig(
+            scale=TINY, scenario="crash", checkpoint_interval=2.0, warmup_max=50_000
+        )
+        (run,) = run_cells([CellSpec.from_config(("crash",), cell)]).values()
+        assert report["executed_before_crash"] == run.transactions_before_crash
+        assert report["checkpoints_before_crash"] == run.checkpoints_before_crash
+        assert report["soft"] == discrete_report(run.report)
 
     def test_hard_crash_rejects_memory_backend(self):
         env = dict(os.environ)
@@ -637,21 +652,13 @@ class TestHardCrash:
         assert "persistent" in proc.stderr
 
     def test_victim_requires_persistent_backend(self):
+        from repro.sim.experiment import ExperimentConfig
         from repro.sim.hardcrash import run_victim
-        from repro.workload.registry import workload_spec
+        from repro.tpcc.scale import TINY
 
+        cell = ExperimentConfig(scale=TINY, scenario="crash", checkpoint_interval=2.0)
         with pytest.raises(ConfigError, match="persistent"):
-            run_victim(
-                state_dir="/nonexistent",
-                backend="memory",
-                scale_name="tiny",
-                seed=1,
-                workload=workload_spec("tpcc", {}),
-                policy=None,
-                cache_fraction=0.12,
-                checkpoint_interval=2.0,
-                crash_point=0.5,
-            )
+            run_victim(cell, "/nonexistent")
 
     def test_adopt_durable_restores_log_state(self):
         from repro.storage.hdd import DiskDevice

@@ -1,18 +1,17 @@
-"""Policy registry + ExperimentConfig: equivalence with the old call sites.
+"""Policy registry + ExperimentConfig: one way to build a system.
 
-The API redesign (ISSUE 4) re-routes flash-cache construction through
-:mod:`repro.flashcache.registry` and unifies the knob soup behind the
-frozen :class:`repro.sim.experiment.ExperimentConfig`.  Both are pure
-re-plumbing: these tests pin that claim by comparing each new path against
-the pre-redesign one — ``make_policy`` against the config-driven path's
-cache instances field-for-field, ``ExperimentConfig.system_config()`` against a
-hand-built ``scaled_reference_config``, and ``CellSpec.from_config``
-against a hand-built ``CellSpec`` — plus the new error surfaces (unknown
-policies, unknown knobs, typo'd ``with_`` fields) that used to fail as
-silent attribute defaults.
+A cache is built from a :class:`~repro.core.config.SystemConfig` alone
+(:func:`repro.flashcache.registry.build_cache_from_config`), and an
+:class:`~repro.sim.experiment.ExperimentConfig` lowers to that
+``SystemConfig`` by forwarding the fields the two classes share.  These
+tests pin the lowering against a hand-built ``scaled_reference_config``
+and ``CellSpec``, the shared fields' agreement, and the error surfaces
+(unknown policies, typo'd ``with_`` fields, out-of-range values).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -23,8 +22,6 @@ from repro.flashcache.null import NullFlashCache
 from repro.flashcache.registry import (
     available_policies,
     build_cache_from_config,
-    get_policy_entry,
-    make_policy,
     resolve_policy,
 )
 from repro.sim.experiment import ExperimentConfig
@@ -34,15 +31,6 @@ from repro.storage.volume import Volume
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY
 from tests.conftest import tiny_config
-
-
-def _comparable_state(cache) -> dict:
-    """A cache's configuration-bearing attributes (no device objects)."""
-    return {
-        name: value
-        for name, value in vars(cache).items()
-        if isinstance(value, (int, float, bool, str))
-    }
 
 
 class TestRegistry:
@@ -63,49 +51,20 @@ class TestRegistry:
 
     def test_unknown_policy_names_the_known_set(self):
         with pytest.raises(ConfigError, match="face\\+gsc"):
-            get_policy_entry("face+gs")
+            resolve_policy("face+gs")
 
     @pytest.mark.parametrize("policy", list(CachePolicy))
-    def test_keyword_path_matches_the_config_path(self, policy):
-        cfg = tiny_config(policy)
-        disk = Volume(build_database_device(cfg))
-        flash = build_flash_volume(cfg)
-        entry = get_policy_entry(policy.value)
-        by_config = build_cache_from_config(cfg, flash, disk)
-        by_keyword = make_policy(
-            policy.value, flash, disk, cfg.cache_pages, **entry.config_knobs(cfg)
+    def test_the_config_names_the_class_and_its_knobs(self, policy):
+        cfg = tiny_config(
+            policy, scan_depth=16, face_cache_clean=False, face_write_through=True
         )
-        assert type(by_keyword) is type(by_config)
-        assert _comparable_state(by_keyword) == _comparable_state(by_config)
-
-    def test_knob_defaults_come_from_the_reference_config(self):
-        # The reference scan depth is 64, so the cache must be >= 128 pages.
-        cfg = tiny_config(CachePolicy.FACE_GSC, cache_pages=256)
         disk = Volume(build_database_device(cfg))
-        flash = build_flash_volume(cfg)
-        defaulted = make_policy("face+gsc", flash, disk, cfg.cache_pages)
-        reference = SystemConfig(cache_policy=CachePolicy.FACE_GSC)
-        explicit = make_policy(
-            "face+gsc", flash, disk, cfg.cache_pages,
-            segment_entries=reference.segment_entries,
-            scan_depth=reference.scan_depth,
-            cache_clean=reference.face_cache_clean,
-            write_through=reference.face_write_through,
-        )
-        assert _comparable_state(defaulted) == _comparable_state(explicit)
-
-    def test_unknown_knob_is_rejected_with_the_accepted_set(self):
-        cfg = tiny_config(CachePolicy.LC)
-        disk = Volume(build_database_device(cfg))
-        flash = build_flash_volume(cfg)
-        with pytest.raises(ConfigError, match="dirty_threshold"):
-            make_policy("lc", flash, disk, cfg.cache_pages, scan_depth=8)
-
-    def test_flash_policy_requires_a_flash_volume(self):
-        cfg = tiny_config(CachePolicy.FACE)
-        disk = Volume(build_database_device(cfg))
-        with pytest.raises(ConfigError, match="flash volume"):
-            make_policy("face", None, disk, cfg.cache_pages)
+        cache = build_cache_from_config(cfg, build_flash_volume(cfg), disk)
+        assert type(cache).name == cfg.display_name
+        knobs = {"scan_depth": 16, "cache_clean": False, "write_through": True}
+        for name, value in knobs.items():
+            if hasattr(cache, name):
+                assert getattr(cache, name) == value
 
     def test_ssd_only_overrides_the_policy(self):
         cfg = tiny_config(CachePolicy.FACE_GSC, ssd_only=True)
@@ -160,6 +119,21 @@ class TestExperimentConfig:
             ExperimentConfig(cache_fraction=0.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(measure_transactions=0)
+
+    def test_shared_fields_agree_on_default_and_annotation(self):
+        # ``system_config`` forwards every field both classes declare, so a
+        # shared name must mean the same knob on both sides.
+        system = {f.name: f for f in dataclasses.fields(SystemConfig)}
+        shared = [
+            f for f in dataclasses.fields(ExperimentConfig) if f.name in system
+        ]
+        assert {f.name for f in shared} == {
+            "buffer_policy", "scan_depth", "face_cache_clean",
+            "face_write_through", "ssd_only", "page_store", "label",
+        }
+        for f in shared:
+            assert f.default == system[f.name].default, f.name
+            assert f.type == system[f.name].type, f.name
 
     def test_enum_policy_is_accepted(self):
         experiment = ExperimentConfig(policy=CachePolicy.LC)

@@ -117,6 +117,10 @@ class TestCli:
         (["run", "cache_fraction=none"], "'cache_fraction' takes float, got 'none'"),
         (["stats", "policy=face,lc"], "stats measures one cell; give policy one value"),
         (["crash"], "crash needs a persistent --page-store"),
+        (["run", "scan_depth=200"], "too small for scan_depth 200"),
+        (["run", "buffer_fraction=0"], "buffer_fraction must be within (0, 1]"),
+        (["run", "buffer_fraction=-1"], "buffer_fraction must be within (0, 1]"),
+        (["run", "lc_dirty_threshold=2"], "unknown experiment field 'lc_dirty_threshold'"),
     ])
     def test_config_errors_exit_2_on_one_stderr_line(self, argv, message, capsys):
         assert main(["--scale", "tiny", *argv]) == 2

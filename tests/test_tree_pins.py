@@ -45,12 +45,12 @@ DELETED = {
     "repro.tpcc.transactions": ("_replace",),
     "repro.tpcc.loader:TpccDatabase": ("db_pages",),
     "repro.db.schema:TableSchema": ("row_width", "column_names"),
-    "repro.workload.registry:WorkloadSpec": ("knob_dict",),
+    "repro.workload.registry:WorkloadSpec": ("knob_dict", "resolved_knobs"),
     "repro.obs.registry:MetricRegistry": ("metrics",),
     # A cell is described once: its protocol lives in ``scenario`` and its
     # workload in one WorkloadSpec; the Sweep facade and the crash shims
     # are gone, and progress is the one per-cell callback.
-    "repro": ("Sweep", "SweepResults"),
+    "repro": ("Sweep", "SweepResults", "make_policy"),
     "repro.sim": (
         "Sweep", "SweepResults", "crash_mid_interval", "run_until_mid_interval",
     ),
@@ -59,7 +59,7 @@ DELETED = {
         "checkpoint_interval", "workload_knobs",
     ),
     "repro.sim.scenario:CrashRecoveryScenario": ("run_measured",),
-    "repro.sim.hardcrash": ("_scale_by_name",),
+    "repro.sim.hardcrash": ("_scale_by_name", "_build_config"),
     # One grid command: ``run FIELD=V1[,V2...]`` replaced these subcommands,
     # and the sweep's two-column series went with ``sweep``.
     "repro.cli": (
@@ -68,6 +68,25 @@ DELETED = {
     ),
     "repro.analysis": ("format_series",),
     "repro.analysis.tables": ("format_series",),
+    # One way to build a system: a cache or a store is built from the
+    # SystemConfig alone, and the victim runs an ExperimentConfig.
+    "repro.flashcache": ("make_policy", "PolicyEntry", "get_policy_entry"),
+    "repro.flashcache.registry": (
+        "make_policy", "PolicyEntry", "get_policy_entry", "_FACE_KNOBS",
+        "_GROUP_KNOBS", "_make_face", "_make_gr", "_make_gsc", "_make_lc",
+        "_make_lru2", "_make_tac", "_make_exadata", "_make_null",
+    ),
+    "repro.storage": ("BackendEntry", "get_backend_entry"),
+    "repro.storage.registry": ("BackendEntry", "get_backend_entry"),
+    "repro.sim.experiment": ("_SYSTEM_FIELDS",),
+    "repro.sim.experiment:ExperimentConfig": (
+        "lc_dirty_threshold", "tac_extent_pages", "tac_admit_threshold",
+        "ckpt_segment_entries",
+    ),
+    "repro.core.config:SystemConfig": (
+        "lc_dirty_threshold", "tac_extent_pages", "tac_admit_threshold",
+    ),
+    "repro.workload.registry:WorkloadEntry": ("headline_kind", "description"),
 }
 
 #: Deleted modules.
@@ -155,8 +174,12 @@ def test_deleted_names_stay_deleted():
         target = importlib.import_module(module_name)
         if attribute:
             target = getattr(target, attribute)
+        # A dataclass field with no default is no class attribute.
+        fields = getattr(target, "__dataclass_fields__", {})
         for name in names:
-            assert not hasattr(target, name), f"{owner}.{name} is back"
+            assert not hasattr(target, name) and name not in fields, (
+                f"{owner}.{name} is back"
+            )
     for owner, names in DELETED_PARAMETERS.items():
         module_name, _, attribute = owner.partition(":")
         parameters = inspect.signature(
