@@ -38,7 +38,7 @@ from repro.core.policies import (
 )
 from repro.db.catalog import Catalog
 from repro.db.heap import HeapFile, Rid
-from repro.db.index import HashIndex
+from repro.db.index import HashIndex, stable_key_hash
 from repro.db.page import Page, PageImage
 from repro.db.schema import TableSchema
 from repro.errors import CatalogError, TransactionError
@@ -173,11 +173,22 @@ class SimulatedDBMS:
 
     def load_index(self, index_name: str, entries: Iterable[tuple[tuple, Rid]]) -> None:
         """Bulk-insert ``(key, rid)`` entries, in order: one store each into
-        its bucket page (a repeated key keeps its place, takes the new rid)."""
+        its bucket page (a repeated key keeps its place, takes the new rid).
+
+        The page is :meth:`HashIndex.bucket_page`'s.  For an all-int key the
+        :func:`~repro.db.index.stable_key_hash` arithmetic is done here, with
+        no call per key; any other key is hashed by the function."""
         pages = self._loading()
-        bucket_page = self.indexes[index_name].bucket_page
+        info = self.indexes[index_name].info
+        first_page, n_pages = info.first_page, info.n_pages
         for key, rid in entries:
-            page_id = bucket_page(key)
+            h = 2166136261
+            for part in key:
+                if type(part) is not int:
+                    h = stable_key_hash(key)
+                    break
+                h = ((h ^ (part & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF
+            page_id = first_page + h % n_pages
             slots = pages.get(page_id)
             if slots is None:
                 slots = pages[page_id] = {}

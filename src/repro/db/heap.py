@@ -50,9 +50,15 @@ class HeapFile:
         return (self.info.first_page + page_offset, slot)
 
     def rids(self, first: int, count: int) -> list[Rid]:
-        """Record ids of ``count`` rows from row number ``first`` (a bulk load's)."""
+        """Record ids of ``count`` rows from row number ``first`` (a bulk load's):
+        the rids of the whole pages they span, trimmed, with no division per row."""
+        if count <= 0:
+            return []
         base, per_page = self.info.first_page, self.slots_per_page
-        return [(base + r // per_page, r % per_page) for r in range(first, first + count)]
+        pages = range(base + first // per_page, base + (first + count - 1) // per_page + 1)
+        rids = [(page, slot) for page in pages for slot in range(per_page)]
+        skip = first % per_page
+        return rids[skip : skip + count]
 
     def rownum_for_rid(self, rid: Rid) -> int:
         """Inverse of :meth:`rid_for_rownum` (within the current wrap)."""

@@ -43,6 +43,7 @@ def stable_key_hash(key: tuple) -> int:
     which would make bucket placement — and therefore every I/O trace —
     non-reproducible.  This mixes ints arithmetically and strings via CRC32.
     An exact ``int`` skips the type ladder (the same values, sooner).
+    ``SimulatedDBMS.load_index`` does the all-int arithmetic inline.
     """
     if len(key) == 1 and type(key[0]) is int:  # a one-int key: YCSB, ITEM
         return ((2166136261 ^ (key[0] & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF

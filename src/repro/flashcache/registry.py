@@ -13,6 +13,7 @@ and volumes, :func:`build_cache_from_config` the cache on top of them.
   :class:`~repro.errors.ConfigError` naming the known set;
 * :func:`policy_class` — the class a policy builds (its ``name`` is the
   policy's display name);
+* :func:`policy_knobs` — which of :data:`POLICY_KNOBS` its builder reads;
 * :func:`build_cache_from_config` — the live cache for one system.
 """
 
@@ -68,6 +69,37 @@ _REGISTRY: dict[CachePolicy, tuple[type[FlashCacheBase], Callable]] = {
     CachePolicy.TAC: (TacCache, _build_baseline),
     CachePolicy.EXADATA: (ExadataStyleCache, _build_baseline),
 }
+
+
+#: The policy knobs of ``SystemConfig``: each builder reads some of them,
+#: and a value set on a policy whose builder does not read it would be inert.
+POLICY_KNOBS = ("scan_depth", "face_cache_clean", "face_write_through")
+
+
+class _ReadRecorder:
+    """A stand-in config that records the attributes a builder reads."""
+
+    def __init__(self) -> None:
+        self.read: set[str] = set()
+
+    def __getattr__(self, name: str) -> None:
+        self.read.add(name)
+
+
+def _knobs_read(build: Callable) -> frozenset[str]:
+    config = _ReadRecorder()
+    build(lambda *args, **kwargs: None, config, None, None)
+    return frozenset(config.read.intersection(POLICY_KNOBS))
+
+
+#: Policy -> the ``POLICY_KNOBS`` its builder reads, recorded from the
+#: builder itself so the two cannot drift.
+_KNOBS_READ = {policy: _knobs_read(build) for policy, (_, build) in _REGISTRY.items()}
+
+
+def policy_knobs(policy: CachePolicy) -> frozenset[str]:
+    """The :data:`POLICY_KNOBS` that ``policy``'s builder reads."""
+    return _KNOBS_READ[policy]
 
 
 def available_policies() -> tuple[str, ...]:

@@ -31,7 +31,12 @@ from typing import Mapping
 
 from repro.core.config import SystemConfig, scaled_reference_config
 from repro.errors import ConfigError
-from repro.flashcache.registry import resolve_policy
+from repro.flashcache.registry import (
+    POLICY_KNOBS,
+    available_policies,
+    policy_knobs,
+    resolve_policy,
+)
 from repro.tpcc.scale import TINY, ScaleProfile
 from repro.workload.registry import (
     WorkloadSpec,
@@ -102,7 +107,7 @@ class ExperimentConfig:
     max_inflight: int | None = None
 
     def __post_init__(self) -> None:
-        resolve_policy(self.policy)  # fail fast on unknown names
+        policy = resolve_policy(self.policy)  # fail fast on unknown names
         knobs = self.workload_knobs
         if isinstance(knobs, Mapping):
             knobs = tuple(knobs.items())
@@ -139,6 +144,15 @@ class ExperimentConfig:
             raise ConfigError("crash_point must be within (0, 1)")
         if self.crash_max_transactions < 1:
             raise ConfigError("crash_max_transactions must be >= 1")
+        # A knob the policy's builder does not read would change nothing: a
+        # grid would spend cells on it and label them with a value not run.
+        for name in POLICY_KNOBS:
+            value = getattr(self, name)
+            if name not in policy_knobs(policy) and value != _DEFAULTS[name]:
+                raise ConfigError(
+                    f"{name}={value!r} is not read by policy {policy.value!r} "
+                    f"(only {', '.join(_readers(name))} read it)"
+                )
 
     def with_(self, **overrides) -> "ExperimentConfig":
         """Return a derived config; unknown field names raise.
@@ -237,3 +251,11 @@ _SHARED_FIELDS = tuple(
     for f in dataclasses.fields(ExperimentConfig)
     if f.name in SystemConfig.__dataclass_fields__
 )
+
+#: Field name -> its default, for the knob check in ``__post_init__``.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _readers(knob: str) -> list[str]:
+    """The policies whose builder reads ``knob``."""
+    return [name for name in available_policies() if knob in policy_knobs(resolve_policy(name))]

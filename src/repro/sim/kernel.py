@@ -1,8 +1,8 @@
 """What is left of the vectorized trace helpers: :func:`numpy_active`.
 
 Nothing under ``src/`` uses numpy (DESIGN.md §12); the name survives only
-because the frozen ``perf/bench.py`` run header imports it, and goes with
-the next ``benchmark`` PR (ROADMAP item 4).
+because the ``perf/bench.py`` run header imports it, and goes when that
+header stops asking for it.
 """
 
 from __future__ import annotations

@@ -38,8 +38,6 @@ import pickle
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
@@ -255,6 +253,14 @@ def ensure_picklable(specs: Sequence[CellSpec]) -> None:
             ) from exc
 
 
+def _process_pool(workers: int):
+    """A process pool of ``workers`` processes.  The pool machinery is
+    imported here, on first use: a serial run never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_cells(
     specs: Sequence[CellSpec],
     jobs: int | None = 1,
@@ -314,7 +320,7 @@ def _run_cells(
 
     ensure_picklable(specs)
     try:
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+        executor = _process_pool(min(jobs, len(specs)))
     except (OSError, ValueError, PermissionError) as exc:
         warnings.warn(
             f"process pool unavailable ({exc}); running sweep serially",
@@ -324,6 +330,8 @@ def _run_cells(
         for spec in specs:
             gather(spec, run_cell(spec))
         return results
+
+    from concurrent.futures.process import BrokenProcessPool
 
     with executor:
         try:
@@ -410,7 +418,7 @@ def _replay_pool(
         )
         return results
     try:
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+        executor = _process_pool(min(jobs, len(specs)))
     except (OSError, ValueError, PermissionError) as exc:
         warnings.warn(
             f"process pool unavailable ({exc}); replaying shared cells in "
@@ -419,6 +427,8 @@ def _replay_pool(
             stacklevel=3,
         )
         return results
+    from concurrent.futures.process import BrokenProcessPool
+
     with executor:
         try:
             pending = [

@@ -32,7 +32,6 @@ Usage::
 
 from __future__ import annotations
 
-import csv
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -168,6 +167,8 @@ class IOTracer:
 
     def to_csv(self, path_or_file: str | IO[str]) -> int:
         """Write the trace as CSV; returns the number of events written."""
+        import csv
+
         own = isinstance(path_or_file, str)
         handle = open(path_or_file, "w", newline="") if own else path_or_file
         try:

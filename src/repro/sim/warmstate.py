@@ -87,6 +87,31 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+#: Whether the collector's permanent generation holds this module's freeze.
+_FROZEN = False
+
+
+def _freeze() -> None:
+    """Move the heap, the snapshot just loaded included, into the
+    collector's permanent generation, so no later collection walks it
+    (DESIGN.md §6).  The snapshot holds no reference cycle, so reference
+    counting still frees it.  A permanent generation this module did not
+    fill (a caller's own ``gc.freeze()``) is left as it is: nothing is
+    frozen on top of it, and nothing of it is unfrozen here."""
+    global _FROZEN
+    if _FROZEN or not gc.get_freeze_count():
+        gc.freeze()
+        _FROZEN = True
+
+
+def _thaw() -> None:
+    """Undo :func:`_freeze`."""
+    global _FROZEN
+    if _FROZEN:
+        gc.unfreeze()
+        _FROZEN = False
+
+
 @dataclass(frozen=True)
 class WarmSnapshot:
     """Pristine post-load state for one (scale, seed, workload).
@@ -167,8 +192,10 @@ def get_snapshot(
     _SNAPSHOT_STATS["misses"] += 1
     # Evict before loading, not after: the process never holds more than
     # ``_SNAPSHOT_LIMIT`` loaded databases, the one being built included.
-    while len(_SNAPSHOTS) >= _SNAPSHOT_LIMIT:
-        del _SNAPSHOTS[next(iter(_SNAPSHOTS))]
+    if len(_SNAPSHOTS) >= _SNAPSHOT_LIMIT:
+        _thaw()
+        while len(_SNAPSHOTS) >= _SNAPSHOT_LIMIT:
+            del _SNAPSHOTS[next(iter(_SNAPSHOTS))]
     # The loader's output is independent of every system knob, so any
     # config works for the loading system; hdd-only is the cheapest build.
     config = scaled_reference_config(
@@ -178,18 +205,19 @@ def get_snapshot(
     with collector_paused():
         dbms = SimulatedDBMS(config)
         database = load_workload(dbms, scale, seed, workload)
-    load_seconds = time.perf_counter() - t0
-    snapshot = _SNAPSHOTS[key] = WarmSnapshot(
-        scale=scale,
-        seed=seed,
-        workload=workload,
-        catalog=dbms.catalog,
-        tables=dbms.tables,
-        indexes=dbms.indexes,
-        disk_slots=dbms.disk.store.snapshot_slots(),
-        state=get_workload_entry(workload.name).fork_state(database),
-        load_seconds=load_seconds,
-    )
+        load_seconds = time.perf_counter() - t0
+        snapshot = _SNAPSHOTS[key] = WarmSnapshot(
+            scale=scale,
+            seed=seed,
+            workload=workload,
+            catalog=dbms.catalog,
+            tables=dbms.tables,
+            indexes=dbms.indexes,
+            disk_slots=dbms.disk.store.snapshot_slots(),
+            state=get_workload_entry(workload.name).fork_state(database),
+            load_seconds=load_seconds,
+        )
+        _freeze()
     return snapshot
 
 
@@ -303,6 +331,7 @@ def warm_fork_stats() -> dict[str, int]:
 
 def clear_snapshots() -> None:
     """Drop all memoized snapshots and forks (tests / memory pressure)."""
+    _thaw()
     _SNAPSHOTS.clear()
     _WARM_FORKS.clear()
     _SNAPSHOT_STATS.update(hits=0, misses=0)

@@ -55,11 +55,9 @@ from __future__ import annotations
 import mmap
 import os
 import shutil
-import sqlite3
 import struct
 import tempfile
 from itertools import islice
-from multiprocessing.util import Finalize
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import OutOfRangeError, PageNotFoundError, StorageError
@@ -77,13 +75,14 @@ def _temp_path(suffix: str) -> str:
 def _release(
     close: Callable[[Any], None],
     handle: Any,
+    errors: tuple[type[Exception], ...],
     owned_path: str | None,
     owner_pid: int,
     suffixes: tuple[str, ...],
 ) -> None:
     try:
         close(handle)
-    except (OSError, sqlite3.Error):  # pragma: no cover - double close
+    except errors:  # pragma: no cover - double close
         pass
     if owned_path is None or os.getpid() != owner_pid:
         return
@@ -119,16 +118,24 @@ class PersistentPageStore(PageStore):
             return kept
         return decode_storable(data, start, end)
 
-    def _close_with(self, close: Callable[[Any], None], handle: Any) -> None:
+    def _close_with(
+        self,
+        close: Callable[[Any], None],
+        handle: Any,
+        errors: tuple[type[Exception], ...] = (OSError,),
+    ) -> None:
         """Close ``handle`` when the store is collected or its process
         exits (``multiprocessing`` finalizers also run in pool workers,
-        which leave through ``os._exit``).  An owned temp file goes too,
-        but only in the process that created it."""
+        which leave through ``os._exit``), ignoring ``errors`` (a double
+        close).  An owned temp file goes too, but only in the process that
+        created it."""
+        from multiprocessing.util import Finalize
+
         owned = self.path if self._owns_path else None
         Finalize(
             self,
             _release,
-            (close, handle, owned, os.getpid(), self._side_suffixes),
+            (close, handle, errors, owned, os.getpid(), self._side_suffixes),
             exitpriority=0,
         )
 
@@ -167,6 +174,8 @@ class SqlitePageStore(PersistentPageStore):
     _side_suffixes = ("-journal",)
 
     def __init__(self, capacity_pages: int, path: str | os.PathLike | None = None) -> None:
+        import sqlite3
+
         super().__init__(capacity_pages, path)
         # Autocommit: each statement is its own durable-against-SIGKILL
         # transaction.  synchronous=OFF skips fsync — kernel-cache
@@ -178,13 +187,15 @@ class SqlitePageStore(PersistentPageStore):
             "CREATE TABLE IF NOT EXISTS pages "
             "(lba INTEGER PRIMARY KEY, data BLOB NOT NULL)"
         )
-        self._close_with(sqlite3.Connection.close, self._conn)
+        self._close_with(sqlite3.Connection.close, self._conn, (sqlite3.Error,))
         top = self._conn.execute("SELECT MAX(lba) FROM pages").fetchone()[0]
         self._check_top(top, f"reopen {self.path}")
 
     def copy_from(self, source: "PersistentPageStore") -> None:
         # A connection of this process's own: SQLite connections must not
         # be used across fork(), and templates are inherited by pool workers.
+        import sqlite3
+
         reader = sqlite3.connect(source.path)
         try:
             self._check_top(reader.execute("SELECT MAX(lba) FROM pages").fetchone()[0])

@@ -26,7 +26,7 @@ from operator import itemgetter
 from repro.core.dbms import SimulatedDBMS
 from repro.db.heap import Rid
 from repro.tpcc import schema as S
-from repro.tpcc.random_gen import lastname_for_index
+from repro.tpcc.random_gen import FastRandom, lastname_for_index
 from repro.tpcc.scale import ScaleProfile
 
 #: Target hash-index fan-out: entries per bucket page.  Matches the leaf
@@ -91,7 +91,7 @@ def estimate_db_pages(scale: ScaleProfile) -> int:
 
 def load_tpcc(dbms: SimulatedDBMS, scale: ScaleProfile, seed: int = 42) -> TpccDatabase:
     """Create schema + indexes and populate the initial database."""
-    rng = random.Random(seed)
+    rng = FastRandom(seed)
     _create_schema(dbms, scale)
     database = TpccDatabase(dbms=dbms, scale=scale)
     database.name_span = min(1000, max(1, scale.customers_per_district // 3))

@@ -35,11 +35,33 @@ def _a_for_range(span: int, ratio: float) -> int:
     return a
 
 
+class FastRandom(random.Random):
+    """``random.Random`` whose :meth:`randint` runs in one Python frame.
+
+    CPython's ``randint`` calls ``randrange``, which calls the
+    ``getrandbits`` rejection loop ``_randbelow``: three frames per draw.
+    This one spells the same loop out, so it returns the same values from
+    the same state, and leaves the state where CPython's would.  An empty
+    range, or a bound that is not an ``int``, goes to CPython's ``randint``.
+    The TPC-C and TPC-H loaders and drivers draw through it.
+    """
+
+    def randint(self, a: int, b: int) -> int:
+        n = b - a + 1
+        if n <= 0 or type(n) is not int:
+            return super().randint(a, b)
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
+
+
 class TpccRandom:
     """Deterministic TPC-C input generator for one driver."""
 
     def __init__(self, seed: int, customers_per_district: int, items: int) -> None:
-        self._rng = random.Random(seed)
+        self._rng = FastRandom(seed)
         self.customers_per_district = customers_per_district
         self.items = items
         self._a_customer = _a_for_range(customers_per_district, _A_RATIO_CUSTOMER)

@@ -37,7 +37,6 @@ writes (the ``htap`` preset) — kinds ``probe`` and ``update``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -46,6 +45,7 @@ from repro.db.schema import TableSchema, float_col, int_col, str_col
 from repro.errors import WorkloadError
 from repro.tpcc.driver import WorkloadStats
 from repro.tpcc.loader import load_keyed
+from repro.tpcc.random_gen import FastRandom
 from repro.tpcc.scale import ScaleProfile
 from repro.tpcc.transactions import TxResult
 from repro.workload.synthetic import ZipfGenerator
@@ -239,7 +239,7 @@ def load_tpch(
 ) -> TpchDatabase:
     """Create schema and bulk-load the initial rows (untimed)."""
     cards = tpch_cardinalities(scale)
-    rng = random.Random(seed)
+    rng = FastRandom(seed)
     create_tpch_schema(dbms, scale)
     dbms.begin_load()
     dbms.load_rows("region", [(r_id, f"region-{r_id}", "region comment") for r_id in range(5)])
@@ -323,7 +323,7 @@ class TpchScanDriver:
         # hottest; skew over chunk starts is the workload's selectivity
         # profile.
         self._chunk_zipf = ZipfGenerator(n_chunks, scan_skew, seed)
-        self._rng = random.Random(seed + 1)
+        self._rng = FastRandom(seed + 1)
         cards = database.cards
         self._cust_zipf = ZipfGenerator(cards.customers, 0.99, seed + 2)
         self._cust_keys = list(range(1, cards.customers + 1))

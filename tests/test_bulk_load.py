@@ -27,6 +27,7 @@ from repro.workload.registry import (
     get_workload_entry,
     load_workload,
 )
+from tests.conftest import KV_SCHEMA, tiny_config
 
 #: (workload, scale, seed) -> digest of the row-at-a-time load.
 EXPECTED = {
@@ -104,3 +105,39 @@ _parts = st.one_of(
 @example(key=())
 def test_stable_key_hash_matches_the_reference(key):
     assert stable_key_hash(key) == _reference_hash(key)
+
+
+# -- batched bucket placement -------------------------------------------------
+
+_ints = st.integers(min_value=-(2**40), max_value=2**40)
+#: The key shapes the three loaders build: one int (YCSB, ITEM, TPC-H),
+#: int tuples (TPC-C's composite keys), and keys with str or bool parts
+#: (TPC-C's by-name index), plus parts no loader builds.
+_index_keys = st.one_of(
+    _ints.map(lambda k: (k,)),
+    st.lists(_ints, min_size=2, max_size=4).map(tuple),
+    st.lists(st.one_of(_ints, st.booleans(), st.text(max_size=6)), max_size=4).map(tuple),
+    st.lists(_parts, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=st.lists(_index_keys, max_size=60), n_pages=st.integers(1, 13))
+@example(keys=[(3,), (3, "ABLE"), (True,), (1,), (2, 7, 9), (), (3,)], n_pages=5)
+def test_load_index_places_every_key_where_bucket_page_does(keys, n_pages):
+    """``load_index`` hashes all-int keys inline: every key still lands in
+    ``HashIndex.bucket_page(key)``, in insertion order, last rid winning."""
+    dbms = SimulatedDBMS(tiny_config())
+    dbms.create_table(KV_SCHEMA, expected_rows=8)
+    index = dbms.create_index("kv_pk", "kv", n_pages=n_pages)
+    entries = [(key, (0, i)) for i, key in enumerate(keys)]
+    dbms.begin_load()
+    dbms.load_index("kv_pk", iter(entries))
+    dbms.finish_load()
+    expected: dict[int, dict] = {}
+    for key, rid in entries:
+        expected.setdefault(index.bucket_page(key), {})[key] = rid
+    placed = dbms.disk.store.snapshot_slots()
+    assert {lba: list(image.slots.items()) for lba, image in placed.items()} == {
+        lba: list(slots.items()) for lba, slots in expected.items()
+    }

@@ -413,9 +413,11 @@ def test_a_load_leaves_no_garbage(workload):
     estimate_workload_pages.cache_clear()  # its schema probe is part of the load
     gc.collect()
     # With the caller's collector off, no collection runs as the pause ends:
-    # whatever the load left is still there for this one to find.
+    # whatever the load left is still there for this one to find, once the
+    # load's freeze is undone.
     with _collector(enabled=False):
         assert warmstate.get_snapshot(spec.scale, spec.seed, spec.workload_spec())
+        gc.unfreeze()
         assert _collected_types() == set()
 
 

@@ -1,6 +1,8 @@
 """Heap files: rid arithmetic, append cursor, wrap recycling."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.db.catalog import Catalog
 from repro.db.heap import HeapFile
@@ -28,6 +30,18 @@ def test_rid_for_rownum_dense_mapping():
     assert heap.rid_for_rownum(4) == (3, 4)
     assert heap.rid_for_rownum(5) == (4, 0)
     assert heap.rid_for_rownum(12) == (5, 2)
+
+
+@given(
+    slots=st.integers(1, 9),
+    offset=st.integers(0, 4),
+    first=st.integers(0, 60),
+    count=st.integers(-2, 60),
+)
+def test_bulk_rids_are_the_dense_mapping(slots, offset, first, count):
+    heap = make_heap(n_rows=200, slots=slots, first_offset=offset)
+    expected = [heap.rid_for_rownum(r) for r in range(first, first + count)]
+    assert heap.rids(first, count) == expected
 
 
 def test_rownum_for_rid_is_inverse():

@@ -168,7 +168,7 @@ def test_pool_unavailable_falls_back_to_serial(monkeypatch):
     def broken_pool(*args, **kwargs):
         raise OSError("no semaphores in this sandbox")
 
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", broken_pool)
+    monkeypatch.setattr(parallel_mod, "_process_pool", broken_pool)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fallback = run_cells(_grid(), jobs=2)

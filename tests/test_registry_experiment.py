@@ -24,7 +24,7 @@ from repro.flashcache.registry import (
     build_cache_from_config,
     resolve_policy,
 )
-from repro.sim.experiment import ExperimentConfig
+from repro.sim.experiment import _DEFAULTS, ExperimentConfig
 from repro.sim.parallel import CellSpec
 from repro.sim.scenario import SteadyStateScenario
 from repro.storage.volume import Volume
@@ -94,9 +94,9 @@ class TestExperimentConfig:
         assert experiment.system_config() == by_hand
 
     def test_non_default_fields_only_appear_in_describe(self):
-        experiment = ExperimentConfig(policy="lc", scan_depth=16)
+        experiment = ExperimentConfig(policy="face+gr", scan_depth=16)
         description = experiment.describe()
-        assert "policy='lc'" in description and "scan_depth=16" in description
+        assert "policy='face+gr'" in description and "scan_depth=16" in description
         assert "cache_fraction" not in description
 
     def test_with_derives_without_mutating(self):
@@ -134,6 +134,36 @@ class TestExperimentConfig:
         for f in shared:
             assert f.default == system[f.name].default, f.name
             assert f.type == system[f.name].type, f.name
+
+    @pytest.mark.parametrize("knob, value", [
+        ("scan_depth", 16), ("face_cache_clean", False), ("face_write_through", True),
+    ])
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_a_knob_is_read_by_its_policy_or_refused(self, policy, knob, value):
+        """Every (policy, knob) pair: the policy's cache takes the value, or
+        the config refuses it, naming the field and the policy."""
+        readers = {
+            "scan_depth": {"face+gr", "face+gsc"},
+            "face_cache_clean": {"face", "face+gr", "face+gsc"},
+            "face_write_through": {"face", "face+gr", "face+gsc"},
+        }[knob]
+        if policy not in readers:
+            with pytest.raises(ConfigError) as raised:
+                ExperimentConfig(policy=policy, **{knob: value})
+            assert f"{knob}={value!r} is not read by policy {policy!r}" in str(raised.value)
+            # The default value is no setting at all.
+            ExperimentConfig(policy=policy, **{knob: _DEFAULTS[knob]})
+            return
+        cfg = ExperimentConfig(policy=policy, **{knob: value}).system_config()
+        disk = Volume(build_database_device(cfg))
+        cache = build_cache_from_config(cfg, build_flash_volume(cfg), disk)
+        attribute = {"face_cache_clean": "cache_clean", "face_write_through": "write_through"}
+        assert getattr(cache, attribute.get(knob, knob)) == value
+
+    def test_a_grid_over_an_inert_knob_fails_before_it_runs(self):
+        base = ExperimentConfig(policy="face+gsc", scan_depth=16)
+        with pytest.raises(ConfigError, match="scan_depth=16 is not read by policy 'lc'"):
+            base.with_(policy="lc")
 
     def test_enum_policy_is_accepted(self):
         experiment = ExperimentConfig(policy=CachePolicy.LC)

@@ -121,6 +121,10 @@ class TestCli:
         (["run", "buffer_fraction=0"], "buffer_fraction must be within (0, 1]"),
         (["run", "buffer_fraction=-1"], "buffer_fraction must be within (0, 1]"),
         (["run", "lc_dirty_threshold=2"], "unknown experiment field 'lc_dirty_threshold'"),
+        (["run", "policy=lc", "scan_depth=8,16", "face_write_through=false,true"],
+         "scan_depth=8 is not read by policy 'lc'"),
+        (["run", "policy=face", "face_write_through=true", "scan_depth=8"],
+         "scan_depth=8 is not read by policy 'face'"),
     ])
     def test_config_errors_exit_2_on_one_stderr_line(self, argv, message, capsys):
         assert main(["--scale", "tiny", *argv]) == 2

@@ -1,9 +1,13 @@
 """TPC-C input generation: NURand skew, ranges, determinism."""
 
+import random
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.errors import WorkloadError
-from repro.tpcc.random_gen import TpccRandom, _a_for_range, lastname_for_index
+from repro.tpcc.random_gen import FastRandom, TpccRandom, _a_for_range, lastname_for_index
 
 
 @pytest.fixture
@@ -95,3 +99,42 @@ def test_lastname_index_range(rnd):
     indexes = [rnd.lastname_index() for _ in range(1000)]
     assert min(indexes) >= 0
     assert max(indexes) < span
+
+
+# -- the one-frame draw -------------------------------------------------------
+
+_bounds = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64), a=_bounds, b=_bounds)
+@example(seed=0, a=1, b=1)
+@example(seed=7, a=0, b=0)
+@example(seed=7, a=5, b=4)
+@example(seed=3, a=1, b=3000)
+@example(seed=3, a=-(2**40), b=2**40)
+def test_fast_randint_is_cpython_randint(seed, a, b):
+    """Same values, same error, and the same state left behind."""
+    ours, theirs = FastRandom(seed), random.Random(seed)
+    try:
+        expected = [theirs.randint(a, b) for _ in range(8)]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            ours.randint(a, b)
+        assert str(raised.value) == str(exc)
+    else:
+        assert [ours.randint(a, b) for _ in range(8)] == expected
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_fast_randint_keeps_the_rest_of_random():
+    """Only ``randint`` is overridden: the methods that use ``_randbelow``
+    draw the same after a run of ``randint`` calls."""
+    ours, theirs = FastRandom(11), random.Random(11)
+    for rng in (ours, theirs):
+        rng.randint(1, 10_000)
+    draw = lambda rng: (  # noqa: E731
+        rng.choice(range(97)), rng.randrange(3, 999, 7), rng.sample(range(50), 5),
+        rng.random(), rng.uniform(1.0, 100.0), rng.randint(0, 2**80),
+    )
+    assert draw(ours) == draw(theirs)
