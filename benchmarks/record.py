@@ -41,6 +41,7 @@ from repro.core.config import (  # noqa: E402
     scaled_reference_config,
 )
 from repro.core.dbms import SimulatedDBMS  # noqa: E402
+from repro.flashcache.registry import policy_knobs, resolve_policy  # noqa: E402
 from repro.obs import OBS  # noqa: E402
 from repro.recovery.restart import RecoveryManager  # noqa: E402
 from repro.sim.experiment import ExperimentConfig  # noqa: E402
@@ -745,6 +746,13 @@ RECOVERY_COLUMNS = ("key", "restart_seconds", "metadata_restore_seconds",
                     "cache_survived", "flash_read_fraction")
 
 
+def fraction_read(policy: str, fraction: float) -> float:
+    """``fraction``, or the default where ``policy`` has no cache to size."""
+    if "cache_fraction" in policy_knobs(resolve_policy(policy)):
+        return fraction
+    return ExperimentConfig.cache_fraction
+
+
 def run_recovery(jobs: int, smoke: bool) -> dict:
     """The Table-6-style {policy} x {checkpoint interval} crash grid, as
     :class:`~repro.sim.scenario.CrashRecoveryScenario` cells over one
@@ -769,7 +777,8 @@ def run_recovery(jobs: int, smoke: bool) -> dict:
     specs = [
         CellSpec.from_config(
             (policy, interval),
-            base.with_(policy=policy, checkpoint_interval=interval),
+            base.with_(policy=policy, checkpoint_interval=interval,
+                       cache_fraction=fraction_read(policy, base.cache_fraction)),
         )
         for policy in RECOVERY_POLICIES
         for interval in intervals
@@ -1048,16 +1057,6 @@ SKEWS = (0.0, 0.5, 0.99, 1.3)
 SKEW_TX = 1200
 
 
-def paper_experiment(policy: str, fraction: float = 0.12, **knobs) -> ExperimentConfig:
-    """One paper cell.  ``hdd-only`` and ``ssd-only`` are the reference
-    systems without a flash cache: the database on the disk array, or all
-    of it on the SSD."""
-    if policy in ("hdd-only", "ssd-only"):
-        knobs["ssd_only"] = policy == "ssd-only"
-        policy, fraction = "hdd-only", 0.01
-    return PAPER_BASE.with_(policy=policy, cache_fraction=fraction, **knobs)
-
-
 def paper_specs() -> list[CellSpec]:
     """Every steady cell of the tables, keyed by table.  Beside each
     experiment go the ``SystemConfig`` fields it cannot express: SLC
@@ -1066,25 +1065,28 @@ def paper_specs() -> list[CellSpec]:
     for flash, system in (("mlc", {}), ("slc", {"flash_profile": SLC_INTEL_X25E})):
         fractions = {*TABLE_FRACTIONS, *FIG4_FRACTIONS} if flash == "mlc" else FIG4_FRACTIONS
         for policy in (*SWEEP_POLICIES, "hdd-only", "ssd-only"):
+            # HDD-only has no flash device: its SLC cell is its MLC one.
+            flash_system = {} if policy == "hdd-only" else system
             for fraction in sorted(fractions):
-                grid[(flash, policy, fraction)] = (paper_experiment(policy, fraction), system)
+                grid[(flash, policy, fraction)] = (PAPER_BASE.with_(
+                    policy=policy, cache_fraction=fraction_read(policy, fraction)), flash_system)
     for policy in LANDSCAPE:
-        grid[("table2", policy)] = (paper_experiment(policy), {})
+        grid[("table2", policy)] = (PAPER_BASE.with_(policy=policy), {})
     for k in TABLE5_STEPS:
         cache = k * FLASH_STEP_PAGES
-        grid[("dram", k)] = (paper_experiment("hdd-only"),
+        grid[("dram", k)] = (PAPER_BASE.with_(policy="hdd-only"),
                              {"buffer_pages": (k + 1) * DRAM_STEP_PAGES})
-        grid[("flash", k)] = (paper_experiment("face+gsc"), {
+        grid[("flash", k)] = (PAPER_BASE, {
             "buffer_pages": DRAM_STEP_PAGES, "cache_pages": cache,
             "segment_entries": max(64, cache // 16),
         })
     for policy in FIG5_POLICIES:
         for n in FIG5_DISKS:
-            grid[("disks", policy, n)] = (paper_experiment(policy), {"n_disks": n})
+            grid[("disks", policy, n)] = (PAPER_BASE.with_(policy=policy), {"n_disks": n})
     for name, (knob, values, systems) in ABLATIONS.items():
         for policy in systems:
             for value in values:
-                grid[(name, policy, value)] = (paper_experiment(policy, **{knob: value}), {})
+                grid[(name, policy, value)] = (PAPER_BASE.with_(policy=policy, **{knob: value}), {})
     return [
         CellSpec.from_config(key, experiment, config=experiment.system_config().with_(**system))
         for key, (experiment, system) in grid.items()
@@ -1120,7 +1122,7 @@ def columns(cells: dict, xs, systems, key: Callable, *metrics: str) -> dict:
 def fig6_ramp(policy: str) -> dict:
     """Run, checkpoint, crash mid-interval, restart; then windowed tpmC
     from the crash on, the restart outage included."""
-    runner = ExperimentRunner(paper_experiment(policy).system_config(), BENCH)
+    runner = ExperimentRunner(PAPER_BASE.with_(policy=policy).system_config(), BENCH)
     runner.warm_up(PAPER_BASE.warmup_min, PAPER_BASE.warmup_max)
     dbms, stats = runner.dbms, runner.driver.stats
     run_until_crash_point(runner, 2.0, crash_point=0.5, max_transactions=20_000)

@@ -20,14 +20,14 @@ from repro.tpcc import BENCH, estimate_db_pages
 TRANSACTIONS = 2_000
 
 POLICIES = [
-    ("HDD-only", CachePolicy.NONE, {}),
-    ("Exadata", CachePolicy.EXADATA, {}),
-    ("TAC", CachePolicy.TAC, {}),
-    ("LC", CachePolicy.LC, {}),
-    ("FaCE", CachePolicy.FACE, {}),
-    ("FaCE+GR", CachePolicy.FACE_GR, {}),
-    ("FaCE+GSC", CachePolicy.FACE_GSC, {}),
-    ("SSD-only", CachePolicy.NONE, {"ssd_only": True, "label": "SSD-only"}),
+    ("HDD-only", CachePolicy.NONE),
+    ("Exadata", CachePolicy.EXADATA),
+    ("TAC", CachePolicy.TAC),
+    ("LC", CachePolicy.LC),
+    ("FaCE", CachePolicy.FACE),
+    ("FaCE+GR", CachePolicy.FACE_GR),
+    ("FaCE+GSC", CachePolicy.FACE_GSC),
+    ("SSD-only", CachePolicy.SSD_ONLY),
 ]
 
 
@@ -40,9 +40,9 @@ def main() -> None:
     )
 
     rows = []
-    for name, policy, overrides in POLICIES:
+    for name, policy in POLICIES:
         config = scaled_reference_config(
-            db_pages, cache_fraction=cache_fraction, policy=policy, **overrides
+            db_pages, cache_fraction=cache_fraction, policy=policy
         )
         runner = ExperimentRunner(config, BENCH, seed=42)
         runner.warm_up()

@@ -155,18 +155,17 @@ def cmd_crash(args) -> int:
     from repro.sim import hardcrash
     from repro.storage.registry import page_store_class
 
+    # Built here too, so that a field the victim would refuse fails first.
+    experiment = _experiment(args).with_(
+        policy=args.policy,
+        scenario="crash",
+        checkpoint_interval=args.interval,
+        crash_point=args.crash_point,
+    )
     if args.victim:
         # Re-exec target: run the schedule on persistent storage and die
         # by SIGKILL.  Never returns.
-        hardcrash.run_victim(
-            _experiment(args).with_(
-                policy=args.policy,
-                scenario="crash",
-                checkpoint_interval=args.interval,
-                crash_point=args.crash_point,
-            ),
-            args.state_dir,
-        )
+        hardcrash.run_victim(experiment, args.state_dir)
         raise AssertionError("unreachable")  # pragma: no cover
 
     if not page_store_class(args.page_store).persistent:

@@ -29,6 +29,9 @@ class CachePolicy(enum.Enum):
     """Which flash-cache strategy the system runs (paper Table 2 + ours)."""
 
     NONE = "hdd-only"
+    #: No flash cache either: the whole database, WAL included, lives on
+    #: the SSD (Figure 4's "SSD only").
+    SSD_ONLY = "ssd-only"
     FACE = "face"
     FACE_GR = "face+gr"
     FACE_GSC = "face+gsc"
@@ -39,7 +42,7 @@ class CachePolicy(enum.Enum):
 
     @property
     def uses_flash(self) -> bool:
-        return self is not CachePolicy.NONE
+        return self not in (CachePolicy.NONE, CachePolicy.SSD_ONLY)
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,6 @@ class SystemConfig:
     # -- database storage ---------------------------------------------------------
     disk_profile: DeviceProfile = HDD_CHEETAH_15K
     n_disks: int = 8
-    #: Store the database on the flash device itself ("SSD only" in Fig. 4).
-    ssd_only: bool = False
     #: Address space reserved for the database (pages); loaders must fit.
     disk_capacity_pages: int = 4_194_304
 
@@ -103,7 +104,7 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.buffer_pages < 1:
             raise ConfigError("buffer_pages must be >= 1")
-        if self.cache_policy.uses_flash and not self.ssd_only and self.cache_pages < 1:
+        if self.cache_policy.uses_flash and self.cache_pages < 1:
             raise ConfigError("cache_pages must be >= 1 for flash-cache policies")
         if self.n_disks < 1:
             raise ConfigError("n_disks must be >= 1")
@@ -111,7 +112,6 @@ class SystemConfig:
             raise ConfigError("segment_entries must be >= 1")
         if (
             self.cache_policy in (CachePolicy.FACE_GR, CachePolicy.FACE_GSC)
-            and not self.ssd_only
             and self.cache_pages < 2 * self.scan_depth
         ):
             raise ConfigError(
@@ -129,8 +129,6 @@ class SystemConfig:
     def display_name(self) -> str:
         if self.label:
             return self.label
-        if self.ssd_only:
-            return "SSD-only"
         # Late import: the policy registry imports this module.
         from repro.flashcache.registry import policy_class
 

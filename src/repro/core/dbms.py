@@ -30,7 +30,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
-from repro.core.config import SystemConfig
+from repro.core.config import CachePolicy, SystemConfig
 from repro.core.policies import (
     build_database_device,
     build_flash_volume,
@@ -84,16 +84,13 @@ class SimulatedDBMS:
             build_database_device(config),
             build_page_store(config, "disk", config.disk_capacity_pages),
         )
-        if config.ssd_only:
-            # "Database stored entirely on the SSD" (Figure 4) means the
-            # WAL shares the device too — PostgreSQL keeps pg_xlog inside
-            # the data directory — so commit forces compete with data I/O
-            # on the one flash device.
-            self.log = LogManager(self.disk.device)
-            self._log_shares_database_device = True
-        else:
-            self.log = LogManager(build_log_device(config))
-            self._log_shares_database_device = False
+        # "Database stored entirely on the SSD" (Figure 4) means the WAL
+        # shares the device too — PostgreSQL keeps pg_xlog inside the data
+        # directory — so commit forces compete with data I/O on the one
+        # flash device.
+        shared = config.cache_policy is CachePolicy.SSD_ONLY
+        self.log = LogManager(self.disk.device if shared else build_log_device(config))
+        self._log_shares_database_device = shared
         self.flash = build_flash_volume(config)
         self.cache = build_cache_from_config(config, self.flash, self.disk)
         self.buffer = BufferPool(config.buffer_pages, config.buffer_policy)

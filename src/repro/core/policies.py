@@ -12,7 +12,7 @@ parallel runs reproducible.
 
 from __future__ import annotations
 
-from repro.core.config import SystemConfig
+from repro.core.config import CachePolicy, SystemConfig
 from repro.flashcache.metadata import ENTRY_BYTES
 from repro.storage.device import Device
 from repro.storage.hdd import DiskDevice
@@ -26,7 +26,7 @@ from repro.storage.volume import Volume
 def build_database_device(config: SystemConfig) -> Device:
     """The device holding the database proper: RAID-0 disks, or an SSD for
     the paper's "SSD only" configuration."""
-    if config.ssd_only:
+    if config.cache_policy is CachePolicy.SSD_ONLY:
         return FlashDevice(config.flash_profile, config.disk_capacity_pages)
     return Raid0Array(
         config.n_disks, config.disk_profile, config.disk_capacity_pages
@@ -47,7 +47,7 @@ def _metadata_pages_for(config: SystemConfig) -> int:
 
 def build_flash_volume(config: SystemConfig) -> Volume | None:
     """The flash caching device, sized for the cache region + metadata."""
-    if not config.cache_policy.uses_flash or config.ssd_only:
+    if not config.cache_policy.uses_flash:
         return None
     total = config.cache_pages + _metadata_pages_for(config)
     return Volume(

@@ -1,4 +1,4 @@
-"""No flash cache: the paper's "HDD only" configuration.
+"""No flash cache: the paper's "HDD only" and "SSD only" configurations.
 
 Every DRAM miss goes to disk; every dirty eviction and checkpoint flush is
 a disk write.  Serves as the baseline for Figure 4's HDD-only line and the
@@ -40,3 +40,9 @@ class NullFlashCache(FlashCacheBase):
 
     def recover(self) -> RecoveryTimings:
         return RecoveryTimings(cache_survives=False)
+
+
+class SsdOnlyCache(NullFlashCache):
+    """No flash tier because the database itself is on the SSD (Figure 4)."""
+
+    name = "SSD-only"

@@ -28,7 +28,7 @@ from repro.flashcache.exadata import ExadataStyleCache
 from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
 from repro.flashcache.lc import LazyCleaningCache, Lru2Cache
 from repro.flashcache.mvfifo import MvFifoCache
-from repro.flashcache.null import NullFlashCache
+from repro.flashcache.null import NullFlashCache, SsdOnlyCache
 from repro.flashcache.tac import TacCache
 from repro.storage.volume import Volume
 
@@ -61,6 +61,7 @@ def _build_baseline(cls, config: SystemConfig, flash, disk):
 #: Policy -> (class, builder), in the paper's comparison order (Table 2).
 _REGISTRY: dict[CachePolicy, tuple[type[FlashCacheBase], Callable]] = {
     CachePolicy.NONE: (NullFlashCache, _build_null),
+    CachePolicy.SSD_ONLY: (SsdOnlyCache, _build_null),
     CachePolicy.FACE: (MvFifoCache, _build_face),
     CachePolicy.FACE_GR: (GroupReplacementCache, _build_group),
     CachePolicy.FACE_GSC: (GroupSecondChanceCache, _build_group),
@@ -71,9 +72,11 @@ _REGISTRY: dict[CachePolicy, tuple[type[FlashCacheBase], Callable]] = {
 }
 
 
-#: The policy knobs of ``SystemConfig``: each builder reads some of them,
-#: and a value set on a policy whose builder does not read it would be inert.
-POLICY_KNOBS = ("scan_depth", "face_cache_clean", "face_write_through")
+#: The policy knobs of an experiment: each builder reads some of them, and
+#: a value set on a policy whose builder does not read it would be inert.
+#: ``cache_fraction`` is read as the ``cache_pages`` it sizes.
+POLICY_KNOBS = ("cache_fraction", "scan_depth", "face_cache_clean", "face_write_through")
+_KNOB_OF = {"cache_pages": "cache_fraction"}
 
 
 class _ReadRecorder:
@@ -89,7 +92,8 @@ class _ReadRecorder:
 def _knobs_read(build: Callable) -> frozenset[str]:
     config = _ReadRecorder()
     build(lambda *args, **kwargs: None, config, None, None)
-    return frozenset(config.read.intersection(POLICY_KNOBS))
+    read = {_KNOB_OF.get(name, name) for name in config.read}
+    return frozenset(read.intersection(POLICY_KNOBS))
 
 
 #: Policy -> the ``POLICY_KNOBS`` its builder reads, recorded from the
@@ -128,13 +132,7 @@ def policy_class(policy: CachePolicy) -> type[FlashCacheBase]:
 def build_cache_from_config(
     config: SystemConfig, flash: Volume | None, disk: Volume
 ) -> FlashCacheBase:
-    """The live cache ``config`` describes, on the given volumes.
-
-    ``ssd_only`` systems run no separate flash cache regardless of the
-    configured policy (the database itself lives on the SSD).
-    """
-    if config.ssd_only:
-        return NullFlashCache(disk)
+    """The live cache ``config`` describes, on the given volumes."""
     if config.cache_policy.uses_flash and flash is None:
         raise ConfigError(
             f"policy {config.cache_policy.value!r} requires a flash volume"

@@ -1,26 +1,20 @@
 """One frozen description of one experiment: :class:`ExperimentConfig`.
 
-Before this module, "what does this cell run?" was a knob soup smeared
-across three layers: :class:`~repro.core.config.SystemConfig` overrides
-built by ad-hoc factories, per-cell protocol fields (measure/warm-up
-counts, checkpoint cadence, obs collection), and CLI flags mapping onto
-both.  :class:`ExperimentConfig` unifies them into a
-single frozen dataclass covering *everything* that defines an experiment —
-workload (scale, seed), system (policy name, size fractions, policy knobs),
-and measurement protocol — with one deriver:
+Everything that defines one cell — workload (scale, seed), system (policy
+name, size fractions, policy knobs) and run protocol — in one frozen
+dataclass with one deriver:
 
     base = ExperimentConfig(scale=TINY, policy="face+gsc")
     cell = base.with_(scan_depth=128, cache_fraction=0.08)
 
-``with_`` validates field names (a typo'd knob raises instead of silently
-doing nothing) and returns a new frozen instance, so a whole ablation grid
-is just ``base.with_(axis=value)`` per cell.  The lowering to the older
-layers is explicit: :meth:`ExperimentConfig.system_config` builds the
-:class:`SystemConfig` (resolving the policy name through
-:mod:`repro.flashcache.registry`), and
-:meth:`~repro.sim.parallel.CellSpec.from_config` lowers the whole thing to
-a picklable sweep cell carrying :meth:`ExperimentConfig.build_scenario` as
-its run protocol.  Every CLI subcommand builds one of these from its flags.
+``with_`` rejects unknown field names, and construction rejects a
+non-default field that neither the cell's policy nor its scenario reads:
+the policy side is recorded from the policy builders
+(:func:`~repro.flashcache.registry.policy_knobs`), the scenario side is
+the scenario class's own fields.  :meth:`ExperimentConfig.system_config`
+lowers to the :class:`SystemConfig`, :meth:`ExperimentConfig.build_scenario`
+to the run protocol, and :meth:`~repro.sim.parallel.CellSpec.from_config`
+to a picklable cell carrying both.
 """
 
 from __future__ import annotations
@@ -36,6 +30,11 @@ from repro.flashcache.registry import (
     available_policies,
     policy_knobs,
     resolve_policy,
+)
+from repro.sim.scenario import (
+    CrashRecoveryScenario,
+    ServiceScenario,
+    SteadyStateScenario,
 )
 from repro.tpcc.scale import TINY, ScaleProfile
 from repro.workload.registry import (
@@ -63,7 +62,8 @@ class ExperimentConfig:
 
     # -- system under test ---------------------------------------------------
     #: Flash-cache policy, by registry name (see
-    #: :func:`repro.flashcache.registry.available_policies`).
+    #: :func:`repro.flashcache.registry.available_policies`).  A non-default
+    #: field that neither the policy nor the scenario reads is refused.
     policy: str = "face+gsc"
     cache_fraction: float = 0.12
     buffer_fraction: float = 0.004
@@ -71,7 +71,6 @@ class ExperimentConfig:
     scan_depth: int = 64
     face_cache_clean: bool = True
     face_write_through: bool = False
-    ssd_only: bool = False
     #: Page-store backend holding the simulated bytes (see
     #: :func:`repro.storage.registry.available_backends`).  Any backend
     #: yields bit-identical results; persistent ones trade Python-side
@@ -98,7 +97,7 @@ class ExperimentConfig:
 
     # -- service protocol (scenario="service", closed-loop clients) ----------
     #: Closed-loop client count for ``scenario="service"`` (the paper's
-    #: reference setup runs 50).  Ignored by steady/crash scenarios.
+    #: reference setup runs 50).
     n_clients: int = 50
     #: Per-client think time between transactions, in milliseconds.
     think_time_ms: float = 0.0
@@ -116,42 +115,42 @@ class ExperimentConfig:
         # overrides, sorts the rest.
         spec = _resolve_workload(self.workload, dict(knobs))
         object.__setattr__(self, "workload_knobs", spec.knobs)
-        if self.measure_transactions < 1:
-            raise ConfigError("measure_transactions must be >= 1")
         if not 0.0 < self.cache_fraction <= 1.0:
             raise ConfigError("cache_fraction must be within (0, 1]")
         if not 0.0 < self.buffer_fraction <= 1.0:
             raise ConfigError("buffer_fraction must be within (0, 1]")
         if self.scan_depth < 1:
             raise ConfigError(f"scan_depth must be >= 1, got {self.scan_depth}")
-        if self.scenario not in ("steady", "crash", "service"):
+        if self.scenario not in _SCENARIOS:
             raise ConfigError(
                 f"scenario must be 'steady', 'crash' or 'service', "
                 f"got {self.scenario!r}"
             )
-        if self.n_clients < 1:
-            raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.think_time_ms < 0.0:
-            raise ConfigError("think_time_ms must be >= 0")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ConfigError("max_inflight must be >= 1 when set")
         if self.scenario == "crash" and self.checkpoint_interval is None:
             raise ConfigError(
                 "a crash experiment needs a checkpoint_interval "
                 "(the Section 5.5 schedule is defined by its cadence)"
             )
-        if not 0.0 < self.crash_point < 1.0:
-            raise ConfigError("crash_point must be within (0, 1)")
         if self.crash_max_transactions < 1:
             raise ConfigError("crash_max_transactions must be >= 1")
-        # A knob the policy's builder does not read would change nothing: a
-        # grid would spend cells on it and label them with a value not run.
-        for name in POLICY_KNOBS:
+        # Each scenario class checks the values it reads, so a bad value
+        # fails with the same message whichever scenario the cell runs.
+        for kind, cls in _SCENARIOS.items():
+            cls(**{attribute: getattr(self, name) for name, attribute
+                   in _SCENARIO_READS[kind].items() if getattr(self, name) != _DEFAULTS[name]})
+        # A field that neither the policy's builder nor the scenario reads
+        # would change nothing: a grid would spend cells on it and label
+        # them with a value not run.
+        read = policy_knobs(policy) | _SCENARIO_READS[self.scenario].keys()
+        for name in _CHECKED:
             value = getattr(self, name)
-            if name not in policy_knobs(policy) and value != _DEFAULTS[name]:
+            if name not in read and value != _DEFAULTS[name]:
+                kind = "policy" if name in POLICY_KNOBS else "scenario"
+                this = policy.value if name in POLICY_KNOBS else self.scenario
+                readers = _readers(name)
                 raise ConfigError(
-                    f"{name}={value!r} is not read by policy {policy.value!r} "
-                    f"(only {', '.join(_readers(name))} read it)"
+                    f"{name}={value!r} is not read by {kind} {this!r} (only "
+                    f"{', '.join(readers)} {'reads' if len(readers) == 1 else 'read'} it)"
                 )
 
     def with_(self, **overrides) -> "ExperimentConfig":
@@ -193,36 +192,8 @@ class ExperimentConfig:
     def build_scenario(self):
         """The run protocol this experiment describes (see
         :mod:`repro.sim.scenario`)."""
-        from repro.sim.scenario import (
-            CrashRecoveryScenario,
-            ServiceScenario,
-            SteadyStateScenario,
-        )
-
-        if self.scenario == "crash":
-            return CrashRecoveryScenario(
-                checkpoint_interval=self.checkpoint_interval,
-                crash_point=self.crash_point,
-                max_transactions=self.crash_max_transactions,
-                warmup_min=self.warmup_min,
-                warmup_max=self.warmup_max,
-            )
-        if self.scenario == "service":
-            return ServiceScenario(
-                n_clients=self.n_clients,
-                think_time_ms=self.think_time_ms,
-                measure_transactions=self.measure_transactions,
-                max_inflight=self.max_inflight,
-                warmup_min=self.warmup_min,
-                warmup_max=self.warmup_max,
-                checkpoint_interval=self.checkpoint_interval,
-            )
-        return SteadyStateScenario(
-            measure_transactions=self.measure_transactions,
-            warmup_min=self.warmup_min,
-            warmup_max=self.warmup_max,
-            checkpoint_interval=self.checkpoint_interval,
-        )
+        reads = _SCENARIO_READS[self.scenario]
+        return _SCENARIOS[self.scenario](**{a: getattr(self, name) for name, a in reads.items()})
 
     def describe(self) -> str:
         """Compact non-default summary, for table captions and JSON records."""
@@ -252,10 +223,34 @@ _SHARED_FIELDS = tuple(
     if f.name in SystemConfig.__dataclass_fields__
 )
 
-#: Field name -> its default, for the knob check in ``__post_init__``.
+#: Field name -> its default, for the read-set check in ``__post_init__``.
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
+_SCENARIOS = {c.kind: c for c in (SteadyStateScenario, CrashRecoveryScenario, ServiceScenario)}
+#: The one scenario attribute whose experiment field has another name.
+_RENAMED = {"max_transactions": "crash_max_transactions"}
+#: Scenario kind -> {experiment field: the scenario attribute it sets}: the
+#: fields the scenario reads, from the scenario class itself.
+_SCENARIO_READS = {
+    kind: {_RENAMED.get(f.name, f.name): f.name for f in dataclasses.fields(cls)
+           if _RENAMED.get(f.name, f.name) in _DEFAULTS}
+    for kind, cls in _SCENARIOS.items()
+}
+#: The fields a policy or a scenario reads, each refused at a non-default
+#: value where it is not read; except two transaction budgets, accepted off
+#: the scenario that reads them: ``perf/workloads.py`` sets
+#: ``crash_max_transactions`` on every cell, and its crash cells inherit the
+#: base's ``measure_transactions``.
+_CHECKED = tuple(
+    name
+    for name in _DEFAULTS
+    if (name in POLICY_KNOBS or any(name in reads for reads in _SCENARIO_READS.values()))
+    and name not in ("measure_transactions", "crash_max_transactions")
+)
 
-def _readers(knob: str) -> list[str]:
-    """The policies whose builder reads ``knob``."""
-    return [name for name in available_policies() if knob in policy_knobs(resolve_policy(name))]
+
+def _readers(name: str) -> list[str]:
+    """The policies, or else the scenarios, that read field ``name``."""
+    if name in POLICY_KNOBS:
+        return [p for p in available_policies() if name in policy_knobs(resolve_policy(p))]
+    return [kind for kind, reads in _SCENARIO_READS.items() if name in reads]

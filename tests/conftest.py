@@ -27,6 +27,14 @@ KV_SCHEMA = TableSchema(
 
 
 @pytest.fixture(autouse=True)
+def _no_shared_trace_cache(monkeypatch):
+    """No test persists traces into the machine-wide cache under the system
+    temp directory; a test that needs a cache points REPRO_TRACE_CACHE at
+    its own ``tmp_path``."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+
+
+@pytest.fixture(autouse=True)
 def _collector_left_as_found():
     """Fail any test that leaves the cyclic collector on or off unlike it
     found it: every cell pauses the collector, and a test that toggles it

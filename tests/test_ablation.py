@@ -38,8 +38,7 @@ BASE = ExperimentConfig(
 
 
 @pytest.fixture(autouse=True)
-def _hermetic(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+def _hermetic():
     clear_recorders()
     clear_snapshots()
     yield

@@ -54,9 +54,8 @@ CASES = {
 
 
 @pytest.fixture(autouse=True)
-def _fresh_process_state(monkeypatch):
+def _fresh_process_state():
     """Each case sees no persisted or in-process trace, and no live obs."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     clear_recorders()
     was_enabled = OBS.enabled
     OBS.clear()

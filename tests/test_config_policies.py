@@ -13,7 +13,7 @@ from repro.flashcache.exadata import ExadataStyleCache
 from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
 from repro.flashcache.lc import LazyCleaningCache
 from repro.flashcache.mvfifo import MvFifoCache
-from repro.flashcache.null import NullFlashCache
+from repro.flashcache.null import NullFlashCache, SsdOnlyCache
 from repro.flashcache.registry import build_cache_from_config
 from repro.flashcache.tac import TacCache
 from repro.storage.raid import Raid0Array
@@ -42,7 +42,7 @@ class TestConfig:
     def test_display_names(self):
         assert SystemConfig(cache_policy=CachePolicy.LC).display_name == "LC"
         assert SystemConfig(cache_policy=CachePolicy.NONE).display_name == "HDD-only"
-        assert SystemConfig(ssd_only=True).display_name == "SSD-only"
+        assert SystemConfig(cache_policy=CachePolicy.SSD_ONLY).display_name == "SSD-only"
         assert SystemConfig(label="custom").display_name == "custom"
 
     def test_with_returns_modified_copy(self):
@@ -53,6 +53,7 @@ class TestConfig:
 
     def test_uses_flash_property(self):
         assert not CachePolicy.NONE.uses_flash
+        assert not CachePolicy.SSD_ONLY.uses_flash
         assert CachePolicy.FACE_GSC.uses_flash
 
 
@@ -85,6 +86,7 @@ class TestScaledReference:
 class TestFactory:
     POLICY_TYPES = [
         (CachePolicy.NONE, NullFlashCache),
+        (CachePolicy.SSD_ONLY, SsdOnlyCache),
         (CachePolicy.FACE, MvFifoCache),
         (CachePolicy.FACE_GR, GroupReplacementCache),
         (CachePolicy.FACE_GSC, GroupSecondChanceCache),
@@ -108,11 +110,11 @@ class TestFactory:
         assert device.n_disks == 4
 
     def test_ssd_only_database_on_flash(self):
-        cfg = tiny_config(CachePolicy.NONE, ssd_only=True)
+        cfg = tiny_config(CachePolicy.SSD_ONLY)
         assert isinstance(build_database_device(cfg), FlashDevice)
         assert build_flash_volume(cfg) is None
         disk = Volume(build_database_device(cfg))
-        assert isinstance(build_cache_from_config(cfg, None, disk), NullFlashCache)
+        assert isinstance(build_cache_from_config(cfg, None, disk), SsdOnlyCache)
 
     def test_flash_volume_has_metadata_headroom(self):
         cfg = tiny_config(CachePolicy.FACE)

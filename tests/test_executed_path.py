@@ -50,9 +50,8 @@ KNOBS = {
 
 
 @pytest.fixture(autouse=True)
-def _hermetic(monkeypatch):
-    """No memo shared with another test; no on-disk trace cache."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+def _hermetic():
+    """No memo shared with another test."""
     clear_recorders()
     warmstate.clear_snapshots()
     yield
@@ -78,10 +77,11 @@ def _spec(
         warmup_max=60,
         checkpoint_interval=0.05,
         crash_max_transactions=4000,
-        n_clients=8,
         page_store=store,
         scenario=scenario,
     )
+    if scenario == "service":
+        params["n_clients"] = 8
     params.update(over)
     key = key or (workload, scenario, store, repr(sorted(over.items())))
     return CellSpec.from_config(key, ExperimentConfig(**params), replay_ok=replay_ok)

@@ -252,7 +252,6 @@ def test_fast_replay_loop_runs_on_after_a_restart(monkeypatch):
     from repro.tpcc.loader import estimate_db_pages
     from repro.tpcc.scale import TINY
 
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")
     config = scaled_reference_config(
         estimate_db_pages(TINY), buffer_fraction=0.05, policy=CachePolicy.FACE_GSC

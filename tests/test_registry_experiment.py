@@ -18,7 +18,6 @@ import pytest
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
 from repro.core.policies import build_database_device, build_flash_volume
 from repro.errors import ConfigError
-from repro.flashcache.null import NullFlashCache
 from repro.flashcache.registry import (
     available_policies,
     build_cache_from_config,
@@ -29,7 +28,7 @@ from repro.sim.parallel import CellSpec
 from repro.sim.scenario import SteadyStateScenario
 from repro.storage.volume import Volume
 from repro.tpcc.loader import estimate_db_pages
-from repro.tpcc.scale import TINY
+from repro.tpcc.scale import BENCH, TINY
 from tests.conftest import tiny_config
 
 
@@ -66,12 +65,33 @@ class TestRegistry:
             if hasattr(cache, name):
                 assert getattr(cache, name) == value
 
-    def test_ssd_only_overrides_the_policy(self):
-        cfg = tiny_config(CachePolicy.FACE_GSC, ssd_only=True)
-        disk = Volume(build_database_device(cfg))
-        assert isinstance(
-            build_cache_from_config(cfg, None, disk), NullFlashCache
-        )
+
+#: A valid value of every ExperimentConfig field but ``scenario``, other
+#: than both its default and its value in the read-set tests' base.
+OTHER = {
+    "scale": dataclasses.replace(BENCH, warehouses=2), "seed": 7, "workload": "ycsb",
+    "workload_knobs": {"zipf_s": 0.7}, "policy": "lc", "cache_fraction": 0.2, "buffer_fraction": 0.01,
+    "buffer_policy": "clock", "scan_depth": 16, "face_cache_clean": False,
+    "face_write_through": True, "page_store": "mmap", "label": "x",
+    "measure_transactions": 300, "warmup_min": 100, "warmup_max": 900,
+    "checkpoint_interval": 0.5, "collect_obs": True, "crash_point": 0.3,
+    "crash_max_transactions": 3000, "n_clients": 8, "think_time_ms": 2.0,
+    "max_inflight": 4,
+}
+#: Scenario -> the fields it refuses at a non-default value.
+REFUSED = {
+    "steady": {"crash_point", "n_clients", "think_time_ms", "max_inflight"},
+    "crash": {"n_clients", "think_time_ms", "max_inflight"},
+    "service": {"crash_point"},
+}
+#: Accepted though the scenario does not read them: ``perf/workloads.py``
+#: sets the crash budget on every cell, and its crash cells inherit the
+#: measured budget.
+BUDGETS = {
+    ("crash", "measure_transactions"),
+    ("steady", "crash_max_transactions"),
+    ("service", "crash_max_transactions"),
+}
 
 
 class TestExperimentConfig:
@@ -129,23 +149,26 @@ class TestExperimentConfig:
         ]
         assert {f.name for f in shared} == {
             "buffer_policy", "scan_depth", "face_cache_clean",
-            "face_write_through", "ssd_only", "page_store", "label",
+            "face_write_through", "page_store", "label",
         }
         for f in shared:
             assert f.default == system[f.name].default, f.name
             assert f.type == system[f.name].type, f.name
 
     @pytest.mark.parametrize("knob, value", [
-        ("scan_depth", 16), ("face_cache_clean", False), ("face_write_through", True),
+        ("cache_fraction", 0.2), ("scan_depth", 16), ("face_cache_clean", False),
+        ("face_write_through", True),
     ])
     @pytest.mark.parametrize("policy", available_policies())
     def test_a_knob_is_read_by_its_policy_or_refused(self, policy, knob, value):
         """Every (policy, knob) pair: the policy's cache takes the value, or
         the config refuses it, naming the field and the policy."""
+        face = {"face", "face+gr", "face+gsc"}
         readers = {
+            "cache_fraction": face | {"lc", "lru2", "tac", "exadata"},
             "scan_depth": {"face+gr", "face+gsc"},
-            "face_cache_clean": {"face", "face+gr", "face+gsc"},
-            "face_write_through": {"face", "face+gr", "face+gsc"},
+            "face_cache_clean": face,
+            "face_write_through": face,
         }[knob]
         if policy not in readers:
             with pytest.raises(ConfigError) as raised:
@@ -154,11 +177,45 @@ class TestExperimentConfig:
             # The default value is no setting at all.
             ExperimentConfig(policy=policy, **{knob: _DEFAULTS[knob]})
             return
-        cfg = ExperimentConfig(policy=policy, **{knob: value}).system_config()
+        # At BENCH: at TINY the cache floor hides every cache_fraction.
+        cfg = ExperimentConfig(scale=BENCH, policy=policy, **{knob: value}).system_config()
         disk = Volume(build_database_device(cfg))
         cache = build_cache_from_config(cfg, build_flash_volume(cfg), disk)
+        if knob == "cache_fraction":
+            default = ExperimentConfig(scale=BENCH, policy=policy).system_config()
+            assert cache.capacity == cfg.cache_pages > default.cache_pages
+            return
         attribute = {"face_cache_clean": "cache_clean", "face_write_through": "write_through"}
         assert getattr(cache, attribute.get(knob, knob)) == value
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "scenario"
+    ])
+    @pytest.mark.parametrize("scenario", ["steady", "crash", "service"])
+    def test_a_field_is_read_by_its_scenario_or_refused(self, scenario, field):
+        """Every (scenario, field) pair: a non-default value changes the
+        cell, or the config refuses it, naming the field and the scenario.
+        The two transaction budgets are the only fields accepted unread."""
+        # At BENCH: at TINY the cache floor hides every cache_fraction.
+        base = ExperimentConfig(
+            scale=BENCH, scenario=scenario,
+            checkpoint_interval=1.0 if scenario == "crash" else None,
+        )
+        if field == "workload_knobs":
+            base = base.with_(workload="ycsb")
+        value = OTHER[field]
+        if field in REFUSED[scenario]:
+            with pytest.raises(ConfigError) as raised:
+                base.with_(**{field: value})
+            assert f"{field}={value!r} is not read by scenario {scenario!r}" in str(
+                raised.value
+            )
+            return
+        cells = [CellSpec.from_config(("k",), e) for e in (base, base.with_(**{field: value}))]
+        if (scenario, field) in BUDGETS:
+            assert cells[0] == cells[1]
+        else:
+            assert cells[0] != cells[1], f"{field} changes nothing on {scenario}"
 
     def test_a_grid_over_an_inert_knob_fails_before_it_runs(self):
         base = ExperimentConfig(policy="face+gsc", scan_depth=16)

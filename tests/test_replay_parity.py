@@ -67,9 +67,8 @@ FAST = SteadyStateScenario(measure_transactions=120, warmup_min=40, warmup_max=6
 
 
 @pytest.fixture(autouse=True)
-def _hermetic(monkeypatch):
-    """No cross-test recorder/snapshot sharing; no on-disk trace cache."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+def _hermetic():
+    """No cross-test recorder/snapshot sharing."""
     clear_recorders()
     clear_snapshots()
     yield

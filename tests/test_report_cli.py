@@ -125,6 +125,14 @@ class TestCli:
          "scan_depth=8 is not read by policy 'lc'"),
         (["run", "policy=face", "face_write_through=true", "scan_depth=8"],
          "scan_depth=8 is not read by policy 'face'"),
+        (["run", "n_clients=1,8"], "n_clients=1 is not read by scenario 'steady'"),
+        (["run", "n_clients=0"], "n_clients must be >= 1"),  # a bad value first
+        (["run", "crash_point=0.3"], "crash_point=0.3 is not read by scenario 'steady'"),
+        (["run", "policy=hdd-only", "cache_fraction=0.2"],
+         "cache_fraction=0.2 is not read by policy 'hdd-only'"),
+        (["--cache-fraction", "0.2", "run", "policy=ssd-only"],
+         "cache_fraction=0.2 is not read by policy 'ssd-only'"),
+        (["run", "ssd_only=true"], "unknown experiment field 'ssd_only'"),
     ])
     def test_config_errors_exit_2_on_one_stderr_line(self, argv, message, capsys):
         assert main(["--scale", "tiny", *argv]) == 2

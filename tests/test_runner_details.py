@@ -70,7 +70,7 @@ def test_run_result_flash_utilization_property():
 
 
 def test_ssd_only_runner_has_no_flash_resource():
-    runner = make_runner(CachePolicy.NONE, ssd_only=True)
+    runner = make_runner(CachePolicy.SSD_ONLY)
     runner.warm_up(50, 200)
     result = runner.measure(100)
     assert result.utilization["flash"] == 0.0

@@ -44,8 +44,7 @@ FAST = SteadyStateScenario(measure_transactions=120, warmup_min=40, warmup_max=6
 
 
 @pytest.fixture(autouse=True)
-def _hermetic(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+def _hermetic():
     clear_recorders()
     clear_snapshots()
     yield

@@ -43,7 +43,6 @@ CHURN = {"n_keys": 2000, "update_fraction": 0.9}
 @pytest.fixture(autouse=True)
 def _hermetic(monkeypatch, tmp_path):
     """Private temp directory (store files are counted in it), no memo."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     clear_recorders()
     warmstate.clear_snapshots()

@@ -12,7 +12,7 @@ from repro.tpcc.scale import TINY
 BASE = ExperimentConfig(
     scale=TINY, seed=6, measure_transactions=150, warmup_min=50, warmup_max=1500
 )
-POLICIES = ("face", "hdd-only")
+POLICIES = ("face", "lc")  # both read cache_fraction
 FRACTIONS = (0.08, 0.12)
 
 
