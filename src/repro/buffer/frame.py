@@ -17,8 +17,6 @@ methods here so every caller manipulates the flags the same way:
 
 from __future__ import annotations
 
-from copy import deepcopy
-
 from repro.db.page import Page
 from repro.errors import UnpinnedFrameError
 
@@ -54,7 +52,8 @@ class Frame:
         # The six fields, not ``copy``'s generic reduce-and-rebuild walk: a
         # warm fork (repro.sim.warmstate) copies every resident frame.
         clone = _new(Frame)
-        clone.page = deepcopy(self.page, memo)
+        # A page belongs to its one frame, so it needs no entry in ``memo``.
+        clone.page = self.page.__deepcopy__(memo)
         clone.page_id = self.page_id
         clone.dirty = self.dirty
         clone.fdirty = self.fdirty

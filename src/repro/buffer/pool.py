@@ -18,6 +18,8 @@ according to the active policy.
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 from repro.buffer.frame import Frame
 from repro.buffer.replacement import ReplacementPolicy, make_policy
 from repro.buffer.stats import BufferStats
@@ -40,6 +42,27 @@ class BufferPool:
         self._frames: dict[int, Frame] = {}
         self.stats = BufferStats()
         self._obs_handles: dict | None = None
+
+    def __deepcopy__(self, memo: dict) -> "BufferPool":
+        # A warm fork (repro.sim.warmstate) of a pool that holds the whole
+        # database copies thousands of frames.  Each is copied once, here,
+        # not through ``copy``'s walk over the dict, and kept in ``memo``, so
+        # the policy's copy holds these very frames.
+        clone = _new(BufferPool)
+        memo[id(self)] = clone
+        frames = {}
+        for page_id, frame in self._frames.items():
+            twin = memo.get(id(frame))
+            if twin is None:
+                twin = memo[id(frame)] = frame.__deepcopy__(memo)
+            frames[page_id] = twin
+        clone.capacity = self.capacity
+        clone.policy_name = self.policy_name
+        clone._frames = frames
+        clone._policy = deepcopy(self._policy, memo)
+        clone.stats = deepcopy(self.stats, memo)
+        clone._obs_handles = deepcopy(self._obs_handles, memo)
+        return clone
 
     # -- lookups -----------------------------------------------------------
 

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
+from copy import deepcopy
 
 from repro.buffer.frame import Frame
 from repro.errors import BufferFullError, ConfigError
+
+_new = object.__new__
 
 
 class ReplacementPolicy(abc.ABC):
@@ -61,6 +64,17 @@ class LruPolicy(ReplacementPolicy):
 
     def __init__(self) -> None:
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
+
+    def __deepcopy__(self, memo: dict) -> "LruPolicy":
+        # The pool's copy (BufferPool.__deepcopy__) has put every frame in
+        # ``memo``: the order is rebuilt over those frames, not walked.
+        clone = _new(LruPolicy)
+        get = memo.get
+        clone._frames = OrderedDict(
+            (page_id, get(id(frame)) or deepcopy(frame, memo))
+            for page_id, frame in self._frames.items()
+        )
+        return clone
 
     def insert(self, frame: Frame) -> None:
         self._frames[frame.page_id] = frame

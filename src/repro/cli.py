@@ -39,6 +39,7 @@ from repro.analysis.report import (
     service_result_table,
 )
 from repro.analysis.tables import format_table
+from repro.core.config import MIN_BUFFER_PAGES, MIN_CACHE_PAGES
 from repro.errors import ConfigError, WorkloadError
 from repro.flashcache.registry import available_policies
 from repro.sim.experiment import ExperimentConfig
@@ -97,13 +98,18 @@ def _experiment(args) -> ExperimentConfig:
 
 
 def _print_cells(rows: list, title: str) -> None:
-    """One report table, chosen by the kind of result the cells hold."""
-    if isinstance(rows[0], CrashRun):
-        print(restart_report_table([(r.name, r.report) for r in rows], title=title))
-    elif isinstance(rows[0], ServiceResult):
-        print(service_result_table(rows, title=title))
-    else:
-        print(run_result_table(rows, title=title))
+    """One report table per kind of result the cells hold (a grid over
+    ``scenario`` holds several), in the order the kinds first appear."""
+    for n, kind in enumerate(dict.fromkeys(map(type, rows))):
+        if n:
+            print()
+        group = [r for r in rows if type(r) is kind]
+        if kind is CrashRun:
+            print(restart_report_table([(r.name, r.report) for r in group], title=title))
+        elif kind is ServiceResult:
+            print(service_result_table(group, title=title))
+        else:
+            print(run_result_table(group, title=title))
 
 
 def cmd_run(args) -> int:
@@ -354,7 +360,9 @@ def grid_specs(
     field.  A one-value field is a fixed override; the others vary, in
     token order, the last fastest.  A cell's key is its varying values.
     The cells share one boundary trace unless ``seed`` or ``workload``
-    varies.
+    varies.  Two cells that lower to the same :class:`CellSpec` (say, two
+    cache fractions of a database so small that both get the cache floor)
+    are a ``ConfigError``: the axis would measure one system twice.
     """
     # --scale and --workload-knob own these two: neither parses as a value.
     fields = {
@@ -382,10 +390,32 @@ def grid_specs(
         raise ConfigError("a grid needs at least one FIELD=V1[,V2...]")
     fixed = {name: v[0] for name, v in values.items() if len(v) == 1}
     axes = {name: v for name, v in values.items() if len(v) > 1}
-    return list(axes), [
+    specs = [
         CellSpec.from_config(key, base.with_(**fixed, **dict(zip(axes, key))))
         for key in itertools.product(*axes.values())
     ]
+    seen: dict[CellSpec, tuple] = {}
+    for spec in specs:
+        twin = seen.setdefault(dataclasses.replace(spec, key=()), spec.key)
+        if twin != spec.key:
+            cells = [" ".join(f"{n}={v}" for n, v in zip(axes, k)) for k in (twin, spec.key)]
+            floors = "; ".join(
+                f"{field} is at its floor of {floor} pages at this scale"
+                for name, (field, floor) in _FLOORS.items()
+                if name in axes and getattr(spec.config, field) == floor
+            )
+            raise ConfigError(
+                f"{cells[0]} and {cells[1]} build the same cell"
+                + (f": {floors}" if floors else "")
+            )
+    return list(axes), specs
+
+
+#: A fraction axis -> the system field it sizes and that field's floor.
+_FLOORS = {
+    "cache_fraction": ("cache_pages", MIN_CACHE_PAGES),
+    "buffer_fraction": ("buffer_pages", MIN_BUFFER_PAGES),
+}
 
 
 def _scale_name(profile: ScaleProfile | None) -> str:

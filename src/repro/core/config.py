@@ -139,6 +139,12 @@ class SystemConfig:
         return replace(self, **changes)
 
 
+#: Floors of :func:`scaled_reference_config`: a database smaller than
+#: ``floor / fraction`` pages gets the floor, whatever the fraction.
+MIN_BUFFER_PAGES = 64
+MIN_CACHE_PAGES = 256
+
+
 def scaled_reference_config(
     db_pages: int,
     cache_fraction: float = 0.12,
@@ -161,8 +167,8 @@ def scaled_reference_config(
     """
     if db_pages < 1:
         raise ConfigError("db_pages must be >= 1")
-    buffer_pages = max(64, int(db_pages * buffer_fraction))
-    cache_pages = max(256, int(db_pages * cache_fraction))
+    buffer_pages = max(MIN_BUFFER_PAGES, int(db_pages * buffer_fraction))
+    cache_pages = max(MIN_CACHE_PAGES, int(db_pages * cache_fraction))
     # Scale segments so a cache holds a handful of them, as in the paper
     # (4 GB cache / 64k entries = 16 segments).
     segment_entries = max(64, cache_pages // 16)

@@ -50,6 +50,9 @@ from repro.storage.volume import Volume
 from repro.wal.log import LogManager
 from repro.wal.records import UpdateRecord
 
+#: Builds a :class:`PageImage` with one C call (see its docstring).
+_tuple_new = tuple.__new__
+
 
 @dataclass
 class Transaction:
@@ -196,7 +199,7 @@ class SimulatedDBMS:
         number of distinct pages materialised."""
         pages = self._loading()
         for page_id, slots in pages.items():
-            self.disk.store.put(page_id, PageImage(page_id, 0, slots))
+            self.disk.store.put(page_id, _tuple_new(PageImage, (page_id, 0, slots)))
         self._load_pages = None
         return len(pages)
 
@@ -274,7 +277,7 @@ class SimulatedDBMS:
             if image is None:
                 # Reading an allocated-but-never-written page: a real system
                 # reads zeroes; we materialise an empty page at the same cost.
-                image = PageImage(page_id, 0, {})
+                image = _tuple_new(PageImage, (page_id, 0, {}))
             cache.on_fetch_from_disk(image)
             dirty = False  # Frame.on_fetch_from_disk: both flags drop
         buffer = self.buffer

@@ -50,10 +50,9 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, pairwise, repeat
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import StorageError
 
@@ -77,10 +76,16 @@ _COLUMN_TYPE = {_INT: int, _FLOAT: float, _STR: str, _NONE: type(None)}
 _PROBES_BEFORE_DICT = 8
 
 _new = object.__new__
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class PageImage:
+class _PageFields(NamedTuple):
+    page_id: int
+    lsn: int
+    slots: Mapping[int, tuple]
+
+
+class PageImage(_PageFields):
     """Immutable snapshot of a page as stored on flash or disk.
 
     ``slots`` maps slot number -> row tuple: a dict, or for an image
@@ -90,19 +95,47 @@ class PageImage:
     :class:`Page` that froze it and with every page thawed from it, so an
     image can back any number of cached versions safely (the mvFIFO cache
     keeps several versions of the same page id).
+
+    A tuple, so that one is built by a single C call: every dirty DRAM
+    eviction and every read of a never-written page makes one, and hot
+    paths build it as ``tuple.__new__(PageImage, (page_id, lsn, slots))``
+    (as ``MvFifoCache`` builds a :class:`CacheSlotImage
+    <repro.flashcache.metadata.CacheSlotImage>`).  It keeps the behaviour of
+    a frozen value object: assigning or deleting any attribute raises, and
+    an image equals only another ``PageImage`` with equal fields.  The
+    instance dict, made only when needed, holds nothing but the remembered
+    blob (``_blob``), which takes no part in equality or ``repr``.
     """
 
-    page_id: int
-    lsn: int
-    slots: Mapping[int, tuple]
+    #: The on-media bytes this image keeps (see :meth:`to_bytes`), if any.
+    _blob: bytes | None = None
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a PageImage is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a PageImage is immutable")
+
+    # A frozen dataclass's equality: fields against fields of the same
+    # class only.  Another tuple is unequal outright, or its own ``__eq__``
+    # would compare it element by element.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
 
     def to_page(self) -> "Page":
         """Thaw into a mutable DRAM page (sharing ``slots`` copy-on-write)."""
         # Page.__init__, inline: one page is thawed per DRAM miss.
         page = _new(Page)
-        page.page_id = self.page_id
-        page.lsn = self.lsn
-        page._rows = self.slots
+        page.page_id, page.lsn, page._rows = self
         page._image = self
         return page
 
@@ -110,9 +143,9 @@ class PageImage:
         """The on-media bytes: the blob this image keeps — the one
         :meth:`from_bytes` decoded it from, or an encoding kept earlier —
         else a fresh encoding, which the image keeps only if ``keep``."""
-        blob = self.__dict__.get("_blob")
+        blob = self._blob
         if blob is None:
-            blob = _pack_page(self.page_id, self.lsn, self.slots)
+            blob = _pack_page(*self)
             if keep:
                 self.__dict__["_blob"] = blob
         return blob
@@ -120,13 +153,11 @@ class PageImage:
     @classmethod
     def from_bytes(cls, data: bytes) -> "PageImage":
         """Parse an image from its on-media byte layout (exact round-trip);
-        it keeps ``data`` outside the dataclass fields, so equality, ``repr``
-        and ``__init__`` are those of any other image."""
+        it keeps ``data`` outside the fields, so equality and ``repr`` are
+        those of any other image."""
         data = bytes(data)  # no copy when it already is ``bytes``
-        page_id, lsn, slots = _unpack_page(data)
-        # The frozen ``__init__``, inline: one store read is one decode.
-        image = _new(cls)
-        image.__dict__.update(page_id=page_id, lsn=lsn, slots=slots, _blob=data)
+        image = _tuple_new(cls, _unpack_page(data))
+        image.__dict__["_blob"] = data
         return image
 
     def __deepcopy__(self, memo: dict) -> "PageImage":
@@ -211,7 +242,7 @@ class Page:
         """
         image = self._image
         if image is None or image.lsn != self.lsn:
-            image = PageImage(self.page_id, self.lsn, self._rows)
+            image = _tuple_new(PageImage, (self.page_id, self.lsn, self._rows))
             self._image = image
         return image
 

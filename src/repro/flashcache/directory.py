@@ -33,6 +33,8 @@ DIRTY = 1
 VALID = 2
 REFERENCED = 4
 
+_new = object.__new__
+
 #: One metadata entry: (virtual position, page_id, lsn, dirty).
 Entry = tuple[int, int, int, bool]
 
@@ -64,6 +66,17 @@ class FifoDirectory:
         #: page_id -> virtual position of its valid version.
         self.valid_pos: dict[int, int] = {}
 
+    def __deepcopy__(self, memo: dict) -> "FifoDirectory":
+        # Ints only: four C-level copies, not ``copy``'s walk over every
+        # slot (a warm fork, repro.sim.warmstate, copies the directory).
+        clone = _new(FifoDirectory)
+        clone.__dict__.update(self.__dict__)
+        clone.page_ids = self.page_ids.copy()
+        clone.lsns = self.lsns.copy()
+        clone.flags = self.flags.copy()
+        clone.valid_pos = self.valid_pos.copy()
+        return clone
+
     # -- sizing ---------------------------------------------------------------
 
     @property
@@ -90,6 +103,7 @@ class FifoDirectory:
 
         Invalidates the previous valid version of ``page_id`` if any —
         a pure metadata operation, deliberately free of I/O.
+        ``MvFifoCache._enqueue`` inlines this (one call per flash write).
         """
         position = self.rear
         capacity = self.capacity

@@ -193,7 +193,7 @@ class MvFifoCache(FlashCacheBase):
         # Invalidate the previous version *before* choosing a victim: if the
         # front slot is that very version it is now discarded for free
         # instead of being redundantly flushed to disk.  (directory.invalidate,
-        # inline; ``directory.enqueue`` below still re-invalidates.)
+        # inline; the enqueue below still re-invalidates.)
         superseded = directory.valid_pos.pop(page_id, None)
         if superseded is not None:
             directory.flags[superseded % capacity] &= ~VALID
@@ -207,7 +207,22 @@ class MvFifoCache(FlashCacheBase):
             if held is None:
                 self._held_front = directory.front
             self._make_room(1)
-        position = directory.enqueue(page_id, image.lsn, dirty)
+        # directory.enqueue(page_id, image.lsn, dirty), inline: room was just
+        # made.  The second look-up is load-bearing: making room can enqueue
+        # this very page again (GSC pulls it from DRAM while a checkpoint is
+        # flushing it), which this version must supersede —
+        # tests/test_gsc_checkpoint_pull.py.
+        flags, valid_pos = directory.flags, directory.valid_pos
+        previous = valid_pos.get(page_id)
+        if previous is not None:
+            flags[previous % capacity] &= ~VALID
+        position = directory.rear
+        physical = position % capacity
+        directory.page_ids[physical] = page_id
+        directory.lsns[physical] = image.lsn
+        flags[physical] = (VALID | DIRTY) if dirty else VALID
+        valid_pos[page_id] = position
+        directory.rear = position + 1
         # CacheSlotImage(position, dirty, image) without the NamedTuple's
         # Python-level ``__new__``: one slot is built per enqueue.
         self._write_slot(position, _tuple_new(CacheSlotImage, (position, dirty, image)))

@@ -288,23 +288,19 @@ def fork_dbms(dbms: Any) -> Any:
 
     One ``deepcopy`` call over the whole system preserves every aliasing
     relationship that matters: the buffer pool's frames *are* the policy's
-    frames, the cache's pull callback stays bound to the *clone*, and an
-    ssd-only log device stays the clone's disk device.  The durable WAL is
-    detached for the walk and re-attached as a flat list copy — its records
-    are immutable once appended, so sharing them is safe and skips the
-    single largest object population in the graph (page images short-circuit
-    via :meth:`PageImage.__deepcopy__ <repro.db.page.PageImage.__deepcopy__>`).
+    frames, the cache's pull callback stays bound to the *clone*, the flash
+    volume is one object for the system, its cache and the cache's
+    metadata, and an ssd-only log device stays the clone's disk device.
+    The flat containers copy themselves at C speed (``__deepcopy__`` of
+    :class:`~repro.flashcache.directory.FifoDirectory`,
+    :class:`~repro.storage.backing.MemoryPageStore`,
+    :class:`~repro.storage.volume.Volume` and
+    :class:`~repro.wal.log.LogManager`): they hold only ints or immutable
+    values — page images, cache slots, WAL records — which the clone shares.
+    The buffer pool copies each frame once and its LRU policy reuses those
+    copies (:class:`~repro.buffer.pool.BufferPool`).
     """
-    log = dbms.log
-    durable, tail = log._durable, log._tail
-    log._durable, log._tail = [], []
-    try:
-        clone = copy.deepcopy(dbms, {id(dbms.config): dbms.config})
-    finally:
-        log._durable, log._tail = durable, tail
-    clone.log._durable = list(durable)
-    clone.log._tail = list(tail)
-    return clone
+    return copy.deepcopy(dbms, {id(dbms.config): dbms.config})
 
 
 def get_warm_fork(key: tuple) -> WarmFork | None:

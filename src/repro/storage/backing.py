@@ -244,6 +244,14 @@ class MemoryPageStore(PageStore):
         super().__init__(capacity_pages)
         self._slots: dict[int, Any] = {}
 
+    def __deepcopy__(self, memo: dict) -> "MemoryPageStore":
+        # Images are immutable, so one flat dict copy is a full copy of the
+        # medium (see adopt_slots).  Like a persistent store's fork, the
+        # clone fetches its own observability handles.
+        clone = MemoryPageStore(self.capacity_pages)
+        clone._slots = self._slots.copy()
+        return clone
+
     def put(self, lba: int, image: Any) -> None:
         self._check(lba)
         self._slots[lba] = image

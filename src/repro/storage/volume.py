@@ -17,6 +17,7 @@ for scattered pages (:meth:`Volume.write_pages`).
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Any, Sequence
 
 from repro.errors import OutOfRangeError
@@ -41,6 +42,11 @@ class Volume:
         slots = self.store.direct_slots()
         self._slots: dict[int, Any] = {} if slots is None else slots
         self._direct_limit = 0 if slots is None else self.store.capacity_pages
+
+    def __deepcopy__(self, memo: dict) -> "Volume":
+        # Built anew over the cloned device and store, so ``_slots`` is the
+        # cloned store's live table, never a copy of the original's.
+        return Volume(deepcopy(self.device, memo), deepcopy(self.store, memo))
 
     # -- timed access ---------------------------------------------------------
 

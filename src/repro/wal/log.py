@@ -20,6 +20,7 @@ records survive and are what recovery replays.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Iterator
 
 from repro.errors import WALError
@@ -34,6 +35,8 @@ from repro.wal.records import (
     LogRecord,
     UpdateRecord,
 )
+
+_new = object.__new__
 
 
 class LogManager:
@@ -53,6 +56,21 @@ class LogManager:
         # checkpoint (PostgreSQL full_page_writes discipline).
         self._fpw_done: set[int] = set()
 
+    def __deepcopy__(self, memo: dict) -> "LogManager":
+        # A warm fork (repro.sim.warmstate) shares the records: one is never
+        # changed once the update that appended it is done (a full-page image
+        # is attached within it).  So the log copies three spines at C speed
+        # — the durable list being the largest population of a warmed
+        # system — and deep-copies only its device, which an ssd-only system
+        # shares with its database.
+        clone = _new(LogManager)
+        clone.__dict__.update(self.__dict__)
+        clone.device = deepcopy(self.device, memo)
+        clone._durable = self._durable.copy()
+        clone._tail = self._tail.copy()
+        clone._fpw_done = self._fpw_done.copy()
+        return clone
+
     # -- appends ------------------------------------------------------------
 
     def _append(self, record: LogRecord) -> LogRecord:
@@ -66,7 +84,11 @@ class LogManager:
         return lsn
 
     def log_begin(self, txid: int) -> BeginRecord:
-        return self._append(BeginRecord(self._take_lsn(), txid))
+        # BeginRecord(lsn, txid) without the frozen dataclass's ``__init__``
+        # (one per transaction); log_abort and commit build theirs alike.
+        record = _new(BeginRecord)
+        record.__dict__.update(lsn=self._take_lsn(), txid=txid)
+        return self._append(record)
 
     def log_update(
         self,
@@ -120,7 +142,9 @@ class LogManager:
         return record
 
     def log_abort(self, txid: int) -> AbortRecord:
-        return self._append(AbortRecord(self._take_lsn(), txid))
+        record = _new(AbortRecord)
+        record.__dict__.update(lsn=self._take_lsn(), txid=txid)
+        return self._append(record)
 
     def log_checkpoint(
         self, active_txids: frozenset[int], oldest_needed_lsn: int | None = None
@@ -157,7 +181,9 @@ class LogManager:
 
     def commit(self, txid: int) -> CommitRecord:
         """Append a commit record and force the tail (durability point)."""
-        record = self._append(CommitRecord(self._take_lsn(), txid))
+        record = _new(CommitRecord)
+        record.__dict__.update(lsn=self._take_lsn(), txid=txid)
+        self._append(record)
         self.force()
         return record
 

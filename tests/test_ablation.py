@@ -71,7 +71,7 @@ class TestExpansion:
 
     def test_every_cell_shares_the_base_scale_and_seed(self):
         _, specs = grid_specs(
-            BASE, ["face_cache_clean=true,false", "cache_fraction=0.08,0.12"]
+            BASE, ["face_cache_clean=true,false", "scan_depth=16,32"]
         )
         assert {(spec.scale, spec.seed) for spec in specs} == {
             (BASE.scale, BASE.seed)

@@ -6,7 +6,9 @@ deterministic for a given ``--seed``, so a refactor of how a grid builds
 its cells (config lowering, seeds, scenario protocol) either keeps every
 figure or shows up here as a diff.  A case is named for the experiment its
 grid runs: ``recover`` is a crash/restart grid, ``serve`` a closed-loop
-client grid, ``sweep_fast`` a cache-size series.  ``crash`` kills a real
+client grid, ``sweep_fast`` a DRAM replacement-policy series (at TINY
+every cache or buffer fraction sits on its floor, so a size series would
+build one system twice and is refused).  ``crash`` kills a real
 process and is checked in ``tests/test_page_store.py``.  Progress lines go to stderr and
 are not pinned: they carry wall-clock seconds, as does ``stats --fast``'s
 ``replay.events_per_sec``, so that variant is left out.
@@ -37,7 +39,7 @@ CASES = {
     "run_fast": ["run", _POLICIES, _TX, "--fast"],
     "recover": ["run", _POLICIES, "scenario=crash", "checkpoint_interval=0.05"],
     "sweep_fast": [
-        "run", "policy=face+gsc", "cache_fraction=0.08,0.16", _TX, "--fast",
+        "run", "policy=face+gsc", "buffer_policy=lru,clock", _TX, "--fast",
     ],
     "serve": ["run", _POLICIES, "scenario=service", "n_clients=1,8", _TX],
     "stats": ["stats", "policy=face+gsc", _TX],

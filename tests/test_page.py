@@ -1,5 +1,8 @@
 """Page representation: slot ops, LSN stamping, snapshots, serde."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.db.page import Page, PageImage
@@ -97,3 +100,38 @@ class TestSerde:
         page.slots = {0: ((1, (2, "x")), "y")}
         with pytest.raises(StorageError, match="not one columnar shape"):
             page.to_bytes()
+
+
+def test_an_image_is_an_immutable_value():
+    image = Page(3, lsn=10, slots={0: ("x",)}).to_image()  # built without a constructor
+    constructed = PageImage(3, 10, {0: ("x",)})
+    assert type(image) is PageImage and image == constructed
+    assert repr(image) == "PageImage(page_id=3, lsn=10, slots={0: ('x',)})"
+    for name in ("page_id", "lsn", "slots", "_blob", "other"):
+        with pytest.raises(AttributeError):
+            setattr(image, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(image, name)
+    assert copy.deepcopy(image) is image
+    decoded = PageImage.from_bytes(image.to_bytes())
+    assert decoded == image and repr(decoded) == repr(image)
+    for value in (image, decoded):
+        again = pickle.loads(pickle.dumps(value))
+        assert type(again) is PageImage and again == value
+        assert again.to_bytes() == value.to_bytes()
+    # A value object's equality: fields against another image's fields only.
+    assert image != PageImage(3, 11, {0: ("x",)}) and image != PageImage(4, 10, {0: ("x",)})
+    assert image != (3, 10, {0: ("x",)}) and (3, 10, {0: ("x",)}) != image
+    assert not image == (3, 10, {0: ("x",)}) and not (3, 10, {0: ("x",)}) == image
+
+
+def test_the_blob_is_remembered_by_identity():
+    page = Page(3, lsn=10, slots={0: ("x",)})
+    blob = page.to_bytes()
+    decoded = PageImage.from_bytes(blob)
+    assert decoded.to_bytes() is blob  # the decoded-from bytes, not a re-encoding
+    fresh = page.to_image()
+    assert fresh._blob is None and fresh.to_bytes() is not fresh.to_bytes()
+    kept = fresh.to_bytes(keep=True)
+    assert fresh.to_bytes() is kept and kept == blob
+    assert decoded._replace(lsn=11)._blob is None  # another value keeps no bytes

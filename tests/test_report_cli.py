@@ -90,11 +90,28 @@ class TestCli:
     def test_sweep_command_tiny(self, capsys):
         code = main(
             ["--scale", "tiny", "run", "policy=face",
-             "cache_fraction=0.2,0.4", "measure_transactions=100"]
+             "buffer_policy=lru,clock", "measure_transactions=100"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "| cache_fraction=0.2 |" in out and "| cache_fraction=0.4 |" in out
+        assert "| buffer_policy=lru |" in out and "| buffer_policy=clock |" in out
+
+    def test_a_grid_over_scenarios_prints_a_table_per_kind_fork_or_not(
+        self, capsys, monkeypatch
+    ):
+        # The crash and service cells adopt the steady cell's warm fork; with
+        # the fork cache off each replays its own warm-up, to the same bytes.
+        argv = ["--scale", "tiny", "run", "policy=face+gsc",
+                "scenario=steady,crash,service", "checkpoint_interval=0.05",
+                "measure_transactions=100", "--fast"]
+        assert main(argv) == 0
+        forked = capsys.readouterr().out
+        assert forked.count("### Grid over scenario") == 3
+        for cell in ("steady", "crash", "service"):
+            assert f"| scenario={cell} |" in forked
+        monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == forked
 
     def test_bad_scale_exits(self, capsys):
         assert main(["--scale", "galactic", "run", "policy=face"]) == 2
@@ -133,6 +150,10 @@ class TestCli:
         (["--cache-fraction", "0.2", "run", "policy=ssd-only"],
          "cache_fraction=0.2 is not read by policy 'ssd-only'"),
         (["run", "ssd_only=true"], "unknown experiment field 'ssd_only'"),
+        # The TINY database (103 pages) puts both fractions on the cache floor.
+        (["run", "policy=face+gsc", "cache_fraction=0.08,0.16"],
+         "cache_fraction=0.08 and cache_fraction=0.16 build the same cell: "
+         "cache_pages is at its floor of 256 pages"),
     ])
     def test_config_errors_exit_2_on_one_stderr_line(self, argv, message, capsys):
         assert main(["--scale", "tiny", *argv]) == 2

@@ -49,6 +49,15 @@ def test_commit_forces_the_tail(log):
     assert kinds == [BeginRecord, CommitRecord]
 
 
+def test_lifecycle_records_are_the_frozen_dataclasses(log):
+    built = [log.log_begin(7), log.log_abort(7), log.log_begin(8), log.commit(8)]
+    expected = [BeginRecord(1, 7), AbortRecord(2, 7), BeginRecord(3, 8), CommitRecord(4, 8)]
+    assert built == expected and list(map(repr, built)) == list(map(repr, expected))
+    for record in built:
+        with pytest.raises(AttributeError):
+            record.lsn = 0
+
+
 def test_force_charges_one_sequential_write_group_commit(log):
     for tx in range(20):
         log.log_begin(tx)
