@@ -41,7 +41,7 @@ from repro.core.config import (  # noqa: E402
     scaled_reference_config,
 )
 from repro.core.dbms import SimulatedDBMS  # noqa: E402
-from repro.flashcache.registry import policy_knobs, resolve_policy  # noqa: E402
+from repro.flashcache.builders import policy_knobs, resolve_policy  # noqa: E402
 from repro.obs import OBS  # noqa: E402
 from repro.recovery.restart import RecoveryManager  # noqa: E402
 from repro.sim.experiment import ExperimentConfig  # noqa: E402

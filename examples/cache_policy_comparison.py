@@ -14,8 +14,9 @@ from __future__ import annotations
 import sys
 
 from repro import CachePolicy, ExperimentRunner, scaled_reference_config
-from repro.analysis import format_table
-from repro.tpcc import BENCH, estimate_db_pages
+from repro.analysis.tables import format_table
+from repro.tpcc.loader import estimate_db_pages
+from repro.tpcc.scale import BENCH
 
 TRANSACTIONS = 2_000
 

@@ -12,13 +12,14 @@ Run:  python examples/cost_effectiveness.py
 from __future__ import annotations
 
 from repro import CachePolicy, ExperimentRunner, scaled_reference_config
-from repro.analysis import breakeven_exponent, breakeven_theta, roi_ratio
-from repro.storage import (
+from repro.analysis.costmodel import breakeven_exponent, breakeven_theta, roi_ratio
+from repro.storage.profiles import (
     DRAM_TO_FLASH_PRICE_RATIO,
     HDD_CHEETAH_15K,
     MLC_SAMSUNG_470,
 )
-from repro.tpcc import BENCH, estimate_db_pages
+from repro.tpcc.loader import estimate_db_pages
+from repro.tpcc.scale import BENCH
 
 TRANSACTIONS = 1_500
 

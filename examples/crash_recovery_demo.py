@@ -17,8 +17,9 @@ Run:  python examples/crash_recovery_demo.py
 from __future__ import annotations
 
 from repro import CachePolicy, ExperimentRunner, RecoveryManager, scaled_reference_config
-from repro.sim import run_until_crash_point
-from repro.tpcc import BENCH, estimate_db_pages
+from repro.sim.scenario import run_until_crash_point
+from repro.tpcc.loader import estimate_db_pages
+from repro.tpcc.scale import BENCH
 
 CHECKPOINT_INTERVAL = 2.0  # simulated seconds
 

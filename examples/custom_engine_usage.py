@@ -13,7 +13,7 @@ Run:  python examples/custom_engine_usage.py
 from __future__ import annotations
 
 from repro import CachePolicy, SimulatedDBMS, SystemConfig, crash_and_restart
-from repro.db import TableSchema, float_col, int_col, str_col
+from repro.db.schema import TableSchema, float_col, int_col, str_col
 
 ACCOUNTS = 2_000
 

@@ -17,9 +17,11 @@ import tempfile
 from pathlib import Path
 
 from repro import CachePolicy, ExperimentRunner, scaled_reference_config
-from repro.sim import IOTracer, replay
-from repro.storage import SLC_INTEL_X25E, FlashDevice
-from repro.tpcc import BENCH, estimate_db_pages
+from repro.sim.trace import IOTracer, replay
+from repro.storage.profiles import SLC_INTEL_X25E
+from repro.storage.ssd import FlashDevice
+from repro.tpcc.loader import estimate_db_pages
+from repro.tpcc.scale import BENCH
 
 TRANSACTIONS = 800
 

@@ -20,7 +20,8 @@ Run:  python examples/observability_tour.py
 from __future__ import annotations
 
 from repro import OBS, CachePolicy, ExperimentRunner, scaled_reference_config
-from repro.tpcc import BENCH, estimate_db_pages
+from repro.tpcc.loader import estimate_db_pages
+from repro.tpcc.scale import BENCH
 
 TRANSACTIONS = 1_000
 

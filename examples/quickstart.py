@@ -13,7 +13,8 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import CachePolicy, ExperimentRunner, scaled_reference_config
-from repro.tpcc import BENCH, estimate_db_pages
+from repro.tpcc.loader import estimate_db_pages
+from repro.tpcc.scale import BENCH
 
 TRANSACTIONS = 2_000
 

@@ -10,7 +10,7 @@ page-based storage engine, and a scaled TPC-C workload.
 Quick start::
 
     from repro import CachePolicy, run_steady_state, scaled_reference_config
-    from repro.tpcc import TINY
+    from repro.tpcc.scale import TINY
 
     config = scaled_reference_config(db_pages=20_000,
                                      policy=CachePolicy.FACE_GSC)
@@ -19,63 +19,56 @@ Quick start::
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
+
+The names below resolve on first use (PEP 562): ``import repro`` loads no
+submodule, and ``from repro import ExperimentConfig`` loads only what a grid
+is declared with.  Subpackages re-export nothing (``repro.obs``, which
+defines the ``OBS`` singleton, aside); every other name is imported from the
+module that defines it.
 """
 
-from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
-from repro.core.dbms import SimulatedDBMS, Transaction
-from repro.errors import ReproError
-from repro.flashcache.registry import available_policies, resolve_policy
-from repro.obs import OBS, RegistrySnapshot, merge_snapshots
-from repro.recovery.restart import RecoveryManager, RestartReport, crash_and_restart
-from repro.sim.experiment import ExperimentConfig
-from repro.sim.metrics import ThroughputSeries
-from repro.sim.parallel import CellSpec, run_cells
-from repro.sim.runner import ExperimentRunner, RunResult, run_steady_state
-from repro.sim.scenario import (
-    CrashRecoveryScenario,
-    CrashRun,
-    ScenarioResult,
-    ServiceResult,
-    ServiceScenario,
-    SteadyStateScenario,
-)
-from repro.tpcc.driver import TpccDriver
-from repro.tpcc.loader import TpccDatabase, load_tpcc
-from repro.tpcc.scale import ScaleProfile
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CachePolicy",
-    "CellSpec",
-    "CrashRecoveryScenario",
-    "CrashRun",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "OBS",
-    "RecoveryManager",
-    "RegistrySnapshot",
-    "ReproError",
-    "RestartReport",
-    "RunResult",
-    "ScaleProfile",
-    "ScenarioResult",
-    "ServiceResult",
-    "ServiceScenario",
-    "SimulatedDBMS",
-    "SteadyStateScenario",
-    "SystemConfig",
-    "ThroughputSeries",
-    "TpccDatabase",
-    "TpccDriver",
-    "Transaction",
-    "__version__",
-    "available_policies",
-    "crash_and_restart",
-    "load_tpcc",
-    "merge_snapshots",
-    "resolve_policy",
-    "run_cells",
-    "run_steady_state",
-    "scaled_reference_config",
-]
+#: Defining module -> the public names it lends this package.
+_EXPORTS = {
+    "repro.core.config": ("CachePolicy", "SystemConfig", "scaled_reference_config"),
+    "repro.core.dbms": ("SimulatedDBMS", "Transaction"),
+    "repro.errors": ("ReproError",),
+    "repro.flashcache.builders": ("available_policies", "resolve_policy"),
+    "repro.obs": ("OBS", "RegistrySnapshot", "merge_snapshots"),
+    "repro.recovery.restart": ("RecoveryManager", "RestartReport", "crash_and_restart"),
+    "repro.sim.experiment": ("ExperimentConfig",),
+    "repro.sim.metrics": ("ThroughputSeries",),
+    "repro.sim.parallel": ("CellSpec", "run_cells"),
+    "repro.sim.runner": ("ExperimentRunner", "RunResult", "run_steady_state"),
+    "repro.sim.scenario": (
+        "CrashRecoveryScenario",
+        "CrashRun",
+        "ScenarioResult",
+        "ServiceScenario",
+        "SteadyStateScenario",
+    ),
+    "repro.sim.service": ("ServiceResult",),
+    "repro.tpcc.driver": ("TpccDriver",),
+    "repro.tpcc.loader": ("TpccDatabase", "load_tpcc"),
+    "repro.tpcc.scale": ("ScaleProfile",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,32 +9,3 @@ summaries from :class:`~repro.sim.runner.RunResult` and
 back-solves device parameters from measured throughput.  Nothing in this
 package runs a simulation; it only formats and cross-checks results.
 """
-
-from repro.analysis.costmodel import (
-    access_time,
-    breakeven_exponent,
-    breakeven_theta,
-    hit_rate_gain,
-    roi_ratio,
-)
-from repro.analysis.fitting import LogLinearFit, fit_log_hit_curve
-from repro.analysis.report import (
-    comparison_summary,
-    restart_report_table,
-    run_result_table,
-)
-from repro.analysis.tables import format_table
-
-__all__ = [
-    "access_time",
-    "breakeven_exponent",
-    "breakeven_theta",
-    "comparison_summary",
-    "format_table",
-    "LogLinearFit",
-    "fit_log_hit_curve",
-    "hit_rate_gain",
-    "restart_report_table",
-    "roi_ratio",
-    "run_result_table",
-]

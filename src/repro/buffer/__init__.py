@@ -8,18 +8,3 @@ pluggable LRU/CLOCK replacement (:mod:`~repro.buffer.replacement`), and the
 :class:`~repro.buffer.stats.BufferStats` counters whose ``dirty_evictions``
 figure is the denominator of Table 3(b)'s write-reduction metric.
 """
-
-from repro.buffer.frame import Frame
-from repro.buffer.pool import BufferPool
-from repro.buffer.replacement import ClockPolicy, LruPolicy, ReplacementPolicy, make_policy
-from repro.buffer.stats import BufferStats
-
-__all__ = [
-    "BufferPool",
-    "BufferStats",
-    "ClockPolicy",
-    "Frame",
-    "LruPolicy",
-    "ReplacementPolicy",
-    "make_policy",
-]

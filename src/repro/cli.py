@@ -21,7 +21,9 @@ Commands
 ``trace``    boundary-trace cache housekeeping
 
 All output is plain text / markdown; every command is deterministic for a
-given ``--seed``, and every cell of a grid shares it.  ``run`` executes its
+given ``--seed``, and every cell of a grid shares it.  This module imports
+only declarations at the top: ``--help`` and a refused grid load no engine
+module, and each command imports the engine it runs.  ``run`` executes its
 cells in parallel worker processes with ``--jobs N`` (``0`` = one per CPU);
 results are bit-identical to ``--jobs 1``.
 """
@@ -33,15 +35,10 @@ import dataclasses
 import itertools
 import sys
 
-from repro.analysis.report import (
-    restart_report_table,
-    run_result_table,
-    service_result_table,
-)
 from repro.analysis.tables import format_table
 from repro.core.config import MIN_BUFFER_PAGES, MIN_CACHE_PAGES
 from repro.errors import ConfigError, WorkloadError
-from repro.flashcache.registry import available_policies
+from repro.flashcache.builders import available_policies
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import (
     CellSpec,
@@ -49,9 +46,7 @@ from repro.sim.parallel import (
     replay_mismatches,
     run_cells,
 )
-from repro.sim.runner import ExperimentRunner
-from repro.sim.scenario import CrashRun, ServiceResult
-from repro.storage.profiles import TABLE1_PROFILES, measure_profile
+from repro.sim.scenario import CrashRun
 from repro.storage.registry import available_backends
 from repro.tpcc.scale import SCALES, ScaleProfile, scale_by_name
 from repro.workload.registry import (
@@ -100,6 +95,13 @@ def _experiment(args) -> ExperimentConfig:
 def _print_cells(rows: list, title: str) -> None:
     """One report table per kind of result the cells hold (a grid over
     ``scenario`` holds several), in the order the kinds first appear."""
+    from repro.analysis.report import (
+        restart_report_table,
+        run_result_table,
+        service_result_table,
+    )
+    from repro.sim.service import ServiceResult
+
     for n, kind in enumerate(dict.fromkeys(map(type, rows))):
         if n:
             print()
@@ -225,6 +227,8 @@ def cmd_crash(args) -> int:
 
 
 def cmd_devices(args) -> int:
+    from repro.storage.profiles import TABLE1_PROFILES, measure_profile
+
     rows = []
     for key, profile in TABLE1_PROFILES.items():
         m = measure_profile(profile, args.ops)
@@ -247,6 +251,8 @@ def _metric_table(title: str, flat: dict, prefix: str = "") -> None:
 
 def cmd_stats(args) -> int:
     from repro.obs import OBS
+    from repro.sim.runner import ExperimentRunner
+    from repro.sim.service import ServiceResult
 
     axes, specs = grid_specs(_experiment(args), args.fields)
     if axes:

@@ -121,9 +121,9 @@ class SystemConfig:
             )
         # Late import: repro.storage never imports repro.core, so this
         # validates the name without creating an import cycle.
-        from repro.storage.registry import page_store_class
+        from repro.storage.registry import check_backend
 
-        page_store_class(self.page_store)
+        check_backend(self.page_store)
 
     @property
     def display_name(self) -> str:

@@ -10,47 +10,3 @@ baselines: Lazy Cleaning (:mod:`~repro.flashcache.lc`), TAC
 (:mod:`~repro.flashcache.tac`), an Exadata-style read cache, and the
 no-cache null policy.  The DBMS never knows which one it is running.
 """
-
-from repro.flashcache.base import CacheStats, FlashCacheBase, RecoveryTimings
-from repro.flashcache.directory import FifoDirectory, SlotMeta
-from repro.flashcache.exadata import ExadataStyleCache
-from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
-from repro.flashcache.lc import LazyCleaningCache
-from repro.flashcache.lru2 import Lru2Policy
-from repro.flashcache.metadata import (
-    ENTRY_BYTES,
-    CacheSlotImage,
-    MetadataManager,
-    build_metadata_region,
-)
-from repro.flashcache.mvfifo import MvFifoCache
-from repro.flashcache.null import NullFlashCache
-from repro.flashcache.registry import (
-    available_policies,
-    build_cache_from_config,
-    resolve_policy,
-)
-from repro.flashcache.tac import TacCache
-
-__all__ = [
-    "CacheSlotImage",
-    "CacheStats",
-    "ENTRY_BYTES",
-    "ExadataStyleCache",
-    "FifoDirectory",
-    "FlashCacheBase",
-    "GroupReplacementCache",
-    "GroupSecondChanceCache",
-    "LazyCleaningCache",
-    "Lru2Policy",
-    "MetadataManager",
-    "MvFifoCache",
-    "NullFlashCache",
-    "RecoveryTimings",
-    "SlotMeta",
-    "TacCache",
-    "available_policies",
-    "build_cache_from_config",
-    "build_metadata_region",
-    "resolve_policy",
-]

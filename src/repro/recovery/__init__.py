@@ -9,7 +9,3 @@ recovery comes from: a restored flash cache serves most recovery reads at
 flash latency (Table 6).  Results come back as a
 :class:`~repro.recovery.restart.RestartReport`.
 """
-
-from repro.recovery.restart import RecoveryManager, RestartReport, crash_and_restart
-
-__all__ = ["RecoveryManager", "RestartReport", "crash_and_restart"]

@@ -10,7 +10,7 @@ dataclass with one deriver:
 ``with_`` rejects unknown field names, and construction rejects a
 non-default field that neither the cell's policy nor its scenario reads:
 the policy side is recorded from the policy builders
-(:func:`~repro.flashcache.registry.policy_knobs`), the scenario side is
+(:func:`~repro.flashcache.builders.policy_knobs`), the scenario side is
 the scenario class's own fields.  :meth:`ExperimentConfig.system_config`
 lowers to the :class:`SystemConfig`, :meth:`ExperimentConfig.build_scenario`
 to the run protocol, and :meth:`~repro.sim.parallel.CellSpec.from_config`
@@ -25,7 +25,7 @@ from typing import Mapping
 
 from repro.core.config import SystemConfig, scaled_reference_config
 from repro.errors import ConfigError
-from repro.flashcache.registry import (
+from repro.flashcache.builders import (
     POLICY_KNOBS,
     available_policies,
     policy_knobs,
@@ -62,7 +62,7 @@ class ExperimentConfig:
 
     # -- system under test ---------------------------------------------------
     #: Flash-cache policy, by registry name (see
-    #: :func:`repro.flashcache.registry.available_policies`).  A non-default
+    #: :func:`repro.flashcache.builders.available_policies`).  A non-default
     #: field that neither the policy nor the scenario reads is refused.
     policy: str = "face+gsc"
     cache_fraction: float = 0.12

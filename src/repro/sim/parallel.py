@@ -28,6 +28,10 @@ embarrassingly parallel.  This module fans such cells out over a
 * Every executed cell, ``fast`` or not, starts from a fork of the
   per-process post-load snapshot (:mod:`repro.sim.warmstate`): the
   workload is loaded once per ``(scale, seed, workload)``, not per cell.
+
+:class:`CellSpec` is declared here and a grid is written with it, so this
+module loads no engine code: the runner, the replay and warm-state
+machinery and the trace codec are imported where a cell runs.
 """
 
 from __future__ import annotations
@@ -44,20 +48,19 @@ from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 from repro.core.config import SystemConfig
 from repro.errors import ConfigError, SharedTraceExhausted
 from repro.obs import OBS
-from repro.sim.runner import ExperimentRunner, RunResult
 from repro.sim.scenario import (
     CrashRecoveryScenario,
     ScenarioResult,
     ServiceScenario,
     SteadyStateScenario,
 )
-from repro.sim.trace import SharedTraceHandle, publish_boundary_trace
-from repro.sim.warmstate import collector_paused, fork_database
 from repro.tpcc.scale import ScaleProfile
 from repro.workload.registry import TPCC_SPEC, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.experiment import ExperimentConfig
+    from repro.sim.runner import ExperimentRunner
+    from repro.sim.trace import SharedTraceHandle
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,8 @@ def _execute_cell(
     Both prior states are restored afterwards — also when the cell raises
     — so mixed sweeps behave and a caller's disabled collector stays off.
     """
+    from repro.sim.warmstate import collector_paused
+
     obs_was_enabled = OBS.enabled
     with collector_paused():
         if spec.collect_obs:
@@ -213,6 +218,9 @@ def run_cell(spec: CellSpec) -> ScenarioResult:
     (:mod:`repro.sim.warmstate`) — bit-identical to a fresh load, which
     ``ExperimentRunner(...)`` without a ``loader`` still performs.
     """
+    from repro.sim.runner import ExperimentRunner
+    from repro.sim.warmstate import fork_database
+
     return _execute_cell(
         spec,
         lambda: ExperimentRunner(
@@ -489,6 +497,7 @@ def _run_cells_fast(
         replay_source_exists,
         save_recorded_traces,
     )
+    from repro.sim.trace import publish_boundary_trace
 
     start = time.perf_counter()
     streams = [(spec.scale, spec.seed, spec.workload) for spec in specs]
@@ -614,6 +623,7 @@ def progress_printer(stream: TextIO | None = None) -> Callable[[CellProgress], N
         [4/8] ('face', 2.0): restart 0.84s  (13.1s elapsed)
         [5/8] ('face', 50): 4,209 tpmC p95 38ms  (14.0s elapsed)
     """
+    from repro.sim.runner import RunResult
     from repro.sim.service import ServiceResult
 
     out = stream if stream is not None else sys.stderr

@@ -11,17 +11,16 @@ the run protocol, a runner owns the system under test, and
 
     scenario.execute(runner) -> RunResult | CrashRun
 
-is the single contract every engine drives.  Two scenarios ship:
+is the single contract every engine drives.  Three scenarios ship:
 
 * :class:`SteadyStateScenario` — the historical warm-up → measure loop,
   returning :class:`~repro.sim.runner.RunResult`;
 * :class:`CrashRecoveryScenario` — warm-up → run to the crash point →
   crash → restart, returning :class:`CrashRun` (which wraps the
   :class:`~repro.recovery.restart.RestartReport`);
-* :class:`~repro.sim.service.ServiceScenario` (defined in
-  :mod:`repro.sim.service`, re-exported here) — warm-up → record
-  per-transaction resource demands → run the closed-loop N-client
-  discrete-event simulation, returning
+* :class:`ServiceScenario` — warm-up → record per-transaction resource
+  demands → run the closed-loop N-client discrete-event simulation of
+  :mod:`repro.sim.service`, returning
   :class:`~repro.sim.service.ServiceResult`.
 
 A runner is anything with the stepping interface both
@@ -38,19 +37,23 @@ recovered components — so every :class:`RestartReport` field matches full
 execution bit for bit (see DESIGN.md §11 for the argument).
 
 Scenarios are small frozen dataclasses: picklable (crash cells fan out
-through :mod:`repro.sim.parallel` like any other cell) and hashable.
+through :mod:`repro.sim.parallel` like any other cell) and hashable.  This
+module declares them, so it loads no engine code: the restart and the
+service simulation are imported where a scenario executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Union, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Union, runtime_checkable
 
 from repro.errors import ConfigError
 from repro.obs import OBS, RegistrySnapshot
-from repro.recovery.restart import RecoveryManager, RestartReport
-from repro.sim.runner import RunResult
-from repro.sim.service import ServiceResult, ServiceScenario
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.recovery.restart import RestartReport
+    from repro.sim.runner import RunResult
+    from repro.sim.service import ServiceResult
 
 __all__ = [
     "Runner",
@@ -59,7 +62,6 @@ __all__ = [
     "SteadyStateScenario",
     "CrashRecoveryScenario",
     "ServiceScenario",
-    "ServiceResult",
     "run_until_crash_point",
     "crash_and_recover",
 ]
@@ -112,7 +114,7 @@ class CrashRun:
 
 
 #: The picklable result union every scenario execution produces.
-ScenarioResult = Union[RunResult, CrashRun, ServiceResult]
+ScenarioResult = Union["RunResult", CrashRun, "ServiceResult"]
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,68 @@ class CrashRecoveryScenario:
         return crash_and_recover(runner, *self.run_to_crash(runner))
 
 
+@dataclass(frozen=True)
+class ServiceScenario:
+    """The closed-loop service protocol as a first-class scenario.
+
+    ``execute`` warms the system up exactly like
+    :class:`SteadyStateScenario`, records ``measure_transactions`` demands
+    from the real (or replayed) system, then runs the discrete-event
+    simulation of :mod:`repro.sim.service` with ``n_clients`` closed-loop
+    clients over that stream and returns a
+    :class:`~repro.sim.service.ServiceResult`.  Frozen and picklable, so
+    service cells fan out through :mod:`repro.sim.parallel` — including the
+    trace-replay fast path — like any steady or crash cell.
+    """
+
+    n_clients: int = 50
+    think_time_ms: float = 0.0
+    measure_transactions: int = 2000
+    max_inflight: int | None = None
+    warmup_min: int = 500
+    warmup_max: int = 15_000
+    checkpoint_interval: float | None = None
+
+    kind = "service"
+
+    def __post_init__(self) -> None:
+        if self.n_clients < 1:
+            raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
+        if self.think_time_ms < 0.0:
+            raise ConfigError("think_time_ms must be >= 0")
+        if self.measure_transactions < 1:
+            raise ConfigError("measure_transactions must be >= 1")
+        if self.max_inflight is not None and self.max_inflight < 1:
+            raise ConfigError("max_inflight must be >= 1 when set")
+        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
+            raise ConfigError("checkpoint_interval must be positive")
+
+    def trace_bound(self) -> int:
+        """Most transactions a replay of this scenario can ever consume."""
+        return self.warmup_max + self.measure_transactions
+
+    def execute(self, runner) -> ServiceResult:
+        # Looked up in the service module at call time, where a traced run
+        # wraps ``record_demands``.
+        from repro.sim.service import ServiceSimulation, record_demands
+
+        runner.warm_up(self.warmup_min, self.warmup_max)
+        demands = record_demands(
+            runner, self.measure_transactions, self.checkpoint_interval
+        )
+        sim = ServiceSimulation(
+            demands,
+            n_clients=self.n_clients,
+            think_time_seconds=self.think_time_ms / 1000.0,
+            max_inflight=self.max_inflight,
+        ).run()
+        return sim.result(
+            name=runner.config.display_name,
+            think_time_ms=self.think_time_ms,
+            warmup_transactions=runner.warmup_transactions,
+        )
+
+
 def run_until_crash_point(
     runner,
     checkpoint_interval: float,
@@ -261,6 +325,8 @@ def run_until_crash_point(
 
 def crash_and_recover(runner, executed: int, checkpoints: int) -> CrashRun:
     """Kill the runner's system, restart it, and assemble the record."""
+    from repro.recovery.restart import RecoveryManager
+
     dbms = runner.dbms
     wall = dbms.wall_clock()
     OBS.trace(

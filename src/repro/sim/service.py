@@ -37,7 +37,9 @@ by insertion order, never by hash order or host identity — and think times
 are exact constants, so a :class:`ServiceResult` is bit-identical across
 re-runs, across ``--jobs`` counts, and between full execution and trace
 replay of the same cell.  See docs/CONCURRENCY.md for the worked model and
-its guarantees.
+its guarantees.  The protocol that drives a service cell,
+:class:`~repro.sim.scenario.ServiceScenario`, is declared with the other
+scenario kinds in :mod:`repro.sim.scenario`.
 """
 
 from __future__ import annotations
@@ -391,61 +393,4 @@ class ServiceSimulation:
                 self.admission_wait_total / self.completed if self.completed else 0.0
             ),
             warmup_transactions=warmup_transactions,
-        )
-
-
-@dataclass(frozen=True)
-class ServiceScenario:
-    """The closed-loop service protocol as a first-class scenario.
-
-    ``execute`` warms the system up exactly like
-    :class:`~repro.sim.scenario.SteadyStateScenario`, records
-    ``measure_transactions`` demands from the real (or replayed) system,
-    then runs the DES with ``n_clients`` closed-loop clients over that
-    stream and returns a :class:`ServiceResult`.  Frozen and picklable, so
-    service cells fan out through :mod:`repro.sim.parallel` — including the
-    trace-replay fast path — like any steady or crash cell.
-    """
-
-    n_clients: int = 50
-    think_time_ms: float = 0.0
-    measure_transactions: int = 2000
-    max_inflight: int | None = None
-    warmup_min: int = 500
-    warmup_max: int = 15_000
-    checkpoint_interval: float | None = None
-
-    kind = "service"
-
-    def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.think_time_ms < 0.0:
-            raise ConfigError("think_time_ms must be >= 0")
-        if self.measure_transactions < 1:
-            raise ConfigError("measure_transactions must be >= 1")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ConfigError("max_inflight must be >= 1 when set")
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
-            raise ConfigError("checkpoint_interval must be positive")
-
-    def trace_bound(self) -> int:
-        """Most transactions a replay of this scenario can ever consume."""
-        return self.warmup_max + self.measure_transactions
-
-    def execute(self, runner) -> ServiceResult:
-        runner.warm_up(self.warmup_min, self.warmup_max)
-        demands = record_demands(
-            runner, self.measure_transactions, self.checkpoint_interval
-        )
-        sim = ServiceSimulation(
-            demands,
-            n_clients=self.n_clients,
-            think_time_seconds=self.think_time_ms / 1000.0,
-            max_inflight=self.max_inflight,
-        ).run()
-        return sim.result(
-            name=runner.config.display_name,
-            think_time_ms=self.think_time_ms,
-            warmup_transactions=runner.warmup_transactions,
         )

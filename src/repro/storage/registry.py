@@ -1,7 +1,8 @@
 """Registry of interchangeable page-store backends.
 
 Each backend name maps to its store class; the class itself carries its
-name and whether it is persistent.  Selection threads through
+name and whether it is persistent.  The names are declared here and the
+classes imported only where a store is built.  Selection threads through
 ``SystemConfig.page_store`` / ``ExperimentConfig.page_store`` / the CLI
 ``--page-store`` flag.
 
@@ -17,34 +18,45 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.storage.backing import MemoryPageStore, PageStore
-from repro.storage.persistent import MmapPageStore, SqlitePageStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import SystemConfig
+    from repro.storage.backing import PageStore
 
 
-#: Backend name -> store class; each class names itself (``backend_name``)
-#: and says whether its bytes outlive the process (``persistent``).
-_REGISTRY: dict[str, type[PageStore]] = {
-    cls.backend_name: cls for cls in (MemoryPageStore, SqlitePageStore, MmapPageStore)
-}
+#: Backend names, in registration order: each is its store class's
+#: ``backend_name`` (pinned in ``tests/test_cold_start.py``).
+_BACKENDS = ("memory", "sqlite", "mmap")
+
+
+def _classes() -> dict[str, type[PageStore]]:
+    """Backend name -> store class.  The stores are imported here, where a
+    store is built: naming or checking a backend loads none of them."""
+    from repro.storage.backing import MemoryPageStore
+    from repro.storage.persistent import MmapPageStore, SqlitePageStore
+
+    return {cls.backend_name: cls for cls in (MemoryPageStore, SqlitePageStore, MmapPageStore)}
 
 
 def available_backends() -> tuple[str, ...]:
     """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
+    return _BACKENDS
+
+
+def check_backend(name: str) -> str:
+    """``name``, if it is a registered backend; unknown names raise."""
+    if name not in _BACKENDS:
+        raise ConfigError(
+            f"unknown page-store backend {name!r} "
+            f"(available: {', '.join(_BACKENDS)})"
+        )
+    return name
 
 
 def page_store_class(name: str) -> type[PageStore]:
-    """The store class registered as ``name``; unknown names raise."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown page-store backend {name!r} "
-            f"(available: {', '.join(_REGISTRY)})"
-        ) from None
+    """The store class registered as ``name`` (it says whether its bytes
+    outlive the process: ``persistent``); unknown names raise."""
+    return _classes()[check_backend(name)]
 
 
 def make_page_store(
@@ -63,7 +75,7 @@ def make_page_store(
             raise ConfigError(
                 f"page-store backend {name!r} is not file-backed; "
                 "drop the path or pick a persistent backend "
-                f"({', '.join(n for n, c in _REGISTRY.items() if c.persistent)})"
+                f"({', '.join(n for n, c in _classes().items() if c.persistent)})"
             )
         return cls(capacity_pages)
     return cls(capacity_pages, path)

@@ -9,27 +9,3 @@ the standard mix (:mod:`~repro.tpcc.transactions`,
 :mod:`~repro.tpcc.driver`), and the TPC-C consistency conditions used as
 post-recovery integrity checks (:mod:`~repro.tpcc.consistency`).
 """
-
-from repro.tpcc.consistency import ConsistencyReport, check_all
-from repro.tpcc.driver import TpccDriver, WorkloadStats
-from repro.tpcc.loader import TpccDatabase, estimate_db_pages, load_tpcc
-from repro.tpcc.random_gen import TpccRandom, lastname_for_index
-from repro.tpcc.scale import BENCH, TINY, ScaleProfile
-from repro.tpcc.transactions import TpccTransactions, TxResult
-
-__all__ = [
-    "BENCH",
-    "ConsistencyReport",
-    "ScaleProfile",
-    "TINY",
-    "TpccDatabase",
-    "TpccDriver",
-    "TpccRandom",
-    "TpccTransactions",
-    "TxResult",
-    "WorkloadStats",
-    "check_all",
-    "estimate_db_pages",
-    "lastname_for_index",
-    "load_tpcc",
-]

@@ -14,11 +14,14 @@ definition the paper's figures use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
-from repro.tpcc.loader import TpccDatabase
 from repro.tpcc.random_gen import TpccRandom
 from repro.tpcc.transactions import TpccTransactions, TxResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.tpcc.loader import TpccDatabase
 
 #: Standard mix in cumulative-weight form.
 _MIX = (

@@ -22,12 +22,15 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from repro.core.dbms import SimulatedDBMS
 from repro.db.heap import Rid
 from repro.tpcc import schema as S
 from repro.tpcc.random_gen import FastRandom, lastname_for_index
 from repro.tpcc.scale import ScaleProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dbms import SimulatedDBMS
 
 #: Target hash-index fan-out: entries per bucket page.  Matches the leaf
 #: density of a 4 KB B+-tree page with ~10-byte keys (the PostgreSQL

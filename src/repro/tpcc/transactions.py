@@ -16,11 +16,14 @@ committed database state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.dbms import SimulatedDBMS
 from repro.tpcc import schema as S
-from repro.tpcc.loader import TpccDatabase
 from repro.tpcc.random_gen import TpccRandom
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dbms import SimulatedDBMS
+    from repro.tpcc.loader import TpccDatabase
 
 # Hot column positions, derived from the schemas so they cannot drift.
 _W_TAX = S.WAREHOUSE.column_index("w_tax")

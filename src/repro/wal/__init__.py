@@ -8,23 +8,3 @@ any dirty page reaches a non-volatile tier), commit-time group force onto
 a dedicated log device, full-page-write tracking, checkpoint-driven log
 truncation, and lose-the-tail crash semantics.
 """
-
-from repro.wal.log import LogManager
-from repro.wal.records import (
-    AbortRecord,
-    BeginRecord,
-    CheckpointRecord,
-    CommitRecord,
-    LogRecord,
-    UpdateRecord,
-)
-
-__all__ = [
-    "AbortRecord",
-    "BeginRecord",
-    "CheckpointRecord",
-    "CommitRecord",
-    "LogManager",
-    "LogRecord",
-    "UpdateRecord",
-]

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from repro.core.dbms import SimulatedDBMS
 from repro.db.schema import TableSchema, float_col, int_col, str_col
 from repro.errors import WorkloadError
 from repro.tpcc.driver import WorkloadStats
@@ -49,6 +49,9 @@ from repro.tpcc.random_gen import FastRandom
 from repro.tpcc.scale import ScaleProfile
 from repro.tpcc.transactions import TxResult
 from repro.workload.synthetic import ZipfGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dbms import SimulatedDBMS
 
 #: Driver kind alphabet (headline kind first — see the registry docs).
 TPCH_TX_KINDS = ("scan", "probe", "update")

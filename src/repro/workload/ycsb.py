@@ -26,14 +26,16 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from repro.core.dbms import SimulatedDBMS
 from repro.errors import WorkloadError
 from repro.tpcc.driver import WorkloadStats
-from repro.tpcc.loader import load_keyed
 from repro.tpcc.scale import ScaleProfile
 from repro.tpcc.transactions import TxResult
 from repro.workload.synthetic import KV_SCHEMA, ZipfGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dbms import SimulatedDBMS
 
 #: Driver kind alphabet (headline kind first — see the registry docs).
 YCSB_TX_KINDS = ("ycsb",)
@@ -101,6 +103,8 @@ def load_ycsb(
     **_ignored,
 ) -> KvDatabase:
     """Create schema and bulk-load the initial rows (untimed)."""
+    from repro.tpcc.loader import load_keyed
+
     keys = resolve_n_keys(scale, n_keys)
     create_ycsb_schema(dbms, scale, n_keys=keys)
     dbms.begin_load()

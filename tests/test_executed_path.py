@@ -28,7 +28,7 @@ import repro.wal.records as records_mod
 from repro.core.dbms import SimulatedDBMS
 from repro.db.page import PageImage
 from repro.errors import ConfigError
-from repro.flashcache.registry import available_policies
+from repro.flashcache.builders import available_policies
 from repro.obs import OBS
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec, run_cell, run_cell_warm, run_cells

@@ -123,10 +123,13 @@ def test_hit_updates_lru2_recency(lc):
 
 
 def test_validation():
-    import repro.storage as st
+    from repro.storage.hdd import DiskDevice
+    from repro.storage.profiles import HDD_CHEETAH_15K, MLC_SAMSUNG_470
+    from repro.storage.ssd import FlashDevice
+    from repro.storage.volume import Volume
 
-    flash = st.Volume(st.FlashDevice(st.MLC_SAMSUNG_470, 64))
-    disk = st.Volume(st.DiskDevice(st.HDD_CHEETAH_15K, 64))
+    flash = Volume(FlashDevice(MLC_SAMSUNG_470, 64))
+    disk = Volume(DiskDevice(HDD_CHEETAH_15K, 64))
     with pytest.raises(CacheError):
         LazyCleaningCache(flash, disk, capacity=0)
     with pytest.raises(CacheError):

@@ -31,7 +31,9 @@ from repro.db.page import Page, PageImage
 from repro.errors import StorageError
 from repro.flashcache.metadata import CacheSlotImage, _SegmentImage, _Superblock
 from repro.flashcache.mvfifo import MvFifoCache
-from repro.storage import MmapPageStore, decode_storable, encode_storable, make_page_store
+from repro.storage.codec import decode_storable, encode_storable
+from repro.storage.persistent import MmapPageStore
+from repro.storage.registry import make_page_store
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 SCALARS = {

@@ -27,17 +27,10 @@ from repro.db.page import Page, PageImage
 from repro.errors import ConfigError, OutOfRangeError, PageNotFoundError, StorageError
 from repro.flashcache.metadata import CacheSlotImage, _SegmentImage, _Superblock
 from repro.obs import OBS
-from repro.storage import (
-    MemoryPageStore,
-    MmapPageStore,
-    PageStore,
-    SqlitePageStore,
-    available_backends,
-    decode_storable,
-    encode_storable,
-    make_page_store,
-    page_store_class,
-)
+from repro.storage.backing import MemoryPageStore, PageStore
+from repro.storage.codec import decode_storable, encode_storable
+from repro.storage.persistent import MmapPageStore, SqlitePageStore
+from repro.storage.registry import available_backends, make_page_store, page_store_class
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

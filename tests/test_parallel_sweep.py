@@ -108,15 +108,17 @@ def test_fully_executed_cell_frees_its_database(monkeypatch):
     import weakref
 
     import repro.sim.parallel as parallel_mod
+    import repro.sim.runner as runner_mod
 
     born = []
 
-    class Watched(parallel_mod.ExperimentRunner):
+    class Watched(runner_mod.ExperimentRunner):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             born.append(weakref.ref(self.dbms))
 
-    monkeypatch.setattr(parallel_mod, "ExperimentRunner", Watched)
+    # ``run_cell`` imports the runner where it builds one.
+    monkeypatch.setattr(runner_mod, "ExperimentRunner", Watched)
     was_enabled = gc.isenabled()
     gc.disable()
     try:

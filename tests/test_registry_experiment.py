@@ -18,11 +18,8 @@ import pytest
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
 from repro.core.policies import build_database_device, build_flash_volume
 from repro.errors import ConfigError
-from repro.flashcache.registry import (
-    available_policies,
-    build_cache_from_config,
-    resolve_policy,
-)
+from repro.flashcache.builders import available_policies, resolve_policy
+from repro.flashcache.registry import build_cache_from_config
 from repro.sim.experiment import _DEFAULTS, ExperimentConfig
 from repro.sim.parallel import CellSpec
 from repro.sim.scenario import SteadyStateScenario

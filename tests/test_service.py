@@ -286,6 +286,26 @@ class TestServiceCells:
             names = [name for name, _ in d.stages]
             assert names == [n for n in RESOURCE_ORDER if n in names]
 
+    def test_the_scenario_calls_record_demands_through_the_service_module(
+        self, monkeypatch
+    ):
+        # ``ServiceScenario`` lives in ``repro.sim.scenario``; it must look
+        # ``record_demands`` up in ``repro.sim.service`` when it runs, where
+        # the traced pass of ``perf/bench.py`` wraps it.
+        import repro.sim.service as service
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return record_demands(*args, **kwargs)
+
+        monkeypatch.setattr(service, "record_demands", counted)
+        run_cell(CellSpec.from_config(("face+gsc", 4), service_config(
+            n_clients=4, measure_transactions=40, warmup_max=400,
+        )))
+        assert calls == [40]
+
     def test_reference_50_client_cell(self):
         # The acceptance-criteria run: 50 closed-loop clients, fixed seed,
         # deterministic p50/p95/p99 — and a sane latency ordering.

@@ -3,6 +3,11 @@
 * Importing the package loads none of the pool machinery, ``sqlite3`` or
   ``csv``: each is imported where it is first used (a ``jobs > 1`` grid,
   the sqlite store, a persistent store's finalizer, the CSV export).
+* Declaring a grid loads no engine module (DESIGN.md §6): the imports
+  ``perf/workloads.py`` declares its grids with, ``python -m repro --help``
+  and a grid the CLI refuses load none of the buffer pool, the policies,
+  the stores, the WAL, restart or the runners.  The package root resolves
+  its names on first use.
 * A snapshot load ends with ``gc.freeze()``: the acyclic database it built
   goes to the collector's permanent generation, so no later collection
   walks it.  ``clear_snapshots()`` and a memo eviction undo that freeze,
@@ -41,6 +46,98 @@ def test_importing_the_package_loads_no_lazy_module():
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
     ).stdout
     assert json.loads(out) == []
+
+
+#: Engine modules: loaded where a cell is built or run, never by declaring
+#: a grid.
+ENGINE = (
+    "repro.core.dbms",
+    "repro.buffer.pool",
+    "repro.flashcache.registry",
+    "repro.flashcache.mvfifo",
+    "repro.storage.persistent",
+    "repro.storage.volume",
+    "repro.wal.log",
+    "repro.recovery.restart",
+    "repro.sim.runner",
+    "repro.sim.replay",
+    "repro.sim.trace",
+    "repro.sim.warmstate",
+    "repro.sim.service",
+)
+
+#: What ``perf/workloads.py`` imports from the package to declare its grids.
+GRID_IMPORTS = (
+    "repro.sim.experiment",
+    "repro.sim.parallel",
+    "repro.tpcc.scale",
+    "repro.workload.ycsb",
+)
+
+
+def _fresh(code: str) -> object:
+    """Run ``code`` in a fresh interpreter; the JSON it prints."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    return json.loads(out)
+
+
+def test_declaring_a_grid_loads_no_engine_module():
+    loaded = _fresh(
+        f"import json, sys; import {', '.join(GRID_IMPORTS)}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
+    )
+    # Nor the TPC-C loader: the workload registry imports it when it first
+    # lists the workloads, and YCSB where it loads a table.
+    assert not {*ENGINE, "repro.tpcc.loader"} & set(loaded)
+    assert len(loaded) <= 30, loaded
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--help"], 0),
+    (["--scale", "tiny", "run", "n_clients=1,8"], 2),
+])
+def test_cli_help_and_a_refused_grid_load_no_engine_module(argv, status):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == status, done.stderr[-2000:]
+    # ``-X importtime`` writes one ``import time: self | cumulative | name``
+    # line per module it loads.
+    loaded = {
+        line.rpartition("|")[2].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "repro.cli" in loaded
+    assert not set(ENGINE) & loaded
+
+
+def test_the_package_root_resolves_every_name_on_first_use():
+    before, missing, listed = _fresh(
+        "import json, sys; import repro; "
+        "before = sorted(m for m in sys.modules if m.startswith('repro.')); "
+        "missing = [n for n in repro.__all__ if not hasattr(repro, n)]; "
+        "listed = [n for n in repro.__all__ if n not in dir(repro)]; "
+        "print(json.dumps([before, missing, listed]))"
+    )
+    assert before == []  # ``import repro`` loads no submodule
+    assert missing == [] and listed == []
+
+
+def test_deleted_names_stay_deleted_in_a_fresh_interpreter():
+    # Nothing imported first: a lazy name that resolved a deleted one would
+    # show here, not after the rest of the suite has loaded every module.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(SRC.parent)])}
+    subprocess.run(
+        [sys.executable, "-c",
+         "from tests.test_tree_pins import test_deleted_names_stay_deleted as t; t()"],
+        env=env, check=True,
+    )
 
 
 @pytest.fixture(autouse=True)

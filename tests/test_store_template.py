@@ -33,7 +33,8 @@ from repro.errors import OutOfRangeError
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec, run_cell, run_cells
 from repro.sim.replay import clear_recorders
-from repro.storage import MmapPageStore, SqlitePageStore, make_page_store
+from repro.storage.persistent import MmapPageStore, SqlitePageStore
+from repro.storage.registry import make_page_store
 from repro.tpcc.scale import TINY
 
 PERSISTENT = ("mmap", "sqlite")
