@@ -6,8 +6,9 @@ The paper's Algorithm 1 needs *two* dirty flags per buffered page:
 * ``fdirty`` — the page is newer than its **flash-cache** copy ("flash
   dirty", Section 3.3).
 
-The rules (paper, Figure 2) are implemented by the small state-transition
-methods here so every caller manipulates the flags the same way:
+The rules (paper, Figure 2) are the small state-transition methods here;
+the data path sets the same flags inline, at admission and on a logged
+update, each place marked with the method it writes out:
 
 * fetched from disk        → ``dirty = fdirty = False``
 * fetched from flash cache → ``fdirty = False`` and ``dirty`` preserved from
@@ -18,7 +19,6 @@ methods here so every caller manipulates the flags the same way:
 from __future__ import annotations
 
 from repro.db.page import Page
-from repro.errors import UnpinnedFrameError
 
 _new = object.__new__
 
@@ -33,23 +33,22 @@ class Frame:
     build frames without calling ``__init__``.
     """
 
-    __slots__ = ("page", "page_id", "dirty", "fdirty", "pin_count", "referenced")
+    __slots__ = ("page", "page_id", "dirty", "fdirty", "referenced")
 
     def __init__(self, page: Page, dirty: bool = False, fdirty: bool = False) -> None:
         self.page = page
         self.page_id = page.page_id
         self.dirty = dirty
         self.fdirty = fdirty
-        self.pin_count = 0
         #: Set when the frame is re-referenced while resident; consumed by
-        #: second-chance style DRAM policies (not used by plain LRU).
+        #: the CLOCK policy's sweep (not read under LRU).
         self.referenced = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Frame {self.page_id} dirty={self.dirty} fdirty={self.fdirty}>"
 
     def __deepcopy__(self, memo: dict) -> "Frame":
-        # The six fields, not ``copy``'s generic reduce-and-rebuild walk: a
+        # The five fields, not ``copy``'s generic reduce-and-rebuild walk: a
         # warm fork (repro.sim.warmstate) copies every resident frame.
         clone = _new(Frame)
         # A page belongs to its one frame, so it needs no entry in ``memo``.
@@ -57,13 +56,8 @@ class Frame:
         clone.page_id = self.page_id
         clone.dirty = self.dirty
         clone.fdirty = self.fdirty
-        clone.pin_count = self.pin_count
         clone.referenced = self.referenced
         return clone
-
-    @property
-    def pinned(self) -> bool:
-        return self.pin_count > 0
 
     # -- FaCE flag transitions (paper Figure 2 / Algorithm 1) -------------
 
@@ -81,11 +75,3 @@ class Frame:
         """The DRAM copy is now newer than both non-volatile copies."""
         self.dirty = True
         self.fdirty = True
-
-    def pin(self) -> None:
-        self.pin_count += 1
-
-    def unpin(self) -> None:
-        if self.pin_count <= 0:
-            raise UnpinnedFrameError(f"unpin of unpinned frame {self.page_id}")
-        self.pin_count -= 1

@@ -38,7 +38,7 @@ from repro.core.policies import (
 )
 from repro.db.catalog import Catalog
 from repro.db.heap import HeapFile, Rid
-from repro.db.index import HashIndex, stable_key_hash
+from repro.db.index import HashIndex
 from repro.db.page import Page, PageImage
 from repro.db.schema import TableSchema
 from repro.errors import CatalogError, TransactionError
@@ -173,22 +173,12 @@ class SimulatedDBMS:
 
     def load_index(self, index_name: str, entries: Iterable[tuple[tuple, Rid]]) -> None:
         """Bulk-insert ``(key, rid)`` entries, in order: one store each into
-        its bucket page (a repeated key keeps its place, takes the new rid).
-
-        The page is :meth:`HashIndex.bucket_page`'s.  For an all-int key the
-        :func:`~repro.db.index.stable_key_hash` arithmetic is done here, with
-        no call per key; any other key is hashed by the function."""
+        its bucket page, :meth:`HashIndex.bucket_page`'s (a repeated key keeps
+        its place, takes the new rid)."""
         pages = self._loading()
-        info = self.indexes[index_name].info
-        first_page, n_pages = info.first_page, info.n_pages
+        bucket_page = self.indexes[index_name].bucket_page
         for key, rid in entries:
-            h = 2166136261
-            for part in key:
-                if type(part) is not int:
-                    h = stable_key_hash(key)
-                    break
-                h = ((h ^ (part & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF
-            page_id = first_page + h % n_pages
+            page_id = bucket_page(key)
             slots = pages.get(page_id)
             if slots is None:
                 slots = pages[page_id] = {}
@@ -241,8 +231,13 @@ class SimulatedDBMS:
     # ------------------------------------------------------------------
 
     def read_page(self, page_id: int) -> Page:
-        """PageAccessor protocol: fetch a page for reading."""
-        return self._get_frame(page_id).page
+        """Fetch a page for reading: :meth:`_get_frame`'s work, in this frame
+        (every row and index read of a transaction comes through here)."""
+        self.cpu_time += self.config.cpu_per_page_access
+        frame = self.buffer.lookup(page_id)
+        if frame is None:
+            frame = self._fetch_miss(page_id)
+        return frame.page
 
     def _get_frame(self, page_id: int) -> Frame:
         self.cpu_time += self.config.cpu_per_page_access
@@ -338,7 +333,8 @@ class SimulatedDBMS:
         self, tx: Transaction, page_id: int, slot: Any, after: tuple | None
     ) -> None:
         """Log and apply one slot change under ``tx``."""
-        tx._check_active()
+        if tx.finished:
+            tx._check_active()  # raises
         record = self._apply_logged_update(tx, page_id, slot, after)
         tx.undo.append(record)
 
@@ -346,23 +342,26 @@ class SimulatedDBMS:
         self, tx: Transaction, page_id: int, slot: Any, after: tuple | None
     ) -> UpdateRecord:
         frame = self._get_frame(page_id)
-        before = frame.page.get(slot)
-        record = self.log.log_update(tx.txid, page_id, slot, before, after)
+        page = frame.page
+        log = self.log
+        record = log.log_update(tx.txid, page_id, slot, page._rows.get(slot), after)
         if after is None:
-            frame.page.delete(slot, record.lsn)
+            page.delete(slot, record.lsn)
         else:
-            frame.page.put(slot, after, record.lsn)
-        frame.on_update()
-        if self.log.take_fpw(page_id):
+            page.put(slot, after, record.lsn)
+        frame.dirty = frame.fdirty = True  # Frame.on_update, inlined
+        fpw_done = log._fpw_done
+        if page_id not in fpw_done:  # LogManager.take_fpw, inlined
             # Full-page write: the page's first update since the last
             # checkpoint ships the whole post-update page in the log, so
             # redo can install it without reading the base copy.
-            self.log.attach_full_page_image(record, frame.page.to_image())
+            fpw_done.add(page_id)
+            log.attach_full_page_image(record, page.to_image())
         return record
 
     def fetch_row(self, table: str, rid: Rid) -> tuple | None:
         """Read one row by record id."""
-        return self.read_page(rid[0]).get(rid[1])
+        return self.read_page(rid[0])._rows.get(rid[1])
 
     def update_row(self, tx: Transaction, table: str, rid: Rid, row: tuple) -> None:
         """Replace the row at ``rid``."""
@@ -378,7 +377,9 @@ class SimulatedDBMS:
 
     def index_lookup(self, index_name: str, key: tuple) -> Rid | None:
         """Probe a hash index (charges the bucket-page access)."""
-        return self.indexes[index_name].lookup(key, self)
+        page = self.read_page(self.indexes[index_name].bucket_page(key))
+        entry = page._rows.get(key)
+        return (entry[0], entry[1]) if entry is not None else None
 
     def index_insert(self, tx: Transaction, index_name: str, key: tuple, rid: Rid) -> None:
         index = self.indexes[index_name]

@@ -45,9 +45,12 @@ class HeapFile:
         """Record id of dense row number ``rownum`` (load order)."""
         if rownum < 0:
             raise CatalogError(f"negative row number {rownum}")
-        effective = rownum % self.capacity_rows
-        page_offset, slot = divmod(effective, self.slots_per_page)
-        return (self.info.first_page + page_offset, slot)
+        # ``capacity_rows`` and ``slots_per_page``, read off the info: one
+        # frame per order-line read of a TPC-C transaction.
+        info = self.info
+        per_page = info.schema.slots_per_page
+        page_offset, slot = divmod(rownum % (info.n_pages * per_page), per_page)
+        return (info.first_page + page_offset, slot)
 
     def rids(self, first: int, count: int) -> list[Rid]:
         """Record ids of ``count`` rows from row number ``first`` (a bulk load's):
@@ -77,11 +80,12 @@ class HeapFile:
         Wraps to the start of the range when headroom is exhausted (the
         oldest rows are recycled); ``wrapped`` records that this happened.
         """
-        rownum = self.info.row_count
-        if rownum >= self.capacity_rows:
+        info = self.info
+        rownum = info.row_count
+        if rownum >= info.n_pages * info.schema.slots_per_page:
             self.wrapped = True
         rid = self.rid_for_rownum(rownum)
-        self.info.row_count += 1
+        info.row_count = rownum + 1
         return rid
 
     def page_ids(self) -> range:

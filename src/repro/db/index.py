@@ -9,31 +9,17 @@ index rebuild is needed after a crash.
 
 A bucket page stores entries as ``slots[pk_tuple] = (page_id, slot)``; the
 page abstraction allows arbitrary hashable slot keys, so a lookup is a dict
-probe once the bucket page is in the buffer.
+probe once the bucket page is in the buffer.  The engine reads entries with
+:meth:`~repro.core.dbms.SimulatedDBMS.index_lookup` and writes them with
+``index_insert`` / ``index_delete`` (logged under a transaction) and
+``load_index`` (bulk), each placing a key with :meth:`HashIndex.bucket_page`.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Protocol
 
 from repro.db.catalog import IndexInfo
-from repro.db.heap import Rid
-from repro.db.page import Page
-
-
-class PageAccessor(Protocol):
-    """The page read an index probe needs.
-
-    The full system implements this with the DRAM buffer pool; unit tests
-    implement it with a plain dict of pages.  Entries are written by
-    :meth:`~repro.core.dbms.SimulatedDBMS.index_insert` /
-    ``index_delete`` (logged under a transaction) and ``load_index`` (bulk).
-    """
-
-    def read_page(self, page_id: int) -> Page:
-        """Fetch a page for reading (charges whatever I/O applies)."""
-        ...
 
 
 def stable_key_hash(key: tuple) -> int:
@@ -43,10 +29,8 @@ def stable_key_hash(key: tuple) -> int:
     which would make bucket placement — and therefore every I/O trace —
     non-reproducible.  This mixes ints arithmetically and strings via CRC32.
     An exact ``int`` skips the type ladder (the same values, sooner).
-    ``SimulatedDBMS.load_index`` does the all-int arithmetic inline.
+    :meth:`HashIndex.bucket_page` does the all-int arithmetic inline.
     """
-    if len(key) == 1 and type(key[0]) is int:  # a one-int key: YCSB, ITEM
-        return ((2166136261 ^ (key[0] & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF
     h = 2166136261
     for part in key:
         if type(part) is int:
@@ -68,11 +52,17 @@ class HashIndex:
         self.info = info
 
     def bucket_page(self, key: tuple) -> int:
-        """Page id of the bucket that owns ``key``."""
-        return self.info.first_page + stable_key_hash(key) % self.info.n_pages
+        """Page id of the bucket that owns ``key``.
 
-    def lookup(self, key: tuple, accessor: PageAccessor) -> Rid | None:
-        """Return the rid for ``key`` or ``None`` if absent."""
-        page = accessor.read_page(self.bucket_page(key))
-        entry = page.get(key)
-        return (entry[0], entry[1]) if entry is not None else None
+        The one place an index key is placed (probe, logged write and bulk
+        load).  An all-int key is hashed here, with :func:`stable_key_hash`'s
+        arithmetic and no call; any other key by the function.
+        """
+        h = 2166136261
+        for part in key:
+            if type(part) is not int:
+                h = stable_key_hash(key)
+                break
+            h = ((h ^ (part & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF
+        info = self.info
+        return info.first_page + h % info.n_pages

@@ -30,11 +30,8 @@ class BufferError_(ReproError):
 
 
 class BufferFullError(BufferError_):
-    """Every frame in the buffer pool is pinned; no victim can be chosen."""
-
-
-class UnpinnedFrameError(BufferError_):
-    """A frame was unpinned more often than it was pinned."""
+    """A frame was admitted into a full pool, or a victim was asked of an
+    empty one."""
 
 
 class CacheError(ReproError):

@@ -24,7 +24,7 @@ cost.  Replayed results are **bit-identical** to full execution because
 every timed component is driven through the same methods in the same
 order:
 
-* ``READ`` performs the full :meth:`_get_frame` path (CPU charge, DRAM
+* ``READ`` performs the full :meth:`read_page` path (CPU charge, DRAM
   lookup, flash/disk fetch, eviction with the WAL rule);
 * ``UPDATE`` appends a :class:`~repro.wal.records.UpdateRecord` whose
   byte size was measured at record time — same LSN sequence, same tail
@@ -56,7 +56,6 @@ from array import array
 from pathlib import Path
 from typing import Any
 
-from repro.buffer.replacement import LruPolicy
 from repro.core.config import CachePolicy, SystemConfig, scaled_reference_config
 from repro.core.dbms import SimulatedDBMS, Transaction
 from repro.db.page import Page
@@ -837,11 +836,12 @@ class ReplayRunner:
         self._tx_index = 0
         self._last_checkpoint_wall = 0.0
         self.warmup_transactions = 0
-        # The inlined loop knows LRU's internals (hit == move_to_end
-        # succeeding, and nothing in an LRU system ever reads a frame's
-        # CLOCK reference bit); any other DRAM policy goes through the
-        # exact loop, which only uses public component methods.
-        self._fast = type(self.dbms.buffer._policy) is LruPolicy
+        # The inlined loop knows LRU's internals (the pool's frame table is
+        # the recency order, so a hit is move_to_end succeeding, and nothing
+        # in an LRU system ever reads a frame's CLOCK reference bit); CLOCK
+        # goes through the exact loop, which only uses public component
+        # methods.
+        self._fast = self.dbms.buffer._clock is None
 
     def _replay_one(self) -> None:
         """Replay the next recorded transaction, event by event.
@@ -874,11 +874,12 @@ class ReplayRunner:
         # per-transaction charge lands after the flush below.
         cpu = dbms.cpu_time
         cpu_per_access = dbms.config.cpu_per_page_access
+        # Looked up per transaction, never kept: a warm fork gives the
+        # system a new pool.
         buffer = dbms.buffer
-        frames_get = buffer._frames.get
-        # Looked up per transaction, never kept: a crash's ``wipe`` gives
-        # the pool a new policy, and a warm fork a new pool.
-        move_to_end = buffer._policy._frames.move_to_end
+        frames = buffer._frames
+        frames_get = frames.get
+        move_to_end = frames.move_to_end
         fetch_miss = dbms._fetch_miss
         log = dbms.log
         tail_append = log._tail.append

@@ -28,12 +28,14 @@ from repro.obs import OBS
 from repro.storage.device import Device
 from repro.storage.profiles import PAGE_SIZE
 from repro.wal.records import (
+    BASE_RECORD_BYTES,
     AbortRecord,
     BeginRecord,
     CheckpointRecord,
     CommitRecord,
     LogRecord,
     UpdateRecord,
+    _value_bytes,
 )
 
 _new = object.__new__
@@ -98,9 +100,24 @@ class LogManager:
         before: tuple | None,
         after: tuple | None,
     ) -> UpdateRecord:
-        return self._append(
-            UpdateRecord(self._take_lsn(), txid, page_id, slot, before, after)
-        )
+        # One record per logged slot change, built and appended in this
+        # frame: ``UpdateRecord.__init__`` (its ``update_payload_bytes``),
+        # ``_take_lsn`` and ``_append`` with ``size_bytes``, inline.
+        lsn = self._next_lsn
+        self._next_lsn = lsn + 1
+        payload = 12 + _value_bytes(slot) + _value_bytes(before) + _value_bytes(after)
+        record = _new(UpdateRecord)
+        record.lsn = lsn
+        record.txid = txid
+        record.page_id = page_id
+        record.slot = slot
+        record.before = before
+        record.after = after
+        record.page_image = None
+        record.payload_bytes = payload
+        self._tail.append(record)
+        self._tail_bytes += BASE_RECORD_BYTES + payload
+        return record
 
     def log_update_sized(
         self, txid: int, page_id: int, payload_bytes: int

@@ -20,13 +20,19 @@ Three registered entries:
   (:mod:`repro.workload.ycsb`), with skew and read/write-mix knobs and a
   Flashield-style ``write-churn`` preset.
 
+The names, knobs and presets are declared here, apart from the drivers
+and loaders, as :mod:`repro.flashcache.builders` declares the policies: a
+grid names, validates and canonicalises its workloads without importing
+any of them, and an entry (driver, loader, schema) is built where a cell
+first needs one.
+
 Entry points:
 
 * :func:`available_workloads` — canonical names, in catalogue order;
 * :func:`get_workload_entry` — lookup raising
   :class:`~repro.errors.WorkloadError` naming the known set;
 * :func:`workload_spec` — ``(name, knobs)`` -> canonical, hashable
-  :class:`WorkloadSpec`, validating knob names against the entry;
+  :class:`WorkloadSpec`, validating knob names against the declaration;
 * :func:`make_workload` — build a loaded, ready-to-run driver.
 
 Boundary traces (:mod:`repro.sim.trace`) are workload-agnostic — a trace
@@ -39,12 +45,45 @@ DESIGN.md §13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 from repro.errors import WorkloadError
 from repro.tpcc.scale import ScaleProfile
+
+
+#: TPC-H scan knob defaults: the pure-scan configuration the scan-resistance
+#: gate runs (no OLTP admixture).
+TPCH_KNOBS = {
+    "scan_pages": 96,
+    "scan_skew": 0.8,
+    "probe_fraction": 0.0,
+    "update_fraction": 0.0,
+}
+
+#: Named TPC-H knob bundles.  ``htap`` interleaves point probes and updates
+#: with the scans — the mixed operational/analytical case.
+TPCH_PRESETS = {
+    "htap": {"probe_fraction": 0.6, "update_fraction": 0.2},
+}
+
+#: YCSB knob defaults.  ``n_keys=None`` derives the table cardinality from
+#: the scale profile (:func:`repro.workload.ycsb.resolve_n_keys`), so the
+#: same spec sizes sanely at TINY and BENCH.
+YCSB_KNOBS = {
+    "n_keys": None,
+    "zipf_s": 0.99,
+    "update_fraction": 0.3,
+    "ops_per_tx": 8,
+}
+
+#: Named YCSB knob bundles.  ``write-churn`` is the Flashield-style stress
+#: mix: most operations write, and the milder skew keeps the write working
+#: set wide enough to churn a flash cache that admits on entry.
+YCSB_PRESETS = {
+    "write-churn": {"update_fraction": 0.9, "zipf_s": 0.7},
+}
 
 
 @dataclass(frozen=True)
@@ -104,7 +143,6 @@ class WorkloadEntry:
     make_driver: Callable[..., Any]
     fork_state: Callable[[Any], Any]
     refork: Callable[..., Any]
-    presets: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
 
     def config_knobs(self, spec: "WorkloadSpec") -> dict[str, Any]:
         """This entry's full knob values for ``spec``: the defaults merged
@@ -148,8 +186,6 @@ def _tpcc_entry() -> WorkloadEntry:
 
 def _tpch_entry() -> WorkloadEntry:
     from repro.workload.tpch import (
-        TPCH_KNOBS,
-        TPCH_PRESETS,
         TPCH_TX_KINDS,
         TpchScanDriver,
         create_tpch_schema,
@@ -166,14 +202,11 @@ def _tpch_entry() -> WorkloadEntry:
         make_driver=TpchScanDriver,
         fork_state=lambda handle: None,
         refork=rebuild_tpch_handle,
-        presets=TPCH_PRESETS,
     )
 
 
 def _ycsb_entry() -> WorkloadEntry:
     from repro.workload.ycsb import (
-        YCSB_KNOBS,
-        YCSB_PRESETS,
         YCSB_TX_KINDS,
         YcsbDriver,
         create_ycsb_schema,
@@ -190,30 +223,41 @@ def _ycsb_entry() -> WorkloadEntry:
         make_driver=YcsbDriver,
         fork_state=lambda handle: None,
         refork=rebuild_ycsb_handle,
-        presets=YCSB_PRESETS,
     )
 
 
-@lru_cache(maxsize=None)
-def _registry() -> dict[str, WorkloadEntry]:
-    entries = (_tpcc_entry(), _tpch_entry(), _ycsb_entry())
-    return {entry.name: entry for entry in entries}
+#: Workload name -> (knob defaults, presets, entry builder), in catalogue
+#: order: what a grid validates a workload against, and what a cell first
+#: calls to build its entry.
+_WORKLOADS: dict[str, tuple[Mapping[str, Any], Mapping[str, Mapping[str, Any]], Callable]] = {
+    "tpcc": ({}, {}, _tpcc_entry),
+    "tpch-scan": (TPCH_KNOBS, TPCH_PRESETS, _tpch_entry),
+    "ycsb": (YCSB_KNOBS, YCSB_PRESETS, _ycsb_entry),
+}
 
 
 def available_workloads() -> tuple[str, ...]:
     """Canonical workload names, in catalogue order (``tpcc`` first)."""
-    return tuple(_registry())
+    return tuple(_WORKLOADS)
 
 
-def get_workload_entry(name: str) -> WorkloadEntry:
-    """Look up one entry; raises :class:`WorkloadError` for unknown names."""
+def _declared(name: str) -> tuple[Mapping[str, Any], Mapping[str, Mapping[str, Any]], Callable]:
+    """``name``'s (knobs, presets, entry builder); raises
+    :class:`WorkloadError` for unknown names."""
     try:
-        return _registry()[name]
+        return _WORKLOADS[name]
     except KeyError:
         known = ", ".join(available_workloads())
         raise WorkloadError(
             f"unknown workload {name!r} (available: {known})"
         ) from None
+
+
+@lru_cache(maxsize=None)
+def get_workload_entry(name: str) -> WorkloadEntry:
+    """Build (once) and return one entry; raises :class:`WorkloadError` for
+    unknown names."""
+    return _declared(name)[2]()
 
 
 def workload_spec(
@@ -229,27 +273,27 @@ def workload_spec(
     dropped so equal workloads always produce equal (and equally-hashed)
     specs.
     """
-    entry = get_workload_entry(name)
+    declared_knobs, presets, _ = _declared(name)
     merged: dict[str, Any] = {}
     if preset is not None:
         try:
-            merged.update(entry.presets[preset])
+            merged.update(presets[preset])
         except KeyError:
-            known = ", ".join(sorted(entry.presets)) or "(none)"
+            known = ", ".join(sorted(presets)) or "(none)"
             raise WorkloadError(
                 f"workload {name!r} has no preset {preset!r} "
                 f"(available: {known})"
             ) from None
     if knobs:
         merged.update(knobs)
-    unknown = sorted(set(merged) - set(entry.knobs))
+    unknown = sorted(set(merged) - set(declared_knobs))
     if unknown:
-        accepted = ", ".join(sorted(entry.knobs)) or "(none)"
+        accepted = ", ".join(sorted(declared_knobs)) or "(none)"
         raise WorkloadError(
             f"workload {name!r} does not accept knob(s) "
             f"{', '.join(unknown)} (accepted: {accepted})"
         )
-    defaults = dict(entry.knobs)
+    defaults = dict(declared_knobs)
     kept = tuple(
         sorted((k, v) for k, v in merged.items() if v != defaults[k])
     )

@@ -48,6 +48,7 @@ from repro.tpcc.loader import load_keyed
 from repro.tpcc.random_gen import FastRandom
 from repro.tpcc.scale import ScaleProfile
 from repro.tpcc.transactions import TxResult
+from repro.workload.registry import TPCH_KNOBS, TPCH_PRESETS  # noqa: F401 - re-exported
 from repro.workload.synthetic import ZipfGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,21 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Driver kind alphabet (headline kind first — see the registry docs).
 TPCH_TX_KINDS = ("scan", "probe", "update")
-
-#: Knob defaults: the pure-scan configuration the scan-resistance gate
-#: runs (no OLTP admixture).
-TPCH_KNOBS = {
-    "scan_pages": 96,
-    "scan_skew": 0.8,
-    "probe_fraction": 0.0,
-    "update_fraction": 0.0,
-}
-
-#: Named knob bundles.  ``htap`` interleaves point probes and updates
-#: with the scans — the mixed operational/analytical case.
-TPCH_PRESETS = {
-    "htap": {"probe_fraction": 0.6, "update_fraction": 0.2},
-}
 
 #: Target hash-index fan-out, matching the TPC-C loader's page density.
 _ENTRIES_PER_BUCKET = 300

@@ -32,6 +32,7 @@ from repro.errors import WorkloadError
 from repro.tpcc.driver import WorkloadStats
 from repro.tpcc.scale import ScaleProfile
 from repro.tpcc.transactions import TxResult
+from repro.workload.registry import YCSB_KNOBS, YCSB_PRESETS  # noqa: F401 - re-exported
 from repro.workload.synthetic import KV_SCHEMA, ZipfGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,24 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Driver kind alphabet (headline kind first — see the registry docs).
 YCSB_TX_KINDS = ("ycsb",)
-
-#: Knob defaults.  ``n_keys=None`` derives the table cardinality from the
-#: scale profile (:func:`resolve_n_keys`), so the same spec sizes sanely
-#: at TINY and BENCH.
-YCSB_KNOBS = {
-    "n_keys": None,
-    "zipf_s": 0.99,
-    "update_fraction": 0.3,
-    "ops_per_tx": 8,
-}
-
-#: Named knob bundles.  ``write-churn`` is the Flashield-style stress mix:
-#: most operations write, and the milder skew keeps the write working set
-#: wide enough to churn a flash cache that admits on entry.
-YCSB_PRESETS = {
-    "write-churn": {"update_fraction": 0.9, "zipf_s": 0.7},
-}
-
 
 def resolve_n_keys(scale: ScaleProfile, n_keys: int | None) -> int:
     """The effective table cardinality: explicit knob, else scale-derived.

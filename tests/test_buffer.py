@@ -1,17 +1,11 @@
-"""DRAM buffer pool: LRU, pins, evictions, and the FaCE flag protocol."""
+"""DRAM buffer pool: LRU, evictions, and the FaCE flag protocol."""
 
 import pytest
 
 from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
 from repro.db.page import Page
-from repro.errors import (
-    BufferError_,
-    BufferFullError,
-    ConfigError,
-    ReproError,
-    UnpinnedFrameError,
-)
+from repro.errors import BufferFullError, ConfigError
 
 
 def page(pid: int) -> Page:
@@ -70,32 +64,6 @@ class TestAdmissionEviction:
         fill(pool, 1)
         assert pool.make_room() is None
 
-    def test_pinned_frames_survive_eviction(self, pool):
-        fill(pool, 1, 2, 3)
-        pool.peek(1).pin()
-        victim = pool.make_room()
-        assert victim.page_id == 2
-        assert 1 in pool
-
-    def test_all_pinned_raises(self, pool):
-        fill(pool, 1, 2, 3)
-        for pid in (1, 2, 3):
-            pool.peek(pid).pin()
-        with pytest.raises(BufferFullError):
-            pool.make_room()
-
-    def test_unpin_below_zero_raises(self, pool):
-        # A library error (errors.py): a BufferError_, so a ReproError.
-        fill(pool, 1)
-        frame = pool.peek(1)
-        frame.pin()
-        frame.unpin()
-        with pytest.raises(UnpinnedFrameError) as raised:
-            frame.unpin()
-        assert isinstance(raised.value, BufferError_)
-        assert isinstance(raised.value, ReproError)
-        assert frame.pin_count == 0
-
     def test_eviction_stats_split_clean_dirty(self, pool):
         fill(pool, 1, 2, 3)
         pool.peek(1).dirty = True
@@ -118,12 +86,6 @@ class TestPullTail:
         pulled = pool.pull_tail(2)
         assert [f.page_id for f in pulled] == [1, 2]
         assert len(pool) == 1
-
-    def test_skips_pinned(self, pool):
-        fill(pool, 1, 2, 3)
-        pool.peek(1).pin()
-        pulled = pool.pull_tail(2)
-        assert [f.page_id for f in pulled] == [2, 3]
 
     def test_short_pool_returns_fewer(self, pool):
         fill(pool, 1)

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 
 import repro.sim.runner as runner_mod
 import repro.sim.warmstate as warmstate
+import repro.wal.log as log_mod
 import repro.wal.records as records_mod
 from repro.core.dbms import SimulatedDBMS
 from repro.db.page import PageImage
@@ -503,14 +504,16 @@ def test_tail_bytes_track_the_tail(updates):
 
 
 def test_one_row_walk_per_logged_update(monkeypatch):
+    # ``log_update`` sizes its record in its own frame: one top-level
+    # ``_value_bytes`` walk each of the slot, the before and the after image.
     walks: list[int] = []
-    real = records_mod.update_payload_bytes
+    real = records_mod._value_bytes
 
-    def counted(slot, before, after):
+    def counted(value):
         walks.append(1)
-        return real(slot, before, after)
+        return real(value)
 
-    monkeypatch.setattr(records_mod, "update_payload_bytes", counted)
+    monkeypatch.setattr(log_mod, "_value_bytes", counted)
     logged: list[UpdateRecord] = []
     real_log_update = LogManager.log_update
 
@@ -534,4 +537,4 @@ def test_one_row_walk_per_logged_update(monkeypatch):
     run_cell(spec)
     assert checkpoints
     assert sum(record.page_image is not None for record in logged) > 0
-    assert len(walks) == len(logged) > 0
+    assert len(walks) == 3 * len(logged) > 0

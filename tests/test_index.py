@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.dbms import SimulatedDBMS
 from repro.db.catalog import Catalog
 from repro.db.index import HashIndex, stable_key_hash
 from repro.db.page import Page
@@ -9,7 +10,7 @@ from repro.db.schema import TableSchema, int_col
 
 
 class DictAccessor:
-    """PageAccessor backed by a plain dict (no I/O, for unit tests)."""
+    """The page reads of an index probe, backed by a plain dict (no I/O)."""
 
     def __init__(self):
         self.pages: dict[int, Page] = {}
@@ -18,6 +19,13 @@ class DictAccessor:
     def read_page(self, page_id: int) -> Page:
         self.reads += 1
         return self.pages.setdefault(page_id, Page(page_id))
+
+
+def lookup(index: HashIndex, key: tuple, acc: DictAccessor):
+    """The engine's probe, :meth:`SimulatedDBMS.index_lookup`, reading its
+    bucket page through ``acc`` in place of the buffer pool."""
+    acc.indexes = {"t_pk": index}
+    return SimulatedDBMS.index_lookup(acc, "t_pk", key)
 
 
 def bucket(index: HashIndex, key: tuple, acc: DictAccessor) -> Page:
@@ -47,25 +55,25 @@ def index() -> HashIndex:
 def test_insert_lookup_roundtrip(index):
     acc = DictAccessor()
     insert(index, (5,), (12, 3), acc)
-    assert index.lookup((5,), acc) == (12, 3)
+    assert lookup(index, (5,), acc) == (12, 3)
 
 
 def test_lookup_missing_returns_none(index):
-    assert index.lookup((999,), DictAccessor()) is None
+    assert lookup(index, (999,), DictAccessor()) is None
 
 
 def test_insert_overwrites(index):
     acc = DictAccessor()
     insert(index, (5,), (12, 3), acc)
     insert(index, (5,), (99, 0), acc)
-    assert index.lookup((5,), acc) == (99, 0)
+    assert lookup(index, (5,), acc) == (99, 0)
 
 
 def test_delete_then_lookup_none(index):
     acc = DictAccessor()
     insert(index, (5,), (12, 3), acc)
     delete(index, (5,), acc)
-    assert index.lookup((5,), acc) is None
+    assert lookup(index, (5,), acc) is None
 
 
 def test_bucket_pages_stay_in_allocated_range(index):
@@ -79,7 +87,7 @@ def test_lookup_charges_exactly_one_page_access(index):
     acc = DictAccessor()
     insert(index, (5,), (12, 3), acc)
     acc.reads = 0
-    index.lookup((5,), acc)
+    lookup(index, (5,), acc)
     assert acc.reads == 1
 
 
@@ -89,7 +97,7 @@ def test_colliding_keys_coexist_in_one_bucket(index):
     for i, key in enumerate(keys):
         insert(index, key, (i, 0), acc)
     for i, key in enumerate(keys):
-        assert index.lookup(key, acc) == (i, 0)
+        assert lookup(index, key, acc) == (i, 0)
 
 
 class TestStableHash:

@@ -21,7 +21,7 @@ import pytest
 
 from repro.buffer.frame import Frame
 from repro.db.page import Page, PageImage
-from repro.errors import CacheError, UnpinnedFrameError
+from repro.errors import CacheError
 from repro.flashcache.directory import FifoDirectory, SlotMeta
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.storage.hdd import DiskDevice
@@ -56,13 +56,6 @@ def test_frame_flag_protocol_unchanged():
     assert (frame.dirty, frame.fdirty) == (True, False)
     frame.on_fetch_from_flash(flash_copy_dirty=False)
     assert (frame.dirty, frame.fdirty) == (False, False)
-
-    frame.pin()
-    assert frame.pinned
-    frame.unpin()
-    assert not frame.pinned
-    with pytest.raises(UnpinnedFrameError):
-        frame.unpin()
 
 
 # -- Page <-> PageImage copy-on-write -----------------------------------------

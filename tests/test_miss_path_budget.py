@@ -17,11 +17,13 @@ from tests.conftest import MISS_CELL_CACHE_PAGES, gsc_miss_cell, miss_cell_ops
 
 #: Frames per miss measured on this cell (CPython 3.11); the same cell cost
 #: 69.5 before the path was flattened, 24.9 before eviction, thaw and
-#: enqueue lost their constructor and helper hops, and 20.0 before the page
-#: image lost its constructor frame and the enqueue its directory call.  The
-#: cell is half updates with an 8-page scan depth, so a miss here does more
-#: replacement work than at BENCH scale (12.3 on ``tpcc_replay_grid``).
-MEASURED = 19.0
+#: enqueue lost their constructor and helper hops, 20.0 before the page
+#: image lost its constructor frame and the enqueue its directory call, and
+#: 19.0 before LRU's order became the pool's frame table (no ``evict``,
+#: ``insert`` or pull-time ``remove`` call).  The cell is half updates with
+#: an 8-page scan depth, so a miss here does more replacement work than at
+#: BENCH scale (10.3 on ``tpcc_full``).
+MEASURED = 17.0
 
 
 def frames_per_miss(dbms, steps: int = 600) -> float:

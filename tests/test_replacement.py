@@ -4,7 +4,7 @@ import pytest
 
 from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
-from repro.buffer.replacement import ClockPolicy, LruPolicy, make_policy
+from repro.buffer.replacement import ClockPolicy
 from repro.db.page import Page
 from repro.errors import BufferFullError, ConfigError
 
@@ -26,7 +26,7 @@ class TestClockPolicy:
         frames = [frame(pid) for pid in (1, 2, 3)]
         for f in frames:
             clock.insert(f)
-        clock.touch(frames[0])
+        frames[0].referenced = True  # what a pool hit sets
         victims = clock.victims(1)
         assert victims[0].page_id == 2  # frame 1 was spared once
         assert not frames[0].referenced  # chance consumed
@@ -37,25 +37,9 @@ class TestClockPolicy:
         for f in frames:
             clock.insert(f)
         for f in frames:
-            clock.touch(f)
+            f.referenced = True
         victims = clock.victims(2)
         assert {v.page_id for v in victims} == {1, 2}
-
-    def test_pinned_frames_skipped(self):
-        clock = ClockPolicy()
-        frames = [frame(pid) for pid in (1, 2)]
-        for f in frames:
-            clock.insert(f)
-        frames[0].pin()
-        assert clock.victims(1)[0].page_id == 2
-
-    def test_all_pinned_raises(self):
-        clock = ClockPolicy()
-        f = frame(1)
-        f.pin()
-        clock.insert(f)
-        with pytest.raises(BufferFullError):
-            clock.victims(1)
 
     def test_remove_keeps_ring_consistent(self):
         clock = ClockPolicy()
@@ -77,12 +61,13 @@ class TestClockPolicy:
 
 class TestFactory:
     def test_known_policies(self):
-        assert isinstance(make_policy("lru"), LruPolicy)
-        assert isinstance(make_policy("clock"), ClockPolicy)
+        # LRU is the pool's own table order; only CLOCK keeps a ring.
+        assert BufferPool(2, "lru")._clock is None
+        assert isinstance(BufferPool(2, "clock")._clock, ClockPolicy)
 
     def test_unknown_policy(self):
         with pytest.raises(ConfigError):
-            make_policy("arc")
+            BufferPool(2, "arc")
 
 
 class TestClockBufferPool:

@@ -66,6 +66,17 @@ ENGINE = (
     "repro.sim.service",
 )
 
+#: The workloads' drivers, loaders and heap arithmetic: a grid declares its
+#: workloads by name, knobs and presets (``repro.workload.registry``) and
+#: loads these only where a cell builds an entry.
+WORKLOAD_ENGINE = (
+    "repro.tpcc.driver",
+    "repro.tpcc.loader",
+    "repro.tpcc.transactions",
+    "repro.workload.tpch",
+    "repro.db.heap",
+)
+
 #: What ``perf/workloads.py`` imports from the package to declare its grids.
 GRID_IMPORTS = (
     "repro.sim.experiment",
@@ -115,6 +126,7 @@ def test_cli_help_and_a_refused_grid_load_no_engine_module(argv, status):
     }
     assert "repro.cli" in loaded
     assert not set(ENGINE) & loaded
+    assert not set(WORKLOAD_ENGINE) & loaded
 
 
 def test_the_package_root_resolves_every_name_on_first_use():

@@ -280,10 +280,10 @@ def test_fork_dbms_shares_wal_records_not_spines():
     for ours, theirs in zip(clone.log._durable[:50], original.log._durable[:50]):
         assert ours is theirs  # records shared, never copied
     assert clone.buffer._frames is not original.buffer._frames
-    # The clone's pool and its policy see the *same* frame objects.
-    policy_frames = {id(f) for f in clone.buffer._policy._frames.values()}
+    # The clone's table holds new frame objects, in the same LRU order.
+    assert list(clone.buffer._frames) == list(original.buffer._frames)
     pool_frames = {id(f) for f in clone.buffer._frames.values()}
-    assert policy_frames == pool_frames
+    assert not pool_frames & {id(f) for f in original.buffer._frames.values()}
     # Mutating the clone must not leak into the original.
     clone.log._durable.append(None)
     assert original.log._durable[-1] is not None

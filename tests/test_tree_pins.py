@@ -27,8 +27,6 @@ PERF = ROOT / "perf"
 #: Owner -> names deleted because only tests and examples reached them.
 DELETED = {
     "repro.db": ("BTreeIndex",),
-    "repro.db.index:HashIndex": ("insert", "delete"),
-    "repro.db.index:PageAccessor": ("update_slot",),
     "repro.core.dbms": ("TxPageAccessor",),
     "repro.core.dbms:SimulatedDBMS": (
         "update_slot", "tx_accessor", "create_btree_index",
@@ -92,6 +90,14 @@ DELETED = {
     # declaration/engine line (DESIGN.md §6).
     "repro.sim.service": ("ServiceScenario",),
     "repro.sim.scenario": ("ServiceResult", "RunResult", "RecoveryManager"),
+    # The executed access path is flat: the engine probes an index itself,
+    # LRU order is the pool's frame table, and nothing pins a frame.
+    "repro.db.index": ("PageAccessor",),
+    "repro.db.index:HashIndex": ("insert", "delete", "lookup"),
+    "repro.buffer.replacement": ("LruPolicy", "ReplacementPolicy", "make_policy"),
+    "repro.buffer.replacement:ClockPolicy": ("touch",),
+    "repro.buffer.frame:Frame": ("pin", "unpin", "pinned", "pin_count"),
+    "repro.errors": ("UnpinnedFrameError",),
 }
 
 #: Deleted modules.

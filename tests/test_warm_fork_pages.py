@@ -131,8 +131,8 @@ def test_fork_copies_frames_and_pages_without_the_generic_walk(warmed, monkeypat
     clone = fork_dbms(fork_dbms(warmed))
     assert rebuilt  # the walk ran, for the other objects of the graph
     assert Frame not in rebuilt and Page not in rebuilt
-    # Still a private copy: the pool and its policy share the clone's frames,
-    # and each clone frame holds a clone page over the same rows.
+    # Still a private copy: the pool's table holds the clone's frames, and
+    # each clone frame holds a clone page over the same rows.
     assert {id(f) for f in clone.buffer.frames()} == {
         id(f) for f in clone.buffer._frames.values()
     }
@@ -140,8 +140,8 @@ def test_fork_copies_frames_and_pages_without_the_generic_walk(warmed, monkeypat
         original = warmed.buffer.peek(frame.page_id)
         assert frame is not original and frame.page is not original.page
         assert frame.page_id == frame.page.page_id == original.page_id
-        assert (frame.dirty, frame.fdirty, frame.pin_count, frame.referenced) == (
-            original.dirty, original.fdirty, original.pin_count, original.referenced,
+        assert (frame.dirty, frame.fdirty, frame.referenced) == (
+            original.dirty, original.fdirty, original.referenced,
         )
         assert frame.page.slots is original.page.slots  # shared copy-on-write
 
@@ -227,10 +227,10 @@ def test_a_fork_keeps_its_aliases(wide):
     assert clone.cache.disk is clone.disk
     assert clone.disk.store is not wide.disk.store
     assert clone.cache.directory is not wide.cache.directory
-    # The pool and its policy hold the same new frames, in the same order.
-    pool, policy = clone.buffer._frames, clone.buffer._policy._frames
-    assert list(policy) == list(wide.buffer._policy._frames)
-    assert all(frame is pool[page_id] for page_id, frame in policy.items())
+    # The pool's table holds new frames, in the same LRU order.
+    pool = clone.buffer._frames
+    assert list(pool) == list(wide.buffer._frames)
+    assert all(frame.page_id == page_id for page_id, frame in pool.items())
     assert not {id(f) for f in pool.values()} & {id(f) for f in wide.buffer._frames.values()}
     # What the fork shares is immutable: page images, cache slots, WAL records.
     assert all(a is b for a, b in zip(clone.log._durable, wide.log._durable))
