@@ -581,13 +581,12 @@ def latency_summary(latest: dict) -> list[str]:
 
 # -- scan resistance ---------------------------------------------------------
 
-#: The paper's protagonist (mvFIFO+GSC), the pure-recency strawman it argues
-#: against (LRU-2), and LC.  Smoke drops LC (the gates compare GSC against
-#: LRU-2) but keeps the full measurement window: a shorter one stops before
-#: LRU-2's scan-cannibalisation reaches steady state, and the §3.3 gate
-#: would measure the transient, not the claim.
-SCAN_POLICIES = ("face+gsc", "lru2", "lc")
-SMOKE_SCAN_POLICIES = ("face+gsc", "lru2")
+#: The paper's protagonist (mvFIFO+GSC) and LC, whose flash cache is the
+#: recency-ranked LRU-2 the §3.3 claim argues against.  Smoke runs the same
+#: grid and the full measurement window: a shorter one stops before LRU-2's
+#: scan-cannibalisation reaches steady state, and the gate would measure
+#: the transient, not the claim.
+SCAN_POLICIES = ("face+gsc", "lc")
 #: Mix name -> preset for :func:`repro.workload.registry.workload_spec`.
 SCAN_MIXES = {"pure-scan": None, "htap": "htap"}
 SCAN_MEASURE_TX = 400
@@ -596,14 +595,14 @@ SCAN_CACHE_FRACTION = 0.08
 SCAN_COLUMNS = ("key", "flash_hit_rate", "tpmc", "transactions")
 
 
-def scan_specs(smoke: bool) -> list[CellSpec]:
+def scan_specs() -> list[CellSpec]:
     from repro.workload.registry import estimate_workload_pages, workload_spec
 
     specs = []
     for mix, preset in SCAN_MIXES.items():
         spec_w = workload_spec("tpch-scan", preset=preset)
         db_pages = estimate_workload_pages(spec_w, TINY)
-        for policy in SMOKE_SCAN_POLICIES if smoke else SCAN_POLICIES:
+        for policy in SCAN_POLICIES:
             specs.append(CellSpec(
                 key=(mix, policy),
                 config=scaled_reference_config(
@@ -636,9 +635,9 @@ def run_scan(jobs: int, smoke: bool) -> dict:
        and compared bit-for-bit against the replayed results.
 
     Gates: those two, the shape of the record, and GSC's steady-state flash
-    hit ratio strictly above LRU-2's under *both* mixes.
+    hit ratio strictly above LC's (LRU-2-ranked) under *both* mixes.
     """
-    specs = scan_specs(smoke)
+    specs = scan_specs()
     clear_recorders()
     seed_wall, seeded = timed_pass(specs, 1, fast=True)
     (replay_wall, cells), counts = counted(
@@ -672,8 +671,8 @@ def run_scan(jobs: int, smoke: bool) -> dict:
         "scan_resistance": {
             mix: {
                 "gsc_flash_hit_rate": round(hit[(mix, "face+gsc")], 6),
-                "lru2_flash_hit_rate": round(hit[(mix, "lru2")], 6),
-                "gsc_beats_lru2": hit[(mix, "face+gsc")] > hit[(mix, "lru2")],
+                "lc_flash_hit_rate": round(hit[(mix, "lc")], 6),
+                "gsc_beats_lc": hit[(mix, "face+gsc")] > hit[(mix, "lc")],
             }
             for mix in SCAN_MIXES
         },
@@ -690,14 +689,13 @@ def scan_gates(latest: dict) -> list[str]:
     problems = missing_columns(latest["cells"], SCAN_COLUMNS)
     if problems:
         return problems
-    policies = SMOKE_SCAN_POLICIES if latest["mode"] == "smoke" else SCAN_POLICIES
-    expected = len(SCAN_MIXES) * len(policies)
+    expected = len(SCAN_MIXES) * len(SCAN_POLICIES)
     native = latest["native_recorded_transactions"]
     resistance = latest["scan_resistance"]
     return failed([
         (len(latest["cells"]) == latest["n_cells"] == expected,
          f"record holds {len(latest['cells'])} cells, n_cells "
-         f"{latest['n_cells']}; a {latest['mode']} grid has {expected}"),
+         f"{latest['n_cells']}; the grid has {expected}"),
         (latest["workload"] == "tpch-scan",
          f"workload is {latest['workload']!r}, not 'tpch-scan'"),
         (latest["replay_parity"] is True,
@@ -708,9 +706,9 @@ def scan_gates(latest: dict) -> list[str]:
         (set(resistance) == set(SCAN_MIXES),
          f"scan_resistance covers {sorted(resistance)}, not {sorted(SCAN_MIXES)}"),
     ] + [
-        (gate.get("gsc_beats_lru2") is True,
+        (gate.get("gsc_beats_lc") is True,
          f"GSC {mix} flash hit ratio {gate.get('gsc_flash_hit_rate')} does not "
-         f"beat LRU-2's {gate.get('lru2_flash_hit_rate')} (the §3.3 "
+         f"beat LC's {gate.get('lc_flash_hit_rate')} (the §3.3 "
          f"scan-resistance claim)")
         for mix, gate in resistance.items()
     ])
@@ -726,8 +724,8 @@ def scan_summary(latest: dict) -> list[str]:
         f"parity: {latest['replay_parity']}",
     ] + [
         f"{mix}: GSC flash hit {gate['gsc_flash_hit_rate']} "
-        f"{'beats' if gate['gsc_beats_lru2'] else 'DOES NOT beat'} "
-        f"LRU-2 {gate['lru2_flash_hit_rate']}"
+        f"{'beats' if gate['gsc_beats_lc'] else 'DOES NOT beat'} "
+        f"LC {gate['lc_flash_hit_rate']}"
         for mix, gate in latest["scan_resistance"].items()
     ]
 

@@ -91,9 +91,10 @@ class BufferPool:
         self.stats.hits += 1
         if OBS.enabled:
             self._obs_handle("hit").inc()
-        frame.referenced = True
         if self._clock is None:
             frames.move_to_end(page_id)
+        else:
+            frame.referenced = True
         return frame
 
     def peek(self, page_id: int) -> Frame | None:
@@ -120,7 +121,7 @@ class BufferPool:
             raise ConfigError(f"page {page_id} already buffered")
         if len(frames) >= self.capacity:
             raise BufferFullError("admit() on a full pool; call make_room() first")
-        # Frame.__init__, inline: one frame is built per DRAM miss.
+        # The one place a frame is built: once per DRAM miss.
         frame = _new(Frame)
         frame.page = page
         frame.page_id = page_id

@@ -36,7 +36,6 @@ class CachePolicy(enum.Enum):
     FACE_GR = "face+gr"
     FACE_GSC = "face+gsc"
     LC = "lc"
-    LRU2 = "lru2"
     TAC = "tac"
     EXADATA = "exadata"
 

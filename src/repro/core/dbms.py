@@ -264,7 +264,7 @@ class SimulatedDBMS:
             if flash_hit is not None:
                 handles[1].inc()
         if flash_hit is not None:
-            image, dirty = flash_hit  # Frame.on_fetch_from_flash, at admission
+            image, dirty = flash_hit  # synced with flash; disk may be stale
         else:
             disk = self.disk
             image = disk.peek(page_id)
@@ -274,7 +274,7 @@ class SimulatedDBMS:
                 # reads zeroes; we materialise an empty page at the same cost.
                 image = _tuple_new(PageImage, (page_id, 0, {}))
             cache.on_fetch_from_disk(image)
-            dirty = False  # Frame.on_fetch_from_disk: both flags drop
+            dirty = False  # from disk: both flags drop
         buffer = self.buffer
         victim = buffer.make_room()
         if victim is not None:
@@ -349,7 +349,7 @@ class SimulatedDBMS:
             page.delete(slot, record.lsn)
         else:
             page.put(slot, after, record.lsn)
-        frame.dirty = frame.fdirty = True  # Frame.on_update, inlined
+        frame.dirty = frame.fdirty = True  # newer than both durable copies
         fpw_done = log._fpw_done
         if page_id not in fpw_done:  # LogManager.take_fpw, inlined
             # Full-page write: the page's first update since the last

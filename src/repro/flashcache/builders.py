@@ -45,7 +45,7 @@ def _build_group(cls, config: SystemConfig, flash, disk):
 
 
 def _build_baseline(cls, config: SystemConfig, flash, disk):
-    # LC, LRU-2, TAC and Exadata run at the paper's fixed settings.
+    # LC, TAC and Exadata run at the paper's fixed settings.
     return cls(flash, disk, config.cache_pages)
 
 
@@ -57,7 +57,6 @@ BUILDERS: dict[CachePolicy, Callable] = {
     CachePolicy.FACE_GR: _build_group,
     CachePolicy.FACE_GSC: _build_group,
     CachePolicy.LC: _build_baseline,
-    CachePolicy.LRU2: _build_baseline,
     CachePolicy.TAC: _build_baseline,
     CachePolicy.EXADATA: _build_baseline,
 }

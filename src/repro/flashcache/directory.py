@@ -8,9 +8,10 @@ injective over the live window and wrap-around needs no special cases.
 
 The directory is a **position-indexed ring**: parallel ``page_ids`` /
 ``lsns`` / ``flags`` lists indexed by physical slot, plus the page→position
-map ``valid_pos``.  An enqueue overwrites three cells and allocates nothing;
-the owning cache reads and sets flag bits in place on its hit path.  The
-flag bits are the paper's (Section 3.3):
+map ``valid_pos``.  The owning cache writes the ring itself
+(``MvFifoCache._enqueue``): an enqueue overwrites three cells at ``rear``
+and allocates nothing, and the hit path reads and sets flag bits in place.
+The flag bits are the paper's (Section 3.3):
 
 * :data:`VALID`  — this slot holds the *newest* cached version of its page.
   Enqueueing a page invalidates its previous version (no I/O, Figure 2).
@@ -96,47 +97,7 @@ class FifoDirectory:
         """Flash LBA (within the cache region) of virtual ``position``."""
         return position % self.capacity
 
-    # -- enqueue / dequeue ------------------------------------------------------
-
-    def enqueue(self, page_id: int, lsn: int, dirty: bool) -> int:
-        """Append metadata for a new version; returns its virtual position.
-
-        Invalidates the previous valid version of ``page_id`` if any —
-        a pure metadata operation, deliberately free of I/O.
-        ``MvFifoCache._enqueue`` inlines this (one call per flash write).
-        """
-        position = self.rear
-        capacity = self.capacity
-        if position - self.front >= capacity:
-            raise CacheError("enqueue into full queue; dequeue first")
-        flags = self.flags
-        # Load-bearing even after the cache's own invalidate(): making room
-        # can enqueue this very page again (GSC pulls it from DRAM while a
-        # checkpoint is flushing it), which this look-up must supersede —
-        # tests/test_gsc_checkpoint_pull.py.
-        previous = self.valid_pos.get(page_id)
-        if previous is not None:
-            flags[previous % capacity] &= ~VALID
-        physical = position % capacity
-        self.page_ids[physical] = page_id
-        self.lsns[physical] = lsn
-        flags[physical] = (VALID | DIRTY) if dirty else VALID
-        self.valid_pos[page_id] = position
-        self.rear = position + 1
-        return position
-
-    def invalidate(self, page_id: int) -> bool:
-        """Mark the cached version of ``page_id`` stale (metadata only).
-
-        Called by the enqueue path *before* a replacement victim is chosen,
-        so that a superseded front slot is discarded instead of being
-        flushed to disk.  Returns whether a version existed.
-        """
-        position = self.valid_pos.pop(page_id, None)
-        if position is None:
-            return False
-        self.flags[position % self.capacity] &= ~VALID
-        return True
+    # -- dequeue -------------------------------------------------------------
 
     def dequeue_batch(self, count: int) -> list[tuple[int, int]]:
         """Remove the ``count`` front slots; returns ``(position, flags)``

@@ -188,21 +188,3 @@ class LazyCleaningCache(FlashCacheBase):
     def cached_pages(self) -> int:
         return len(self._slot_of)
 
-
-class Lru2Cache(LazyCleaningCache):
-    """Pure LRU-2 flash cache: LC's replacement without its lazy cleaner.
-
-    The Section 3.3 scan-resistance comparison contrasts recency-based
-    flash replacement with mvFIFO's group second chance in isolation.  LC
-    proper entangles that comparison with its cleaner (background disk
-    writes change the device mix).  Pinning the dirty threshold at 1.0
-    keeps the write-back, in-place-overwrite LRU-2 cache but makes the
-    cleaner unreachable — dirty pages reach disk only on eviction or
-    checkpoint — so observed differences against FaCE variants come from
-    the replacement policy alone.
-    """
-
-    name = "LRU-2"
-
-    def __init__(self, flash: Volume, disk: Volume, capacity: int) -> None:
-        super().__init__(flash, disk, capacity, dirty_threshold=1.0)

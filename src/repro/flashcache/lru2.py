@@ -29,12 +29,6 @@ class Lru2Policy:
         self._history: dict[Hashable, tuple[int, int]] = {}
         self._heap: list[tuple[int, int, Hashable]] = []
 
-    def __len__(self) -> int:
-        return len(self._history)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._history
-
     def touch(self, key: Hashable) -> None:
         """Record a reference to ``key`` (inserting it if new)."""
         self._clock += 1
@@ -49,10 +43,6 @@ class Lru2Policy:
         if len(self._heap) > 64 and len(self._heap) > 4 * len(self._history):
             self._heap = [(p, last, k) for k, (p, last) in self._history.items()]
             heapq.heapify(self._heap)
-
-    def remove(self, key: Hashable) -> None:
-        """Forget ``key`` (stale heap entries are skipped lazily)."""
-        self._history.pop(key, None)
 
     def victim(self) -> Hashable:
         """Return (and forget) the LRU-2 victim among tracked keys."""
@@ -69,14 +59,14 @@ class Lru2Policy:
 
         Consuming ``k`` keys costs O((k + s) log n) — ``s`` being stale
         lazy-deletion entries, which are dropped for good as a side effect —
-        instead of the O(n log n) full sort :meth:`keys_coldest_first` pays
-        up front.  This is what lets the LC cleaner stop after flushing a
-        handful of cold pages without ranking the whole cache.
+        instead of an O(n log n) full sort up front.  This is what lets the
+        LC cleaner stop after flushing a handful of cold pages without
+        ranking the whole cache.
 
         Valid entries popped during iteration are re-pushed when the
         iterator is closed or exhausted, so policy state is unchanged.  The
-        caller must not call :meth:`touch`, :meth:`remove` or
-        :meth:`victim` while iterating.
+        caller must not call :meth:`touch` or :meth:`victim` while
+        iterating.
         """
         heap = self._heap
         history = self._history
@@ -90,7 +80,3 @@ class Lru2Policy:
         finally:
             for entry in popped:
                 heapq.heappush(heap, entry)
-
-    def keys_coldest_first(self) -> list[Hashable]:
-        """All tracked keys ordered coldest → hottest (for cleaners)."""
-        return list(self.iter_coldest())

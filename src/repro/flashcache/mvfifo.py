@@ -192,8 +192,8 @@ class MvFifoCache(FlashCacheBase):
         capacity = self.capacity
         # Invalidate the previous version *before* choosing a victim: if the
         # front slot is that very version it is now discarded for free
-        # instead of being redundantly flushed to disk.  (directory.invalidate,
-        # inline; the enqueue below still re-invalidates.)
+        # instead of being redundantly flushed to disk.  The write below
+        # looks the page up again.
         superseded = directory.valid_pos.pop(page_id, None)
         if superseded is not None:
             directory.flags[superseded % capacity] &= ~VALID
@@ -207,11 +207,11 @@ class MvFifoCache(FlashCacheBase):
             if held is None:
                 self._held_front = directory.front
             self._make_room(1)
-        # directory.enqueue(page_id, image.lsn, dirty), inline: room was just
-        # made.  The second look-up is load-bearing: making room can enqueue
-        # this very page again (GSC pulls it from DRAM while a checkpoint is
-        # flushing it), which this version must supersede —
-        # tests/test_gsc_checkpoint_pull.py.
+        # Write the ring at ``rear`` (room was just made): the new slot is
+        # the page's one valid version.  The second look-up is load-bearing:
+        # making room can enqueue this very page again (GSC pulls it from
+        # DRAM while a checkpoint is flushing it), which this version must
+        # supersede — tests/test_gsc_checkpoint_pull.py.
         flags, valid_pos = directory.flags, directory.valid_pos
         previous = valid_pos.get(page_id)
         if previous is not None:

@@ -20,7 +20,7 @@ from repro.flashcache.base import FlashCacheBase
 from repro.flashcache.builders import BUILDERS
 from repro.flashcache.exadata import ExadataStyleCache
 from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
-from repro.flashcache.lc import LazyCleaningCache, Lru2Cache
+from repro.flashcache.lc import LazyCleaningCache
 from repro.flashcache.mvfifo import MvFifoCache
 from repro.flashcache.null import NullFlashCache, SsdOnlyCache
 from repro.flashcache.tac import TacCache
@@ -34,7 +34,6 @@ _CLASSES: dict[CachePolicy, type[FlashCacheBase]] = {
     CachePolicy.FACE_GR: GroupReplacementCache,
     CachePolicy.FACE_GSC: GroupSecondChanceCache,
     CachePolicy.LC: LazyCleaningCache,
-    CachePolicy.LRU2: Lru2Cache,
     CachePolicy.TAC: TacCache,
     CachePolicy.EXADATA: ExadataStyleCache,
 }

@@ -90,11 +90,12 @@ from repro.sim.warmstate import (
     warm_fork_enabled,
 )
 from repro.storage.profiles import PAGE_SIZE
-from repro.tpcc.driver import _MIX, WorkloadStats
+from repro.tpcc.driver import _MIX
 from repro.tpcc.scale import ScaleProfile
 from repro.workload.registry import (
     TPCC_SPEC,
     WorkloadSpec,
+    WorkloadStats,
     estimate_workload_pages,
     get_workload_entry,
 )
@@ -930,7 +931,7 @@ class ReplayRunner:
                 tail_append(record)
                 page = frame.page
                 page.lsn = lsn  # Page.stamp, inlined
-                frame.dirty = True  # Frame.on_update, inlined
+                frame.dirty = True  # newer than both durable copies
                 frame.fdirty = True
                 if page_id not in fpw_done:  # take_fpw + attach, inlined
                     fpw_done.add(page_id)
@@ -1010,7 +1011,7 @@ class ReplayRunner:
                 record = log_update_sized(txid, page_id, packed & _PAYLOAD_MASK)
                 page = frame.page
                 page.stamp(record.lsn)
-                frame.dirty = True  # Frame.on_update, inlined
+                frame.dirty = True  # newer than both durable copies
                 frame.fdirty = True
                 if take_fpw(page_id):
                     attach_image(record, page.to_image())

@@ -16,11 +16,11 @@ from repro.core.config import SystemConfig
 from repro.core.dbms import SimulatedDBMS
 from repro.obs import OBS, RegistrySnapshot
 from repro.sim.metrics import ThroughputSeries
-from repro.tpcc.driver import WorkloadStats
 from repro.tpcc.scale import ScaleProfile
 from repro.workload.registry import (
     TPCC_SPEC,
     WorkloadSpec,
+    WorkloadStats,
     get_workload_entry,
     load_workload,
 )

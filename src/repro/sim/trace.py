@@ -1,44 +1,28 @@
-"""Trace capture and encoding: device I/O traces and the boundary codec.
+"""The boundary-trace codec and shared-memory trace segments.
 
-Two trace layers live here:
+The **boundary-trace codec** (:func:`encode_boundary` /
+:func:`decode_boundary`) is the compressed wire format for the logical
+page-access stream the replay fast path records (:mod:`repro.sim.replay`).
+The raw encoding is one opcode byte plus one signed 64-bit operand per
+operand-carrying event; the codec shrinks it by run-length-encoding hot
+opcode sequences, delta-encoding page ids as zigzag varints against the
+previous page touched (in the spirit of Page-Differential Logging's delta
+pages — see DESIGN.md §10), and deflating the result.  Decoding is
+**bit-exact**: the original arrays are reconstructed verbatim, so a replay
+from a compressed persistent trace is bit-identical to one from the live
+recorder — a property pinned by the replay parity suite.
 
-* :class:`IOTracer` wraps any set of devices and records every operation —
-  device, read/write, LBA, length, the classified kind, and the charged
-  service time — so that an experiment's exact I/O pattern can be
-  inspected, asserted on, or exported (CSV) for external analysis.  This is
-  how the repository demonstrates, not just asserts, the paper's core
-  claim: FaCE's flash traffic is sequential appends; LC's is scattered
-  in-place writes.
-* the **boundary-trace codec** (:func:`encode_boundary` /
-  :func:`decode_boundary`): the compressed wire format for the logical
-  page-access stream the replay fast path records
-  (:mod:`repro.sim.replay`).  The raw encoding is one opcode byte plus one
-  signed 64-bit operand per operand-carrying event; the codec shrinks it by
-  run-length-encoding hot opcode sequences, delta-encoding page ids as
-  zigzag varints against the previous page touched (in the spirit of
-  Page-Differential Logging's delta pages — see DESIGN.md §10), and
-  deflating the result.  Decoding is **bit-exact**: the original arrays are
-  reconstructed verbatim, so a replay from a compressed persistent trace is
-  bit-identical to one from the live recorder — a property pinned by the
-  replay parity suite.
-
-Usage::
-
-    with IOTracer({"flash": dbms.flash.device, "disk": dbms.disk.device}) as t:
-        driver.run(1000)
-    print(t.summary("flash"))
-    t.to_csv("trace.csv")
+A device's own I/O pattern needs no trace: its
+:class:`~repro.storage.device.IOStats` counts operations and pages by
+kind (sequential or random, read or write).
 """
 
 from __future__ import annotations
 
 import zlib
 from array import array
-from dataclasses import dataclass
-from typing import IO, Iterable
 
 from repro.errors import TraceCodecError
-from repro.storage.device import Device, IOKind
 
 # -- boundary-trace event alphabet -------------------------------------------
 #
@@ -63,144 +47,6 @@ PAYLOAD_MASK = (1 << PAYLOAD_BITS) - 1
 
 #: Opcodes that carry one operand in the ``args`` array.
 OPS_WITH_ARGS = frozenset({OP_READ, OP_UPDATE, OP_TXEND})
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded device operation."""
-
-    sequence: int
-    device: str
-    op: str  # "read" | "write"
-    lba: int
-    npages: int
-    kind: str  # IOKind value as classified by the device
-    service_time: float
-
-
-class IOTracer:
-    """Records operations on a named set of devices while active."""
-
-    def __init__(self, devices: dict[str, Device]) -> None:
-        self.devices = devices
-        self.events: list[TraceEvent] = []
-        self._originals: dict[str, tuple] = {}
-        self._sequence = 0
-        self._active = False
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> "IOTracer":
-        if self._active:
-            return self
-        for name, device in self.devices.items():
-            self._originals[name] = (device.read, device.write)
-            device.read = self._wrap(name, device, "read")  # type: ignore[method-assign]
-            device.write = self._wrap(name, device, "write")  # type: ignore[method-assign]
-        self._active = True
-        return self
-
-    def stop(self) -> "IOTracer":
-        if not self._active:
-            return self
-        for name, device in self.devices.items():
-            device.read, device.write = self._originals[name]  # type: ignore[method-assign]
-        self._originals.clear()
-        self._active = False
-        return self
-
-    def __enter__(self) -> "IOTracer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _wrap(self, name: str, device: Device, op: str):
-        original = getattr(device, op)
-
-        def traced(lba: int, npages: int = 1) -> float:
-            ops_before = dict(device.stats.ops)
-            service = original(lba, npages)
-            kind = next(
-                k.value
-                for k, count in device.stats.ops.items()
-                if count != ops_before[k]
-            )
-            self._sequence += 1
-            self.events.append(
-                TraceEvent(self._sequence, name, op, lba, npages, kind, service)
-            )
-            return service
-
-        return traced
-
-    # -- analysis ----------------------------------------------------------
-
-    def for_device(self, name: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.device == name]
-
-    def summary(self, name: str | None = None) -> dict[str, float]:
-        """Aggregate counts/time, optionally for one device."""
-        events = self.for_device(name) if name else self.events
-        out: dict[str, float] = {
-            "ops": len(events),
-            "pages": sum(e.npages for e in events),
-            "busy_time": sum(e.service_time for e in events),
-        }
-        for kind in IOKind:
-            out[f"ops_{kind.value}"] = sum(1 for e in events if e.kind == kind.value)
-        return out
-
-    def sequential_write_fraction(self, name: str) -> float:
-        """Fraction of written pages that moved at sequential cost —
-        the paper's flash-write-pattern metric."""
-        writes = [e for e in self.for_device(name) if e.op == "write"]
-        total = sum(e.npages for e in writes)
-        if not total:
-            return 0.0
-        sequential = sum(
-            e.npages for e in writes if e.kind == IOKind.SEQ_WRITE.value
-        )
-        return sequential / total
-
-    # -- export ---------------------------------------------------------------
-
-    def to_csv(self, path_or_file: str | IO[str]) -> int:
-        """Write the trace as CSV; returns the number of events written."""
-        import csv
-
-        own = isinstance(path_or_file, str)
-        handle = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["sequence", "device", "op", "lba", "npages", "kind", "service_time"]
-            )
-            for e in self.events:
-                writer.writerow(
-                    [e.sequence, e.device, e.op, e.lba, e.npages, e.kind,
-                     f"{e.service_time:.9f}"]
-                )
-        finally:
-            if own:
-                handle.close()
-        return len(self.events)
-
-
-def replay(events: Iterable[TraceEvent], device: Device) -> float:
-    """Re-drive a recorded trace against a (fresh) device model.
-
-    Lets a captured pattern be re-priced under a different device profile —
-    e.g. replay LC's cache trace against an SLC model.  Returns the busy
-    time accumulated.
-    """
-    before = device.busy_time
-    for event in events:
-        if event.op == "read":
-            device.read(event.lba % device.capacity_pages, event.npages)
-        else:
-            device.write(event.lba % device.capacity_pages, event.npages)
-    return device.busy_time - before
 
 
 # -- boundary-trace codec ----------------------------------------------------

@@ -21,10 +21,6 @@ The timing contract is unchanged by the backend choice: the device model
 stays authoritative for simulated time, a backend only holds the bytes.
 Replay parity across backends is pinned in ``tests/test_page_store.py``
 and gated in ``benchmarks/BENCH_storage.json``.
-
-Instantiating the abstract class directly — ``PageStore(capacity)`` —
-returns a :class:`MemoryPageStore`, pathlib-style, so every historical
-call site and test keeps working.
 """
 
 from __future__ import annotations
@@ -51,19 +47,21 @@ class PageStore:
     a fresh object, or on object identity at all.
 
     Subclass contract — implement :meth:`put`, :meth:`get`, :meth:`peek`,
-    :meth:`delete`, ``__contains__``, ``__len__``, :meth:`occupied`,
-    :meth:`clear`, :meth:`snapshot_slots` and :meth:`_install_slots`;
-    bounds-check every LBA with :meth:`_check`.  ``occupied()`` must
-    iterate in ascending LBA order (a stable, backend-independent order —
-    recovery tooling and tests rely on it).  ``adopt_slots`` validation is
-    implemented here once, on top of ``_install_slots``.
+    ``put_many``, ``peek_many``, :meth:`delete`, ``__contains__``,
+    ``__len__``, :meth:`occupied`, :meth:`clear`, :meth:`snapshot_slots`
+    and :meth:`_install_slots`; bounds-check every LBA with :meth:`_check`
+    (a batch with :meth:`_check_many` or :meth:`_checked_items`).
+    ``occupied()`` must iterate in ascending LBA order (a stable,
+    backend-independent order — recovery tooling and tests rely on it).
+    ``adopt_slots`` validation is implemented here once, on top of
+    ``_install_slots``.
 
-    A batch is one store call: :meth:`put_many` and :meth:`peek_many`
-    default to loops over ``put`` / ``peek``; a backend overrides them to
-    move the whole batch at once (one dict update, one SQLite transaction,
-    one ``os.write``).  ``put_many`` must equal the same sequence of puts
-    (a repeated LBA: the last image wins) and range-check every LBA before
-    it writes anything.
+    A batch is one store call, moving the whole batch at once (one dict
+    update, one SQLite transaction, one ``os.write``).
+    ``put_many(items)`` stores each ``(lba, image)`` pair and must equal
+    the same sequence of puts (a repeated LBA: the last image wins); it
+    range-checks every LBA before it writes anything.
+    ``peek_many(lbas)`` is :meth:`peek` of each LBA, as a list in order.
 
     Durability: a ``persistent`` backend's contents survive *process
     death* (``SIGKILL``), not power loss.  Every completed write is in the
@@ -76,13 +74,6 @@ class PageStore:
     backend_name = "memory"
     #: Whether contents survive process death (file-backed backends).
     persistent = False
-
-    def __new__(cls, *args, **kwargs):
-        # ``PageStore(capacity)`` builds the default backend, so the
-        # abstract class doubles as the historical concrete entry point.
-        if cls is PageStore:
-            cls = MemoryPageStore
-        return object.__new__(cls)
 
     def __init__(self, capacity_pages: int) -> None:
         if capacity_pages <= 0:
@@ -153,21 +144,6 @@ class PageStore:
     def peek(self, lba: int) -> Any | None:
         """Return the image at ``lba`` or ``None`` — never raises on empty."""
         raise NotImplementedError
-
-    def put_many(self, items: Iterable[tuple[int, Any]]) -> None:
-        """Store each ``(lba, image)`` pair, in order, as one batch.
-
-        The LBAs may be contiguous or scattered; a repeated LBA keeps its
-        last image.  An out-of-range LBA anywhere in the batch raises
-        :class:`~repro.errors.OutOfRangeError` before anything is written.
-        """
-        for lba, image in self._checked_items(items):
-            self.put(lba, image)
-
-    def peek_many(self, lbas: Sequence[int]) -> list[Any | None]:
-        """:meth:`peek` each of ``lbas``, as one batch: a list, in order."""
-        self._check_many(lbas)
-        return [self.peek(lba) for lba in lbas]
 
     def delete(self, lba: int) -> None:
         """Drop the image at ``lba`` (idempotent)."""

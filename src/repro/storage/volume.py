@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 from repro.errors import OutOfRangeError
 from repro.obs import OBS
-from repro.storage.backing import PageStore
+from repro.storage.backing import MemoryPageStore, PageStore
 from repro.storage.device import Device
 
 
@@ -31,7 +31,7 @@ class Volume:
 
     def __init__(self, device: Device, store: PageStore | None = None) -> None:
         self.device = device
-        self.store = store if store is not None else PageStore(device.capacity_pages)
+        self.store = store if store is not None else MemoryPageStore(device.capacity_pages)
         if self.store.capacity_pages > device.capacity_pages:
             raise OutOfRangeError(
                 f"store ({self.store.capacity_pages}p) larger than device "

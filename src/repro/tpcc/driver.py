@@ -13,12 +13,12 @@ definition the paper's figures use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
 from repro.tpcc.random_gen import TpccRandom
-from repro.tpcc.transactions import TpccTransactions, TxResult
+from repro.tpcc.transactions import TpccTransactions
+from repro.workload.registry import TxResult, WorkloadStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tpcc.loader import TpccDatabase
@@ -31,42 +31,6 @@ _MIX = (
     ("delivery", 4),
     ("stock_level", 4),
 )
-
-
-@dataclass
-class WorkloadStats:
-    """Counts accumulated over a driver run.
-
-    ``headline_kind`` names the transaction kind behind the headline
-    throughput metric — New-Order for TPC-C (the tpmC definition), the
-    sole kind for single-kind workloads from the workload registry.
-    ``neworder_commits`` keeps its historic name but counts commits of
-    whatever the headline kind is.
-    """
-
-    executed: int = 0
-    committed: int = 0
-    aborted: int = 0
-    by_kind: dict[str, int] = field(default_factory=dict)
-    neworder_commits: int = 0
-    headline_kind: str = "new_order"
-
-    def record(self, result: TxResult) -> None:
-        self.executed += 1
-        self.by_kind[result.kind] = self.by_kind.get(result.kind, 0) + 1
-        if result.committed:
-            self.committed += 1
-            if result.kind == self.headline_kind:
-                self.neworder_commits += 1
-        else:
-            self.aborted += 1
-
-    def reset(self) -> None:
-        self.executed = 0
-        self.committed = 0
-        self.aborted = 0
-        self.by_kind.clear()
-        self.neworder_commits = 0
 
 
 class TpccDriver:

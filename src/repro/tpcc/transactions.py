@@ -15,11 +15,11 @@ committed database state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.tpcc import schema as S
 from repro.tpcc.random_gen import TpccRandom
+from repro.workload.registry import TxResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dbms import SimulatedDBMS
@@ -50,14 +50,6 @@ _O_OL_FIRST = S.ORDER.column_index("o_ol_first_rownum")
 _OL_I_ID = S.ORDER_LINE.column_index("ol_i_id")
 _OL_DELIVERY_D = S.ORDER_LINE.column_index("ol_delivery_d")
 _OL_AMOUNT = S.ORDER_LINE.column_index("ol_amount")
-
-
-@dataclass(frozen=True)
-class TxResult:
-    """Outcome of one transaction execution."""
-
-    kind: str
-    committed: bool
 
 
 def _set(row: tuple, position: int, value) -> tuple:

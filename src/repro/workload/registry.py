@@ -45,7 +45,7 @@ DESIGN.md §13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Mapping
 
@@ -87,6 +87,50 @@ YCSB_PRESETS = {
 
 
 @dataclass(frozen=True)
+class TxResult:
+    """Outcome of one transaction execution."""
+
+    kind: str
+    committed: bool
+
+
+@dataclass
+class WorkloadStats:
+    """Counts accumulated over a driver run.
+
+    ``headline_kind`` names the transaction kind behind the headline
+    throughput metric — New-Order for TPC-C (the tpmC definition), the
+    sole kind for single-kind workloads from the workload registry.
+    ``neworder_commits`` keeps its historic name but counts commits of
+    whatever the headline kind is.
+    """
+
+    executed: int = 0
+    committed: int = 0
+    aborted: int = 0
+    by_kind: dict[str, int] = field(default_factory=dict)
+    neworder_commits: int = 0
+    headline_kind: str = "new_order"
+
+    def record(self, result: TxResult) -> None:
+        self.executed += 1
+        self.by_kind[result.kind] = self.by_kind.get(result.kind, 0) + 1
+        if result.committed:
+            self.committed += 1
+            if result.kind == self.headline_kind:
+                self.neworder_commits += 1
+        else:
+            self.aborted += 1
+
+    def reset(self) -> None:
+        self.executed = 0
+        self.committed = 0
+        self.aborted = 0
+        self.by_kind.clear()
+        self.neworder_commits = 0
+
+
+@dataclass(frozen=True)
 class WorkloadSpec:
     """One canonical, hashable ``(workload name, knob overrides)`` pair.
 
@@ -120,8 +164,8 @@ class WorkloadEntry:
     ``loader`` populates a fresh DBMS and returns a database handle;
     ``make_driver`` turns that handle into a driver following the TPC-C
     protocol: ``run_one() -> TxResult`` (``.kind``/``.committed``),
-    ``run(n, checkpointer=None)``, and a
-    :class:`~repro.tpcc.driver.WorkloadStats` at ``.stats``.
+    ``run(n, checkpointer=None)``, and a :class:`WorkloadStats` at
+    ``.stats``.
 
     ``tx_kinds`` is the driver's closed kind alphabet, **headline kind
     first**: replayed traces encode each transaction's kind as its index

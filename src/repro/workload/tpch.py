@@ -43,12 +43,15 @@ from typing import TYPE_CHECKING
 
 from repro.db.schema import TableSchema, float_col, int_col, str_col
 from repro.errors import WorkloadError
-from repro.tpcc.driver import WorkloadStats
 from repro.tpcc.loader import load_keyed
 from repro.tpcc.random_gen import FastRandom
 from repro.tpcc.scale import ScaleProfile
-from repro.tpcc.transactions import TxResult
-from repro.workload.registry import TPCH_KNOBS, TPCH_PRESETS  # noqa: F401 - re-exported
+from repro.workload.registry import (  # noqa: F401 - the knobs are re-exported
+    TPCH_KNOBS,
+    TPCH_PRESETS,
+    TxResult,
+    WorkloadStats,
+)
 from repro.workload.synthetic import ZipfGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

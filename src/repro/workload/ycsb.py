@@ -3,8 +3,8 @@
 A synthetic key-value workload in the workload registry
 (:mod:`repro.workload.registry`), speaking the driver protocol every
 engine layer speaks: ``run_one`` returns a
-:class:`~repro.tpcc.transactions.TxResult` and counts accumulate in a
-:class:`~repro.tpcc.driver.WorkloadStats`, so YCSB cells flow through the
+:class:`~repro.workload.registry.TxResult` and counts accumulate in a
+:class:`~repro.workload.registry.WorkloadStats`, so YCSB cells flow through the
 trace recorder, the replay fast path and the parallel sweep engine
 exactly like TPC-C cells.
 
@@ -29,10 +29,13 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
-from repro.tpcc.driver import WorkloadStats
 from repro.tpcc.scale import ScaleProfile
-from repro.tpcc.transactions import TxResult
-from repro.workload.registry import YCSB_KNOBS, YCSB_PRESETS  # noqa: F401 - re-exported
+from repro.workload.registry import (  # noqa: F401 - the knobs are re-exported
+    YCSB_KNOBS,
+    YCSB_PRESETS,
+    TxResult,
+    WorkloadStats,
+)
 from repro.workload.synthetic import KV_SCHEMA, ZipfGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -8,10 +8,12 @@ import random
 import pytest
 
 from repro.buffer.frame import Frame
+from repro.buffer.pool import BufferPool
 from repro.core.config import CachePolicy, SystemConfig
 from repro.core.dbms import SimulatedDBMS
 from repro.db.page import Page, PageImage
 from repro.db.schema import TableSchema, int_col, str_col
+from repro.flashcache.mvfifo import MvFifoCache
 from repro.storage.hdd import DiskDevice
 from repro.storage.profiles import HDD_CHEETAH_15K, MLC_SAMSUNG_470
 from repro.storage.ssd import FlashDevice
@@ -53,9 +55,24 @@ def make_image(page_id: int, lsn: int = 0, **slots) -> PageImage:
 
 
 def make_frame(page_id: int, dirty: bool = False, fdirty: bool = False) -> Frame:
-    """A buffer frame holding a one-row page, for cache-policy tests."""
+    """A buffer frame holding a one-row page, for cache-policy tests,
+    admitted the way the engine builds every frame."""
     page = Page(page_id, lsn=page_id * 10 + 1, slots={0: ("row", page_id)})
-    return Frame(page=page, dirty=dirty, fdirty=fdirty)
+    return BufferPool(1).admit(page, dirty=dirty, fdirty=fdirty)
+
+
+def fifo_cache(capacity: int) -> MvFifoCache:
+    """A plain FaCE cache of ``capacity`` slots on fresh volumes."""
+    flash = Volume(FlashDevice(MLC_SAMSUNG_470, capacity + 64))
+    disk = Volume(DiskDevice(HDD_CHEETAH_15K, 4096))
+    return MvFifoCache(flash, disk, capacity)
+
+
+def enqueue_version(cache: MvFifoCache, page_id: int, lsn: int, dirty: bool) -> int:
+    """Enqueue a version of ``page_id`` through the cache's own write path
+    (making room first if the queue is full); returns its virtual position."""
+    cache._enqueue(PageImage(page_id, lsn, {0: ("v", lsn)}), dirty)
+    return cache.directory.valid_pos[page_id]
 
 
 def dequeue_one(directory):
@@ -161,6 +178,25 @@ def kv_read(dbms: SimulatedDBMS, k: int) -> tuple | None:
     """Read key ``k`` through the full data path."""
     rid = dbms.index_lookup("kv_pk", (k,))
     return dbms.fetch_row("kv", rid) if rid is not None else None
+
+
+def frame_of(dbms: SimulatedDBMS, k: int) -> Frame | None:
+    """The DRAM frame of key ``k``'s heap page, if resident."""
+    return dbms.buffer.peek(dbms.index_lookup("kv_pk", (k,))[0])
+
+
+def push_out_of_dram(dbms: SimulatedDBMS, *keys: int) -> None:
+    """Read other keys of the 64-key kv table until the heap pages of
+    ``keys`` have left DRAM for the (FaCE) flash cache."""
+    pages = {dbms.index_lookup("kv_pk", (k,))[0] for k in keys}
+    for other in range(64):
+        if not any(page_id in dbms.buffer for page_id in pages):
+            break
+        if dbms.index_lookup("kv_pk", (other,))[0] not in pages:
+            kv_read(dbms, other)
+    for page_id in pages:
+        assert page_id not in dbms.buffer
+        assert page_id in dbms.cache.directory.valid_pos
 
 
 def kv_write(dbms: SimulatedDBMS, k: int, value: str, commit: bool = True):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.db.page import PageImage
 from repro.errors import OutOfRangeError, PageNotFoundError
-from repro.storage.backing import PageStore
+from repro.storage.backing import MemoryPageStore
 from repro.storage.device import Device, IOKind
 from repro.storage.profiles import MLC_SAMSUNG_470
 from repro.storage.volume import Volume
@@ -17,33 +17,33 @@ def image(tag: str) -> PageImage:
 
 class TestPageStore:
     def test_put_get_roundtrip(self):
-        store = PageStore(10)
+        store = MemoryPageStore(10)
         store.put(3, image("image-a"))
         assert store.get(3) == image("image-a")
 
     def test_put_replaces(self):
-        store = PageStore(10)
+        store = MemoryPageStore(10)
         store.put(3, image("old"))
         store.put(3, image("new"))
         assert store.get(3) == image("new")
 
     def test_get_empty_slot_raises(self):
-        store = PageStore(10)
+        store = MemoryPageStore(10)
         with pytest.raises(PageNotFoundError):
             store.get(0)
 
     def test_peek_empty_slot_returns_none(self):
-        assert PageStore(10).peek(5) is None
+        assert MemoryPageStore(10).peek(5) is None
 
     def test_delete_is_idempotent(self):
-        store = PageStore(10)
+        store = MemoryPageStore(10)
         store.put(1, image("x"))
         store.delete(1)
         store.delete(1)
         assert 1 not in store
 
     def test_bounds_checked(self):
-        store = PageStore(10)
+        store = MemoryPageStore(10)
         for bad in (-1, 10, 999):
             with pytest.raises(OutOfRangeError):
                 store.put(bad, image("x"))
@@ -51,7 +51,7 @@ class TestPageStore:
                 store.peek(bad)
 
     def test_len_contains_occupied_clear(self):
-        store = PageStore(10)
+        store = MemoryPageStore(10)
         store.put(1, image("a"))
         store.put(7, image("b"))
         assert len(store) == 2
@@ -61,7 +61,7 @@ class TestPageStore:
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(OutOfRangeError):
-            PageStore(0)
+            MemoryPageStore(0)
 
 
 class TestVolume:
@@ -93,10 +93,10 @@ class TestVolume:
         assert vol.read_batch(10, 3) == [None, image("only"), None]
 
     def test_store_cannot_exceed_device(self):
-        from repro.storage.backing import PageStore
+        from repro.storage.backing import MemoryPageStore
 
         with pytest.raises(OutOfRangeError):
-            Volume(Device(MLC_SAMSUNG_470, 10), PageStore(20))
+            Volume(Device(MLC_SAMSUNG_470, 10), MemoryPageStore(20))
 
     def test_capacity_property(self, vol):
         assert vol.capacity_pages == 100

@@ -92,9 +92,9 @@ BROKEN = [
     ("latency", _set("knees.lc", None), "policy lc never saturated"),
     ("latency", _drop("ladders"), "record has no 'ladders'"),
     ("latency", _drop("ladders.lc.0.p99_ms"), "has no 'p99_ms'"),
-    ("scan", _set("scan_resistance.htap.gsc_beats_lru2", False),
+    ("scan", _set("scan_resistance.htap.gsc_beats_lc", False),
      "GSC htap flash hit ratio"),
-    ("scan", _set("scan_resistance.pure-scan.gsc_beats_lru2", False),
+    ("scan", _set("scan_resistance.pure-scan.gsc_beats_lc", False),
      "GSC pure-scan flash hit ratio"),
     ("scan", _set("native_recorded_transactions", 5), "recorded 5 native"),
     ("scan", _set("replay_parity", False), "scan replay results are NOT"),
@@ -238,8 +238,11 @@ def test_check_fails_on_a_broken_copy(name, mutate, message, tmp_path,
 def test_smoke_gates_judge_a_smoke_shaped_scan_record():
     latest = copy.deepcopy(committed("scan")["latest"])
     assert record.scan_gates(latest) == []
-    latest["mode"] = "smoke"  # six cells is the full grid, not the smoke one
-    assert any("a smoke grid has 4" in p for p in record.scan_gates(latest))
+    latest["mode"] = "smoke"  # a smoke run measures the full grid
+    assert record.scan_gates(latest) == []
+    latest["cells"].append(copy.deepcopy(latest["cells"][0]))
+    latest["n_cells"] += 1
+    assert any("the grid has 4" in p for p in record.scan_gates(latest))
 
 
 def test_the_warm_floor_binds_only_without_obs():

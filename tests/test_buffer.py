@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool
+from repro.core.config import CachePolicy
 from repro.db.page import Page
 from repro.errors import BufferFullError, ConfigError
+from tests.conftest import frame_of, kv_dbms_with, kv_read, kv_write, push_out_of_dram
 
 
 def page(pid: int) -> Page:
@@ -37,10 +38,12 @@ class TestLookupAndLru:
         victim = pool.make_room()
         assert victim.page_id == 2
 
-    def test_hit_sets_reference_bit(self, pool):
-        fill(pool, 1)
-        frame = pool.lookup(1)
-        assert frame.referenced
+    def test_hit_sets_reference_bit(self):
+        # Only CLOCK's sweep reads the bit, so only a CLOCK pool sets it.
+        clock = BufferPool(capacity=3, policy="clock")
+        fill(clock, 1)
+        assert not clock.peek(1).referenced
+        assert clock.lookup(1).referenced
 
     def test_peek_does_not_disturb_lru_or_stats(self, pool):
         fill(pool, 1, 2, 3)
@@ -93,25 +96,36 @@ class TestPullTail:
 
 
 class TestFlagProtocol:
-    """The dirty/fdirty transitions of the paper's Algorithm 1."""
+    """The dirty/fdirty transitions of the paper's Algorithm 1, as the
+    engine's read and logged-update paths set them on a FaCE system."""
 
     def test_fetch_from_disk_clears_both(self):
-        frame = Frame(page=page(1), dirty=True, fdirty=True)
-        frame.on_fetch_from_disk()
+        dbms = kv_dbms_with(CachePolicy.FACE)
+        page_id = dbms.index_lookup("kv_pk", (0,))[0]
+        assert page_id not in dbms.cache.directory.valid_pos
+        kv_read(dbms, 0)
+        frame = frame_of(dbms, 0)
         assert not frame.dirty and not frame.fdirty
 
     def test_update_sets_both(self):
-        frame = Frame(page=page(1))
-        frame.on_update()
+        dbms = kv_dbms_with(CachePolicy.FACE)
+        kv_read(dbms, 0)
+        kv_write(dbms, 0, "updated")
+        frame = frame_of(dbms, 0)
         assert frame.dirty and frame.fdirty
 
     def test_fetch_from_flash_syncs_fdirty_preserves_disk_staleness(self):
-        frame = Frame(page=page(1))
-        frame.on_fetch_from_flash(flash_copy_dirty=True)
-        assert frame.dirty  # disk copy may still be stale
+        dbms = kv_dbms_with(CachePolicy.FACE)
+        kv_write(dbms, 0, "updated")  # key 0's page: dirty in flash
+        kv_read(dbms, 63)  # key 63's page: clean in flash
+        push_out_of_dram(dbms, 0, 63)
+        kv_read(dbms, 0)
+        frame = frame_of(dbms, 0)
+        assert frame.dirty  # disk copy is still stale
         assert not frame.fdirty  # DRAM and flash are in sync
-        frame.on_fetch_from_flash(flash_copy_dirty=False)
-        assert not frame.dirty
+        kv_read(dbms, 63)
+        frame = frame_of(dbms, 63)
+        assert not frame.dirty and not frame.fdirty
 
 
 class TestMisc:

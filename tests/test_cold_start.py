@@ -41,17 +41,17 @@ def _fresh(code: str) -> object:
 
 #: The parent's registries, pinned: names in order, and the knobs each
 #: policy's builder reads.
-POLICIES = ("hdd-only", "ssd-only", "face", "face+gr", "face+gsc", "lc", "lru2", "tac", "exadata")
+POLICIES = ("hdd-only", "ssd-only", "face", "face+gr", "face+gsc", "lc", "tac", "exadata")
 _FACE = ["cache_fraction", "face_cache_clean", "face_write_through"]
 KNOBS = {
     "hdd-only": [], "ssd-only": [],
     "face": _FACE, "face+gr": [*_FACE, "scan_depth"], "face+gsc": [*_FACE, "scan_depth"],
-    "lc": ["cache_fraction"], "lru2": ["cache_fraction"],
+    "lc": ["cache_fraction"],
     "tac": ["cache_fraction"], "exadata": ["cache_fraction"],
 }
 CLASSES = (
     "NullFlashCache", "SsdOnlyCache", "MvFifoCache", "GroupReplacementCache",
-    "GroupSecondChanceCache", "LazyCleaningCache", "Lru2Cache", "TacCache",
+    "GroupSecondChanceCache", "LazyCleaningCache", "TacCache",
     "ExadataStyleCache",
 )
 BACKENDS = ("memory", "sqlite", "mmap")

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from repro.buffer.frame import Frame
+from repro.buffer.pool import BufferPool
 from repro.db.page import Page
 from repro.errors import CacheError
 from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
@@ -140,10 +140,7 @@ class TestGroupSecondChance:
 
         def pull(n):
             pulled_log.append(n)
-            return [
-                Frame(page=Page(500 + i, slots={0: ("pulled",)}), dirty=True, fdirty=True)
-                for i in range(n)
-            ]
+            return [make_frame(500 + i, dirty=True, fdirty=True) for i in range(n)]
 
         gsc.set_pull_callback(pull)
         fill(gsc, CAPACITY, dirty=False)
@@ -243,7 +240,9 @@ class TestDurableFront:
             return [make_frame(500 + i, dirty=True, fdirty=True) for i in range(n)]
 
         cache.set_pull_callback(pull)
-        newer = Frame(page=Page(7, lsn=999, slots={0: ("newer",)}), dirty=True, fdirty=True)
+        newer = BufferPool(1).admit(
+            Page(7, lsn=999, slots={0: ("newer",)}), dirty=True, fdirty=True
+        )
         cache.on_dram_evict(newer)  # its copy at position 7 is dequeued invalid
         assert cache.metadata.persisted_rear == 36  # flushed by the DRAM pulls
         assert cache.staged_slot(cache.directory.valid_position(7)) is not None

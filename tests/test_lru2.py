@@ -36,16 +36,9 @@ def test_victim_removes_the_key():
     policy = Lru2Policy()
     policy.touch("a")
     policy.victim()
-    assert "a" not in policy
-    assert len(policy) == 0
-
-
-def test_remove_then_victim_skips_stale_heap_entries():
-    policy = Lru2Policy()
-    policy.touch("a")
-    policy.touch("b")
-    policy.remove("a")
-    assert policy.victim() == "b"
+    assert list(policy.iter_coldest()) == []
+    with pytest.raises(CacheError):
+        policy.victim()
 
 
 def test_retouch_invalidates_old_heap_entry():
@@ -70,7 +63,7 @@ def test_keys_coldest_first_ordering():
     policy.touch("warm")
     # 'warm' and 'hot' are twice-referenced; warm's penultimate (t2) is
     # older than hot's (t3), so warm ranks colder.
-    assert policy.keys_coldest_first() == ["cold", "warm", "hot"]
+    assert list(policy.iter_coldest()) == ["cold", "warm", "hot"]
 
 
 def test_matches_reference_model_under_random_workload():
@@ -84,9 +77,6 @@ def test_matches_reference_model_under_random_workload():
         def touch(self, k):
             self.clock += 1
             self.hist.setdefault(k, []).append(self.clock)
-
-        def remove(self, k):
-            self.hist.pop(k, None)
 
         def victim(self):
             def key(k):
@@ -103,14 +93,10 @@ def test_matches_reference_model_under_random_workload():
     keys = [f"k{i}" for i in range(20)]
     for _ in range(2000):
         action = rng.random()
-        if action < 0.6 or not naive.hist:
+        if action < 0.7 or not naive.hist:
             k = rng.choice(keys)
             fast.touch(k)
             naive.touch(k)
-        elif action < 0.8:
-            k = rng.choice(list(naive.hist))
-            fast.remove(k)
-            naive.remove(k)
         else:
             assert fast.victim() == naive.victim()
     while naive.hist:
@@ -129,7 +115,7 @@ def test_iter_coldest_partial_consumption_restores_state():
     iterator.close()  # early exit, like a cleaner that flushed enough
 
     # Popped entries were re-pushed: the full ranking is still intact.
-    assert policy.keys_coldest_first() == ["cold", "warm", "hot"]
+    assert list(policy.iter_coldest()) == ["cold", "warm", "hot"]
     assert policy.victim() == "cold"
 
 
@@ -138,9 +124,9 @@ def test_iter_coldest_drops_stale_entries_for_good():
     policy.touch("a")
     policy.touch("b")
     policy.touch("a")  # invalidates a's first heap entry lazily
-    policy.remove("b")
+    policy.touch("b")  # and b's
 
-    assert list(policy.iter_coldest()) == ["a"]
-    # The stale entries ('a' old, 'b' removed) are gone from the heap,
-    # not merely skipped: only the one valid entry was re-pushed.
-    assert len(policy._heap) == 1
+    assert list(policy.iter_coldest()) == ["a", "b"]
+    # The stale first entries are gone from the heap, not merely skipped:
+    # only the two valid entries were re-pushed.
+    assert len(policy._heap) == 2

@@ -11,9 +11,11 @@ from repro.flashcache.metadata import (
     build_metadata_region,
     unwrap_image,
 )
+from repro.flashcache.mvfifo import MvFifoCache
 from repro.storage.profiles import MLC_SAMSUNG_470
 from repro.storage.ssd import FlashDevice
 from repro.storage.volume import Volume
+from tests.conftest import enqueue_version
 
 CACHE = 64
 SEGMENT = 8
@@ -25,46 +27,36 @@ def flash() -> Volume:
 
 
 @pytest.fixture
-def manager(flash) -> MetadataManager:
-    return MetadataManager(
-        flash, cache_capacity=CACHE, meta_base=CACHE, meta_pages=64,
-        segment_entries=SEGMENT,
-    )
+def cache(flash, disk_volume) -> MvFifoCache:
+    """Plain FaCE over ``flash``: its enqueue writes the data page, then a
+    metadata segment once a segment's worth of enqueues is unpersisted."""
+    return MvFifoCache(flash, disk_volume, CACHE, SEGMENT)
 
 
-def enqueue_page(flash, manager, directory, page_id, lsn=1, dirty=True):
-    """Mimic mvFIFO's enqueue: data page write, then a metadata segment
-    once a segment's worth of enqueues is unpersisted."""
-    position = directory.enqueue(page_id, lsn, dirty)
-    image = PageImage(page_id, lsn, {0: ("v", lsn)})
-    flash.write_page(position % CACHE, CacheSlotImage(position, dirty, image))
-    if directory.rear - manager.persisted_rear >= manager.segment_entries:
-        manager.flush_segment(directory, directory.front)
-    return position
+@pytest.fixture
+def manager(cache) -> MetadataManager:
+    return cache.metadata
 
 
-def test_segment_flush_happens_at_capacity(flash, manager):
-    directory = FifoDirectory(CACHE)
+def test_segment_flush_happens_at_capacity(cache, manager):
     for i in range(SEGMENT - 1):
-        enqueue_page(flash, manager, directory, i)
+        enqueue_version(cache, i, 1, True)
     assert manager.segments_flushed == 0
-    enqueue_page(flash, manager, directory, 99)
+    enqueue_version(cache, 99, 1, True)
     assert manager.segments_flushed == 1
 
 
-def test_segment_flush_is_batched_io(flash, manager):
-    directory = FifoDirectory(CACHE)
+def test_segment_flush_is_batched_io(flash, cache):
     ops_before = flash.device.stats.total_ops
     for i in range(SEGMENT):
-        enqueue_page(flash, manager, directory, i)
+        enqueue_version(cache, i, 1, True)
     # SEGMENT data-page writes + 1 segment write + 1 superblock write.
     assert flash.device.stats.total_ops == ops_before + SEGMENT + 2
 
 
-def test_recover_from_persistent_segments_only(flash, manager):
-    directory = FifoDirectory(CACHE)
+def test_recover_from_persistent_segments_only(cache, manager):
     for i in range(SEGMENT):  # exactly one flushed segment, empty current
-        enqueue_page(flash, manager, directory, i, lsn=i + 1)
+        enqueue_version(cache, i, i + 1, True)
     manager.crash()
     restored = FifoDirectory(CACHE)
     timings = manager.recover(restored)
@@ -74,10 +66,9 @@ def test_recover_from_persistent_segments_only(flash, manager):
     assert restored.meta_at(restored.valid_position(3)).lsn == 4
 
 
-def test_recover_rebuilds_unflushed_tail_from_page_footers(flash, manager):
-    directory = FifoDirectory(CACHE)
+def test_recover_rebuilds_unflushed_tail_from_page_footers(cache, manager):
     for i in range(SEGMENT + 3):  # 3 entries never flushed
-        enqueue_page(flash, manager, directory, i, dirty=(i % 2 == 0))
+        enqueue_version(cache, i, 1, i % 2 == 0)
     manager.crash()
     restored = FifoDirectory(CACHE)
     timings = manager.recover(restored)
@@ -90,10 +81,9 @@ def test_recover_rebuilds_unflushed_tail_from_page_footers(flash, manager):
     assert timings.pages_scanned >= 3
 
 
-def test_recover_with_no_persistent_state_at_all(flash, manager):
-    directory = FifoDirectory(CACHE)
+def test_recover_with_no_persistent_state_at_all(cache, manager):
     for i in range(3):  # never reached a segment flush
-        enqueue_page(flash, manager, directory, i)
+        enqueue_version(cache, i, 1, True)
     manager.crash()
     restored = FifoDirectory(CACHE)
     manager.recover(restored)
@@ -101,10 +91,9 @@ def test_recover_with_no_persistent_state_at_all(flash, manager):
     assert all(restored.contains_valid(i) for i in range(3))
 
 
-def test_recover_validity_respects_multi_versions(flash, manager):
-    directory = FifoDirectory(CACHE)
-    enqueue_page(flash, manager, directory, 10, lsn=1)
-    enqueue_page(flash, manager, directory, 10, lsn=2)
+def test_recover_validity_respects_multi_versions(cache, manager):
+    enqueue_version(cache, 10, 1, True)
+    enqueue_version(cache, 10, 2, True)
     manager.crash()
     restored = FifoDirectory(CACHE)
     manager.recover(restored)
@@ -113,13 +102,13 @@ def test_recover_validity_respects_multi_versions(flash, manager):
     assert not restored.meta_at(0).valid
 
 
-def test_recover_respects_noted_front(flash, manager):
-    directory = FifoDirectory(CACHE)
+def test_recover_respects_noted_front(cache, manager):
+    directory = cache.directory
     for i in range(SEGMENT):
-        enqueue_page(flash, manager, directory, i)
+        enqueue_version(cache, i, 1, True)
     directory.dequeue_batch(2)
     for i in range(SEGMENT):  # second flush persists the front
-        enqueue_page(flash, manager, directory, 100 + i)
+        enqueue_version(cache, 100 + i, 1, True)
     manager.crash()
     restored = FifoDirectory(CACHE)
     manager.recover(restored)
@@ -129,10 +118,9 @@ def test_recover_respects_noted_front(flash, manager):
     assert restored.contains_valid(2)
 
 
-def test_recovery_charges_flash_reads(flash, manager):
-    directory = FifoDirectory(CACHE)
+def test_recovery_charges_flash_reads(flash, cache, manager):
     for i in range(SEGMENT * 2):
-        enqueue_page(flash, manager, directory, i)
+        enqueue_version(cache, i, 1, True)
     manager.crash()
     busy_before = flash.device.busy_time
     timings = manager.recover(FifoDirectory(CACHE))

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.buffer.frame import Frame
+from repro.core.config import CachePolicy
 from repro.db.page import Page, PageImage
 from repro.errors import CacheError
 from repro.flashcache.directory import FifoDirectory, SlotMeta
@@ -28,7 +28,16 @@ from repro.storage.hdd import DiskDevice
 from repro.storage.profiles import HDD_CHEETAH_15K, MLC_SAMSUNG_470
 from repro.storage.ssd import FlashDevice
 from repro.storage.volume import Volume
-from tests.conftest import make_frame
+from tests.conftest import (
+    enqueue_version,
+    fifo_cache,
+    frame_of,
+    kv_dbms_with,
+    kv_read,
+    kv_write,
+    make_frame,
+    push_out_of_dram,
+)
 
 
 # -- __slots__ ----------------------------------------------------------------
@@ -45,17 +54,19 @@ def test_frame_and_slotmeta_have_no_instance_dict():
 
 
 def test_frame_flag_protocol_unchanged():
-    frame = make_frame(7, dirty=True, fdirty=True)
-    frame.on_fetch_from_disk()
-    assert (frame.dirty, frame.fdirty) == (False, False)
+    # One page through the engine's cycle on a FaCE system: read from disk,
+    # updated, pushed out to flash, read back.
+    dbms = kv_dbms_with(CachePolicy.FACE)
+    flags = lambda: (frame_of(dbms, 7).dirty, frame_of(dbms, 7).fdirty)  # noqa: E731
+    kv_read(dbms, 7)
+    assert flags() == (False, False)
 
-    frame.on_update()
-    assert (frame.dirty, frame.fdirty) == (True, True)
+    kv_write(dbms, 7, "updated")
+    assert flags() == (True, True)
 
-    frame.on_fetch_from_flash(flash_copy_dirty=True)
-    assert (frame.dirty, frame.fdirty) == (True, False)
-    frame.on_fetch_from_flash(flash_copy_dirty=False)
-    assert (frame.dirty, frame.fdirty) == (False, False)
+    push_out_of_dram(dbms, 7)
+    kv_read(dbms, 7)
+    assert flags() == (True, False)
 
 
 # -- Page <-> PageImage copy-on-write -----------------------------------------
@@ -123,11 +134,10 @@ def test_freeze_thaw_round_trip_preserves_contents():
 
 
 def _filled_directory() -> FifoDirectory:
-    directory = FifoDirectory(capacity=8)
+    cache = fifo_cache(capacity=8)
     for page_id in (1, 2, 3, 1, 4, 2, 5, 6):  # re-enqueues create duplicates
-        directory.enqueue(page_id, lsn=page_id * 10, dirty=page_id % 2 == 0)
-    directory.invalidate(3)
-    return directory
+        enqueue_version(cache, page_id, page_id * 10, page_id % 2 == 0)
+    return cache.directory
 
 
 def test_dequeue_batch_matches_repeated_dequeue():

@@ -27,7 +27,7 @@ from repro.db.page import Page, PageImage
 from repro.errors import ConfigError, OutOfRangeError, PageNotFoundError, StorageError
 from repro.flashcache.metadata import CacheSlotImage, _SegmentImage, _Superblock
 from repro.obs import OBS
-from repro.storage.backing import MemoryPageStore, PageStore
+from repro.storage.backing import PageStore
 from repro.storage.codec import decode_storable, encode_storable
 from repro.storage.persistent import MmapPageStore, SqlitePageStore
 from repro.storage.registry import available_backends, make_page_store, page_store_class
@@ -71,13 +71,6 @@ class TestRegistry:
     def test_memory_backend_rejects_path(self, tmp_path):
         with pytest.raises(ConfigError, match="not file-backed"):
             make_page_store("memory", 8, tmp_path / "x.store")
-
-    def test_base_class_instantiation_builds_memory(self):
-        # Historical call sites do PageStore(n) and expect the dict store.
-        store = PageStore(8)
-        assert type(store) is MemoryPageStore
-        assert store.backend_name == "memory"
-        assert not store.persistent
 
     def test_system_config_validates_backend_name(self):
         from repro.core.config import SystemConfig

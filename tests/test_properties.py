@@ -8,9 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from repro.buffer.pool import BufferPool
 from repro.db.page import Page
 from repro.flashcache.directory import FifoDirectory
-from repro.storage.backing import PageStore
+from repro.storage.backing import MemoryPageStore
 from repro.storage.device import Device
 from repro.storage.profiles import MLC_SAMSUNG_470
+from tests.conftest import enqueue_version, fifo_cache
+from tests.test_fifo_directory import check_invariant
 
 # -- Page serde ---------------------------------------------------------------
 
@@ -50,35 +52,15 @@ def test_page_serde_roundtrip(page_id, lsn, slots):
 # -- mvFIFO directory invariant --------------------------------------------------
 
 
-@given(
-    ops=st.lists(
-        st.tuples(st.sampled_from(["enq", "deq", "inv"]),
-                  st.integers(min_value=0, max_value=9)),
-        max_size=200,
-    )
-)
-def test_fifo_directory_invariant_holds_under_any_sequence(ops):
-    directory = FifoDirectory(capacity=12)
-    for op, page_id in ops:
-        if op == "enq":
-            if directory.is_full:
-                directory.dequeue_batch(1)
-            directory.enqueue(page_id, 1, dirty=bool(page_id % 2))
-        elif op == "deq" and directory.size:
-            directory.dequeue_batch(1)
-        elif op == "inv":
-            directory.invalidate(page_id)
-        # Invariant: at most one valid copy per page id, and it is newest.
-        newest: dict[int, int] = {}
-        valid: dict[int, int] = {}
-        for pos in directory.live_positions():
-            meta = directory.meta_at(pos)
-            newest[meta.page_id] = pos
-            if meta.valid:
-                assert meta.page_id not in valid
-                valid[meta.page_id] = pos
-        for pid, pos in valid.items():
-            assert pos == newest[pid]
+@given(page_ids=st.lists(st.integers(min_value=0, max_value=9), max_size=200))
+def test_fifo_directory_invariant_holds_under_any_sequence(page_ids):
+    # Versions enter through the cache's own enqueue, which dequeues the
+    # front whenever the queue is full, as it does in a run.
+    cache = fifo_cache(12)
+    directory = cache.directory
+    for page_id in page_ids:
+        enqueue_version(cache, page_id, 1, dirty=bool(page_id % 2))
+        check_invariant(directory)
         assert 0 <= directory.size <= 12
 
 
@@ -97,12 +79,11 @@ def test_restore_equals_replay(entries, dequeues):
     """Rebuilding from (front, rear, entries) must equal the live directory
     that executed the same history."""
     capacity = 16
-    live = FifoDirectory(capacity)
+    cache = fifo_cache(capacity)
+    live = cache.directory
     log = []
     for page_id, dirty in entries:
-        if live.is_full:
-            live.dequeue_batch(1)
-        pos = live.enqueue(page_id, 1, dirty)
+        pos = enqueue_version(cache, page_id, 1, dirty)
         log.append((pos, page_id, 1, dirty))
     for _ in range(min(dequeues, live.size)):
         live.dequeue_batch(1)
@@ -151,7 +132,7 @@ def test_buffer_pool_matches_lru_model(accesses):
     )
 )
 def test_page_store_matches_dict_model(ops):
-    store = PageStore(20)
+    store = MemoryPageStore(20)
     model: dict[int, int] = {}
     for op, lba, payload in ops:
         if op == "put":

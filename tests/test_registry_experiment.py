@@ -162,7 +162,7 @@ class TestExperimentConfig:
         the config refuses it, naming the field and the policy."""
         face = {"face", "face+gr", "face+gsc"}
         readers = {
-            "cache_fraction": face | {"lc", "lru2", "tac", "exadata"},
+            "cache_fraction": face | {"lc", "tac", "exadata"},
             "scan_depth": {"face+gr", "face+gsc"},
             "face_cache_clean": face,
             "face_write_through": face,

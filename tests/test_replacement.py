@@ -10,7 +10,7 @@ from repro.errors import BufferFullError, ConfigError
 
 
 def frame(pid: int) -> Frame:
-    return Frame(page=Page(pid))
+    return BufferPool(1).admit(Page(pid))
 
 
 class TestClockPolicy:

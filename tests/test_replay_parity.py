@@ -425,7 +425,7 @@ def test_fast_mode_bit_identical_per_workload(name):
     # grid records its own native trace and replays it for every sibling.
     specs = [
         _workload_cell(name, CachePolicy.FACE_GSC),
-        _workload_cell(name, CachePolicy.LRU2),
+        _workload_cell(name, CachePolicy.LC),
     ]
     slow = run_cells(specs, jobs=1)
     fast = run_cells(specs, jobs=1, fast=True)

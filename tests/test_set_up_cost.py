@@ -2,7 +2,8 @@
 
 * Importing the package loads none of the pool machinery, ``sqlite3`` or
   ``csv``: each is imported where it is first used (a ``jobs > 1`` grid,
-  the sqlite store, a persistent store's finalizer, the CSV export).
+  the sqlite store, a persistent store's finalizer), and nothing in the
+  package imports ``csv`` at all.
 * Declaring a grid loads no engine module (DESIGN.md §6): the imports
   ``perf/workloads.py`` declares its grids with, ``python -m repro --help``
   and a grid the CLI refuses load none of the buffer pool, the policies,
@@ -73,6 +74,8 @@ WORKLOAD_ENGINE = (
     "repro.tpcc.driver",
     "repro.tpcc.loader",
     "repro.tpcc.transactions",
+    "repro.tpcc.random_gen",
+    "repro.tpcc.schema",
     "repro.workload.tpch",
     "repro.db.heap",
 )
@@ -100,9 +103,10 @@ def test_declaring_a_grid_loads_no_engine_module():
         f"import json, sys; import {', '.join(GRID_IMPORTS)}; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
     )
-    # Nor the TPC-C loader: the workload registry imports it when it first
-    # lists the workloads, and YCSB where it loads a table.
-    assert not {*ENGINE, "repro.tpcc.loader"} & set(loaded)
+    # Nor any workload's driver, loader or schema: `TxResult` and
+    # `WorkloadStats` are declared in the workload registry, and YCSB
+    # imports its loader where it loads a table.
+    assert not {*ENGINE, *WORKLOAD_ENGINE} & set(loaded)
     assert len(loaded) <= 30, loaded
 
 

@@ -151,9 +151,9 @@ class TestDriver:
 class TestScanResistance:
     def test_gsc_beats_lru2_under_pure_scans(self):
         # The §3.3 mechanism end to end at test scale: mvFIFO+GSC keeps
-        # the two-pass fact working set; LRU-2 chain-cannibalises pass-1
-        # admissions before pass 2 arrives.  The full gated comparison
-        # lives in benchmarks/BENCH_scan.json.
+        # the two-pass fact working set; LC's LRU-2 ranking chain-
+        # cannibalises pass-1 admissions before pass 2 arrives.  The full
+        # gated comparison lives in benchmarks/BENCH_scan.json.
         from repro.core.config import scaled_reference_config
         from repro.sim.parallel import CellSpec, run_cell
         from repro.sim.scenario import SteadyStateScenario
@@ -162,7 +162,7 @@ class TestScanResistance:
         spec_w = workload_spec("tpch-scan")
         pages = estimate_workload_pages(spec_w, TINY)
         hits = {}
-        for policy in (CachePolicy.FACE_GSC, CachePolicy.LRU2):
+        for policy in (CachePolicy.FACE_GSC, CachePolicy.LC):
             result = run_cell(CellSpec(
                 key=(policy.value,),
                 config=scaled_reference_config(
@@ -178,4 +178,4 @@ class TestScanResistance:
                 ),
             ))
             hits[policy] = result.flash_hit_rate
-        assert hits[CachePolicy.FACE_GSC] > hits[CachePolicy.LRU2]
+        assert hits[CachePolicy.FACE_GSC] > hits[CachePolicy.LC]

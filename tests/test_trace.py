@@ -1,121 +1,32 @@
-"""I/O trace capture and replay."""
+"""The paper's flash write pattern, read off the device's own counters."""
 
-import io
-
-import pytest
+import random
 
 from repro.core.config import CachePolicy
-from repro.sim.trace import IOTracer, replay
-from repro.storage.device import Device, IOKind
-from repro.storage.profiles import MLC_SAMSUNG_470, SLC_INTEL_X25E
-from repro.storage.ssd import FlashDevice
-from tests.conftest import kv_dbms_with, kv_read, kv_write
-
-
-@pytest.fixture
-def device() -> Device:
-    return Device(MLC_SAMSUNG_470, 1000)
-
-
-class TestTracer:
-    def test_records_operations_with_classification(self, device):
-        with IOTracer({"dev": device}) as tracer:
-            device.read(10)
-            device.read(11)
-            device.write(500, 4)
-        kinds = [e.kind for e in tracer.events]
-        assert kinds == ["random_read", "seq_read", "seq_write"]
-        assert tracer.events[2].npages == 4
-        assert all(e.device == "dev" for e in tracer.events)
-
-    def test_service_times_match_device_charges(self, device):
-        with IOTracer({"dev": device}) as tracer:
-            device.read(10)
-            device.write(20)
-        assert sum(e.service_time for e in tracer.events) == pytest.approx(
-            device.busy_time
-        )
-
-    def test_stop_restores_methods(self, device):
-        tracer = IOTracer({"dev": device}).start()
-        device.read(1)
-        tracer.stop()
-        device.read(2)
-        assert len(tracer.events) == 1
-
-    def test_summary(self, device):
-        with IOTracer({"dev": device}) as tracer:
-            device.read(10)
-            device.write(500)
-            device.write(501)
-        summary = tracer.summary("dev")
-        assert summary["ops"] == 3
-        assert summary["ops_random_read"] == 1
-        assert summary["ops_seq_write"] == 1
-        assert summary["busy_time"] == pytest.approx(device.busy_time)
-
-    def test_csv_export(self, device):
-        with IOTracer({"dev": device}) as tracer:
-            device.read(10)
-        buffer = io.StringIO()
-        written = tracer.to_csv(buffer)
-        assert written == 1
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0].startswith("sequence,")
-        assert "random_read" in lines[1]
-
-    def test_multi_device_separation(self):
-        a = Device(MLC_SAMSUNG_470, 100)
-        b = Device(MLC_SAMSUNG_470, 100)
-        with IOTracer({"a": a, "b": b}) as tracer:
-            a.read(1)
-            b.write(2)
-        assert len(tracer.for_device("a")) == 1
-        assert tracer.for_device("b")[0].op == "write"
+from tests.conftest import kv_dbms_with, kv_write
 
 
 class TestPatternClaims:
     """The paper's write-pattern claim, demonstrated on real traffic."""
 
-    def _trace(self, policy: CachePolicy) -> IOTracer:
-        import random
-
+    @staticmethod
+    def sequential_write_fraction(policy: CachePolicy) -> float:
+        """Fraction of the flash pages written during a scattered update
+        workload that moved at sequential cost."""
         rng = random.Random(5)
         keys = list(range(64))
         dbms = kv_dbms_with(policy, buffer_pages=6, cache_pages=64)
-        tracer = IOTracer({"flash": dbms.flash.device})
-        with tracer:
-            for round_ in range(4):
-                rng.shuffle(keys)  # scattered update order, as in real OLTP
-                for k in keys:
-                    kv_write(dbms, k, f"r{round_}-{k}")
-        return tracer
+        stats = dbms.flash.device.stats
+        seq_before, random_before = stats.seq_write_pages, stats.random_write_pages
+        for round_ in range(4):
+            rng.shuffle(keys)  # scattered update order, as in real OLTP
+            for k in keys:
+                kv_write(dbms, k, f"r{round_}-{k}")
+        sequential = stats.seq_write_pages - seq_before
+        return sequential / (sequential + stats.random_write_pages - random_before)
 
     def test_face_flash_writes_are_mostly_sequential(self):
-        tracer = self._trace(CachePolicy.FACE)
-        assert tracer.sequential_write_fraction("flash") > 0.8
+        assert self.sequential_write_fraction(CachePolicy.FACE) > 0.8
 
     def test_lc_flash_writes_are_mostly_random(self):
-        tracer = self._trace(CachePolicy.LC)
-        assert tracer.sequential_write_fraction("flash") < 0.4
-
-
-class TestReplay:
-    def test_replay_reprices_a_trace(self):
-        mlc = FlashDevice(MLC_SAMSUNG_470, 1000)
-        with IOTracer({"flash": mlc}) as tracer:
-            for i in range(50):
-                mlc.write(i)  # sequential appends
-        slc = FlashDevice(SLC_INTEL_X25E, 1000)
-        slc_time = replay(tracer.events, slc)
-        assert slc_time > 0
-        # Sequential writes: SLC (195 MB/s) is slower than the MLC (243).
-        assert slc_time > mlc.busy_time
-
-    def test_replay_handles_reads_and_wraps(self):
-        src = Device(MLC_SAMSUNG_470, 1000)
-        with IOTracer({"d": src}) as tracer:
-            src.read(999)
-            src.write(0, 8)
-        small = Device(MLC_SAMSUNG_470, 500)
-        assert replay(tracer.events, small) > 0
+        assert self.sequential_write_fraction(CachePolicy.LC) < 0.4

@@ -96,8 +96,26 @@ DELETED = {
     "repro.db.index:HashIndex": ("insert", "delete", "lookup"),
     "repro.buffer.replacement": ("LruPolicy", "ReplacementPolicy", "make_policy"),
     "repro.buffer.replacement:ClockPolicy": ("touch",),
-    "repro.buffer.frame:Frame": ("pin", "unpin", "pinned", "pin_count"),
     "repro.errors": ("UnpinnedFrameError",),
+    # Reference copies of what the engine writes out inline: tests drive the
+    # engine's own path (MvFifoCache._enqueue, BufferPool.admit, the DBMS
+    # read and update path), so no test passes while that path is broken.
+    "repro.flashcache.directory:FifoDirectory": ("enqueue", "invalidate"),
+    "repro.buffer.frame:Frame": (
+        "pin", "unpin", "pinned", "pin_count",
+        "__init__", "on_update", "on_fetch_from_disk", "on_fetch_from_flash",
+    ),
+    # LC is the LRU-2-ranked cache of the paper; ``lru2`` was LC with its
+    # cleaner switched off, equal to LC in every committed cell.
+    "repro.core.config:CachePolicy": ("LRU2",),
+    "repro.flashcache.lc": ("Lru2Cache",),
+    "repro.flashcache.lru2:Lru2Policy": (
+        "__len__", "__contains__", "remove", "keys_coldest_first",
+    ),
+    # A device counts its own operations by kind (IOStats).
+    "repro.sim.trace": ("IOTracer", "TraceEvent", "replay"),
+    # Every store implements the batch calls, and builds only itself.
+    "repro.storage.backing:PageStore": ("put_many", "peek_many", "__new__"),
 }
 
 #: Deleted modules.
@@ -188,9 +206,9 @@ def test_deleted_names_stay_deleted():
         # A dataclass field with no default is no class attribute.
         fields = getattr(target, "__dataclass_fields__", {})
         for name in names:
-            assert not hasattr(target, name) and name not in fields, (
-                f"{owner}.{name} is back"
-            )
+            # Every class inherits ``object``'s methods: look in its own.
+            back = name in vars(target) if hasattr(object, name) else hasattr(target, name)
+            assert not back and name not in fields, f"{owner}.{name} is back"
     for owner, names in DELETED_PARAMETERS.items():
         module_name, _, attribute = owner.partition(":")
         parameters = inspect.signature(
