@@ -1091,12 +1091,18 @@ def paper_specs() -> list[CellSpec]:
     ]
 
 
-def run_once(specs: list[CellSpec], jobs: int) -> dict:
-    """Run each distinct cell once — tables share many: the 12 % FaCE+GSC
-    cell serves nine — and answer for every key."""
+def distinct_cells(specs: list[CellSpec]) -> dict:
+    """The first spec of each distinct ``(config, scenario)``: tables share
+    many cells — the 12 % FaCE+GSC cell serves nine."""
     first: dict = {}
     for spec in specs:
         first.setdefault((spec.config, spec.scenario), spec)
+    return first
+
+
+def run_once(specs: list[CellSpec], jobs: int) -> dict:
+    """Run each distinct cell once and answer for every key."""
+    first = distinct_cells(specs)
     cells = run_cells(list(first.values()), jobs=jobs, fast=True)
     return {spec.key: cells[first[(spec.config, spec.scenario)].key] for spec in specs}
 
@@ -1186,7 +1192,7 @@ def run_paper(jobs: int, smoke: bool) -> dict:
         "scale": "bench",
         "seed": SEED,
         "measure_transactions": PAPER_BASE.measure_transactions,
-        "n_cells": len({(s.config, s.scenario) for s in specs}),
+        "n_cells": len(distinct_cells(specs)),
         "replay_parity": not mismatched,
         "parity_cells": [list(key) for key in PAPER_PARITY_KEYS],
         **({"parity_mismatches": [list(key) for key in mismatched]} if mismatched else {}),
@@ -1480,12 +1486,15 @@ def skew_claims(skew: dict) -> list:
 
 
 def paper_gates(latest: dict) -> list[str]:
-    problems = missing(latest, (*STAMP, "replay_parity"))
+    problems = missing(latest, (*STAMP, "n_cells", "replay_parity"))
     if problems:
         return problems
+    expected = len(distinct_cells(paper_specs()))
     try:
         claims = (
-            [(latest["replay_parity"] is True,
+            [(latest["n_cells"] == expected,
+              f"n_cells is {latest['n_cells']}; the grid has {expected} distinct cells"),
+             (latest["replay_parity"] is True,
               "paper replay results are NOT bit-identical to full execution")]
             + table1_claims(latest["table1"]) + table2_claims(latest["table2"])
             + table3_claims(latest["table3"]) + table4_claims(latest["table4"])

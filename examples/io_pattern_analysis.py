@@ -12,6 +12,8 @@ Run:  python examples/io_pattern_analysis.py
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from repro import CachePolicy, ExperimentRunner, scaled_reference_config
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import BENCH
@@ -28,27 +30,27 @@ def count_policy(policy: CachePolicy) -> tuple[str, dict[str, float]]:
     runner = ExperimentRunner(config, BENCH, seed=42)
     runner.warm_up()
     stats = runner.dbms.flash.device.stats
-    before = stats.snapshot()
+    before = asdict(stats)
     runner.driver.run(TRANSACTIONS)
-    after = stats.snapshot()
+    after = asdict(stats)
     return runner.config.display_name, {k: after[k] - before[k] for k in after}
 
 
 def sequential_fraction(counts: dict[str, float]) -> float:
     """Fraction of written pages that moved at sequential cost — the
     paper's flash-write-pattern metric."""
-    written = counts["pages_seq_write"] + counts["pages_random_write"]
-    return counts["pages_seq_write"] / written if written else 0.0
+    written = counts["seq_write_pages"] + counts["random_write_pages"]
+    return counts["seq_write_pages"] / written if written else 0.0
 
 
 def describe(name: str, counts: dict[str, float]) -> None:
-    ops = sum(v for k, v in counts.items() if k.startswith("ops_"))
-    pages = sum(v for k, v in counts.items() if k.startswith("pages_"))
+    ops = sum(v for k, v in counts.items() if k.endswith("_ops"))
+    pages = sum(v for k, v in counts.items() if k.endswith("_pages"))
     print(f"{name}:")
     print(f"  flash ops            {ops:10,.0f}")
     print(f"  pages moved          {pages:10,.0f}")
-    print(f"  random writes        {counts['ops_random_write']:10,.0f}")
-    print(f"  sequential writes    {counts['ops_seq_write']:10,.0f}")
+    print(f"  random writes        {counts['random_write_ops']:10,.0f}")
+    print(f"  sequential writes    {counts['seq_write_ops']:10,.0f}")
     print(f"  seq fraction (pages) {sequential_fraction(counts):10.1%}")
     print(f"  flash busy time      {counts['busy_time']:10.3f}s simulated\n")
 

@@ -9,12 +9,14 @@ page-based storage engine, and a scaled TPC-C workload.
 
 Quick start::
 
-    from repro import CachePolicy, run_steady_state, scaled_reference_config
+    from repro import CachePolicy, ExperimentRunner, scaled_reference_config
     from repro.tpcc.scale import TINY
 
     config = scaled_reference_config(db_pages=20_000,
                                      policy=CachePolicy.FACE_GSC)
-    result = run_steady_state(config, TINY, measure_transactions=2_000)
+    runner = ExperimentRunner(config, TINY)
+    runner.warm_up()
+    result = runner.measure(2_000)
     print(result.tpmc, result.flash_hit_rate)
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
@@ -37,12 +39,12 @@ _EXPORTS = {
     "repro.core.dbms": ("SimulatedDBMS", "Transaction"),
     "repro.errors": ("ReproError",),
     "repro.flashcache.builders": ("available_policies", "resolve_policy"),
-    "repro.obs": ("OBS", "RegistrySnapshot", "merge_snapshots"),
+    "repro.obs": ("OBS", "RegistrySnapshot"),
     "repro.recovery.restart": ("RecoveryManager", "RestartReport", "crash_and_restart"),
     "repro.sim.experiment": ("ExperimentConfig",),
     "repro.sim.metrics": ("ThroughputSeries",),
     "repro.sim.parallel": ("CellSpec", "run_cells"),
-    "repro.sim.runner": ("ExperimentRunner", "RunResult", "run_steady_state"),
+    "repro.sim.runner": ("ExperimentRunner", "RunResult"),
     "repro.sim.scenario": (
         "CrashRecoveryScenario",
         "CrashRun",

@@ -60,13 +60,6 @@ def breakeven_theta(
     return (1.0 + delta) ** exponent - 1.0
 
 
-def hit_rate_gain(buffer_size: float, grown_size: float, alpha: float = 1.0) -> float:
-    """``alpha * (log(grown) - log(base))`` — the Tsuei et al. model."""
-    if buffer_size <= 0 or grown_size <= 0:
-        raise ConfigError("buffer sizes must be positive")
-    return alpha * (math.log(grown_size) - math.log(buffer_size))
-
-
 def roi_ratio(
     delta: float,
     disk: DeviceProfile,

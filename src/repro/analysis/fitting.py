@@ -32,12 +32,6 @@ class LogLinearFit:
             raise ConfigError("size must be positive")
         return min(1.0, max(0.0, self.alpha * math.log(size) + self.beta))
 
-    def breakeven_size(self, target_hit_rate: float) -> float:
-        """Cache size at which the model reaches ``target_hit_rate``."""
-        if self.alpha <= 0:
-            raise ConfigError("model is non-increasing; no break-even size")
-        return math.exp((target_hit_rate - self.beta) / self.alpha)
-
 
 def fit_log_hit_curve(points: Sequence[tuple[float, float]]) -> LogLinearFit:
     """Least-squares fit of hit rate against ln(cache size).

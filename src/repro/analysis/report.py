@@ -82,15 +82,3 @@ def service_result_table(
             f"{r.bottleneck or '-'} | {util:.1%} |"
         )
     return "\n".join(lines)
-
-
-def comparison_summary(baseline: RunResult, candidate: RunResult) -> str:
-    """One-paragraph A/B summary (candidate vs baseline)."""
-    speedup = candidate.tpmc / baseline.tpmc if baseline.tpmc else float("inf")
-    return (
-        f"**{candidate.name}** delivers {candidate.tpmc:,.0f} tpmC vs "
-        f"**{baseline.name}**'s {baseline.tpmc:,.0f} ({speedup:.2f}x), with a "
-        f"{candidate.flash_hit_rate:.0%} flash hit rate and "
-        f"{candidate.write_reduction:.0%} of dirty evictions absorbed before "
-        f"reaching disk."
-    )

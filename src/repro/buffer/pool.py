@@ -101,12 +101,6 @@ class BufferPool:
         """Return the frame without touching replacement state or counters."""
         return self._frames.get(page_id)
 
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self._frames
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
     # -- admission / eviction ------------------------------------------------
 
     def admit(self, page: Page, dirty: bool = False, fdirty: bool = False) -> Frame:
@@ -191,13 +185,6 @@ class BufferPool:
                 self._obs_handle("evict.clean").inc(clean)
         return victims
 
-    def drop(self, page_id: int) -> Frame | None:
-        """Remove a frame without counting an eviction (e.g. on table drop)."""
-        frame = self._frames.pop(page_id, None)
-        if frame is not None and self._clock is not None:
-            self._clock.remove(page_id)
-        return frame
-
     def _obs_handle(self, suffix: str):
         """Lazily cached ``buffer.pool.<suffix>`` counter (guarded callers)."""
         handles = self._obs_handles
@@ -215,10 +202,9 @@ class BufferPool:
         return [f for f in self.frames() if f.dirty or f.fdirty]
 
     def frames(self) -> list[Frame]:
-        """All resident frames, coldest -> hottest (snapshot)."""
-        if self._clock is None:
-            return list(self._frames.values())
-        return self._clock.frames()
+        """All resident frames (snapshot): coldest -> hottest under LRU,
+        oldest admission first under CLOCK."""
+        return list(self._frames.values())
 
     # -- crash simulation ----------------------------------------------------
 

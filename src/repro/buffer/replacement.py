@@ -79,8 +79,3 @@ class ClockPolicy:
         victim = self.victims(1)[0]
         self.remove(victim.page_id)
         return victim
-
-    def frames(self) -> list[Frame]:
-        """All resident frames, coldest -> hottest (hand order)."""
-        n = len(self._ring)
-        return [self._ring[(self._hand + i) % n] for i in range(n)]

@@ -408,12 +408,6 @@ class SimulatedDBMS:
         oldest = min((tx.begin_lsn for tx in self._active.values()), default=None)
         self.log.log_checkpoint(frozenset(self._active), oldest_needed_lsn=oldest)
         self.checkpoints += 1
-        OBS.trace(
-            "dbms.checkpoint",
-            sim_time=self.wall_clock(),
-            frames_flushed=len(dirty),
-            policy=self.cache.name,
-        )
         return len(dirty)
 
     # ------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Page ids are the database's logical block addresses on the disk volume, so a
 table is simply a contiguous range of LBAs.  The catalog allocates those
 ranges at load time (the reproduction, like the paper's fixed 50 GB TPC-C
-database, sizes files up front with growth headroom) and answers
-"which table/page does this id belong to" queries for tooling.
+database, sizes files up front with growth headroom).
 """
 
 from __future__ import annotations
@@ -25,16 +24,9 @@ class TableInfo:
     row_count: int = 0
 
     @property
-    def name(self) -> str:
-        return self.schema.name
-
-    @property
     def end_page(self) -> int:
         """One past the last page id of the table's range."""
         return self.first_page + self.n_pages
-
-    def contains_page(self, page_id: int) -> bool:
-        return self.first_page <= page_id < self.end_page
 
 
 @dataclass
@@ -45,13 +37,6 @@ class IndexInfo:
     table: str
     first_page: int
     n_pages: int
-
-    @property
-    def end_page(self) -> int:
-        return self.first_page + self.n_pages
-
-    def contains_page(self, page_id: int) -> bool:
-        return self.first_page <= page_id < self.end_page
 
 
 @dataclass
@@ -95,31 +80,7 @@ class Catalog:
         self.indexes[name] = info
         return info
 
-    def table(self, name: str) -> TableInfo:
-        """Look up a table by name."""
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise CatalogError(f"no table named {name!r}") from None
-
-    def index(self, name: str) -> IndexInfo:
-        """Look up an index by name."""
-        try:
-            return self.indexes[name]
-        except KeyError:
-            raise CatalogError(f"no index named {name!r}") from None
-
     @property
     def total_pages(self) -> int:
         """Database footprint in pages (tables + indexes)."""
         return self.next_page
-
-    def owner_of_page(self, page_id: int) -> str:
-        """Name of the table or index whose range covers ``page_id``."""
-        for info in self.tables.values():
-            if info.contains_page(page_id):
-                return info.name
-        for idx in self.indexes.values():
-            if idx.contains_page(page_id):
-                return idx.name
-        raise CatalogError(f"page {page_id} is outside every registered range")

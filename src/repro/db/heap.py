@@ -63,17 +63,6 @@ class HeapFile:
         skip = first % per_page
         return rids[skip : skip + count]
 
-    def rownum_for_rid(self, rid: Rid) -> int:
-        """Inverse of :meth:`rid_for_rownum` (within the current wrap)."""
-        page_id, slot = rid
-        if not self.info.contains_page(page_id):
-            raise CatalogError(
-                f"rid {rid} outside table {self.info.name!r} page range"
-            )
-        if not 0 <= slot < self.slots_per_page:
-            raise CatalogError(f"slot {slot} out of range for {self.info.name!r}")
-        return (page_id - self.info.first_page) * self.slots_per_page + slot
-
     def append_rid(self) -> Rid:
         """Allocate the next record id and advance the append cursor.
 
@@ -87,14 +76,3 @@ class HeapFile:
         rid = self.rid_for_rownum(rownum)
         info.row_count = rownum + 1
         return rid
-
-    def page_ids(self) -> range:
-        """All page ids in this table's range."""
-        return range(self.info.first_page, self.info.end_page)
-
-    def used_page_ids(self) -> range:
-        """Page ids that actually hold rows (for loaders and scans)."""
-        if self.wrapped or self.info.row_count >= self.capacity_rows:
-            return self.page_ids()
-        used_pages = -(-self.info.row_count // self.slots_per_page) if self.info.row_count else 0
-        return range(self.info.first_page, self.info.first_page + used_pages)

@@ -17,10 +17,10 @@ contents have not changed since the last snapshot returns the *same*
 ``PageImage`` object, which also lets the conditional-enqueue path skip
 re-materialising identical copies.
 
-**On-media layout** (``to_bytes`` / ``from_bytes``; byte-level table in
-DESIGN.md §14).  A 24-byte header, then the slots as one **columnar run**,
-or nothing for an empty page: a signature, one ``struct`` block of whole
-columns and one UTF-8 string heap.  Every page the engine writes is of one
+**On-media layout** (``PageImage.to_bytes`` / ``from_bytes``; byte-level
+table in DESIGN.md §14).  A 24-byte header, then the slots as one
+**columnar run**, or nothing for an empty page: a signature, one
+``struct`` block of whole columns and one UTF-8 string heap.  Every page the engine writes is of one
 shape — a scalar or fixed-arity tuple key, a fixed-width row, every column
 all int / float / str / ``None`` — and a page that is not (a nested tuple,
 a column mixing kinds) is a ``StorageError`` when it is encoded.  One
@@ -251,20 +251,6 @@ class Page:
         # as every thaw does, so forking a warmed system (repro.sim.warmstate)
         # walks no row.
         return self.to_image().to_page()
-
-    # -- serde ----------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialise to the on-media byte layout (insertion order preserved)."""
-        image = self._image
-        if image is not None and image.lsn == self.lsn:
-            return image.to_bytes()
-        return _pack_page(self.page_id, self.lsn, self._rows)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Page":
-        """Parse a page from its on-media byte layout."""
-        return PageImage.from_bytes(data).to_page()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Page {self.page_id} lsn={self.lsn} rows={len(self.slots)}>"

@@ -91,14 +91,6 @@ class TableSchema:
                 return i
         raise CatalogError(f"no column {name!r} in table {self.name!r}")
 
-    def pk_indices(self) -> tuple[int, ...]:
-        """Row-tuple positions of the primary-key columns."""
-        return tuple(self.column_index(k) for k in self.primary_key)
-
-    def pk_of(self, row: tuple) -> tuple:
-        """Extract the primary-key value tuple from ``row``."""
-        return tuple(row[i] for i in self.pk_indices())
-
     def pages_for_rows(self, nrows: int) -> int:
         """Pages needed to hold ``nrows`` rows."""
         return max(1, -(-nrows // self.slots_per_page))

@@ -165,9 +165,6 @@ class FifoDirectory:
             )
         return out
 
-    def contains_valid(self, page_id: int) -> bool:
-        return page_id in self.valid_pos
-
     # -- statistics over live slots --------------------------------------------
 
     @property

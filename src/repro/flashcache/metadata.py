@@ -231,20 +231,6 @@ class MetadataManager:
         return timings
 
 
-def build_metadata_region(
-    cache_capacity: int, segment_entries: int
-) -> tuple[int, int]:
-    """Return ``(meta_base, meta_pages)`` for a cache of ``cache_capacity``.
-
-    The region holds the superblock plus enough circularly-reused segment
-    slots to cover the live queue window twice (flush-in-progress safety).
-    """
-    segment_pages = max(1, -(-segment_entries * ENTRY_BYTES // PAGE_SIZE))
-    live_segments = -(-cache_capacity // segment_entries) + 1
-    meta_pages = 1 + segment_pages * (live_segments + 1)
-    return cache_capacity, meta_pages
-
-
 def unwrap_image(slot: object) -> PageImage:
     """Extract the page image from a stored cache slot."""
     if isinstance(slot, CacheSlotImage):

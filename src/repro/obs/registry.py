@@ -14,9 +14,7 @@ constraints, in priority order:
    parallel sweep engine makes for :class:`~repro.sim.runner.RunResult`.
 3. **Picklable snapshots.**  :meth:`MetricRegistry.snapshot` returns a
    :class:`RegistrySnapshot` of plain dicts/tuples that crosses the
-   ``ProcessPoolExecutor`` boundary unchanged and supports ``diff`` (what
-   happened between two points) and ``merge`` (aggregate a sweep's cells in
-   grid order).
+   ``ProcessPoolExecutor`` boundary unchanged.
 
 Metric names are dotted paths (``storage.ssd.<profile>.read.seconds``);
 :meth:`MetricRegistry.counter` / :meth:`gauge` / :meth:`histogram` are
@@ -112,10 +110,6 @@ class Histogram:
         self.total += value
         self.count += 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def reset(self) -> None:
         self.counts = [0] * (len(self.bounds) + 1)
         self.total = 0.0
@@ -143,10 +137,7 @@ class HistogramSnapshot:
         minimum observation, to bucket resolution) rather than the lowest
         configured bound regardless of data.  Returns ``inf`` when the
         quantile falls in the overflow bucket and 0.0 on an empty
-        histogram.  Exact to one bucket width; merged snapshots (e.g. a
-        sweep's cells folded with :meth:`merge`) answer quantiles over the
-        combined population, which mid-point or interpolating estimators
-        cannot do without the raw samples.
+        histogram.  Exact to one bucket width.
         """
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"quantile must be in [0, 1], got {q}")
@@ -160,66 +151,13 @@ class HistogramSnapshot:
                 return bound
         return float("inf")
 
-    def diff(self, earlier: "HistogramSnapshot") -> "HistogramSnapshot":
-        if earlier.bounds != self.bounds:
-            raise ConfigError("cannot diff histograms with different buckets")
-        return HistogramSnapshot(
-            bounds=self.bounds,
-            counts=tuple(a - b for a, b in zip(self.counts, earlier.counts)),
-            total=self.total - earlier.total,
-            count=self.count - earlier.count,
-        )
-
-    def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        if other.bounds != self.bounds:
-            raise ConfigError("cannot merge histograms with different buckets")
-        return HistogramSnapshot(
-            bounds=self.bounds,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            total=self.total + other.total,
-            count=self.count + other.count,
-        )
-
-
 @dataclass(frozen=True)
 class RegistrySnapshot:
-    """Point-in-time copy of every metric — plain data, picklable.
-
-    ``diff`` subtracts counters and histograms (gauges keep the *newer*
-    value); ``merge`` sums counters and histograms across snapshots (gauges
-    keep the *last* value, i.e. grid order decides).
-    """
+    """Point-in-time copy of every metric — plain data, picklable."""
 
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, HistogramSnapshot] = field(default_factory=dict)
-
-    def diff(self, earlier: "RegistrySnapshot") -> "RegistrySnapshot":
-        """What happened between ``earlier`` and this snapshot."""
-        counters = {
-            name: value - earlier.counters.get(name, 0.0)
-            for name, value in self.counters.items()
-        }
-        histograms = {}
-        for name, hist in self.histograms.items():
-            old = earlier.histograms.get(name)
-            histograms[name] = hist.diff(old) if old is not None else hist
-        return RegistrySnapshot(
-            counters=counters, gauges=dict(self.gauges), histograms=histograms
-        )
-
-    def merge(self, other: "RegistrySnapshot") -> "RegistrySnapshot":
-        """Aggregate two snapshots (e.g. two sweep cells)."""
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0.0) + value
-        gauges = dict(self.gauges)
-        gauges.update(other.gauges)
-        histograms = dict(self.histograms)
-        for name, hist in other.histograms.items():
-            mine = histograms.get(name)
-            histograms[name] = mine.merge(hist) if mine is not None else hist
-        return RegistrySnapshot(counters=counters, gauges=gauges, histograms=histograms)
 
     def as_flat(self) -> dict[str, float]:
         """Flatten to ``{dotted-name: value}`` for tables and CSV.
@@ -268,15 +206,6 @@ class RegistrySnapshot:
             if own:
                 handle.close()
         return len(flat)
-
-
-def merge_snapshots(snapshots: Iterable[RegistrySnapshot]) -> RegistrySnapshot:
-    """Fold snapshots left-to-right (pass sweep cells in grid order)."""
-    merged = RegistrySnapshot()
-    for snap in snapshots:
-        if snap is not None:
-            merged = merged.merge(snap)
-    return merged
 
 
 class MetricRegistry:

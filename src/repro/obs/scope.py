@@ -2,8 +2,8 @@
 
 A scope brackets a phase (recovery's analysis/redo/undo, a checkpoint, a
 warm-up) and, on exit, records the elapsed time into a histogram named
-``<name>.seconds`` and emits begin/end trace events.  The clock is a
-callable returning seconds; simulation code passes a *simulated* clock
+``<name>.seconds``.  The clock is a callable returning seconds;
+simulation code passes a *simulated* clock
 (e.g. the recovery manager's serial-elapsed accumulator) so span durations
 are deterministic, while interactive/user code may pass
 ``time.perf_counter`` for host timings.
@@ -56,8 +56,3 @@ class Scope:
         self.registry.histogram(f"{self.name}.seconds", bounds=SPAN_BUCKETS).observe(
             elapsed
         )
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds since ``__enter__`` (0.0 when the registry is disabled)."""
-        return self.clock() - self._start if self._active else 0.0

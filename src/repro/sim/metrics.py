@@ -75,7 +75,3 @@ class ThroughputSeries:
                 (boundary, (last_commits - commits_at_boundary) * 60.0 / window_seconds)
             )
         return out
-
-    @property
-    def final_commits(self) -> int:
-        return self.samples[-1].neworder_commits if self.samples else 0

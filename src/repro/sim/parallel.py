@@ -10,10 +10,9 @@ embarrassingly parallel.  This module fans such cells out over a
   seed, workload and scenario — never as a closure.  Grids are built in
   the parent process, so even lambda-built configs parallelise; only the
   *specs* must pickle.
-* Per-cell seeds are derived from ``(seed, cell_key)`` with a stable hash
-  (:func:`derive_cell_seed`) — never from worker identity or submission
-  order — so a parallel run is bit-identical to a serial run of the same
-  grid, and to any re-run at any ``jobs`` count.
+* Each cell's seed travels in its spec — never derived from worker
+  identity or submission order — so a parallel run is bit-identical to a
+  serial run of the same grid, and to any re-run at any ``jobs`` count.
 * Results are collected **in grid order** regardless of completion order,
   and the optional ``progress`` callback fires in that same deterministic
   order as results are gathered.
@@ -36,7 +35,6 @@ machinery and the trace codec are imported where a cell runs.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import sys
@@ -155,18 +153,6 @@ class CellProgress:
     result: ScenarioResult
     #: Real (harness) seconds since the sweep started.
     elapsed_seconds: float
-
-
-def derive_cell_seed(seed: int, key: tuple) -> int:
-    """Stable per-cell seed from ``(seed, cell_key)``.
-
-    Uses SHA-256 of the canonical ``repr`` rather than :func:`hash` so the
-    value is identical across processes and interpreter runs (``hash`` is
-    randomised per process for strings).  Worker identity never enters the
-    derivation — that is what makes parallel and serial sweeps bit-identical.
-    """
-    digest = hashlib.sha256(f"{seed}|{key!r}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF
 
 
 def _execute_cell(

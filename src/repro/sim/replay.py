@@ -87,7 +87,6 @@ from repro.sim.warmstate import (
     fork_dbms,
     get_warm_fork,
     put_warm_fork,
-    warm_fork_enabled,
 )
 from repro.storage.profiles import PAGE_SIZE
 from repro.tpcc.driver import _MIX
@@ -1089,11 +1088,10 @@ class ReplayRunner:
 
         Warm-up is a pure function of (trace, config, bounds, loop): the
         trace is pinned by (scale, seed, workload).  OBS-enabled runs are
-        ineligible — their warm-up must actually execute so the post-reset
-        counter *set* matches a full run's — and the whole cache can be
-        switched off via ``REPRO_REPLAY_WARMFORK=0``.
+        ineligible: their warm-up must actually execute so the post-reset
+        counter *set* matches a full run's.
         """
-        if OBS.enabled or not warm_fork_enabled():
+        if OBS.enabled:
             return None
         return (
             self.recorder.scale,

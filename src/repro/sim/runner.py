@@ -221,19 +221,3 @@ class ExperimentRunner:
         return summarise_run(
             self.config, self.dbms, self.driver.stats, self.warmup_transactions
         )
-
-
-def run_steady_state(
-    config: SystemConfig,
-    scale: ScaleProfile,
-    measure_transactions: int,
-    warmup_min: int = 500,
-    warmup_max: int = 50_000,
-    checkpoint_interval: float | None = None,
-    seed: int = 42,
-    workload: WorkloadSpec | None = None,
-) -> RunResult:
-    """One-call convenience: build → warm up → measure → summarise."""
-    runner = ExperimentRunner(config, scale, seed=seed, workload=workload)
-    runner.warm_up(warmup_min, warmup_max)
-    return runner.measure(measure_transactions, checkpoint_interval)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Union, runtime_checkable
 
 from repro.errors import ConfigError
-from repro.obs import OBS, RegistrySnapshot
+from repro.obs import RegistrySnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.restart import RestartReport
@@ -121,9 +121,10 @@ ScenarioResult = Union["RunResult", CrashRun, "ServiceResult"]
 class SteadyStateScenario:
     """The historical protocol: warm up, reset counters, measure, summarise.
 
-    ``execute`` is exactly what :func:`~repro.sim.runner.run_steady_state`
-    and the pre-scenario sweep engines did, so results are bit-identical to
-    both (pinned by ``tests/test_scenario.py``).
+    ``execute`` is a runner's own ``warm_up`` then ``measure``, so results
+    are bit-identical to driving an
+    :class:`~repro.sim.runner.ExperimentRunner` by hand (pinned by
+    ``tests/test_scenario.py``).
     """
 
     measure_transactions: int = 2000
@@ -308,12 +309,6 @@ def run_until_crash_point(
             dbms.checkpoint()
             last_checkpoint = wall
             checkpoints += 1
-    OBS.trace(
-        "sim.crash_schedule_exhausted",
-        transactions=executed,
-        checkpoints=checkpoints,
-        checkpoint_interval=checkpoint_interval,
-    )
     raise ConfigError(
         f"crash schedule never reached its kill point: {executed} "
         f"transaction(s) took {checkpoints} checkpoint(s) at interval "
@@ -329,22 +324,8 @@ def crash_and_recover(runner, executed: int, checkpoints: int) -> CrashRun:
 
     dbms = runner.dbms
     wall = dbms.wall_clock()
-    OBS.trace(
-        "sim.crash",
-        sim_time=wall,
-        transactions=executed,
-        checkpoints=checkpoints,
-        policy=dbms.cache.name,
-    )
     dbms.crash()
     report = RecoveryManager(dbms).restart()
-    OBS.trace(
-        "sim.recovered",
-        sim_time=wall + report.total_time,
-        restart_seconds=report.total_time,
-        redo_applied=report.redo_applied,
-        flash_read_fraction=report.flash_read_fraction,
-    )
     return CrashRun(
         transactions_before_crash=executed,
         checkpoints_before_crash=checkpoints,

@@ -40,10 +40,9 @@ the list spine.
 identity (config repr, scale, seed, warm-up bounds, replay loop) and
 every later identical warm-up adopts a private re-fork instead of
 replaying; results stay bit-identical because the adopted state *is* the
-state warm-up would have rebuilt.  ``REPRO_REPLAY_WARMFORK=0`` disables
-the cache; runs with OBS enabled are never eligible (warm-up's counter
-traffic must really happen for post-reset snapshots to name the same
-metric set).
+state warm-up would have rebuilt.  Runs with OBS enabled are never
+eligible (warm-up's counter traffic must really happen for post-reset
+snapshots to name the same metric set).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import gc
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -155,15 +153,10 @@ class WarmSnapshot:
 #: nothing here crosses process boundaries.
 _SNAPSHOTS: dict[tuple[ScaleProfile, int, WorkloadSpec], WarmSnapshot] = {}
 
-#: Every executed cell forks from the memo, and a default sweep derives a
-#: different seed per cell, so each entry may be used once and then pin a
-#: whole loaded database (~70 MB at BENCH).  Two lets a grid that alternates
+#: Every executed cell forks from the memo, and each entry pins a whole
+#: loaded database (~70 MB at BENCH).  Two lets a grid that alternates
 #: between two stream identities load each once (DESIGN.md §9).
 _SNAPSHOT_LIMIT = 2
-
-#: Memo bookkeeping is process state, not cell state (plain dict, not OBS: a
-#: cell's ``result.obs`` must not depend on whether the memo was warm).
-_SNAPSHOT_STATS = {"hits": 0, "misses": 0}
 
 
 def snapshot_load_seconds() -> float:
@@ -171,11 +164,6 @@ def snapshot_load_seconds() -> float:
     process holds.  Benchmarks report it separately so sweep timings stop
     charging the fixed load to whichever cell happened to build a snapshot."""
     return sum(snapshot.load_seconds for snapshot in _SNAPSHOTS.values())
-
-
-def snapshot_stats() -> dict[str, int]:
-    """Hit/miss counts for the post-load snapshot memo (this process)."""
-    return dict(_SNAPSHOT_STATS)
 
 
 def get_snapshot(
@@ -186,10 +174,8 @@ def get_snapshot(
     key = (scale, seed, workload)
     snapshot = _SNAPSHOTS.pop(key, None)
     if snapshot is not None:
-        _SNAPSHOT_STATS["hits"] += 1
         _SNAPSHOTS[key] = snapshot  # most recently used last
         return snapshot
-    _SNAPSHOT_STATS["misses"] += 1
     # Evict before loading, not after: the process never holds more than
     # ``_SNAPSHOT_LIMIT`` loaded databases, the one being built included.
     if len(_SNAPSHOTS) >= _SNAPSHOT_LIMIT:
@@ -273,16 +259,6 @@ _WARM_FORK_LIMIT = 16
 _WARM_FORK_STATS = {"hits": 0, "misses": 0}
 
 
-def warm_fork_enabled() -> bool:
-    """Post-warm-up fork reuse is on unless ``REPRO_REPLAY_WARMFORK=0``."""
-    return os.environ.get("REPRO_REPLAY_WARMFORK", "1").strip().lower() not in (
-        "0",
-        "off",
-        "no",
-        "false",
-    )
-
-
 def fork_dbms(dbms: Any) -> Any:
     """Deep-copy a warmed DBMS, sharing its immutable bulk.
 
@@ -330,5 +306,4 @@ def clear_snapshots() -> None:
     _thaw()
     _SNAPSHOTS.clear()
     _WARM_FORKS.clear()
-    _SNAPSHOT_STATS.update(hits=0, misses=0)
     _WARM_FORK_STATS.update(hits=0, misses=0)

@@ -42,8 +42,7 @@ class IOStats:
 
     ``*_ops`` count device commands (a 64-page batch write is one op);
     ``*_pages`` count 4 KB pages moved, which is what the paper's Table 4(b)
-    "4KB-page I/O operations per second" reports.  :attr:`ops` and
-    :attr:`pages` read them back as :class:`IOKind`-keyed mappings.
+    "4KB-page I/O operations per second" reports.
     """
 
     random_read_ops: int = 0
@@ -57,20 +56,6 @@ class IOStats:
     busy_time: float = 0.0
 
     @property
-    def ops(self) -> dict[IOKind, int]:
-        """Device commands by kind (a fresh mapping; writes do not stick)."""
-        return {kind: getattr(self, f"{kind.value}_ops") for kind in IOKind}
-
-    @property
-    def pages(self) -> dict[IOKind, int]:
-        """Pages moved by kind (a fresh mapping; writes do not stick)."""
-        return {kind: getattr(self, f"{kind.value}_pages") for kind in IOKind}
-
-    @property
-    def total_ops(self) -> int:
-        return sum(self.ops.values())
-
-    @property
     def total_pages(self) -> int:
         return self.read_pages + self.write_pages
 
@@ -81,15 +66,6 @@ class IOStats:
     @property
     def write_pages(self) -> int:
         return self.random_write_pages + self.seq_write_pages
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat dict snapshot, convenient for reports and assertions."""
-        out: dict[str, float] = {"busy_time": self.busy_time}
-        ops, pages = self.ops, self.pages
-        for kind in IOKind:
-            out[f"ops_{kind.value}"] = ops[kind]
-            out[f"pages_{kind.value}"] = pages[kind]
-        return out
 
     def reset(self) -> None:
         self.__init__()
@@ -103,18 +79,16 @@ class Device:
     profile:
         Calibrated timing characteristics (see :mod:`repro.storage.profiles`).
     capacity_pages:
-        Addressable size in pages.  Defaults to the profile's full capacity;
-        experiments typically pass the (much smaller) simulated size.
+        Addressable size in pages: the simulated size, typically much
+        smaller than the profile's full capacity.
     """
 
     #: Metric-namespace component; subclasses override ("ssd", "hdd", ...).
     _OBS_KIND = "device"
 
-    def __init__(self, profile: DeviceProfile, capacity_pages: int | None = None) -> None:
+    def __init__(self, profile: DeviceProfile, capacity_pages: int) -> None:
         self.profile = profile
-        self.capacity_pages = (
-            profile.capacity_pages if capacity_pages is None else int(capacity_pages)
-        )
+        self.capacity_pages = int(capacity_pages)
         if self.capacity_pages <= 0:
             raise OutOfRangeError(f"capacity must be positive, got {self.capacity_pages}")
         self.stats = IOStats()
@@ -243,4 +217,3 @@ class Device:
             f"<{type(self).__name__} {self.profile.name!r} "
             f"{self.capacity_pages}p busy={self.busy_time:.3f}s>"
         )
-

@@ -28,7 +28,7 @@ what the paper's bottleneck analysis (Section 5.3) relies on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Page size used throughout the reproduction (PostgreSQL used 4 KB pages).
 PAGE_SIZE = 4096
@@ -78,28 +78,6 @@ class DeviceProfile:
     def price_per_gb(self) -> float:
         """$/GB, the figure the paper's cost-effectiveness argument uses."""
         return self.price_usd / self.capacity_gb
-
-    @property
-    def capacity_pages(self) -> int:
-        """Device capacity expressed in pages."""
-        return int(self.capacity_gb * 1024**3 // self.page_size)
-
-    @property
-    def random_write_penalty(self) -> float:
-        """Ratio of random-write to sequential-write cost (≈10x for flash)."""
-        return self.random_write_time / self.seq_write_time
-
-    def scaled(self, name: str, capacity_gb: float) -> "DeviceProfile":
-        """Return a same-speed profile with a different capacity.
-
-        Used to carve a small flash *cache* out of a full-size SSD profile
-        and for scaled-down simulation databases; price scales linearly
-        with capacity so $/GB is preserved.
-        """
-        factor = capacity_gb / self.capacity_gb
-        return replace(
-            self, name=name, capacity_gb=capacity_gb, price_usd=self.price_usd * factor
-        )
 
 
 #: Samsung 470 Series 256 GB — the paper's primary (MLC) caching device.
@@ -188,7 +166,7 @@ def measure_profile(profile: DeviceProfile, ops: int = 2000) -> dict[str, float]
     if "SSD" in profile.name:
         device = FlashDevice(profile, capacity)
     elif "RAID" in profile.name:
-        device = Raid0Array(8, capacity_pages=capacity)
+        device = Raid0Array(8, HDD_CHEETAH_15K, capacity)
     else:
         device = DiskDevice(profile, capacity)
     rng = random.Random(0)

@@ -81,8 +81,8 @@ class Raid0Array(Device):
     def __init__(
         self,
         n_disks: int,
-        base: DeviceProfile = HDD_CHEETAH_15K,
-        capacity_pages: int | None = None,
+        base: DeviceProfile,
+        capacity_pages: int,
     ) -> None:
         super().__init__(make_raid0_profile(n_disks, base), capacity_pages)
         self.n_disks = n_disks

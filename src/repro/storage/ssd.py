@@ -73,7 +73,7 @@ class FlashDevice(Device):
 
     _OBS_KIND = "ssd"
 
-    def __init__(self, profile: DeviceProfile, capacity_pages: int | None = None) -> None:
+    def __init__(self, profile: DeviceProfile, capacity_pages: int) -> None:
         super().__init__(profile, capacity_pages)
         self._nblocks = max(1, self.capacity_pages // PAGES_PER_BLOCK)
         self._spread_denominator = min(SPREAD_WINDOW, self._nblocks)

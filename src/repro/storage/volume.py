@@ -115,7 +115,3 @@ class Volume:
     @property
     def capacity_pages(self) -> int:
         return self.store.capacity_pages
-
-    @property
-    def busy_time(self) -> float:
-        return self.device.busy_time

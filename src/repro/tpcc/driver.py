@@ -73,9 +73,3 @@ class TpccDriver:
             if checkpointer is not None:
                 checkpointer()
         return self.stats
-
-    def tpmc(self, wall_seconds: float) -> float:
-        """New-Order commits per minute over ``wall_seconds`` of sim time."""
-        if wall_seconds <= 0:
-            return 0.0
-        return self.stats.neworder_commits * 60.0 / wall_seconds

@@ -70,13 +70,6 @@ class TpccDatabase:
         ) * self.scale.customers_per_district + (c_id - 1)
         return self.dbms.tables["customer"].rid_for_rownum(rownum)
 
-    def item_rid(self, i_id: int) -> Rid:
-        return self.dbms.tables["item"].rid_for_rownum(i_id - 1)
-
-    def stock_rid(self, w_id: int, i_id: int) -> Rid:
-        rownum = (w_id - 1) * self.scale.items + (i_id - 1)
-        return self.dbms.tables["stock"].rid_for_rownum(rownum)
-
 
 def estimate_db_pages(scale: ScaleProfile) -> int:
     """Database footprint (pages) a load of ``scale`` will allocate.

@@ -63,10 +63,6 @@ class ScaleProfile:
         return self.districts * self.orders_per_district
 
     @property
-    def initial_new_orders(self) -> int:
-        return int(self.initial_orders * self.new_order_fraction)
-
-    @property
     def avg_order_lines(self) -> int:
         return 10  # TPC-C: uniform 5..15
 

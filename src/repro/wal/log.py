@@ -21,7 +21,6 @@ records survive and are what recovery replays.
 from __future__ import annotations
 
 from copy import deepcopy
-from typing import Iterator
 
 from repro.errors import WALError
 from repro.obs import OBS
@@ -278,22 +277,9 @@ class LogManager:
         self.last_checkpoint_lsn = last_checkpoint_lsn
         self._fpw_done.clear()
 
-    def records_from(self, lsn: int) -> Iterator[LogRecord]:
-        """Iterate durable records with LSN >= ``lsn`` in log order."""
-        # The durable list is LSN-ordered; bisect would also work but a scan
-        # start found once per recovery is not on any hot path.
-        for record in self._durable:
-            if record.lsn >= lsn:
-                yield record
-
     def charge_recovery_scan(self, records: list[LogRecord]) -> None:
         """Charge the sequential read of ``records`` during restart."""
         nbytes = sum(r.size_bytes() for r in records)
         npages = max(1, -(-nbytes // PAGE_SIZE))
         start = max(0, min(self._head_lba, self.device.capacity_pages - npages))
         self.device.read(start, npages)
-
-    @property
-    def tail_length(self) -> int:
-        """Records appended but not yet forced (volatile)."""
-        return len(self._tail)

@@ -53,8 +53,3 @@ class ZipfGenerator:
     def sample(self) -> int:
         """Draw one rank."""
         return bisect.bisect_left(self._cdf, self._rng.random())
-
-    def popularity(self, rank: int) -> float:
-        """Probability mass of ``rank``."""
-        previous = self._cdf[rank - 1] if rank else 0.0
-        return self._cdf[rank] - previous

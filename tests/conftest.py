@@ -190,12 +190,12 @@ def push_out_of_dram(dbms: SimulatedDBMS, *keys: int) -> None:
     ``keys`` have left DRAM for the (FaCE) flash cache."""
     pages = {dbms.index_lookup("kv_pk", (k,))[0] for k in keys}
     for other in range(64):
-        if not any(page_id in dbms.buffer for page_id in pages):
+        if all(dbms.buffer.peek(page_id) is None for page_id in pages):
             break
         if dbms.index_lookup("kv_pk", (other,))[0] not in pages:
             kv_read(dbms, other)
     for page_id in pages:
-        assert page_id not in dbms.buffer
+        assert dbms.buffer.peek(page_id) is None
         assert page_id in dbms.cache.directory.valid_pos
 
 

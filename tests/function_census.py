@@ -29,7 +29,6 @@ from __future__ import annotations
 import ast
 import json
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -157,7 +156,7 @@ for seed, policy, store in cells + [(1, "face+gsc", s) for s in ("mmap", "sqlite
 """
 
 #: The contract as ``python`` arguments, ``{tmp}`` standing for the run's
-#: temporary directory and a leading ``NAME=value`` for its environment.
+#: temporary directory.
 CONTRACT = [
     *(f"benchmarks/record.py {name} --smoke --strict --output {{tmp}}/{name}.json"
       for name in ("sweep", "latency", "scan", "recovery", "storage", "paper")),
@@ -179,8 +178,6 @@ CONTRACT = [
     f"{TINY} run policy=face+gr,face+gsc scan_depth=16,32 {FAST} --check-parity 1",
     f"{TINY} run policy=hdd-only,ssd-only,face+gsc {FAST} --check-parity 3",
     "-m repro --help",
-    f"{TINY} {WARM}",
-    f"REPRO_REPLAY_WARMFORK=0 {TINY} {WARM}",
     f"{TINY} --workload tpch-scan run policy=face+gsc,lc {FAST}",
     f"{TINY} --workload ycsb --workload-preset write-churn run policy=face+gsc,lc {FAST}",
     f"{TINY} --workload ycsb --workload-knob zipf_s=0.7 stats policy=face+gsc "
@@ -189,6 +186,8 @@ CONTRACT = [
     f"{TINY} run policy=face+gsc,hdd-only scenario=crash checkpoint_interval=0.5 --fast",
     f"{TINY} --page-store sqlite run policy=face+gsc measure_transactions=200",
     f"{TINY} run policy=face+gsc scenario=crash checkpoint_interval=2",
+    # A grid whose crash and service cells adopt the steady cell's warm fork.
+    f"{TINY} {WARM}",
     f"-c {shlex.quote(RESTART_AUDIT)}",
 ]
 #: Grids the CLI refuses (exit 2), also in the contract.
@@ -206,9 +205,6 @@ def run_set(lines, out_dir: Path, hook_dir: Path, tmp: Path, status: int = 0) ->
     for line in lines:
         words = shlex.split(line.format(tmp=tmp))
         env = {"REPRO_TRACE_CACHE": str(tmp / "trace-cache"), "TMPDIR": str(tmp)}
-        while re.fullmatch(r"[A-Z_]+=.*", words[0]):
-            name, _, value = words.pop(0).partition("=")
-            env[name] = value
         got = run_recorded([sys.executable, *words], PACKAGE, out_dir, hook_dir, env=env)
         if got != status:
             failed.append(f"{line[:80]}: exit {got}, expected {status}")

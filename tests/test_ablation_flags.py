@@ -69,8 +69,8 @@ class TestDirtyOnlyAdmission:
         )
         cache.on_dram_evict(make_frame(1, dirty=False))
         cache.on_dram_evict(make_frame(2, dirty=True, fdirty=True))
-        assert not cache.directory.contains_valid(1)
-        assert cache.directory.contains_valid(2)
+        assert 1 not in cache.directory.valid_pos
+        assert 2 in cache.directory.valid_pos
 
 
 class TestAblationsStayRecoverable:

@@ -5,7 +5,7 @@ import pytest
 from repro.db.page import PageImage
 from repro.errors import OutOfRangeError, PageNotFoundError
 from repro.storage.backing import MemoryPageStore
-from repro.storage.device import Device, IOKind
+from repro.storage.device import Device
 from repro.storage.profiles import MLC_SAMSUNG_470
 from repro.storage.volume import Volume
 
@@ -71,22 +71,22 @@ class TestVolume:
 
     def test_write_then_read_page_charges_device(self, vol):
         vol.write_page(5, image("img"))
-        busy = vol.busy_time
+        busy = vol.device.busy_time
         assert busy > 0
         assert vol.read_page(5) == image("img")
-        assert vol.busy_time > busy
+        assert vol.device.busy_time > busy
 
     def test_peek_is_untimed(self, vol):
         vol.write_page(5, image("img"))
-        busy = vol.busy_time
+        busy = vol.device.busy_time
         assert vol.peek(5) == image("img")
-        assert vol.busy_time == busy
+        assert vol.device.busy_time == busy
 
     def test_batch_roundtrip_is_single_op(self, vol):
         vol.write_batch(10, [image("a"), image("b"), image("c")])
-        assert vol.device.stats.ops[IOKind.SEQ_WRITE] == 1
+        assert vol.device.stats.seq_write_ops == 1
         assert vol.read_batch(10, 3) == [image("a"), image("b"), image("c")]
-        assert vol.device.stats.ops[IOKind.SEQ_READ] == 1
+        assert vol.device.stats.seq_read_ops == 1
 
     def test_batch_read_of_unwritten_slots_yields_none(self, vol):
         vol.write_page(11, image("only"))

@@ -88,7 +88,7 @@ class TestPullTail:
         fill(pool, 1, 2, 3)
         pulled = pool.pull_tail(2)
         assert [f.page_id for f in pulled] == [1, 2]
-        assert len(pool) == 1
+        assert [f.page_id for f in pool.frames()] == [3]
 
     def test_short_pool_returns_fewer(self, pool):
         fill(pool, 1)
@@ -139,13 +139,8 @@ class TestMisc:
         fill(pool, 1, 2)
         pool.lookup(1)
         pool.wipe()
-        assert len(pool) == 0
+        assert pool.frames() == []
         assert pool.stats.hits == 1
-
-    def test_drop_without_eviction_count(self, pool):
-        fill(pool, 1)
-        pool.drop(1)
-        assert pool.stats.evictions == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ConfigError):

@@ -1,14 +1,11 @@
 """Section 2.2 cost-effectiveness analysis."""
 
-import math
-
 import pytest
 
 from repro.analysis.costmodel import (
     access_time,
     breakeven_exponent,
     breakeven_theta,
-    hit_rate_gain,
     roi_ratio,
 )
 from repro.errors import ConfigError
@@ -48,12 +45,6 @@ def test_breakeven_theta_formula():
 def test_flash_not_faster_rejected():
     with pytest.raises(ConfigError):
         breakeven_exponent(MLC_SAMSUNG_470, HDD_CHEETAH_15K)
-
-
-def test_hit_rate_gain_log_model():
-    assert hit_rate_gain(100, 200, alpha=2.0) == pytest.approx(2 * math.log(2))
-    with pytest.raises(ConfigError):
-        hit_rate_gain(0, 10)
 
 
 def test_roi_strongly_favours_flash():

@@ -39,7 +39,7 @@ class TestDataPath:
     def test_empty_allocated_page_reads_as_empty(self, kv_dbms):
         # The kv table allocated 16 pages; all are loaded. Index pages 4;
         # read an allocated-but-sparse bucket: must not raise.
-        info = kv_dbms.catalog.index("kv_pk")
+        info = kv_dbms.catalog.indexes["kv_pk"]
         page = kv_dbms.read_page(info.first_page)
         assert page is not None
 
@@ -80,7 +80,7 @@ class TestTransactions:
         rid = kv_dbms.index_lookup("kv_pk", (1,))
         kv_dbms.update_row(tx, "kv", rid, (1, "forced"))
         kv_dbms.commit(tx)
-        assert kv_dbms.log.tail_length == 0
+        assert len(kv_dbms.log._tail) == 0
 
     def test_insert_then_index_roundtrip(self, kv_dbms):
         tx = kv_dbms.begin()

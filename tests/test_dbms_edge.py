@@ -67,14 +67,14 @@ class TestMultiTable:
 
 class TestColdReads:
     def test_reading_never_written_growth_page_yields_empty(self, kv_dbms):
-        info = kv_dbms.catalog.table("kv")
+        info = kv_dbms.catalog.tables["kv"]
         empty_page_id = info.end_page - 1  # growth headroom, never loaded
         page = kv_dbms.read_page(empty_page_id)
         assert page.slots == {}
         assert page.lsn == 0
 
     def test_cold_read_charges_disk_once_then_caches(self, kv_dbms):
-        info = kv_dbms.catalog.table("kv")
+        info = kv_dbms.catalog.tables["kv"]
         empty_page_id = info.end_page - 1
         reads_before = kv_dbms.disk.device.stats.read_pages
         kv_dbms.read_page(empty_page_id)
@@ -94,4 +94,4 @@ class TestCommittedCounters:
         tx = kv_dbms.begin()
         kv_dbms.commit(tx)
         assert kv_dbms.committed == 1
-        assert kv_dbms.log.tail_length == 0
+        assert len(kv_dbms.log._tail) == 0

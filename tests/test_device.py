@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OutOfRangeError
-from repro.storage.device import Device, IOKind
+from repro.storage.device import Device, IOStats
 from repro.storage.profiles import HDD_CHEETAH_15K, MLC_SAMSUNG_470
 
 
@@ -14,22 +14,22 @@ def dev() -> Device:
 
 def test_first_access_is_random(dev):
     dev.read(10)
-    assert dev.stats.ops[IOKind.RANDOM_READ] == 1
+    assert dev.stats.random_read_ops == 1
 
 
 def test_contiguous_reads_become_sequential(dev):
     dev.read(10)
     dev.read(11)
     dev.read(12)
-    assert dev.stats.ops[IOKind.SEQ_READ] == 2
-    assert dev.stats.ops[IOKind.RANDOM_READ] == 1
+    assert dev.stats.seq_read_ops == 2
+    assert dev.stats.random_read_ops == 1
 
 
 def test_jump_breaks_read_sequentiality(dev):
     dev.read(10)
     dev.read(11)
     dev.read(500)
-    assert dev.stats.ops[IOKind.RANDOM_READ] == 2
+    assert dev.stats.random_read_ops == 2
 
 
 def test_read_and_write_streams_tracked_independently(dev):
@@ -39,8 +39,8 @@ def test_read_and_write_streams_tracked_independently(dev):
     for i in range(1, 5):
         dev.read(700 + 13 * i)  # random reads elsewhere
         dev.write(i)  # appends continue
-    assert dev.stats.ops[IOKind.SEQ_WRITE] == 4
-    assert dev.stats.ops[IOKind.RANDOM_WRITE] == 1
+    assert dev.stats.seq_write_ops == 4
+    assert dev.stats.random_write_ops == 1
 
 
 def test_service_times_match_profile(dev):
@@ -53,7 +53,7 @@ def test_service_times_match_profile(dev):
 def test_multipage_charged_at_bandwidth(dev):
     t = dev.read(100, npages=64)
     assert t == pytest.approx(64 * MLC_SAMSUNG_470.seq_read_time)
-    assert dev.stats.pages[IOKind.SEQ_READ] == 64
+    assert dev.stats.seq_read_pages == 64
 
 
 def test_busy_time_accumulates(dev):
@@ -80,17 +80,16 @@ def test_reset_stats_zeroes_counters(dev):
     dev.write(2)
     dev.reset_stats()
     assert dev.busy_time == 0.0
-    assert dev.stats.total_ops == 0
+    assert dev.stats == IOStats()
 
 
 def test_stats_snapshot_and_properties(dev):
     dev.read(1)
     dev.write(500)
     dev.write(501)
-    snap = dev.stats.snapshot()
-    assert snap["ops_random_read"] == 1
-    assert snap["ops_random_write"] == 1
-    assert snap["ops_seq_write"] == 1
+    assert dev.stats.random_read_ops == 1
+    assert dev.stats.random_write_ops == 1
+    assert dev.stats.seq_write_ops == 1
     assert dev.stats.read_pages == 1
     assert dev.stats.write_pages == 2
 

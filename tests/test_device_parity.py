@@ -183,8 +183,9 @@ def test_flat_devices_match_the_reference_model_after_every_op(model, seed, obs_
             count += 1
             assert getattr(device, op)(lba, npages) == getattr(reference, op)(lba, npages)
             assert device.busy_time == reference.busy_time
-            assert device.stats.ops == reference.ops
-            assert device.stats.pages == reference.pages
+            for kind in IOKind:
+                assert getattr(device.stats, f"{kind.value}_ops") == reference.ops[kind]
+                assert getattr(device.stats, f"{kind.value}_pages") == reference.pages[kind]
             if model == "ssd":
                 assert device.write_spread == reference.write_spread
                 assert device.read_interference == reference.read_interference
@@ -201,23 +202,3 @@ def test_flat_devices_match_the_reference_model_after_every_op(model, seed, obs_
     finally:
         OBS.enabled = was_enabled
         OBS.clear()
-
-
-def test_iostats_mappings_and_snapshot_read_the_counters():
-    device = Device(MLC_SAMSUNG_470, CAPACITY)
-    device.read(10)
-    device.read(11, 4)
-    device.write(500)
-    stats = device.stats
-    assert stats.ops == {
-        IOKind.RANDOM_READ: 1, IOKind.SEQ_READ: 1,
-        IOKind.RANDOM_WRITE: 1, IOKind.SEQ_WRITE: 0,
-    }
-    assert stats.pages[IOKind.SEQ_READ] == 4
-    assert (stats.total_ops, stats.total_pages) == (3, 6)
-    assert (stats.read_pages, stats.write_pages) == (5, 1)
-    snapshot = stats.snapshot()
-    assert snapshot["ops_random_read"] == 1 and snapshot["pages_seq_read"] == 4
-    assert snapshot["busy_time"] == device.busy_time
-    device.reset_stats()
-    assert device.stats.total_ops == 0 and device.busy_time == 0.0

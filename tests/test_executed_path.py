@@ -201,11 +201,11 @@ def test_cell_never_dirties_the_snapshot(spec, loads):
 # -- snapshot memo: bounded, and out of the cell's OBS bracket ------------------
 
 
-def test_snapshot_bookkeeping_stays_out_of_cell_obs():
+def test_snapshot_bookkeeping_stays_out_of_cell_obs(loads):
     spec = _spec(collect_obs=True, replay_ok=False)
     cold = run_cells([spec], fast=True)[spec.key]
     warm = run_cells([spec], fast=True)[spec.key]
-    assert warmstate.snapshot_stats() == {"hits": 1, "misses": 1}
+    assert len(loads) == 1  # the warm cell forked the cold cell's snapshot
     assert warmstate.snapshot_load_seconds() > 0
     assert cold.obs is not None and cold.obs == warm.obs
     assert cold.obs.counters
@@ -252,7 +252,6 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
         assert specs[-limit].seed in held and specs[-limit + 1].seed not in held
     warmstate.clear_snapshots()
     assert not warmstate._SNAPSHOTS and warmstate.snapshot_load_seconds() == 0.0
-    assert warmstate.snapshot_stats() == {"hits": 0, "misses": 0}
 
 
 # -- (B) the DBMS dies with its runner, and the collector stays out ------------
@@ -321,7 +320,6 @@ def test_no_collection_starts_inside_a_cell(monkeypatch, path, scenario, store):
 @pytest.mark.parametrize("policy", available_policies())
 @pytest.mark.parametrize("path", ["executed", "replayed"])
 def test_a_cell_leaves_no_garbage(monkeypatch, path, policy, collect_obs):
-    monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")  # a kept fork is a memo, not a leak
     spec = _spec(policy=policy, buffer_fraction=0.01, collect_obs=collect_obs)
     cell = _prepared(spec, path)
     gc.collect()
@@ -426,7 +424,6 @@ def test_a_load_leaves_no_garbage(workload):
 @pytest.mark.parametrize("scenario", ["steady", "crash"])
 @pytest.mark.parametrize("path", ["executed", "replayed"])
 def test_cell_frees_its_system_by_reference_count(monkeypatch, path, scenario, policy):
-    monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")  # a kept fork is a memo, not a leak
     spec = _spec(scenario=scenario, policy=policy, buffer_fraction=0.01)
     cell = _prepared(spec, path)
 

@@ -57,8 +57,8 @@ def test_dequeue_fifo_order_and_validity_cleanup(cache, directory):
     enqueue_version(cache, 11, 1, False)
     pos, meta = dequeue_one(directory)
     assert pos == 0 and meta.page_id == 10
-    assert not directory.contains_valid(10)
-    assert directory.contains_valid(11)
+    assert 10 not in directory.valid_pos
+    assert 11 in directory.valid_pos
 
 
 def test_dequeue_of_stale_version_keeps_newer_valid(cache, directory):
@@ -66,7 +66,7 @@ def test_dequeue_of_stale_version_keeps_newer_valid(cache, directory):
     enqueue_version(cache, 10, 2, True)
     _, meta = dequeue_one(directory)
     assert not meta.valid
-    assert directory.contains_valid(10)
+    assert 10 in directory.valid_pos
 
 
 def test_full_queue_rejects_enqueue(cache, directory):
@@ -77,7 +77,7 @@ def test_full_queue_rejects_enqueue(cache, directory):
     assert directory.is_full
     assert enqueue_version(cache, 99, 1, False) == 4
     assert (directory.front, directory.size) == (1, 4)
-    assert not directory.contains_valid(0)
+    assert 0 not in directory.valid_pos
     assert [directory.meta_at(p).page_id for p in directory.live_positions()] == [1, 2, 3, 99]
 
 
@@ -106,7 +106,7 @@ def test_wipe_resets_everything(cache, directory):
     enqueue_version(cache, 10, 1, True)
     directory.wipe()
     assert directory.size == 0
-    assert not directory.contains_valid(10)
+    assert 10 not in directory.valid_pos
 
 
 class TestRestore:
@@ -121,8 +121,8 @@ class TestRestore:
     def test_restore_ignores_already_dequeued_positions(self, directory):
         entries = [(0, 10, 1, True), (1, 11, 1, True)]
         directory.restore(front=1, rear=2, entries=entries)
-        assert not directory.contains_valid(10)
-        assert directory.contains_valid(11)
+        assert 10 not in directory.valid_pos
+        assert 11 in directory.valid_pos
 
     def test_restore_preserves_dirty_flags(self, directory):
         directory.restore(front=0, rear=2, entries=[(0, 5, 3, True), (1, 6, 4, False)])

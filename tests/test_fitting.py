@@ -39,18 +39,6 @@ def test_predict_rejects_nonpositive_size():
         fit.predict(0)
 
 
-def test_breakeven_size_inverts_predict():
-    fit = fit_log_hit_curve(synthetic_points(alpha=0.1, beta=-0.2))
-    size = fit.breakeven_size(0.5)
-    assert fit.predict(size) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_breakeven_requires_increasing_model():
-    fit = LogLinearFit(alpha=-0.1, beta=1.0, r_squared=1.0, points=())
-    with pytest.raises(ConfigError):
-        fit.breakeven_size(0.5)
-
-
 def test_validation():
     with pytest.raises(ConfigError):
         fit_log_hit_curve([(100, 0.5), (200, 0.6)])  # too few

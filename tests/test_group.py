@@ -10,7 +10,6 @@ from repro.db.page import Page
 from repro.errors import CacheError
 from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
 from repro.flashcache.mvfifo import MvFifoCache
-from repro.storage.device import IOKind
 from tests.conftest import make_frame
 
 CAPACITY = 32
@@ -47,8 +46,8 @@ class TestStaging:
     def test_staging_flush_is_one_batch_write(self, gr):
         fill(gr, DEPTH)
         stats = gr.flash.device.stats
-        assert stats.ops[IOKind.SEQ_WRITE] == 1
-        assert stats.pages[IOKind.SEQ_WRITE] == DEPTH
+        assert stats.seq_write_ops == 1
+        assert stats.seq_write_pages == DEPTH
 
     def test_staged_page_fetchable_without_flash_read(self, gr):
         gr.on_dram_evict(make_frame(5, dirty=True, fdirty=True))
@@ -77,9 +76,8 @@ class TestGroupReplacement:
 
     def test_batch_dequeue_charges_single_batched_read(self, gr):
         fill(gr, CAPACITY, dirty=False)
-        read_ops_before = gr.flash.device.stats.total_ops
         gr.on_dram_evict(make_frame(100, dirty=True, fdirty=True))
-        read_pages = gr.flash.device.stats.pages[IOKind.SEQ_READ]
+        read_pages = gr.flash.device.stats.seq_read_pages
         assert read_pages >= DEPTH  # one batch read covering the scan
 
     def test_dirty_victims_in_batch_reach_disk(self, gr):
@@ -95,7 +93,7 @@ class TestGroupReplacement:
         gr.finish_checkpoint()
         gr.lookup_fetch(0)  # reference the front page
         gr.on_dram_evict(make_frame(100, dirty=True, fdirty=True))
-        assert not gr.directory.contains_valid(0)  # evicted anyway
+        assert 0 not in gr.directory.valid_pos  # evicted anyway
 
 
 class TestGroupSecondChance:
@@ -105,9 +103,9 @@ class TestGroupSecondChance:
         gsc.lookup_fetch(0)
         gsc.lookup_fetch(2)
         gsc.on_dram_evict(make_frame(100, dirty=True, fdirty=True))
-        assert gsc.directory.contains_valid(0)
-        assert gsc.directory.contains_valid(2)
-        assert not gsc.directory.contains_valid(1)
+        assert 0 in gsc.directory.valid_pos
+        assert 2 in gsc.directory.valid_pos
+        assert 1 not in gsc.directory.valid_pos
 
     def test_second_chance_is_consumed(self, gsc):
         fill(gsc, CAPACITY, dirty=False)
@@ -123,7 +121,7 @@ class TestGroupSecondChance:
         gsc.lookup_fetch(0)
         gsc.on_dram_evict(make_frame(100, dirty=True, fdirty=True))
         assert gsc.stats.disk_writes == DEPTH - 1  # all but the survivor
-        assert gsc.directory.contains_valid(0)
+        assert 0 in gsc.directory.valid_pos
 
     def test_all_referenced_batch_sacrifices_front(self, gsc):
         fill(gsc, CAPACITY, dirty=False)
@@ -131,9 +129,9 @@ class TestGroupSecondChance:
         for i in range(DEPTH):
             gsc.lookup_fetch(i)
         gsc.on_dram_evict(make_frame(100, dirty=True, fdirty=True))
-        assert not gsc.directory.contains_valid(0)  # sacrificed
+        assert 0 not in gsc.directory.valid_pos  # sacrificed
         for i in range(1, DEPTH):
-            assert gsc.directory.contains_valid(i)
+            assert i in gsc.directory.valid_pos
 
     def test_pull_callback_fills_the_write_batch(self, gsc):
         pulled_log = []
@@ -147,7 +145,7 @@ class TestGroupSecondChance:
         gsc.finish_checkpoint()
         gsc.on_dram_evict(make_frame(100, dirty=True, fdirty=True))
         assert pulled_log == [DEPTH - 1]  # no survivors: batch minus incoming
-        assert gsc.directory.contains_valid(500)
+        assert 500 in gsc.directory.valid_pos
         assert gsc.stats.dirty_evictions >= DEPTH - 1
 
     def test_pulled_clean_duplicates_are_skipped(self, gsc):
@@ -165,11 +163,11 @@ class TestGroupSecondChance:
     def test_crash_recover_after_group_activity(self, gsc):
         fill(gsc, CAPACITY + DEPTH, dirty=True)
         gsc.finish_checkpoint()
-        valid = {i for i in range(CAPACITY + DEPTH) if gsc.directory.contains_valid(i)}
+        valid = {i for i in range(CAPACITY + DEPTH) if i in gsc.directory.valid_pos}
         gsc.crash()
         gsc.recover()
         restored = {
-            i for i in range(CAPACITY + DEPTH) if gsc.directory.contains_valid(i)
+            i for i in range(CAPACITY + DEPTH) if i in gsc.directory.valid_pos
         }
         assert restored == valid
 

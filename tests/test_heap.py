@@ -44,20 +44,9 @@ def test_bulk_rids_are_the_dense_mapping(slots, offset, first, count):
     assert heap.rids(first, count) == expected
 
 
-def test_rownum_for_rid_is_inverse():
-    heap = make_heap(slots=5, first_offset=3)
-    for n in range(18):
-        assert heap.rownum_for_rid(heap.rid_for_rownum(n)) == n
-
-
-def test_rownum_for_rid_validates():
-    heap = make_heap(slots=5)
+def test_negative_rownum_rejected():
     with pytest.raises(CatalogError):
-        heap.rownum_for_rid((999, 0))
-    with pytest.raises(CatalogError):
-        heap.rownum_for_rid((0, 5))
-    with pytest.raises(CatalogError):
-        heap.rid_for_rownum(-1)
+        make_heap(slots=5).rid_for_rownum(-1)
 
 
 def test_append_advances_and_counts():
@@ -76,17 +65,6 @@ def test_append_wraps_and_recycles_oldest():
     rid = heap.append_rid()  # 11th row recycles slot 0
     assert rid == (0, 0)
     assert heap.wrapped
-
-
-def test_used_page_ids_tracks_fill():
-    heap = make_heap(n_rows=20, slots=5)
-    assert list(heap.used_page_ids()) == []
-    for _ in range(6):
-        heap.append_rid()
-    assert list(heap.used_page_ids()) == [0, 1]
-    for _ in range(20):
-        heap.append_rid()
-    assert list(heap.used_page_ids()) == list(heap.page_ids())
 
 
 def test_capacity_rows():

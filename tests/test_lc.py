@@ -1,11 +1,13 @@
 """Lazy Cleaning baseline: in-place LRU-2 cache with a background cleaner."""
 
+import random
+
 import pytest
 
+from repro.core.config import CachePolicy
 from repro.errors import CacheError
 from repro.flashcache.lc import LazyCleaningCache
-from repro.storage.device import IOKind
-from tests.conftest import make_frame
+from tests.conftest import kv_dbms_with, make_frame
 
 CAPACITY = 8
 
@@ -38,11 +40,11 @@ def test_steady_state_overwrites_are_random_flash_writes(lc):
     (The initial fill is sequential; steady state is overwrites.)"""
     for i in range(CAPACITY):
         lc.on_dram_evict(make_frame(i, dirty=True, fdirty=True))
-    before = lc.flash.device.stats.ops[IOKind.RANDOM_WRITE]
+    before = lc.flash.device.stats.random_write_ops
     for i in (5, 1, 6, 2, 7, 0):  # re-evictions overwrite in place
         lc.on_dram_evict(make_frame(i, dirty=True, fdirty=True))
     stats = lc.flash.device.stats
-    assert stats.ops[IOKind.RANDOM_WRITE] - before >= 5
+    assert stats.random_write_ops - before >= 5
 
 
 def test_write_back_defers_disk_until_flash_eviction(lc):
@@ -70,6 +72,32 @@ def test_clean_victim_eviction_is_free_of_data_io(lc):
     disk_before = lc.disk.device.stats.write_pages
     lc.on_dram_evict(make_frame(100, dirty=False))
     assert lc.disk.device.stats.write_pages == disk_before
+
+
+def test_lazy_cleaner_fires_at_the_default_threshold_in_an_engine_cell():
+    """Updates by record id through the engine, no index page read and no
+    checkpoint: only dirty pages leave DRAM, so the dirty share of the cache
+    passes LC's default 0.9 and the cleaner writes pages back.  (With the
+    index's clean bucket pages cached beside them the share peaks near 0.6,
+    as in every committed LC cell; DESIGN.md §1.)"""
+    dbms = kv_dbms_with(CachePolicy.LC, n_keys=1024, buffer_pages=8, cache_pages=32)
+    lc, heap = dbms.cache, dbms.tables["kv"]
+    assert lc.dirty_threshold == 0.9
+    rng = random.Random(7)
+    for step in range(1000):
+        k = rng.randrange(1024)
+        tx = dbms.begin()
+        dbms.update_row(tx, "kv", heap.rid_for_rownum(k), (k, f"w{step}"))
+        dbms.commit(tx)
+    assert dbms.checkpoints == 0
+    assert lc.cleaner_flushes > 0
+    assert lc.dirty_fraction <= lc.dirty_threshold
+    # Every page entered the cache dirty, so a clean one was cleaned: its
+    # flash copy is on disk.
+    cleaned = [page_id for page_id, dirty in lc._dirty.items() if not dirty]
+    assert cleaned
+    for page_id in cleaned:
+        assert dbms.disk.peek(page_id) == dbms.flash.peek(lc._slot_of[page_id])
 
 
 def test_lazy_cleaner_triggers_above_threshold(flash_volume, disk_volume):

@@ -8,7 +8,6 @@ from repro.flashcache.directory import FifoDirectory
 from repro.flashcache.metadata import (
     CacheSlotImage,
     MetadataManager,
-    build_metadata_region,
     unwrap_image,
 )
 from repro.flashcache.mvfifo import MvFifoCache
@@ -47,11 +46,12 @@ def test_segment_flush_happens_at_capacity(cache, manager):
 
 
 def test_segment_flush_is_batched_io(flash, cache):
-    ops_before = flash.device.stats.total_ops
+    stats = flash.device.stats
+    ops_before = stats.random_write_ops + stats.seq_write_ops
     for i in range(SEGMENT):
         enqueue_version(cache, i, 1, True)
     # SEGMENT data-page writes + 1 segment write + 1 superblock write.
-    assert flash.device.stats.total_ops == ops_before + SEGMENT + 2
+    assert stats.random_write_ops + stats.seq_write_ops == ops_before + SEGMENT + 2
 
 
 def test_recover_from_persistent_segments_only(cache, manager):
@@ -62,7 +62,7 @@ def test_recover_from_persistent_segments_only(cache, manager):
     timings = manager.recover(restored)
     assert timings.cache_survives
     for i in range(SEGMENT):
-        assert restored.contains_valid(i)
+        assert i in restored.valid_pos
     assert restored.meta_at(restored.valid_position(3)).lsn == 4
 
 
@@ -74,7 +74,7 @@ def test_recover_rebuilds_unflushed_tail_from_page_footers(cache, manager):
     timings = manager.recover(restored)
     assert restored.rear == SEGMENT + 3
     for i in range(SEGMENT + 3):
-        assert restored.contains_valid(i)
+        assert i in restored.valid_pos
     # Dirty flags recovered exactly from footers.
     pos = restored.valid_position(SEGMENT + 2)
     assert restored.meta_at(pos).dirty == ((SEGMENT + 2) % 2 == 0)
@@ -88,7 +88,7 @@ def test_recover_with_no_persistent_state_at_all(cache, manager):
     restored = FifoDirectory(CACHE)
     manager.recover(restored)
     assert restored.rear == 3
-    assert all(restored.contains_valid(i) for i in range(3))
+    assert all(i in restored.valid_pos for i in range(3))
 
 
 def test_recover_validity_respects_multi_versions(cache, manager):
@@ -113,9 +113,9 @@ def test_recover_respects_noted_front(cache, manager):
     restored = FifoDirectory(CACHE)
     manager.recover(restored)
     assert restored.front == 2
-    assert not restored.contains_valid(0)
-    assert not restored.contains_valid(1)
-    assert restored.contains_valid(2)
+    assert 0 not in restored.valid_pos
+    assert 1 not in restored.valid_pos
+    assert 2 in restored.valid_pos
 
 
 def test_recovery_charges_flash_reads(flash, cache, manager):
@@ -129,12 +129,6 @@ def test_recovery_charges_flash_reads(flash, cache, manager):
         flash.device.busy_time - busy_before
     )
     assert timings.segment_pages_read >= 1
-
-
-def test_build_metadata_region_sizing():
-    base, pages = build_metadata_region(cache_capacity=1000, segment_entries=100)
-    assert base == 1000
-    assert pages >= 2  # superblock + at least one segment slot
 
 
 def test_region_too_small_rejected(flash):

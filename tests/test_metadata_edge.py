@@ -5,7 +5,6 @@ import pytest
 from repro.db.page import PageImage
 from repro.flashcache.group import GroupReplacementCache, GroupSecondChanceCache
 from repro.flashcache.mvfifo import MvFifoCache
-from repro.storage.device import IOKind
 from repro.storage.profiles import MLC_SAMSUNG_470
 from repro.storage.ssd import FlashDevice
 from repro.storage.volume import Volume
@@ -91,8 +90,8 @@ class TestStagingOrdering:
         for i in range(200):
             cache.on_dram_evict(make_frame(i % 80, dirty=True, fdirty=True))
         stats = cache.flash.device.stats
-        batch_pages = stats.pages[IOKind.SEQ_WRITE]
-        single_pages = stats.pages[IOKind.RANDOM_WRITE]
+        batch_pages = stats.seq_write_pages
+        single_pages = stats.random_write_pages
         assert batch_pages > 5 * max(1, single_pages)
 
 

@@ -15,7 +15,7 @@ from repro.sim.metrics import ThroughputSeries
 def test_empty_series_yields_no_windows():
     series = ThroughputSeries()
     assert series.windowed_tpmc(10.0) == []
-    assert series.final_commits == 0
+    assert series.samples == []
 
 
 def test_nonpositive_window_yields_no_windows():
@@ -71,4 +71,4 @@ def test_record_accepts_equal_timestamps_and_counts():
     series = ThroughputSeries()
     series.record(5.0, 10)
     series.record(5.0, 10)  # idempotent duplicate sample is fine
-    assert series.final_commits == 10
+    assert [s.neworder_commits for s in series.samples] == [10, 10]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.flashcache.mvfifo import MvFifoCache
-from repro.storage.device import IOKind
 from tests.conftest import make_frame
 
 CAPACITY = 16
@@ -17,13 +16,13 @@ def cache(flash_volume, disk_volume) -> MvFifoCache:
 class TestEnqueueRules:
     def test_dirty_eviction_enqueued_unconditionally(self, cache):
         cache.on_dram_evict(make_frame(1, dirty=True, fdirty=True))
-        assert cache.directory.contains_valid(1)
+        assert 1 in cache.directory.valid_pos
         assert cache.stats.flash_writes == 1
         assert cache.stats.dirty_evictions == 1
 
     def test_clean_eviction_enqueued_when_absent(self, cache):
         cache.on_dram_evict(make_frame(1))
-        assert cache.directory.contains_valid(1)
+        assert 1 in cache.directory.valid_pos
         assert cache.stats.clean_evictions == 1
 
     def test_clean_eviction_skipped_when_identical_copy_cached(self, cache):
@@ -45,11 +44,11 @@ class TestEnqueueRules:
         stats = cache.flash.device.stats
         # Metadata segment flushes (every 8 enqueues here) interleave with
         # the append stream; only those and the first write may be random.
-        assert stats.ops[IOKind.SEQ_WRITE] >= CAPACITY - 4
+        assert stats.seq_write_ops >= CAPACITY - 4
         # Each tiny (1-page) metadata segment flush here costs up to 3
         # non-sequential ops (segment, superblock, broken append cursor);
         # in the real configuration segments are ~375-page batch writes.
-        assert stats.ops[IOKind.RANDOM_WRITE] <= 7
+        assert stats.random_write_ops <= 7
 
 
 class TestLookupFetch:
@@ -138,7 +137,7 @@ class TestCheckpoint:
         disk_before = cache.disk.device.stats.write_pages
         cache.checkpoint_frame(frame)
         assert cache.disk.device.stats.write_pages == disk_before
-        assert cache.directory.contains_valid(5)
+        assert 5 in cache.directory.valid_pos
         assert not frame.fdirty
         assert frame.dirty  # disk copy is still stale - by design
 
@@ -155,14 +154,14 @@ class TestCrashRecovery:
         for i in range(10):
             cache.on_dram_evict(make_frame(i, dirty=True, fdirty=True))
         valid_before = {
-            i for i in range(10) if cache.directory.contains_valid(i)
+            i for i in range(10) if i in cache.directory.valid_pos
         }
         cache.crash()
         assert cache.directory.size == 0
         timings = cache.recover()
         assert timings.cache_survives
         assert {
-            i for i in range(10) if cache.directory.contains_valid(i)
+            i for i in range(10) if i in cache.directory.valid_pos
         } == valid_before
 
     def test_recovered_fetch_returns_correct_content(self, cache):

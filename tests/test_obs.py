@@ -1,11 +1,11 @@
-"""The observability layer (ISSUE 2 tentpole): registry, tracer, scopes,
-instrumentation parity, and sweep snapshot plumbing.
+"""The observability layer: registry, scopes, instrumentation parity, and
+sweep snapshot plumbing.
 
 Contracts pinned here:
 
 * get-or-create metric handles, kind-mismatch rejection, reset-keeps-handles;
-* histogram bucketing, snapshot diff/merge algebra, pickle round-trips;
-* the tracer's bounded ring and the span timer's explicit clock;
+* histogram bucketing, snapshot pickle round-trips and exports;
+* the span timer's explicit clock;
 * disabled-by-default is a true no-op (no metrics materialise);
 * metrics derived from an instrumented run reproduce ``RunResult``'s
   Table 3 figures exactly;
@@ -24,19 +24,16 @@ from repro.errors import ConfigError
 from repro.obs import (
     OBS,
     Counter,
-    EventTracer,
     Histogram,
     MetricRegistry,
-    Observability,
-    RegistrySnapshot,
     Scope,
-    merge_snapshots,
     sanitize,
 )
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.parallel import CellSpec, derive_cell_seed, run_cells
+from repro.sim.parallel import CellSpec, run_cells
 from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import SteadyStateScenario
+from repro.storage.device import IOKind
 from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY
 
@@ -48,11 +45,9 @@ def clean_global_registry():
     """Each test sees the singleton as a fresh process would."""
     was_enabled = OBS.enabled
     OBS.clear()
-    OBS.tracer.reset()
     OBS.disable()
     yield
     OBS.clear()
-    OBS.tracer.reset()
     OBS.enabled = was_enabled
 
 
@@ -102,7 +97,7 @@ def test_histogram_bucketing_and_overflow():
     # le-semantics: 0.5 and 1.0 -> bucket 0; 5.0 -> 1; 100.0 -> 2; 1000 -> overflow
     assert hist.counts == [2, 1, 1, 1]
     assert hist.count == 5
-    assert hist.mean == pytest.approx(1106.5 / 5)
+    assert hist.total == pytest.approx(1106.5)
 
 
 def test_histogram_requires_bounds():
@@ -120,7 +115,7 @@ def test_counter_and_gauge_semantics():
     assert gauge.value == 2.0
 
 
-# -- snapshots: diff / merge / pickle ------------------------------------------
+# -- snapshots: pickle / export ------------------------------------------------
 
 
 def _registry_with_data() -> MetricRegistry:
@@ -129,49 +124,6 @@ def _registry_with_data() -> MetricRegistry:
     reg.gauge("g").set(3.0)
     reg.histogram("h", bounds=(1.0, 2.0)).observe(1.5)
     return reg
-
-
-def test_snapshot_diff_subtracts_counters_and_histograms():
-    reg = _registry_with_data()
-    earlier = reg.snapshot()
-    reg.counter("a").inc(5)
-    reg.gauge("g").set(9.0)
-    reg.histogram("h").observe(0.5)
-    delta = reg.snapshot().diff(earlier)
-    assert delta.counters["a"] == 5.0
-    assert delta.gauges["g"] == 9.0  # gauges keep the newer value
-    assert delta.histograms["h"].count == 1
-    assert delta.histograms["h"].counts == (1, 0, 0)
-
-
-def test_snapshot_merge_sums_and_last_gauge_wins():
-    first = _registry_with_data().snapshot()
-    second_reg = _registry_with_data()
-    second_reg.gauge("g").set(99.0)
-    second_reg.counter("b").inc()
-    merged = first.merge(second_reg.snapshot())
-    assert merged.counters["a"] == 20.0
-    assert merged.counters["b"] == 1.0
-    assert merged.gauges["g"] == 99.0
-    assert merged.histograms["h"].count == 2
-
-
-def test_merge_snapshots_skips_none_and_preserves_order():
-    reg = _registry_with_data()
-    snap = reg.snapshot()
-    merged = merge_snapshots([None, snap, None, snap])
-    assert merged.counters["a"] == 20.0
-
-
-def test_diff_and_merge_reject_mismatched_buckets():
-    a = MetricRegistry()
-    a.histogram("h", bounds=(1.0,))
-    b = MetricRegistry()
-    b.histogram("h", bounds=(2.0,))
-    with pytest.raises(ConfigError, match="buckets"):
-        a.snapshot().diff(b.snapshot())
-    with pytest.raises(ConfigError, match="buckets"):
-        a.snapshot().merge(b.snapshot())
 
 
 def test_snapshot_pickle_round_trip():
@@ -209,38 +161,6 @@ def test_histogram_quantile():
         hsnap.quantile(1.5)
 
 
-# -- tracer -------------------------------------------------------------------
-
-
-def test_tracer_ring_is_bounded_and_counts_drops():
-    tracer = EventTracer(capacity=3)
-    for i in range(5):
-        tracer.emit("e", sim_time=float(i), n=i)
-    assert len(tracer) == 3
-    assert tracer.emitted == 5
-    assert tracer.dropped == 2
-    assert [e.sim_time for e in tracer] == [2.0, 3.0, 4.0]
-    assert tracer.events("e")[0].get("n") == 2
-
-
-def test_tracer_filters_by_name_and_resets():
-    tracer = EventTracer()
-    tracer.emit("a")
-    tracer.emit("b")
-    assert len(tracer.events("a")) == 1
-    tracer.reset()
-    assert len(tracer) == 0 and tracer.emitted == 0
-
-
-def test_observability_trace_noop_while_disabled():
-    obs = Observability("t")
-    obs.trace("x")
-    assert len(obs.tracer) == 0
-    obs.enable()
-    obs.trace("x", sim_time=1.0, k=2)
-    assert obs.tracer.events("x")[0].get("k") == 2
-
-
 # -- spans --------------------------------------------------------------------
 
 
@@ -248,9 +168,8 @@ def test_scope_records_elapsed_on_fake_clock():
     reg = MetricRegistry()
     reg.enable()
     clock_value = [10.0]
-    with Scope(reg, "phase", clock=lambda: clock_value[0]) as span:
+    with Scope(reg, "phase", clock=lambda: clock_value[0]):
         clock_value[0] = 12.5
-        assert span.elapsed == 2.5
     hist = reg.snapshot().histograms["phase.seconds"]
     assert hist.count == 1
     assert hist.total == pytest.approx(2.5)
@@ -315,18 +234,17 @@ def test_device_histograms_match_device_stats():
     snap = OBS.snapshot()
     flash = runner.dbms.flash.device
     name = sanitize(flash.profile.name)
-    ops = sum(
-        value
-        for metric, value in snap.counters.items()
-        if metric.startswith(f"storage.ssd.{name}.ops.")
-    )
-    assert ops == flash.stats.total_ops
+    device_ops = 0
+    for kind in IOKind:
+        ops = getattr(flash.stats, f"{kind.value}_ops")
+        assert snap.get(f"storage.ssd.{name}.ops.{kind.value}") == ops
+        device_ops += ops
     hist_ops = sum(
         h.count
         for metric, h in snap.histograms.items()
         if metric.startswith(f"storage.ssd.{name}.")
     )
-    assert hist_ops == flash.stats.total_ops
+    assert hist_ops == device_ops
 
 
 # -- sweep plumbing ------------------------------------------------------------
@@ -341,7 +259,7 @@ def _specs(collect_obs: bool) -> list[CellSpec]:
                 DB_PAGES, cache_fraction=fraction, policy=CachePolicy.FACE
             ),
             scale=TINY,
-            seed=derive_cell_seed(42, ("face", fraction)),
+            seed=42,
             collect_obs=collect_obs,
             scenario=fast,
         )
@@ -380,16 +298,12 @@ def test_sweep_threads_collect_obs_and_merges_in_grid_order():
         CellSpec.from_config((fraction,), base.with_(cache_fraction=fraction))
         for fraction in (0.06, 0.10)
     ])
-    per_cell = [result.obs for result in cells.values()]
-    assert all(snap is not None for snap in per_cell)
-    merged = merge_snapshots(per_cell)
-    expected = sum(s.counters["flashcache.face.lookups"] for s in per_cell)
-    assert merged.counters["flashcache.face.lookups"] == expected
-    # Gauges keep the last cell's value: the merge runs in grid order.
-    last = per_cell[-1]
-    for name, value in last.gauges.items():
-        assert merged.gauges[name] == value
+    assert list(cells) == [(0.06,), (0.10,)]  # grid order
+    for result in cells.values():
+        # Each cell's snapshot is its own run's counters, not a running sum.
+        assert result.obs.counters["flashcache.face.lookups"] == (
+            result.cache_stats["lookups"]
+        )
 
     plain = run_cells([CellSpec.from_config((0.06,), base.with_(collect_obs=False))])
     assert [result.obs for result in plain.values()] == [None]
-    assert merge_snapshots(result.obs for result in plain.values()) == RegistrySnapshot()

@@ -56,7 +56,7 @@ class TestSerde:
             0: (1, 2.5, "text", None),
             5: (-(2**40), -0.0, "unicode-é中", None),
         }
-        restored = Page.from_bytes(page.to_bytes())
+        restored = PageImage.from_bytes(page.to_image().to_bytes()).to_page()
         assert restored.page_id == 42
         assert restored.lsn == 77
         assert restored.slots == page.slots
@@ -64,42 +64,42 @@ class TestSerde:
     def test_roundtrip_tuple_keys(self):
         page = Page(1, lsn=3)
         page.slots = {(1, 2, "NAME"): (10, 4), (1, 3, ""): (11, 5)}
-        restored = Page.from_bytes(page.to_bytes())
+        restored = PageImage.from_bytes(page.to_image().to_bytes()).to_page()
         assert restored.slots == page.slots
 
     def test_roundtrip_empty_page(self):
-        restored = Page.from_bytes(Page(9, lsn=1).to_bytes())
+        restored = PageImage.from_bytes(Page(9, lsn=1).to_image().to_bytes()).to_page()
         assert restored.page_id == 9
         assert restored.slots == {}
 
     def test_bool_degrades_to_int(self):
         page = Page(1)
         page.slots = {0: (True, False)}
-        restored = Page.from_bytes(page.to_bytes())
+        restored = PageImage.from_bytes(page.to_image().to_bytes()).to_page()
         assert restored.slots[0] == (1, 0)
 
     def test_bad_magic_rejected(self):
-        data = bytearray(Page(1).to_bytes())
+        data = bytearray(Page(1).to_image().to_bytes())
         data[0] ^= 0xFF
         with pytest.raises(StorageError):
-            Page.from_bytes(bytes(data))
+            PageImage.from_bytes(bytes(data))
 
     def test_truncated_header_rejected(self):
         with pytest.raises(StorageError):
-            Page.from_bytes(b"\x01\x02")
+            PageImage.from_bytes(b"\x01\x02")
 
     def test_unsupported_value_type_rejected(self):
         page = Page(1)
         page.slots = {0: ([1, 2],)}
         with pytest.raises(StorageError):
-            page.to_bytes()
+            page.to_image().to_bytes()
 
     def test_nested_tuples_rejected(self):
         # One columnar run per page: a tuple inside a row has no column kind.
         page = Page(1)
         page.slots = {0: ((1, (2, "x")), "y")}
         with pytest.raises(StorageError, match="not one columnar shape"):
-            page.to_bytes()
+            page.to_image().to_bytes()
 
 
 def test_an_image_is_an_immutable_value():
@@ -127,7 +127,7 @@ def test_an_image_is_an_immutable_value():
 
 def test_the_blob_is_remembered_by_identity():
     page = Page(3, lsn=10, slots={0: ("x",)})
-    blob = page.to_bytes()
+    blob = page.to_image().to_bytes()
     decoded = PageImage.from_bytes(blob)
     assert decoded.to_bytes() is blob  # the decoded-from bytes, not a re-encoding
     fresh = page.to_image()

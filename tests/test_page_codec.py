@@ -125,7 +125,7 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(pages())
     def test_any_mix_of_shapes_round_trips(self, page):
-        blob = page.to_bytes()
+        blob = page.to_image().to_bytes()
         image = PageImage.from_bytes(blob)
         assert (image.page_id, image.lsn) == (page.page_id, page.lsn)
         assert image.slots == page.slots
@@ -133,8 +133,8 @@ class TestRoundTrip:
         assert exact(image.slots) == exact(page.slots)
         assert page.to_image().to_bytes() == blob  # Page and PageImage agree
         assert image.to_bytes() is blob  # the bytes travel with the image
-        assert image.to_page().to_bytes() is blob
-        assert Page.from_bytes(blob).to_image().to_bytes() is blob
+        assert image.to_page().to_image().to_bytes() is blob
+        assert PageImage.from_bytes(blob).to_page().to_image().to_bytes() is blob
         # The encoding is canonical: decoding and re-encoding reproduces it.
         assert page_module._pack_page(image.page_id, image.lsn, image.slots) == blob
 
@@ -142,15 +142,15 @@ class TestRoundTrip:
     @given(mixed_pages())
     def test_a_page_encodes_only_as_one_columnar_run(self, page):
         if columnar(page.slots):
-            assert PageImage.from_bytes(page.to_bytes()).slots == page.slots
+            assert PageImage.from_bytes(page.to_image().to_bytes()).slots == page.slots
         else:
             with pytest.raises(StorageError, match="not one columnar shape"):
-                page.to_bytes()
+                page.to_image().to_bytes()
 
     def test_int_outside_int64_is_a_storage_error(self):
         for slots in ({0: (2**63,)}, {2**70: (1,)}, {0: ((2**63,),)}):
             with pytest.raises(StorageError):
-                Page(1, slots=slots).to_bytes()
+                Page(1, slots=slots).to_image().to_bytes()
 
 
 # -- damaged input ------------------------------------------------------------
@@ -191,13 +191,13 @@ def run_headers(blob: bytes) -> list[tuple[int, int, int]]:
 @pytest.mark.parametrize("sample", sorted(SAMPLES))
 class TestFailClosed:
     def test_truncation_at_every_byte_is_a_storage_error(self, sample):
-        blob = SAMPLES[sample]().to_bytes()
+        blob = SAMPLES[sample]().to_image().to_bytes()
         for cut in range(len(blob)):
             with pytest.raises(StorageError):
                 PageImage.from_bytes(blob[:cut])
 
     def test_trailing_junk_is_a_storage_error(self, sample):
-        blob = SAMPLES[sample]().to_bytes()
+        blob = SAMPLES[sample]().to_image().to_bytes()
         for junk in (b"\x00", b"\x01", b"junk" * 5):
             with pytest.raises(StorageError):
                 PageImage.from_bytes(blob + junk)
@@ -212,7 +212,7 @@ class TestFailClosed:
         or a hang on an absurd slot count.
         """
         page = SAMPLES[sample]()
-        blob = page.to_bytes()
+        blob = page.to_image().to_bytes()
         headers = run_headers(blob)
         assert headers
         decoded = offsets = 0
@@ -231,7 +231,7 @@ class TestFailClosed:
 
 
 def test_truncated_string_value_is_not_returned_short():
-    blob = Page(1, slots={"e": ("a long enough string",)}).to_bytes()
+    blob = Page(1, slots={"e": ("a long enough string",)}).to_image().to_bytes()
     with pytest.raises(StorageError):
         PageImage.from_bytes(blob[:-1])
 
@@ -448,7 +448,7 @@ class TestLazyProbes:
     @settings(max_examples=300, deadline=None)
     @given(pages())
     def test_a_probe_answers_what_the_built_dict_answers(self, page):
-        blob = page.to_bytes()
+        blob = page.to_image().to_bytes()
         expected = eager(page)
         probes = list(expected)
         for key in expected:
@@ -462,7 +462,7 @@ class TestLazyProbes:
     @settings(max_examples=200, deadline=None)
     @given(pages())
     def test_the_full_mapping_is_the_built_dict(self, page):
-        blob = page.to_bytes()
+        blob = page.to_image().to_bytes()
         expected = eager(page)
         for view in (
             lambda s: dict(s), lambda s: list(s), len, lambda s: list(s.items()),
@@ -480,13 +480,13 @@ class TestLazyProbes:
         lazy = (bucket_page(), heap_page(), composite_page(),
                 Page(1, slots={(1, "a"): (2,), (1, "b"): (3,)}))
         for page in lazy:
-            assert type(PageImage.from_bytes(page.to_bytes()).slots) is page_module._ColumnarRun
+            assert type(PageImage.from_bytes(page.to_image().to_bytes()).slots) is page_module._ColumnarRun
         # An empty page has no run: its slots are the (empty) dict.
-        assert type(PageImage.from_bytes(Page(3).to_bytes()).slots) is dict
+        assert type(PageImage.from_bytes(Page(3).to_image().to_bytes()).slots) is dict
 
     def test_a_page_probed_on_every_slot_builds_its_dict_once(self, monkeypatch):
         builds, scans = count_calls(monkeypatch, "_build"), count_calls(monkeypatch, "_probe")
-        page = PageImage.from_bytes(bucket_page().to_bytes()).to_page()
+        page = PageImage.from_bytes(bucket_page().to_image().to_bytes()).to_page()
         for key, row in bucket_page().slots.items():
             assert page.get(key) == row
         assert sum(builds.values()) == 1
@@ -494,7 +494,7 @@ class TestLazyProbes:
 
     def test_a_probed_once_page_builds_nothing_and_a_write_builds_a_copy(self, monkeypatch):
         builds = count_calls(monkeypatch, "_build")
-        image = PageImage.from_bytes(heap_page().to_bytes())
+        image = PageImage.from_bytes(heap_page().to_image().to_bytes())
         page = image.to_page()
         assert page.get(3) == degrade(heap_page().slots[3])
         assert not builds
@@ -508,7 +508,7 @@ class TestLazyProbes:
         row; only the dict build unpacks every column (pinned by a block
         struct that refuses to unpack)."""
         page = SAMPLES[sample]()
-        blob, expected = page.to_bytes(), eager(page)
+        blob, expected = page.to_image().to_bytes(), eager(page)
         column_block = page_module._column_block
 
         class Refusing:
@@ -552,20 +552,20 @@ class TestFailClosedAtDecode:
         with pytest.raises(StorageError):
             decode_storable(bytes([1]) + body)  # the page-image kind
         slot = encode_storable(CacheSlotImage(position=4, dirty=False, image=heap_page().to_image()))
-        header = len(slot) - len(heap_page().to_bytes())
+        header = len(slot) - len(heap_page().to_image().to_bytes())
         with pytest.raises(StorageError):
             decode_storable(slot[:header] + body)
 
     @pytest.mark.parametrize("scalar", [True, False])
     def test_a_duplicate_key_in_a_columnar_run(self, scalar):
         key = (lambda k: k) if scalar else (lambda k: (k,))
-        blob = Page(1, slots={key(7): (1,), key(8): (2,)}).to_bytes()
+        blob = Page(1, slots={key(7): (1,), key(8): (2,)}).to_image().to_bytes()
         first, second = (7).to_bytes(8, "little"), (8).to_bytes(8, "little")
         assert blob.count(first) == blob.count(second) == 1
         self.rejected(blob.replace(second, first))
 
     def test_invalid_utf8_in_the_string_heap(self):
-        blob = heap_page().to_bytes()
+        blob = heap_page().to_image().to_bytes()
         text = "é".encode()
         assert text in blob
         self.rejected(blob.replace(text, b"\xff\xfe"))
@@ -575,7 +575,7 @@ class TestFailClosedAtDecode:
         """A run header (and page header) claiming more slots than the blob
         holds: a decode that unpacks only the key columns must still find
         the column block short, before it reads anything past it."""
-        blob = bucket_page().to_bytes()  # no string heap after the block
+        blob = bucket_page().to_image().to_bytes()  # no string heap after the block
         magic, page_id, lsn, nslots = page_module._HEADER.unpack_from(blob)
         kind, count, signature_len, heap_len = page_module._RUN.unpack_from(
             blob, page_module._HEADER.size
@@ -707,7 +707,7 @@ def test_a_blob_decodes_in_place_from_a_larger_buffer():
     """The mmap store decodes straight out of its window: ``decode_storable``
     takes the record's bounds, and an image keeps exactly its body bytes."""
     pad = b"\x07" * 13
-    body = heap_page().to_bytes()
+    body = heap_page().to_image().to_bytes()
     for obj in (heap_page().to_image(), CacheSlotImage(5, True, heap_page().to_image()),
                 None, _Superblock(front=3, rear_at_flush=9, segment_lbas=(1, 2))):
         blob = encode_storable(obj)
@@ -724,8 +724,8 @@ def test_the_mmap_store_hands_back_the_body_bytes(tmp_path):
     store = MmapPageStore(4, tmp_path / "pages")
     store.put(1, heap_page().to_image())
     store.put(2, CacheSlotImage(9, False, bucket_page().to_image()))
-    assert store.get(1).to_bytes() == heap_page().to_bytes()
-    assert store.get(2).image.to_bytes() == bucket_page().to_bytes()
+    assert store.get(1).to_bytes() == heap_page().to_image().to_bytes()
+    assert store.get(2).image.to_bytes() == bucket_page().to_image().to_bytes()
     assert store.get(2) == CacheSlotImage(9, False, bucket_page().to_image())
 
 

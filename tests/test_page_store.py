@@ -512,8 +512,8 @@ class TestCodec:
     def test_page_image_bytes_roundtrip(self):
         img = sample_image()
         assert PageImage.from_bytes(img.to_bytes()) == img
-        # Page and PageImage share one on-media layout for equal contents.
-        assert img.to_bytes() == img.to_page().to_bytes()
+        # A thawed page freezes back to bytes equal to its image's.
+        assert img.to_bytes() == img.to_page().to_image().to_bytes()
 
     @pytest.mark.parametrize(
         "obj",
@@ -661,7 +661,7 @@ class TestHardCrash:
         fresh.adopt_durable(records, head_lba=donor._head_lba)
         assert fresh.durable_records() == records
         assert fresh.flushed_lsn == records[-1].lsn
-        assert fresh.tail_length == 0
+        assert len(fresh._tail) == 0
         # New appends continue the LSN sequence, not restart it.
         begin = fresh.log_begin(2)
         assert begin.lsn == records[-1].lsn + 1

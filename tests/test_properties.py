@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.buffer.pool import BufferPool
-from repro.db.page import Page
+from repro.db.page import Page, PageImage
 from repro.flashcache.directory import FifoDirectory
 from repro.storage.backing import MemoryPageStore
 from repro.storage.device import Device
@@ -43,7 +43,7 @@ def page_slots(draw):
 )
 def test_page_serde_roundtrip(page_id, lsn, slots):
     page = Page(page_id, lsn=lsn, slots=dict(slots))
-    restored = Page.from_bytes(page.to_bytes())
+    restored = PageImage.from_bytes(page.to_image().to_bytes()).to_page()
     assert restored.page_id == page_id
     assert restored.lsn == lsn
     assert restored.slots == slots

@@ -42,8 +42,8 @@ def test_zero_disks_rejected():
 
 
 def test_array_device_services_io_faster_than_single_disk():
-    single = Raid0Array(1, capacity_pages=1000)
-    array = Raid0Array(8, capacity_pages=1000)
+    single = Raid0Array(1, HDD_CHEETAH_15K, 1000)
+    array = Raid0Array(8, HDD_CHEETAH_15K, 1000)
     assert array.read(37) < single.read(37)
     assert array.n_disks == 8
 

@@ -241,7 +241,7 @@ def test_gsc_keeps_every_committed_order_across_a_bench_restart(page_store):
 # -- replay past an in-process restart -----------------------------------------
 
 
-def test_fast_replay_loop_runs_on_after_a_restart(monkeypatch):
+def test_fast_replay_loop_runs_on_after_a_restart():
     """A crash gives the pool a new replacement policy; the LRU fast loop
     must drive that one, not the policy it saw before (it raised ``page 4
     already buffered``), and match the exact loop bit for bit."""
@@ -249,10 +249,11 @@ def test_fast_replay_loop_runs_on_after_a_restart(monkeypatch):
 
     from repro.core.config import scaled_reference_config
     from repro.sim.replay import ReplayRunner, TraceRecorder
+    from repro.sim.warmstate import clear_snapshots
     from repro.tpcc.loader import estimate_db_pages
     from repro.tpcc.scale import TINY
 
-    monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")
+    clear_snapshots()  # no warm-up adopted from another test's fork
     config = scaled_reference_config(
         estimate_db_pages(TINY), buffer_fraction=0.05, policy=CachePolicy.FACE_GSC
     )

@@ -48,15 +48,12 @@ class TestClockPolicy:
             clock.insert(f)
         clock.remove(2)
         clock.remove(0)
-        remaining = {f.page_id for f in clock.frames()}
-        assert remaining == {1, 3, 4}
-        assert len(clock.victims(3)) == 3
+        assert {f.page_id for f in clock.victims(3)} == {1, 3, 4}
 
     def test_empty_ring(self):
         clock = ClockPolicy()
         with pytest.raises(BufferFullError):
             clock.victims(1)
-        assert clock.frames() == []
 
 
 class TestFactory:
@@ -85,7 +82,7 @@ class TestClockBufferPool:
         pool.lookup(1)  # sets the reference bit
         victim = pool.make_room()
         assert victim.page_id == 2
-        assert 1 in pool
+        assert pool.peek(1) is not None
 
     def test_pull_tail_respects_reference_bits(self, pool):
         self.fill(pool, 1, 2, 3)
@@ -100,7 +97,7 @@ class TestClockBufferPool:
         assert pool.stats.hits == 1
         assert pool.stats.misses == 1
         pool.wipe()
-        assert len(pool) == 0
+        assert pool.frames() == []
 
 
 class TestEngineUnderClock:

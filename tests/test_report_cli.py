@@ -3,13 +3,13 @@
 import pytest
 
 from repro.analysis.report import (
-    comparison_summary,
     restart_report_table,
     run_result_table,
 )
 from repro.cli import build_parser, main
 from repro.recovery.restart import RestartReport
 from repro.sim.runner import RunResult
+from repro.sim.warmstate import clear_snapshots
 
 
 def result(name: str, tpmc: float) -> RunResult:
@@ -41,10 +41,6 @@ class TestReports:
         text = restart_report_table([("FaCE", report)])
         assert "| FaCE | 1.500 |" in text
         assert "90.0%" in text
-
-    def test_comparison_summary(self):
-        text = comparison_summary(result("HDD-only", 1000), result("FaCE", 3000))
-        assert "3.00x" in text
 
 
 class TestCli:
@@ -96,22 +92,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "| buffer_policy=lru |" in out and "| buffer_policy=clock |" in out
 
-    def test_a_grid_over_scenarios_prints_a_table_per_kind_fork_or_not(
-        self, capsys, monkeypatch
-    ):
-        # The crash and service cells adopt the steady cell's warm fork; with
-        # the fork cache off each replays its own warm-up, to the same bytes.
-        argv = ["--scale", "tiny", "run", "policy=face+gsc",
-                "scenario=steady,crash,service", "checkpoint_interval=0.05",
-                "measure_transactions=100", "--fast"]
-        assert main(argv) == 0
+    def test_a_grid_over_scenarios_prints_a_table_per_kind_fork_or_not(self, capsys):
+        # The crash and service cells adopt the steady cell's warm fork; run
+        # alone with the fork memo empty, each replays its own warm-up to the
+        # same figures.
+        def figures(out: str) -> list[str]:
+            """Each table's data rows, without the label column."""
+            return [line.split("|", 2)[2] for line in out.splitlines()
+                    if line.startswith("| ") and not line.startswith("| configuration")]
+
+        argv = ["--scale", "tiny", "run", "--fast", "policy=face+gsc",
+                "checkpoint_interval=0.05", "measure_transactions=100"]
+        assert main([*argv, "scenario=steady,crash,service"]) == 0
         forked = capsys.readouterr().out
         assert forked.count("### Grid over scenario") == 3
         for cell in ("steady", "crash", "service"):
             assert f"| scenario={cell} |" in forked
-        monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")
-        assert main(argv) == 0
-        assert capsys.readouterr().out == forked
+        alone = []
+        for cell in ("steady", "crash", "service"):
+            clear_snapshots()
+            assert main([*argv, f"scenario={cell}"]) == 0
+            alone += figures(capsys.readouterr().out)
+        assert alone == figures(forked)
 
     def test_bad_scale_exits(self, capsys):
         assert main(["--scale", "galactic", "run", "policy=face"]) == 2

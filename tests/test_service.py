@@ -212,17 +212,6 @@ class TestQuantileEdgeCases:
         s = snapshot([10.0])
         assert s.quantile(0.99) == float("inf")
 
-    def test_merge_across_workers_answers_combined_population(self):
-        # Two "worker" snapshots; the merged quantile must equal a single
-        # histogram over the concatenated samples.
-        a, b = [0.5] * 90 + [1.5] * 10, [3.0] * 100
-        merged = snapshot(a).merge(snapshot(b))
-        combined = snapshot(a + b)
-        assert merged.counts == combined.counts
-        assert merged.count == 200
-        for q in (0.0, 0.45, 0.5, 0.95, 1.0):
-            assert merged.quantile(q) == combined.quantile(q)
-
     def test_out_of_range_quantile_raises(self):
         s = snapshot([0.5])
         with pytest.raises(ConfigError):

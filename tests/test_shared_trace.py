@@ -32,7 +32,7 @@ from repro.sim.replay import (
     prepare_replay,
     replay_cell,
 )
-from repro.sim.scenario import CrashRecoveryScenario, SteadyStateScenario
+from repro.sim.scenario import CrashRecoveryScenario, ServiceScenario, SteadyStateScenario
 from repro.sim.trace import leaked_shared_segments, publish_boundary_trace
 from repro.sim.warmstate import clear_snapshots, fork_dbms, warm_fork_stats
 from repro.tpcc.loader import estimate_db_pages
@@ -244,6 +244,21 @@ def test_warm_fork_crash_scenario_bit_identical():
     assert second == first
 
 
+def test_warm_fork_service_scenario_bit_identical():
+    # A service cell warms up like a steady one, then records demands from
+    # the adopted system and runs the queueing model over them.
+    scenario = ServiceScenario(
+        n_clients=8, measure_transactions=120, warmup_min=40, warmup_max=600
+    )
+    spec = dataclasses.replace(_spec(CachePolicy.FACE), scenario=scenario)
+    recorder = TraceRecorder(TINY, 42)
+    first = dataclasses.asdict(replay_cell(spec, recorder))
+    second = dataclasses.asdict(replay_cell(spec, recorder))
+    assert warm_fork_stats() == {"hits": 1, "misses": 1}
+    first.pop("obs"), second.pop("obs")
+    assert second == first
+
+
 def test_warm_fork_ineligible_with_obs_enabled():
     # OBS runs must execute warm-up for real (post-reset counter set),
     # so they never consult the fork cache at all.
@@ -251,16 +266,6 @@ def test_warm_fork_ineligible_with_obs_enabled():
     replay_cell(_spec(CachePolicy.FACE, collect_obs=True), recorder)
     replay_cell(_spec(CachePolicy.FACE, collect_obs=True), recorder)
     assert warm_fork_stats() == {"hits": 0, "misses": 0}
-
-
-def test_warm_fork_env_disable(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")
-    recorder = TraceRecorder(TINY, 42)
-    first = dataclasses.asdict(replay_cell(_spec(CachePolicy.FACE), recorder))
-    second = dataclasses.asdict(replay_cell(_spec(CachePolicy.FACE), recorder))
-    assert warm_fork_stats() == {"hits": 0, "misses": 0}
-    first.pop("obs"), second.pop("obs")
-    assert second == first  # determinism holds with the cache off too
 
 
 def test_fork_dbms_shares_wal_records_not_spines():

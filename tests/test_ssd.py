@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.storage.device import IOKind
 from repro.storage.profiles import MLC_SAMSUNG_470
 from repro.storage.ssd import PAGES_PER_BLOCK, FlashDevice
 
@@ -53,7 +52,7 @@ def test_batch_writes_never_pay_random_cost(ssd):
         ssd.write(block * PAGES_PER_BLOCK)  # saturate spread
     t = ssd.write(999, npages=PAGES_PER_BLOCK)
     assert t == pytest.approx(PAGES_PER_BLOCK * MLC_SAMSUNG_470.seq_write_time)
-    assert ssd.stats.ops[IOKind.SEQ_WRITE] >= 1
+    assert ssd.stats.seq_write_ops >= 1
 
 
 def test_batch_writes_do_not_widen_spread(ssd):

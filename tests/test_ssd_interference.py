@@ -82,7 +82,7 @@ class TestSerialMode:
         assert serial == pytest.approx(normal)
 
     def test_raid_serial_read_costs_single_disk_latency(self):
-        raid = Raid0Array(8, capacity_pages=1000)
+        raid = Raid0Array(8, HDD_CHEETAH_15K, 1000)
         aggregate = raid.read(5)
         raid.serial_mode = True
         serial = raid.read(900)
@@ -93,7 +93,7 @@ class TestSerialMode:
         assert serial > 10 * aggregate
 
     def test_raid_serial_writes_keep_aggregate_throughput(self):
-        raid = Raid0Array(8, capacity_pages=1000)
+        raid = Raid0Array(8, HDD_CHEETAH_15K, 1000)
         raid.write(0)
         normal = raid.write(500)
         raid.serial_mode = True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.device import Device, IOKind
+from repro.storage.device import Device
 from repro.storage.profiles import MLC_SAMSUNG_470, DeviceProfile
 from repro.storage.ssd import PAGES_PER_BLOCK, SPREAD_WINDOW, FlashDevice
 
@@ -11,7 +11,7 @@ class TestBatchBoundaries:
     def test_batch_exactly_at_device_end(self):
         dev = Device(MLC_SAMSUNG_470, 100)
         dev.read(90, 10)  # [90, 100): legal
-        assert dev.stats.pages[IOKind.SEQ_READ] == 10
+        assert dev.stats.seq_read_pages == 10
 
     def test_batch_one_past_end_rejected(self):
         from repro.errors import OutOfRangeError
@@ -25,21 +25,17 @@ class TestBatchBoundaries:
         dev.write(0, 64)
         t = dev.write(64, 64)  # continues the stream
         assert t == pytest.approx(64 * MLC_SAMSUNG_470.seq_write_time)
-        assert dev.stats.ops[IOKind.SEQ_WRITE] == 2
+        assert dev.stats.seq_write_ops == 2
 
 
 class TestProfileMath:
-    def test_scaled_capacity_pages(self):
-        small = MLC_SAMSUNG_470.scaled("cache", capacity_gb=1)
-        assert small.capacity_pages == 1024**3 // 4096
-
     def test_custom_profile_roundtrip(self):
         profile = DeviceProfile(
             name="toy", random_read_iops=1000, random_write_iops=500,
             seq_read_mbps=100, seq_write_mbps=50, capacity_gb=1, price_usd=10,
         )
         assert profile.random_read_time == pytest.approx(1e-3)
-        assert profile.random_write_penalty == pytest.approx(
+        assert profile.random_write_time / profile.seq_write_time == pytest.approx(
             (1 / 500) / (4096 / 50e6)
         )
 
@@ -68,7 +64,9 @@ class TestIOStatsAccounting:
         dev.read(1)
         dev.read(2)
         dev.write(50, 4)
-        assert dev.stats.total_ops == 3
+        stats = dev.stats
+        ops = stats.random_read_ops + stats.seq_read_ops
+        assert ops + stats.random_write_ops + stats.seq_write_ops == 3
         assert dev.stats.total_pages == 6
         assert dev.stats.read_pages == 2
         assert dev.stats.write_pages == 4

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.parallel import CellSpec, derive_cell_seed, run_cells
+from repro.sim.parallel import CellSpec, run_cells
 from repro.tpcc.scale import TINY
 
 BASE = ExperimentConfig(
@@ -19,11 +19,7 @@ FRACTIONS = (0.08, 0.12)
 @pytest.fixture(scope="module")
 def results() -> dict:
     specs = [
-        CellSpec.from_config(
-            key,
-            BASE.with_(policy=key[0], cache_fraction=key[1]),
-            seed=derive_cell_seed(BASE.seed, key),
-        )
+        CellSpec.from_config(key, BASE.with_(policy=key[0], cache_fraction=key[1]))
         for key in itertools.product(POLICIES, FRACTIONS)
     ]
     return run_cells(specs)

@@ -44,7 +44,7 @@ class TestNewOrder:
         for _ in range(10):
             txs.new_order()
         quantities = [
-            txs.dbms.fetch_row("stock", txs.database.stock_rid(1, i))[2]
+            txs.dbms.fetch_row("stock", txs.dbms.index_lookup("stock_pk", (1, i)))[2]
             for i in range(1, TINY.items + 1)
         ]
         assert all(q >= 10 for q in quantities)

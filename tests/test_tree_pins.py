@@ -2,14 +2,14 @@
 
 Cheap whole-tree checks a deletion PR trips before the benchmark does:
 
-* the ``REPRO_*`` environment variables named under ``src/`` are exactly
-  the documented three — a new escape hatch (or a stale mention of a
+* the ``REPRO_*`` environment variable named under ``src/`` is exactly
+  the documented one — a new escape hatch (or a stale mention of a
   deleted one) fails here;
 * everything ``perf/*.py`` imports from ``repro`` still resolves, and the
   traced pass can still find every function it wraps.  ``perf/`` is frozen
   between ``benchmark`` PRs, so ``src/`` has to keep those names;
 * what the function census found no workload executing, and deleted
-  (DESIGN.md §15), stays deleted.
+  (DESIGN.md §15), stays deleted; so does the write-only event tracer.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ DELETED = {
     # Reached by nothing at all, tests included.
     "repro.tpcc.random_gen:TpccRandom": ("amount", "choice"),
     "repro.tpcc.transactions": ("_replace",),
-    "repro.tpcc.loader:TpccDatabase": ("db_pages",),
-    "repro.db.schema:TableSchema": ("row_width", "column_names"),
+    "repro.tpcc.loader:TpccDatabase": ("db_pages", "item_rid", "stock_rid"),
+    "repro.db.schema:TableSchema": ("row_width", "column_names", "pk_indices", "pk_of"),
     "repro.workload.registry:WorkloadSpec": ("knob_dict", "resolved_knobs"),
     "repro.obs.registry:MetricRegistry": ("metrics",),
     # A cell is described once: its protocol lives in ``scenario`` and its
     # workload in one WorkloadSpec; the Sweep facade and the crash shims
     # are gone, and progress is the one per-cell callback.
-    "repro": ("Sweep", "SweepResults", "make_policy"),
+    "repro": ("Sweep", "SweepResults", "make_policy", "merge_snapshots", "run_steady_state"),
     "repro.sim": (
         "Sweep", "SweepResults", "crash_mid_interval", "run_until_mid_interval",
     ),
@@ -95,12 +95,12 @@ DELETED = {
     "repro.db.index": ("PageAccessor",),
     "repro.db.index:HashIndex": ("insert", "delete", "lookup"),
     "repro.buffer.replacement": ("LruPolicy", "ReplacementPolicy", "make_policy"),
-    "repro.buffer.replacement:ClockPolicy": ("touch",),
+    "repro.buffer.replacement:ClockPolicy": ("touch", "frames"),
     "repro.errors": ("UnpinnedFrameError",),
     # Reference copies of what the engine writes out inline: tests drive the
     # engine's own path (MvFifoCache._enqueue, BufferPool.admit, the DBMS
     # read and update path), so no test passes while that path is broken.
-    "repro.flashcache.directory:FifoDirectory": ("enqueue", "invalidate"),
+    "repro.flashcache.directory:FifoDirectory": ("enqueue", "invalidate", "contains_valid"),
     "repro.buffer.frame:Frame": (
         "pin", "unpin", "pinned", "pin_count",
         "__init__", "on_update", "on_fetch_from_disk", "on_fetch_from_flash",
@@ -116,24 +116,56 @@ DELETED = {
     "repro.sim.trace": ("IOTracer", "TraceEvent", "replay"),
     # Every store implements the batch calls, and builds only itself.
     "repro.storage.backing:PageStore": ("put_many", "peek_many", "__new__"),
+    # The metric registry is the one observability channel: nothing read the
+    # event ring, and snapshots are exported, not folded or subtracted.
+    "repro.obs": ("EventTracer", "TraceEvent", "merge_snapshots"),
+    "repro.obs:Observability": ("tracer", "trace"),
+    "repro.obs.registry": ("merge_snapshots",),
+    "repro.obs.registry:Histogram": ("mean",),
+    "repro.obs.registry:HistogramSnapshot": ("diff", "merge"),
+    "repro.obs.registry:RegistrySnapshot": ("diff", "merge"),
+    "repro.obs.scope:Scope": ("elapsed",),
+    # Post-warm-up forks are always reused (OBS off); parity tests pin them.
+    "repro.sim.warmstate": ("warm_fork_enabled", "snapshot_stats", "_SNAPSHOT_STATS"),
+    # Run only by tests (census, DESIGN.md §15).
+    "repro.analysis.costmodel": ("hit_rate_gain",),
+    "repro.analysis.fitting:LogLinearFit": ("breakeven_size",),
+    "repro.analysis.report": ("comparison_summary",),
+    "repro.buffer.pool:BufferPool": ("__contains__", "__len__", "drop"),
+    "repro.db.catalog:Catalog": ("table", "index", "owner_of_page"),
+    "repro.db.catalog:IndexInfo": ("end_page", "contains_page"),
+    "repro.db.catalog:TableInfo": ("name", "contains_page"),
+    "repro.db.heap:HeapFile": ("page_ids", "rownum_for_rid", "used_page_ids"),
+    "repro.db.page:Page": ("from_bytes", "to_bytes"),
+    "repro.flashcache.metadata": ("build_metadata_region",),
+    "repro.sim.runner": ("run_steady_state",),
+    "repro.sim.parallel": ("derive_cell_seed",),
+    "repro.sim.metrics:ThroughputSeries": ("final_commits",),
+    "repro.storage.device:IOStats": ("ops", "pages", "snapshot", "total_ops"),
+    "repro.storage.profiles:DeviceProfile": (
+        "capacity_pages", "random_write_penalty", "scaled",
+    ),
+    "repro.storage.volume:Volume": ("busy_time",),
+    "repro.tpcc.driver:TpccDriver": ("tpmc",),
+    "repro.tpcc.scale:ScaleProfile": ("initial_new_orders",),
+    "repro.wal.log:LogManager": ("records_from", "tail_length"),
+    "repro.workload.synthetic:ZipfGenerator": ("popularity",),
 }
 
 #: Deleted modules.
-DELETED_MODULES = ("repro.db.btree", "repro.sim.sweep", "repro.sim.crashes")
+DELETED_MODULES = (
+    "repro.db.btree", "repro.sim.sweep", "repro.sim.crashes", "repro.obs.tracer",
+)
 
 #: Callable -> keyword parameters it no longer takes.
 DELETED_PARAMETERS = {
     "repro.sim.parallel:run_cells": ("on_cell",),
 }
 
-ENV_FLAGS = {
-    "REPRO_TRACE_CACHE",
-    "REPRO_OBS",
-    "REPRO_REPLAY_WARMFORK",
-}
+ENV_FLAGS = {"REPRO_TRACE_CACHE"}
 
 
-def test_env_flags_under_src_are_exactly_the_documented_three():
+def test_env_flags_under_src_are_exactly_the_documented_one():
     named = set()
     for path in (ROOT / "src").rglob("*.py"):
         named.update(re.findall(r"\bREPRO_[A-Z0-9_]+", path.read_text()))

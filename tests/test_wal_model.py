@@ -83,7 +83,7 @@ def test_log_manager_matches_reference_model(ops):
 
         durable_lsns = [r.lsn for r in log.durable_records()]
         assert durable_lsns == model.durable
-        assert log.tail_length == len(model.tail)
+        assert len(log._tail) == len(model.tail)
         if model.durable:
             assert log.flushed_lsn == max(
                 model.durable[-1],

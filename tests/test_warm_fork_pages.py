@@ -43,7 +43,7 @@ def warmed():
             kv_read(dbms, k)
         else:
             kv_write(dbms, k, f"w{step}")
-    assert len(dbms.buffer) == 24
+    assert len(dbms.buffer.frames()) == 24
     return dbms
 
 
